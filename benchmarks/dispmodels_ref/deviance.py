@@ -1,0 +1,436 @@
+"""Unit deviances: definition, validation, transformation, differentiation.
+
+A unit deviance ``d(y; mu)`` generalizes the squared Euclidean distance of
+the normal density: it vanishes exactly on the diagonal ``y == mu`` and is
+positive everywhere else on its domain ``C x Omega`` (``Omega = int(C)``).
+A *regular* unit deviance is twice continuously differentiable with
+positive curvature along the diagonal, and then carries a unit variance
+function ``V(mu) = 2 / d_mumu(mu; mu)``.
+
+The module ships the six classic deviances (normal, gamma, Poisson,
+von Mises, simplex, inverse Gaussian) and the operations needed by the
+rest of the library: curvature extraction, diagonal-identity diagnostics,
+re-parametrization by a monotone transformation, and the variance
+stabilizing transformation.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
+
+import numpy as np
+from scipy.integrate import quad
+
+from ._numdiff import fd_step, mixed_second_derivative, second_derivative
+from .errors import DomainError, NumericalError
+from .support import POSITIVE_REALS, REALS, UNIT_INTERVAL, RealInterval
+
+__all__ = [
+    "UnitDeviance",
+    "VarianceFunction",
+    "eval_deviance",
+    "unit_variance",
+    "second_derivative_identity",
+    "transform_deviance",
+    "variance_stabilizing_transform",
+    "variance_function_from_deviance",
+    "check_unit_deviance",
+    "get_deviance",
+    "DEVIANCES",
+    "VARIANCE_FUNCTIONS",
+]
+
+# Probes for regularity/positivity checks are clipped inward by this
+# fraction of the interval width to avoid boundary singularities.
+_BOUNDARY_CLIP = 1e-6
+
+
+@dataclass(frozen=True)
+class UnitDeviance:
+    """A bivariate deviance function with its domain metadata.
+
+    ``support`` is the convex support C (plus a lattice flag for discrete
+    dominating measures); the parameter domain is always ``int(C)``.
+    ``regular`` is a declared flag; :func:`check_unit_deviance` verifies it
+    lazily.  Analytic second derivatives are optional — when absent, the
+    finite-difference stencils from ``_numdiff`` take over.
+    """
+
+    name: str
+    support: RealInterval
+    fn: Callable[[float, float], float]
+    regular: bool = True
+    dd_dy: Optional[Callable[[float, float], float]] = None
+    d2_dy2: Optional[Callable[[float, float], float]] = None
+    d2_dmu2: Optional[Callable[[float, float], float]] = None
+    d2_dydmu: Optional[Callable[[float, float], float]] = None
+    circular: bool = False
+
+    @property
+    def omega(self) -> RealInterval:
+        # on a circle every support point is interior (wraparound domain)
+        if self.circular:
+            return replace(self.support, lattice=False)
+        return self.support.interior()
+
+    def __call__(self, y: float, mu: float) -> float:
+        return eval_deviance(self, y, mu)
+
+
+@dataclass(frozen=True)
+class VarianceFunction:
+    """A positive function on an open interval: the unit variance V(mu)."""
+
+    name: str
+    domain: RealInterval
+    fn: Callable[[float], float]
+    d_dmu: Optional[Callable[[float], float]] = None
+
+    def __call__(self, mu: float) -> float:
+        self.domain.require(mu, "mu")
+        v = float(self.fn(mu))
+        if not v > 0.0:
+            raise NumericalError(f"variance function {self.name} not positive at mu={mu}: {v}")
+        return v
+
+
+def eval_deviance(d: UnitDeviance, y: float, mu: float) -> float:
+    """Evaluate ``d(y; mu)``; exactly zero when ``y == mu``."""
+    y = float(y)
+    mu = float(mu)
+    d.support.require(y, "y")
+    d.omega.require(mu, "mu")
+    if y == mu:
+        return 0.0
+    value = float(d.fn(y, mu))
+    if not math.isfinite(value):
+        raise NumericalError(f"deviance {d.name} not finite at (y={y}, mu={mu})")
+    return value
+
+
+def _diag_probe(d: UnitDeviance, mu: float) -> tuple[float, float]:
+    """Clipped diagonal probe point and a step keeping the stencil inside Omega."""
+    mu_c = d.omega.clip_inward(mu, _BOUNDARY_CLIP)
+    h = fd_step(mu_c)
+    for bound in (d.omega.lower, d.omega.upper):
+        if math.isfinite(bound):
+            h = min(h, abs(mu_c - bound) / 3.0)
+    return mu_c, h
+
+
+def _d2_dmu2(d: UnitDeviance, mu: float) -> float:
+    if d.d2_dmu2 is not None:
+        return float(d.d2_dmu2(mu, mu))
+    mu_c, h = _diag_probe(d, mu)
+    return second_derivative(lambda m: d.fn(mu_c, m), mu_c, h)
+
+
+def _d2_dy2(d: UnitDeviance, mu: float) -> float:
+    if d.d2_dy2 is not None:
+        return float(d.d2_dy2(mu, mu))
+    mu_c, h = _diag_probe(d, mu)
+    return second_derivative(lambda y: d.fn(y, mu_c), mu_c, h)
+
+
+def _d2_dydmu(d: UnitDeviance, mu: float) -> float:
+    if d.d2_dydmu is not None:
+        return float(d.d2_dydmu(mu, mu))
+    mu_c, h = _diag_probe(d, mu)
+    return mixed_second_derivative(d.fn, mu_c, mu_c, h, h)
+
+
+def unit_variance(d: UnitDeviance, mu: float) -> float:
+    """Unit variance function ``V(mu) = 2 / d_mumu(mu; mu)``.
+
+    Uses the analytic second derivative when the deviance registers one,
+    otherwise a 5-point central difference with step
+    ``max(eps^(1/3) |mu|, eps^(1/3))``.
+    """
+    if not d.regular:
+        raise DomainError(f"deviance {d.name} is not regular; no unit variance")
+    d.omega.require(mu, "mu")
+    curving = _d2_dmu2(d, mu)
+    if not curving > 0.0:
+        raise NumericalError(
+            f"second derivative of {d.name} at mu={mu} is {curving}; deviance not regular there"
+        )
+    return 2.0 / curving
+
+
+def second_derivative_identity(d: UnitDeviance, mu: float) -> tuple[float, float, float]:
+    """The three diagonal second derivatives ``(d_yy, d_mumu, d_ymu)`` at ``(mu, mu)``.
+
+    For any regular unit deviance these satisfy
+    ``d_yy = d_mumu = -d_ymu``; callers assert the identity at their own
+    tolerance.
+    """
+    if not d.regular:
+        raise DomainError(f"deviance {d.name} is not regular")
+    d.omega.require(mu, "mu")
+    return (_d2_dy2(d, mu), _d2_dmu2(d, mu), _d2_dydmu(d, mu))
+
+
+def variance_function_from_deviance(d: UnitDeviance) -> VarianceFunction:
+    """Wrap :func:`unit_variance` of ``d`` as a :class:`VarianceFunction`."""
+    return VarianceFunction(
+        name=f"V[{d.name}]",
+        domain=d.omega,
+        fn=lambda mu: unit_variance(d, mu),
+    )
+
+
+def _map_endpoint(f, x: float, side: int, interval: RealInterval) -> float:
+    """Image of an interval endpoint under monotone f, probing open/infinite ends.
+
+    ``side`` is -1 for the lower endpoint, +1 for the upper.  The limit is
+    estimated along a geometric probe sequence; divergence is mapped to
+    +-inf.
+    """
+    closed = interval.closed_lower if side < 0 else interval.closed_upper
+    if math.isfinite(x) and closed:
+        return float(f(x))
+    width = interval.width if interval.finite else 1.0
+    if math.isfinite(x):
+        probes = [x - side * width * 10.0**-k for k in range(3, 13)]
+    else:
+        probes = [side * 10.0**k for k in range(1, 9)]
+    values = []
+    for p in probes:
+        try:
+            v = float(f(p))
+        except (ValueError, OverflowError, ZeroDivisionError):
+            continue
+        if math.isfinite(v):
+            values.append(v)
+    if not values:
+        raise DomainError("cannot determine image interval of the transformation")
+    if len(values) >= 2:
+        # converging probe sequence -> finite endpoint; otherwise divergence
+        if abs(values[-1] - values[-2]) < 1e-6 * (1.0 + abs(values[-1])):
+            return values[-1]
+        return math.copysign(math.inf, values[-1] - values[-2])
+    return values[-1]
+
+
+def transform_deviance(
+    d: UnitDeviance,
+    f: Callable[[float], float],
+    f_inverse: Callable[[float], float],
+    f_prime: Callable[[float], float],
+    twice_differentiable: bool = True,
+    name: str | None = None,
+) -> UnitDeviance:
+    """Re-parametrize ``d`` by a monotone one-to-one map ``f: C -> C_f``.
+
+    Returns ``d_f(z; xi) = d(f^{-1}(z); f^{-1}(xi))``.  Monotonicity is
+    screened by the sign of ``f_prime`` on a probe grid; a sign change or a
+    zero rejects the map.  If ``d`` is regular and ``f`` twice continuously
+    differentiable the result is flagged regular, with unit variance
+    ``V_f(xi) = V(f^{-1}(xi)) * f'(f^{-1}(xi))^2``.
+    """
+    omega = d.omega
+    probes = omega.grid(33, _BOUNDARY_CLIP)
+    signs = np.sign([f_prime(p) for p in probes])
+    if np.any(signs == 0) or len(set(signs.tolist())) != 1:
+        raise DomainError("transformation is not monotone on the deviance domain")
+    increasing = signs[0] > 0
+
+    lo_img = _map_endpoint(f, d.support.lower, -1, d.support)
+    hi_img = _map_endpoint(f, d.support.upper, +1, d.support)
+    if not increasing:
+        lo_img, hi_img = hi_img, lo_img
+        closed_lower, closed_upper = d.support.closed_upper, d.support.closed_lower
+    else:
+        closed_lower, closed_upper = d.support.closed_lower, d.support.closed_upper
+
+    new_support = RealInterval(lo_img, hi_img, closed_lower, closed_upper, d.support.lattice)
+
+    def fn(z: float, xi: float) -> float:
+        return d.fn(f_inverse(z), f_inverse(xi))
+
+    return UnitDeviance(
+        name=name or f"{d.name}_transformed",
+        support=new_support,
+        fn=fn,
+        regular=d.regular and twice_differentiable,
+    )
+
+
+def variance_stabilizing_transform(V: VarianceFunction, y_star: float, y: float) -> float:
+    """``f(y) = integral_{y_star}^{y} V(v)^{-1/2} dv`` by adaptive quadrature.
+
+    The transformed deviance has constant unit variance 1.  Fails if V
+    vanishes (or is invalid) anywhere on the integration path.
+    """
+    V.domain.require(y_star, "y_star")
+    V.domain.require(y, "y")
+    if y == y_star:
+        return 0.0
+    lo, hi = min(y_star, y), max(y_star, y)
+    for v in np.linspace(lo, hi, 17):
+        value = V.fn(float(v))
+        if not value > 0.0:
+            raise NumericalError(f"variance function vanishes on the path at {v}")
+    integral, err = quad(lambda v: V.fn(v) ** -0.5, y_star, y, limit=200)
+    if not math.isfinite(integral) or err > 1e-6 * max(1.0, abs(integral)):
+        raise NumericalError("quadrature failure in variance stabilizing transform")
+    return float(integral)
+
+
+def _sample_interval(interval: RealInterval, rng: np.random.Generator, n: int, span: float = 10.0):
+    lo = interval.lower if math.isfinite(interval.lower) else -span
+    hi = interval.upper if math.isfinite(interval.upper) else span
+    width = hi - lo
+    samples = lo + width * rng.random(n)
+    return np.array([interval.clip_inward(float(s), _BOUNDARY_CLIP) for s in samples])
+
+
+def check_unit_deviance(d: UnitDeviance, rng: np.random.Generator | None = None, n: int = 100) -> list[str]:
+    """Verify the unit-deviance axioms on random probes.
+
+    Returns a list of human-readable failures (empty means all checks
+    passed): zero on the diagonal, positivity off it, and — for deviances
+    flagged regular — positive diagonal curvature.
+    """
+    rng = rng or np.random.default_rng(0)
+    failures: list[str] = []
+    mus = _sample_interval(d.omega, rng, n)
+    ys = _sample_interval(d.support, rng, n)
+    for mu in mus:
+        if eval_deviance(d, float(mu), float(mu)) != 0.0:
+            failures.append(f"d(mu; mu) != 0 at mu={mu}")
+            break
+    for y, mu in zip(ys, mus):
+        if y == mu:
+            continue
+        if not eval_deviance(d, float(y), float(mu)) > 0.0:
+            failures.append(f"d(y; mu) <= 0 at (y={y}, mu={mu})")
+            break
+    if d.regular:
+        for mu in mus[: min(8, n)]:
+            try:
+                unit_variance(d, float(mu))
+            except (DomainError, NumericalError) as exc:
+                failures.append(f"curvature check failed at mu={mu}: {exc}")
+                break
+    return failures
+
+
+# ----------------------------------------------------------------------
+# Built-in deviances
+# ----------------------------------------------------------------------
+
+
+def _normal() -> UnitDeviance:
+    return UnitDeviance(
+        name="normal",
+        support=REALS,
+        fn=lambda y, mu: (y - mu) ** 2,
+        dd_dy=lambda y, mu: 2.0 * (y - mu),
+        d2_dy2=lambda y, mu: 2.0,
+        d2_dmu2=lambda y, mu: 2.0,
+        d2_dydmu=lambda y, mu: -2.0,
+    )
+
+
+def _gamma() -> UnitDeviance:
+    return UnitDeviance(
+        name="gamma",
+        support=POSITIVE_REALS,
+        fn=lambda y, mu: 2.0 * (y / mu - math.log(y / mu) - 1.0),
+        dd_dy=lambda y, mu: 2.0 * (1.0 / mu - 1.0 / y),
+        d2_dy2=lambda y, mu: 2.0 / y**2,
+        d2_dmu2=lambda y, mu: 2.0 * (2.0 * y / mu**3 - 1.0 / mu**2),
+        d2_dydmu=lambda y, mu: -2.0 / mu**2,
+    )
+
+
+def _poisson_fn(y, mu):
+    # y log y -> 0 as y -> 0; the convex support includes 0
+    ylogy = y * math.log(y / mu) if y > 0 else 0.0
+    return 2.0 * (ylogy - y + mu)
+
+
+def _poisson() -> UnitDeviance:
+    return UnitDeviance(
+        name="poisson",
+        support=RealInterval(0.0, math.inf, closed_lower=True, lattice=True),
+        fn=_poisson_fn,
+        dd_dy=lambda y, mu: 2.0 * math.log(y / mu),
+        d2_dy2=lambda y, mu: 2.0 / y,
+        d2_dmu2=lambda y, mu: 2.0 * y / mu**2,
+        d2_dydmu=lambda y, mu: -2.0 / mu,
+    )
+
+
+def _von_mises() -> UnitDeviance:
+    return UnitDeviance(
+        name="vonmises",
+        support=RealInterval(0.0, 2.0 * math.pi, closed_lower=True),
+        fn=lambda y, mu: 2.0 * (1.0 - math.cos(y - mu)),
+        dd_dy=lambda y, mu: 2.0 * math.sin(y - mu),
+        d2_dy2=lambda y, mu: 2.0 * math.cos(y - mu),
+        d2_dmu2=lambda y, mu: 2.0 * math.cos(y - mu),
+        d2_dydmu=lambda y, mu: -2.0 * math.cos(y - mu),
+        circular=True,
+    )
+
+
+def _simplex() -> UnitDeviance:
+    # analytic derivatives deliberately absent: exercises the FD path
+    return UnitDeviance(
+        name="simplex",
+        support=UNIT_INTERVAL,
+        fn=lambda y, mu: (y - mu) ** 2 / (y * (1.0 - y) * mu**2 * (1.0 - mu) ** 2),
+    )
+
+
+def _inverse_gaussian() -> UnitDeviance:
+    return UnitDeviance(
+        name="inverse_gaussian",
+        support=POSITIVE_REALS,
+        fn=lambda y, mu: (y - mu) ** 2 / (mu**2 * y),
+        dd_dy=lambda y, mu: 1.0 / mu**2 - 1.0 / y**2,
+        d2_dy2=lambda y, mu: 2.0 / y**3,
+        d2_dmu2=lambda y, mu: 6.0 * y / mu**4 - 4.0 / mu**3,
+        d2_dydmu=lambda y, mu: -2.0 / mu**3,
+    )
+
+
+DEVIANCES: dict[str, UnitDeviance] = {
+    dev.name: dev
+    for dev in (_normal(), _gamma(), _poisson(), _von_mises(), _simplex(), _inverse_gaussian())
+}
+
+VARIANCE_FUNCTIONS: dict[str, VarianceFunction] = {
+    "normal": VarianceFunction("normal", REALS, lambda mu: 1.0, d_dmu=lambda mu: 0.0),
+    "gamma": VarianceFunction("gamma", POSITIVE_REALS, lambda mu: mu**2, d_dmu=lambda mu: 2.0 * mu),
+    "poisson": VarianceFunction("poisson", POSITIVE_REALS, lambda mu: mu, d_dmu=lambda mu: 1.0),
+    "vonmises": VarianceFunction(
+        # the circle's parameter domain includes the representative 0
+        "vonmises",
+        RealInterval(0.0, 2.0 * math.pi, closed_lower=True),
+        lambda mu: 1.0,
+        d_dmu=lambda mu: 0.0,
+    ),
+    "simplex": VarianceFunction(
+        "simplex",
+        UNIT_INTERVAL,
+        lambda mu: mu**3 * (1.0 - mu) ** 3,
+        d_dmu=lambda mu: 3.0 * mu**2 * (1.0 - mu) ** 2 * (1.0 - 2.0 * mu),
+    ),
+    "inverse_gaussian": VarianceFunction(
+        "inverse_gaussian", POSITIVE_REALS, lambda mu: mu**3, d_dmu=lambda mu: 3.0 * mu**2
+    ),
+}
+
+
+def get_deviance(name: str) -> UnitDeviance:
+    try:
+        return DEVIANCES[name]
+    except KeyError:
+        raise DomainError(
+            f"unknown deviance {name!r}; available: {', '.join(sorted(DEVIANCES))}"
+        ) from None

@@ -1,0 +1,712 @@
+"""Exponential dispersion models built from cumulant generators.
+
+A family is determined by a strictly convex generator ``b`` on an open
+canonical domain: the cgf of a member is ``K(t) = [b(theta + tau t) -
+b(theta)] / tau``, the mean is ``b'(theta)``, the variance function is
+``b''`` composed with the inverse mean mapping, and the unit deviance is
+``2 * integral_mu^y (y - t) / V(t) dt``.  Densities use the exact additive
+normalizer ``c(y; tau)`` where one is known; otherwise the renormalized
+saddlepoint approximation stands in (and the caller can see that through
+``has_exact_density``).
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import warnings
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import numpy as np
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import factorial2, gammaln, polygamma
+
+from ._numdiff import fd_step, first_derivative, nth_derivative, second_derivative
+from .deviance import UnitDeviance, VarianceFunction
+from .errors import ConvergenceError, DomainError, NumericalError
+from .expressions import compile_expression
+from .support import POSITIVE_REALS, REALS, RealInterval
+
+__all__ = [
+    "EdmFamily",
+    "MorrisSpec",
+    "cgf",
+    "mean_value",
+    "inverse_mean",
+    "variance_function",
+    "variance_prime",
+    "cumulant",
+    "edm_deviance",
+    "density",
+    "log_density",
+    "saturated_loglik_kernel",
+    "sample_mean_family",
+    "morris_family",
+    "family_from_config",
+    "unit_deviance_of",
+    "variance_function_of",
+    "gsh_log_normalizer",
+    "get_family",
+    "FAMILIES",
+]
+
+_UNIT_TAU = RealInterval(1.0, 1.0, closed_lower=True, closed_upper=True)
+
+
+@dataclass(frozen=True)
+class EdmFamily:
+    """An EDM specified by its cumulant generator and domain metadata.
+
+    ``b_nth(order, theta)`` may return ``None`` for orders it does not
+    know; the cumulant machinery then falls back to Richardson-extrapolated
+    finite differences.  ``exact_normalizer`` is the additive term
+    ``c(y; tau)`` of the log density, on the log scale.
+    """
+
+    name: str
+    theta_domain: RealInterval
+    b: Callable[[float], float]
+    mean_domain: RealInterval
+    support: RealInterval
+    dispersion_domain: RealInterval
+    b_prime: Optional[Callable[[float], float]] = None
+    b_double_prime: Optional[Callable[[float], float]] = None
+    b_nth: Optional[Callable[[int, float], Optional[float]]] = None
+    exact_normalizer: Optional[Callable[[float, float], float]] = None
+    dc_dtau: Optional[Callable[[float, float], float]] = None
+    mean_inverse: Optional[Callable[[float], float]] = None
+    deviance_closed_form: Optional[Callable[[float, float], float]] = None
+    tau_mle_closed_form: Optional[Callable[[np.ndarray, float, int], float]] = None
+
+    @property
+    def has_exact_density(self) -> bool:
+        return self.exact_normalizer is not None
+
+    def _b_prime(self, theta: float) -> float:
+        if self.b_prime is not None:
+            return float(self.b_prime(theta))
+        return first_derivative(self.b, theta, _theta_step(self, theta))
+
+    def _b_double_prime(self, theta: float) -> float:
+        if self.b_double_prime is not None:
+            return float(self.b_double_prime(theta))
+        return second_derivative(self.b, theta, _theta_step(self, theta))
+
+
+def _theta_step(fam: EdmFamily, theta: float) -> float:
+    h = fd_step(theta)
+    for bound in (fam.theta_domain.lower, fam.theta_domain.upper):
+        if math.isfinite(bound):
+            h = min(h, abs(theta - bound) / 3.0)
+    return max(h, 1e-300)
+
+
+def cgf(fam: EdmFamily, t: float, theta: float, tau: float) -> float:
+    """Cumulant generating function ``K(t; theta, tau) = [b(theta + tau t) - b(theta)] / tau``."""
+    fam.theta_domain.require(theta, "theta")
+    fam.dispersion_domain.require(tau, "tau")
+    shifted = theta + tau * t
+    if not fam.theta_domain.contains(shifted):
+        raise DomainError(
+            f"cgf of {fam.name} does not exist at t={t}: theta + tau*t = {shifted} "
+            f"outside {fam.theta_domain}"
+        )
+    return (fam.b(shifted) - fam.b(theta)) / tau
+
+
+def mean_value(fam: EdmFamily, theta: float) -> float:
+    """Mean value mapping ``mu = b'(theta)``."""
+    fam.theta_domain.interior().require(theta, "theta")
+    return fam._b_prime(theta)
+
+
+def inverse_mean(fam: EdmFamily, mu: float) -> float:
+    """Solve ``b'(theta) = mu`` for theta (the mapping q).
+
+    Uses the registered analytic inverse when present, else safeguarded
+    Newton with a bisection fallback, to ``|b'(theta) - mu| <= 1e-10 *
+    max(1, |mu|)``.
+    """
+    fam.mean_domain.require(mu, "mu")
+    if fam.mean_inverse is not None:
+        return float(fam.mean_inverse(mu))
+    return _solve_increasing(
+        fam._b_prime,
+        mu,
+        fam.theta_domain,
+        tol=1e-10 * max(1.0, abs(mu)),
+        g_prime=fam._b_double_prime,
+    )
+
+
+def _domain_probe(domain: RealInterval, toward_upper: bool, k: int) -> float:
+    """Points marching geometrically toward one end of an open interval."""
+    lo, hi = domain.lower, domain.upper
+    if toward_upper:
+        if math.isfinite(hi):
+            ref = lo if math.isfinite(lo) else hi - 1.0
+            return hi - (hi - ref) * 0.5 ** (k + 1)
+        return lo + 2.0**k if math.isfinite(lo) else 2.0**k - 2.0
+    if math.isfinite(lo):
+        ref = hi if math.isfinite(hi) else lo + 1.0
+        return lo + (ref - lo) * 0.5 ** (k + 1)
+    return hi - 2.0**k if math.isfinite(hi) else 2.0 - 2.0**k
+
+
+def _solve_increasing(
+    g,
+    target: float,
+    domain: RealInterval,
+    tol: float,
+    g_prime=None,
+    max_iter: int = 200,
+) -> float:
+    """Root of increasing ``g(x) = target`` on an open interval.
+
+    Safeguarded Newton: steps that leave the current bracket fall back to
+    bisection, so convergence is guaranteed for monotone g.
+    """
+    lo = hi = None
+    for toward_upper in (False, True):
+        for k in range(60):
+            x = _domain_probe(domain, toward_upper, k)
+            if not domain.contains(x):
+                continue
+            try:
+                val = g(x)
+            except (DomainError, ValueError, OverflowError, ZeroDivisionError):
+                continue
+            if not math.isfinite(val):
+                continue
+            if toward_upper and val >= target:
+                hi = x
+                break
+            if not toward_upper and val <= target:
+                lo = x
+                break
+    if lo is None or hi is None:
+        raise ConvergenceError(f"cannot bracket the target {target} inside {domain}")
+    x = 0.5 * (lo + hi)
+    for _ in range(max_iter):
+        val = g(x)
+        if abs(val - target) <= tol:
+            return x
+        if val < target:
+            lo = x
+        else:
+            hi = x
+        slope = None
+        if g_prime is not None:
+            try:
+                slope = g_prime(x)
+            except (DomainError, ValueError, OverflowError, ZeroDivisionError):
+                slope = None
+        candidate = x + (target - val) / slope if slope and slope > 0 else math.nan
+        if not (math.isfinite(candidate) and lo < candidate < hi):
+            candidate = 0.5 * (lo + hi)
+        x = candidate
+    raise ConvergenceError(f"inverse mean solve did not converge after {max_iter} iterations")
+
+
+def variance_function(fam: EdmFamily, mu: float) -> float:
+    """Unit variance function ``V(mu) = b''(q(mu))``."""
+    theta = inverse_mean(fam, mu)
+    v = fam._b_double_prime(theta)
+    if not v > 0.0:
+        raise NumericalError(f"b'' not positive at theta={theta} for {fam.name}")
+    return v
+
+
+def variance_prime(fam: EdmFamily, mu: float) -> float:
+    """Derivative of the variance function, ``V'(mu) = b'''(q(mu)) / V(mu)``."""
+    theta = inverse_mean(fam, mu)
+    third = fam.b_nth(3, theta) if fam.b_nth is not None else None
+    if third is not None:
+        return float(third) / variance_function(fam, mu)
+    h = fd_step(mu)
+    for bound in (fam.mean_domain.lower, fam.mean_domain.upper):
+        if math.isfinite(bound):
+            h = min(h, abs(mu - bound) / 3.0)
+    return first_derivative(lambda m: variance_function(fam, m), mu, h)
+
+
+def cumulant(fam: EdmFamily, r: int, theta: float, tau: float) -> float:
+    """r-th cumulant ``tau^(r-1) b^(r)(theta)``.
+
+    Orders above 2 use registered analytic derivatives when available and
+    Richardson-extrapolated finite differences otherwise; orders above 6
+    without an analytic form are refused as numerically unstable.
+    """
+    if r < 1:
+        raise DomainError("cumulant order must be >= 1")
+    fam.theta_domain.interior().require(theta, "theta")
+    fam.dispersion_domain.require(tau, "tau")
+    if r == 1:
+        deriv = fam._b_prime(theta)
+    elif r == 2:
+        deriv = fam._b_double_prime(theta)
+    else:
+        deriv = fam.b_nth(r, theta) if fam.b_nth is not None else None
+        if deriv is None:
+            if r > 6:
+                raise NumericalError(
+                    f"cumulant order {r} requires an analytic derivative of b for {fam.name}"
+                )
+            if fam.b_double_prime is not None:
+                deriv = nth_derivative(fam.b_double_prime, theta, r - 2, h=_theta_step(fam, theta))
+            else:
+                deriv = nth_derivative(fam.b, theta, r, h=_theta_step(fam, theta))
+    return tau ** (r - 1) * float(deriv)
+
+
+def edm_deviance(fam: EdmFamily, y: float, mu: float) -> float:
+    """Unit deviance ``2 integral_mu^y (y - t)/V(t) dt``.
+
+    Closed forms are used where the family registers one; otherwise
+    adaptive quadrature of the integrand.  The result is nonnegative and
+    vanishes exactly at ``y == mu``.
+    """
+    fam.support.require(y, "y")
+    fam.mean_domain.require(mu, "mu")
+    if y == mu:
+        return 0.0
+    if fam.deviance_closed_form is not None:
+        return float(fam.deviance_closed_form(y, mu))
+    return deviance_by_quadrature(fam, y, mu)
+
+
+def deviance_by_quadrature(fam: EdmFamily, y: float, mu: float) -> float:
+    """Unit deviance by adaptive quadrature of ``2 (y - t)/V(t)``, ignoring closed forms."""
+    fam.support.require(y, "y")
+    fam.mean_domain.require(mu, "mu")
+    if y == mu:
+        return 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        value, err = quad(
+            lambda t: 2.0 * (y - t) / variance_function(fam, t), mu, y, limit=200
+        )
+    if not math.isfinite(value) or err > 1e-6 * max(1.0, abs(value)):
+        raise NumericalError(f"deviance quadrature failed for {fam.name} at (y={y}, mu={mu})")
+    return float(value)
+
+
+def log_density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
+    """Exact log density ``[y theta - b(theta)]/tau + c(y; tau)``.
+
+    Requires an exact normalizer; :func:`density` provides the
+    saddlepoint-backed fallback for families without one.
+    """
+    _require_observation(fam, y)
+    fam.theta_domain.require(theta, "theta")
+    fam.dispersion_domain.require(tau, "tau")
+    if fam.exact_normalizer is None:
+        raise DomainError(f"family {fam.name} has no exact normalizer")
+    return (y * theta - fam.b(theta)) / tau + fam.exact_normalizer(y, tau)
+
+
+def density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
+    """Density (or probability mass) at ``y``.
+
+    When no exact normalizer is registered, the value is the renormalized
+    saddlepoint approximation; ``fam.has_exact_density`` tells the two
+    cases apart.
+    """
+    if fam.exact_normalizer is not None:
+        return math.exp(log_density(fam, y, theta, tau))
+    _require_observation(fam, y)
+    fam.theta_domain.require(theta, "theta")
+    fam.dispersion_domain.require(tau, "tau")
+    from .saddlepoint import renormalized_saddlepoint
+
+    mu = mean_value(fam, theta)
+    result = renormalized_saddlepoint(unit_deviance_of(fam), variance_function_of(fam), y, mu, tau)
+    return result.value
+
+
+def _require_observation(fam: EdmFamily, y: float) -> None:
+    fam.support.require(y, "y")
+    if fam.support.lattice and abs(y - round(y)) > 1e-9:
+        raise DomainError(f"{fam.name} has lattice support; y={y} is not a lattice point")
+
+
+def saturated_loglik_kernel(fam: EdmFamily, y: float) -> float:
+    """The theta-part of the log likelihood at mu = y: ``y q(y) - b(q(y))``."""
+    theta = inverse_mean(fam, y)
+    return y * theta - fam.b(theta)
+
+
+def sample_mean_family(fam: EdmFamily, theta: float, tau: float, n: int) -> tuple[float, float]:
+    """Parameters ``(theta, tau/n)`` of the sample mean of n iid draws.
+
+    The mean of an EDM sample stays in the same family; the call fails when
+    ``tau/n`` leaves the family's dispersion domain (the closure requires
+    infinite divisibility).
+    """
+    if n < 1:
+        raise DomainError("sample size must be >= 1")
+    fam.theta_domain.require(theta, "theta")
+    fam.dispersion_domain.require(tau, "tau")
+    new_tau = tau / n
+    if not fam.dispersion_domain.contains(new_tau):
+        raise DomainError(
+            f"tau/n = {new_tau} outside the dispersion domain {fam.dispersion_domain} of {fam.name}"
+        )
+    return theta, new_tau
+
+
+def unit_deviance_of(fam: EdmFamily) -> UnitDeviance:
+    """The family's unit deviance packaged for the deviance-core operations."""
+
+    def dd_dy(y, mu):
+        return 2.0 * (inverse_mean(fam, y) - inverse_mean(fam, mu))
+
+    def d2_dy2(y, mu):
+        return 2.0 / variance_function(fam, y)
+
+    def d2_dmu2(y, mu):
+        v = variance_function(fam, mu)
+        return 2.0 / v + 2.0 * (y - mu) * variance_prime(fam, mu) / v**2
+
+    def d2_dydmu(y, mu):
+        return -2.0 / variance_function(fam, mu)
+
+    return UnitDeviance(
+        name=fam.name,
+        support=fam.support,
+        fn=lambda y, mu: edm_deviance(fam, y, mu),
+        dd_dy=dd_dy,
+        d2_dy2=d2_dy2,
+        d2_dmu2=d2_dmu2,
+        d2_dydmu=d2_dydmu,
+    )
+
+
+def variance_function_of(fam: EdmFamily) -> VarianceFunction:
+    return VarianceFunction(
+        name=f"V[{fam.name}]",
+        domain=fam.mean_domain,
+        fn=lambda mu: variance_function(fam, mu),
+        d_dmu=lambda mu: variance_prime(fam, mu),
+    )
+
+
+# ----------------------------------------------------------------------
+# Built-in families
+# ----------------------------------------------------------------------
+
+
+def _normal_family() -> EdmFamily:
+    return EdmFamily(
+        name="normal",
+        theta_domain=REALS,
+        b=lambda th: 0.5 * th * th,
+        b_prime=lambda th: th,
+        b_double_prime=lambda th: 1.0,
+        b_nth=lambda r, th: 0.0,
+        mean_domain=REALS,
+        support=REALS,
+        dispersion_domain=POSITIVE_REALS,
+        exact_normalizer=lambda y, tau: -0.5 * y * y / tau - 0.5 * math.log(2.0 * math.pi * tau),
+        dc_dtau=lambda y, tau: 0.5 * y * y / tau**2 - 0.5 / tau,
+        mean_inverse=lambda mu: mu,
+        deviance_closed_form=lambda y, mu: (y - mu) ** 2,
+        tau_mle_closed_form=lambda y, deviance, n: deviance / n,
+    )
+
+
+def _gamma_family() -> EdmFamily:
+    return EdmFamily(
+        name="gamma",
+        theta_domain=RealInterval(-math.inf, 0.0),
+        b=lambda th: -math.log(-th),
+        b_prime=lambda th: -1.0 / th,
+        b_double_prime=lambda th: 1.0 / th**2,
+        b_nth=lambda r, th: math.gamma(r) * (-th) ** (-r),
+        mean_domain=POSITIVE_REALS,
+        support=POSITIVE_REALS,
+        dispersion_domain=POSITIVE_REALS,
+        exact_normalizer=lambda y, tau: (1.0 / tau - 1.0) * math.log(y)
+        - math.log(tau) / tau
+        - gammaln(1.0 / tau),
+        dc_dtau=lambda y, tau: (-math.log(y) + math.log(tau) - 1.0 + polygamma(0, 1.0 / tau))
+        / tau**2,
+        mean_inverse=lambda mu: -1.0 / mu,
+        deviance_closed_form=lambda y, mu: 2.0 * (y / mu - math.log(y / mu) - 1.0),
+    )
+
+
+def _poisson_family() -> EdmFamily:
+    def poisson_dev(y, mu):
+        ylogy = y * math.log(y / mu) if y > 0 else 0.0
+        return 2.0 * (ylogy - y + mu)
+
+    return EdmFamily(
+        name="poisson",
+        theta_domain=REALS,
+        b=math.exp,
+        b_prime=math.exp,
+        b_double_prime=math.exp,
+        b_nth=lambda r, th: math.exp(th),
+        mean_domain=POSITIVE_REALS,
+        support=RealInterval(0.0, math.inf, closed_lower=True, lattice=True),
+        dispersion_domain=_UNIT_TAU,
+        exact_normalizer=lambda y, tau: -float(gammaln(y + 1.0)),
+        mean_inverse=math.log,
+        deviance_closed_form=poisson_dev,
+    )
+
+
+def _inverse_gaussian_family() -> EdmFamily:
+    return EdmFamily(
+        name="inverse_gaussian",
+        theta_domain=RealInterval(-math.inf, 0.0),
+        b=lambda th: -math.sqrt(-2.0 * th),
+        b_prime=lambda th: (-2.0 * th) ** -0.5,
+        b_double_prime=lambda th: (-2.0 * th) ** -1.5,
+        b_nth=lambda r, th: float(factorial2(2 * r - 3)) * (-2.0 * th) ** (-(2 * r - 1) / 2.0)
+        if r >= 2
+        else (-2.0 * th) ** -0.5,
+        mean_domain=POSITIVE_REALS,
+        support=POSITIVE_REALS,
+        dispersion_domain=POSITIVE_REALS,
+        exact_normalizer=lambda y, tau: -0.5 / (tau * y) - 0.5 * math.log(2.0 * math.pi * tau * y**3),
+        dc_dtau=lambda y, tau: 0.5 / (tau**2 * y) - 0.5 / tau,
+        mean_inverse=lambda mu: -0.5 / mu**2,
+        deviance_closed_form=lambda y, mu: (y - mu) ** 2 / (mu**2 * y),
+        tau_mle_closed_form=lambda y, deviance, n: deviance / n,
+    )
+
+
+def _binomial_family() -> EdmFamily:
+    def sigma(th):
+        return 1.0 / (1.0 + math.exp(-th))
+
+    def b_nth(r, th):
+        s = sigma(th)
+        if r == 3:
+            return s * (1.0 - s) * (1.0 - 2.0 * s)
+        if r == 4:
+            return s * (1.0 - s) * (1.0 - 6.0 * s + 6.0 * s * s)
+        return None
+
+    return EdmFamily(
+        name="binomial",
+        theta_domain=REALS,
+        b=lambda th: math.log1p(math.exp(th)) if th < 30 else th + math.log1p(math.exp(-th)),
+        b_prime=sigma,
+        b_double_prime=lambda th: sigma(th) * (1.0 - sigma(th)),
+        b_nth=b_nth,
+        mean_domain=RealInterval(0.0, 1.0),
+        support=RealInterval(0.0, 1.0, closed_lower=True, closed_upper=True, lattice=True),
+        dispersion_domain=_UNIT_TAU,
+        exact_normalizer=lambda y, tau: 0.0,
+        mean_inverse=lambda mu: math.log(mu / (1.0 - mu)),
+        deviance_closed_form=lambda y, mu: 2.0
+        * (
+            (y * math.log(y / mu) if y > 0 else 0.0)
+            + ((1.0 - y) * math.log((1.0 - y) / (1.0 - mu)) if y < 1 else 0.0)
+        ),
+    )
+
+
+def _negative_binomial_family() -> EdmFamily:
+    def b_nth(r, th):
+        q = math.exp(th)
+        if r == 3:
+            return q * (1.0 + q) / (1.0 - q) ** 3
+        if r == 4:
+            return q * (1.0 + 4.0 * q + q * q) / (1.0 - q) ** 4
+        return None
+
+    return EdmFamily(
+        name="negative_binomial",
+        theta_domain=RealInterval(-math.inf, 0.0),
+        b=lambda th: -math.log1p(-math.exp(th)),
+        b_prime=lambda th: math.exp(th) / (1.0 - math.exp(th)),
+        b_double_prime=lambda th: math.exp(th) / (1.0 - math.exp(th)) ** 2,
+        b_nth=b_nth,
+        mean_domain=POSITIVE_REALS,
+        support=RealInterval(0.0, math.inf, closed_lower=True, lattice=True),
+        dispersion_domain=_UNIT_TAU,
+        exact_normalizer=lambda y, tau: 0.0,
+        mean_inverse=lambda mu: math.log(mu / (1.0 + mu)),
+        deviance_closed_form=lambda y, mu: 2.0
+        * (
+            (y * math.log(y / mu) if y > 0 else 0.0)
+            - (1.0 + y) * math.log((1.0 + y) / (1.0 + mu))
+        ),
+    )
+
+
+def gsh_log_normalizer(y: float, tau: float, term_tol: float = 1e-14, max_terms: int = 10**6) -> float:
+    """Series normalizer of the generalized secant hyperbolic family.
+
+    ``c(y; tau) = log[2^((1-2 tau)/tau) / (tau Gamma(1/tau))]
+    - sum_{j>=1} log[1 + y^2 / (1 + 2 j tau)^2]``.
+
+    Terms are accumulated until they drop below ``term_tol`` (capped at
+    ``max_terms``); the j^-2 tail beyond the cut is added in closed form
+    via the trigamma function, which is what makes the cut insensitive at
+    the 1e-10 level.
+    """
+    if tau <= 0.0:
+        raise DomainError("tau must be positive")
+    lead = ((1.0 - 2.0 * tau) / tau) * math.log(2.0) - math.log(tau) - float(gammaln(1.0 / tau))
+    y2 = y * y
+    if y2 == 0.0:
+        return lead
+    delta = 0.5 / tau  # (1 + 2 j tau)^2 = 4 tau^2 (j + delta)^2
+    scale = y2 / (4.0 * tau * tau)
+    total = 0.0
+    j = 1
+    block = 4096
+    cut = max_terms
+    while j <= max_terms:
+        jj = np.arange(j, min(j + block, max_terms + 1), dtype=float)
+        x = scale / (jj + delta) ** 2
+        total += float(np.sum(np.log1p(x)))
+        j = int(jj[-1]) + 1
+        if x[-1] < term_tol:
+            cut = int(jj[-1])
+            break
+    # tail: sum_{j>cut} log1p(x_j) ~= sum x_j - sum x_j^2 / 2, both in closed form
+    tail = scale * float(polygamma(1, cut + 1 + delta))
+    tail -= 0.5 * scale * scale * float(polygamma(3, cut + 1 + delta)) / 6.0
+    return lead - (total + tail)
+
+
+def _gsh_family() -> EdmFamily:
+    def b_nth(r, th):
+        sec2 = 1.0 / math.cos(th) ** 2
+        tan = math.tan(th)
+        if r == 3:
+            return 2.0 * sec2 * tan
+        if r == 4:
+            return 2.0 * sec2 * (sec2 + 2.0 * tan * tan)
+        return None
+
+    return EdmFamily(
+        name="gsh",
+        theta_domain=RealInterval(-0.5 * math.pi, 0.5 * math.pi),
+        b=lambda th: -math.log(math.cos(th)),
+        b_prime=math.tan,
+        b_double_prime=lambda th: 1.0 / math.cos(th) ** 2,
+        b_nth=b_nth,
+        mean_domain=REALS,
+        support=REALS,
+        dispersion_domain=POSITIVE_REALS,
+        exact_normalizer=gsh_log_normalizer,
+        mean_inverse=math.atan,
+    )
+
+
+FAMILIES: dict[str, EdmFamily] = {
+    fam.name: fam
+    for fam in (
+        _normal_family(),
+        _gamma_family(),
+        _poisson_family(),
+        _inverse_gaussian_family(),
+        _binomial_family(),
+        _negative_binomial_family(),
+        _gsh_family(),
+    )
+}
+
+
+def get_family(name: str) -> EdmFamily:
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise DomainError(
+            f"unknown family {name!r}; available: {', '.join(sorted(FAMILIES))}"
+        ) from None
+
+
+# ----------------------------------------------------------------------
+# Morris quadratic-variance classification
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MorrisSpec:
+    """Coefficients of a quadratic variance function V(mu) = a mu^2 + b mu + c."""
+
+    a: float
+    b: float
+    c: float
+
+
+_MORRIS_PATTERNS = {
+    (0.0, 0.0, 1.0): "normal",
+    (1.0, 0.0, 0.0): "gamma",
+    (0.0, 1.0, 0.0): "poisson",
+    (-1.0, 1.0, 0.0): "binomial",
+    (1.0, 1.0, 0.0): "negative_binomial",
+    (1.0, 0.0, 1.0): "gsh",
+}
+
+
+def morris_family(spec: MorrisSpec) -> EdmFamily:
+    """The EDM with quadratic variance function ``a mu^2 + b mu + c``.
+
+    Only six coefficient patterns admit an EDM (Morris' classification);
+    anything else is rejected.
+    """
+    key = (float(spec.a), float(spec.b), float(spec.c))
+    name = _MORRIS_PATTERNS.get(key)
+    if name is None:
+        raise DomainError(
+            f"(a, b, c) = {key} is not one of the six admissible quadratic variance patterns"
+        )
+    return FAMILIES[name]
+
+
+# ----------------------------------------------------------------------
+# User-defined families from declarative configs
+# ----------------------------------------------------------------------
+
+
+def _interval_from_config(entry, default: RealInterval) -> RealInterval:
+    if entry is None:
+        return default
+    lo, hi = entry[0], entry[1]
+    lo = -math.inf if lo in (None, "-inf") else float(lo)
+    hi = math.inf if hi in (None, "inf") else float(hi)
+    flags = entry[2] if len(entry) > 2 else ""
+    return RealInterval(lo, hi, closed_lower="[" in flags, closed_upper="]" in flags)
+
+
+def family_from_config(config) -> EdmFamily:
+    """Build a family from a declarative config (dict, JSON string, or path).
+
+    Required keys: ``name`` and ``b`` (an expression in ``theta`` using
+    literals, ``+ - * / ^`` and ``log exp sqrt cos``).  Optional keys:
+    ``theta_domain``, ``mean_domain``, ``support`` (each ``[lo, hi]`` or
+    ``[lo, hi, "[]"]`` for closed endpoints, with null for infinite),
+    ``lattice`` (bool).  Derivatives of ``b`` are taken numerically.
+    """
+    if isinstance(config, str):
+        try:
+            with open(config, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+        except OSError:
+            config = json.loads(config)
+    if "b" not in config or "name" not in config:
+        raise DomainError("family config requires 'name' and 'b' entries")
+    b = compile_expression(config["b"], ["theta"])
+    support = _interval_from_config(config.get("support"), REALS)
+    if config.get("lattice"):
+        support = RealInterval(
+            support.lower, support.upper, support.closed_lower, support.closed_upper, True
+        )
+    return EdmFamily(
+        name=str(config["name"]),
+        theta_domain=_interval_from_config(config.get("theta_domain"), REALS),
+        b=b,
+        mean_domain=_interval_from_config(config.get("mean_domain"), REALS),
+        support=support,
+        dispersion_domain=POSITIVE_REALS,
+    )

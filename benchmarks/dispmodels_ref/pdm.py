@@ -1,0 +1,501 @@
+"""Proper dispersion models: densities a0(tau) b(y) exp(-d(y; mu)/(2 tau)).
+
+The defining property is that the normalizer factorizes into a
+tau-part and an observation-part; equivalently the integral
+``integral_C b(y) exp(-d(y; mu)/(2 tau)) nu(dy)`` does not depend on mu,
+which also makes ``d(Y, mu)`` a pivotal statistic.  The module provides
+the quadrature-backed normalizer, density evaluation with a thread-safe
+per-tau cache, yoke machinery for building unit deviances from functions
+maximized on the diagonal, a Monte Carlo pivotality diagnostic, and the
+transformation-group construction (location models on the line, rotation
+models on the circle).
+"""
+
+from __future__ import annotations
+
+import math
+import threading
+from dataclasses import dataclass, field
+from typing import Callable, Optional
+
+import numpy as np
+from scipy.integrate import IntegrationWarning, cumulative_trapezoid, quad
+from scipy.interpolate import PchipInterpolator
+from scipy.stats import ks_2samp
+
+import warnings
+
+from .deviance import UnitDeviance, check_unit_deviance, eval_deviance, unit_variance
+from .deviance import DEVIANCES
+from .errors import DomainError, NumericalError
+from .support import RealInterval
+
+__all__ = [
+    "PdmSpec",
+    "YokeSpec",
+    "YokabilityReport",
+    "PivotalReport",
+    "pdm_normalizer",
+    "pdm_density",
+    "check_yokable",
+    "yoke_to_deviance",
+    "pivotal_check",
+    "transformation_pdm",
+    "sample_pdm",
+    "get_pdm",
+    "PDMS",
+]
+
+
+@dataclass
+class PdmSpec:
+    """A proper dispersion model: deviance, carrier, support, normalizer cache.
+
+    The cache maps tau to a0(tau); it is the only mutable state and is
+    guarded by a lock (concurrent duplicate computation is tolerated, the
+    first insert wins).
+    """
+
+    name: str
+    deviance: UnitDeviance
+    carrier: Callable[[float], float]
+    support: RealInterval
+    regular: bool = True
+    _cache: dict = field(default_factory=dict, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    @property
+    def lattice(self) -> bool:
+        return self.support.lattice
+
+    def normalizer(self, tau: float, probe_mu: Optional[float] = None) -> float:
+        with self._lock:
+            cached = self._cache.get(tau)
+        if cached is not None:
+            return cached
+        if probe_mu is None:
+            probe_mu = self.deviance.omega.clip_inward(
+                0.5 * (max(self.support.lower, -1.0) + min(self.support.upper, 1.0)), 1e-3
+            )
+        a0 = pdm_normalizer(self.deviance, self.carrier, tau, self.support, probe_mu)
+        with self._lock:
+            return self._cache.setdefault(tau, a0)
+
+
+def _normalizer_integral(
+    d: UnitDeviance, b: Callable[[float], float], tau: float, C: RealInterval, probe_mu: float
+) -> float:
+    def integrand(y: float) -> float:
+        try:
+            dev = eval_deviance(d, y, probe_mu)
+            weight = float(b(y))
+        except (DomainError, NumericalError, ValueError, OverflowError, ZeroDivisionError):
+            return 0.0
+        return weight * math.exp(-dev / (2.0 * tau))
+
+    if C.lattice:
+        total = 0.0
+        k = math.ceil(max(C.lower, 0.0) if math.isfinite(C.lower) else 0.0)
+        quiet = 0
+        while True:
+            if math.isfinite(C.upper) and k > C.upper:
+                break
+            term = integrand(float(k))
+            total += term
+            quiet = quiet + 1 if term < 1e-14 * max(total, 1e-300) else 0
+            if quiet >= 3 and k > 2:
+                break
+            k += 1
+            if k > 10**7:
+                raise NumericalError("lattice normalizer sum did not converge")
+        return total
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        value, err = quad(integrand, C.lower, C.upper, limit=400)
+    if not math.isfinite(value) or value <= 0.0 or err > 1e-6 * max(value, 1e-300):
+        raise NumericalError(
+            f"normalizer integral for {d.name} diverged or failed (value={value}, err={err})"
+        )
+    return value
+
+
+def pdm_normalizer(
+    d: UnitDeviance,
+    b: Callable[[float], float],
+    tau: float,
+    C: RealInterval,
+    probe_mu: float,
+) -> float:
+    """``a0(tau) = 1 / integral_C b(y) exp(-d(y; mu)/(2 tau)) nu(dy)``.
+
+    For a proper dispersion model the integral does not depend on the
+    probe mu; re-evaluating at a different probe must agree within 1e-6
+    relative, which is the pivotality diagnostic callers assert.
+    """
+    if tau <= 0.0:
+        raise DomainError("tau must be positive")
+    d.omega.require(probe_mu, "probe_mu")
+    return 1.0 / _normalizer_integral(d, b, tau, C, probe_mu)
+
+
+def pdm_density(p: PdmSpec, y: float, mu: float, tau: float) -> float:
+    """Density ``a0(tau) b(y) exp(-d(y; mu)/(2 tau))`` with cached a0."""
+    p.support.require(y, "y")
+    p.deviance.omega.require(mu, "mu")
+    a0 = p.normalizer(tau)
+    return a0 * float(p.carrier(y)) * math.exp(-eval_deviance(p.deviance, y, mu) / (2.0 * tau))
+
+
+# ----------------------------------------------------------------------
+# Yokes
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class YokeSpec:
+    """A bivariate function t(y; theta) expected to peak exactly at theta = y."""
+
+    fn: Callable[[float, float], float]
+    domain: RealInterval
+    normed: bool = False
+    name: str = "yoke"
+
+
+@dataclass(frozen=True)
+class YokabilityReport:
+    finite_supremum: bool
+    unique_maximizer: bool
+    monotone_bijection: bool
+    theta_hat: tuple[float, ...]
+    witnesses: tuple[str, ...]
+
+    @property
+    def yokable(self) -> bool:
+        return self.finite_supremum and self.unique_maximizer and self.monotone_bijection
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
+    """Maximize unimodal fn on [lo, hi] by golden-section search."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol * (1.0 + abs(a) + abs(b)):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    x = 0.5 * (a + b)
+    return x, fn(x)
+
+
+def _scan_window(domain: RealInterval, center: float, halfwidth: float = 8.0) -> tuple[float, float]:
+    lo = domain.lower if math.isfinite(domain.lower) else center - halfwidth
+    hi = domain.upper if math.isfinite(domain.upper) else center + halfwidth
+    if math.isfinite(domain.lower):
+        lo = domain.clip_inward(lo, 1e-9)
+    if math.isfinite(domain.upper):
+        hi = domain.clip_inward(hi, 1e-9)
+    return lo, hi
+
+
+def _local_maxima(xs: np.ndarray, vals: np.ndarray) -> list[int]:
+    idx = []
+    for i in range(len(xs)):
+        left = vals[i - 1] if i > 0 else -math.inf
+        right = vals[i + 1] if i + 1 < len(xs) else -math.inf
+        if vals[i] >= left and vals[i] >= right:
+            idx.append(i)
+    idx.sort(key=lambda i: -vals[i])
+    return idx
+
+
+def _maximize_yoke(
+    fn, domain: RealInterval, center: float, n_scan: int = 64
+) -> tuple[float, float, list[tuple[float, float]]]:
+    """(argmax, max, refined local maxima) by coarse scan + golden section.
+
+    The scan window expands while the incumbent sits on an open edge.
+    """
+    halfwidth = 8.0
+    for _ in range(30):
+        lo, hi = _scan_window(domain, center, halfwidth)
+        xs = np.linspace(lo, hi, n_scan)
+        vals = np.array([fn(float(x)) for x in xs])
+        best = int(np.argmax(vals))
+        on_edge = (best == 0 and not math.isfinite(domain.lower)) or (
+            best == n_scan - 1 and not math.isfinite(domain.upper)
+        )
+        if not on_edge:
+            break
+        halfwidth *= 2.0
+    candidates = []
+    for i in _local_maxima(xs, vals)[:5]:
+        a = xs[max(i - 1, 0)]
+        b = xs[min(i + 1, n_scan - 1)]
+        if a == b:
+            candidates.append((float(xs[i]), float(vals[i])))
+            continue
+        x, v = _golden_section(fn, float(a), float(b))
+        candidates.append((x, v))
+    candidates.sort(key=lambda c: -c[1])
+    return candidates[0][0], candidates[0][1], candidates
+
+
+def check_yokable(t: YokeSpec, grid) -> YokabilityReport:
+    """Verify the three yokability conditions on a finite grid of y.
+
+    (i) finite supremum over theta for each y; (ii) unique maximizer
+    (multi-start refinements must agree within 1e-6); (iii) the map
+    y -> theta_hat(y) strictly monotone across the grid (bijection proxy).
+    """
+    grid = [float(g) for g in grid]
+    witnesses: list[str] = []
+    finite_sup = True
+    unique = True
+    theta_hats: list[float] = []
+    for y in grid:
+        t.domain.require(y, "grid point")
+        arg, peak, candidates = _maximize_yoke(lambda th: t.fn(y, th), t.domain, y)
+        if not math.isfinite(peak):
+            finite_sup = False
+            witnesses.append(f"sup over theta not finite at y={y}")
+        rivals = [c for c in candidates if abs(c[1] - peak) <= 1e-9 * (1.0 + abs(peak))]
+        spread = max(abs(c[0] - arg) for c in rivals) if rivals else 0.0
+        if spread > 1e-6:
+            unique = False
+            witnesses.append(
+                f"two maximizers at y={y}: theta={arg:.6g} and theta={arg + spread:.6g}"
+            )
+        theta_hats.append(arg)
+    diffs = np.diff(theta_hats)
+    monotone = bool(np.all(diffs > 0) or np.all(diffs < 0)) if len(theta_hats) > 1 else True
+    if not monotone:
+        witnesses.append("theta_hat not strictly monotone on the grid")
+    return YokabilityReport(
+        finite_supremum=finite_sup,
+        unique_maximizer=unique,
+        monotone_bijection=monotone,
+        theta_hat=tuple(theta_hats),
+        witnesses=tuple(witnesses),
+    )
+
+
+def yoke_to_deviance(t: YokeSpec, probe_grid=None) -> UnitDeviance:
+    """Unit deviance ``d(y; mu) = 2 [t_hat(y) - t(y; theta_hat(mu))]``.
+
+    ``theta_hat(mu)`` is the maximizer of ``t(mu; .)`` and ``t_hat(y)``
+    the maximum of ``t(y; .)``, both numeric and cached.  The result is
+    validated against the unit-deviance axioms on a probe grid before
+    being returned.
+    """
+    if probe_grid is None:
+        probe_grid = t.domain.grid(9, 1e-3, span=4.0)
+    report = check_yokable(t, probe_grid)
+    if not report.yokable:
+        raise DomainError(f"function is not yokable: {'; '.join(report.witnesses)}")
+
+    cache: dict[float, tuple[float, float]] = {}
+    lock = threading.Lock()
+
+    def argmax_and_max(x: float) -> tuple[float, float]:
+        with lock:
+            hit = cache.get(x)
+        if hit is not None:
+            return hit
+        arg, peak, _ = _maximize_yoke(lambda th: t.fn(x, th), t.domain, x)
+        with lock:
+            return cache.setdefault(x, (arg, peak))
+
+    def fn(y: float, mu: float) -> float:
+        t_hat_y = argmax_and_max(y)[1]
+        theta_hat_mu = argmax_and_max(mu)[0]
+        return 2.0 * (t_hat_y - t.fn(y, theta_hat_mu))
+
+    result = UnitDeviance(name=f"yoke[{t.name}]", support=t.domain, fn=fn)
+    failures = check_unit_deviance(result, np.random.default_rng(0), n=32)
+    if failures:
+        raise NumericalError(f"yoke produced an invalid unit deviance: {failures[0]}")
+    return result
+
+
+# ----------------------------------------------------------------------
+# Sampling and the pivotal diagnostic
+# ----------------------------------------------------------------------
+
+
+def sample_pdm(
+    p: PdmSpec, mu: float, tau: float, size: int, rng: np.random.Generator, grid_size: int = 2**14
+) -> np.ndarray:
+    """Inverse-CDF sampling on a fine grid with monotone cubic interpolation."""
+    support = p.support
+    if support.lattice:
+        raise NumericalError("grid sampler only covers continuous PDMs")
+    if support.finite:
+        lo = support.clip_inward(support.lower, 1e-9)
+        hi = support.clip_inward(support.upper, 1e-9)
+    else:
+        scale = math.sqrt(tau * unit_variance(p.deviance, mu)) if p.regular else math.sqrt(tau)
+        lo = mu - 14.0 * scale
+        hi = mu + 14.0 * scale
+        lo = max(lo, support.lower + 1e-12) if math.isfinite(support.lower) else lo
+        hi = min(hi, support.upper - 1e-12) if math.isfinite(support.upper) else hi
+    xs = np.linspace(lo, hi, grid_size)
+    dens = np.array([pdm_density(p, float(x), mu, tau) for x in xs])
+    cdf = cumulative_trapezoid(dens, xs, initial=0.0)
+    total = cdf[-1]
+    if not total > 0:
+        raise NumericalError("sampler grid has no mass; resolution failure")
+    cdf /= total
+    # strictly increasing knots for the monotone interpolant
+    keep = np.concatenate(([True], np.diff(cdf) > 1e-15))
+    if keep.sum() < 8:
+        raise NumericalError("sampler grid resolution failure: too few increasing knots")
+    inverse = PchipInterpolator(cdf[keep], xs[keep], extrapolate=False)
+    u = rng.uniform(cdf[keep][0], cdf[keep][-1], size=size)
+    return np.asarray(inverse(u))
+
+
+@dataclass(frozen=True)
+class PivotalReport:
+    mu_list: tuple[float, ...]
+    ks_statistics: tuple[tuple[float, float, float], ...]  # (mu_i, mu_j, statistic)
+    p_values: tuple[float, ...]
+
+    @property
+    def min_p_value(self) -> float:
+        return min(self.p_values) if self.p_values else 1.0
+
+    def passed(self, threshold: float = 0.001) -> bool:
+        return self.min_p_value > threshold
+
+
+def pivotal_check(
+    p: PdmSpec, mu_list, tau: float, m: int = 10**4, seed: int = 0x5EED
+) -> PivotalReport:
+    """Monte Carlo check that d(Y, mu) has a mu-free distribution.
+
+    Draws m samples per mu, computes the deviance statistics, and runs
+    pairwise two-sample Kolmogorov-Smirnov tests; all pairwise p-values
+    are expected above 0.001 at m = 10^4 when the model is a PDM.
+    """
+    rng = np.random.default_rng(seed)
+    mu_list = [float(mu) for mu in mu_list]
+    samples = {}
+    for mu in mu_list:
+        ys = sample_pdm(p, mu, tau, m, rng)
+        samples[mu] = np.array([eval_deviance(p.deviance, float(y), mu) for y in ys])
+    stats = []
+    pvals = []
+    for i, mu_i in enumerate(mu_list):
+        for mu_j in mu_list[i + 1 :]:
+            res = ks_2samp(samples[mu_i], samples[mu_j])
+            stats.append((mu_i, mu_j, float(res.statistic)))
+            pvals.append(float(res.pvalue))
+    return PivotalReport(tuple(mu_list), tuple(stats), tuple(pvals))
+
+
+# ----------------------------------------------------------------------
+# Transformation dispersion models
+# ----------------------------------------------------------------------
+
+
+def transformation_pdm(
+    group_action: Callable[[float, float], float],
+    t: Callable[[float], float],
+    b_invariant: Callable[[float], float],
+    domain: RealInterval,
+    name: str = "transformation",
+    circular: bool = False,
+    probe_tau: float = 1.0,
+) -> PdmSpec:
+    """Build a PDM from a group acting freely and transitively on the domain.
+
+    ``group_action(g, y)`` is the action (translations on the line,
+    rotations ``(g + y) mod 2 pi`` on the circle; the inverse of g is -g
+    in this additive parametrization).  ``b_invariant`` must satisfy
+    ``b(g y) = b(y)``; ``t`` composed with the inverse action provides the
+    yoke whose deviance is ``2 [t_hat - t(g_hat(mu)^-1 y)]``.
+    """
+    probes_y = domain.grid(9, 1e-3, span=4.0)
+    probes_g = domain.grid(7, 1e-3, span=3.0)
+    for g in probes_g:
+        for y in probes_y:
+            moved = group_action(float(g), float(y))
+            if abs(float(b_invariant(moved)) - float(b_invariant(float(y)))) > 1e-10:
+                raise DomainError(
+                    f"carrier is not invariant under the group action at (g={g}, y={y})"
+                )
+
+    yoke = YokeSpec(
+        fn=lambda y, g: float(t(group_action(-g, y))),
+        domain=domain,
+        name=f"{name}-orbit",
+    )
+    deviance = yoke_to_deviance(yoke)
+    deviance = UnitDeviance(
+        name=f"{name}",
+        support=domain,
+        fn=deviance.fn,
+        regular=deviance.regular,
+        circular=circular,
+    )
+    spec = PdmSpec(name=name, deviance=deviance, carrier=b_invariant, support=domain)
+    # existence probe: the normalizer must be finite at a reference dispersion
+    probe_mu = deviance.omega.clip_inward(float(probes_y[len(probes_y) // 2]), 1e-3)
+    pdm_normalizer(deviance, b_invariant, probe_tau, domain, probe_mu)
+    return spec
+
+
+# ----------------------------------------------------------------------
+# Built-in proper dispersion models
+# ----------------------------------------------------------------------
+
+
+def _von_mises_pdm() -> PdmSpec:
+    dev = DEVIANCES["vonmises"]
+    return PdmSpec(name="vonmises", deviance=dev, carrier=lambda y: 1.0, support=dev.support)
+
+
+def _simplex_pdm() -> PdmSpec:
+    dev = DEVIANCES["simplex"]
+    return PdmSpec(
+        name="simplex",
+        deviance=dev,
+        carrier=lambda y: (y * (1.0 - y)) ** -1.5,
+        support=dev.support,
+    )
+
+
+def _normal_pdm() -> PdmSpec:
+    dev = DEVIANCES["normal"]
+    return PdmSpec(name="normal", deviance=dev, carrier=lambda y: 1.0, support=dev.support)
+
+
+def _gamma_pdm() -> PdmSpec:
+    dev = DEVIANCES["gamma"]
+    return PdmSpec(name="gamma", deviance=dev, carrier=lambda y: 1.0 / y, support=dev.support)
+
+
+PDMS: dict[str, Callable[[], PdmSpec]] = {
+    "vonmises": _von_mises_pdm,
+    "simplex": _simplex_pdm,
+    "normal": _normal_pdm,
+    "gamma": _gamma_pdm,
+}
+
+
+def get_pdm(name: str) -> PdmSpec:
+    try:
+        return PDMS[name]()
+    except KeyError:
+        raise DomainError(
+            f"unknown proper dispersion model {name!r}; available: {', '.join(sorted(PDMS))}"
+        ) from None

@@ -1,0 +1,93 @@
+"""Real intervals used as supports, parameter domains and dispersion domains.
+
+An interval carries open/closed endpoint flags and an optional ``lattice``
+flag marking integer-lattice supports (counting measure).  The convex
+support of a lattice set is still the interval itself; the flag only
+matters for density evaluation and normalization sums.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+
+from .errors import DomainError
+
+__all__ = ["RealInterval", "REALS", "POSITIVE_REALS", "UNIT_INTERVAL"]
+
+
+@dataclass(frozen=True)
+class RealInterval:
+    lower: float = -math.inf
+    upper: float = math.inf
+    closed_lower: bool = False
+    closed_upper: bool = False
+    lattice: bool = False
+
+    def __post_init__(self):
+        if self.lower > self.upper:
+            raise DomainError(f"empty interval: [{self.lower}, {self.upper}]")
+        if math.isinf(self.lower) and self.closed_lower:
+            object.__setattr__(self, "closed_lower", False)
+        if math.isinf(self.upper) and self.closed_upper:
+            object.__setattr__(self, "closed_upper", False)
+
+    def contains(self, x: float) -> bool:
+        if math.isnan(x):
+            return False
+        lo_ok = x >= self.lower if self.closed_lower else x > self.lower
+        hi_ok = x <= self.upper if self.closed_upper else x < self.upper
+        return lo_ok and hi_ok
+
+    __contains__ = contains
+
+    def contains_interior(self, x: float) -> bool:
+        return self.interior().contains(x)
+
+    def interior(self) -> "RealInterval":
+        return replace(self, closed_lower=False, closed_upper=False, lattice=False)
+
+    @property
+    def finite(self) -> bool:
+        return math.isfinite(self.lower) and math.isfinite(self.upper)
+
+    @property
+    def width(self) -> float:
+        return self.upper - self.lower
+
+    def clip_inward(self, x: float, frac: float = 1e-6) -> float:
+        """Pull ``x`` off an endpoint by ``frac`` of the interval width.
+
+        For unbounded intervals the margin falls back to ``frac`` itself.
+        Used to keep finite-difference probes away from boundary
+        singularities.
+        """
+        margin = frac * self.width if self.finite else frac
+        lo = self.lower + margin if math.isfinite(self.lower) else -math.inf
+        hi = self.upper - margin if math.isfinite(self.upper) else math.inf
+        return min(max(x, lo), hi)
+
+    def require(self, x: float, what: str = "value") -> float:
+        if not self.contains(x):
+            raise DomainError(f"{what} {x!r} outside {self}")
+        return x
+
+    def grid(self, n: int, frac: float = 1e-6, span: float = 10.0):
+        """n interior probe points, clipped inward; unbounded sides use ``span``."""
+        import numpy as np
+
+        lo = self.lower if math.isfinite(self.lower) else -span
+        hi = self.upper if math.isfinite(self.upper) else span
+        pts = np.linspace(lo, hi, n + 2)[1:-1]
+        return np.array([self.clip_inward(float(p), frac) for p in pts])
+
+    def __str__(self):
+        lb = "[" if self.closed_lower else "("
+        rb = "]" if self.closed_upper else ")"
+        tag = " lattice" if self.lattice else ""
+        return f"{lb}{self.lower}, {self.upper}{rb}{tag}"
+
+
+REALS = RealInterval()
+POSITIVE_REALS = RealInterval(0.0, math.inf)
+UNIT_INTERVAL = RealInterval(0.0, 1.0)
