@@ -321,10 +321,9 @@ def solve_convolution_grid(
     # Strang circulant preconditioner for the Toeplitz normal equations:
     # the Hessian A^2 + lambda I is approximated by C^2 + lambda I, which
     # FFT diagonalizes, collapsing the CG iteration count
-    circ = np.empty(N)
-    for j in range(N):
-        lag = j if j <= N // 2 else j - N
-        circ[j] = h * kern[N - 1 + lag]
+    lags = np.arange(N)
+    lags[lags > N // 2] -= N
+    circ = h * kern[N - 1 + lags]
     circ_eigs = np.abs(np.fft.fft(circ)) ** 2
 
     a = np.zeros(N)

@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -306,19 +307,20 @@ def _cmd_cf_construct(args) -> int:
 
 def _read_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [name.strip() for name in next(csv.reader(fh))]
         except StopIteration:
             raise DomainError(f"{path}: empty CSV; a header row is mandatory") from None
-        rows = [row for row in reader if row]
-    columns = {}
-    for j, name in enumerate(header):
         try:
-            columns[name.strip()] = np.array([float(row[j]) for row in rows])
-        except (ValueError, IndexError) as exc:
-            raise DomainError(f"{path}: column {name!r} is not fully numeric: {exc}") from None
-    return [h.strip() for h in header], columns
+            with warnings.catch_warnings():
+                # a header without data rows is read as zero observations
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(
+                    fh, delimiter=",", quotechar='"', ndmin=2, usecols=range(len(header))
+                )
+        except ValueError as exc:
+            raise DomainError(f"{path}: data rows are not fully numeric: {exc}") from None
+    return header, {name: data[:, j] for j, name in enumerate(header)}
 
 
 def _cmd_fit(args) -> int:
@@ -357,9 +359,7 @@ def _cmd_fit(args) -> int:
         X = np.column_stack([columns[name] for name in covariates])
 
         def fn(Xmat, beta):
-            return np.array(
-                [expr_fn(*row, *beta) for row in Xmat]
-            )
+            return np.broadcast_to(expr_fn(*Xmat.T, *beta), len(Xmat))
 
         predictor = regression.predictor_from_function(fn, n_params)
         names = param_names
@@ -381,6 +381,13 @@ def _cmd_fit(args) -> int:
         "terms": names,
     }
     print(_json(out))
+    if not result.converged:
+        print(
+            f"ERROR:numerical:IRLS did not converge in {result.iterations} iterations "
+            f"(score norm {result.score_norm:.3g})",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 

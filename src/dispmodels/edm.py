@@ -8,6 +8,13 @@ b(theta)] / tau``, the mean is ``b'(theta)``, the variance function is
 normalizer ``c(y; tau)`` where one is known; otherwise the renormalized
 saddlepoint approximation stands in (and the caller can see that through
 ``has_exact_density``).
+
+``inverse_mean``, ``variance_function``, ``edm_deviance`` and
+``saturated_loglik_kernel`` take a float or an ndarray.  An array is
+domain-checked once and mapped by the family's own callables in one call,
+which is what lets IRLS make O(1) library calls per iteration; families
+without an analytic mean inverse or closed-form deviance (JSON-config
+families, quadrature deviances) are evaluated element by element.
 """
 
 from __future__ import annotations
@@ -16,12 +23,14 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import factorial2, gammaln, polygamma
 
+from . import _elementary as el
 from ._numdiff import fd_step, first_derivative, nth_derivative, second_derivative
 from .deviance import UnitDeviance, VarianceFunction
 from .errors import ConvergenceError, DomainError, NumericalError
@@ -62,6 +71,15 @@ class EdmFamily:
     know; the cumulant machinery then falls back to Richardson-extrapolated
     finite differences.  ``exact_normalizer`` is the additive term
     ``c(y; tau)`` of the log density, on the log scale.
+
+    ``b``, ``b_double_prime``, ``mean_inverse``, ``deviance_closed_form``
+    and ``dc_dtau`` (in its ``y`` argument) must accept an ndarray as well
+    as a float; the built-in families write each formula once with
+    ``_elementary``, which keeps floats on ``math``.  Where
+    ``mean_inverse`` or ``b_double_prime`` is ``None`` the mean inverse or
+    the variance function of an array is computed element by element (a
+    Newton solve, finite differences); where ``deviance_closed_form`` is
+    ``None`` the deviance of an array is one quadrature per element.
     """
 
     name: str
@@ -94,6 +112,27 @@ class EdmFamily:
         return second_derivative(self.b, theta, _theta_step(self, theta))
 
 
+# Each public function that takes an ndarray branches once, on entry, into
+# its array form; the float path below the branch is the pointwise API.  The
+# branch tests ``type(x) is not float`` first: it costs a fifth of the
+# ``isinstance`` call that floats would otherwise pay for on every call.
+
+
+def _float_array(value, like: np.ndarray) -> np.ndarray:
+    """A callable's value on an array, as a fresh float array of ``like``'s shape
+    (a constant such as the normal ``b''`` broadcasts)."""
+    return np.full(like.shape, value, dtype=float)
+
+
+def _elementwise(fn, *args: np.ndarray) -> np.ndarray:
+    """The float routine ``fn`` applied entry by entry (the fallback path).
+
+    Callers pass ``partial(f, fam)``, not a lambda: a closure over ``fam``
+    would make every float call of the caller pay for a cell.
+    """
+    return np.vectorize(fn, otypes=[float])(*args)
+
+
 def _theta_step(fam: EdmFamily, theta: float) -> float:
     h = fd_step(theta)
     for bound in (fam.theta_domain.lower, fam.theta_domain.upper):
@@ -121,13 +160,19 @@ def mean_value(fam: EdmFamily, theta: float) -> float:
     return fam._b_prime(theta)
 
 
-def inverse_mean(fam: EdmFamily, mu: float) -> float:
+def inverse_mean(fam: EdmFamily, mu):
     """Solve ``b'(theta) = mu`` for theta (the mapping q).
 
     Uses the registered analytic inverse when present, else safeguarded
     Newton with a bisection fallback, to ``|b'(theta) - mu| <= 1e-10 *
-    max(1, |mu|)``.
+    max(1, |mu|)``.  ``mu`` may be an ndarray; the Newton fallback then
+    runs once per entry.
     """
+    if type(mu) is not float and isinstance(mu, np.ndarray):
+        fam.mean_domain.require_all(mu, "mu")
+        if fam.mean_inverse is None:
+            return _elementwise(partial(inverse_mean, fam), mu)
+        return _float_array(fam.mean_inverse(mu), mu)
     fam.mean_domain.require(mu, "mu")
     if fam.mean_inverse is not None:
         return float(fam.mean_inverse(mu))
@@ -209,9 +254,18 @@ def _solve_increasing(
     raise ConvergenceError(f"inverse mean solve did not converge after {max_iter} iterations")
 
 
-def variance_function(fam: EdmFamily, mu: float) -> float:
-    """Unit variance function ``V(mu) = b''(q(mu))``."""
+def variance_function(fam: EdmFamily, mu):
+    """Unit variance function ``V(mu) = b''(q(mu))``; ``mu`` may be an ndarray."""
     theta = inverse_mean(fam, mu)
+    if type(theta) is not float and isinstance(theta, np.ndarray):
+        if fam.b_double_prime is None:
+            v = _elementwise(fam._b_double_prime, theta)
+        else:
+            v = _float_array(fam.b_double_prime(theta), theta)
+        bad = ~(v > 0.0)
+        if bad.any():
+            raise NumericalError(f"b'' not positive at theta={theta[bad][0]} for {fam.name}")
+        return v
     v = fam._b_double_prime(theta)
     if not v > 0.0:
         raise NumericalError(f"b'' not positive at theta={theta} for {fam.name}")
@@ -260,13 +314,23 @@ def cumulant(fam: EdmFamily, r: int, theta: float, tau: float) -> float:
     return tau ** (r - 1) * float(deriv)
 
 
-def edm_deviance(fam: EdmFamily, y: float, mu: float) -> float:
+def edm_deviance(fam: EdmFamily, y, mu):
     """Unit deviance ``2 integral_mu^y (y - t)/V(t) dt``.
 
     Closed forms are used where the family registers one; otherwise
-    adaptive quadrature of the integrand.  The result is nonnegative and
-    vanishes exactly at ``y == mu``.
+    adaptive quadrature of the integrand, one per entry when ``y`` or
+    ``mu`` is an ndarray.  The result is nonnegative and vanishes exactly
+    at ``y == mu``.
     """
+    if not (type(y) is float and type(mu) is float) and (
+        isinstance(y, np.ndarray) or isinstance(mu, np.ndarray)
+    ):
+        y, mu = np.asarray(y, dtype=float), np.asarray(mu, dtype=float)
+        fam.support.require_all(y, "y")
+        fam.mean_domain.require_all(mu, "mu")
+        if fam.deviance_closed_form is None:
+            return _elementwise(partial(deviance_by_quadrature, fam), y, mu)
+        return np.where(y == mu, 0.0, fam.deviance_closed_form(y, mu))
     fam.support.require(y, "y")
     fam.mean_domain.require(mu, "mu")
     if y == mu:
@@ -331,8 +395,11 @@ def _require_observation(fam: EdmFamily, y: float) -> None:
         raise DomainError(f"{fam.name} has lattice support; y={y} is not a lattice point")
 
 
-def saturated_loglik_kernel(fam: EdmFamily, y: float) -> float:
-    """The theta-part of the log likelihood at mu = y: ``y q(y) - b(q(y))``."""
+def saturated_loglik_kernel(fam: EdmFamily, y):
+    """The theta-part of the log likelihood at mu = y: ``y q(y) - b(q(y))``.
+
+    ``y`` may be an ndarray.
+    """
     theta = inverse_mean(fam, y)
     return y * theta - fam.b(theta)
 
@@ -420,7 +487,7 @@ def _gamma_family() -> EdmFamily:
     return EdmFamily(
         name="gamma",
         theta_domain=RealInterval(-math.inf, 0.0),
-        b=lambda th: -math.log(-th),
+        b=lambda th: -el.log(-th),
         b_prime=lambda th: -1.0 / th,
         b_double_prime=lambda th: 1.0 / th**2,
         b_nth=lambda r, th: math.gamma(r) * (-th) ** (-r),
@@ -430,31 +497,27 @@ def _gamma_family() -> EdmFamily:
         exact_normalizer=lambda y, tau: (1.0 / tau - 1.0) * math.log(y)
         - math.log(tau) / tau
         - gammaln(1.0 / tau),
-        dc_dtau=lambda y, tau: (-math.log(y) + math.log(tau) - 1.0 + polygamma(0, 1.0 / tau))
+        dc_dtau=lambda y, tau: (-el.log(y) + math.log(tau) - 1.0 + polygamma(0, 1.0 / tau))
         / tau**2,
         mean_inverse=lambda mu: -1.0 / mu,
-        deviance_closed_form=lambda y, mu: 2.0 * (y / mu - math.log(y / mu) - 1.0),
+        deviance_closed_form=lambda y, mu: 2.0 * (y / mu - el.log(y / mu) - 1.0),
     )
 
 
 def _poisson_family() -> EdmFamily:
-    def poisson_dev(y, mu):
-        ylogy = y * math.log(y / mu) if y > 0 else 0.0
-        return 2.0 * (ylogy - y + mu)
-
     return EdmFamily(
         name="poisson",
         theta_domain=REALS,
-        b=math.exp,
-        b_prime=math.exp,
-        b_double_prime=math.exp,
+        b=el.exp,
+        b_prime=el.exp,
+        b_double_prime=el.exp,
         b_nth=lambda r, th: math.exp(th),
         mean_domain=POSITIVE_REALS,
         support=RealInterval(0.0, math.inf, closed_lower=True, lattice=True),
         dispersion_domain=_UNIT_TAU,
         exact_normalizer=lambda y, tau: -float(gammaln(y + 1.0)),
-        mean_inverse=math.log,
-        deviance_closed_form=poisson_dev,
+        mean_inverse=el.log,
+        deviance_closed_form=lambda y, mu: 2.0 * (el.xlogy(y, y / mu) - y + mu),
     )
 
 
@@ -462,7 +525,7 @@ def _inverse_gaussian_family() -> EdmFamily:
     return EdmFamily(
         name="inverse_gaussian",
         theta_domain=RealInterval(-math.inf, 0.0),
-        b=lambda th: -math.sqrt(-2.0 * th),
+        b=lambda th: -el.sqrt(-2.0 * th),
         b_prime=lambda th: (-2.0 * th) ** -0.5,
         b_double_prime=lambda th: (-2.0 * th) ** -1.5,
         b_nth=lambda r, th: float(factorial2(2 * r - 3)) * (-2.0 * th) ** (-(2 * r - 1) / 2.0)
@@ -481,7 +544,7 @@ def _inverse_gaussian_family() -> EdmFamily:
 
 def _binomial_family() -> EdmFamily:
     def sigma(th):
-        return 1.0 / (1.0 + math.exp(-th))
+        return 1.0 / (1.0 + el.exp(-th))
 
     def b_nth(r, th):
         s = sigma(th)
@@ -494,7 +557,7 @@ def _binomial_family() -> EdmFamily:
     return EdmFamily(
         name="binomial",
         theta_domain=REALS,
-        b=lambda th: math.log1p(math.exp(th)) if th < 30 else th + math.log1p(math.exp(-th)),
+        b=lambda th: el.positive_part(th) + el.log1p(el.exp(-abs(th))),
         b_prime=sigma,
         b_double_prime=lambda th: sigma(th) * (1.0 - sigma(th)),
         b_nth=b_nth,
@@ -502,12 +565,9 @@ def _binomial_family() -> EdmFamily:
         support=RealInterval(0.0, 1.0, closed_lower=True, closed_upper=True, lattice=True),
         dispersion_domain=_UNIT_TAU,
         exact_normalizer=lambda y, tau: 0.0,
-        mean_inverse=lambda mu: math.log(mu / (1.0 - mu)),
+        mean_inverse=lambda mu: el.log(mu / (1.0 - mu)),
         deviance_closed_form=lambda y, mu: 2.0
-        * (
-            (y * math.log(y / mu) if y > 0 else 0.0)
-            + ((1.0 - y) * math.log((1.0 - y) / (1.0 - mu)) if y < 1 else 0.0)
-        ),
+        * (el.xlogy(y, y / mu) + el.xlogy(1.0 - y, (1.0 - y) / (1.0 - mu))),
     )
 
 
@@ -523,20 +583,17 @@ def _negative_binomial_family() -> EdmFamily:
     return EdmFamily(
         name="negative_binomial",
         theta_domain=RealInterval(-math.inf, 0.0),
-        b=lambda th: -math.log1p(-math.exp(th)),
-        b_prime=lambda th: math.exp(th) / (1.0 - math.exp(th)),
-        b_double_prime=lambda th: math.exp(th) / (1.0 - math.exp(th)) ** 2,
+        b=lambda th: -el.log1p(-el.exp(th)),
+        b_prime=lambda th: el.exp(th) / (1.0 - el.exp(th)),
+        b_double_prime=lambda th: el.exp(th) / (1.0 - el.exp(th)) ** 2,
         b_nth=b_nth,
         mean_domain=POSITIVE_REALS,
         support=RealInterval(0.0, math.inf, closed_lower=True, lattice=True),
         dispersion_domain=_UNIT_TAU,
         exact_normalizer=lambda y, tau: 0.0,
-        mean_inverse=lambda mu: math.log(mu / (1.0 + mu)),
+        mean_inverse=lambda mu: el.log(mu / (1.0 + mu)),
         deviance_closed_form=lambda y, mu: 2.0
-        * (
-            (y * math.log(y / mu) if y > 0 else 0.0)
-            - (1.0 + y) * math.log((1.0 + y) / (1.0 + mu))
-        ),
+        * (el.xlogy(y, y / mu) - (1.0 + y) * el.log((1.0 + y) / (1.0 + mu))),
     )
 
 
@@ -590,15 +647,15 @@ def _gsh_family() -> EdmFamily:
     return EdmFamily(
         name="gsh",
         theta_domain=RealInterval(-0.5 * math.pi, 0.5 * math.pi),
-        b=lambda th: -math.log(math.cos(th)),
-        b_prime=math.tan,
-        b_double_prime=lambda th: 1.0 / math.cos(th) ** 2,
+        b=lambda th: -el.log(el.cos(th)),
+        b_prime=el.tan,
+        b_double_prime=lambda th: 1.0 / el.cos(th) ** 2,
         b_nth=b_nth,
         mean_domain=REALS,
         support=REALS,
         dispersion_domain=POSITIVE_REALS,
         exact_normalizer=gsh_log_normalizer,
-        mean_inverse=math.atan,
+        mean_inverse=el.atan,
     )
 
 

@@ -4,6 +4,11 @@ Supports literals, the binary operators ``+ - * / ^`` (``^`` is power),
 unary minus, and the functions ``log``, ``exp``, ``sqrt``, ``cos``.  The
 expression is validated against a whitelist of AST nodes before being
 compiled, so arbitrary Python never executes.
+
+A compiled expression evaluates floats with ``math`` and returns a float;
+when any argument is an ndarray it evaluates once with numpy over the
+whole array, and a value outside a function's domain becomes ``nan``
+instead of raising.
 """
 
 from __future__ import annotations
@@ -12,11 +17,14 @@ import ast
 import math
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = ["compile_expression"]
 
 _FUNCTIONS = {"log": math.log, "exp": math.exp, "sqrt": math.sqrt, "cos": math.cos}
+_ARRAY_FUNCTIONS = {"log": np.log, "exp": np.exp, "sqrt": np.sqrt, "cos": np.cos}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -47,11 +55,12 @@ def _validate(node: ast.AST, variables: Sequence[str]) -> None:
         raise DomainError(f"disallowed syntax in expression: {type(node).__name__}")
 
 
-def compile_expression(expr: str, variables: Sequence[str]) -> Callable[..., float]:
+def compile_expression(expr: str, variables: Sequence[str]) -> Callable:
     """Compile ``expr`` into a function of the named ``variables`` (in order).
 
     ``^`` is rewritten to Python's ``**`` before parsing, so both spellings
-    of exponentiation work.
+    of exponentiation work.  The function returns a float for float
+    arguments and a float ndarray when any argument is an ndarray.
     """
     source = expr.replace("^", "**")
     try:
@@ -60,14 +69,19 @@ def compile_expression(expr: str, variables: Sequence[str]) -> Callable[..., flo
         raise DomainError(f"cannot parse expression {expr!r}: {exc}") from exc
     _validate(tree, variables)
     code = compile(tree, "<expression>", "eval")
-    namespace = dict(_FUNCTIONS)
-    namespace.update(_CONSTANTS)
+    scalar_globals = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS}
+    array_globals = {"__builtins__": {}, **_ARRAY_FUNCTIONS, **_CONSTANTS}
 
-    def fn(*args: float) -> float:
+    def fn(*args):
         if len(args) != len(variables):
             raise TypeError(f"expected {len(variables)} arguments, got {len(args)}")
+        if any(isinstance(a, np.ndarray) for a in args):
+            local = {name: np.asarray(a, dtype=float) for name, a in zip(variables, args)}
+            with np.errstate(all="ignore"):
+                value = eval(code, array_globals, local)
+            return np.asarray(value, dtype=float)
         local = dict(zip(variables, (float(a) for a in args)))
-        return float(eval(code, {"__builtins__": {}}, {**namespace, **local}))
+        return float(eval(code, scalar_globals, local))
 
     fn.__name__ = f"expr_{'_'.join(variables) or 'const'}"
     fn.expression = expr

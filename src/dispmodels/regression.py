@@ -12,6 +12,17 @@ with local model matrix ``Xt = d eta / d beta``, weights
 this is exactly the classic IRLS update.  The dispersion tau never enters
 the update, so the coefficient path is identical whatever tau ends up
 being (the orthogonality of beta and tau at the algorithmic level).
+
+Every per-observation quantity (the response check, variance function,
+deviance, Pearson and profile sums) is one array call into ``edm`` per
+iteration, so an iteration makes O(1) library calls whatever n is.  The
+family's callables see whole arrays; families without an analytic mean
+inverse or closed-form deviance (``EdmFamily.mean_inverse`` or
+``deviance_closed_form`` is ``None``, as for JSON-config families) are
+evaluated element by element inside ``edm``.  A predictor that gives a
+non-finite mean (a nonlinear expression evaluated outside its domain
+yields ``nan``) is handled like a mean outside the mean domain: the step
+is halved, or ``DomainError`` is raised at the starting coefficients.
 """
 
 from __future__ import annotations
@@ -161,7 +172,7 @@ def total_deviance(model: RegressionModel, y: np.ndarray, mu: np.ndarray) -> flo
     mu = np.asarray(mu, dtype=float)
     if y.shape != mu.shape:
         raise DomainError("y and mu must have the same length")
-    return float(math.fsum(edm.edm_deviance(model.family, float(yi), float(mi)) for yi, mi in zip(y, mu)))
+    return math.fsum(edm.edm_deviance(model.family, y, mu).tolist())
 
 
 def _initial_mu(model: RegressionModel, y: np.ndarray) -> np.ndarray:
@@ -173,24 +184,27 @@ def _initial_mu(model: RegressionModel, y: np.ndarray) -> np.ndarray:
     elif dom.lower == 0.0 and dom.upper == 1.0:
         mu0 = np.clip(mu0, 0.01, 0.99)
     else:
-        mu0 = np.array([dom.clip_inward(float(m), 1e-3) for m in mu0])
+        mu0 = dom.clip_inward(mu0, 1e-3)
     return mu0
 
 
 def _mu_valid(model: RegressionModel, mu: np.ndarray) -> bool:
-    dom = model.family.mean_domain
-    return bool(np.all(np.isfinite(mu)) and all(dom.contains(float(m)) for m in mu))
+    # nan and infinite means fall outside every interval (infinite ends are open)
+    return model.family.mean_domain.contains_all(mu)
 
 
 def _weighted_solve(local: np.ndarray, w: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Solve the weighted least-squares step by QR with column pivoting.
 
     Rank is decided by a 1e-10 relative singular-value threshold; a
-    deficient local model matrix is a model error, not a numerical one.
+    deficient or non-finite local model matrix is a model error, not a
+    numerical one.
     """
     sw = np.sqrt(w)
     A = local * sw[:, None]
     rhs = target * sw
+    if not np.all(np.isfinite(A)):
+        raise DomainError("local model matrix is not finite at the current coefficients")
     singular = np.linalg.svd(A, compute_uv=False)
     if singular[0] == 0.0 or singular[-1] < 1e-10 * singular[0]:
         raise DomainError(
@@ -229,8 +243,7 @@ def fit(
         raise DomainError(f"X has {X.shape[0]} rows but y has {n} entries")
     if n <= p:
         raise DomainError(f"need more observations than parameters (n={n}, p={p})")
-    for yi in y:
-        model.family.support.require(float(yi), "response")
+    model.family.support.require_all(y, "response")
 
     if beta0 is None:
         if not model.predictor.linear:
@@ -257,7 +270,7 @@ def fit(
     iteration = 0
     for iteration in range(1, max_iter + 1):
         g_prime = np.asarray(model.link.derivative(mu), dtype=float)
-        V = np.array([edm.variance_function(model.family, float(m)) for m in mu])
+        V = edm.variance_function(model.family, mu)
         w = 1.0 / (V * g_prime**2)
         local = model.predictor.local_matrix(X, beta)
         # z - eta = (y - mu) * d eta / d mu
@@ -286,7 +299,7 @@ def fit(
 
     # diagnostics at the solution
     g_prime = np.asarray(model.link.derivative(mu), dtype=float)
-    V = np.array([edm.variance_function(model.family, float(m)) for m in mu])
+    V = edm.variance_function(model.family, mu)
     w = 1.0 / (V * g_prime**2)
     local = model.predictor.local_matrix(X, beta)
     score = local.T @ (w * (y - mu) * g_prime)
@@ -304,11 +317,10 @@ def fit(
         converged=converged,
         score_norm=score_norm,
     )
-    model_for_tau = RegressionModel(model.family, model.link, model.predictor)
     if tau_method == "moment":
-        tau = estimate_tau_moment(model_for_tau, shell, y)
+        tau = estimate_tau_moment(model, shell, y)
     elif tau_method == "mle":
-        tau = estimate_tau_mle(model_for_tau, shell, y)
+        tau = estimate_tau_mle(model, shell, y)
     else:
         raise DomainError(f"unknown tau method {tau_method!r} (use 'moment' or 'mle')")
     tau = max(tau, 1e-300)
@@ -334,7 +346,7 @@ def estimate_tau_moment(model: RegressionModel, fit_result: FitResult, y: np.nda
     n, p = len(y), model.n_params
     if n <= p:
         raise DomainError("moment estimator needs n > p")
-    V = np.array([edm.variance_function(model.family, float(m)) for m in mu])
+    V = edm.variance_function(model.family, mu)
     return float(np.sum((y - mu) ** 2 / V) / (n - p))
 
 
@@ -343,7 +355,9 @@ def estimate_tau_mle(model: RegressionModel, fit_result: FitResult, y: np.ndarra
 
     Solves ``tau^2 sum_i dc(y_i; tau)/dtau = sum_i l(y_i; y_i) - D/2``
     by safeguarded Newton on log tau, or uses the registered closed form
-    (normal and inverse Gaussian: D/n).
+    (normal and inverse Gaussian: D/n).  ``fam.dc_dtau`` is called on the
+    whole response array.  Raises ``ConvergenceError`` when no iterate
+    meets the tolerance within 200 iterations.
     """
     fam = model.family
     y = np.asarray(y, dtype=float)
@@ -355,12 +369,13 @@ def estimate_tau_mle(model: RegressionModel, fit_result: FitResult, y: np.ndarra
         raise DomainError(
             f"family {fam.name} has no exact normalizer derivative; use the moment estimator"
         )
-    saturated = math.fsum(edm.saturated_loglik_kernel(fam, float(yi)) for yi in y)
+    saturated = math.fsum(edm.saturated_loglik_kernel(fam, y).tolist())
     target = saturated - deviance / 2.0
+    tol = 1e-12 * (1.0 + abs(target))
 
     def objective(log_tau: float) -> float:
         tau = math.exp(log_tau)
-        return tau**2 * math.fsum(fam.dc_dtau(float(yi), tau) for yi in y) - target
+        return tau**2 * math.fsum(fam.dc_dtau(y, tau).tolist()) - target
 
     lo, hi = math.log(1e-10), math.log(1e10)
     f_lo, f_hi = objective(lo), objective(hi)
@@ -372,9 +387,10 @@ def estimate_tau_mle(model: RegressionModel, fit_result: FitResult, y: np.ndarra
         raise NumericalError("dispersion MLE root not bracketed in [1e-10, 1e10]")
     increasing = f_hi > 0
     x = 0.5 * (lo + hi)
-    for _ in range(200):
+    max_iter = 200
+    for _ in range(max_iter):
         val = objective(x)
-        if abs(val) <= 1e-12 * (1.0 + abs(target)):
+        if abs(val) <= tol:
             return math.exp(x)
         if (val < 0) == increasing:
             lo = x
@@ -385,5 +401,8 @@ def estimate_tau_mle(model: RegressionModel, fit_result: FitResult, y: np.ndarra
         candidate = x - val / slope if slope != 0 else math.nan
         if not (math.isfinite(candidate) and lo < candidate < hi):
             candidate = 0.5 * (lo + hi)
-        x = candidate
-    return math.exp(x)
+        x, last = candidate, x
+    raise ConvergenceError(
+        f"dispersion MLE did not converge in {max_iter} iterations: residual "
+        f"{abs(val):.3g} at tau={math.exp(last):.6g} against the tolerance {tol:.3g}"
+    )

@@ -4,12 +4,18 @@ An interval carries open/closed endpoint flags and an optional ``lattice``
 flag marking integer-lattice supports (counting measure).  The convex
 support of a lattice set is still the interval itself; the flag only
 matters for density evaluation and normalization sums.
+
+``contains_all`` and ``require_all`` check a whole ndarray in one
+vectorized pass, so a domain check costs O(1) Python calls however many
+observations it covers; ``clip_inward`` takes a float or an ndarray.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -41,11 +47,23 @@ class RealInterval:
 
     __contains__ = contains
 
+    def contains_all(self, x: np.ndarray) -> bool:
+        """Whether every entry of the array ``x`` lies in the interval (nan never does)."""
+        lo_ok = x >= self.lower if self.closed_lower else x > self.lower
+        hi_ok = x <= self.upper if self.closed_upper else x < self.upper
+        return bool(np.all(lo_ok & hi_ok))
+
     def contains_interior(self, x: float) -> bool:
         return self.interior().contains(x)
 
     def interior(self) -> "RealInterval":
-        return replace(self, closed_lower=False, closed_upper=False, lattice=False)
+        # built once per interval: dataclasses.replace costs microseconds,
+        # and pointwise evaluations ask for the interior on every call
+        inner = self.__dict__.get("_interior")
+        if inner is None:
+            inner = replace(self, closed_lower=False, closed_upper=False, lattice=False)
+            object.__setattr__(self, "_interior", inner)
+        return inner
 
     @property
     def finite(self) -> bool:
@@ -65,6 +83,8 @@ class RealInterval:
         margin = frac * self.width if self.finite else frac
         lo = self.lower + margin if math.isfinite(self.lower) else -math.inf
         hi = self.upper - margin if math.isfinite(self.upper) else math.inf
+        if isinstance(x, np.ndarray):
+            return np.clip(x, lo, hi)
         return min(max(x, lo), hi)
 
     def require(self, x: float, what: str = "value") -> float:
@@ -72,14 +92,18 @@ class RealInterval:
             raise DomainError(f"{what} {x!r} outside {self}")
         return x
 
-    def grid(self, n: int, frac: float = 1e-6, span: float = 10.0):
-        """n interior probe points, clipped inward; unbounded sides use ``span``."""
-        import numpy as np
+    def require_all(self, x: np.ndarray, what: str = "value") -> np.ndarray:
+        """``require`` for an array: one vectorized check, naming the first offender."""
+        if not self.contains_all(x):
+            bad = next(v for v in x.flat if not self.contains(float(v)))
+            raise DomainError(f"{what} {float(bad)!r} outside {self}")
+        return x
 
+    def grid(self, n: int, frac: float = 1e-6, span: float = 10.0) -> np.ndarray:
+        """n interior probe points, clipped inward; unbounded sides use ``span``."""
         lo = self.lower if math.isfinite(self.lower) else -span
         hi = self.upper if math.isfinite(self.upper) else span
-        pts = np.linspace(lo, hi, n + 2)[1:-1]
-        return np.array([self.clip_inward(float(p), frac) for p in pts])
+        return self.clip_inward(np.linspace(lo, hi, n + 2)[1:-1], frac)
 
     def __str__(self):
         lb = "[" if self.closed_lower else "("

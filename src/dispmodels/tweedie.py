@@ -10,6 +10,11 @@ workable evaluation route here (generator and deviance only).
 Densities for the non-closed-form cases are evaluated by power series
 anchored at the largest term, following the compound Poisson-gamma
 expansion for 1 < p < 2 and its positive-stable dual for p > 2.
+
+The public functions validate their arguments and evaluate private
+formulas; ``TweedieFamily.to_edm`` hands the formulas themselves to the
+EDM layer, which has already checked the domains.  The formulas take a
+float or an ndarray, so Tweedie families run on the array path of IRLS.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from . import _elementary as el
 from .edm import EdmFamily
 from .errors import DomainError, NumericalError
 from .support import POSITIVE_REALS, REALS, RealInterval
@@ -92,10 +98,14 @@ def tweedie_cumulant_generator(p: float, theta: float) -> float:
     """
     p = _validate_p(p)
     tweedie_canonical_domain(p).require(theta, "theta")
+    return _generator(p, theta)
+
+
+def _generator(p: float, theta):
     if _near(p, 1.0):
-        return math.exp(theta)
+        return el.exp(theta)
     if _near(p, 2.0):
-        return -math.log(-theta)
+        return -el.log(-theta)
     if p == 0.0:
         return 0.5 * theta * theta
     return ((1.0 - p) * theta) ** ((p - 2.0) / (p - 1.0)) / (2.0 - p)
@@ -105,8 +115,12 @@ def tweedie_mean(p: float, theta: float) -> float:
     """Mean value mapping ``b_p'(theta) = [(1-p) theta]^(1/(1-p))``."""
     p = _validate_p(p)
     tweedie_canonical_domain(p).interior().require(theta, "theta")
+    return _mean(p, theta)
+
+
+def _mean(p: float, theta):
     if _near(p, 1.0):
-        return math.exp(theta)
+        return el.exp(theta)
     if p == 0.0:
         return theta
     return ((1.0 - p) * theta) ** (1.0 / (1.0 - p))
@@ -116,17 +130,21 @@ def tweedie_inverse_mean(p: float, mu: float) -> float:
     """Canonical parameter ``q(mu) = mu^(1-p)/(1-p)`` (log mu at p = 1)."""
     p = _validate_p(p)
     tweedie_mean_domain(p).require(mu, "mu")
+    return _inverse_mean(p, mu)
+
+
+def _inverse_mean(p: float, mu):
     if _near(p, 1.0):
-        return math.log(mu)
+        return el.log(mu)
     if p == 0.0:
         return mu
     return mu ** (1.0 - p) / (1.0 - p)
 
 
-def _b_nth(p: float, r: int, theta: float):
+def _b_nth(p: float, r: int, theta):
     # b^(r) = A^(c-(r-1)) * prod_{i=1}^{r-2} (1 - i (1 - p)),  A = (1-p) theta, c = 1/(1-p)
     if _near(p, 1.0):
-        return math.exp(theta)
+        return el.exp(theta)
     if p == 0.0:
         return 0.0 if r >= 3 else (theta if r == 1 else 1.0)
     a = (1.0 - p) * theta
@@ -151,14 +169,17 @@ def tweedie_deviance(p: float, y: float, mu: float) -> float:
     tweedie_mean_domain(p).require(mu, "mu")
     if y == mu:
         return 0.0
+    return _deviance(p, y, mu)
+
+
+def _deviance(p: float, y, mu):
     if p == 0.0:
         return (y - mu) ** 2
     if _near(p, 1.0):
-        ylogy = y * math.log(y / mu) if y > 0 else 0.0
-        return 2.0 * (ylogy - y + mu)
+        return 2.0 * (el.xlogy(y, y / mu) - y + mu)
     if _near(p, 2.0):
-        return 2.0 * (y / mu - math.log(y / mu) - 1.0)
-    saturated = max(y, 0.0) ** (2.0 - p) / ((1.0 - p) * (2.0 - p))
+        return 2.0 * (y / mu - el.log(y / mu) - 1.0)
+    saturated = el.positive_part(y) ** (2.0 - p) / ((1.0 - p) * (2.0 - p))
     return 2.0 * (saturated - y * mu ** (1.0 - p) / (1.0 - p) + mu ** (2.0 - p) / (2.0 - p))
 
 
@@ -448,16 +469,16 @@ class TweedieFamily:
         return EdmFamily(
             name=f"tweedie(p={self.p:g})",
             theta_domain=self.theta_domain,
-            b=lambda th: tweedie_cumulant_generator(p, th),
-            b_prime=lambda th: tweedie_mean(p, th),
+            b=lambda th: _generator(p, th),
+            b_prime=lambda th: _mean(p, th),
             b_double_prime=lambda th: _b_nth(p, 2, th),
             b_nth=lambda r, th: _b_nth(p, r, th),
             mean_domain=self.mean_domain,
             support=self.support,
             dispersion_domain=dispersion,
             exact_normalizer=exact_normalizer,
-            mean_inverse=lambda mu: tweedie_inverse_mean(p, mu),
-            deviance_closed_form=lambda y, mu: tweedie_deviance(p, y, mu),
+            mean_inverse=lambda mu: _inverse_mean(p, mu),
+            deviance_closed_form=lambda y, mu: _deviance(p, y, mu),
         )
 
 

@@ -1,0 +1,104 @@
+"""CLI ``fit``: CSV input, predictors, exit codes and error prefixes."""
+
+import json
+
+import numpy as np
+import pytest
+
+from dispmodels import cli, edm, regression
+
+
+def _write_csv(path, columns):
+    names = list(columns)
+    data = np.column_stack([columns[k] for k in names])
+    np.savetxt(path, data, delimiter=",", header=",".join(names), comments="", fmt="%.17g")
+    return str(path)
+
+
+def _run(capsys, argv):
+    code = cli.run(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.fixture
+def poisson_csv(tmp_path):
+    rng = np.random.default_rng(11)
+    x1, x2 = rng.uniform(-1, 1, 400), rng.uniform(-1, 1, 400)
+    y = rng.poisson(np.exp(0.5 + 0.8 * x1 - 0.4 * x2)).astype(float)
+    return _write_csv(tmp_path / "pois.csv", {"x1": x1, "x2": x2, "y": y}), x1, x2, y
+
+
+def _fit_argv(path, *extra):
+    return ["fit", "--data", path, "--response", "y", "--family", "poisson", "--link", "log", *extra]
+
+
+def test_linear_fit_matches_the_library(capsys, poisson_csv):
+    path, x1, x2, y = poisson_csv
+    code, out, err = _run(capsys, _fit_argv(path, "--formula", "x1+x2"))
+    assert code == 0 and err == ""
+    res = json.loads(out)
+    X = np.column_stack([np.ones(len(y)), x1, x2])
+    model = regression.RegressionModel(
+        edm.get_family("poisson"), regression.get_link("log"), regression.linear_predictor(3)
+    )
+    ref = regression.fit(model, X, y)
+    assert res["converged"] is True
+    assert res["terms"] == ["(intercept)", "x1", "x2"]
+    np.testing.assert_allclose(res["beta"], ref.beta, rtol=1e-15)
+    assert res["deviance"] == pytest.approx(ref.deviance, rel=1e-15)
+
+
+def test_unconverged_fit_prints_the_result_and_exits_2(capsys, poisson_csv, monkeypatch):
+    path = poisson_csv[0]
+    real_fit = regression.fit
+
+    def stopped_early(*args, **kwargs):
+        res = real_fit(*args, **kwargs)
+        return regression.FitResult(**{**res.__dict__, "converged": False, "iterations": 100})
+
+    monkeypatch.setattr(regression, "fit", stopped_early)
+    code, out, err = _run(capsys, _fit_argv(path, "--formula", "x1+x2"))
+    assert code == 2
+    assert json.loads(out)["converged"] is False
+    assert err.startswith("ERROR:numerical:") and "did not converge in 100 iterations" in err
+
+
+def test_predictor_expression_recovers_beta(capsys, tmp_path):
+    x = np.linspace(0.0, 3.0, 300)
+    path = _write_csv(tmp_path / "decay.csv", {"x": x, "y": 2.0 * np.exp(-0.7 * x)})
+    argv = ["fit", "--data", path, "--response", "y", "--family", "normal", "--link", "identity",
+            "--predictor-expr", "b1*exp(-b2*x)", "--n-params", "2", "--beta0", "1,0.5"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    res = json.loads(out)
+    assert res["terms"] == ["b1", "b2"]
+    np.testing.assert_allclose(res["beta"], [2.0, 0.7], rtol=1e-8)
+
+
+def test_predictor_expression_outside_its_domain_is_a_domain_error(capsys, tmp_path):
+    x = np.linspace(0.0, 3.0, 30)
+    path = _write_csv(tmp_path / "bad.csv", {"x": x, "y": np.ones(30)})
+    argv = ["fit", "--data", path, "--response", "y", "--family", "gamma", "--link", "identity",
+            "--predictor-expr", "sqrt(b1 - x)", "--n-params", "1", "--beta0", "1"]
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR:domain:") and "outside the mean domain" in err
+
+
+def test_non_numeric_csv_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "text.csv"
+    path.write_text("x1,y\n0.5,1\nabc,2\n")
+    code, _, err = _run(capsys, ["fit", "--data", str(path), "--response", "y", "--family", "poisson",
+                                 "--link", "log", "--formula", "x1"])
+    assert code == 1
+    assert err.startswith("ERROR:domain:") and "not fully numeric" in err
+
+
+def test_quoted_and_spaced_csv_fields(capsys, tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text(' x1 , y\n"0.5", 1\n-0.5 ,2\n0.1,0\n0.9,3\n')
+    code, out, _ = _run(capsys, ["fit", "--data", str(path), "--response", "y", "--family", "poisson",
+                                 "--link", "log", "--formula", "x1"])
+    assert code == 0
+    assert json.loads(out)["converged"] is True

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from dispmodels.errors import DomainError
@@ -56,3 +57,19 @@ def test_call_arity_enforced():
 def test_syntax_error_rejected():
     with pytest.raises(DomainError):
         compile_expression("x +", ["x"])
+
+
+def test_array_arguments_evaluate_once_with_numpy():
+    fn = compile_expression("b1*exp(-b2*x) + sqrt(x)", ["x", "b1", "b2"])
+    x = np.array([0.0, 0.5, 2.0])
+    out = fn(x, 2.0, 0.7)
+    assert isinstance(out, np.ndarray) and out.shape == (3,)
+    np.testing.assert_allclose(out, [fn(float(v), 2.0, 0.7) for v in x], rtol=1e-14)
+
+
+def test_array_domain_violation_gives_nan():
+    fn = compile_expression("log(x)", ["x"])
+    with pytest.raises(ValueError):
+        fn(-1.0)
+    out = fn(np.array([1.0, -1.0]))
+    assert out[0] == 0.0 and math.isnan(out[1])
