@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .deviance import UnitDeviance
 from .errors import ConvergenceError, DomainError, NumericalError
@@ -35,7 +34,6 @@ __all__ = [
     "cf_deviance",
     "cf_unit_deviance",
     "kernel",
-    "kernel_tail_plateau",
     "solve_normalizer",
     "solve_convolution_grid",
     "convolution_residual",
@@ -118,11 +116,6 @@ def kernel(cf: CfSpec, tau: float, t: float) -> float:
     return math.exp(-(1.0 - cf(t)) / (2.0 * tau))
 
 
-def kernel_tail_plateau(cf: CfSpec, tau: float, far: float) -> float:
-    """Kernel level at the largest lag of interest; exp(-1/(2 tau)) when phi -> 0."""
-    return kernel(cf, tau, far)
-
-
 @dataclass(frozen=True)
 class GridSolution:
     """Discrete solution of the convolution normalization equation.
@@ -160,18 +153,29 @@ def _kernel_samples(kernel_fn, N: int, h: float) -> np.ndarray:
     return np.array([kernel_fn(float(t)) for t in lags])
 
 
-def _apply_toeplitz(kern: np.ndarray, vec: np.ndarray, h: float) -> np.ndarray:
-    # (A v)_i = h sum_j K((i - j) h) v_j; linear convolution, centered slice
-    full = fftconvolve(vec, kern, mode="valid")
-    return h * full
+def _toeplitz_operator(kern: np.ndarray, h: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The product ``v -> A v`` with ``A_ij = h kern[i - j + N - 1]``.
+
+    ``kern`` holds the 2N - 1 samples at lags -(N-1)..(N-1).  A is embedded
+    in a circulant of size 2N whose spectrum is computed here, once; each
+    product is then one real FFT pair of length 2N, and the slice
+    ``N-1 : 2N-1`` of the circular convolution, which never wraps, is A v.
+    """
+    n = (len(kern) + 1) // 2
+    spectrum = h * np.fft.rfft(kern, 2 * n)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(np.fft.rfft(v, 2 * n) * spectrum, 2 * n)[n - 1 : 2 * n - 1]
+
+    return apply
 
 
-def _power_iteration_norm(kern: np.ndarray, n: int, h: float, iters: int = 30) -> float:
+def _power_iteration_norm(apply_a, n: int, iters: int = 30) -> float:
+    """``||A||`` for a symmetric A, by power iteration on ``A^T A = A^2``."""
     v = np.ones(n) / math.sqrt(n)
     norm = 1.0
     for _ in range(iters):
-        w = _apply_toeplitz(kern, v, h)
-        w = _apply_toeplitz(kern, w, h)  # A is symmetric: A^T A = A^2
+        w = apply_a(apply_a(v))
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 1.0
@@ -266,8 +270,9 @@ def solve_convolution_grid(
 ) -> GridSolution:
     """Solve ``min ||A a - 1||^2 + lambda ||a||^2 s.t. a >= 0`` on the grid.
 
-    A is the Toeplitz kernel matrix ``A_ij = h K((i-j) h)``, applied via
-    FFT convolutions.  ``lambda_reg`` defaults to ``1e-8 ||A||^2`` (``||A||``
+    A is the Toeplitz kernel matrix ``A_ij = h K((i-j) h)``, applied by FFT
+    on its circulant embedding of size 2N, with the kernel spectrum computed
+    once per solve.  ``lambda_reg`` defaults to ``1e-8 ||A||^2`` (``||A||``
     by power iteration).  The solver is an active-set method: on a fixed
     free set, conjugate gradients preconditioned by the Strang circulant
     approximation of ``A^2 + lambda I`` solve the normal equations with the
@@ -308,23 +313,22 @@ def solve_convolution_grid(
         )
     band = _effective_support_band(kern, N, plateau)
 
-    a_norm = _power_iteration_norm(kern, N, h)
+    apply_a = _toeplitz_operator(kern, h)
+    a_norm = _power_iteration_norm(apply_a, N)
     default_lambda = 1e-8 * a_norm**2
     if lambda_reg is None:
         lambda_reg = default_lambda
     ones = np.ones(N)
-    atb = _apply_toeplitz(kern, ones, h)  # A^T 1 = A 1 (symmetric)
-
-    def normal_apply(v: np.ndarray) -> np.ndarray:
-        return _apply_toeplitz(kern, _apply_toeplitz(kern, v, h), h)
+    atb = apply_a(ones)  # A^T 1 = A 1 (symmetric)
 
     # Strang circulant preconditioner for the Toeplitz normal equations:
     # the Hessian A^2 + lambda I is approximated by C^2 + lambda I, which
-    # FFT diagonalizes, collapsing the CG iteration count
+    # FFT diagonalizes, collapsing the CG iteration count; |fft(circ)|^2 is
+    # real and symmetric, so its first N/2 + 1 entries are all of it
     lags = np.arange(N)
     lags[lags > N // 2] -= N
     circ = h * kern[N - 1 + lags]
-    circ_eigs = np.abs(np.fft.fft(circ)) ** 2
+    circ_eigs = np.abs(np.fft.rfft(circ)) ** 2
 
     a = np.zeros(N)
     kkt_tol = 1e-10 * max(1.0, float(np.max(np.abs(atb))))
@@ -335,10 +339,10 @@ def solve_convolution_grid(
         precond_eigs = np.maximum(circ_eigs + lam, 1e-300)
 
         def hessian_apply(v: np.ndarray) -> np.ndarray:
-            return normal_apply(v) + lam * v
+            return apply_a(apply_a(v)) + lam * v
 
         def precond(v: np.ndarray) -> np.ndarray:
-            return np.real(np.fft.ifft(np.fft.fft(v) / precond_eigs))
+            return np.fft.irfft(np.fft.rfft(v) / precond_eigs, N)
 
         a, free, used, converged = _active_set_pcg(
             hessian_apply, precond, atb, a, free, kkt_tol, max_iter - iterations
@@ -355,7 +359,7 @@ def solve_convolution_grid(
                 f"(max_iter={max_iter})"
             )
 
-    conv = _apply_toeplitz(kern, a, h)
+    conv = apply_a(a)
     interior = slice(band, N - band)
     residual = float(np.max(np.abs(conv[interior] - 1.0))) if band < N // 2 else math.inf
     return GridSolution(

@@ -21,7 +21,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import IntegrationWarning, cumulative_trapezoid, quad
 from scipy.interpolate import PchipInterpolator
-from scipy.stats import ks_2samp
 
 import warnings
 
@@ -386,6 +385,8 @@ def pivotal_check(
     pairwise two-sample Kolmogorov-Smirnov tests; all pairwise p-values
     are expected above 0.001 at m = 10^4 when the model is a PDM.
     """
+    from scipy.stats import ks_2samp  # lazy: scipy.stats is slow to import
+
     rng = np.random.default_rng(seed)
     mu_list = [float(mu) for mu in mu_list]
     samples = {}

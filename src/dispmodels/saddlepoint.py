@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import edm
 from .deviance import UnitDeviance, VarianceFunction, eval_deviance
@@ -140,7 +140,8 @@ def _lr_correction_limit(fam: EdmFamily, mu: float) -> float:
 
 
 def _lr_value(r_scaled: float, correction: float) -> float:
-    return float(norm.cdf(r_scaled) + norm.pdf(r_scaled) * correction)
+    pdf = math.exp(-0.5 * r_scaled * r_scaled) / math.sqrt(2.0 * math.pi)
+    return float(ndtr(r_scaled) + pdf * correction)
 
 
 def lugannani_rice_cdf(fam: EdmFamily, y: float, theta: float, tau: float) -> float:

@@ -8,6 +8,8 @@ import pytest
 
 from dispmodels.cf_construct import (
     CHARACTERISTIC_FUNCTIONS,
+    _power_iteration_norm,
+    _toeplitz_operator,
     CfSpec,
     cf_deviance,
     cf_unit_deviance,
@@ -97,6 +99,32 @@ class TestKernel:
         for t in np.linspace(0.0, 50.0, 101):
             value = kernel(GAUSS, tau, float(t))
             assert floor <= value <= 1.0
+
+
+class TestToeplitzOperator:
+    N = 2**10
+    H = 40.0 / (N - 1)
+
+    def _dense(self, kern):
+        i = np.arange(self.N)
+        return self.H * kern[i[:, None] - i[None, :] + self.N - 1]
+
+    def test_matches_dense_matmul(self):
+        # a random, non-symmetric kernel exercises every lag of both signs
+        rng = np.random.default_rng(7)
+        kern = rng.standard_normal(2 * self.N - 1)
+        v = rng.standard_normal(self.N)
+        expected = self._dense(kern) @ v
+        got = _toeplitz_operator(kern, self.H)(v)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_power_iteration_norm_matches_spectral_norm(self):
+        # the power iteration runs on A^2, so A is the solver's symmetric kernel matrix
+        lags = self.H * np.arange(-(self.N - 1), self.N)
+        kern = np.array([kernel(GAUSS, 0.25, float(t)) for t in lags])
+        apply_a = _toeplitz_operator(kern, self.H)
+        expected = np.linalg.norm(self._dense(kern), 2)
+        assert _power_iteration_norm(apply_a, self.N) == pytest.approx(expected, rel=1e-6)
 
 
 class TestSolver:

@@ -1,11 +1,12 @@
-"""CLI ``fit``: CSV input, predictors, exit codes and error prefixes."""
+"""CLI through ``cli.run``: CSV input, predictors, exit codes and error prefixes."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
-from dispmodels import cli, edm, regression
+from dispmodels import cf_construct, cli, edm, regression
 
 
 def _write_csv(path, columns):
@@ -102,3 +103,45 @@ def test_quoted_and_spaced_csv_fields(capsys, tmp_path):
                                  "--link", "log", "--formula", "x1"])
     assert code == 0
     assert json.loads(out)["converged"] is True
+
+
+def test_usage_error_then_valid_command(capsys, poisson_csv):
+    # the parser is built once per process: an error must leave no state behind
+    code, out, err = _run(capsys, ["fit", "--data", poisson_csv[0], "--family", "poisson"])
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR:usage:")
+    code, out, err = _run(capsys, _fit_argv(poisson_csv[0], "--formula", "x1+x2"))
+    assert code == 0 and err == ""
+    assert json.loads(out)["converged"] is True
+
+
+def test_cf_construct_prints_the_solution_and_its_residual(capsys):
+    n = 2**10
+    code, out, err = _run(capsys, ["cf-construct", "--cf", "gauss", "--tau", "0.5", "--N", str(n)])
+    assert code == 0
+    assert out.startswith("y,a\n")
+    table = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+    assert table.shape == (n, 2)
+    report = json.loads(err)
+    assert report["ill_posed"] is False
+    sol = cf_construct.GridSolution(
+        grid=table[:, 0], a_values=table[:, 1], tau=report["tau"], residual=report["residual"],
+        lambda_reg=report["lambda_reg"], edge_band=report["edge_band"],
+        iterations=report["iterations"], ill_posed=report["ill_posed"],
+    )
+    fresh = cf_construct.convolution_residual(sol, cf_construct.get_cf("gauss"))
+    assert fresh == pytest.approx(report["residual"], abs=1e-6)
+
+
+def test_cf_construct_grid_size_not_a_power_of_two_is_a_domain_error(capsys):
+    code, out, err = _run(capsys, ["cf-construct", "--cf", "gauss", "--tau", "0.5", "--N", "1000"])
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR:domain:")
+
+
+def test_check_scope_passes_every_check(capsys):
+    code, out, _ = _run(capsys, ["check", "--scope", "gamma"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines and all(line.startswith("PASS") for line in lines[:-1])
+    assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
