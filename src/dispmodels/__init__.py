@@ -71,6 +71,7 @@ from .regression import (
 )
 from .saddlepoint import (
     SaddlepointResult,
+    lugannani_rice,
     lugannani_rice_cdf,
     renormalized_saddlepoint,
     saddlepoint_density,

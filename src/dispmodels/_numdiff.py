@@ -1,18 +1,26 @@
-"""Finite-difference stencils shared across modules.
+"""Numerical routines shared across modules.
 
-Second derivatives use 5-point central stencils with steps scaled by the
-cube root of machine epsilon; higher orders use central stencils plus
-3-level Richardson extrapolation.  Probe points near interval endpoints
-are the caller's responsibility (see ``RealInterval.clip_inward``).
+Finite differences: second derivatives use 5-point central stencils with
+steps scaled by the cube root of machine epsilon; higher orders use
+central stencils plus 3-level Richardson extrapolation.  Probe points near
+interval endpoints are the caller's responsibility (see
+``RealInterval.clip_inward``).
+
+Two private solvers are written here once: ``_bracketed_newton`` (the
+inverse mean mapping, the dispersion MLE) and ``_support_integral`` (the
+normalizing integrals and sums of the saddlepoint, PDM, self-check and
+Tweedie layers).  Each caller keeps its own error gate.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
 
-from .errors import NumericalError
+from .errors import ConvergenceError, NumericalError
 
 EPS = float(np.finfo(float).eps)
 CBRT_EPS = EPS ** (1.0 / 3.0)
@@ -104,3 +112,64 @@ def nth_derivative(f, x: float, order: int, h: float | None = None, levels: int 
     if not math.isfinite(value):
         raise NumericalError(f"finite-difference derivative of order {order} at {x} is not finite")
     return value
+
+
+def _bracketed_newton(fn, slope, lo: float, hi: float, tol: float, increasing: bool = True,
+                      max_iter: int = 200, what: str = "root") -> float:
+    """Root of the monotone ``fn`` inside the bracket ``(lo, hi)``.
+
+    Safeguarded Newton from the midpoint: each iterate shrinks the bracket
+    by the sign of ``fn``, and a step that leaves the bracket (or a zero or
+    non-finite ``slope``) is replaced by bisection, so the iteration cannot
+    diverge.  Returns the first iterate with ``|fn| <= tol``; raises
+    ``ConvergenceError``, naming the residual and the last iterate, after
+    ``max_iter`` evaluations.
+    """
+    x = 0.5 * (lo + hi)
+    for _ in range(max_iter):
+        val = fn(x)
+        if abs(val) <= tol:
+            return x
+        if (val < 0.0) == increasing:
+            lo = x
+        else:
+            hi = x
+        s = slope(x)
+        candidate = x - val / s if s else math.nan
+        if not (math.isfinite(candidate) and lo < candidate < hi):
+            candidate = 0.5 * (lo + hi)
+        x, last = candidate, x
+    raise ConvergenceError(
+        f"{what} did not converge in {max_iter} iterations: residual {abs(val):.3g} "
+        f"at x = {last:.6g} against the tolerance {tol:.3g}"
+    )
+
+
+def _support_integral(fn, support) -> tuple[float, float]:
+    """``(integral, error estimate)`` of ``fn`` over a ``RealInterval``.
+
+    A lattice support is summed over its integer points from
+    ``max(lower, 0)``, stopping after three consecutive terms below 1e-14
+    of the running total (the error estimate is then the last term) or at
+    the upper end (error 0); more than 10^7 terms raise
+    ``NumericalError``.  Any other support goes to ``quad`` with
+    ``limit=400``, its integration warnings silenced: the caller gates the
+    returned error.
+    """
+    if not support.lattice:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            value, err = quad(fn, support.lower, support.upper, limit=400)
+        return float(value), float(err)
+    k = math.ceil(max(support.lower, 0.0) if math.isfinite(support.lower) else 0.0)
+    total, quiet = 0.0, 0
+    while k <= support.upper:
+        term = fn(float(k))
+        total += term
+        quiet = quiet + 1 if term < 1e-14 * total else 0
+        if quiet >= 3:
+            return total, term
+        k += 1
+        if k > 10**7:
+            raise NumericalError("lattice sum did not converge within 10^7 terms")
+    return total, 0.0

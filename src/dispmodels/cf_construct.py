@@ -295,6 +295,8 @@ def solve_convolution_grid(
     Every rung stops when the free-set residual and every negative bound
     gradient are within ``1e-10 * max(1, max A 1)``.  ``max_iter`` bounds
     the CG iterations summed over all rungs, which ``iterations`` reports.
+    A kernel whose samples are not symmetric (within 1e-12 of their
+    maximum) is rejected with DomainError before any product is formed.
     Raises ConvergenceError, naming the iterations used and the KKT norm
     (max projected gradient) reached, when a rung does not converge within
     that budget or within 100 active-set passes.
@@ -306,6 +308,9 @@ def solve_convolution_grid(
     grid = np.linspace(-L, L, N)
     h = float(grid[1] - grid[0])
     kern = _kernel_samples(kernel_fn, N, h)
+    # the normal equations below use A^T = A, i.e. K(-t) = K(t)
+    if np.max(np.abs(kern - kern[::-1])) > 1e-12 * np.max(np.abs(kern)):
+        raise DomainError("the kernel is not symmetric: K(-t) != K(t) on the grid")
     plateau = float(kern[0])  # largest sampled lag ~ tail level
     if abs(float(kernel_fn(float(L))) - plateau) > 1e-3:
         raise DomainError(

@@ -10,12 +10,12 @@ characteristic-function probes.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable
 
 import numpy as np
 
 from . import cf_construct, edm, pdm
+from ._numdiff import _support_integral
 from .deviance import DEVIANCES, check_unit_deviance, second_derivative_identity, unit_variance
 from .errors import DispersionModelError
 
@@ -91,24 +91,8 @@ def _check_normalization(name: str, seed: int) -> CheckResult:
 
 
 def _density_mass(fam, theta: float, tau: float) -> float:
-    from scipy.integrate import quad
-
-    if fam.support.lattice:
-        total, k, quiet = 0.0, int(max(0.0, fam.support.lower)), 0
-        while True:
-            if math.isfinite(fam.support.upper) and k > fam.support.upper:
-                break
-            term = edm.density(fam, float(k), theta, tau)
-            total += term
-            quiet = quiet + 1 if term < 1e-12 * max(total, 1e-300) else 0
-            if quiet >= 3 and k > 2:
-                break
-            k += 1
-        return total
-    lo = fam.support.lower if math.isfinite(fam.support.lower) else -np.inf
-    hi = fam.support.upper if math.isfinite(fam.support.upper) else np.inf
-    value, _ = quad(lambda x: edm.density(fam, float(x), theta, tau), lo, hi, limit=300)
-    return value
+    mass, _ = _support_integral(lambda x: edm.density(fam, x, theta, tau), fam.support)
+    return mass
 
 
 def _check_pdm_mu_independence(model_name: str, seed: int) -> CheckResult:

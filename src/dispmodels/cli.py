@@ -172,29 +172,10 @@ def _cmd_approx(args) -> int:
             edm.unit_deviance_of(fam), edm.variance_function_of(fam), args.y, mu, args.tau
         )
         out.update(value=res.value, saddle=res.saddle)
-    elif args.method == "lr":
-        mu = edm.mean_value(fam, theta)
-        dev = edm.edm_deviance(fam, args.y, mu)
-        r = math.copysign(math.sqrt(dev), args.y - mu)
-        u = math.sqrt(edm.variance_function(fam, args.y)) * (edm.inverse_mean(fam, args.y) - theta)
-        out.update(
-            value=saddlepoint.lugannani_rice_cdf(fam, args.y, theta, args.tau),
-            saddle=(edm.inverse_mean(fam, args.y) - theta) / args.tau,
-            r=r,
-            u=u,
-        )
-    else:  # mean-lr
-        t = saddlepoint._solve_saddle(fam, args.y, theta, args.tau)
-        k_t = edm.cgf(fam, t, theta, args.tau)
-        gap = max(args.y * t - k_t, 0.0)
-        r = math.copysign(math.sqrt(2.0 * args.n * gap), t)
-        u = t * math.sqrt(args.n * args.tau * fam._b_double_prime(theta + args.tau * t))
-        out.update(
-            value=saddlepoint.sample_mean_cdf(fam, args.y, theta, args.tau, args.n),
-            saddle=t,
-            r=r,
-            u=u,
-        )
+    else:  # lr, mean-lr: the same formula, at tau/n for the mean of n
+        n = args.n if args.method == "mean-lr" else 1
+        res = saddlepoint.lugannani_rice(fam, args.y, theta, args.tau, n)
+        out.update(value=res.value, saddle=res.saddle, r=res.r, u=res.u)
     print(_json(out))
     return 0
 
@@ -202,43 +183,16 @@ def _cmd_approx(args) -> int:
 def _cmd_tweedie(args) -> int:
     if args.y_step <= 0:
         raise DomainError("--y-step must be positive")
-    ys = np.arange(args.y_min, args.y_max + 0.5 * args.y_step, args.y_step)
-    from scipy.integrate import quad
-
-    def dens_at(x: float) -> float:
-        return tweedie.tweedie_density(args.p, x, args.mu, args.tau)
-
-    rows = []
-    cdf = 0.0
-    prev = None
     support = tweedie.tweedie_support(args.p)
-    for y in ys:
-        y = float(y)
-        if not support.contains(y):
-            continue
-        dens = dens_at(y)
-        if abs(args.p - 1.0) < 1e-6:
-            cdf = tweedie.tweedie_cdf(args.p, y, args.mu, args.tau)
-        else:
-            if prev is None:
-                # first grid point: integrate from the support's lower end
-                if args.p == 0.0:
-                    cdf, _ = quad(dens_at, -math.inf, y, limit=200)
-                else:
-                    atom = tweedie.tweedie_zero_mass(args.p, args.mu, args.tau) if args.p < 2.0 else 0.0
-                    piece, _ = quad(dens_at, 1e-300, y, limit=200) if y > 0.0 else (0.0, 0.0)
-                    cdf = atom + piece
-            else:
-                piece, _ = quad(dens_at, prev, y, limit=200)
-                cdf += piece
-            prev = y
-        rows.append((y, dens, min(cdf, 1.0)))
-
+    ys = [y for y in np.arange(args.y_min, args.y_max + 0.5 * args.y_step, args.y_step).tolist()
+          if support.contains(y)]
+    dens = [tweedie.tweedie_density(args.p, y, args.mu, args.tau) for y in ys]
+    cdf = tweedie.tweedie_cdf(args.p, np.array(ys), args.mu, args.tau)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["y", "density", "cdf"])
-    for y, dens, c in rows:
-        writer.writerow([_fmt(y), _fmt(dens), _fmt(c)])
+    for row in zip(ys, dens, cdf):
+        writer.writerow([_fmt(v) for v in row])
     _write_text(args.output, buffer.getvalue())
     return 0
 

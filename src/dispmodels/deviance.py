@@ -11,7 +11,10 @@ The module ships the six classic deviances (normal, gamma, Poisson,
 von Mises, simplex, inverse Gaussian) and the operations needed by the
 rest of the library: curvature extraction, diagonal-identity diagnostics,
 re-parametrization by a monotone transformation, and the variance
-stabilizing transformation.
+stabilizing transformation.  The four EDM deviances and variance
+functions are not written here: they are derived from the cumulant
+generators of ``edm.FAMILIES`` (``d = 2 integral_mu^y (y - t)/V(t) dt`` in
+closed form, ``V = b'' o q``), so each formula has one home.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from ._numdiff import fd_step, mixed_second_derivative, second_derivative
+from .edm import FAMILIES, unit_deviance_of, variance_function_of
 from .errors import DomainError, NumericalError
-from .support import POSITIVE_REALS, REALS, UNIT_INTERVAL, RealInterval
+from .support import UNIT_INTERVAL, RealInterval
 
 __all__ = [
     "UnitDeviance",
@@ -35,7 +39,6 @@ __all__ = [
     "second_derivative_identity",
     "transform_deviance",
     "variance_stabilizing_transform",
-    "variance_function_from_deviance",
     "check_unit_deviance",
     "get_deviance",
     "DEVIANCES",
@@ -170,15 +173,6 @@ def second_derivative_identity(d: UnitDeviance, mu: float) -> tuple[float, float
         raise DomainError(f"deviance {d.name} is not regular")
     d.omega.require(mu, "mu")
     return (_d2_dy2(d, mu), _d2_dmu2(d, mu), _d2_dydmu(d, mu))
-
-
-def variance_function_from_deviance(d: UnitDeviance) -> VarianceFunction:
-    """Wrap :func:`unit_variance` of ``d`` as a :class:`VarianceFunction`."""
-    return VarianceFunction(
-        name=f"V[{d.name}]",
-        domain=d.omega,
-        fn=lambda mu: unit_variance(d, mu),
-    )
 
 
 def _map_endpoint(f, x: float, side: int, interval: RealInterval) -> float:
@@ -319,111 +313,49 @@ def check_unit_deviance(d: UnitDeviance, rng: np.random.Generator | None = None,
 
 
 # ----------------------------------------------------------------------
-# Built-in deviances
+# Built-in deviances: the normal, gamma, Poisson and inverse-Gaussian
+# entries are those of their EDMs, derived from the cumulant generators in
+# ``edm.FAMILIES``; von Mises and simplex are PDM-only
 # ----------------------------------------------------------------------
 
+_CIRCLE = RealInterval(0.0, 2.0 * math.pi, closed_lower=True)
 
-def _normal() -> UnitDeviance:
-    return UnitDeviance(
-        name="normal",
-        support=REALS,
-        fn=lambda y, mu: (y - mu) ** 2,
-        dd_dy=lambda y, mu: 2.0 * (y - mu),
-        d2_dy2=lambda y, mu: 2.0,
-        d2_dmu2=lambda y, mu: 2.0,
-        d2_dydmu=lambda y, mu: -2.0,
-    )
-
-
-def _gamma() -> UnitDeviance:
-    return UnitDeviance(
-        name="gamma",
-        support=POSITIVE_REALS,
-        fn=lambda y, mu: 2.0 * (y / mu - math.log(y / mu) - 1.0),
-        dd_dy=lambda y, mu: 2.0 * (1.0 / mu - 1.0 / y),
-        d2_dy2=lambda y, mu: 2.0 / y**2,
-        d2_dmu2=lambda y, mu: 2.0 * (2.0 * y / mu**3 - 1.0 / mu**2),
-        d2_dydmu=lambda y, mu: -2.0 / mu**2,
-    )
-
-
-def _poisson_fn(y, mu):
-    # y log y -> 0 as y -> 0; the convex support includes 0
-    ylogy = y * math.log(y / mu) if y > 0 else 0.0
-    return 2.0 * (ylogy - y + mu)
-
-
-def _poisson() -> UnitDeviance:
-    return UnitDeviance(
-        name="poisson",
-        support=RealInterval(0.0, math.inf, closed_lower=True, lattice=True),
-        fn=_poisson_fn,
-        dd_dy=lambda y, mu: 2.0 * math.log(y / mu),
-        d2_dy2=lambda y, mu: 2.0 / y,
-        d2_dmu2=lambda y, mu: 2.0 * y / mu**2,
-        d2_dydmu=lambda y, mu: -2.0 / mu,
-    )
-
-
-def _von_mises() -> UnitDeviance:
-    return UnitDeviance(
+DEVIANCES: dict[str, UnitDeviance] = {
+    "normal": unit_deviance_of(FAMILIES["normal"]),
+    "gamma": unit_deviance_of(FAMILIES["gamma"]),
+    "poisson": unit_deviance_of(FAMILIES["poisson"]),
+    "vonmises": UnitDeviance(
         name="vonmises",
-        support=RealInterval(0.0, 2.0 * math.pi, closed_lower=True),
+        support=_CIRCLE,
         fn=lambda y, mu: 2.0 * (1.0 - math.cos(y - mu)),
         dd_dy=lambda y, mu: 2.0 * math.sin(y - mu),
         d2_dy2=lambda y, mu: 2.0 * math.cos(y - mu),
         d2_dmu2=lambda y, mu: 2.0 * math.cos(y - mu),
         d2_dydmu=lambda y, mu: -2.0 * math.cos(y - mu),
         circular=True,
-    )
-
-
-def _simplex() -> UnitDeviance:
+    ),
     # analytic derivatives deliberately absent: exercises the FD path
-    return UnitDeviance(
+    "simplex": UnitDeviance(
         name="simplex",
         support=UNIT_INTERVAL,
         fn=lambda y, mu: (y - mu) ** 2 / (y * (1.0 - y) * mu**2 * (1.0 - mu) ** 2),
-    )
-
-
-def _inverse_gaussian() -> UnitDeviance:
-    return UnitDeviance(
-        name="inverse_gaussian",
-        support=POSITIVE_REALS,
-        fn=lambda y, mu: (y - mu) ** 2 / (mu**2 * y),
-        dd_dy=lambda y, mu: 1.0 / mu**2 - 1.0 / y**2,
-        d2_dy2=lambda y, mu: 2.0 / y**3,
-        d2_dmu2=lambda y, mu: 6.0 * y / mu**4 - 4.0 / mu**3,
-        d2_dydmu=lambda y, mu: -2.0 / mu**3,
-    )
-
-
-DEVIANCES: dict[str, UnitDeviance] = {
-    dev.name: dev
-    for dev in (_normal(), _gamma(), _poisson(), _von_mises(), _simplex(), _inverse_gaussian())
+    ),
+    "inverse_gaussian": unit_deviance_of(FAMILIES["inverse_gaussian"]),
 }
 
 VARIANCE_FUNCTIONS: dict[str, VarianceFunction] = {
-    "normal": VarianceFunction("normal", REALS, lambda mu: 1.0, d_dmu=lambda mu: 0.0),
-    "gamma": VarianceFunction("gamma", POSITIVE_REALS, lambda mu: mu**2, d_dmu=lambda mu: 2.0 * mu),
-    "poisson": VarianceFunction("poisson", POSITIVE_REALS, lambda mu: mu, d_dmu=lambda mu: 1.0),
-    "vonmises": VarianceFunction(
-        # the circle's parameter domain includes the representative 0
-        "vonmises",
-        RealInterval(0.0, 2.0 * math.pi, closed_lower=True),
-        lambda mu: 1.0,
-        d_dmu=lambda mu: 0.0,
-    ),
+    "normal": variance_function_of(FAMILIES["normal"]),
+    "gamma": variance_function_of(FAMILIES["gamma"]),
+    "poisson": variance_function_of(FAMILIES["poisson"]),
+    # the circle's parameter domain includes the representative 0
+    "vonmises": VarianceFunction("vonmises", _CIRCLE, lambda mu: 1.0, d_dmu=lambda mu: 0.0),
     "simplex": VarianceFunction(
         "simplex",
         UNIT_INTERVAL,
         lambda mu: mu**3 * (1.0 - mu) ** 3,
         d_dmu=lambda mu: 3.0 * mu**2 * (1.0 - mu) ** 2 * (1.0 - 2.0 * mu),
     ),
-    "inverse_gaussian": VarianceFunction(
-        "inverse_gaussian", POSITIVE_REALS, lambda mu: mu**3, d_dmu=lambda mu: 3.0 * mu**2
-    ),
+    "inverse_gaussian": variance_function_of(FAMILIES["inverse_gaussian"]),
 }
 
 

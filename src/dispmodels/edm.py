@@ -24,18 +24,20 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import factorial2, gammaln, polygamma
 
 from . import _elementary as el
-from ._numdiff import fd_step, first_derivative, nth_derivative, second_derivative
-from .deviance import UnitDeviance, VarianceFunction
+from ._numdiff import _bracketed_newton, fd_step, first_derivative, nth_derivative, second_derivative
 from .errors import ConvergenceError, DomainError, NumericalError
 from .expressions import compile_expression
 from .support import POSITIVE_REALS, REALS, RealInterval
+
+if TYPE_CHECKING:  # deviance imports this module; see unit_deviance_of
+    from .deviance import UnitDeviance, VarianceFunction
 
 __all__ = [
     "EdmFamily",
@@ -199,18 +201,12 @@ def _domain_probe(domain: RealInterval, toward_upper: bool, k: int) -> float:
     return hi - 2.0**k if math.isfinite(hi) else 2.0 - 2.0**k
 
 
-def _solve_increasing(
-    g,
-    target: float,
-    domain: RealInterval,
-    tol: float,
-    g_prime=None,
-    max_iter: int = 200,
-) -> float:
+def _solve_increasing(g, target: float, domain: RealInterval, tol: float, g_prime) -> float:
     """Root of increasing ``g(x) = target`` on an open interval.
 
-    Safeguarded Newton: steps that leave the current bracket fall back to
-    bisection, so convergence is guaranteed for monotone g.
+    Brackets the root by probing geometrically toward each end of the
+    domain, then runs the shared safeguarded Newton, which falls back to
+    bisection whenever a step leaves the bracket.
     """
     lo = hi = None
     for toward_upper in (False, True):
@@ -232,26 +228,16 @@ def _solve_increasing(
                 break
     if lo is None or hi is None:
         raise ConvergenceError(f"cannot bracket the target {target} inside {domain}")
-    x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        val = g(x)
-        if abs(val - target) <= tol:
-            return x
-        if val < target:
-            lo = x
-        else:
-            hi = x
-        slope = None
-        if g_prime is not None:
-            try:
-                slope = g_prime(x)
-            except (DomainError, ValueError, OverflowError, ZeroDivisionError):
-                slope = None
-        candidate = x + (target - val) / slope if slope and slope > 0 else math.nan
-        if not (math.isfinite(candidate) and lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)
-        x = candidate
-    raise ConvergenceError(f"inverse mean solve did not converge after {max_iter} iterations")
+
+    def slope(x: float) -> float:
+        # a failed or non-positive derivative makes the step a bisection
+        try:
+            s = g_prime(x)
+        except (DomainError, ValueError, OverflowError, ZeroDivisionError):
+            return 0.0
+        return s if s > 0 else 0.0
+
+    return _bracketed_newton(lambda x: g(x) - target, slope, lo, hi, tol, what="inverse mean solve")
 
 
 def variance_function(fam: EdmFamily, mu):
@@ -425,6 +411,8 @@ def sample_mean_family(fam: EdmFamily, theta: float, tau: float, n: int) -> tupl
 
 def unit_deviance_of(fam: EdmFamily) -> UnitDeviance:
     """The family's unit deviance packaged for the deviance-core operations."""
+    # imported here: ``deviance`` builds its EDM entries from this module
+    from .deviance import UnitDeviance
 
     def dd_dy(y, mu):
         return 2.0 * (inverse_mean(fam, y) - inverse_mean(fam, mu))
@@ -451,6 +439,8 @@ def unit_deviance_of(fam: EdmFamily) -> UnitDeviance:
 
 
 def variance_function_of(fam: EdmFamily) -> VarianceFunction:
+    from .deviance import VarianceFunction
+
     return VarianceFunction(
         name=f"V[{fam.name}]",
         domain=fam.mean_domain,

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, cumulative_trapezoid, quad
+from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import PchipInterpolator
 
-import warnings
-
+from ._numdiff import _support_integral
 from .deviance import UnitDeviance, check_unit_deviance, eval_deviance, unit_variance
 from .deviance import DEVIANCES
 from .errors import DomainError, NumericalError
@@ -59,7 +58,6 @@ class PdmSpec:
     deviance: UnitDeviance
     carrier: Callable[[float], float]
     support: RealInterval
-    regular: bool = True
     _cache: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -81,43 +79,6 @@ class PdmSpec:
             return self._cache.setdefault(tau, a0)
 
 
-def _normalizer_integral(
-    d: UnitDeviance, b: Callable[[float], float], tau: float, C: RealInterval, probe_mu: float
-) -> float:
-    def integrand(y: float) -> float:
-        try:
-            dev = eval_deviance(d, y, probe_mu)
-            weight = float(b(y))
-        except (DomainError, NumericalError, ValueError, OverflowError, ZeroDivisionError):
-            return 0.0
-        return weight * math.exp(-dev / (2.0 * tau))
-
-    if C.lattice:
-        total = 0.0
-        k = math.ceil(max(C.lower, 0.0) if math.isfinite(C.lower) else 0.0)
-        quiet = 0
-        while True:
-            if math.isfinite(C.upper) and k > C.upper:
-                break
-            term = integrand(float(k))
-            total += term
-            quiet = quiet + 1 if term < 1e-14 * max(total, 1e-300) else 0
-            if quiet >= 3 and k > 2:
-                break
-            k += 1
-            if k > 10**7:
-                raise NumericalError("lattice normalizer sum did not converge")
-        return total
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = quad(integrand, C.lower, C.upper, limit=400)
-    if not math.isfinite(value) or value <= 0.0 or err > 1e-6 * max(value, 1e-300):
-        raise NumericalError(
-            f"normalizer integral for {d.name} diverged or failed (value={value}, err={err})"
-        )
-    return value
-
-
 def pdm_normalizer(
     d: UnitDeviance,
     b: Callable[[float], float],
@@ -134,7 +95,21 @@ def pdm_normalizer(
     if tau <= 0.0:
         raise DomainError("tau must be positive")
     d.omega.require(probe_mu, "probe_mu")
-    return 1.0 / _normalizer_integral(d, b, tau, C, probe_mu)
+
+    def integrand(y: float) -> float:
+        try:
+            dev = eval_deviance(d, y, probe_mu)
+            weight = float(b(y))
+        except (DomainError, NumericalError, ValueError, OverflowError, ZeroDivisionError):
+            return 0.0
+        return weight * math.exp(-dev / (2.0 * tau))
+
+    value, err = _support_integral(integrand, C)
+    if not math.isfinite(value) or value <= 0.0 or err > 1e-6 * max(value, 1e-300):
+        raise NumericalError(
+            f"normalizer integral for {d.name} diverged or failed (value={value}, err={err})"
+        )
+    return 1.0 / value
 
 
 def pdm_density(p: PdmSpec, y: float, mu: float, tau: float) -> float:
@@ -341,7 +316,7 @@ def sample_pdm(
         lo = support.clip_inward(support.lower, 1e-9)
         hi = support.clip_inward(support.upper, 1e-9)
     else:
-        scale = math.sqrt(tau * unit_variance(p.deviance, mu)) if p.regular else math.sqrt(tau)
+        scale = math.sqrt(tau * unit_variance(p.deviance, mu)) if p.deviance.regular else math.sqrt(tau)
         lo = mu - 14.0 * scale
         hi = mu + 14.0 * scale
         lo = max(lo, support.lower + 1e-12) if math.isfinite(support.lower) else lo
@@ -460,42 +435,23 @@ def transformation_pdm(
 # ----------------------------------------------------------------------
 
 
-def _von_mises_pdm() -> PdmSpec:
-    dev = DEVIANCES["vonmises"]
-    return PdmSpec(name="vonmises", deviance=dev, carrier=lambda y: 1.0, support=dev.support)
+def _pdm_on(name: str, carrier: Callable[[float], float]) -> PdmSpec:
+    dev = DEVIANCES[name]
+    return PdmSpec(name=name, deviance=dev, carrier=carrier, support=dev.support)
 
 
-def _simplex_pdm() -> PdmSpec:
-    dev = DEVIANCES["simplex"]
-    return PdmSpec(
-        name="simplex",
-        deviance=dev,
-        carrier=lambda y: (y * (1.0 - y)) ** -1.5,
-        support=dev.support,
-    )
-
-
-def _normal_pdm() -> PdmSpec:
-    dev = DEVIANCES["normal"]
-    return PdmSpec(name="normal", deviance=dev, carrier=lambda y: 1.0, support=dev.support)
-
-
-def _gamma_pdm() -> PdmSpec:
-    dev = DEVIANCES["gamma"]
-    return PdmSpec(name="gamma", deviance=dev, carrier=lambda y: 1.0 / y, support=dev.support)
-
-
-PDMS: dict[str, Callable[[], PdmSpec]] = {
-    "vonmises": _von_mises_pdm,
-    "simplex": _simplex_pdm,
-    "normal": _normal_pdm,
-    "gamma": _gamma_pdm,
+# one spec per model, so that its normalizer cache lives as long as the process
+PDMS: dict[str, PdmSpec] = {
+    "vonmises": _pdm_on("vonmises", lambda y: 1.0),
+    "simplex": _pdm_on("simplex", lambda y: (y * (1.0 - y)) ** -1.5),
+    "normal": _pdm_on("normal", lambda y: 1.0),
+    "gamma": _pdm_on("gamma", lambda y: 1.0 / y),
 }
 
 
 def get_pdm(name: str) -> PdmSpec:
     try:
-        return PDMS[name]()
+        return PDMS[name]
     except KeyError:
         raise DomainError(
             f"unknown proper dispersion model {name!r}; available: {', '.join(sorted(PDMS))}"

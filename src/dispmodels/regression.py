@@ -35,6 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from . import edm
+from ._numdiff import _bracketed_newton
 from .edm import EdmFamily
 from .errors import ConvergenceError, DomainError, NumericalError
 
@@ -385,24 +386,12 @@ def estimate_tau_mle(model: RegressionModel, fit_result: FitResult, y: np.ndarra
         return 1e10
     if f_lo * f_hi > 0:
         raise NumericalError("dispersion MLE root not bracketed in [1e-10, 1e10]")
-    increasing = f_hi > 0
-    x = 0.5 * (lo + hi)
-    max_iter = 200
-    for _ in range(max_iter):
-        val = objective(x)
-        if abs(val) <= tol:
-            return math.exp(x)
-        if (val < 0) == increasing:
-            lo = x
-        else:
-            hi = x
+
+    def slope(x: float) -> float:
         h = 1e-6
-        slope = (objective(x + h) - objective(x - h)) / (2 * h)
-        candidate = x - val / slope if slope != 0 else math.nan
-        if not (math.isfinite(candidate) and lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)
-        x, last = candidate, x
-    raise ConvergenceError(
-        f"dispersion MLE did not converge in {max_iter} iterations: residual "
-        f"{abs(val):.3g} at tau={math.exp(last):.6g} against the tolerance {tol:.3g}"
+        return (objective(x + h) - objective(x - h)) / (2 * h)
+
+    return math.exp(
+        _bracketed_newton(objective, slope, lo, hi, tol, increasing=f_hi > 0,
+                          what="dispersion MLE in x = log tau")
     )

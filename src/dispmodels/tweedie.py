@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
 from . import _elementary as el
-from .edm import EdmFamily
+from ._numdiff import _support_integral
+from .edm import FAMILIES, EdmFamily
 from .errors import DomainError, NumericalError
 from .support import POSITIVE_REALS, REALS, RealInterval
 
@@ -172,13 +174,23 @@ def tweedie_deviance(p: float, y: float, mu: float) -> float:
     return _deviance(p, y, mu)
 
 
-def _deviance(p: float, y, mu):
+def _classic_family(p: float) -> Optional[EdmFamily]:
+    """The EDM a special power is: normal, Poisson, gamma or inverse Gaussian."""
     if p == 0.0:
-        return (y - mu) ** 2
+        return FAMILIES["normal"]
     if _near(p, 1.0):
-        return 2.0 * (el.xlogy(y, y / mu) - y + mu)
+        return FAMILIES["poisson"]
     if _near(p, 2.0):
-        return 2.0 * (y / mu - el.log(y / mu) - 1.0)
+        return FAMILIES["gamma"]
+    if p == 3.0:
+        return FAMILIES["inverse_gaussian"]
+    return None
+
+
+def _deviance(p: float, y, mu):
+    classic = _classic_family(p)
+    if classic is not None:
+        return classic.deviance_closed_form(y, mu)
     saturated = el.positive_part(y) ** (2.0 - p) / ((1.0 - p) * (2.0 - p))
     return 2.0 * (saturated - y * mu ** (1.0 - p) / (1.0 - p) + mu ** (2.0 - p) / (2.0 - p))
 
@@ -387,32 +399,39 @@ def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
     return math.exp(_log_v_series(p, y, tau) + tilt) / (math.pi * y)
 
 
-def tweedie_cdf(p: float, y: float, mu: float, tau: float) -> float:
-    """Distribution function by adaptive quadrature of the density.
+def tweedie_cdf(p: float, y, mu: float, tau: float):
+    """Distribution function: the lattice sum at p = 1, else quadrature of the density.
 
-    For 1 < p < 2 the zero atom is included for y >= 0.
+    For 1 < p < 2 the zero atom is included for y >= 0.  ``y`` may be an
+    ascending ndarray, such as the rows of a table; each entry then adds
+    one quadrature from the entry before it, and an ndarray is returned.
     """
     p = _validate_p(p)
     if p < 0.0:
         raise DomainError("Tweedie cdfs for p < 0 are not evaluated")
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    if np.any(np.diff(ys) < 0.0):
+        raise DomainError("tweedie_cdf needs y in ascending order")
+    values = np.empty(len(ys))
     if _near(p, 1.0):
-        support = tweedie_support(p)
-        support.require(y, "y")
-        total = 0.0
-        k = 0.0
-        while k * tau <= y + 1e-12:
-            total += tweedie_density(p, k * tau, mu, tau)
-            k += 1.0
-        return min(total, 1.0)
-    lower = -math.inf if p == 0.0 else 0.0
-    atom = 0.0
-    if 1.0 < p < 2.0 and y >= 0.0:
-        atom = tweedie_zero_mass(p, mu, tau)
-    if y <= lower:
-        return 0.0
-    start = lower if p == 0.0 else max(lower, 1e-300)
-    value, _ = quad(lambda x: tweedie_density(p, x, mu, tau), start, y, limit=200)
-    return min(atom + value, 1.0)
+        for i, yi in enumerate(ys.tolist()):
+            tweedie_support(p).require(yi, "y")
+            counts = RealInterval(0.0, (yi + 1e-12) / tau, closed_lower=True, closed_upper=True,
+                                  lattice=True)
+            total, _ = _support_integral(lambda k: tweedie_density(p, k * tau, mu, tau), counts)
+            values[i] = min(total, 1.0)
+    else:
+        total = tweedie_zero_mass(p, mu, tau) if 1.0 < p < 2.0 else 0.0
+        start = -math.inf if p == 0.0 else 1e-300
+        for i, yi in enumerate(ys.tolist()):
+            if p > 0.0 and yi < 0.0:
+                values[i] = 0.0
+                continue
+            if yi > start:
+                piece, _ = quad(lambda x: tweedie_density(p, x, mu, tau), start, yi, limit=200)
+                total, start = total + piece, yi
+            values[i] = min(total, 1.0)
+    return float(values[0]) if np.ndim(y) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -438,33 +457,18 @@ class TweedieFamily:
 
     def to_edm(self) -> EdmFamily:
         p = self.p
-        if _near(p, 1.0):
-            dispersion = RealInterval(1.0, 1.0, closed_lower=True, closed_upper=True)
-        else:
-            dispersion = POSITIVE_REALS
-
-        exact_normalizer = None
-        if p == 0.0:
-            exact_normalizer = lambda y, tau: -0.5 * y * y / tau - 0.5 * math.log(2 * math.pi * tau)
-        elif _near(p, 1.0):
-            exact_normalizer = lambda y, tau: -float(gammaln(y + 1.0))
-        elif _near(p, 2.0):
-            exact_normalizer = (
-                lambda y, tau: (1.0 / tau - 1.0) * math.log(y)
-                - math.log(tau) / tau
-                - float(gammaln(1.0 / tau))
-            )
-        elif p == 3.0:
-            exact_normalizer = lambda y, tau: -0.5 / (tau * y) - 0.5 * math.log(
-                2.0 * math.pi * tau * y**3
-            )
+        dispersion = POSITIVE_REALS
+        classic = _classic_family(p)
+        if classic is not None:
+            dispersion, exact_normalizer = classic.dispersion_domain, classic.exact_normalizer
         elif 1.0 < p < 2.0:
-            exact_normalizer = lambda y, tau: (
-                0.0 if y == 0.0 else _log_w_series(p, y, tau) - math.log(y)
-            )
+            def exact_normalizer(y, tau):
+                return 0.0 if y == 0.0 else _log_w_series(p, y, tau) - math.log(y)
         elif p > 2.0:
-            def exact_normalizer(y, tau, _p=p):
-                return _log_v_series(_p, y, tau) - math.log(math.pi * y)
+            def exact_normalizer(y, tau):
+                return _log_v_series(p, y, tau) - math.log(math.pi * y)
+        else:
+            exact_normalizer = None
 
         return EdmFamily(
             name=f"tweedie(p={self.p:g})",

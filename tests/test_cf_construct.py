@@ -187,6 +187,13 @@ class TestSolver:
         with pytest.raises(DomainError):
             solve_normalizer(GAUSS, 0.25, 0.5, 2**10)  # kernel has not plateaued
 
+    def test_non_symmetric_kernel_rejected_before_solving(self):
+        # the normal equations assume A^T = A; a shifted kernel used to run
+        # CG through its whole budget before raising ConvergenceError
+        shifted = lambda t: math.exp(-((t - 1.0) ** 2) / 2.0) + 0.3
+        with pytest.raises(DomainError, match="not symmetric"):
+            solve_convolution_grid(shifted, 0.25, 20.0, 2**10)
+
     def test_triangular_cf_compact_kernel(self):
         sol = solve_normalizer(get_cf("triangular-cf"), 0.25, 20.0, 2**10)
         assert sol.residual < 1e-2

@@ -2,11 +2,17 @@
 
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import special
 
-from dispmodels import cf_construct, cli, edm, regression
+from dispmodels import cf_construct, cli, edm, pdm, regression, saddlepoint, tweedie
+from dispmodels.deviance import DEVIANCES, eval_deviance
 
 
 def _write_csv(path, columns):
@@ -145,3 +151,109 @@ def test_check_scope_passes_every_check(capsys):
     lines = out.splitlines()
     assert lines and all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
+
+
+def _json_out(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == "", err
+    return json.loads(out)
+
+
+def test_deviance_prints_the_library_value(capsys):
+    code, out, err = _run(capsys, ["deviance", "--family", "gamma", "--y", "2", "--mu", "1"])
+    assert code == 0 and err == ""
+    assert float(out) == eval_deviance(DEVIANCES["gamma"], 2.0, 1.0)
+    assert float(out) == pytest.approx(2.0 * (2.0 - math.log(2.0) - 1.0), rel=1e-15)
+
+
+def test_density_by_mean_or_canonical_parameter(capsys):
+    gamma = edm.get_family("gamma")
+    expected = edm.density(gamma, 1.3, -0.5, 0.4)
+    for pair in (["--mu", "2"], ["--theta", "-0.5"]):
+        code, out, _ = _run(capsys, ["density", "--family", "gamma", "--y", "1.3", "--tau", "0.4", *pair])
+        assert code == 0 and float(out) == expected
+    code, out, err = _run(capsys, ["density", "--family", "gamma", "--y", "1.3", "--mu", "2",
+                                   "--theta", "-0.5"])
+    assert code == 1 and out == "" and err.startswith("ERROR:domain:")
+
+
+def test_approx_methods_serialize_the_library_results(capsys):
+    gamma = edm.get_family("gamma")
+    base = ["approx", "--family", "gamma", "--mu", "2", "--tau", "0.5", "--y", "3", "--method"]
+    saddle = _json_out(capsys, [*base, "saddle"])
+    res = saddlepoint.saddlepoint_density(gamma, 3.0, -0.5, 0.5)
+    assert saddle == {"value": res.value, "saddle": res.saddle, "r": None, "u": None}
+    renorm = _json_out(capsys, [*base, "renorm"])
+    assert renorm["saddle"] is None and renorm["r"] is None
+    assert renorm["value"] == pytest.approx(saddlepoint.renormalized_saddlepoint(
+        edm.unit_deviance_of(gamma), edm.variance_function_of(gamma), 3.0, 2.0, 0.5).value, rel=1e-15)
+    # one observation: the two Lugannani-Rice methods are one formula
+    lr = _json_out(capsys, [*base, "lr"])
+    assert _json_out(capsys, [*base, "mean-lr"]) == lr
+    assert lr["r"] == pytest.approx(0.614931, abs=1e-6)
+    assert lr["u"] == pytest.approx(0.707107, abs=1e-6)
+    assert lr["value"] == pytest.approx(0.800701, abs=1e-6)
+    assert lr["saddle"] == pytest.approx(1.0 / 3.0, rel=1e-14)
+    mean = _json_out(capsys, [*base, "mean-lr", "--n", "4"])
+    assert mean["value"] == saddlepoint.sample_mean_cdf(gamma, 3.0, -0.5, 0.5, 4)
+    assert mean["r"] == pytest.approx(2.0 * lr["r"], rel=1e-14)
+    assert mean["saddle"] == lr["saddle"]
+
+
+# (the p = 2.5 table is short: each pointwise cdf integrates from zero)
+@pytest.mark.parametrize("p, tau, y_min, y_max", [
+    (1.5, 0.8, "0", "3"), (2.5, 0.8, "1", "1.5"), (0.0, 0.8, "-1", "3"), (1.0, 0.5, "0", "3"),
+])
+def test_tweedie_table_rows_match_the_library(capsys, p, tau, y_min, y_max):
+    mu = 1.1
+    code, out, err = _run(capsys, ["tweedie", "--p", str(p), "--mu", str(mu), "--tau", str(tau),
+                                   "--y-min", y_min, "--y-max", y_max, "--y-step", "0.5"])
+    assert code == 0 and err == ""
+    rows = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1, ndmin=2)
+    assert out.startswith("y,density,cdf\n")
+    support = tweedie.tweedie_support(p)
+    assert all(support.contains(y) for y in rows[:, 0])
+    for y, dens, cdf in rows.tolist():
+        assert dens == tweedie.tweedie_density(p, y, mu, tau)
+        assert cdf == pytest.approx(tweedie.tweedie_cdf(p, y, mu, tau), abs=2e-7)
+    if p == 1.5:
+        # the y = 0 row is the atom
+        atom = tweedie.tweedie_zero_mass(p, mu, tau)
+        assert rows[0].tolist() == [0.0, atom, atom]
+
+
+def test_pdm_density_and_normalizer(capsys):
+    spec = pdm.get_pdm("simplex")
+    res = _json_out(capsys, ["pdm", "--model", "simplex", "--mu", "0.3", "--tau", "0.5", "--y", "0.4"])
+    assert res == {"model": "simplex", "y": 0.4, "mu": 0.3, "tau": 0.5,
+                   "density": pdm.pdm_density(spec, 0.4, 0.3, 0.5)}
+    res = _json_out(capsys, ["pdm", "--model", "vonmises", "--mu", "0.3", "--tau", "0.5", "--integrate"])
+    spec = pdm.get_pdm("vonmises")
+    assert res["a0"] == pdm.pdm_normalizer(spec.deviance, spec.carrier, 0.5, spec.support, 0.3)
+    # von Mises: a0 = 1 / (2 pi e^(-1/tau) I0(1/tau))
+    assert res["a0"] == pytest.approx(1.0 / (2 * math.pi * math.exp(-2.0) * special.i0(2.0)), rel=1e-8)
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["no-such-command"], 1, "ERROR:usage:"),
+    (["deviance", "--family", "gamma", "--y", "2"], 1, "ERROR:usage:"),
+    (["deviance", "--family", "gamma", "--y", "-1", "--mu", "1"], 1, "ERROR:domain:"),
+    (["tweedie", "--p", "0.5", "--mu", "1", "--tau", "1", "--y-min", "0", "--y-max", "1",
+      "--y-step", "0.5"], 1, "ERROR:domain:"),
+    (["tweedie", "--p", "1.5", "--mu", "1", "--tau", "1", "--y-min", "0", "--y-max", "1",
+      "--y-step", "0"], 1, "ERROR:domain:"),
+    # the simplex normalizer integral underflows to zero at tau = 1e-9
+    (["pdm", "--model", "simplex", "--mu", "0.5", "--tau", "1e-9", "--integrate"], 2, "ERROR:numerical:"),
+])
+def test_exit_codes_and_error_prefixes(capsys, argv, code, prefix):
+    got, out, err = _run(capsys, argv)
+    assert got == code and out == ""
+    assert err.startswith(prefix)
+
+
+@pytest.mark.parametrize("module", ["dispmodels.deviance", "dispmodels.edm", "dispmodels.cli"])
+def test_each_module_imports_first(module):
+    # deviance derives its EDM entries from edm.FAMILIES: either may load first
+    src = os.path.dirname(os.path.dirname(edm.__file__))
+    code = f"import {module}, dispmodels.deviance as d; assert d.DEVIANCES['gamma'].name == 'gamma'"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

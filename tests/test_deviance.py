@@ -228,3 +228,37 @@ def test_registry_lookup():
     assert get_deviance("gamma").name == "gamma"
     with pytest.raises(DomainError):
         get_deviance("nosuch")
+
+
+# the four EDM entries are derived from edm.FAMILIES; compare them with the
+# closed forms written out here
+CLOSED_DEVIANCES = {
+    "normal": lambda y, mu: (y - mu) ** 2,
+    "gamma": lambda y, mu: 2.0 * (y / mu - math.log(y / mu) - 1.0),
+    "poisson": lambda y, mu: 2.0 * ((y * math.log(y / mu) if y > 0 else 0.0) - y + mu),
+    "inverse_gaussian": lambda y, mu: (y - mu) ** 2 / (mu**2 * y),
+}
+CLOSED_VARIANCES = {
+    "normal": lambda mu: 1.0,
+    "gamma": lambda mu: mu**2,
+    "poisson": lambda mu: mu,
+    "inverse_gaussian": lambda mu: mu**3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_DEVIANCES))
+def test_derived_edm_entries_match_closed_forms(name):
+    dev, V = DEVIANCES[name], VARIANCE_FUNCTIONS[name]
+    mus = dev.omega.grid(15, 1e-3, span=6.0)
+    ys = np.concatenate([dev.support.grid(23, 1e-3, span=6.0), [0.0] if name == "poisson" else []])
+    for mu in mus.tolist():
+        assert V(mu) == pytest.approx(CLOSED_VARIANCES[name](mu), rel=1e-14, abs=0.0)
+        for y in ys.tolist():
+            expected = CLOSED_DEVIANCES[name](y, mu)
+            assert eval_deviance(dev, y, mu) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_registry_order_and_names():
+    assert list(DEVIANCES) == ALL_NAMES
+    assert list(VARIANCE_FUNCTIONS) == ALL_NAMES
+    assert all(DEVIANCES[name].name == name for name in ALL_NAMES)

@@ -349,3 +349,41 @@ def test_registry():
     assert set(FAMILIES) >= {"normal", "gamma", "poisson", "inverse_gaussian", "binomial", "negative_binomial", "gsh"}
     with pytest.raises(DomainError):
         get_family("nosuch")
+
+
+class TestSharedSolvers:
+    """The bracketed Newton and the support integral that several layers share."""
+
+    def test_newton_bisects_when_the_slope_is_useless(self):
+        from dispmodels._numdiff import _bracketed_newton
+
+        root = _bracketed_newton(lambda x: x**3 - 2.0, lambda x: 0.0, 0.0, 4.0, 1e-12)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-11)
+
+    def test_newton_raises_naming_the_residual(self):
+        from dispmodels._numdiff import _bracketed_newton
+        from dispmodels.errors import ConvergenceError
+
+        step = lambda x: 1.0 if x >= 1.0 else -1.0
+        with pytest.raises(ConvergenceError, match=r"step did not converge in 200 iterations: residual 1"):
+            _bracketed_newton(step, lambda x: 0.0, 0.0, 3.0, 1e-12, what="step")
+
+    def test_lattice_sum_from_a_far_mode(self):
+        # the terms below the mode of Poisson(800) underflow to zero: the
+        # stopping rule must not fire before the mass starts
+        from dispmodels._numdiff import _support_integral
+        from scipy.stats import poisson
+
+        support = edm.get_family("poisson").support
+        total, err = _support_integral(lambda k: float(poisson.pmf(k, 800.0)), support)
+        assert total == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 < err < 1e-14 * total
+
+    def test_finite_lattice_and_quadrature(self):
+        from dispmodels._numdiff import _support_integral
+        from dispmodels.support import RealInterval
+
+        dice = RealInterval(1.0, 6.0, closed_lower=True, closed_upper=True, lattice=True)
+        assert _support_integral(lambda k: k, dice) == (21.0, 0.0)
+        value, err = _support_integral(lambda x: math.exp(-x), RealInterval(0.0, math.inf))
+        assert value == pytest.approx(1.0, rel=1e-12) and err < 1e-8

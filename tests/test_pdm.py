@@ -94,6 +94,26 @@ class TestDensity:
         assert spec.normalizer(0.7) == first
         assert 0.7 in spec._cache
 
+    @pytest.mark.parametrize("name", ["vonmises", "simplex", "normal", "gamma"])
+    def test_one_spec_per_name(self, name):
+        assert get_pdm(name) is get_pdm(name) is PDMS[name]
+
+    def test_cache_survives_between_lookups(self, monkeypatch):
+        from dispmodels import pdm
+
+        calls = []
+        real = pdm.pdm_normalizer
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pdm, "pdm_normalizer", counting)
+        first = pdm_density(get_pdm("simplex"), 0.4, 0.3, 0.6180339)
+        second = pdm_density(get_pdm("simplex"), 0.7, 0.3, 0.6180339)
+        assert calls == [0.6180339]
+        assert first > 0.0 and second > 0.0
+
 
 class TestRegularPdmCarrier:
     @pytest.mark.parametrize("name", ["vonmises", "simplex", "normal", "gamma"])

@@ -12,6 +12,7 @@ from dispmodels import edm
 from dispmodels.deviance import DEVIANCES, VARIANCE_FUNCTIONS
 from dispmodels.errors import DomainError
 from dispmodels.saddlepoint import (
+    lugannani_rice,
     lugannani_rice_cdf,
     renormalized_saddlepoint,
     saddlepoint_density,
@@ -148,6 +149,13 @@ class TestRenormalizedSaddlepoint:
         total = sum(renormalized_saddlepoint(dev, V, float(k), 2.0, 1.0).value for k in range(60))
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_lattice_sum_with_its_mass_far_from_zero(self):
+        # the terms below k = 3 underflow to zero; the sum must not stop there
+        fam = edm.get_family("poisson")
+        dev, V = edm.unit_deviance_of(fam), edm.variance_function_of(fam)
+        res = renormalized_saddlepoint(dev, V, 800.0, 800.0, 1.0)
+        assert res.value == pytest.approx(poisson.pmf(800, 800.0), rel=2e-3)
+
 
 class TestLugannaniRice:
     def test_normal_reduces_to_phi(self):
@@ -223,3 +231,46 @@ class TestSampleMeanCdf:
         assert abs(left - right) < 1e-6
         exact = float(gammainc(20.0, 20.0))
         assert abs(left - exact) < 5e-3
+
+
+class TestStandardizedResiduals:
+    def test_gamma_convention(self):
+        # r = sgn(y - mu) sqrt(d/tau), u = sqrt(V(y)/tau) (q(y) - theta)
+        fam = edm.get_family("gamma")
+        res = lugannani_rice(fam, 3.0, -0.5, 0.5)
+        dev = 2.0 * (1.5 - math.log(1.5) - 1.0)
+        assert res.r == pytest.approx(math.sqrt(dev / 0.5), rel=1e-14)
+        assert res.r == pytest.approx(0.614931, abs=1e-6)
+        assert res.u == pytest.approx(3.0 * (-1.0 / 3.0 + 0.5) / math.sqrt(0.5), rel=1e-14)
+        assert res.saddle == pytest.approx((-1.0 / 3.0 + 0.5) / 0.5, rel=1e-14)
+        assert res.value == pytest.approx(0.800701, abs=1e-6)
+        assert res.value == lugannani_rice_cdf(fam, 3.0, -0.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "name,theta,tau,ys",
+        [
+            ("gamma", -1.0, 0.4, (0.3, 0.9, 1.0 + 3e-5, 1.0 + 1e-9, 2.5)),
+            ("normal", 0.5, 1.3, (-1.0, 0.5 + 1e-7, 0.9, 3.0)),
+            ("inverse_gaussian", -0.5, 0.3, (0.2, 1.0 - 2e-5, 1.7, 4.0)),
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 3, 20])
+    def test_sample_mean_is_the_formula_at_tau_over_n(self, name, theta, tau, ys, n):
+        # the mean of n draws from EDM(theta, tau) is EDM(theta, tau/n)
+        fam = edm.get_family(name)
+        for y in ys:
+            assert sample_mean_cdf(fam, y, theta, tau, n) == pytest.approx(
+                lugannani_rice_cdf(fam, y, theta, tau / n), abs=1e-12
+            )
+
+    def test_residuals_scale_with_n(self):
+        fam = edm.get_family("gamma")
+        one = lugannani_rice(fam, 1.4, -1.0, 0.5)
+        five = lugannani_rice(fam, 1.4, -1.0, 0.5, n=5)
+        assert five.r == pytest.approx(math.sqrt(5.0) * one.r, rel=1e-14)
+        assert five.u == pytest.approx(math.sqrt(5.0) * one.u, rel=1e-14)
+        assert five.saddle == one.saddle
+
+    def test_sample_size_must_be_positive(self):
+        with pytest.raises(DomainError):
+            sample_mean_cdf(edm.get_family("gamma"), 1.0, -1.0, 1.0, 0)

@@ -208,6 +208,41 @@ class TestCdf:
             norm.cdf(0.7, loc=0.2, scale=math.sqrt(1.3)), rel=1e-8
         )
 
+    @pytest.mark.parametrize("p, mu, tau", [(1.5, 1.0, 1.0), (1.2, 0.7, 0.4), (1.8, 2.0, 1.5)])
+    def test_zero_atom_and_right_continuity(self, p, mu, tau):
+        atom = tweedie_zero_mass(p, mu, tau)
+        assert tweedie_cdf(p, 0.0, mu, tau) == atom
+        assert tweedie_cdf(p, 1e-300, mu, tau) == pytest.approx(atom, rel=1e-12)
+        # the mass on (0, y] vanishes like y^((2-p)/(p-1)) as y -> 0
+        gaps = [tweedie_cdf(p, y, mu, tau) - atom for y in (1e-3, 1e-6, 1e-9, 1e-12)]
+        assert all(g >= 0.0 for g in gaps) and gaps == sorted(gaps, reverse=True)
+        assert gaps[-1] <= 0.01 * gaps[0]
+        assert tweedie_cdf(p, -0.5, mu, tau) == 0.0
+
+    @pytest.mark.parametrize("p, ys", [
+        (1.5, [-0.5, 0.0, 0.5, 1.0, 2.5]),
+        (0.0, [-1.0, 0.0, 2.0]),
+        (1.0, [0.0, 1.0, 2.0, 5.0]),
+    ])
+    def test_ascending_rows_match_pointwise_values(self, p, ys):
+        rows = tweedie_cdf(p, np.array(ys), 1.2, 1.0)
+        assert isinstance(rows, np.ndarray) and rows.shape == (len(ys),)
+        for y, value in zip(ys, rows):
+            assert value == pytest.approx(tweedie_cdf(p, y, 1.2, 1.0), abs=2e-7)
+        assert np.all(np.diff(rows) >= 0.0)
+
+    def test_descending_rows_rejected(self):
+        with pytest.raises(DomainError):
+            tweedie_cdf(1.5, np.array([1.0, 0.5]), 1.0, 1.0)
+
+    def test_poisson_lattice_sum(self):
+        from scipy.stats import poisson
+
+        for k in range(8):
+            assert tweedie_cdf(1.0, float(k), 2.5, 1.0) == pytest.approx(
+                poisson.cdf(k, 2.5), rel=1e-12
+            )
+
 
 class TestCompoundRepresentation:
     def test_parameters(self):
