@@ -65,7 +65,6 @@ class UnitDeviance:
     support: RealInterval
     fn: Callable[[float, float], float]
     regular: bool = True
-    dd_dy: Optional[Callable[[float, float], float]] = None
     d2_dy2: Optional[Callable[[float, float], float]] = None
     d2_dmu2: Optional[Callable[[float, float], float]] = None
     d2_dydmu: Optional[Callable[[float, float], float]] = None
@@ -328,7 +327,6 @@ DEVIANCES: dict[str, UnitDeviance] = {
         name="vonmises",
         support=_CIRCLE,
         fn=lambda y, mu: 2.0 * (1.0 - math.cos(y - mu)),
-        dd_dy=lambda y, mu: 2.0 * math.sin(y - mu),
         d2_dy2=lambda y, mu: 2.0 * math.cos(y - mu),
         d2_dmu2=lambda y, mu: 2.0 * math.cos(y - mu),
         d2_dydmu=lambda y, mu: -2.0 * math.cos(y - mu),

@@ -57,6 +57,11 @@ class SaddlepointResult:
     renormalized: bool = False
 
 
+def _saddlepoint_value(dev: float, v: float, tau: float) -> float:
+    """``[2 pi tau V]^(-1/2) exp(-d/(2 tau))`` from the deviance d and the variance V at y."""
+    return math.exp(-dev / (2.0 * tau)) / math.sqrt(2.0 * math.pi * tau * v)
+
+
 def saddlepoint_density(fam: EdmFamily, y: float, theta: float, tau: float) -> SaddlepointResult:
     """Saddlepoint density ``[2 pi tau V(y)]^(-1/2) exp(-d(y; mu)/(2 tau))``.
 
@@ -67,9 +72,7 @@ def saddlepoint_density(fam: EdmFamily, y: float, theta: float, tau: float) -> S
     fam.theta_domain.require(theta, "theta")
     fam.dispersion_domain.require(tau, "tau")
     mu = edm.mean_value(fam, theta)
-    v = edm.variance_function(fam, y)
-    dev = edm.edm_deviance(fam, y, mu)
-    value = math.exp(-dev / (2.0 * tau)) / math.sqrt(2.0 * math.pi * tau * v)
+    value = _saddlepoint_value(edm.edm_deviance(fam, y, mu), edm.variance_function(fam, y), tau)
     saddle = (edm.inverse_mean(fam, y) - theta) / tau
     return SaddlepointResult(value=value, saddle=saddle)
 
@@ -96,12 +99,10 @@ def renormalized_saddlepoint(
         if not d.support.contains(x):
             return 0.0
         try:
-            v = V(x)
-            dev = eval_deviance(d, x, mu)
+            return _saddlepoint_value(eval_deviance(d, x, mu), V(x), tau)
         except (DomainError, NumericalError):
             # boundary degeneracies (V -> 0 or undefined) carry no mass
             return 0.0
-        return math.exp(-dev / (2.0 * tau)) / math.sqrt(2.0 * math.pi * tau * v)
 
     total, _ = _support_integral(q, d.support)
     if not math.isfinite(total) or total <= 0.0:

@@ -1,15 +1,18 @@
 """Tweedie power-variance families: V(mu) = mu^p.
 
 No family exists for p in (0, 1); p = 0, 1, 2, 3 are the normal, Poisson,
-gamma and inverse Gaussian closed forms; 1 < p < 2 gives compound
-Poisson-gamma distributions (continuous on y > 0 with an atom at zero);
-p > 2 gives continuous positive-stable generated distributions; p < 0
-gives extreme-stable generated distributions whose densities have no
-workable evaluation route here (generator and deviance only).
+gamma and inverse Gaussian families of ``edm.FAMILIES``; 1 < p < 2 gives
+compound Poisson-gamma distributions (continuous on y > 0 with an atom at
+zero); p > 2 gives continuous positive-stable generated distributions;
+p < 0 gives extreme-stable generated distributions whose densities have
+no workable evaluation route here (generator and deviance only).
 
-Densities for the non-closed-form cases are evaluated by power series
-anchored at the largest term, following the compound Poisson-gamma
-expansion for 1 < p < 2 and its positive-stable dual for p > 2.
+Every density is ``exp{c(y; tau) + [y theta - b_p(theta)]/tau}`` with one
+normalizer c: the EDM family's at p in {0, 1, 2, 3} (the Poisson one in
+dispersion form, so p = 1 covers the lattice ``tau N0``), and otherwise a
+power series anchored at its largest term, following the compound
+Poisson-gamma expansion for 1 < p < 2 and its positive-stable dual for
+p > 2.
 
 The public functions validate their arguments and evaluate private
 formulas; ``TweedieFamily.to_edm`` hands the formulas themselves to the
@@ -358,11 +361,27 @@ def _log_v_series_mp(p: float, y: float, tau: float, log_max: float) -> float:
         return float(mp.log(acc))
 
 
+def _log_normalizer(p: float, y: float, tau: float) -> float:
+    """The additive term ``c(y; tau)`` of the log density, for p >= 0.
+
+    The EDM normalizer at p in {0, 1, 2, 3}; the max-term-anchored series
+    otherwise (with c = 0 at the zero atom for 1 < p < 2).
+    """
+    classic = _classic_family(p)
+    if classic is not None:
+        return classic.exact_normalizer(y, tau)
+    if p < 2.0:
+        return 0.0 if y == 0.0 else _log_w_series(p, y, tau) - math.log(y)
+    return _log_v_series(p, y, tau) - math.log(math.pi * y)
+
+
 def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
     """Density (or lattice mass, or the zero atom) of a Tweedie distribution.
 
-    Closed forms for p in {0, 1, 2, 3}; max-term-anchored series otherwise.
-    Densities for p < 0 have no computable route here and are refused.
+    ``exp{c(y; tau) + [y theta - b_p(theta)]/tau}`` at ``theta = q(mu)``,
+    with c from :func:`_log_normalizer`.  At p = 1 the support is the
+    lattice ``tau N0``.  Densities for p < 0 have no computable route here
+    and are refused.
     """
     p = _validate_p(p)
     if p < 0.0:
@@ -370,33 +389,14 @@ def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
     POSITIVE_REALS.require(tau, "tau")
     tweedie_mean_domain(p).require(mu, "mu")
     tweedie_support(p).require(y, "y")
-    if p == 0.0:
-        return math.exp(-0.5 * (y - mu) ** 2 / tau) / math.sqrt(2.0 * math.pi * tau)
     if _near(p, 1.0):
         counts = y / tau
         if abs(counts - round(counts)) > 1e-9:
             raise DomainError(f"p=1 support is the lattice tau*N0; y={y} is off-lattice for tau={tau}")
-        n = round(counts)
-        lam = mu / tau
-        return math.exp(n * math.log(lam) - lam - gammaln(n + 1.0))
     if _near(p, 2.0):
-        shape = 1.0 / tau
-        scale = mu * tau
-        return math.exp(
-            (shape - 1.0) * math.log(y) - y / scale - gammaln(shape) - shape * math.log(scale)
-        )
-    if p == 3.0:
-        return math.exp(-((y - mu) ** 2) / (2.0 * tau * mu * mu * y)) / math.sqrt(
-            2.0 * math.pi * tau * y**3
-        )
-    theta = mu ** (1.0 - p) / (1.0 - p)
-    kappa = mu ** (2.0 - p) / (2.0 - p)
-    tilt = (y * theta - kappa) / tau
-    if p < 2.0:
-        if y == 0.0:
-            return tweedie_zero_mass(p, mu, tau)
-        return math.exp(_log_w_series(p, y, tau) - math.log(y) + tilt)
-    return math.exp(_log_v_series(p, y, tau) + tilt) / (math.pi * y)
+        p = 2.0  # the switch window is the gamma family itself, of mean mu
+    theta = _inverse_mean(p, mu)
+    return math.exp(_log_normalizer(p, y, tau) + (y * theta - _generator(p, theta)) / tau)
 
 
 def tweedie_cdf(p: float, y, mu: float, tau: float):
@@ -457,19 +457,7 @@ class TweedieFamily:
 
     def to_edm(self) -> EdmFamily:
         p = self.p
-        dispersion = POSITIVE_REALS
         classic = _classic_family(p)
-        if classic is not None:
-            dispersion, exact_normalizer = classic.dispersion_domain, classic.exact_normalizer
-        elif 1.0 < p < 2.0:
-            def exact_normalizer(y, tau):
-                return 0.0 if y == 0.0 else _log_w_series(p, y, tau) - math.log(y)
-        elif p > 2.0:
-            def exact_normalizer(y, tau):
-                return _log_v_series(p, y, tau) - math.log(math.pi * y)
-        else:
-            exact_normalizer = None
-
         return EdmFamily(
             name=f"tweedie(p={self.p:g})",
             theta_domain=self.theta_domain,
@@ -479,8 +467,8 @@ class TweedieFamily:
             b_nth=lambda r, th: _b_nth(p, r, th),
             mean_domain=self.mean_domain,
             support=self.support,
-            dispersion_domain=dispersion,
-            exact_normalizer=exact_normalizer,
+            dispersion_domain=POSITIVE_REALS if classic is None else classic.dispersion_domain,
+            exact_normalizer=None if p < 0.0 else lambda y, tau: _log_normalizer(p, y, tau),
             mean_inverse=lambda mu: _inverse_mean(p, mu),
             deviance_closed_form=lambda y, mu: _deviance(p, y, mu),
         )

@@ -177,6 +177,12 @@ def test_density_by_mean_or_canonical_parameter(capsys):
     assert code == 1 and out == "" and err.startswith("ERROR:domain:")
 
 
+def test_density_underflows_to_zero(capsys):
+    code, out, err = _run(capsys, ["density", "--family", "inverse_gaussian", "--y", "1e-300",
+                                   "--mu", "1", "--tau", "1"])
+    assert code == 0 and float(out) == 0.0 and err == ""
+
+
 def test_approx_methods_serialize_the_library_results(capsys):
     gamma = edm.get_family("gamma")
     base = ["approx", "--family", "gamma", "--mu", "2", "--tau", "0.5", "--y", "3", "--method"]

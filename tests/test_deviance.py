@@ -24,7 +24,7 @@ ALL_NAMES = ["normal", "gamma", "poisson", "vonmises", "simplex", "inverse_gauss
 
 def strip_analytic(dev):
     """Copy of a deviance with analytic derivatives removed (forces the FD path)."""
-    return replace(dev, dd_dy=None, d2_dy2=None, d2_dmu2=None, d2_dydmu=None)
+    return replace(dev, d2_dy2=None, d2_dmu2=None, d2_dydmu=None)
 
 
 class TestEvalDeviance:

@@ -29,9 +29,8 @@ from dispmodels.edm import (
 from dispmodels.errors import DomainError, NumericalError
 
 CLOSED_FORM_FAMILIES = ["normal", "gamma", "poisson", "inverse_gaussian", "binomial", "negative_binomial"]
-# families whose exact normalizer is integral-validated; the gsh series is
-# taken verbatim from its source and only checked for convergence and V
-NORMALIZED = ["normal", "gamma", "poisson", "inverse_gaussian", "binomial", "negative_binomial"]
+# families whose exact normalizer is integral-validated (all of them)
+NORMALIZED = ["normal", "gamma", "poisson", "inverse_gaussian", "binomial", "negative_binomial", "gsh"]
 
 
 def random_theta(fam, rng):
@@ -281,16 +280,29 @@ class TestMorrisClassification:
                     )
 
 
-class TestGshSeries:
-    def test_truncation_stability(self):
-        # tightening the cut changes the constant by < 1e-10
-        for y, tau in [(0.4, 1.0), (1.3, 0.7), (5.0, 0.3)]:
-            a = gsh_log_normalizer(y, tau)
-            b = gsh_log_normalizer(y, tau, term_tol=1e-16)
-            assert abs(a - b) < 1e-10
+class TestGshNormalizer:
+    @pytest.mark.parametrize("y", [-6.0, -2.5, -0.3, 1e-3, 0.7, 1.0, 3.2, 6.0])
+    def test_density_at_theta_zero(self, y):
+        # the hyperbolic secant law at tau = 1 and its convolution square at tau = 1/2
+        fam = get_family("gsh")
+        at_one = 0.5 / math.cosh(0.5 * math.pi * y)
+        at_half = 2.0 * y / math.sinh(math.pi * y)
+        assert density(fam, y, 0.0, 1.0) == pytest.approx(at_one, rel=1e-13)
+        assert density(fam, y, 0.0, 0.5) == pytest.approx(at_half, rel=1e-13)
+
+    @pytest.mark.parametrize("theta, tau", [(0.0, 1.0), (0.4, 0.5), (-0.7, 2.0)])
+    def test_integrates_to_one(self, theta, tau):
+        fam = get_family("gsh")
+        mass, _ = quad(lambda y: density(fam, y, theta, tau), -np.inf, np.inf,
+                       limit=400, epsabs=1e-13, epsrel=1e-13)
+        assert abs(mass - 1.0) < 1e-10
 
     def test_even_in_y(self):
         assert gsh_log_normalizer(1.5, 0.8) == gsh_log_normalizer(-1.5, 0.8)
+
+    def test_rejects_nonpositive_tau(self):
+        with pytest.raises(DomainError):
+            gsh_log_normalizer(1.0, 0.0)
 
 
 class TestSmallDispersionNormality:

@@ -183,6 +183,29 @@ class TestDensity:
         integral, _ = quad(lambda y: tweedie_density(2.5, y, 1.0, 1.0), 1e-6, 60, limit=300)
         assert integral == pytest.approx(1.0, abs=1e-5)
 
+    def test_classic_powers_match_scipy(self):
+        from scipy.stats import gamma, invgauss, norm
+
+        for y, mu, tau in [(0.3, 1.2, 0.4), (1.7, 0.6, 1.3), (4.0, 2.5, 0.2), (0.05, 0.8, 2.0)]:
+            assert tweedie_density(0.0, y - 1.0, mu, tau) == pytest.approx(
+                norm.pdf(y - 1.0, mu, math.sqrt(tau)), rel=1e-12)
+            assert tweedie_density(2.0, y, mu, tau) == pytest.approx(
+                gamma.pdf(y, 1.0 / tau, scale=mu * tau), rel=1e-12)
+            assert tweedie_density(3.0, y, mu, tau) == pytest.approx(
+                invgauss.pdf(y, mu * tau, scale=1.0 / tau), rel=1e-12)
+
+    def test_poisson_with_dispersion(self):
+        # p = 1 at tau != 1 is tau times a Poisson(mu/tau) count
+        from scipy.stats import poisson
+
+        tau, mu = 0.5, 1.7
+        for k in range(12):
+            assert tweedie_density(1.0, k * tau, mu, tau) == pytest.approx(
+                poisson.pmf(k, mu / tau), rel=1e-12)
+
+    def test_inverse_gaussian_underflow_is_zero(self):
+        assert tweedie_density(3.0, 1e-300, 1.0, 1.0) == 0.0
+
     def test_negative_p_refused(self):
         with pytest.raises(DomainError):
             tweedie_density(-1.0, 0.5, 1.0, 1.0)
