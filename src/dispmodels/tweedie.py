@@ -12,7 +12,10 @@ normalizer c: the EDM family's at p in {0, 1, 2, 3} (the Poisson one in
 dispersion form, so p = 1 covers the lattice ``tau N0``), and otherwise a
 power series anchored at its largest term, following the compound
 Poisson-gamma expansion for 1 < p < 2 and its positive-stable dual for
-p > 2.
+p > 2; where the latter cancels or needs too many terms, c comes from
+inverting the cf exp K(it) of the member with mean y (Dunn & Smyth 2008).
+The cdf is a lattice sum at p = 1, Gil-Pelaez inversion of the cf for
+p > 2, and quadrature of the density otherwise.
 
 The public functions validate their arguments and evaluate private
 formulas; ``TweedieFamily.to_edm`` hands the formulas themselves to the
@@ -22,13 +25,15 @@ float or an ndarray, so Tweedie families run on the array path of IRLS.
 
 from __future__ import annotations
 
+import cmath
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import gammaln, sici
 
 from . import _elementary as el
 from ._numdiff import _support_integral
@@ -56,6 +61,8 @@ __all__ = [
 P_SWITCH = 1e-6
 
 _SERIES_MAX_TERMS = 10**5
+# p > 2 inversion: QAWF from t = 8/sigma (a Gaussian cf is below e^-32 there); QUADPACK tolerance
+_S_SPLIT, _QUAD_EPS = 8.0, 1e-12
 
 
 def _validate_p(p: float) -> float:
@@ -85,7 +92,7 @@ def tweedie_support(p: float) -> RealInterval:
         return REALS
     if _near(p, 1.0):
         return RealInterval(0.0, math.inf, closed_lower=True, lattice=True)
-    if p < 2.0:
+    if p < 2.0 and not _near(p, 2.0):  # the p = 2 window is the gamma, without a zero atom
         return RealInterval(0.0, math.inf, closed_lower=True)
     return POSITIVE_REALS
 
@@ -199,16 +206,11 @@ def _deviance(p: float, y, mu):
 
 
 def tweedie_zero_mass(p: float, mu: float, tau: float) -> float:
-    """Probability mass at zero for 1 < p < 2: ``exp(-mu^(2-p) / (tau (2-p)))``.
-
-    This is the Poisson probability of zero jumps in the compound
-    Poisson-gamma representation.
-    """
-    if not 1.0 < p < 2.0:
-        raise DomainError(f"the zero atom exists only for 1 < p < 2, got p={p}")
+    """Probability mass at zero for 1 < p < 2: ``exp(-mu^(2-p) / (tau (2-p)))``, the Poisson
+    probability of no jump in the compound Poisson-gamma representation."""
     POSITIVE_REALS.require(mu, "mu")
     POSITIVE_REALS.require(tau, "tau")
-    return math.exp(-(mu ** (2.0 - p)) / (tau * (2.0 - p)))
+    return math.exp(-compound_poisson_gamma_params(p, mu, tau)[0])
 
 
 def compound_poisson_gamma_params(p: float, mu: float, tau: float) -> tuple[float, float, float]:
@@ -240,12 +242,8 @@ def sample_compound_poisson_gamma(
 def _log_w_series(p: float, y: float, tau: float) -> float:
     """log sum_j W_j for the 1 < p < 2 compound Poisson-gamma density."""
     alpha = (2.0 - p) / (1.0 - p)  # negative here
-    logz = (
-        -alpha * math.log(y)
-        + alpha * math.log(p - 1.0)
-        - (1.0 - alpha) * math.log(tau)
-        - math.log(2.0 - p)
-    )
+    logz = (-alpha * math.log(y) + alpha * math.log(p - 1.0) - (1.0 - alpha) * math.log(tau)
+            - math.log(2.0 - p))
 
     def log_term(j: float) -> float:
         return j * logz - gammaln(1.0 + j) - gammaln(-alpha * j)
@@ -254,50 +252,47 @@ def _log_w_series(p: float, y: float, tau: float) -> float:
     log_max = log_term(j_anchor)
     total = 1.0  # the anchor term, scaled
     terms = 1
-    j = j_anchor + 1
-    while terms < _SERIES_MAX_TERMS:
-        w = math.exp(log_term(j) - log_max)
-        total += w
-        terms += 1
-        if w < 1e-13 * total:
-            break
-        j += 1
-    else:
-        raise NumericalError(f"Tweedie series did not converge within {_SERIES_MAX_TERMS} terms")
-    j = j_anchor - 1
-    while j >= 1 and terms < _SERIES_MAX_TERMS:
-        w = math.exp(log_term(j) - log_max)
-        total += w
-        terms += 1
-        if w < 1e-13 * total:
-            break
-        j -= 1
+    for step in (1, -1):  # up from the anchor, then down
+        j = j_anchor + step
+        while j >= 1 and terms < _SERIES_MAX_TERMS:
+            w = math.exp(log_term(j) - log_max)
+            total += w
+            terms += 1
+            if w < 1e-13 * total:
+                break
+            j += step
+        else:
+            if step == 1:
+                raise NumericalError(
+                    f"Tweedie series did not converge within {_SERIES_MAX_TERMS} terms")
     return log_max + math.log(total)
 
 
-def _log_v_series(p: float, y: float, tau: float) -> float:
-    """log of the positive-stable series sum for the p > 2 density.
+def _log_v_series(p: float, y: float, tau: float) -> Optional[float]:
+    """log of the positive-stable series sum for the p > 2 density, or None.
 
-    The terms alternate in sign and the float accumulation can cancel
-    catastrophically deep in the left tail; when the scaled sum keeps less
-    than ~8 significant digits the summation is redone in extended
-    precision (mpmath).
+    None where the alternating terms cancel until the scaled sum keeps less than ~8 significant
+    digits (deep in the left tail), or where the peak term lies too far out (k ~ 1/(p - 2) next to
+    p = 2) for the envelope to fall within ``_SERIES_MAX_TERMS`` terms, told before any summing.
     """
     alpha = (2.0 - p) / (1.0 - p)  # in (0, 1) here
-    log_rho = (
-        (alpha - 1.0) * math.log(tau)
-        + alpha * math.log(p - 1.0)
-        - alpha * math.log(y)
-        - math.log(p - 2.0)
-    )
+    log_rho = ((alpha - 1.0) * math.log(tau) + alpha * math.log(p - 1.0) - alpha * math.log(y)
+               - math.log(p - 2.0))
 
+    def log_envelope(k: float) -> float:
+        return gammaln(1.0 + alpha * k) - gammaln(1.0 + k) + k * log_rho
+
+    # the envelope peaks where its Stirling slope alpha log(alpha k) - log k + log rho is 0
+    log_peak = (alpha * math.log(alpha) + log_rho) / (1.0 - alpha)
+    if log_peak > math.log(_SERIES_MAX_TERMS) or log_envelope(_SERIES_MAX_TERMS) > log_envelope(
+            max(1.0, round(math.exp(log_peak)))) - 40.0:
+        return None
     entries: list[tuple[int, float, float]] = []
-    log_max = -math.inf
-    prev_env = -math.inf
+    log_max = prev_env = -math.inf
     for k in range(1, _SERIES_MAX_TERMS + 1):
         # the |sin| factor dips to ~0 on a sublattice; the stop rule must
         # look at the sine-free envelope or it truncates prematurely
-        log_env = gammaln(1.0 + alpha * k) - gammaln(1.0 + k) + k * log_rho
+        log_env = log_envelope(k)
         s = math.sin(-k * math.pi * alpha) * (-1.0) ** k
         if s != 0.0:
             log_abs = log_env + math.log(abs(s))
@@ -307,72 +302,69 @@ def _log_v_series(p: float, y: float, tau: float) -> float:
             break
         prev_env = log_env
     else:
-        raise NumericalError(f"Tweedie series did not converge within {_SERIES_MAX_TERMS} terms")
+        return None
     total = math.fsum(sign * math.exp(log_abs - log_max) for _, log_abs, sign in entries)
     gross = math.fsum(math.exp(log_abs - log_max) for _, log_abs, _ in entries)
-    if total > 1e-8 * gross:
-        return log_max + math.log(total)
-    return _log_v_series_mp(p, y, tau, log_max)
+    return log_max + math.log(total) if total > 1e-8 * gross else None
 
 
-def _log_v_series_mp(p: float, y: float, tau: float, log_max: float) -> float:
-    """Extended-precision rescan of the p > 2 series for cancelling tails.
+def _fourier_inversion(p: float, y: float, mu: float, tau: float, cdf: bool, tol: float) -> float:
+    """``integral_0^inf Re[h(s) phi(s) e^(-isy/sigma)] ds``, h = 1 (density) or i/s (cdf).
 
-    The working precision is sized from a saddlepoint estimate of the sum
-    (which is mu-free: evaluate the tilt at mu = y, where the deviance
-    vanishes), and terms are accumulated until the envelope sits well
-    below the accumulated value.
+    ``phi(s) = exp K(is/sigma)`` is the cf of the p > 2 Tweedie of mean mu in units of its
+    sd sigma; ``K(s) = [b_p(theta + tau s) - b_p(theta)]/tau`` is ``b_p(theta)/tau`` times
+    expm1(alpha log(1 + iv)), v = tau t/theta, alpha = (p-2)/(p-1), so nothing cancels at small t or
+    p ~ 2.  Below ``_S_SPLIT`` the cf centred at mu, phi_c, varies on the scale of 1 and
+    ``e^(-is(y-mu)/sigma)`` is the QAWO weight (the cdf's i phi_c/s is i(phi_c - 1)/s, 0 at s = 0,
+    plus i/s, which integrates to the sine integral Si); above it ``h phi`` varies slowly or has
+    decayed and ``e^(-isy/sigma)`` is the QAWF weight.  Raises ``NumericalError`` when the
+    summed error estimate exceeds ``tol`` (relative for the density, absolute for the cdf).
     """
-    import mpmath as mp
+    theta, alpha, sigma = _inverse_mean(p, mu), (p - 2.0) / (p - 1.0), math.sqrt(tau * mu**p)
+    scale = _generator(p, theta) / tau
 
-    log_v_estimate = (
-        math.log(math.pi * y)
-        - 0.5 * math.log(2.0 * math.pi * tau * y**p)
-        - y ** (2.0 - p) / ((1.0 - p) * (2.0 - p) * tau)
-    )
-    dps = max(50, int((log_max - log_v_estimate) / math.log(10.0)) + 30)
-    with mp.workdps(dps):
-        alpha = (mp.mpf(2) - p) / (mp.mpf(1) - p)
-        log_rho = (
-            (alpha - 1) * mp.log(tau)
-            + alpha * mp.log(p - 1.0)
-            - alpha * mp.log(y)
-            - mp.log(p - 2.0)
-        )
-        acc = mp.mpf(0)
-        peak = -mp.inf
-        prev_env = -mp.inf
-        for k in range(1, _SERIES_MAX_TERMS + 1):
-            env = mp.loggamma(1 + alpha * k) - mp.loggamma(1 + k) + k * log_rho
-            acc += mp.exp(env) * mp.sin(-k * mp.pi * alpha) * (-1) ** k
-            peak = max(peak, env)
-            past_peak = env < prev_env and env < peak - 40
-            if past_peak and acc > 0 and env < mp.log(acc) - 40:
-                break
-            prev_env = env
-        else:
-            raise NumericalError(
-                f"Tweedie series did not converge within {_SERIES_MAX_TERMS} terms"
-            )
-        if acc <= 0:
-            raise NumericalError(
-                f"positive-stable series lost all significance at (p={p}, y={y}, tau={tau})"
-            )
-        return float(mp.log(acc))
+    def phi(s, shift):  # exp(K(is/sigma) - i shift s)
+        v = tau * s / (sigma * theta)
+        a, c = 0.5 * alpha * math.log1p(v * v), alpha * math.atan(v)
+        return cmath.exp(scale * complex(math.expm1(a) * math.cos(c) - 2.0 * math.sin(0.5 * c) ** 2,
+                                         math.exp(a) * math.sin(c)) - 1j * shift * s)
+
+    h = (lambda s: 1j / s) if cdf else (lambda s: 1.0)
+    head = (lambda s: h(s) * (phi(s, mu / sigma) - cdf) if s or not cdf else 0j)
+    total, error = (sici((y - mu) / sigma * _S_SPLIT)[0] if cdf else 0.0), 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for fn, lower, upper, w in ((head, 0.0, _S_SPLIT, (y - mu) / sigma),
+                                    (lambda s: h(s) * phi(s, 0.0), _S_SPLIT, np.inf, y / sigma)):
+            for part, kind in (("real", "cos"), ("imag", "sin")):
+                value, err = quad(lambda s: getattr(fn(s), part), lower, upper, weight=kind, wvar=w,
+                                  epsabs=_QUAD_EPS, epsrel=_QUAD_EPS, limit=200, limlst=100)
+                total, error = total + value, error + err
+    if not error <= tol * (1.0 if cdf else abs(total)):  # also catches a nan estimate
+        raise NumericalError(f"Tweedie inversion at (p={p}, y={y}, mu={mu}, tau={tau}) gives "
+                             f"{total:.6g}, error estimate {error:.3g}, beyond its gate {tol:.3g}")
+    return total
 
 
 def _log_normalizer(p: float, y: float, tau: float) -> float:
     """The additive term ``c(y; tau)`` of the log density, for p >= 0.
 
     The EDM normalizer at p in {0, 1, 2, 3}; the max-term-anchored series
-    otherwise (with c = 0 at the zero atom for 1 < p < 2).
+    otherwise (with c = 0 at the zero atom for 1 < p < 2), and for p > 2
+    the Fourier inversion where that series cancels or does not converge.
     """
     classic = _classic_family(p)
     if classic is not None:
         return classic.exact_normalizer(y, tau)
     if p < 2.0:
         return 0.0 if y == 0.0 else _log_w_series(p, y, tau) - math.log(y)
-    return _log_v_series(p, y, tau) - math.log(math.pi * y)
+    log_v = _log_v_series(p, y, tau)
+    if log_v is not None:
+        return log_v - math.log(math.pi * y)
+    # invert at the member of mean y, whose density there is O(1/sqrt(tau V(y))): nothing cancels
+    q = _inverse_mean(p, y)
+    density = _fourier_inversion(p, y, y, tau, False, 1e-8) / (math.pi * math.sqrt(tau * y**p))
+    return math.log(density) - (y * q - _generator(p, q)) / tau
 
 
 def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
@@ -393,18 +385,20 @@ def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
         counts = y / tau
         if abs(counts - round(counts)) > 1e-9:
             raise DomainError(f"p=1 support is the lattice tau*N0; y={y} is off-lattice for tau={tau}")
-    if _near(p, 2.0):
-        p = 2.0  # the switch window is the gamma family itself, of mean mu
+    p = 2.0 if _near(p, 2.0) else p  # the switch window is the gamma family itself, of mean mu
     theta = _inverse_mean(p, mu)
     return math.exp(_log_normalizer(p, y, tau) + (y * theta - _generator(p, theta)) / tau)
 
 
 def tweedie_cdf(p: float, y, mu: float, tau: float):
-    """Distribution function: the lattice sum at p = 1, else quadrature of the density.
+    """Distribution function: the lattice sum at p = 1, Gil-Pelaez inversion for p > 2.
 
-    For 1 < p < 2 the zero atom is included for y >= 0.  ``y`` may be an
-    ascending ndarray, such as the rows of a table; each entry then adds
-    one quadrature from the entry before it, and an ndarray is returned.
+    For p > 2 (the inverse Gaussian p = 3 included) each point is one
+    inversion ``F(y) = 1/2 - (1/pi) integral_0^inf Im[e^(-ity) phi(t)]/t dt``
+    of the characteristic function; otherwise (0 <= p <= 2) the density is
+    integrated, with the zero atom included for y >= 0 when 1 < p < 2.  ``y``
+    may be an ascending ndarray, such as the rows of a table; an ndarray is
+    then returned, and each quadrature starts at the entry before it.
     """
     p = _validate_p(p)
     if p < 0.0:
@@ -420,6 +414,12 @@ def tweedie_cdf(p: float, y, mu: float, tau: float):
                                   lattice=True)
             total, _ = _support_integral(lambda k: tweedie_density(p, k * tau, mu, tau), counts)
             values[i] = min(total, 1.0)
+    elif p > 2.0 and not _near(p, 2.0):
+        POSITIVE_REALS.require(mu, "mu")
+        POSITIVE_REALS.require(tau, "tau")
+        for i, yi in enumerate(ys.tolist()):
+            values[i] = 0.0 if yi <= 0.0 else min(max(  # dt/t = ds/s; Re[(i/s) z] = -Im z/s
+                0.5 + _fourier_inversion(p, yi, mu, tau, True, 1e-9 * math.pi) / math.pi, 0.0), 1.0)
     else:
         total = tweedie_zero_mass(p, mu, tau) if 1.0 < p < 2.0 else 0.0
         start = -math.inf if p == 0.0 else 1e-300
@@ -456,7 +456,7 @@ class TweedieFamily:
         return tweedie_canonical_domain(self.p)
 
     def to_edm(self) -> EdmFamily:
-        p = self.p
+        p = 2.0 if _near(self.p, 2.0) else self.p  # the window is the gamma, as in tweedie_density
         classic = _classic_family(p)
         return EdmFamily(
             name=f"tweedie(p={self.p:g})",

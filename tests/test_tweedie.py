@@ -1,14 +1,21 @@
-"""Tweedie power-variance families: generator, deviance, series densities."""
+"""Tweedie power-variance families: generator, deviance, series and cf-inversion densities, cdfs."""
 
 import math
+import signal
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from dispmodels import edm
-from dispmodels.errors import DomainError
+from dispmodels.errors import DomainError, NumericalError
 from dispmodels.tweedie import (
+    _fourier_inversion,
+    _generator,
+    _inverse_mean,
+    _log_v_series,
     compound_poisson_gamma_params,
     sample_compound_poisson_gamma,
     tweedie_canonical_domain,
@@ -21,6 +28,27 @@ from dispmodels.tweedie import (
     tweedie_mean,
     tweedie_zero_mass,
 )
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Fail with TimeoutError if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _density_by_inversion(p, y, mu, tau):
+    """The p > 2 density by inverting the cf of mean mu itself: no tilt, no series."""
+    sigma = math.sqrt(tau * mu**p)
+    return _fourier_inversion(p, y, mu, tau, False, 1e-8) / (math.pi * sigma)
 
 
 class TestCumulantGenerator:
@@ -206,6 +234,44 @@ class TestDensity:
     def test_inverse_gaussian_underflow_is_zero(self):
         assert tweedie_density(3.0, 1e-300, 1.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("p, y, mu, tau", [
+        (2.5, 0.12, 1.0, 0.25), (3.5, 0.12, 1.5, 0.25), (2.5, 0.12, 0.7, 0.25),
+    ])
+    def test_cancelling_series_points_match_untilted_inversion(self, p, y, mu, tau):
+        # points where the series cancels past its gate, so the density
+        # comes from the inversion at mean y; mean 2y is a second route
+        assert _log_v_series(p, y, tau) is None
+        log_tilt = lambda m: (y * _inverse_mean(p, m) - _generator(p, _inverse_mean(p, m))) / tau
+        untilted = _density_by_inversion(p, y, 2.0 * y, tau)
+        expected = untilted * math.exp(log_tilt(mu) - log_tilt(2.0 * y))
+        assert tweedie_density(p, y, mu, tau) == pytest.approx(expected, rel=1e-10)
+
+    def test_series_points_match_inversion(self):
+        for p, y, mu, tau in [(2.5, 1.0, 1.2, 1.0), (3.5, 0.5, 0.7, 0.25), (4.5, 2.0, 1.5, 0.5)]:
+            assert _log_v_series(p, y, tau) is not None
+            assert tweedie_density(p, y, mu, tau) == pytest.approx(
+                _density_by_inversion(p, y, mu, tau), rel=1e-7)
+
+    def test_unresolved_inversion_raises(self):
+        # coefficient of variation 100 next to p = 2: the cf decays like
+        # t^(-1/tau), and QUADPACK's estimate cannot meet the gate
+        with pytest.raises(NumericalError):
+            _density_by_inversion(2.0001, 1.0, 1.0, 1e4)
+
+    def test_left_tail_underflows_to_zero_in_time(self):
+        with _time_limit(1.0):
+            assert tweedie_density(2.5, 0.001, 1.0, 0.01) == 0.0
+
+    @pytest.mark.parametrize("delta", [1.1e-6, 1e-5, 1e-4])
+    def test_just_above_gamma_window_goes_to_inversion(self, delta):
+        # the peak series term sits near k ~ 1/(p - 2): past the term budget
+        # up to p - 2 ~ 1e-5, which is told without summing, and cancelling
+        # past the gate beyond
+        start = time.perf_counter()
+        value = tweedie_density(2.0 + delta, 0.5, 1.0, 1.0)
+        assert delta > 1e-5 or time.perf_counter() - start < 0.1
+        assert value == pytest.approx(tweedie_density(2.0, 0.5, 1.0, 1.0), rel=delta)
+
     def test_negative_p_refused(self):
         with pytest.raises(DomainError):
             tweedie_density(-1.0, 0.5, 1.0, 1.0)
@@ -246,6 +312,7 @@ class TestCdf:
         (1.5, [-0.5, 0.0, 0.5, 1.0, 2.5]),
         (0.0, [-1.0, 0.0, 2.0]),
         (1.0, [0.0, 1.0, 2.0, 5.0]),
+        (2.5, [0.5, 1.0, 3.0]),
     ])
     def test_ascending_rows_match_pointwise_values(self, p, ys):
         rows = tweedie_cdf(p, np.array(ys), 1.2, 1.0)
@@ -253,6 +320,32 @@ class TestCdf:
         for y, value in zip(ys, rows):
             assert value == pytest.approx(tweedie_cdf(p, y, 1.2, 1.0), abs=2e-7)
         assert np.all(np.diff(rows) >= 0.0)
+
+    def test_inverse_gaussian_matches_scipy(self):
+        from scipy.stats import invgauss
+
+        rng = np.random.default_rng(0x16)
+        for _ in range(40):
+            y, mu = np.exp(rng.uniform(np.log(0.02), np.log(20.0), size=2))
+            tau = float(np.exp(rng.uniform(np.log(0.02), np.log(3.0))))
+            assert tweedie_cdf(3.0, y, mu, tau) == pytest.approx(
+                invgauss.cdf(y, mu * tau, scale=1.0 / tau), abs=1e-9)
+
+    @pytest.mark.parametrize("p, y, mu, tau", [
+        (2.5, 1.0, 1.2, 1.0), (3.5, 0.5, 0.7, 0.25), (4.5, 2.0, 1.5, 0.5), (2.2, 0.3, 0.4, 1.5),
+    ])
+    def test_central_difference_matches_series_density(self, p, y, mu, tau):
+        assert _log_v_series(p, y, tau) is not None
+        h = 1e-4 * y
+        slope = (tweedie_cdf(p, y + h, mu, tau) - tweedie_cdf(p, y - h, mu, tau)) / (2.0 * h)
+        assert slope == pytest.approx(tweedie_density(p, y, mu, tau), rel=1e-6)
+
+    def test_positive_stable_point_in_time(self):
+        with _time_limit(1.0):
+            assert tweedie_cdf(3.5, 1.0, 0.7, 0.25) == pytest.approx(0.8754946031674, abs=1e-12)
+        start = time.perf_counter()
+        tweedie_cdf(2.5, 1.0, 1.2, 1.0)
+        assert time.perf_counter() - start < 0.05
 
     def test_descending_rows_rejected(self):
         with pytest.raises(DomainError):
@@ -296,6 +389,21 @@ class TestFamilyView:
         assert edm.density(fam, 0.5, theta, 1.0) == pytest.approx(
             tweedie_density(1.5, 0.5, 1.0, 1.0), rel=1e-12
         )
+
+    def test_edm_view_inside_gamma_window_is_gamma(self):
+        fam, gamma = tweedie_family(2.0 + 9e-7).to_edm(), tweedie_family(2.0).to_edm()
+        for mu in (0.4, 1.7, 3.0):
+            theta = edm.inverse_mean(fam, mu)
+            assert theta == pytest.approx(-1.0 / mu, rel=1e-15)  # b'(theta) = -1/theta = mu
+            assert edm.mean_value(fam, theta) == pytest.approx(mu, rel=1e-15)
+            for y, tau in ((3.0, 0.3), (0.5, 1.2)):
+                assert edm.density(fam, y, theta, tau) == pytest.approx(
+                    edm.density(gamma, y, edm.inverse_mean(gamma, mu), tau), rel=1e-12)
+
+    def test_window_below_two_has_gamma_support(self):
+        assert not tweedie_family(2.0 - 5e-7).support.contains(0.0)
+        with pytest.raises(DomainError):
+            tweedie_density(2.0 - 5e-7, 0.0, 1.0, 1.0)
 
     def test_edm_view_variance(self):
         fam = tweedie_family(3.0).to_edm()
