@@ -15,7 +15,7 @@ import math
 import numpy as np
 import scipy.special
 
-__all__ = ["log", "log1p", "exp", "sqrt", "cos", "tan", "atan", "xlogy", "positive_part"]
+__all__ = ["log", "log1p", "exp", "sqrt", "cos", "tan", "atan", "xlogy", "positive_part", "vectorize"]
 
 
 def _dispatch(scalar, array):
@@ -47,3 +47,15 @@ def xlogy(x, y):
 def positive_part(x):
     """``max(x, 0)``."""
     return np.maximum(x, 0.0) if isinstance(x, np.ndarray) else max(x, 0.0)
+
+
+def vectorize(fn):
+    """A float-only ``fn`` that also maps ndarray arguments, entry by entry."""
+    each = np.vectorize(fn, otypes=[float])
+
+    def either(*args):
+        if any(isinstance(a, np.ndarray) for a in args):
+            return each(*args)
+        return fn(*args)
+
+    return either

@@ -36,8 +36,8 @@ __all__ = [
 ]
 
 
-def fd_step(x: float, scale: float = CBRT_EPS) -> float:
-    return max(scale * abs(x), scale)
+def fd_step(x: float) -> float:
+    return max(CBRT_EPS * abs(x), CBRT_EPS)
 
 
 def first_derivative(f, x: float, h: float | None = None) -> float:
@@ -84,10 +84,10 @@ def _stencil_eval(f, x, h, order):
     return acc / h**order
 
 
-def nth_derivative(f, x: float, order: int, h: float | None = None, levels: int = 3) -> float:
+def nth_derivative(f, x: float, order: int, h: float | None = None) -> float:
     """Central-stencil n-th derivative with Richardson extrapolation.
 
-    The stencils are all O(h^2); ``levels`` Richardson steps with halved
+    The stencils are all O(h^2); three Richardson levels with halved
     steps raise the order by 2 per level.  Orders above 6 are refused:
     rounding noise at the required step sizes dominates the estimate.
     """
@@ -100,9 +100,9 @@ def nth_derivative(f, x: float, order: int, h: float | None = None, levels: int 
     if h is None:
         # balance truncation O(h^2) against rounding O(eps / h^order)
         h = max(EPS ** (1.0 / (order + 2)) * abs(x), EPS ** (1.0 / (order + 2)))
-    table = [_stencil_eval(f, x, h / 2**i, order) for i in range(levels)]
+    table = [_stencil_eval(f, x, h / 2**i, order) for i in range(3)]
     # Richardson: error ~ C h^2, halving h divides the error by 4
-    for level in range(1, levels):
+    for level in range(1, 3):
         factor = 4.0**level
         table = [
             (factor * table[i + 1] - table[i]) / (factor - 1.0)

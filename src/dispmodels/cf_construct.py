@@ -22,10 +22,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _elementary as el
 from .deviance import UnitDeviance
-from .errors import ConvergenceError, DomainError, NumericalError
+from .errors import ConvergenceError, DomainError
 from .expressions import compile_expression
-from .support import REALS, RealInterval
+from .support import REALS
 
 __all__ = [
     "CfSpec",
@@ -87,10 +88,7 @@ def validate_cf(cf: CfSpec) -> None:
 
 def cf_deviance(cf: CfSpec, y: float, mu: float) -> float:
     """Unit deviance ``1 - phi(y - mu)``; zero iff y = mu for non-lattice cfs."""
-    validate_cf(cf)
-    if y == mu:
-        return 0.0
-    return 1.0 - cf(y - mu)
+    return cf_unit_deviance(cf)(y, mu)
 
 
 def cf_unit_deviance(cf: CfSpec) -> UnitDeviance:
@@ -98,13 +96,15 @@ def cf_unit_deviance(cf: CfSpec) -> UnitDeviance:
 
     Regular exactly when the cf has a finite second moment (the diagonal
     curvature is then positive); the Cauchy-type cf ``exp(-|t|)`` is the
-    classic non-regular example.
+    classic non-regular example.  The deviance takes arrays: ``phi`` is
+    vectorised once, here.
     """
     validate_cf(cf)
+    phi = el.vectorize(cf)
     return UnitDeviance(
         name=f"cf[{cf.name}]",
         support=REALS,
-        fn=lambda y, mu: 1.0 - cf(y - mu),
+        fn=lambda y, mu: 1.0 - phi(y - mu),
         regular=cf.m2 is not None,
     )
 
@@ -170,11 +170,11 @@ def _toeplitz_operator(kern: np.ndarray, h: float) -> Callable[[np.ndarray], np.
     return apply
 
 
-def _power_iteration_norm(apply_a, n: int, iters: int = 30) -> float:
-    """``||A||`` for a symmetric A, by power iteration on ``A^T A = A^2``."""
+def _power_iteration_norm(apply_a, n: int) -> float:
+    """``||A||`` for a symmetric A, by 30 power iterations on ``A^T A = A^2``."""
     v = np.ones(n) / math.sqrt(n)
     norm = 1.0
-    for _ in range(iters):
+    for _ in range(30):
         w = apply_a(apply_a(v))
         norm = float(np.linalg.norm(w))
         if norm == 0.0:

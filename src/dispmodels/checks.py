@@ -10,13 +10,11 @@ characteristic-function probes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
-
 import numpy as np
 
 from . import cf_construct, edm, pdm
 from ._numdiff import _support_integral
-from .deviance import DEVIANCES, check_unit_deviance, second_derivative_identity, unit_variance
+from .deviance import DEVIANCES, check_unit_deviance, second_derivative_identity
 from .errors import DispersionModelError
 
 __all__ = ["CheckResult", "run_checks", "available_scopes", "DEFAULT_SEED"]

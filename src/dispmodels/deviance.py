@@ -15,17 +15,24 @@ stabilizing transformation.  The four EDM deviances and variance
 functions are not written here: they are derived from the cumulant
 generators of ``edm.FAMILIES`` (``d = 2 integral_mu^y (y - t)/V(t) dt`` in
 closed form, ``V = b'' o q``), so each formula has one home.
+
+``UnitDeviance.fn`` and :func:`eval_deviance` take a float or an ndarray
+in each argument; built-in formulas use ``_elementary``, and a caller's
+float-only callable is vectorised once, when its deviance is built.  A
+deviance that registers ``V`` has diagonal curvature ``2/V`` without
+finite differences.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
 
+from . import _elementary as el
 from ._numdiff import fd_step, mixed_second_derivative, second_derivative
 from .edm import FAMILIES, unit_deviance_of, variance_function_of
 from .errors import DomainError, NumericalError
@@ -55,27 +62,25 @@ class UnitDeviance:
     """A bivariate deviance function with its domain metadata.
 
     ``support`` is the convex support C (plus a lattice flag for discrete
-    dominating measures); the parameter domain is always ``int(C)``.
+    dominating measures); the parameter domain is ``int(C)``, or all of C
+    on a circle.  ``fn`` takes a float or an ndarray in each argument.
     ``regular`` is a declared flag; :func:`check_unit_deviance` verifies it
-    lazily.  Analytic second derivatives are optional — when absent, the
-    finite-difference stencils from ``_numdiff`` take over.
+    lazily.  ``variance`` is the unit variance ``V(mu)`` when it is known
+    in closed form; when absent, the finite-difference stencils from
+    ``_numdiff`` measure the diagonal curvature instead.
     """
 
     name: str
     support: RealInterval
     fn: Callable[[float, float], float]
     regular: bool = True
-    d2_dy2: Optional[Callable[[float, float], float]] = None
-    d2_dmu2: Optional[Callable[[float, float], float]] = None
-    d2_dydmu: Optional[Callable[[float, float], float]] = None
+    variance: Optional[Callable[[float], float]] = None
     circular: bool = False
 
     @property
     def omega(self) -> RealInterval:
         # on a circle every support point is interior (wraparound domain)
-        if self.circular:
-            return replace(self.support, lattice=False)
-        return self.support.interior()
+        return self.support if self.circular else self.support.interior()
 
     def __call__(self, y: float, mu: float) -> float:
         return eval_deviance(self, y, mu)
@@ -88,7 +93,6 @@ class VarianceFunction:
     name: str
     domain: RealInterval
     fn: Callable[[float], float]
-    d_dmu: Optional[Callable[[float], float]] = None
 
     def __call__(self, mu: float) -> float:
         self.domain.require(mu, "mu")
@@ -98,8 +102,23 @@ class VarianceFunction:
         return v
 
 
-def eval_deviance(d: UnitDeviance, y: float, mu: float) -> float:
-    """Evaluate ``d(y; mu)``; exactly zero when ``y == mu``."""
+def eval_deviance(d: UnitDeviance, y, mu):
+    """Evaluate ``d(y; mu)``; exactly zero where ``y == mu``.
+
+    ``y`` and ``mu`` may be ndarrays (or one of them); an array is
+    domain-checked once and the deviance is one call of ``d.fn``.
+    """
+    if not (type(y) is float and type(mu) is float) and (
+        isinstance(y, np.ndarray) or isinstance(mu, np.ndarray)
+    ):
+        y, mu = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(mu, dtype=float))
+        d.support.require_all(y, "y")
+        d.omega.require_all(mu, "mu")
+        value = np.where(y == mu, 0.0, d.fn(y, mu))
+        bad = ~np.isfinite(value)
+        if bad.any():
+            raise NumericalError(f"deviance {d.name} not finite at (y={y[bad][0]}, mu={mu[bad][0]})")
+        return value
     y = float(y)
     mu = float(mu)
     d.support.require(y, "y")
@@ -122,38 +141,19 @@ def _diag_probe(d: UnitDeviance, mu: float) -> tuple[float, float]:
     return mu_c, h
 
 
-def _d2_dmu2(d: UnitDeviance, mu: float) -> float:
-    if d.d2_dmu2 is not None:
-        return float(d.d2_dmu2(mu, mu))
-    mu_c, h = _diag_probe(d, mu)
-    return second_derivative(lambda m: d.fn(mu_c, m), mu_c, h)
-
-
-def _d2_dy2(d: UnitDeviance, mu: float) -> float:
-    if d.d2_dy2 is not None:
-        return float(d.d2_dy2(mu, mu))
-    mu_c, h = _diag_probe(d, mu)
-    return second_derivative(lambda y: d.fn(y, mu_c), mu_c, h)
-
-
-def _d2_dydmu(d: UnitDeviance, mu: float) -> float:
-    if d.d2_dydmu is not None:
-        return float(d.d2_dydmu(mu, mu))
-    mu_c, h = _diag_probe(d, mu)
-    return mixed_second_derivative(d.fn, mu_c, mu_c, h, h)
-
-
 def unit_variance(d: UnitDeviance, mu: float) -> float:
     """Unit variance function ``V(mu) = 2 / d_mumu(mu; mu)``.
 
-    Uses the analytic second derivative when the deviance registers one,
-    otherwise a 5-point central difference with step
-    ``max(eps^(1/3) |mu|, eps^(1/3))``.
+    Uses the registered ``d.variance`` when present, otherwise a 5-point
+    central difference with step ``max(eps^(1/3) |mu|, eps^(1/3))``.
     """
     if not d.regular:
         raise DomainError(f"deviance {d.name} is not regular; no unit variance")
     d.omega.require(mu, "mu")
-    curving = _d2_dmu2(d, mu)
+    if d.variance is not None:
+        return float(d.variance(mu))
+    mu_c, h = _diag_probe(d, mu)
+    curving = second_derivative(lambda m: d.fn(mu_c, m), mu_c, h)
     if not curving > 0.0:
         raise NumericalError(
             f"second derivative of {d.name} at mu={mu} is {curving}; deviance not regular there"
@@ -165,13 +165,22 @@ def second_derivative_identity(d: UnitDeviance, mu: float) -> tuple[float, float
     """The three diagonal second derivatives ``(d_yy, d_mumu, d_ymu)`` at ``(mu, mu)``.
 
     For any regular unit deviance these satisfy
-    ``d_yy = d_mumu = -d_ymu``; callers assert the identity at their own
-    tolerance.
+    ``d_yy = d_mumu = -d_ymu = 2/V(mu)``; with a registered ``V`` that is
+    the value returned, otherwise each is a finite difference and callers
+    assert the identity at their own tolerance.
     """
     if not d.regular:
         raise DomainError(f"deviance {d.name} is not regular")
     d.omega.require(mu, "mu")
-    return (_d2_dy2(d, mu), _d2_dmu2(d, mu), _d2_dydmu(d, mu))
+    if d.variance is not None:
+        curving = 2.0 / float(d.variance(mu))
+        return (curving, curving, -curving)
+    mu_c, h = _diag_probe(d, mu)
+    return (
+        second_derivative(lambda y: d.fn(y, mu_c), mu_c, h),
+        second_derivative(lambda m: d.fn(mu_c, m), mu_c, h),
+        mixed_second_derivative(d.fn, mu_c, mu_c, h, h),
+    )
 
 
 def _map_endpoint(f, x: float, side: int, interval: RealInterval) -> float:
@@ -223,30 +232,21 @@ def transform_deviance(
     differentiable the result is flagged regular, with unit variance
     ``V_f(xi) = V(f^{-1}(xi)) * f'(f^{-1}(xi))^2``.
     """
-    omega = d.omega
-    probes = omega.grid(33, _BOUNDARY_CLIP)
+    probes = d.omega.grid(33, _BOUNDARY_CLIP)
     signs = np.sign([f_prime(p) for p in probes])
     if np.any(signs == 0) or len(set(signs.tolist())) != 1:
         raise DomainError("transformation is not monotone on the deviance domain")
-    increasing = signs[0] > 0
-
-    lo_img = _map_endpoint(f, d.support.lower, -1, d.support)
-    hi_img = _map_endpoint(f, d.support.upper, +1, d.support)
-    if not increasing:
-        lo_img, hi_img = hi_img, lo_img
-        closed_lower, closed_upper = d.support.closed_upper, d.support.closed_lower
+    s = d.support
+    lo_img = _map_endpoint(f, s.lower, -1, s)
+    hi_img = _map_endpoint(f, s.upper, +1, s)
+    if signs[0] > 0:
+        new_support = RealInterval(lo_img, hi_img, s.closed_lower, s.closed_upper, s.lattice)
     else:
-        closed_lower, closed_upper = d.support.closed_lower, d.support.closed_upper
-
-    new_support = RealInterval(lo_img, hi_img, closed_lower, closed_upper, d.support.lattice)
-
-    def fn(z: float, xi: float) -> float:
-        return d.fn(f_inverse(z), f_inverse(xi))
-
+        new_support = RealInterval(hi_img, lo_img, s.closed_upper, s.closed_lower, s.lattice)
     return UnitDeviance(
         name=name or f"{d.name}_transformed",
         support=new_support,
-        fn=fn,
+        fn=el.vectorize(lambda z, xi: d.fn(f_inverse(z), f_inverse(xi))),
         regular=d.regular and twice_differentiable,
     )
 
@@ -272,12 +272,11 @@ def variance_stabilizing_transform(V: VarianceFunction, y_star: float, y: float)
     return float(integral)
 
 
-def _sample_interval(interval: RealInterval, rng: np.random.Generator, n: int, span: float = 10.0):
-    lo = interval.lower if math.isfinite(interval.lower) else -span
-    hi = interval.upper if math.isfinite(interval.upper) else span
+def _sample_interval(interval: RealInterval, rng: np.random.Generator, n: int):
+    lo = interval.lower if math.isfinite(interval.lower) else -10.0
+    hi = interval.upper if math.isfinite(interval.upper) else 10.0
     width = hi - lo
-    samples = lo + width * rng.random(n)
-    return np.array([interval.clip_inward(float(s), _BOUNDARY_CLIP) for s in samples])
+    return interval.clip_inward(lo + width * rng.random(n), _BOUNDARY_CLIP)
 
 
 def check_unit_deviance(d: UnitDeviance, rng: np.random.Generator | None = None, n: int = 100) -> list[str]:
@@ -291,16 +290,13 @@ def check_unit_deviance(d: UnitDeviance, rng: np.random.Generator | None = None,
     failures: list[str] = []
     mus = _sample_interval(d.omega, rng, n)
     ys = _sample_interval(d.support, rng, n)
-    for mu in mus:
-        if eval_deviance(d, float(mu), float(mu)) != 0.0:
-            failures.append(f"d(mu; mu) != 0 at mu={mu}")
-            break
-    for y, mu in zip(ys, mus):
-        if y == mu:
-            continue
-        if not eval_deviance(d, float(y), float(mu)) > 0.0:
-            failures.append(f"d(y; mu) <= 0 at (y={y}, mu={mu})")
-            break
+    off_zero = np.nonzero(eval_deviance(d, mus, mus) != 0.0)[0]
+    if len(off_zero):
+        failures.append(f"d(mu; mu) != 0 at mu={mus[off_zero[0]]}")
+    not_positive = np.nonzero(~(eval_deviance(d, ys, mus) > 0.0) & (ys != mus))[0]
+    if len(not_positive):
+        i = not_positive[0]
+        failures.append(f"d(y; mu) <= 0 at (y={ys[i]}, mu={mus[i]})")
     if d.regular:
         for mu in mus[: min(8, n)]:
             try:
@@ -326,13 +322,11 @@ DEVIANCES: dict[str, UnitDeviance] = {
     "vonmises": UnitDeviance(
         name="vonmises",
         support=_CIRCLE,
-        fn=lambda y, mu: 2.0 * (1.0 - math.cos(y - mu)),
-        d2_dy2=lambda y, mu: 2.0 * math.cos(y - mu),
-        d2_dmu2=lambda y, mu: 2.0 * math.cos(y - mu),
-        d2_dydmu=lambda y, mu: -2.0 * math.cos(y - mu),
+        fn=lambda y, mu: 2.0 * (1.0 - el.cos(y - mu)),
+        variance=lambda mu: 1.0,
         circular=True,
     ),
-    # analytic derivatives deliberately absent: exercises the FD path
+    # no registered variance: exercises the FD path
     "simplex": UnitDeviance(
         name="simplex",
         support=UNIT_INTERVAL,
@@ -346,13 +340,8 @@ VARIANCE_FUNCTIONS: dict[str, VarianceFunction] = {
     "gamma": variance_function_of(FAMILIES["gamma"]),
     "poisson": variance_function_of(FAMILIES["poisson"]),
     # the circle's parameter domain includes the representative 0
-    "vonmises": VarianceFunction("vonmises", _CIRCLE, lambda mu: 1.0, d_dmu=lambda mu: 0.0),
-    "simplex": VarianceFunction(
-        "simplex",
-        UNIT_INTERVAL,
-        lambda mu: mu**3 * (1.0 - mu) ** 3,
-        d_dmu=lambda mu: 3.0 * mu**2 * (1.0 - mu) ** 2 * (1.0 - 2.0 * mu),
-    ),
+    "vonmises": VarianceFunction("vonmises", _CIRCLE, lambda mu: 1.0),
+    "simplex": VarianceFunction("simplex", UNIT_INTERVAL, lambda mu: mu**3 * (1.0 - mu) ** 3),
     "inverse_gaussian": variance_function_of(FAMILIES["inverse_gaussian"]),
 }
 

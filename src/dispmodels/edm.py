@@ -83,7 +83,8 @@ class EdmFamily:
     ``mean_inverse`` or ``b_double_prime`` is ``None`` the mean inverse or
     the variance function of an array is computed element by element (a
     Newton solve, finite differences); where ``deviance_closed_form`` is
-    ``None`` the deviance of an array is one quadrature per element.
+    ``None`` the deviance comes from ``b`` and the inverse mean, element by
+    element.
     """
 
     name: str
@@ -305,10 +306,12 @@ def cumulant(fam: EdmFamily, r: int, theta: float, tau: float) -> float:
 def edm_deviance(fam: EdmFamily, y, mu):
     """Unit deviance ``2 integral_mu^y (y - t)/V(t) dt``.
 
-    Closed forms are used where the family registers one; otherwise
-    adaptive quadrature of the integrand, one per entry when ``y`` or
-    ``mu`` is an ndarray.  The result is nonnegative and vanishes exactly
-    at ``y == mu``.
+    Closed forms are used where the family registers one.  Otherwise the
+    generator form ``2 [y (q(y) - q(mu)) - b(q(y)) + b(q(mu))]`` serves ``y``
+    inside the mean domain, and quadrature of the integrand serves ``y`` on
+    its boundary (a count of 0) or next to ``mu``; an ndarray is then
+    evaluated one entry at a time.  The result is nonnegative and vanishes
+    exactly at ``y == mu``.
     """
     if not (type(y) is float and type(mu) is float) and (
         isinstance(y, np.ndarray) or isinstance(mu, np.ndarray)
@@ -317,7 +320,7 @@ def edm_deviance(fam: EdmFamily, y, mu):
         fam.support.require_all(y, "y")
         fam.mean_domain.require_all(mu, "mu")
         if fam.deviance_closed_form is None:
-            return _elementwise(partial(deviance_by_quadrature, fam), y, mu)
+            return _elementwise(partial(_generator_deviance, fam), y, mu)
         return np.where(y == mu, 0.0, fam.deviance_closed_form(y, mu))
     fam.support.require(y, "y")
     fam.mean_domain.require(mu, "mu")
@@ -325,7 +328,22 @@ def edm_deviance(fam: EdmFamily, y, mu):
         return 0.0
     if fam.deviance_closed_form is not None:
         return float(fam.deviance_closed_form(y, mu))
-    return deviance_by_quadrature(fam, y, mu)
+    return _generator_deviance(fam, y, mu)
+
+
+def _generator_deviance(fam: EdmFamily, y: float, mu: float) -> float:
+    """The deviance from ``b`` and the inverse mean; quadrature outside int(M) or next to mu."""
+    if y == mu:
+        return 0.0
+    if not fam.mean_domain.contains(y):
+        return deviance_by_quadrature(fam, y, mu)
+    theta_y, theta_mu = inverse_mean(fam, y), inverse_mean(fam, mu)
+    terms = (y * theta_y, -y * theta_mu, -fam.b(theta_y), fam.b(theta_mu))
+    value = 2.0 * math.fsum(terms)
+    # next to the diagonal the terms cancel; quadrature keeps the sign there
+    if value <= 1e-8 * sum(map(abs, terms)):
+        return deviance_by_quadrature(fam, y, mu)
+    return value
 
 
 def deviance_by_quadrature(fam: EdmFamily, y: float, mu: float) -> float:
@@ -416,23 +434,12 @@ def unit_deviance_of(fam: EdmFamily) -> UnitDeviance:
     # imported here: ``deviance`` builds its EDM entries from this module
     from .deviance import UnitDeviance
 
-    def d2_dy2(y, mu):
-        return 2.0 / variance_function(fam, y)
-
-    def d2_dmu2(y, mu):
-        v = variance_function(fam, mu)
-        return 2.0 / v + 2.0 * (y - mu) * variance_prime(fam, mu) / v**2
-
-    def d2_dydmu(y, mu):
-        return -2.0 / variance_function(fam, mu)
-
+    # lambdas, not ``partial``: calls go through the module globals at call time
     return UnitDeviance(
         name=fam.name,
         support=fam.support,
         fn=lambda y, mu: edm_deviance(fam, y, mu),
-        d2_dy2=d2_dy2,
-        d2_dmu2=d2_dmu2,
-        d2_dydmu=d2_dydmu,
+        variance=lambda mu: variance_function(fam, mu),
     )
 
 
@@ -443,7 +450,6 @@ def variance_function_of(fam: EdmFamily) -> VarianceFunction:
         name=f"V[{fam.name}]",
         domain=fam.mean_domain,
         fn=lambda mu: variance_function(fam, mu),
-        d_dmu=lambda mu: variance_prime(fam, mu),
     )
 
 

@@ -9,19 +9,25 @@ per-tau cache, yoke machinery for building unit deviances from functions
 maximized on the diagonal, a Monte Carlo pivotality diagnostic, and the
 transformation-group construction (location models on the line, rotation
 models on the circle).
+
+``PdmSpec.carrier`` and the deviance's ``fn`` take a float or an ndarray,
+so :func:`pdm_density` takes a whole grid of y in one call; the float-only
+callables of yokes and user carriers are vectorised once, when the model
+is built.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import PchipInterpolator
 
+from . import _elementary as el
 from ._numdiff import _support_integral
 from .deviance import UnitDeviance, check_unit_deviance, eval_deviance, unit_variance
 from .deviance import DEVIANCES
@@ -47,33 +53,32 @@ __all__ = [
 
 @dataclass
 class PdmSpec:
-    """A proper dispersion model: deviance, carrier, support, normalizer cache.
+    """A proper dispersion model: deviance, carrier and normalizer cache.
 
-    The cache maps tau to a0(tau); it is the only mutable state and is
-    guarded by a lock (concurrent duplicate computation is tolerated, the
-    first insert wins).
+    The support is the deviance's.  ``carrier`` takes a float or an
+    ndarray.  The cache maps tau to a0(tau); it is the only mutable state
+    and is guarded by a lock (concurrent duplicate computation is
+    tolerated, the first insert wins).
     """
 
     name: str
     deviance: UnitDeviance
     carrier: Callable[[float], float]
-    support: RealInterval
     _cache: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
-    def lattice(self) -> bool:
-        return self.support.lattice
+    def support(self) -> RealInterval:
+        return self.deviance.support
 
-    def normalizer(self, tau: float, probe_mu: Optional[float] = None) -> float:
+    def normalizer(self, tau: float) -> float:
         with self._lock:
             cached = self._cache.get(tau)
         if cached is not None:
             return cached
-        if probe_mu is None:
-            probe_mu = self.deviance.omega.clip_inward(
-                0.5 * (max(self.support.lower, -1.0) + min(self.support.upper, 1.0)), 1e-3
-            )
+        probe_mu = self.deviance.omega.clip_inward(
+            0.5 * (max(self.support.lower, -1.0) + min(self.support.upper, 1.0)), 1e-3
+        )
         a0 = pdm_normalizer(self.deviance, self.carrier, tau, self.support, probe_mu)
         with self._lock:
             return self._cache.setdefault(tau, a0)
@@ -112,12 +117,14 @@ def pdm_normalizer(
     return 1.0 / value
 
 
-def pdm_density(p: PdmSpec, y: float, mu: float, tau: float) -> float:
-    """Density ``a0(tau) b(y) exp(-d(y; mu)/(2 tau))`` with cached a0."""
-    p.support.require(y, "y")
-    p.deviance.omega.require(mu, "mu")
-    a0 = p.normalizer(tau)
-    return a0 * float(p.carrier(y)) * math.exp(-eval_deviance(p.deviance, y, mu) / (2.0 * tau))
+def pdm_density(p: PdmSpec, y, mu, tau: float):
+    """Density ``a0(tau) b(y) exp(-d(y; mu)/(2 tau))`` with cached a0.
+
+    ``y`` and ``mu`` may be ndarrays; :func:`eval_deviance` checks their
+    domains before the carrier sees ``y``.
+    """
+    dev = eval_deviance(p.deviance, y, mu)
+    return p.normalizer(tau) * p.carrier(y) * el.exp(-dev / (2.0 * tau))
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +138,6 @@ class YokeSpec:
 
     fn: Callable[[float, float], float]
     domain: RealInterval
-    normed: bool = False
     name: str = "yoke"
 
 
@@ -180,15 +186,11 @@ def _scan_window(domain: RealInterval, center: float, halfwidth: float = 8.0) ->
     return lo, hi
 
 
-def _local_maxima(xs: np.ndarray, vals: np.ndarray) -> list[int]:
-    idx = []
-    for i in range(len(xs)):
-        left = vals[i - 1] if i > 0 else -math.inf
-        right = vals[i + 1] if i + 1 < len(xs) else -math.inf
-        if vals[i] >= left and vals[i] >= right:
-            idx.append(i)
-    idx.sort(key=lambda i: -vals[i])
-    return idx
+def _local_maxima(vals: np.ndarray) -> list[int]:
+    """Indices of the scan's local maxima (ends count), highest first."""
+    padded = np.concatenate(([-math.inf], vals, [-math.inf]))
+    peaks = np.nonzero((vals >= padded[:-2]) & (vals >= padded[2:]))[0]
+    return sorted(peaks.tolist(), key=lambda i: -vals[i])
 
 
 def _maximize_yoke(
@@ -211,7 +213,7 @@ def _maximize_yoke(
             break
         halfwidth *= 2.0
     candidates = []
-    for i in _local_maxima(xs, vals)[:5]:
+    for i in _local_maxima(vals)[:5]:
         a = xs[max(i - 1, 0)]
         b = xs[min(i + 1, n_scan - 1)]
         if a == b:
@@ -262,7 +264,7 @@ def check_yokable(t: YokeSpec, grid) -> YokabilityReport:
     )
 
 
-def yoke_to_deviance(t: YokeSpec, probe_grid=None) -> UnitDeviance:
+def yoke_to_deviance(t: YokeSpec) -> UnitDeviance:
     """Unit deviance ``d(y; mu) = 2 [t_hat(y) - t(y; theta_hat(mu))]``.
 
     ``theta_hat(mu)`` is the maximizer of ``t(mu; .)`` and ``t_hat(y)``
@@ -270,9 +272,7 @@ def yoke_to_deviance(t: YokeSpec, probe_grid=None) -> UnitDeviance:
     validated against the unit-deviance axioms on a probe grid before
     being returned.
     """
-    if probe_grid is None:
-        probe_grid = t.domain.grid(9, 1e-3, span=4.0)
-    report = check_yokable(t, probe_grid)
+    report = check_yokable(t, t.domain.grid(9, 1e-3, span=4.0))
     if not report.yokable:
         raise DomainError(f"function is not yokable: {'; '.join(report.witnesses)}")
 
@@ -293,7 +293,7 @@ def yoke_to_deviance(t: YokeSpec, probe_grid=None) -> UnitDeviance:
         theta_hat_mu = argmax_and_max(mu)[0]
         return 2.0 * (t_hat_y - t.fn(y, theta_hat_mu))
 
-    result = UnitDeviance(name=f"yoke[{t.name}]", support=t.domain, fn=fn)
+    result = UnitDeviance(name=f"yoke[{t.name}]", support=t.domain, fn=el.vectorize(fn))
     failures = check_unit_deviance(result, np.random.default_rng(0), n=32)
     if failures:
         raise NumericalError(f"yoke produced an invalid unit deviance: {failures[0]}")
@@ -305,10 +305,8 @@ def yoke_to_deviance(t: YokeSpec, probe_grid=None) -> UnitDeviance:
 # ----------------------------------------------------------------------
 
 
-def sample_pdm(
-    p: PdmSpec, mu: float, tau: float, size: int, rng: np.random.Generator, grid_size: int = 2**14
-) -> np.ndarray:
-    """Inverse-CDF sampling on a fine grid with monotone cubic interpolation."""
+def sample_pdm(p: PdmSpec, mu: float, tau: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF sampling on a grid of 2^14 points with monotone cubic interpolation."""
     support = p.support
     if support.lattice:
         raise NumericalError("grid sampler only covers continuous PDMs")
@@ -321,8 +319,8 @@ def sample_pdm(
         hi = mu + 14.0 * scale
         lo = max(lo, support.lower + 1e-12) if math.isfinite(support.lower) else lo
         hi = min(hi, support.upper - 1e-12) if math.isfinite(support.upper) else hi
-    xs = np.linspace(lo, hi, grid_size)
-    dens = np.array([pdm_density(p, float(x), mu, tau) for x in xs])
+    xs = np.linspace(lo, hi, 2**14)
+    dens = pdm_density(p, xs, mu, tau)
     cdf = cumulative_trapezoid(dens, xs, initial=0.0)
     total = cdf[-1]
     if not total > 0:
@@ -364,10 +362,7 @@ def pivotal_check(
 
     rng = np.random.default_rng(seed)
     mu_list = [float(mu) for mu in mu_list]
-    samples = {}
-    for mu in mu_list:
-        ys = sample_pdm(p, mu, tau, m, rng)
-        samples[mu] = np.array([eval_deviance(p.deviance, float(y), mu) for y in ys])
+    samples = {mu: eval_deviance(p.deviance, sample_pdm(p, mu, tau, m, rng), mu) for mu in mu_list}
     stats = []
     pvals = []
     for i, mu_i in enumerate(mu_list):
@@ -390,7 +385,6 @@ def transformation_pdm(
     domain: RealInterval,
     name: str = "transformation",
     circular: bool = False,
-    probe_tau: float = 1.0,
 ) -> PdmSpec:
     """Build a PDM from a group acting freely and transitively on the domain.
 
@@ -398,7 +392,8 @@ def transformation_pdm(
     rotations ``(g + y) mod 2 pi`` on the circle; the inverse of g is -g
     in this additive parametrization).  ``b_invariant`` must satisfy
     ``b(g y) = b(y)``; ``t`` composed with the inverse action provides the
-    yoke whose deviance is ``2 [t_hat - t(g_hat(mu)^-1 y)]``.
+    yoke whose deviance is ``2 [t_hat - t(g_hat(mu)^-1 y)]``.  The float-only
+    ``b_invariant`` is vectorised once to serve as the carrier.
     """
     probes_y = domain.grid(9, 1e-3, span=4.0)
     probes_g = domain.grid(7, 1e-3, span=3.0)
@@ -415,18 +410,10 @@ def transformation_pdm(
         domain=domain,
         name=f"{name}-orbit",
     )
-    deviance = yoke_to_deviance(yoke)
-    deviance = UnitDeviance(
-        name=f"{name}",
-        support=domain,
-        fn=deviance.fn,
-        regular=deviance.regular,
-        circular=circular,
-    )
-    spec = PdmSpec(name=name, deviance=deviance, carrier=b_invariant, support=domain)
-    # existence probe: the normalizer must be finite at a reference dispersion
-    probe_mu = deviance.omega.clip_inward(float(probes_y[len(probes_y) // 2]), 1e-3)
-    pdm_normalizer(deviance, b_invariant, probe_tau, domain, probe_mu)
+    deviance = replace(yoke_to_deviance(yoke), name=name, circular=circular)
+    spec = PdmSpec(name=name, deviance=deviance, carrier=el.vectorize(b_invariant))
+    # existence probe: the normalizer must be finite at tau = 1
+    spec.normalizer(1.0)
     return spec
 
 
@@ -435,17 +422,15 @@ def transformation_pdm(
 # ----------------------------------------------------------------------
 
 
-def _pdm_on(name: str, carrier: Callable[[float], float]) -> PdmSpec:
-    dev = DEVIANCES[name]
-    return PdmSpec(name=name, deviance=dev, carrier=carrier, support=dev.support)
-
-
 # one spec per model, so that its normalizer cache lives as long as the process
 PDMS: dict[str, PdmSpec] = {
-    "vonmises": _pdm_on("vonmises", lambda y: 1.0),
-    "simplex": _pdm_on("simplex", lambda y: (y * (1.0 - y)) ** -1.5),
-    "normal": _pdm_on("normal", lambda y: 1.0),
-    "gamma": _pdm_on("gamma", lambda y: 1.0 / y),
+    name: PdmSpec(name=name, deviance=DEVIANCES[name], carrier=carrier)
+    for name, carrier in (
+        ("vonmises", lambda y: 1.0),
+        ("simplex", lambda y: (y * (1.0 - y)) ** -1.5),
+        ("normal", lambda y: 1.0),
+        ("gamma", lambda y: 1.0 / y),
+    )
 }
 
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import edm
 from ._numdiff import _bracketed_newton
@@ -195,10 +194,10 @@ def _mu_valid(model: RegressionModel, mu: np.ndarray) -> bool:
 
 
 def _weighted_solve(local: np.ndarray, w: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Solve the weighted least-squares step by QR with column pivoting.
+    """Solve the weighted least-squares step with one SVD-based ``lstsq``.
 
-    Rank is decided by a 1e-10 relative singular-value threshold; a
-    deficient or non-finite local model matrix is a model error, not a
+    Rank is decided by a 1e-10 relative threshold on its singular values;
+    a deficient or non-finite local model matrix is a model error, not a
     numerical one.
     """
     sw = np.sqrt(w)
@@ -206,17 +205,12 @@ def _weighted_solve(local: np.ndarray, w: np.ndarray, target: np.ndarray) -> np.
     rhs = target * sw
     if not np.all(np.isfinite(A)):
         raise DomainError("local model matrix is not finite at the current coefficients")
-    singular = np.linalg.svd(A, compute_uv=False)
+    solution, _, _, singular = np.linalg.lstsq(A, rhs, rcond=None)
     if singular[0] == 0.0 or singular[-1] < 1e-10 * singular[0]:
         raise DomainError(
             "local model matrix is rank deficient at the current coefficients"
         )
-    Q, R, perm = scipy.linalg.qr(A, mode="economic", pivoting=True)
-    z = Q.T @ rhs
-    solution = scipy.linalg.solve_triangular(R, z)
-    out = np.empty_like(solution)
-    out[perm] = solution
-    return out
+    return solution
 
 
 def fit(

@@ -53,9 +53,6 @@ class RealInterval:
         hi_ok = x <= self.upper if self.closed_upper else x < self.upper
         return bool(np.all(lo_ok & hi_ok))
 
-    def contains_interior(self, x: float) -> bool:
-        return self.interior().contains(x)
-
     def interior(self) -> "RealInterval":
         # built once per interval: dataclasses.replace costs microseconds,
         # and pointwise evaluations ask for the interior on every call

@@ -23,8 +23,8 @@ ALL_NAMES = ["normal", "gamma", "poisson", "vonmises", "simplex", "inverse_gauss
 
 
 def strip_analytic(dev):
-    """Copy of a deviance with analytic derivatives removed (forces the FD path)."""
-    return replace(dev, d2_dy2=None, d2_dmu2=None, d2_dydmu=None)
+    """Copy of a deviance with its registered variance removed (forces the FD path)."""
+    return replace(dev, variance=None)
 
 
 class TestEvalDeviance:
@@ -262,3 +262,67 @@ def test_registry_order_and_names():
     assert list(DEVIANCES) == ALL_NAMES
     assert list(VARIANCE_FUNCTIONS) == ALL_NAMES
     assert all(DEVIANCES[name].name == name for name in ALL_NAMES)
+
+
+def _array_scalar_parity(dev, ys, mus):
+    """eval_deviance on broadcast arrays against the pointwise loop, to 1e-14."""
+    y_grid, mu_grid = np.meshgrid(ys, mus)
+    values = eval_deviance(dev, y_grid, mu_grid)
+    assert isinstance(values, np.ndarray) and values.dtype == float
+    expected = [[eval_deviance(dev, y, mu) for y in ys.tolist()] for mu in mus.tolist()]
+    np.testing.assert_allclose(values, expected, rtol=1e-14, atol=0.0)
+    # a float mu against an array of y, the shape of one pivotal-check call
+    mu = float(mus[len(mus) // 2])
+    np.testing.assert_allclose(
+        eval_deviance(dev, ys, mu), [eval_deviance(dev, y, mu) for y in ys.tolist()], rtol=1e-14, atol=0.0
+    )
+
+
+class TestArrayDeviance:
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_builtin_parity(self, name):
+        dev = DEVIANCES[name]
+        mus = dev.omega.grid(9, 1e-3, span=5.0)
+        ys = np.concatenate([dev.support.grid(13, 1e-3, span=5.0), mus[:3]])
+        if name == "poisson":
+            ys = np.append(ys, 0.0)
+        _array_scalar_parity(dev, ys, mus)
+
+    def test_yoke_parity(self):
+        from dispmodels.pdm import YokeSpec, yoke_to_deviance
+        from dispmodels.support import RealInterval
+
+        dev = yoke_to_deviance(
+            YokeSpec(fn=lambda y, th: -((y - th) ** 2) / 2.0, domain=RealInterval(), name="halfquad")
+        )
+        _array_scalar_parity(dev, np.array([-1.5, 0.0, 0.4, 2.0]), np.array([-1.0, 0.4, 1.3]))
+
+    def test_transformed_parity(self):
+        dev = transform_deviance(DEVIANCES["gamma"], math.log, math.exp, lambda y: 1.0 / y)
+        _array_scalar_parity(dev, np.linspace(-2.0, 2.0, 9), np.array([-1.0, 0.0, 0.7]))
+
+    def test_cf_parity(self):
+        from dispmodels.cf_construct import cf_unit_deviance, get_cf
+
+        dev = cf_unit_deviance(get_cf("gauss"))
+        _array_scalar_parity(dev, np.linspace(-3.0, 3.0, 13), np.array([-1.0, 0.0, 2.5]))
+
+    def test_array_domain_errors(self):
+        with pytest.raises(DomainError):
+            eval_deviance(DEVIANCES["gamma"], np.array([1.0, -1.0]), 1.0)
+        with pytest.raises(DomainError):
+            eval_deviance(DEVIANCES["gamma"], 1.0, np.array([1.0, 0.0]))
+
+    def test_array_non_finite_value_is_a_numerical_error(self):
+        dev = replace(DEVIANCES["normal"], fn=lambda y, mu: np.where(y > mu, np.inf, (y - mu) ** 2))
+        with pytest.raises(NumericalError):
+            eval_deviance(dev, np.array([2.0, 0.0]), 1.0)
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_NAMES if DEVIANCES[n].variance is not None])
+def test_identity_is_two_over_registered_variance(name):
+    dev = DEVIANCES[name]
+    for mu in dev.omega.grid(7, 1e-3, span=4.0).tolist():
+        curving = 2.0 / dev.variance(mu)
+        assert second_derivative_identity(dev, mu) == (curving, curving, -curving)
+        assert unit_variance(dev, mu) == dev.variance(mu)

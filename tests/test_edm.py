@@ -399,3 +399,34 @@ class TestSharedSolvers:
         assert _support_integral(lambda k: k, dice) == (21.0, 0.0)
         value, err = _support_integral(lambda x: math.exp(-x), RealInterval(0.0, math.inf))
         assert value == pytest.approx(1.0, rel=1e-12) and err < 1e-8
+
+
+class TestConfigGeneratorDeviance:
+    """JSON-config families have no closed form: generator form inside, quadrature on the boundary."""
+
+    POISSON = {"name": "user_poisson", "b": "exp(theta)", "mean_domain": [0, None], "support": [0, None, "["]}
+    GAMMA = TestUserDefinedFamilies.CONFIG
+    POINTS = [(2.0, 1.0), (3.0, 2.2), (0.3, 4.0), (50.0, 0.1)]
+
+    @pytest.mark.parametrize("config,name", [(POISSON, "poisson"), (GAMMA, "gamma")])
+    def test_matches_closed_form(self, config, name):
+        fam, ref = family_from_config(config), FAMILIES[name]
+        for y, mu in self.POINTS:
+            assert edm_deviance(fam, y, mu) == pytest.approx(edm_deviance(ref, y, mu), rel=1e-9)
+        ys, mus = np.array([y for y, _ in self.POINTS]), np.array([mu for _, mu in self.POINTS])
+        np.testing.assert_allclose(edm_deviance(fam, ys, mus), edm_deviance(ref, ys, mus), rtol=1e-9)
+
+    @pytest.mark.parametrize("config,variance", [(POISSON, lambda mu: mu), (GAMMA, lambda mu: mu * mu)])
+    def test_positive_next_to_the_diagonal(self, config, variance):
+        # the generator terms cancel there; d ~ (y - mu)^2 / V(mu) must survive
+        fam = family_from_config(config)
+        for mu in (0.3, 1.0, 4.5):
+            for rel in (1e-7, -1e-7, 1e-5, -1e-5):
+                y = mu * (1.0 + rel)
+                assert edm_deviance(fam, y, mu) == pytest.approx((y - mu) ** 2 / variance(mu), rel=1e-4)
+
+    def test_boundary_count_uses_quadrature(self):
+        fam = family_from_config(self.POISSON)
+        # d(0; mu) = 2 mu for the Poisson deviance
+        assert edm_deviance(fam, 0.0, 0.5) == pytest.approx(1.0, rel=1e-6)
+        assert edm_deviance(fam, 0.0, 0.5) == deviance_by_quadrature(fam, 0.0, 0.5)

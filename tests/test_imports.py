@@ -1,8 +1,12 @@
 """Import footprint of the package."""
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import dispmodels
 
@@ -37,3 +41,38 @@ def test_p_above_two_evaluation_leaves_mpmath_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out.strip() == "False"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads (``__all__`` re-exports count as reads)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_detector():
+    source = "import os\nimport numpy as np\nfrom math import log, exp\n__all__ = ['exp']\nnp.zeros(1)\n"
+    assert _unused_imports(source) == ["os (line 1)", "log (line 3)"]
+
+
+_MODULES = sorted(
+    path for path in pathlib.Path(dispmodels.__file__).parent.glob("*.py") if path.name != "__init__.py"
+)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.stem)
+def test_module_has_no_unused_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []

@@ -1,6 +1,7 @@
 """Proper dispersion models: normalizers, densities, yokes, pivotality."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dispmodels.deviance import DEVIANCES, check_unit_deviance, unit_variance
 from dispmodels.errors import DomainError
 from dispmodels.pdm import (
     PDMS,
+    PdmSpec,
     YokeSpec,
     check_yokable,
     get_pdm,
@@ -292,3 +294,45 @@ def test_registry():
     assert set(PDMS) == {"vonmises", "simplex", "normal", "gamma"}
     with pytest.raises(DomainError):
         get_pdm("nosuch")
+
+
+class TestArrayPdm:
+    @pytest.mark.parametrize("name", sorted(PDMS))
+    def test_density_parity(self, name):
+        spec = get_pdm(name)
+        mus = spec.deviance.omega.grid(5, 1e-2, span=3.0)
+        ys = spec.support.grid(17, 1e-3, span=4.0)
+        tau = 0.7
+        for mu in mus.tolist():
+            values = pdm_density(spec, ys, mu, tau)
+            assert isinstance(values, np.ndarray) and values.dtype == float
+            expected = [pdm_density(spec, y, mu, tau) for y in ys.tolist()]
+            np.testing.assert_allclose(values, expected, rtol=1e-14, atol=0.0)
+        both = pdm_density(spec, ys[:5], mus, tau)
+        expected = [pdm_density(spec, y, mu, tau) for y, mu in zip(ys[:5].tolist(), mus.tolist())]
+        np.testing.assert_allclose(both, expected, rtol=1e-14, atol=0.0)
+
+    def test_array_density_checks_the_domain(self):
+        with pytest.raises(DomainError):
+            pdm_density(get_pdm("simplex"), np.array([0.5, 1.0]), 0.5, 1.0)
+
+    def test_pivotal_check_calls_the_deviance_twice_per_mu(self):
+        normal = DEVIANCES["normal"]
+        calls = []
+
+        def counting(y, mu):
+            calls.append(np.shape(y))
+            return normal.fn(y, mu)
+
+        spec = PdmSpec(name="counted", deviance=replace(normal, fn=counting), carrier=lambda y: 1.0)
+        spec.normalizer(1.0)  # the normalizer quadrature is per tau, not per mu
+        calls.clear()
+        mus = (-2.0, 0.0, 5.0)
+        report = pivotal_check(spec, mus, 1.0, m=1000, seed=3)
+        # one density grid for the sampler and one deviance of the draws per mu
+        assert len(calls) == 2 * len(mus)
+        assert report.passed(0.001)
+
+    def test_support_is_the_deviance_support(self):
+        for spec in PDMS.values():
+            assert spec.support is spec.deviance.support
