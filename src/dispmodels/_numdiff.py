@@ -1,10 +1,24 @@
 """Numerical routines shared across modules.
 
-Finite differences: second derivatives use 5-point central stencils with
-steps scaled by the cube root of machine epsilon; higher orders use
-central stencils plus 3-level Richardson extrapolation.  Probe points near
-interval endpoints are the caller's responsibility (see
-``RealInterval.clip_inward``).
+``derivative`` is the one finite-difference routine.  It evaluates the
+O(h^2) central stencil of order r (1 to 6) at the steps h, h/2 and h/4 and
+extrapolates twice (Richardson), which leaves an O(h^6) truncation error.
+Rounding in the finest stencil costs about eps |f| / (h/4)^r, and the two
+balance where h^6 = eps 4^r / h^r, so the step is
+
+    h = (eps 4^r)^(1/(r+6)) * min(max(1, |x|), distance from x to the
+                                  nearest finite end of the domain).
+
+The second factor is the length on which f varies: |x| away from the
+origin, and the distance to a finite boundary, where generators and
+deviances are singular.  The first factor is below 0.1 for every order and
+the widest stencil reaches 3h, so no probe leaves the domain.  Callers
+pass the domain, never a step.
+
+``_quad`` is the one call of ``quad`` outside the Tweedie series: an
+interval whose ends lie on one side of 0 and more than two decades apart
+gets a breakpoint per decade, so adaptive bisection cannot miss mass that
+sits near its small end.
 
 Two private solvers are written here once: ``_bracketed_newton`` (the
 inverse mean mapping, the dispersion MLE) and ``_support_integral`` (the
@@ -20,50 +34,13 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import ConvergenceError, NumericalError
+from .errors import ConvergenceError, DomainError, NumericalError
+from .support import REALS, RealInterval
 
 EPS = float(np.finfo(float).eps)
-CBRT_EPS = EPS ** (1.0 / 3.0)
+_QUAD_LIMIT = 400
 
-__all__ = [
-    "EPS",
-    "CBRT_EPS",
-    "fd_step",
-    "second_derivative",
-    "mixed_second_derivative",
-    "first_derivative",
-    "nth_derivative",
-]
-
-
-def fd_step(x: float) -> float:
-    return max(CBRT_EPS * abs(x), CBRT_EPS)
-
-
-def first_derivative(f, x: float, h: float | None = None) -> float:
-    """4th-order central first derivative."""
-    if h is None:
-        h = fd_step(x)
-    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
-
-
-def second_derivative(f, x: float, h: float | None = None) -> float:
-    """5-point central second derivative, O(h^4) truncation."""
-    if h is None:
-        h = fd_step(x)
-    return (
-        -f(x - 2 * h) + 16 * f(x - h) - 30 * f(x) + 16 * f(x + h) - f(x + 2 * h)
-    ) / (12 * h * h)
-
-
-def mixed_second_derivative(f, x: float, y: float, h: float | None = None, k: float | None = None) -> float:
-    """Cross-stencil mixed partial d2 f / dx dy."""
-    if h is None:
-        h = fd_step(x)
-    if k is None:
-        k = fd_step(y)
-    return (f(x + h, y + k) - f(x + h, y - k) - f(x - h, y + k) + f(x - h, y - k)) / (4 * h * k)
-
+__all__ = ["EPS", "derivative"]
 
 # Central stencil coefficients (offset -> weight, divided by h^order), O(h^2).
 _STENCILS = {
@@ -76,39 +53,32 @@ _STENCILS = {
 }
 
 
-def _stencil_eval(f, x, h, order):
-    weights = _STENCILS[order]
-    acc = 0.0
-    for offset, w in weights.items():
-        acc += w * f(x + offset * h)
-    return acc / h**order
+def _stencil(f, x: float, h: float, order: int) -> float:
+    return sum(w * f(x + offset * h) for offset, w in _STENCILS[order].items()) / h**order
 
 
-def nth_derivative(f, x: float, order: int, h: float | None = None) -> float:
-    """Central-stencil n-th derivative with Richardson extrapolation.
+def derivative(f, x: float, order: int, domain: RealInterval = REALS) -> float:
+    """The ``order``-th derivative of ``f`` at ``x`` inside the open ``domain``.
 
-    The stencils are all O(h^2); three Richardson levels with halved
-    steps raise the order by 2 per level.  Orders above 6 are refused:
-    rounding noise at the required step sizes dominates the estimate.
+    Stencils at h, h/2 and h/4 with two Richardson levels and the step of
+    the module docstring.  Orders above 6 are refused: rounding noise at
+    the required steps dominates the estimate.
     """
-    if order < 1:
-        raise ValueError("derivative order must be >= 1")
-    if order > 6:
-        raise NumericalError(
-            f"numerical derivative of order {order} is unstable; register an analytic form"
-        )
-    if h is None:
-        # balance truncation O(h^2) against rounding O(eps / h^order)
-        h = max(EPS ** (1.0 / (order + 2)) * abs(x), EPS ** (1.0 / (order + 2)))
-    table = [_stencil_eval(f, x, h / 2**i, order) for i in range(3)]
-    # Richardson: error ~ C h^2, halving h divides the error by 4
-    for level in range(1, 3):
-        factor = 4.0**level
-        table = [
-            (factor * table[i + 1] - table[i]) / (factor - 1.0)
-            for i in range(len(table) - 1)
-        ]
-    value = table[0]
+    if order not in _STENCILS:
+        raise NumericalError(f"no finite difference of order {order}; register an analytic form")
+    if not domain.lower < x < domain.upper:
+        raise DomainError(f"finite difference at {x} outside the interior of {domain}")
+    scale = max(1.0, abs(x))
+    for end in (domain.lower, domain.upper):
+        if math.isfinite(end):
+            scale = min(scale, abs(x - end))
+    h = (EPS * 4.0**order) ** (1.0 / (order + 6)) * scale
+    table = [_stencil(f, x, h / 2**i, order) for i in range(3)]
+    # Richardson: the error is C h^2 + O(h^4); halving h divides C h^2 by 4
+    for factor in (4.0, 16.0):
+        table = [(factor * fine - coarse) / (factor - 1.0)
+                 for coarse, fine in zip(table, table[1:])]
+    value = float(table[0])
     if not math.isfinite(value):
         raise NumericalError(f"finite-difference derivative of order {order} at {x} is not finite")
     return value
@@ -145,6 +115,26 @@ def _bracketed_newton(fn, slope, lo: float, hi: float, tol: float, increasing: b
     )
 
 
+def _quad(fn, lower: float, upper: float) -> tuple[float, float]:
+    """``(integral, error estimate)`` of ``fn`` from ``lower`` to ``upper``.
+
+    ``quad`` with ``limit=400`` and its integration warnings silenced: the
+    caller gates the returned error.  When both ends are finite, nonzero,
+    on one side of 0 and more than two decades apart, one geometric
+    breakpoint per decade (at most ``limit/2``) is passed as ``points``.
+    """
+    points = None
+    if math.isfinite(lower) and math.isfinite(upper) and lower * upper > 0.0:
+        decades = abs(math.log10(upper / lower))
+        if decades > 2.0:
+            count = min(math.ceil(decades) - 1, _QUAD_LIMIT // 2)
+            points = np.geomspace(lower, upper, count + 2)[1:-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        value, err = quad(fn, lower, upper, limit=_QUAD_LIMIT, points=points)
+    return float(value), float(err)
+
+
 def _support_integral(fn, support) -> tuple[float, float]:
     """``(integral, error estimate)`` of ``fn`` over a ``RealInterval``.
 
@@ -152,15 +142,10 @@ def _support_integral(fn, support) -> tuple[float, float]:
     ``max(lower, 0)``, stopping after three consecutive terms below 1e-14
     of the running total (the error estimate is then the last term) or at
     the upper end (error 0); more than 10^7 terms raise
-    ``NumericalError``.  Any other support goes to ``quad`` with
-    ``limit=400``, its integration warnings silenced: the caller gates the
-    returned error.
+    ``NumericalError``.  Any other support goes to ``_quad``.
     """
     if not support.lattice:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            value, err = quad(fn, support.lower, support.upper, limit=400)
-        return float(value), float(err)
+        return _quad(fn, support.lower, support.upper)
     k = math.ceil(max(support.lower, 0.0) if math.isfinite(support.lower) else 0.0)
     total, quiet = 0.0, 0
     while k <= support.upper:

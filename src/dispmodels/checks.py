@@ -1,20 +1,29 @@
 """Self-test suites behind the ``check`` CLI subcommand.
 
 Each check returns (name, passed, detail); families are checked for the
-unit-deviance axioms, the diagonal second-derivative identities,
-curvature consistency, deviance quadrature against closed forms, and
-density normalization.  The "all" scope adds the PDM normalizer
+unit-deviance axioms, the diagonal second-derivative identities and the
+curvature against the variance function (both by finite differences of d
+itself, ignoring a registered V), deviance quadrature against closed
+forms, and density normalization.  The "all" scope adds the PDM normalizer
 mu-independence, the pivotal Monte Carlo (fixed seed), and the
 characteristic-function probes.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import cf_construct, edm, pdm
 from ._numdiff import _support_integral
-from .deviance import DEVIANCES, check_unit_deviance, second_derivative_identity
+from .deviance import (
+    DEVIANCES,
+    VARIANCE_FUNCTIONS,
+    check_unit_deviance,
+    second_derivative_identity,
+    unit_variance,
+)
 from .errors import DispersionModelError
 
 __all__ = ["CheckResult", "run_checks", "available_scopes", "DEFAULT_SEED"]
@@ -29,7 +38,7 @@ def _check_axioms(name: str, seed: int) -> CheckResult:
 
 
 def _check_triple_identity(name: str, seed: int) -> CheckResult:
-    dev = DEVIANCES[name]
+    dev = replace(DEVIANCES[name], variance=None)
     grid = dev.omega.grid(20, 1e-3, span=5.0)
     worst = 0.0
     for mu in grid:
@@ -41,15 +50,14 @@ def _check_triple_identity(name: str, seed: int) -> CheckResult:
 
 
 def _check_variance_consistency(name: str, seed: int) -> CheckResult:
-    dev = DEVIANCES[name]
+    dev, V = replace(DEVIANCES[name], variance=None), VARIANCE_FUNCTIONS[name]
     grid = dev.omega.grid(10, 1e-3, span=5.0)
     worst = 0.0
     for mu in grid:
-        dyy, dmm, _ = second_derivative_identity(dev, float(mu))
-        v_from_mu = 2.0 / dmm
-        v_from_y = 2.0 / dyy
-        worst = max(worst, abs(v_from_mu - v_from_y) / max(abs(v_from_mu), 1e-12))
-    return (f"{name}: V from d_yy vs d_mumu", worst < 1e-5, f"max relative gap {worst:.2e}")
+        v = V(float(mu))
+        worst = max(worst, abs(unit_variance(dev, float(mu)) - v) / max(v, 1e-12))
+    ok = worst < 1e-5
+    return (f"{name}: 2/d_mumu vs variance function", ok, f"max relative gap {worst:.2e}")
 
 
 def _check_deviance_quadrature(name: str, seed: int) -> CheckResult:

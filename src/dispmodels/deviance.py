@@ -30,10 +30,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import _elementary as el
-from ._numdiff import fd_step, mixed_second_derivative, second_derivative
+from ._numdiff import _quad, derivative
 from .edm import FAMILIES, unit_deviance_of, variance_function_of
 from .errors import DomainError, NumericalError
 from .support import UNIT_INTERVAL, RealInterval
@@ -66,8 +65,8 @@ class UnitDeviance:
     on a circle.  ``fn`` takes a float or an ndarray in each argument.
     ``regular`` is a declared flag; :func:`check_unit_deviance` verifies it
     lazily.  ``variance`` is the unit variance ``V(mu)`` when it is known
-    in closed form; when absent, the finite-difference stencils from
-    ``_numdiff`` measure the diagonal curvature instead.
+    in closed form; when absent, ``_numdiff.derivative`` measures the
+    diagonal curvature instead.
     """
 
     name: str
@@ -131,29 +130,20 @@ def eval_deviance(d: UnitDeviance, y, mu):
     return value
 
 
-def _diag_probe(d: UnitDeviance, mu: float) -> tuple[float, float]:
-    """Clipped diagonal probe point and a step keeping the stencil inside Omega."""
-    mu_c = d.omega.clip_inward(mu, _BOUNDARY_CLIP)
-    h = fd_step(mu_c)
-    for bound in (d.omega.lower, d.omega.upper):
-        if math.isfinite(bound):
-            h = min(h, abs(mu_c - bound) / 3.0)
-    return mu_c, h
-
-
 def unit_variance(d: UnitDeviance, mu: float) -> float:
     """Unit variance function ``V(mu) = 2 / d_mumu(mu; mu)``.
 
-    Uses the registered ``d.variance`` when present, otherwise a 5-point
-    central difference with step ``max(eps^(1/3) |mu|, eps^(1/3))``.
+    Uses the registered ``d.variance`` when present, otherwise
+    ``_numdiff.derivative`` of ``d(mu; .)`` on Omega, at ``mu`` clipped
+    inward off the ends of Omega.
     """
     if not d.regular:
         raise DomainError(f"deviance {d.name} is not regular; no unit variance")
     d.omega.require(mu, "mu")
     if d.variance is not None:
         return float(d.variance(mu))
-    mu_c, h = _diag_probe(d, mu)
-    curving = second_derivative(lambda m: d.fn(mu_c, m), mu_c, h)
+    mu_c = d.omega.clip_inward(mu, _BOUNDARY_CLIP)
+    curving = derivative(lambda m: d.fn(mu_c, m), mu_c, 2, d.omega)
     if not curving > 0.0:
         raise NumericalError(
             f"second derivative of {d.name} at mu={mu} is {curving}; deviance not regular there"
@@ -166,8 +156,9 @@ def second_derivative_identity(d: UnitDeviance, mu: float) -> tuple[float, float
 
     For any regular unit deviance these satisfy
     ``d_yy = d_mumu = -d_ymu = 2/V(mu)``; with a registered ``V`` that is
-    the value returned, otherwise each is a finite difference and callers
-    assert the identity at their own tolerance.
+    the value returned.  Otherwise each is a ``_numdiff.derivative`` at
+    ``mu`` clipped inward (the mixed one as two nested first derivatives),
+    and callers assert the identity at their own tolerance.
     """
     if not d.regular:
         raise DomainError(f"deviance {d.name} is not regular")
@@ -175,11 +166,11 @@ def second_derivative_identity(d: UnitDeviance, mu: float) -> tuple[float, float
     if d.variance is not None:
         curving = 2.0 / float(d.variance(mu))
         return (curving, curving, -curving)
-    mu_c, h = _diag_probe(d, mu)
+    mu_c = d.omega.clip_inward(mu, _BOUNDARY_CLIP)
     return (
-        second_derivative(lambda y: d.fn(y, mu_c), mu_c, h),
-        second_derivative(lambda m: d.fn(mu_c, m), mu_c, h),
-        mixed_second_derivative(d.fn, mu_c, mu_c, h, h),
+        derivative(lambda y: d.fn(y, mu_c), mu_c, 2, d.omega),
+        derivative(lambda m: d.fn(mu_c, m), mu_c, 2, d.omega),
+        derivative(lambda y: derivative(lambda m: d.fn(y, m), mu_c, 1, d.omega), mu_c, 1, d.omega),
     )
 
 
@@ -266,7 +257,7 @@ def variance_stabilizing_transform(V: VarianceFunction, y_star: float, y: float)
         value = V.fn(float(v))
         if not value > 0.0:
             raise NumericalError(f"variance function vanishes on the path at {v}")
-    integral, err = quad(lambda v: V.fn(v) ** -0.5, y_star, y, limit=200)
+    integral, err = _quad(lambda v: V.fn(v) ** -0.5, y_star, y)
     if not math.isfinite(integral) or err > 1e-6 * max(1.0, abs(integral)):
         raise NumericalError("quadrature failure in variance stabilizing transform")
     return float(integral)

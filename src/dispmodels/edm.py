@@ -23,17 +23,15 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import factorial2, gammaln, loggamma, polygamma
 
 from . import _elementary as el
-from ._numdiff import _bracketed_newton, fd_step, first_derivative, nth_derivative, second_derivative
+from ._numdiff import _bracketed_newton, _quad, derivative
 from .errors import ConvergenceError, DomainError, NumericalError
 from .expressions import compile_expression
 from .support import POSITIVE_REALS, REALS, RealInterval
@@ -72,9 +70,11 @@ class EdmFamily:
     """An EDM specified by its cumulant generator and domain metadata.
 
     ``b_nth(order, theta)`` may return ``None`` for orders it does not
-    know; the cumulant machinery then falls back to Richardson-extrapolated
-    finite differences.  ``exact_normalizer`` is the additive term
-    ``c(y; tau)`` of the log density, on the log scale.
+    know.  Every derivative of ``b`` that is not registered comes from
+    ``_numdiff.derivative`` on ``theta_domain``: ``b'`` and ``b''`` from
+    ``b``, the cumulants of order 3 to 6 from ``b''`` (or ``b``); a
+    JSON-config family registers ``b`` alone.  ``exact_normalizer`` is
+    the additive term ``c(y; tau)`` of the log density, on the log scale.
 
     ``b``, ``b_double_prime``, ``mean_inverse``, ``deviance_closed_form``
     and ``dc_dtau`` (in its ``y`` argument) must accept an ndarray as well
@@ -109,12 +109,12 @@ class EdmFamily:
     def _b_prime(self, theta: float) -> float:
         if self.b_prime is not None:
             return float(self.b_prime(theta))
-        return first_derivative(self.b, theta, _theta_step(self, theta))
+        return derivative(self.b, theta, 1, self.theta_domain)
 
     def _b_double_prime(self, theta: float) -> float:
         if self.b_double_prime is not None:
             return float(self.b_double_prime(theta))
-        return second_derivative(self.b, theta, _theta_step(self, theta))
+        return derivative(self.b, theta, 2, self.theta_domain)
 
 
 # Each public function that takes an ndarray branches once, on entry, into
@@ -136,14 +136,6 @@ def _elementwise(fn, *args: np.ndarray) -> np.ndarray:
     would make every float call of the caller pay for a cell.
     """
     return np.vectorize(fn, otypes=[float])(*args)
-
-
-def _theta_step(fam: EdmFamily, theta: float) -> float:
-    h = fd_step(theta)
-    for bound in (fam.theta_domain.lower, fam.theta_domain.upper):
-        if math.isfinite(bound):
-            h = min(h, abs(theta - bound) / 3.0)
-    return max(h, 1e-300)
 
 
 def cgf(fam: EdmFamily, t: float, theta: float, tau: float) -> float:
@@ -262,24 +254,21 @@ def variance_function(fam: EdmFamily, mu):
 
 
 def variance_prime(fam: EdmFamily, mu: float) -> float:
-    """Derivative of the variance function, ``V'(mu) = b'''(q(mu)) / V(mu)``."""
-    theta = inverse_mean(fam, mu)
-    third = fam.b_nth(3, theta) if fam.b_nth is not None else None
-    if third is not None:
-        return float(third) / variance_function(fam, mu)
-    h = fd_step(mu)
-    for bound in (fam.mean_domain.lower, fam.mean_domain.upper):
-        if math.isfinite(bound):
-            h = min(h, abs(mu - bound) / 3.0)
-    return first_derivative(lambda m: variance_function(fam, m), mu, h)
+    """Derivative of the variance function, ``V'(mu) = b'''(q(mu)) / V(mu)``.
+
+    ``b'''`` is the third cumulant at unit dispersion: analytic where the
+    family registers it, a finite difference of ``b''`` or ``b`` otherwise.
+    """
+    return cumulant(fam, 3, inverse_mean(fam, mu), 1.0) / variance_function(fam, mu)
 
 
 def cumulant(fam: EdmFamily, r: int, theta: float, tau: float) -> float:
     """r-th cumulant ``tau^(r-1) b^(r)(theta)``.
 
-    Orders above 2 use registered analytic derivatives when available and
-    Richardson-extrapolated finite differences otherwise; orders above 6
-    without an analytic form are refused as numerically unstable.
+    Orders above 2 use the registered ``b_nth`` when it knows the order.
+    Otherwise ``b^(r)`` is ``derivative`` of order r - 2 of a registered
+    ``b''``, or of order r of ``b``; orders above 6 without an analytic
+    form are refused as numerically unstable.
     """
     if r < 1:
         raise DomainError("cumulant order must be >= 1")
@@ -297,9 +286,9 @@ def cumulant(fam: EdmFamily, r: int, theta: float, tau: float) -> float:
                     f"cumulant order {r} requires an analytic derivative of b for {fam.name}"
                 )
             if fam.b_double_prime is not None:
-                deriv = nth_derivative(fam.b_double_prime, theta, r - 2, h=_theta_step(fam, theta))
+                deriv = derivative(fam.b_double_prime, theta, r - 2, fam.theta_domain)
             else:
-                deriv = nth_derivative(fam.b, theta, r, h=_theta_step(fam, theta))
+                deriv = derivative(fam.b, theta, r, fam.theta_domain)
     return tau ** (r - 1) * float(deriv)
 
 
@@ -352,11 +341,7 @@ def deviance_by_quadrature(fam: EdmFamily, y: float, mu: float) -> float:
     fam.mean_domain.require(mu, "mu")
     if y == mu:
         return 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = quad(
-            lambda t: 2.0 * (y - t) / variance_function(fam, t), mu, y, limit=200
-        )
+    value, err = _quad(lambda t: 2.0 * (y - t) / variance_function(fam, t), mu, y)
     if not math.isfinite(value) or err > 1e-6 * max(1.0, abs(value)):
         raise NumericalError(f"deviance quadrature failed for {fam.name} at (y={y}, mu={mu})")
     return float(value)

@@ -22,7 +22,7 @@ from dispmodels.cf_construct import (
 )
 from dispmodels.deviance import check_unit_deviance
 from dispmodels.errors import ConvergenceError, DomainError
-from dispmodels._numdiff import second_derivative
+from dispmodels._numdiff import derivative
 
 GAUSS = CHARACTERISTIC_FUNCTIONS["gauss"]
 
@@ -72,7 +72,7 @@ class TestCfDeviance:
     def test_finite_second_moment_gives_regular_deviance(self):
         dev = cf_unit_deviance(GAUSS)
         assert dev.regular
-        curvature = second_derivative(lambda m: dev.fn(0.0, m), 0.0)
+        curvature = derivative(lambda m: dev.fn(0.0, m), 0.0, 2)
         assert curvature > 0.0
 
 

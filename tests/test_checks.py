@@ -23,3 +23,12 @@ def test_available_scopes_list_every_deviance():
     scopes = available_scopes()
     assert scopes[0] == "all"
     assert set(DEVIANCES) <= set(scopes)
+
+
+def test_curvature_rows_measure_the_deviance_itself():
+    # the registered V is dropped for these rows, so their spreads and gaps
+    # are finite-difference errors, small but not the 0 of V against itself
+    for name, passed, detail in run_checks("all"):
+        if "second-derivative" in name or "d_mumu" in name:
+            worst = float(detail.split()[-1])
+            assert passed and 0.0 < worst <= 1e-9, (name, detail)

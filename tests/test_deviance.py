@@ -133,6 +133,16 @@ class TestSecondDerivativeIdentity:
             assert abs(dyy - dmm) <= 1e-5 * scale
             assert abs(dym + dmm) <= 1e-5 * scale
 
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_fd_curvature_is_two_over_variance(self, name):
+        # with V stripped, all three finite differences of d give 2/V(mu)
+        dev, V = strip_analytic(DEVIANCES[name]), VARIANCE_FUNCTIONS[name]
+        for mu in dev.omega.grid(20, 1e-3, span=5.0):
+            curving = 2.0 / V(float(mu))
+            dyy, dmm, dym = second_derivative_identity(dev, float(mu))
+            for value in (dyy, dmm, -dym):
+                assert value == pytest.approx(curving, rel=1e-9)
+
 
 class TestTransformDeviance:
     def test_identity_map_is_noop(self):
@@ -196,6 +206,12 @@ class TestVarianceStabilizingTransform:
         V = VARIANCE_FUNCTIONS["inverse_gaussian"]
         for y in (0.5, 1.0, 2.0):
             assert V(y) * (y**-1.5) ** 2 == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("y,exact", [(1e-7, -2.0 * (1e-7**-0.5 - 1.0)), (1e8, 2.0 * (1.0 - 1e-4))])
+    def test_inverse_gaussian_over_many_decades(self, y, exact):
+        # integral_1^y v^(-3/2) dv = 2 (1 - y^(-1/2))
+        value = variance_stabilizing_transform(VARIANCE_FUNCTIONS["inverse_gaussian"], 1.0, y)
+        assert value == pytest.approx(exact, rel=1e-10)
 
     def test_vanishing_variance_fails(self):
         from dispmodels.deviance import VarianceFunction

@@ -430,3 +430,60 @@ class TestConfigGeneratorDeviance:
         # d(0; mu) = 2 mu for the Poisson deviance
         assert edm_deviance(fam, 0.0, 0.5) == pytest.approx(1.0, rel=1e-6)
         assert edm_deviance(fam, 0.0, 0.5) == deviance_by_quadrature(fam, 0.0, 0.5)
+
+
+class TestFiniteDifferenceDerivatives:
+    """Derivatives of b that no family registers come from ``_numdiff.derivative``."""
+
+    @pytest.mark.parametrize("x", [1e-8, 0.3, 50.0])
+    def test_log_derivatives_next_to_the_boundary(self, x):
+        # d^r log x / dx^r = (-1)^(r-1) (r-1)! / x^r; the stencil stays in (0, inf)
+        from dispmodels._numdiff import derivative
+        from dispmodels.support import POSITIVE_REALS
+
+        for r, tol in zip(range(1, 7), (1e-12, 1e-9, 1e-8, 1e-6, 1e-5, 1e-4)):
+            exact = (-1) ** (r - 1) * math.factorial(r - 1) / x**r
+            assert derivative(math.log, x, r, POSITIVE_REALS) == pytest.approx(exact, rel=tol)
+
+    @pytest.mark.parametrize("name,theta", [("binomial", 0.3), ("negative_binomial", -0.7), ("gsh", 0.3)])
+    def test_cumulants_of_order_five_and_six(self, name, theta):
+        # the families register b^(r) up to r = 4; beyond, b'' is differentiated
+        if name == "binomial":
+            s = 1.0 / (1.0 + math.exp(-theta))
+            k5 = s * (1 - s) * (1 - 2 * s) * (1 - 12 * s + 12 * s**2)
+            k6 = s * (1 - s) * (1 - 30 * s + 150 * s**2 - 240 * s**3 + 120 * s**4)
+        elif name == "negative_binomial":
+            x = math.exp(theta)
+            k5 = x * (1 + 11 * x + 11 * x**2 + x**3) / (1 - x) ** 5
+            k6 = x * (1 + 26 * x + 66 * x**2 + 26 * x**3 + x**4) / (1 - x) ** 6
+        else:
+            t = math.tan(theta)
+            k5 = 16 * t + 40 * t**3 + 24 * t**5
+            k6 = 16 + 136 * t**2 + 240 * t**4 + 120 * t**6
+        fam = get_family(name)
+        assert cumulant(fam, 5, theta, 1.0) == pytest.approx(k5, rel=1e-6)
+        assert cumulant(fam, 6, theta, 1.0) == pytest.approx(k6, rel=1e-6)
+
+    def test_config_gamma_matches_the_builtin(self):
+        # a JSON-config family registers b alone: every derivative is numerical
+        fam, ref = family_from_config(TestUserDefinedFamilies.CONFIG), FAMILIES["gamma"]
+        for r in range(1, 7):
+            tol = 1e-7 if r <= 4 else 1e-4
+            assert cumulant(fam, r, -1.5, 1.0) == pytest.approx(cumulant(ref, r, -1.5, 1.0), rel=tol)
+        assert edm.variance_prime(fam, 2.0) == pytest.approx(edm.variance_prime(ref, 2.0), rel=1e-8)
+        assert variance_function(fam, 3.0) == pytest.approx(9.0, rel=1e-9)
+
+    def test_config_poisson_boundary_deviance(self):
+        # d(0; mu) = 2 mu, by quadrature over numerical V
+        fam = family_from_config(TestConfigGeneratorDeviance.POISSON)
+        assert edm_deviance(fam, 0.0, 0.5) == pytest.approx(1.0, rel=1e-9)
+
+
+class TestQuadratureOverDecades:
+    """The defining integral of d on intervals spanning many decades."""
+
+    @pytest.mark.parametrize("name,y,mu", [("inverse_gaussian", 1e-7, 1.0), ("gamma", 1e6, 1.0),
+                                           ("inverse_gaussian", 1e8, 1.0), ("gamma", 1e-6, 2.0)])
+    def test_matches_closed_form(self, name, y, mu):
+        fam = get_family(name)
+        assert deviance_by_quadrature(fam, y, mu) == pytest.approx(edm_deviance(fam, y, mu), rel=1e-10)
