@@ -15,21 +15,23 @@ deviances are singular.  The first factor is below 0.1 for every order and
 the widest stencil reaches 3h, so no probe leaves the domain.  Callers
 pass the domain, never a step.
 
-``_quad`` is the one call of ``quad`` outside the Tweedie series: an
+``_quad`` is the one call of ``quad`` outside the Tweedie Fourier inversion: an
 interval whose ends lie on one side of 0 and more than two decades apart
 gets a breakpoint per decade, so adaptive bisection cannot miss mass that
 sits near its small end.
 
 Two private solvers are written here once: ``_bracketed_newton`` (the
 inverse mean mapping, the dispersion MLE) and ``_support_integral`` (the
-normalizing integrals and sums of the saddlepoint, PDM, self-check and
-Tweedie layers).  Each caller keeps its own error gate.
+normalizing integrals and sums of the PDM layer, which the renormalized
+saddlepoint shares, and of the self-checks).  Each caller keeps its own error
+gate.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -135,26 +137,33 @@ def _quad(fn, lower: float, upper: float) -> tuple[float, float]:
     return float(value), float(err)
 
 
-def _support_integral(fn, support) -> tuple[float, float]:
+def _support_integral(fn, support, center: Optional[float] = None) -> tuple[float, float]:
     """``(integral, error estimate)`` of ``fn`` over a ``RealInterval``.
 
-    A lattice support is summed over its integer points from
-    ``max(lower, 0)``, stopping after three consecutive terms below 1e-14
-    of the running total (the error estimate is then the last term) or at
-    the upper end (error 0); more than 10^7 terms raise
-    ``NumericalError``.  Any other support goes to ``_quad``.
+    A lattice support is summed over its integer points from ``max(lower, 0)`` upward, a run
+    stopping after three consecutive terms below 1e-14 of the running total (the error estimate
+    then gains the last term) or at an end of the support.  Given the ``center`` where ``fn``
+    peaks, the sum runs up from the lattice point nearest it and then down from there, and a zero
+    term counts as negligible too, so a sum whose every term underflows stops at once.  More than
+    10^7 terms, or a start beyond 2^53, raise ``NumericalError``.  Any other support goes to
+    ``_quad``.
     """
     if not support.lattice:
         return _quad(fn, support.lower, support.upper)
-    k = math.ceil(max(support.lower, 0.0) if math.isfinite(support.lower) else 0.0)
-    total, quiet = 0.0, 0
-    while k <= support.upper:
-        term = fn(float(k))
-        total += term
-        quiet = quiet + 1 if term < 1e-14 * total else 0
-        if quiet >= 3:
-            return total, term
-        k += 1
-        if k > 10**7:
-            raise NumericalError("lattice sum did not converge within 10^7 terms")
-    return total, 0.0
+    lower = math.ceil(max(support.lower, 0.0) if math.isfinite(support.lower) else 0.0)
+    start = lower if center is None else max(lower, min(round(center), support.upper))
+    if not start < 2**53:
+        raise NumericalError(f"lattice sum from {start:.3g}, beyond the integers a float holds")
+    total, error, terms = 0.0, 0.0, 0
+    for k, step in ((start, 1), (start - 1, -1)):
+        quiet = 0
+        while lower <= k <= support.upper and quiet < 3:
+            term = fn(float(k))
+            total += term
+            negligible = term < 1e-14 * total or (center is not None and term == 0.0)
+            quiet = quiet + 1 if negligible else 0
+            k, terms = k + step, terms + 1
+            if terms > 10**7:
+                raise NumericalError("lattice sum did not converge within 10^7 terms")
+        error += term if quiet >= 3 else 0.0
+    return total, error

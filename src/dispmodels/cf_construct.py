@@ -111,7 +111,7 @@ def cf_unit_deviance(cf: CfSpec) -> UnitDeviance:
 
 def kernel(cf: CfSpec, tau: float, t: float) -> float:
     """Convolution kernel ``K_tau(t) = exp(-(1 - phi(t)) / (2 tau))`` in (0, 1]."""
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise DomainError("tau must be positive")
     return math.exp(-(1.0 - cf(t)) / (2.0 * tau))
 
@@ -303,8 +303,10 @@ def solve_convolution_grid(
     """
     if N < 2**10 or (N & (N - 1)) != 0:
         raise DomainError(f"grid size N={N} must be a power of two >= 1024")
-    if L <= 0.0:
-        raise DomainError("L must be positive")
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"L must be positive and finite, got {L}")
+    if lambda_reg is not None and not 0.0 <= lambda_reg < math.inf:
+        raise DomainError(f"lambda_reg must be nonnegative and finite, got {lambda_reg}")
     grid = np.linspace(-L, L, N)
     h = float(grid[1] - grid[0])
     kern = _kernel_samples(kernel_fn, N, h)

@@ -4,7 +4,8 @@ cf-construct, fit, check.
 Numbers print with 17 significant digits so that re-parsing reproduces
 the library value bitwise.  Errors go to stderr with a machine-parseable
 ``ERROR:<code>:`` prefix; exit codes are 0 (success), 1 (usage or domain
-error), 2 (numerical failure).
+error), 2 (numerical failure, float overflow included).  Every float option
+must be a finite number.
 """
 
 from __future__ import annotations
@@ -53,6 +54,26 @@ def _json(obj) -> str:
     return _fmt(obj)
 
 
+# rows of a ``tweedie`` table; a longer table is refused before any row is computed
+_MAX_TABLE_ROWS = 10**6
+
+
+def _finite_float(text: str, what: str = "the value", error=argparse.ArgumentTypeError) -> float:
+    """The argparse type of every float option: nan, inf and non-numbers raise ``error``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise error(f"{what} must be a finite number, got {text!r}")
+    return value
+
+
+def _floats(text: str, what: str) -> list[float]:
+    """Comma-separated finite numbers, or DomainError naming the option."""
+    return [_finite_float(v, what, DomainError) for v in text.split(",")]
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"ERROR:usage:{message}", file=sys.stderr)
@@ -67,40 +88,40 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("deviance", help="evaluate a unit deviance d(y; mu)")
     p.add_argument("--family", required=True, choices=sorted(DEVIANCES))
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
+    p.add_argument("--y", type=_finite_float, required=True)
+    p.add_argument("--mu", type=_finite_float, required=True)
 
     p = sub.add_parser("density", help="EDM density at y for (theta, tau)")
     p.add_argument("--family", required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--y", type=_finite_float, required=True)
+    p.add_argument("--theta", type=_finite_float)
+    p.add_argument("--mu", type=_finite_float)
+    p.add_argument("--tau", type=_finite_float, default=1.0)
 
     p = sub.add_parser("approx", help="saddlepoint / Lugannani-Rice approximations")
     p.add_argument("--family", required=True)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--theta", type=_finite_float)
+    p.add_argument("--mu", type=_finite_float)
+    p.add_argument("--tau", type=_finite_float, default=1.0)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--y", type=_finite_float, required=True)
     p.add_argument("--method", required=True, choices=["saddle", "renorm", "lr", "mean-lr"])
 
     p = sub.add_parser("tweedie", help="Tweedie density/cdf table as CSV")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--y-min", type=float, required=True)
-    p.add_argument("--y-max", type=float, required=True)
-    p.add_argument("--y-step", type=float, required=True)
+    p.add_argument("--p", type=_finite_float, required=True)
+    p.add_argument("--mu", type=_finite_float, required=True)
+    p.add_argument("--tau", type=_finite_float, required=True)
+    p.add_argument("--y-min", type=_finite_float, required=True)
+    p.add_argument("--y-max", type=_finite_float, required=True)
+    p.add_argument("--y-step", type=_finite_float, required=True)
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
 
     p = sub.add_parser("pdm", help="proper dispersion model operations")
     p.add_argument("--model", required=True, choices=sorted(pdm.PDMS))
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
+    p.add_argument("--mu", type=_finite_float, required=True)
+    p.add_argument("--tau", type=_finite_float, required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--y", type=float, help="evaluate the density at y")
+    group.add_argument("--y", type=_finite_float, help="evaluate the density at y")
     group.add_argument("--integrate", action="store_true", help="report the normalizer a0(tau)")
     group.add_argument("--pivotal-check", action="store_true", help="Monte Carlo pivotality report")
     p.add_argument("--mu-list", default=None, help="comma-separated mu values for the pivotal check")
@@ -109,10 +130,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cf-construct", help="solve the cf convolution normalization equation")
     p.add_argument("--cf", required=True, help="gauss | laplace-cf | triangular-cf | expression in t")
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--L", type=float, default=20.0)
+    p.add_argument("--tau", type=_finite_float, required=True)
+    p.add_argument("--L", type=_finite_float, default=20.0)
     p.add_argument("--N", type=int, default=2**12)
-    p.add_argument("--lambda-reg", type=float, default=None)
+    p.add_argument("--lambda-reg", type=_finite_float, default=None)
     p.add_argument("--output", default=None, help="CSV path (default stdout); JSON report goes to stderr")
 
     p = sub.add_parser("fit", help="fit an exponential-family (non)linear regression")
@@ -135,7 +156,8 @@ def _build_parser() -> _Parser:
 
 def _resolve_family(name: str) -> edm.EdmFamily:
     if name.startswith("tweedie:"):
-        return tweedie.tweedie_family(float(name.split(":", 1)[1])).to_edm()
+        p = _finite_float(name.split(":", 1)[1], "the power p", DomainError)
+        return tweedie.tweedie_family(p).to_edm()
     return edm.get_family(name)
 
 
@@ -183,6 +205,9 @@ def _cmd_approx(args) -> int:
 def _cmd_tweedie(args) -> int:
     if args.y_step <= 0:
         raise DomainError("--y-step must be positive")
+    rows = (args.y_max + 0.5 * args.y_step - args.y_min) / args.y_step  # as np.arange counts them
+    if not rows <= _MAX_TABLE_ROWS:
+        raise DomainError(f"the table would have {rows:.3g} rows, more than {_MAX_TABLE_ROWS}")
     support = tweedie.tweedie_support(args.p)
     ys = [y for y in np.arange(args.y_min, args.y_max + 0.5 * args.y_step, args.y_step).tolist()
           if support.contains(y)]
@@ -213,7 +238,7 @@ def _cmd_pdm(args) -> int:
         return 0
     if args.pivotal_check:
         if args.mu_list:
-            mus = [float(v) for v in args.mu_list.split(",")]
+            mus = _floats(args.mu_list, "each --mu-list entry")
         else:
             mus = [float(m) for m in spec.deviance.omega.grid(3, 1e-2, span=3.0)]
         report = pdm.pivotal_check(spec, mus, args.tau, m=args.m, seed=args.seed)
@@ -302,7 +327,7 @@ def _cmd_fit(args) -> int:
         predictor = regression.linear_predictor(X.shape[1])
         beta0 = None
         if args.beta0:
-            beta0 = np.array([float(v) for v in args.beta0.split(",")])
+            beta0 = np.array(_floats(args.beta0, "each --beta0 entry"))
     else:
         covariates = [name for name in header if name != args.response]
         if args.n_params is None:
@@ -321,7 +346,7 @@ def _cmd_fit(args) -> int:
         names = param_names
         if not args.beta0:
             raise DomainError("--predictor-expr requires --beta0")
-        beta0 = np.array([float(v) for v in args.beta0.split(",")])
+        beta0 = np.array(_floats(args.beta0, "each --beta0 entry"))
 
     model = regression.RegressionModel(fam, link, predictor)
     result = regression.fit(model, X, y, beta0=beta0, tau_method=args.tau_method)
@@ -394,6 +419,11 @@ def run(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"ERROR:domain:{exc}", file=sys.stderr)
         return 1
+    except (ArithmeticError, ValueError) as exc:
+        # float overflow, division by an underflowed zero, or a math-module domain
+        # error on such a value: finite inputs whose evaluation could not be completed
+        print(f"ERROR:numerical:{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

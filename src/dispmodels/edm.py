@@ -586,7 +586,7 @@ def gsh_log_normalizer(y: float, tau: float) -> float:
     (Morris 1982), so ``c(y; tau) = (lambda - 2) log 2 - log pi -
     log Gamma(lambda) + 2 Re log Gamma(lambda/2 + i y/(2 tau)) - log tau``.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise DomainError("tau must be positive")
     lam = 1.0 / tau
     return (

@@ -97,8 +97,8 @@ def pdm_normalizer(
     probe mu; re-evaluating at a different probe must agree within 1e-6
     relative, which is the pivotality diagnostic callers assert.
     """
-    if tau <= 0.0:
-        raise DomainError("tau must be positive")
+    if not tau > 0.0:
+        raise DomainError(f"tau must be positive, got {tau}")
     d.omega.require(probe_mu, "probe_mu")
 
     def integrand(y: float) -> float:
@@ -109,7 +109,7 @@ def pdm_normalizer(
             return 0.0
         return weight * math.exp(-dev / (2.0 * tau))
 
-    value, err = _support_integral(integrand, C)
+    value, err = _support_integral(integrand, C, probe_mu)
     if not math.isfinite(value) or value <= 0.0 or err > 1e-6 * max(value, 1e-300):
         raise NumericalError(
             f"normalizer integral for {d.name} diverged or failed (value={value}, err={err})"
@@ -360,6 +360,8 @@ def pivotal_check(
     """
     from scipy.stats import ks_2samp  # lazy: scipy.stats is slow to import
 
+    if m < 1:
+        raise DomainError(f"the pivotal check needs m >= 1 draws per mu, got {m}")
     rng = np.random.default_rng(seed)
     mu_list = [float(mu) for mu in mu_list]
     samples = {mu: eval_deviance(p.deviance, sample_pdm(p, mu, tau, m, rng), mu) for mu in mu_list}

@@ -3,12 +3,14 @@
 For an EDM with unit variance function V and unit deviance d, the
 saddlepoint density is ``[2 pi tau V(y)]^(-1/2) exp(-d(y; mu)/(2 tau))``,
 exact for the normal family and asymptotically exact as tau -> 0.  The
-renormalized variant divides by its own integral.  Tail areas use the
-Lugannani-Rice formula built from the standardized deviance residual r and
-dual score residual u, with a series limit taking over in the removable
-0/0 singularity at y = mu.  The mean of n observations lies in the same
-family at dispersion tau/n (the reproductive property), so its tail area
-is the same formula at tau/n: :func:`lugannani_rice` holds it once.
+renormalized variant divides by its own integral, the normalizer of the
+proper dispersion model with carrier ``[2 pi tau V(y)]^(-1/2)``.  Tail
+areas use the Lugannani-Rice formula built from the standardized deviance
+residual r and dual score residual u, with a series limit taking over in
+the removable 0/0 singularity at y = mu.  The mean of n observations lies
+in the same family at dispersion tau/n (the reproductive property), so its
+tail area is the same formula at tau/n: :func:`lugannani_rice` holds it
+once.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from typing import Optional
 from scipy.special import ndtr
 
 from . import edm
-from ._numdiff import _support_integral
 from .deviance import UnitDeviance, VarianceFunction, eval_deviance
 from .edm import EdmFamily
 from .errors import DomainError, NumericalError
+from .pdm import pdm_normalizer
 
 __all__ = [
     "SaddlepointResult",
@@ -86,29 +88,19 @@ def renormalized_saddlepoint(
 ) -> SaddlepointResult:
     """Renormalized saddlepoint density ``q0 = q * a0(mu, tau)``.
 
-    ``a0(mu, tau) = 1 / integral_C q(x; mu, tau) nu(dx)`` computed by
-    adaptive quadrature (or lattice summation for discrete supports).
+    ``a0(mu, tau) = 1 / integral_C q(x; mu, tau) nu(dx)`` is the normalizer of the proper
+    dispersion model with carrier ``[2 pi tau V(x)]^(-1/2)``, from :func:`pdm.pdm_normalizer`
+    (adaptive quadrature, or lattice summation for discrete supports).  Boundary observations,
+    where V degenerates, carry no mass.
     """
     if not d.regular:
         raise DomainError(f"deviance {d.name} is not regular; saddlepoint undefined")
-    d.omega.require(mu, "mu")
-    if tau <= 0.0:
-        raise DomainError("tau must be positive")
-
-    def q(x: float) -> float:
-        if not d.support.contains(x):
-            return 0.0
-        try:
-            return _saddlepoint_value(eval_deviance(d, x, mu), V(x), tau)
-        except (DomainError, NumericalError):
-            # boundary degeneracies (V -> 0 or undefined) carry no mass
-            return 0.0
-
-    total, _ = _support_integral(q, d.support)
-    if not math.isfinite(total) or total <= 0.0:
-        raise NumericalError("saddlepoint normalization integral is not finite")
-    a0 = 1.0 / total
-    return SaddlepointResult(value=q(y) * a0, saddle=None, renormalized=True)
+    a0 = pdm_normalizer(d, lambda x: _saddlepoint_value(0.0, V(x), tau), tau, d.support, mu)
+    try:
+        value = a0 * _saddlepoint_value(eval_deviance(d, y, mu), V(y), tau)
+    except (DomainError, NumericalError):
+        value = 0.0
+    return SaddlepointResult(value=value, saddle=None, renormalized=True)
 
 
 def lugannani_rice(fam: EdmFamily, y: float, theta: float, tau: float, n: int = 1) -> SaddlepointResult:

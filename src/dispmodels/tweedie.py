@@ -9,13 +9,15 @@ no workable evaluation route here (generator and deviance only).
 
 Every density is ``exp{c(y; tau) + [y theta - b_p(theta)]/tau}`` with one
 normalizer c: the EDM family's at p in {0, 1, 2, 3} (the Poisson one in
-dispersion form, so p = 1 covers the lattice ``tau N0``), and otherwise a
-power series anchored at its largest term, following the compound
-Poisson-gamma expansion for 1 < p < 2 and its positive-stable dual for
-p > 2; where the latter cancels or needs too many terms, c comes from
-inverting the cf exp K(it) of the member with mean y (Dunn & Smyth 2008).
-The cdf is a lattice sum at p = 1, Gil-Pelaez inversion of the cf for
-p > 2, and quadrature of the density otherwise.
+dispersion form, so p = 1 covers the lattice ``tau N0``), 0 at the zero atom
+of 1 < p < 2, and the positive-stable series anchored at its largest term for
+p > 2.  Otherwise c is the log density at y of the member with mean y, minus
+its theta-part: a Poisson mixture of gamma densities over the jump counts
+within 10 sqrt(lambda) + 10 of the rate lambda for 1 < p < 2 (Dunn & Smyth
+2005), and the inversion of the cf exp K(it) for p > 2 (Dunn & Smyth 2008).
+The cdf is the normal, Poisson and gamma cdf at p = 0 and in the p = 1 and
+p = 2 windows, the same Poisson-gamma sum over incomplete gammas for
+1 < p < 2, and Gil-Pelaez inversion of the cf for p > 2.
 
 The public functions validate their arguments and evaluate private
 formulas; ``TweedieFamily.to_edm`` hands the formulas themselves to the
@@ -33,10 +35,9 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import gammaln, sici
+from scipy.special import gammainc, gammaln, ndtr, pdtr, sici
 
 from . import _elementary as el
-from ._numdiff import _support_integral
 from .edm import FAMILIES, EdmFamily
 from .errors import DomainError, NumericalError
 from .support import POSITIVE_REALS, REALS, RealInterval
@@ -61,12 +62,16 @@ __all__ = [
 P_SWITCH = 1e-6
 
 _SERIES_MAX_TERMS = 10**5
+_CDF_BLOCK = 2**20  # 1 < p < 2 cdf: entries of one rows-by-jump-counts block of gammainc
 # p > 2 inversion: QAWF from t = 8/sigma (a Gaussian cf is below e^-32 there); QUADPACK tolerance
 _S_SPLIT, _QUAD_EPS = 8.0, 1e-12
+_W_MIN = 1e-50  # lowest QAWF frequency y/sigma tried: QUADPACK crashes from about 1e-126 down
 
 
 def _validate_p(p: float) -> float:
     p = float(p)
+    if not math.isfinite(p):
+        raise DomainError(f"the power p must be finite, got {p}")
     if 0.0 < p < 1.0:
         raise DomainError(f"no exponential dispersion model has power variance p={p} in (0, 1)")
     return p
@@ -239,33 +244,19 @@ def sample_compound_poisson_gamma(
     return out
 
 
-def _log_w_series(p: float, y: float, tau: float) -> float:
-    """log sum_j W_j for the 1 < p < 2 compound Poisson-gamma density."""
-    alpha = (2.0 - p) / (1.0 - p)  # negative here
-    logz = (-alpha * math.log(y) + alpha * math.log(p - 1.0) - (1.0 - alpha) * math.log(tau)
-            - math.log(2.0 - p))
+def _poisson_gamma_terms(p: float, mu: float, tau: float):
+    """Jump counts n, their log Poisson weights and one jump's gamma (shape, scale), 1 < p < 2.
 
-    def log_term(j: float) -> float:
-        return j * logz - gammaln(1.0 + j) - gammaln(-alpha * j)
-
-    j_anchor = max(1, int(round(y ** (2.0 - p) / ((2.0 - p) * tau))))
-    log_max = log_term(j_anchor)
-    total = 1.0  # the anchor term, scaled
-    terms = 1
-    for step in (1, -1):  # up from the anchor, then down
-        j = j_anchor + step
-        while j >= 1 and terms < _SERIES_MAX_TERMS:
-            w = math.exp(log_term(j) - log_max)
-            total += w
-            terms += 1
-            if w < 1e-13 * total:
-                break
-            j += step
-        else:
-            if step == 1:
-                raise NumericalError(
-                    f"Tweedie series did not converge within {_SERIES_MAX_TERMS} terms")
-    return log_max + math.log(total)
+    The counts n >= 1 within ``10 sqrt(lambda) + 10`` of the Poisson rate lambda: the counts
+    left out carry less than e^-40 of the Poisson mass, besides the atom n = 0.
+    """
+    rate, shape, scale = compound_poisson_gamma_params(p, mu, tau)
+    reach = 10.0 * math.sqrt(rate) + 10.0
+    if not (rate > 0.0 and 2.0 * reach < _SERIES_MAX_TERMS):
+        raise NumericalError(f"compound Poisson rate {rate:.3g} at (p={p}, mu={mu}, tau={tau}) "
+                             f"needs more than {_SERIES_MAX_TERMS} jump counts, or none")
+    n = np.arange(max(1.0, math.floor(rate - reach)), math.ceil(rate + reach) + 1.0)
+    return n, n * math.log(rate) - rate - gammaln(n + 1.0), shape, scale
 
 
 def _log_v_series(p: float, y: float, tau: float) -> Optional[float]:
@@ -321,6 +312,9 @@ def _fourier_inversion(p: float, y: float, mu: float, tau: float, cdf: bool, tol
     summed error estimate exceeds ``tol`` (relative for the density, absolute for the cdf).
     """
     theta, alpha, sigma = _inverse_mean(p, mu), (p - 2.0) / (p - 1.0), math.sqrt(tau * mu**p)
+    if not y / sigma > _W_MIN:
+        raise NumericalError(f"Tweedie inversion at (p={p}, y={y}, mu={mu}, tau={tau}) needs a "
+                             f"QAWF weight of frequency y/sd = {y / sigma:.3g}, below {_W_MIN:g}")
     scale = _generator(p, theta) / tau
 
     def phi(s, shift):  # exp(K(is/sigma) - i shift s)
@@ -349,22 +343,29 @@ def _fourier_inversion(p: float, y: float, mu: float, tau: float, cdf: bool, tol
 def _log_normalizer(p: float, y: float, tau: float) -> float:
     """The additive term ``c(y; tau)`` of the log density, for p >= 0.
 
-    The EDM normalizer at p in {0, 1, 2, 3}; the max-term-anchored series
-    otherwise (with c = 0 at the zero atom for 1 < p < 2), and for p > 2
-    the Fourier inversion where that series cancels or does not converge.
+    The EDM normalizer at p in {0, 1, 2, 3}, 0 at the zero atom of 1 < p < 2 and the
+    max-term-anchored series for p > 2 where it holds; otherwise the log density of the member of
+    mean y at y (the Poisson-gamma sum for p < 2, the Fourier inversion for p > 2), whose value is
+    O(1/sqrt(tau V(y))) so nothing cancels, minus its theta-part.
     """
     classic = _classic_family(p)
     if classic is not None:
         return classic.exact_normalizer(y, tau)
     if p < 2.0:
-        return 0.0 if y == 0.0 else _log_w_series(p, y, tau) - math.log(y)
-    log_v = _log_v_series(p, y, tau)
-    if log_v is not None:
-        return log_v - math.log(math.pi * y)
-    # invert at the member of mean y, whose density there is O(1/sqrt(tau V(y))): nothing cancels
+        if y == 0.0:
+            return 0.0  # the atom exp(-lambda) is exp(-b(theta)/tau)
+        n, log_w, shape, scale = _poisson_gamma_terms(p, y, tau)
+        log_terms = log_w + n * (shape * math.log(y / scale)) - gammaln(n * shape)
+        peak = log_terms.max()
+        log_density = peak + math.log(np.exp(log_terms - peak).sum()) - y / scale - math.log(y)
+    else:
+        log_v = _log_v_series(p, y, tau)
+        if log_v is not None:
+            return log_v - math.log(math.pi * y)
+        sd = math.sqrt(tau * y**p)
+        log_density = math.log(_fourier_inversion(p, y, y, tau, False, 1e-8) / (math.pi * sd))
     q = _inverse_mean(p, y)
-    density = _fourier_inversion(p, y, y, tau, False, 1e-8) / (math.pi * math.sqrt(tau * y**p))
-    return math.log(density) - (y * q - _generator(p, q)) / tau
+    return log_density - (y * q - _generator(p, q)) / tau
 
 
 def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
@@ -390,47 +391,50 @@ def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
     return math.exp(_log_normalizer(p, y, tau) + (y * theta - _generator(p, theta)) / tau)
 
 
-def tweedie_cdf(p: float, y, mu: float, tau: float):
-    """Distribution function: the lattice sum at p = 1, Gil-Pelaez inversion for p > 2.
+def _closed_form_cdf(p: float, ys: np.ndarray, mu: float, tau: float) -> np.ndarray:
+    if p == 0.0:
+        return ndtr((ys - mu) / math.sqrt(tau))
+    if _near(p, 1.0):
+        tweedie_support(p).require_all(ys, "y")
+        return pdtr(np.floor((ys + 1e-12) / tau), mu / tau)
+    if _near(p, 2.0):
+        return gammainc(1.0 / tau, np.maximum(ys, 0.0) / tau / mu)
+    n, log_w, shape, scale = _poisson_gamma_terms(p, mu, tau)
+    values = np.where(ys < 0.0, 0.0, tweedie_zero_mass(p, mu, tau))
+    block = max(1, _CDF_BLOCK // len(n))
+    for start in range(0, len(ys), block):
+        x = np.maximum(ys[start:start + block, None], 0.0) / scale
+        values[start:start + block] += gammainc(n * shape, x) @ np.exp(log_w)
+    return np.minimum(values, 1.0)
 
-    For p > 2 (the inverse Gaussian p = 3 included) each point is one
-    inversion ``F(y) = 1/2 - (1/pi) integral_0^inf Im[e^(-ity) phi(t)]/t dt``
-    of the characteristic function; otherwise (0 <= p <= 2) the density is
-    integrated, with the zero atom included for y >= 0 when 1 < p < 2.  ``y``
-    may be an ascending ndarray, such as the rows of a table; an ndarray is
-    then returned, and each quadrature starts at the entry before it.
+
+def tweedie_cdf(p: float, y, mu: float, tau: float):
+    """Distribution function: closed forms for 0 <= p <= 2, Gil-Pelaez inversion for p > 2.
+
+    ``ndtr`` at p = 0, ``pdtr(floor(y/tau), mu/tau)`` in the p = 1 window, ``gammainc(1/tau,
+    y/(tau mu))`` in the p = 2 window, and for 1 < p < 2 the zero atom plus ``sum_n w_n
+    gammainc(n shape, y/scale)`` over the jump counts (Poisson weights w_n, jumps gamma(shape,
+    scale)).  For p > 2 (p = 3 included) each point is one inversion ``F(y) = 1/2 - (1/pi)
+    integral_0^inf Im[e^(-ity) phi(t)]/t dt`` of the cf.  ``y`` may be an ascending ndarray, such
+    as the rows of a table; an ndarray is then returned.
     """
     p = _validate_p(p)
     if p < 0.0:
         raise DomainError("Tweedie cdfs for p < 0 are not evaluated")
+    tweedie_mean_domain(p).require(mu, "mu")
+    POSITIVE_REALS.require(tau, "tau")
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    if np.any(np.diff(ys) < 0.0):
+    if np.isnan(ys).any() or np.any(np.diff(ys) < 0.0):
         raise DomainError("tweedie_cdf needs y in ascending order")
-    values = np.empty(len(ys))
-    if _near(p, 1.0):
-        for i, yi in enumerate(ys.tolist()):
-            tweedie_support(p).require(yi, "y")
-            counts = RealInterval(0.0, (yi + 1e-12) / tau, closed_lower=True, closed_upper=True,
-                                  lattice=True)
-            total, _ = _support_integral(lambda k: tweedie_density(p, k * tau, mu, tau), counts)
-            values[i] = min(total, 1.0)
-    elif p > 2.0 and not _near(p, 2.0):
-        POSITIVE_REALS.require(mu, "mu")
-        POSITIVE_REALS.require(tau, "tau")
-        for i, yi in enumerate(ys.tolist()):
-            values[i] = 0.0 if yi <= 0.0 else min(max(  # dt/t = ds/s; Re[(i/s) z] = -Im z/s
-                0.5 + _fourier_inversion(p, yi, mu, tau, True, 1e-9 * math.pi) / math.pi, 0.0), 1.0)
-    else:
-        total = tweedie_zero_mass(p, mu, tau) if 1.0 < p < 2.0 else 0.0
-        start = -math.inf if p == 0.0 else 1e-300
-        for i, yi in enumerate(ys.tolist()):
-            if p > 0.0 and yi < 0.0:
-                values[i] = 0.0
-                continue
-            if yi > start:
-                piece, _ = quad(lambda x: tweedie_density(p, x, mu, tau), start, yi, limit=200)
-                total, start = total + piece, yi
-            values[i] = min(total, 1.0)
+    if p <= 2.0 or _near(p, 2.0):
+        with np.errstate(over="ignore"):  # an argument overflowing to +-inf gives the limit 0 or 1
+            values = _closed_form_cdf(p, ys, mu, tau)
+    else:  # dt/t = ds/s; Re[(i/s) z] = -Im z/s
+        # below the mean the Chernoff bound F(y) <= exp(-d(y; mu)/(2 tau)) puts F under e^-40
+        values = np.array([0.0 if yi <= 0.0 or (yi < mu and _deviance(p, yi, mu) > 80.0 * tau)
+                           else min(max(0.5 + _fourier_inversion(
+                               p, yi, mu, tau, True, 1e-9 * math.pi) / math.pi, 0.0), 1.0)
+                           for yi in ys.tolist()])
     return float(values[0]) if np.ndim(y) == 0 else values
 
 

@@ -84,6 +84,11 @@ class TestKernel:
     def test_gaussian_value(self):
         assert kernel(GAUSS, 0.5, 1.0) == pytest.approx(0.6747120037358997, rel=1e-14)
 
+    @pytest.mark.parametrize("tau", [0.0, -0.5, math.nan])
+    def test_nonpositive_or_nan_tau_rejected(self, tau):
+        with pytest.raises(DomainError):
+            kernel(GAUSS, tau, 1.0)
+
     def test_positive_definiteness_spot_check(self):
         # K is itself a characteristic function: Gram matrices are PSD
         rng = np.random.default_rng(21)
@@ -186,6 +191,14 @@ class TestSolver:
             solve_normalizer(GAUSS, 0.25, 20.0, 2**8)  # too small
         with pytest.raises(DomainError):
             solve_normalizer(GAUSS, 0.25, 0.5, 2**10)  # kernel has not plateaued
+
+    @pytest.mark.parametrize("tau, L, lambda_reg", [
+        (math.nan, 20.0, None), (0.25, math.nan, None), (0.25, math.inf, None),
+        (0.25, 20.0, math.nan), (0.25, 20.0, math.inf), (0.25, 20.0, -1e-8),
+    ])
+    def test_nan_or_infinite_parameters_rejected(self, tau, L, lambda_reg):
+        with pytest.raises(DomainError):
+            solve_normalizer(GAUSS, tau, L, 2**10, lambda_reg=lambda_reg)
 
     def test_non_symmetric_kernel_rejected_before_solving(self):
         # the normal equations assume A^T = A; a shifted kernel used to run

@@ -250,11 +250,38 @@ def test_pdm_density_and_normalizer(capsys):
       "--y-step", "0"], 1, "ERROR:domain:"),
     # the simplex normalizer integral underflows to zero at tau = 1e-9
     (["pdm", "--model", "simplex", "--mu", "0.5", "--tau", "1e-9", "--integrate"], 2, "ERROR:numerical:"),
+    (["tweedie", "--p", "1.5", "--mu", "1", "--tau", "1", "--y-min", "0", "--y-max", "inf",
+      "--y-step", "1"], 1, "ERROR:usage:"),
+    (["tweedie", "--p", "1.5", "--mu", "1", "--tau", "1", "--y-min", "nan", "--y-max", "1",
+      "--y-step", "1"], 1, "ERROR:usage:"),
+    (["tweedie", "--p", "1.5", "--mu", "1", "--tau", "1", "--y-min", "0", "--y-max", "1e300",
+      "--y-step", "1e-300"], 1, "ERROR:domain:"),
+    # 10^6 + 1 rows: numpy could allocate them, but the table is refused before any row
+    (["tweedie", "--p", "1.5", "--mu", "1", "--tau", "1", "--y-min", "0", "--y-max", "1000000",
+      "--y-step", "1"], 1, "ERROR:domain:"),
+    (["density", "--family", "tweedie:abc", "--y", "1", "--mu", "1"], 1, "ERROR:domain:"),
+    (["density", "--family", "tweedie:nan", "--y", "1", "--mu", "1"], 1, "ERROR:domain:"),
+    (["pdm", "--model", "vonmises", "--mu", "1", "--tau", "1", "--pivotal-check",
+      "--mu-list", "a,b"], 1, "ERROR:domain:"),
+    (["pdm", "--model", "vonmises", "--mu", "1", "--tau", "1", "--pivotal-check",
+      "--mu-list", "0,1", "--m", "0"], 1, "ERROR:domain:"),
+    (["cf-construct", "--cf", "gauss", "--tau", "nan"], 1, "ERROR:usage:"),
+    (["cf-construct", "--cf", "gauss", "--tau", "0.5", "--L", "nan"], 1, "ERROR:usage:"),
+    (["cf-construct", "--cf", "gauss", "--tau", "0.5", "--lambda-reg", "nan"], 1, "ERROR:usage:"),
+    # the normal deviance (y - mu)^2 overflows a float
+    (["deviance", "--family", "normal", "--y", "8e246", "--mu=-1.35e253"], 2, "ERROR:numerical:"),
 ])
 def test_exit_codes_and_error_prefixes(capsys, argv, code, prefix):
     got, out, err = _run(capsys, argv)
     assert got == code and out == ""
     assert err.startswith(prefix)
+
+
+@pytest.mark.parametrize("beta0", ["a,b", "1,nan"])
+def test_bad_initial_coefficients_exit_1(capsys, poisson_csv, beta0):
+    code, out, err = _run(capsys, _fit_argv(poisson_csv[0], "--formula", "x1+x2", "--beta0", beta0))
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR:domain:")
 
 
 @pytest.mark.parametrize("module", ["dispmodels.deviance", "dispmodels.edm", "dispmodels.cli"])

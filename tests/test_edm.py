@@ -304,6 +304,10 @@ class TestGshNormalizer:
         with pytest.raises(DomainError):
             gsh_log_normalizer(1.0, 0.0)
 
+    def test_rejects_nan_tau(self):
+        with pytest.raises(DomainError):
+            gsh_log_normalizer(1.0, math.nan)
+
 
 class TestSmallDispersionNormality:
     def test_standardized_cgf_converges(self):

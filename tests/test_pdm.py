@@ -63,6 +63,12 @@ class TestNormalizer:
             spread = (max(values) - min(values)) / min(values)
             assert spread < 1e-6
 
+    @pytest.mark.parametrize("tau", [0.0, math.nan])
+    def test_nonpositive_or_nan_tau_rejected(self, tau):
+        spec = get_pdm("vonmises")
+        with pytest.raises(DomainError):
+            pdm_normalizer(spec.deviance, spec.carrier, tau, spec.support, 1.0)
+
     def test_divergent_integral_reported(self):
         from dispmodels.errors import NumericalError
 
@@ -240,6 +246,10 @@ class TestPivotal:
         # d(Y, mu) = (Y - mu)^2 ~ tau chi2_1 for every mu
         report = pivotal_check(get_pdm("normal"), (-2.0, 5.0), 1.0, m=10**4, seed=0x5EED)
         assert report.passed(0.001)
+
+    def test_no_draws_rejected(self):
+        with pytest.raises(DomainError):
+            pivotal_check(get_pdm("vonmises"), (0.0, 1.0), 0.5, m=0)
 
     def test_single_mu_trivially_passes(self):
         report = pivotal_check(get_pdm("vonmises"), (1.0,), 0.5, m=100, seed=1)

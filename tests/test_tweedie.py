@@ -1,7 +1,10 @@
 """Tweedie power-variance families: generator, deviance, series and cf-inversion densities, cdfs."""
 
 import math
+import os
 import signal
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
@@ -358,6 +361,63 @@ class TestCdf:
             assert tweedie_cdf(1.0, float(k), 2.5, 1.0) == pytest.approx(
                 poisson.cdf(k, 2.5), rel=1e-12
             )
+
+    @pytest.mark.parametrize("p, y, mu, tau", [
+        (1.5, 0.7, 1.0, 1.0), (1.2, 2.5, 0.7, 0.4), (1.8, 0.3, 2.0, 1.5), (1.05, 1.3, 1.1, 0.6),
+    ])
+    def test_compound_poisson_matches_quadrature_of_the_density(self, p, y, mu, tau):
+        integral, _ = quad(lambda x: tweedie_density(p, x, mu, tau), 0.0, y, epsabs=1e-12,
+                           epsrel=1e-12, limit=400)
+        assert tweedie_cdf(p, y, mu, tau) == pytest.approx(
+            tweedie_zero_mass(p, mu, tau) + integral, abs=1e-8)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.0 + 5e-7, 1.5, 2.0, 2.0 - 5e-7, 2.5, 3.0])
+    @pytest.mark.parametrize("mu, tau", [
+        (math.nan, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_bad_mean_or_dispersion_refused_on_every_branch(self, p, mu, tau):
+        if p == 0.0 and mu == -1.0:
+            mu = math.inf  # every real mean is valid at p = 0
+        with pytest.raises(DomainError):
+            tweedie_cdf(p, np.array([0.5, 1.0]), mu, tau)
+
+    def test_just_below_gamma_window_in_time(self):
+        # the gamma cdf of the window, to within |p - 2|
+        start = time.perf_counter()
+        value = tweedie_cdf(2.0 - 1e-5, 0.5, 1.0, 1.0)
+        assert time.perf_counter() - start < 0.1
+        assert abs(value - tweedie_cdf(2.0, 0.5, 1.0, 1.0)) <= 1e-5
+
+    @pytest.mark.parametrize("delta", [1.01e-6, 1e-5])
+    def test_just_above_poisson_window_is_the_poisson_cdf(self, delta):
+        # y = 1.25 lies between the lattice points 1 and 1.5 of tau N0, tau = 0.5
+        assert tweedie_cdf(1.0 + delta, 1.25, 1.0, 0.5) == pytest.approx(
+            tweedie_cdf(1.0, 1.25, 1.0, 0.5), abs=delta)
+        assert tweedie_cdf(1.0, 1.25, 1.0, 0.5) == pytest.approx(0.6766764161830634, rel=1e-12)
+
+    @pytest.mark.parametrize("y", [1e-6, 1e-100])
+    def test_left_tail_under_the_chernoff_bound_is_zero(self, y):
+        # F(y) <= exp(-d(y; mu)/(2 tau)) < e^-600 here; the inversion read 0.0108
+        assert tweedie_cdf(2.5, y, 1.0, 1.0) == 0.0
+
+    def test_inversion_at_a_vanishing_frequency_is_refused(self):
+        # QUADPACK's QAWF crashes the interpreter at y/sd = 1e-150, so run it in a child process
+        src = os.path.dirname(os.path.dirname(edm.__file__))
+        code = ("from dispmodels.errors import NumericalError\n"
+                "from dispmodels.tweedie import tweedie_cdf\n"
+                "try:\n    tweedie_cdf(2.5, 1.0, 1.0, 1e300)\n"
+                "except NumericalError:\n    print('refused')\n")
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert child.returncode == 0 and child.stdout == "refused\n"
+
+    def test_nan_power_refused(self):
+        with pytest.raises(DomainError):
+            tweedie_density(math.nan, 1.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            tweedie_cdf(math.nan, 1.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            tweedie_family(math.nan)
 
 
 class TestCompoundRepresentation:
