@@ -177,9 +177,10 @@ def second_derivative_identity(d: UnitDeviance, mu: float) -> tuple[float, float
 def _map_endpoint(f, x: float, side: int, interval: RealInterval) -> float:
     """Image of an interval endpoint under monotone f, probing open/infinite ends.
 
-    ``side`` is -1 for the lower endpoint, +1 for the upper.  The limit is
-    estimated along a geometric probe sequence; divergence is mapped to
-    +-inf.
+    ``side`` is -1 for the lower endpoint, +1 for the upper.  Along a geometric
+    probe sequence, steps between values that shrink by a ratio below 1 have a
+    finite limit, extrapolated from the last three values (Aitken); a ratio of
+    1 or more, or values that stop being finite after two, diverge to +-inf.
     """
     closed = interval.closed_lower if side < 0 else interval.closed_upper
     if math.isfinite(x) and closed:
@@ -199,12 +200,14 @@ def _map_endpoint(f, x: float, side: int, interval: RealInterval) -> float:
             values.append(v)
     if not values:
         raise DomainError("cannot determine image interval of the transformation")
-    if len(values) >= 2:
-        # converging probe sequence -> finite endpoint; otherwise divergence
-        if abs(values[-1] - values[-2]) < 1e-6 * (1.0 + abs(values[-1])):
-            return values[-1]
-        return math.copysign(math.inf, values[-1] - values[-2])
-    return values[-1]
+    steps = np.diff(values[-3:]).tolist()
+    if not steps or steps[-1] == 0.0:
+        return values[-1]
+    # a ratio within 1e-6 of 1 is a constant step, as of log, bar rounding
+    if len(steps) == 2 and abs(steps[1]) < (1.0 - 1e-6) * abs(steps[0]):
+        ratio = steps[1] / steps[0]
+        return values[-1] + steps[1] * ratio / (1.0 - ratio)
+    return math.copysign(math.inf, steps[-1])
 
 
 def transform_deviance(

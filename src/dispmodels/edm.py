@@ -479,7 +479,7 @@ def _gamma_family() -> EdmFamily:
         dc_dtau=lambda y, tau: (-el.log(y) + math.log(tau) - 1.0 + polygamma(0, 1.0 / tau))
         / tau**2,
         mean_inverse=lambda mu: -1.0 / mu,
-        deviance_closed_form=lambda y, mu: 2.0 * (y / mu - el.log(y / mu) - 1.0),
+        deviance_closed_form=partial(el.power_deviance, 2.0),
     )
 
 
@@ -496,7 +496,7 @@ def _poisson_family() -> EdmFamily:
         dispersion_domain=_UNIT_TAU,
         exact_normalizer=lambda y, tau: -(y / tau) * math.log(tau) - float(gammaln(y / tau + 1.0)),
         mean_inverse=el.log,
-        deviance_closed_form=lambda y, mu: 2.0 * (el.xlogy(y, y / mu) - y + mu),
+        deviance_closed_form=partial(el.power_deviance, 1.0),
     )
 
 
@@ -547,8 +547,9 @@ def _binomial_family() -> EdmFamily:
         dispersion_domain=_UNIT_TAU,
         exact_normalizer=lambda y, tau: 0.0,
         mean_inverse=lambda mu: el.log(mu / (1.0 - mu)),
-        deviance_closed_form=lambda y, mu: 2.0
-        * (el.xlogy(y, y / mu) + el.xlogy(1.0 - y, (1.0 - y) / (1.0 - mu))),
+        # the Poisson deviances of the successes and the failures; their linear terms cancel
+        deviance_closed_form=lambda y, mu: el.power_deviance(1.0, y, mu)
+        + el.power_deviance(1.0, 1.0 - y, 1.0 - mu, mu - y),
     )
 
 
@@ -573,8 +574,9 @@ def _negative_binomial_family() -> EdmFamily:
         dispersion_domain=_UNIT_TAU,
         exact_normalizer=lambda y, tau: 0.0,
         mean_inverse=lambda mu: el.log(mu / (1.0 + mu)),
-        deviance_closed_form=lambda y, mu: 2.0
-        * (el.xlogy(y, y / mu) - (1.0 + y) * el.log((1.0 + y) / (1.0 + mu))),
+        # d_Poisson(y; mu) - d_Poisson(1 + y; 1 + mu): the linear terms cancel
+        deviance_closed_form=lambda y, mu: el.power_deviance(1.0, y, mu)
+        - el.power_deviance(1.0, 1.0 + y, 1.0 + mu, y - mu),
     )
 
 

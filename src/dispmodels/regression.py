@@ -28,7 +28,7 @@ is halved, or ``DomainError`` is raised at the starting coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -167,12 +167,13 @@ class FitResult:
 
 
 def total_deviance(model: RegressionModel, y: np.ndarray, mu: np.ndarray) -> float:
-    """Sum of unit deviances ``sum_i d(y_i; mu_i)``."""
+    """Sum of unit deviances ``sum_i d(y_i; mu_i)``, pairwise: for nonnegative terms within
+    about 1e-15 of the exact ``math.fsum``, which takes up to a millisecond at n = 10^4."""
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if y.shape != mu.shape:
         raise DomainError("y and mu must have the same length")
-    return math.fsum(edm.edm_deviance(model.family, y, mu).tolist())
+    return float(np.sum(edm.edm_deviance(model.family, y, mu)))
 
 
 def _initial_mu(model: RegressionModel, y: np.ndarray) -> np.ndarray:
@@ -256,6 +257,12 @@ def fit(
         mu = np.asarray(model.link.inverse(eta), dtype=float)
         return eta, mu
 
+    def weights(b, mu):
+        """d eta / d mu, the IRLS weights 1/(V g'^2) and the local model matrix at (b, mu)."""
+        g_prime = np.asarray(model.link.derivative(mu), dtype=float)
+        w = 1.0 / (edm.variance_function(model.family, mu) * g_prime**2)
+        return g_prime, w, model.predictor.local_matrix(X, b)
+
     eta, mu = state(beta)
     if not _mu_valid(model, mu):
         raise DomainError("initial coefficients give means outside the mean domain")
@@ -264,10 +271,7 @@ def fit(
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        g_prime = np.asarray(model.link.derivative(mu), dtype=float)
-        V = edm.variance_function(model.family, mu)
-        w = 1.0 / (V * g_prime**2)
-        local = model.predictor.local_matrix(X, beta)
+        g_prime, w, local = weights(beta, mu)
         # z - eta = (y - mu) * d eta / d mu
         offset = (y - mu) * g_prime
         step = _weighted_solve(local, w, offset)
@@ -292,14 +296,9 @@ def fit(
             converged = True
             break
 
-    # diagnostics at the solution
-    g_prime = np.asarray(model.link.derivative(mu), dtype=float)
-    V = edm.variance_function(model.family, mu)
-    w = 1.0 / (V * g_prime**2)
-    local = model.predictor.local_matrix(X, beta)
+    # diagnostics at the solution; the tau estimators read the fit before tau is known
+    g_prime, w, local = weights(beta, mu)
     score = local.T @ (w * (y - mu) * g_prime)
-    score_norm = float(np.max(np.abs(score))) if len(score) else 0.0
-
     shell = FitResult(
         beta=beta,
         tau=math.nan,
@@ -310,7 +309,7 @@ def fit(
         fisher_information=np.full((p, p), math.nan),
         iterations=iteration,
         converged=converged,
-        score_norm=score_norm,
+        score_norm=float(np.max(np.abs(score))) if len(score) else 0.0,
     )
     if tau_method == "moment":
         tau = estimate_tau_moment(model, shell, y)
@@ -319,19 +318,7 @@ def fit(
     else:
         raise DomainError(f"unknown tau method {tau_method!r} (use 'moment' or 'mle')")
     tau = max(tau, 1e-300)
-    fisher = (local.T * w) @ local / tau
-    return FitResult(
-        beta=beta,
-        tau=tau,
-        tau_method=tau_method,
-        mu=mu,
-        eta=eta,
-        deviance=deviance,
-        fisher_information=fisher,
-        iterations=iteration,
-        converged=converged,
-        score_norm=score_norm,
-    )
+    return replace(shell, tau=tau, fisher_information=(local.T * w) @ local / tau)
 
 
 def estimate_tau_moment(model: RegressionModel, fit_result: FitResult, y: np.ndarray) -> float:

@@ -6,11 +6,12 @@ exact for the normal family and asymptotically exact as tau -> 0.  The
 renormalized variant divides by its own integral, the normalizer of the
 proper dispersion model with carrier ``[2 pi tau V(y)]^(-1/2)``.  Tail
 areas use the Lugannani-Rice formula built from the standardized deviance
-residual r and dual score residual u, with a series limit taking over in
-the removable 0/0 singularity at y = mu.  The mean of n observations lies
-in the same family at dispersion tau/n (the reproductive property), so its
-tail area is the same formula at tau/n: :func:`lugannani_rice` holds it
-once.
+residual r and dual score residual u.  Its correction 1/r - 1/u, a 0/0 at
+y = mu, is its limit from the third cumulant within ``sqrt(d) < _R_LIMIT``
+of the mean; the deviance is accurate there, so no blend is needed.  The
+mean of n observations lies in the same family at dispersion tau/n (the
+reproductive property), so its tail area is the same formula at tau/n:
+:func:`lugannani_rice` holds it once.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ __all__ = [
     "sample_mean_cdf",
 ]
 
-# sqrt(d) below which the Lugannani-Rice correction switches to its series
-# limit, with a linear blend up to 10x that radius
+# sqrt(d) below which the Lugannani-Rice correction is its limit at y = mu:
+# there 1/r - 1/u loses digits to cancellation and the limit is off by O(r)
 _R_LIMIT = 1e-5
-_R_BLEND = 1e-4
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,10 @@ def lugannani_rice(fam: EdmFamily, y: float, theta: float, tau: float, n: int = 
     ``r = sgn(y - mu) sqrt(n d(y; mu) / tau)`` is the deviance residual and
     ``u = sqrt(n / tau) sqrt(V(y)) (q(y) - theta)`` the dual score residual
     (dd/dy = 2 (q(y) - q(mu))).  ``saddle`` is ``t(y) = (q(y) - theta)/tau``,
-    the root of K'(t) = y for one observation.  Within ``sqrt(d) < 1e-5`` of
-    the mean the 0/0 correction is replaced by its series limit
-    ``sqrt(tau/n) V'(mu) / (6 sqrt(V(mu)))``, blending linearly out to
-    ``sqrt(d) = 1e-4``.
+    the root of K'(t) = y for one observation.  The correction is
+    ``1/r - 1/u`` where ``sqrt(d) >= 1e-5``.  Closer to the mean, where it
+    is a 0/0, it is its limit ``sqrt(tau/n) kappa_3 / (6 V(mu)^(3/2))``,
+    with ``kappa_3 = b'''(theta)`` and ``V(mu) = b''(theta)``.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -126,17 +126,11 @@ def lugannani_rice(fam: EdmFamily, y: float, theta: float, tau: float, n: int = 
     q_gap = edm.inverse_mean(fam, y) - theta
     r = scale * r_dev
     u = scale * math.sqrt(edm.variance_function(fam, y)) * q_gap
-    abs_r = abs(r_dev)
-    if abs_r >= _R_BLEND:
+    if abs(r_dev) >= _R_LIMIT:
         correction = 1.0 / r - 1.0 / u
     else:
-        limit = edm.variance_prime(fam, mu) / (6.0 * math.sqrt(edm.variance_function(fam, mu)))
-        limit /= scale
-        if abs_r <= _R_LIMIT:
-            correction = limit
-        else:
-            w = (abs_r - _R_LIMIT) / (_R_BLEND - _R_LIMIT)
-            correction = w * (1.0 / r - 1.0 / u) + (1.0 - w) * limit
+        v_mu = edm.cumulant(fam, 2, theta, 1.0)
+        correction = edm.cumulant(fam, 3, theta, 1.0) / (6.0 * v_mu * math.sqrt(v_mu) * scale)
     value = float(ndtr(r)) + math.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi) * correction
     return SaddlepointResult(value=min(max(value, 0.0), 1.0), saddle=q_gap / tau, r=r, u=u)
 

@@ -175,11 +175,11 @@ def _b_nth(p: float, r: int, theta):
 def tweedie_deviance(p: float, y: float, mu: float) -> float:
     """Unit deviance ``d_p(y; mu) = 2 integral_mu^y (y - t) t^(-p) dt``.
 
-    Evaluated from its antiderivative, with the Poisson and gamma limit
-    formulas taking over inside the switch window around p = 1 and p = 2.
-    The ``max(y, 0)`` convention in the first term is the saturated
-    (Legendre) part, which vanishes for y <= 0 when the canonical domain
-    is one-sided.
+    Evaluated by ``_elementary.power_deviance`` in units of mu, with the
+    Poisson and gamma deviances taking over inside the switch window around
+    p = 1 and p = 2.  The term ``max(y, 0)^(2-p)`` of the antiderivative is
+    the saturated (Legendre) part, which vanishes for y <= 0 when the
+    canonical domain is one-sided.
     """
     p = _validate_p(p)
     tweedie_support(p).require(y, "y")
@@ -206,8 +206,7 @@ def _deviance(p: float, y, mu):
     classic = _classic_family(p)
     if classic is not None:
         return classic.deviance_closed_form(y, mu)
-    saturated = el.positive_part(y) ** (2.0 - p) / ((1.0 - p) * (2.0 - p))
-    return 2.0 * (saturated - y * mu ** (1.0 - p) / (1.0 - p) + mu ** (2.0 - p) / (2.0 - p))
+    return el.power_deviance(p, y, mu)
 
 
 def tweedie_zero_mass(p: float, mu: float, tau: float) -> float:

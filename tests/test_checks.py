@@ -2,8 +2,10 @@
 
 import pytest
 
-from dispmodels.checks import available_scopes, run_checks
+from dispmodels.cf_construct import CHARACTERISTIC_FUNCTIONS, CfSpec, validate_cf
+from dispmodels.checks import DEFAULT_SEED, _check_cf, _check_pivotal, available_scopes, run_checks
 from dispmodels.deviance import DEVIANCES
+from dispmodels.errors import DomainError
 
 
 def test_family_scope_runs_five_passing_checks():
@@ -32,3 +34,27 @@ def test_curvature_rows_measure_the_deviance_itself():
         if "second-derivative" in name or "d_mumu" in name:
             worst = float(detail.split()[-1])
             assert passed and 0.0 < worst <= 1e-9, (name, detail)
+
+
+def test_cf_row_passes_on_gauss():
+    name, passed, detail = _check_cf("gauss", DEFAULT_SEED)
+    assert name == "cf gauss: characteristic-function probes"
+    assert passed, detail
+
+
+def test_cf_row_fails_on_a_lattice_cf(monkeypatch):
+    # the point mass at 0 lives on every lattice: |phi| = 1 at every probe
+    monkeypatch.setitem(CHARACTERISTIC_FUNCTIONS, "point-mass", CfSpec(phi=lambda t: 1.0, name="point-mass"))
+    name, passed, detail = _check_cf("point-mass", DEFAULT_SEED)
+    assert not passed
+    with pytest.raises(DomainError) as raised:
+        validate_cf(CHARACTERISTIC_FUNCTIONS["point-mass"])
+    assert detail == str(raised.value) and "lattice" in detail
+
+
+def test_pivotal_row_passes_on_von_mises():
+    name, passed, detail = _check_pivotal("vonmises", (0.0, 1.0, 3.0), 0.5, DEFAULT_SEED, m=2000)
+    assert name == "pdm vonmises: pivotal KS (m=2000)"
+    assert passed, detail
+    assert detail.startswith("min pairwise p-value ")
+    assert 0.001 < float(detail.split()[-1]) <= 1.0

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -40,6 +41,15 @@ class TestEvalDeviance:
         # direct evaluation of 2{y log(y/mu) - y + mu}
         value = eval_deviance(DEVIANCES["poisson"], 2.0, 1.0)
         assert value == pytest.approx(0.7725887222397811, rel=1e-14)
+
+    def test_poisson_where_y_over_mu_underflows(self):
+        # y/mu underflows: d = 2 (y log(y/mu) - y + mu) is 2 mu to the last digit
+        assert eval_deviance(DEVIANCES["poisson"], 5e-324, 3.0) == 6.0
+
+    def test_gamma_where_y_over_mu_underflows(self):
+        # 40-digit value of 2 (y/mu - log(y/mu) - 1), with log(y/mu) = log y - log mu
+        value = eval_deviance(DEVIANCES["gamma"], 1e-300, 1.17e203)
+        assert value == pytest.approx(2314.714611049629287563035821913575446595, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -171,6 +181,28 @@ class TestTransformDeviance:
         with pytest.raises(DomainError):
             transform_deviance(DEVIANCES["normal"], math.sin, math.asin, math.cos)
 
+    def test_square_root_of_gamma_maps_onto_the_half_line(self):
+        # probes of sqrt toward 0 shrink by 10^(-1/2) a decade: a finite end, extrapolated
+        dev = transform_deviance(DEVIANCES["gamma"], math.sqrt, lambda z: z * z, lambda y: 0.5 / math.sqrt(y))
+        assert dev.support.lower == pytest.approx(0.0, abs=1e-12)
+        assert dev.support.upper == math.inf
+
+    def test_log_of_gamma_maps_onto_the_line(self):
+        # log grows by the same step every decade both ways: a ratio of 1 diverges
+        dev = transform_deviance(DEVIANCES["gamma"], math.log, math.exp, lambda y: 1.0 / y)
+        assert (dev.support.lower, dev.support.upper) == (-math.inf, math.inf)
+
+    def test_variance_stabilized_inverse_gaussian_ends_at_two(self):
+        # f(y) = integral_1^y v^(-3/2) dv = 2 (1 - y^(-1/2)) maps (0, inf) onto (-inf, 2)
+        dev = transform_deviance(
+            DEVIANCES["inverse_gaussian"],
+            lambda y: variance_stabilizing_transform(VARIANCE_FUNCTIONS["inverse_gaussian"], 1.0, y),
+            None,
+            lambda y: y**-1.5,
+        )
+        assert dev.support.lower == -math.inf
+        assert dev.support.upper == pytest.approx(2.0, rel=1e-9)
+
     def test_round_trip(self):
         dev = DEVIANCES["gamma"]
         forward = transform_deviance(dev, math.log, math.exp, lambda y: 1.0 / y)
@@ -247,13 +279,25 @@ def test_registry_lookup():
 
 
 # the four EDM entries are derived from edm.FAMILIES; compare them with the
-# closed forms written out here
-CLOSED_DEVIANCES = {
+# closed forms written out here, evaluated at 50 digits on the same float
+# inputs (in floats the gamma and Poisson forms cancel by up to 4e-13 on this grid)
+_CLOSED_DEVIANCES_50 = {
     "normal": lambda y, mu: (y - mu) ** 2,
-    "gamma": lambda y, mu: 2.0 * (y / mu - math.log(y / mu) - 1.0),
-    "poisson": lambda y, mu: 2.0 * ((y * math.log(y / mu) if y > 0 else 0.0) - y + mu),
+    "gamma": lambda y, mu: 2 * (y / mu - mpmath.log(y / mu) - 1),
+    "poisson": lambda y, mu: 2 * ((y * mpmath.log(y / mu) if y > 0 else 0) - y + mu),
     "inverse_gaussian": lambda y, mu: (y - mu) ** 2 / (mu**2 * y),
 }
+
+
+def _closed_deviance(formula):
+    def at_50_digits(y, mu):
+        with mpmath.workdps(50):
+            return float(formula(mpmath.mpf(y), mpmath.mpf(mu)))
+
+    return at_50_digits
+
+
+CLOSED_DEVIANCES = {name: _closed_deviance(formula) for name, formula in _CLOSED_DEVIANCES_50.items()}
 CLOSED_VARIANCES = {
     "normal": lambda mu: 1.0,
     "gamma": lambda mu: mu**2,

@@ -43,6 +43,24 @@ def test_p_above_two_evaluation_leaves_mpmath_unloaded():
     assert out.strip() == "False"
 
 
+def test_lugannani_rice_leaves_mpmath_unloaded():
+    # next to the mean and away from it, for a closed-form and a Tweedie family;
+    # 50-digit references belong to the tests
+    code = (
+        "import sys; from dispmodels import edm; from dispmodels.saddlepoint import lugannani_rice; "
+        "from dispmodels.tweedie import tweedie_family; "
+        "fams = (edm.FAMILIES['gamma'], tweedie_family(1.5).to_edm()); "
+        "[lugannani_rice(f, y, edm.inverse_mean(f, 1.0), 0.2, 5) for f in fams for y in (1.0 + 1e-9, 1.5)]; "
+        "print('mpmath' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(dispmodels.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names a module imports but never reads (``__all__`` re-exports count as reads)."""
     tree = ast.parse(source)

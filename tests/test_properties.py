@@ -1,5 +1,6 @@
-"""Property tests: deviance axioms, the mean-value round trip, Tweedie continuity at p = 2 and
-p = 1, and CLI exit codes for any float input.
+"""Property tests: deviance axioms and accuracy next to the diagonal, the mean-value round trip,
+Lugannani-Rice across its switch, Tweedie continuity at p = 2 and p = 1, and CLI exit codes for
+any float input.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -8,15 +9,18 @@ import contextlib
 import io
 import math
 
+import mpmath
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dispmodels import cli
 from dispmodels.deviance import DEVIANCES
 from dispmodels.edm import FAMILIES, edm_deviance, inverse_mean, mean_value
 from dispmodels.pdm import PDMS
-from dispmodels.tweedie import P_SWITCH, tweedie_cdf, tweedie_density
+from dispmodels.saddlepoint import _R_LIMIT, lugannani_rice
+from dispmodels.tweedie import P_SWITCH, tweedie_cdf, tweedie_density, tweedie_family
 
 FAMILY_NAMES = sorted(FAMILIES)
 
@@ -52,6 +56,47 @@ def test_deviance_nonnegative_and_zero_on_diagonal(name, u, v):
     assert edm_deviance(fam, mu, mu) == 0.0
 
 
+# The deviances at 50 digits, written as the textbook differences of logs and powers that cancel
+# next to the diagonal in floats; the library must agree with them at the same float inputs.
+def _power_deviance_50(p):
+    return lambda y, mu: 2 * (y ** (2 - p) / ((1 - p) * (2 - p)) - y * mu ** (1 - p) / (1 - p)
+                              + mu ** (2 - p) / (2 - p))
+
+
+DEVIANCES_50 = {
+    "gamma": lambda y, mu: 2 * (y / mu - mpmath.log(y / mu) - 1),
+    "poisson": lambda y, mu: 2 * (y * mpmath.log(y / mu) - y + mu),
+    "binomial": lambda y, mu: 2 * (y * mpmath.log(y / mu) + (1 - y) * mpmath.log((1 - y) / (1 - mu))),
+    "negative_binomial": lambda y, mu: 2 * (y * mpmath.log(y / mu)
+                                            - (1 + y) * mpmath.log((1 + y) / (1 + mu))),
+    **{p: _power_deviance_50(mpmath.mpf(p)) for p in (1.2, 1.5, 2.5, 3.7)},
+}
+
+
+DEVIANCE_FAMILIES = {name: FAMILIES[name] if isinstance(name, str) else tweedie_family(name).to_edm()
+                     for name in DEVIANCES_50}
+
+
+@pytest.mark.parametrize("name", list(DEVIANCES_50), ids=str)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(log_gap=st.floats(-15.0, -1e-6), above=st.booleans(), u=st.floats(0.0, 1.0))
+@example(log_gap=-15.0, above=False, u=0.5)
+@example(log_gap=-8.0, above=True, u=0.5)
+def test_deviance_accurate_next_to_the_diagonal(name, log_gap, above, u):
+    lo, hi = (0.05, 0.95) if name == "binomial" else (0.05, 50.0)
+    mu = lo * (hi / lo) ** u
+    y = mu * (1.0 + math.copysign(10.0**log_gap, 1.0 if above else -1.0))
+    assume(y != mu and (name != "binomial" or y < 1.0))
+    fam = DEVIANCE_FAMILIES[name]
+    value = edm_deviance(fam, y, mu)
+    with mpmath.workdps(50):
+        exact = DEVIANCES_50[name](mpmath.mpf(y), mpmath.mpf(mu))
+        assert abs(value - exact) <= 1e-11 * exact
+    assert value > 0.0
+    # the array path is the same kernel
+    assert edm_deviance(fam, np.array([y]), np.array([mu]))[0] == pytest.approx(value, rel=1e-14)
+
+
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(u=unit)
@@ -59,6 +104,31 @@ def test_inverse_mean_undoes_mean_value(name, u):
     fam = FAMILIES[name]
     theta = _theta(fam, u)
     assert inverse_mean(fam, mean_value(fam, theta)) == pytest.approx(theta, rel=1e-9, abs=1e-12)
+
+
+# Lugannani-Rice on a grid through both radii sqrt(d) = _R_LIMIT, where the correction switches
+# between 1/r - 1/u and its limit.  The grid steps by |y/mu - 1| = x_R, the gap at which
+# sqrt(d) ~ |x| mu^(1 - p/2) reaches the switch, so the cdf rises by 1e-5 sqrt(n/(2 pi tau)), at
+# least 5e-6, per step: several times the LR's own error there (under 1e-6).
+LR_FAMILIES = {2.0: FAMILIES["gamma"], 3.0: FAMILIES["inverse_gaussian"],
+               1.5: tweedie_family(1.5).to_edm()}
+
+
+@pytest.mark.parametrize("p", sorted(LR_FAMILIES))
+@pytest.mark.parametrize("tau", [0.05, 0.5])
+@pytest.mark.parametrize("n", [1, 5])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(u=st.floats(0.0, 1.0), shift=st.floats(0.0, 1.0, exclude_max=True))
+@example(u=0.5, shift=0.0)  # grid points on both radii and on the mean
+def test_lugannani_rice_monotone_across_its_switch(p, tau, n, u, shift):
+    fam = LR_FAMILIES[p]
+    mu = 0.05 * 400.0**u
+    theta = inverse_mean(fam, mu)
+    x_r = _R_LIMIT * mu ** (p / 2.0 - 1.0)
+    values = [lugannani_rice(fam, mu * (1.0 + (k + shift) * x_r), theta, tau, n).value
+              for k in range(-4, 4)]
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert all(b >= a for a, b in zip(values, values[1:])), values
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

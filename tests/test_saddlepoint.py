@@ -186,6 +186,12 @@ class TestLugannaniRice:
         right = lugannani_rice_cdf(fam, 1.0 + 1e-7, -1.0, tau)
         assert abs(left - right) < 1e-5
 
+    def test_gamma_next_to_the_mean(self):
+        # sqrt(d) = 1.4e-5 lies above the switch, where 1/r - 1/u needs an accurate d
+        y = 1.0 + 1.4e-5
+        value = lugannani_rice_cdf(edm.get_family("gamma"), y, -1.0, 0.05)
+        assert abs(value - float(gammainc(20.0, 20.0 * y))) <= 1e-4
+
     @pytest.mark.parametrize(
         "name,theta,tau",
         [("gamma", -1.0, 0.2), ("normal", 0.5, 1.0), ("inverse_gaussian", -0.5, 0.3)],

@@ -120,6 +120,18 @@ class TestDeviance:
         # 2{0 - 0 + mu^(2-p)/(2-p)} at y = 0, p = 1.5
         assert tweedie_deviance(1.5, 0.0, 1.0) == 4.0
 
+    @pytest.mark.parametrize("p,y,mu,exact", [
+        (1.0, 1e300, 1e-10, 1.425602757656308398974231e303),  # y/mu overflows
+        (3.7, 1e-100, 1e100, 4.357298474945711101782048e169),  # (y/mu)^(2-p) overflows
+        (-1.0, 1e90, 1e-20, 3.33333333333333299817446e269),
+    ])
+    def test_finite_where_ratios_overflow(self, p, y, mu, exact):
+        # 25-digit values of 2{y^(2-p)/((1-p)(2-p)) - y mu^(1-p)/(1-p) + mu^(2-p)/(2-p)}
+        # (p = 1: 2{y log(y/mu) - y + mu}), in the float and the array path
+        assert tweedie_deviance(p, y, mu) == pytest.approx(exact, rel=1e-12)
+        values = edm.edm_deviance(tweedie_family(p).to_edm(), np.array([y, 2.0]), np.array([mu, 1.0]))
+        assert values[0] == pytest.approx(exact, rel=1e-12)
+
     @pytest.mark.parametrize("p", [0.0, 1.5, 2.0, 3.0])
     def test_matches_quadrature_of_power_variance(self, p):
         # oracle: 2 integral (y - t) t^-p dt through the EDM machinery
