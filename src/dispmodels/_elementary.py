@@ -54,10 +54,11 @@ def power_deviance(p: float, y, mu, delta=None):
 
     ``J_p(x) = integral_0^x (x - s)(1 + s)^(-p) ds``, ``x = delta/mu``; pass ``delta = y - mu``
     where the caller has it exactly (the binomial's ``1 - y`` term).  J_p is its series for |x|
-    below ``_SERIES_BAND``, else ``(1 + x) log(1 + x) - x`` (p = 1), ``x - log(1 + x)`` (p = 2) or
-    ``(expm1((2 - p) log(1 + x)) - (2 - p) x) / ((1 - p)(2 - p))``, off by about eps/|x|.  The log
-    is ``log y - log mu`` where 1 + x loses digits (y < mu/16) or overflows, and ``(1 + x)^(2 - p)``
-    is 0 for y <= 0 (the Tweedie ``max(y, 0)`` convention, p < 2).  Floats and ndarrays both.
+    below ``_SERIES_BAND``, else ``((1 + x) E_{1-p} - x)/(2 - p)`` for p < 3/2 and ``(x -
+    E_{2-p})/(p - 1)`` otherwise, ``E_a = expm1(a L)/a``, ``E_0 = L`` (:func:`_closed_form`), off
+    by about eps/|x|.  L = log(1 + x) is ``log y - log mu`` where 1 + x loses digits (y < mu/16)
+    or overflows, and ``(1 + x)^(2 - p)`` is 0 for y <= 0 (the Tweedie ``max(y, 0)`` convention,
+    p < 2).  Floats and ndarrays both.
     """
     if delta is None:
         delta = y - mu
@@ -71,10 +72,16 @@ def power_deviance(p: float, y, mu, delta=None):
         else:  # 1 + x has lost digits or overflowed
             log_ratio = math.log(y) - math.log(mu) if y > 0.0 else _LOG_ZERO
         scale_x = scale * x if x < math.inf else scale * delta / mu
+        if abs(scale_x) == math.inf:  # d is scale J_p(x) > 0, and overflows with scale x
+            return math.inf
         try:
-            return _closed_form(p, scale, scale_x, log_ratio)
-        except OverflowError:  # of (1 + x)^(2-p) in expm1; scale (1 + x)^(2-p) is 2 y^(2-p)
-            return _closed_form(p, scale, scale_x, log_ratio, 2.0 * y ** (2.0 - p) - scale)
+            if scale > 0.0:
+                return _closed_form(p, scale, scale_x, log_ratio)
+        except OverflowError:  # of a power of 1 + x in expm1
+            pass
+        # there, or where scale underflowed, p is 0.48 or more from 1 and 2: the (1-p)(2-p) form holds
+        power = 2.0 * max(y, 0.0) ** (2.0 - p) - scale
+        return (power - (2.0 - p) * scale_x) / ((1.0 - p) * (2.0 - p))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = delta / mu
         if np.ndim(x) == 0:  # 0-d arrays: numpy ufuncs return scalars for them
@@ -90,8 +97,8 @@ def power_deviance(p: float, y, mu, delta=None):
         near = np.nonzero(np.abs(x) < _SERIES_BAND)
         if near[0].size:
             d[near] = np.broadcast_to(scale, x.shape)[near] * _series(p, x[near])
-        # where x or (1 + x)^(2-p) overflowed, the float path works from logs
-        for i in zip(*np.nonzero(~np.isfinite(d))):
+        # where x or a power of 1 + x overflowed, or scale underflowed, the float path works from logs
+        for i in zip(*np.nonzero(~np.isfinite(d) | (scale == 0.0))):
             try:
                 d[i] = power_deviance(p, *(float(np.broadcast_to(a, x.shape)[i]) for a in (y, mu, delta)))
             except OverflowError:
@@ -99,16 +106,30 @@ def power_deviance(p: float, y, mu, delta=None):
         return d
 
 
-def _closed_form(p: float, scale, scale_x, log_ratio, power=None):
-    """``scale J_p(x)`` with scale = 2 mu^(2-p), from ``scale_x = scale x``, ``log_ratio =
-    log(1 + x)`` and ``power = scale expm1((2 - p) log_ratio)`` (computed when not given)."""
-    if p == 1.0:
-        return (scale + scale_x) * log_ratio - scale_x
-    if p == 2.0:
-        return scale_x - scale * log_ratio
-    if power is None:
-        power = scale * _expm1((2.0 - p) * log_ratio)
-    return (power - (2.0 - p) * scale_x) / ((1.0 - p) * (2.0 - p))
+def _closed_form(p: float, scale, scale_x, log_ratio):
+    """``scale J_p(x)`` from ``scale = 2 mu^(2-p)``, ``scale_x = scale x`` and ``log_ratio = L =
+    log(1 + x)`` by one of two forms, with ``E_a = expm1(a L)/a`` and ``E_0 = L``:
+
+        p < 3/2:   ((scale + scale_x) E_{1-p} - scale_x) / (2 - p),
+        p >= 3/2:  (scale_x - scale E_{2-p}) / (p - 1),
+
+    neither of which leaves a 1/(p - 1) or 1/(2 - p) to cancel.  For 1 < p < 3/2 below the mean,
+    where 1 + x may have lost digits, the product is ``scale (1 + x)^(2-p) E_{p-1}``.
+    """
+    if p >= 1.5:
+        a = 2.0 - p
+        return (scale_x - scale * (_expm1(a * log_ratio) / a if a else log_ratio)) / (p - 1.0)
+    if p <= 1.0 or type(log_ratio) is float and log_ratio >= 0.0:
+        a = 1.0 - p
+        product = (scale + scale_x) * (_expm1(a * log_ratio) / a if a else log_ratio)
+    elif type(log_ratio) is float:
+        product = scale * math.exp((2.0 - p) * log_ratio) * (math.expm1((p - 1.0) * log_ratio) / (p - 1.0))
+    else:  # an ndarray, each entry in the product for its side of the mean
+        below = log_ratio < 0.0
+        a = np.where(below, p - 1.0, 1.0 - p)
+        factor = np.where(below, scale * np.exp((2.0 - p) * log_ratio), scale + scale_x)
+        product = factor * (np.expm1(a * log_ratio) / a)
+    return (product - scale_x) / (2.0 - p)
 
 
 @lru_cache(maxsize=64)

@@ -145,8 +145,8 @@ def _support_integral(fn, support, center: Optional[float] = None) -> tuple[floa
     then gains the last term) or at an end of the support.  Given the ``center`` where ``fn``
     peaks, the sum runs up from the lattice point nearest it and then down from there, and a zero
     term counts as negligible too, so a sum whose every term underflows stops at once.  More than
-    10^7 terms, or a start beyond 2^53, raise ``NumericalError``.  Any other support goes to
-    ``_quad``.
+    10^7 terms, a start beyond 2^53, or a term 10^7 points above the centre not below 1e-14 of the
+    centre's (told before summing), raise ``NumericalError``.  Any other support goes to ``_quad``.
     """
     if not support.lattice:
         return _quad(fn, support.lower, support.upper)
@@ -154,6 +154,9 @@ def _support_integral(fn, support, center: Optional[float] = None) -> tuple[floa
     start = lower if center is None else max(lower, min(round(center), support.upper))
     if not start < 2**53:
         raise NumericalError(f"lattice sum from {start:.3g}, beyond the integers a float holds")
+    if center is not None and start + 10**7 <= support.upper and fn(start + 1e7) > 1e-14 * fn(float(start)):
+        raise NumericalError(f"lattice sum from {start} cannot converge within 10^7 terms: the term "
+                             "10^7 points above it is not below 1e-14 of its own")
     total, error, terms = 0.0, 0.0, 0
     for k, step in ((start, 1), (start - 1, -1)):
         quiet = 0

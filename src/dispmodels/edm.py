@@ -129,15 +129,6 @@ def _float_array(value, like: np.ndarray) -> np.ndarray:
     return np.full(like.shape, value, dtype=float)
 
 
-def _elementwise(fn, *args: np.ndarray) -> np.ndarray:
-    """The float routine ``fn`` applied entry by entry (the fallback path).
-
-    Callers pass ``partial(f, fam)``, not a lambda: a closure over ``fam``
-    would make every float call of the caller pay for a cell.
-    """
-    return np.vectorize(fn, otypes=[float])(*args)
-
-
 def cgf(fam: EdmFamily, t: float, theta: float, tau: float) -> float:
     """Cumulant generating function ``K(t; theta, tau) = [b(theta + tau t) - b(theta)] / tau``."""
     fam.theta_domain.require(theta, "theta")
@@ -168,7 +159,7 @@ def inverse_mean(fam: EdmFamily, mu):
     if type(mu) is not float and isinstance(mu, np.ndarray):
         fam.mean_domain.require_all(mu, "mu")
         if fam.mean_inverse is None:
-            return _elementwise(partial(inverse_mean, fam), mu)
+            return el.vectorize(partial(inverse_mean, fam))(mu)
         return _float_array(fam.mean_inverse(mu), mu)
     fam.mean_domain.require(mu, "mu")
     if fam.mean_inverse is not None:
@@ -240,7 +231,7 @@ def variance_function(fam: EdmFamily, mu):
     theta = inverse_mean(fam, mu)
     if type(theta) is not float and isinstance(theta, np.ndarray):
         if fam.b_double_prime is None:
-            v = _elementwise(fam._b_double_prime, theta)
+            v = el.vectorize(fam._b_double_prime)(theta)
         else:
             v = _float_array(fam.b_double_prime(theta), theta)
         bad = ~(v > 0.0)
@@ -309,7 +300,7 @@ def edm_deviance(fam: EdmFamily, y, mu):
         fam.support.require_all(y, "y")
         fam.mean_domain.require_all(mu, "mu")
         if fam.deviance_closed_form is None:
-            return _elementwise(partial(_generator_deviance, fam), y, mu)
+            return el.vectorize(partial(_generator_deviance, fam))(y, mu)
         return np.where(y == mu, 0.0, fam.deviance_closed_form(y, mu))
     fam.support.require(y, "y")
     fam.mean_domain.require(mu, "mu")

@@ -15,10 +15,12 @@ p > 2.  Otherwise c is the log density at y of the member with mean y, minus
 its theta-part: a Poisson mixture of gamma densities over the jump counts
 within 10 sqrt(lambda) + 10 of the rate lambda for 1 < p < 2 (Dunn & Smyth
 2005), and the inversion of the cf exp K(it) for p > 2 (Dunn & Smyth 2008).
-The cdf is the normal, Poisson and gamma cdf at p = 0 and in the p = 1 and
-p = 2 windows, the same Poisson-gamma sum over incomplete gammas for
-1 < p < 2, and Gil-Pelaez inversion of the cf for p > 2.
+The cdf is the normal, Poisson and gamma cdf at p = 0, 1 and 2, the same
+Poisson-gamma sum over incomplete gammas for 1 < p < 2, and Gil-Pelaez
+inversion of the cf for p > 2.
 
+``_validate_p`` decides the switch windows, once: within ``P_SWITCH`` of 1 or 2
+it returns 1.0 or 2.0, and every formula branches on ``p == 1.0`` or ``p == 2.0``.
 The public functions validate their arguments and evaluate private
 formulas; ``TweedieFamily.to_edm`` hands the formulas themselves to the
 EDM layer, which has already checked the domains.  The formulas take a
@@ -57,8 +59,7 @@ __all__ = [
     "sample_compound_poisson_gamma",
 ]
 
-# width of the limit-formula switchover around p = 1 and p = 2, where the
-# (1-p) and (2-p) denominators cancel catastrophically
+# _validate_p snaps p this close to 1 or 2 to 1.0 or 2.0, where the (1-p) and (2-p) denominators cancel
 P_SWITCH = 1e-6
 
 _SERIES_MAX_TERMS = 10**5
@@ -69,22 +70,20 @@ _W_MIN = 1e-50  # lowest QAWF frequency y/sigma tried: QUADPACK crashes from abo
 
 
 def _validate_p(p: float) -> float:
+    """The power the formulas use: exactly 1.0 or 2.0 within ``P_SWITCH`` of it, else p."""
     p = float(p)
     if not math.isfinite(p):
         raise DomainError(f"the power p must be finite, got {p}")
-    if 0.0 < p < 1.0:
+    if 0.0 < p < 1.0:  # refused before the snap, so the p = 1 window is one-sided
         raise DomainError(f"no exponential dispersion model has power variance p={p} in (0, 1)")
-    return p
-
-
-def _near(p: float, target: float) -> bool:
-    return abs(p - target) < P_SWITCH
+    special = float(round(p))
+    return special if special in (1.0, 2.0) and abs(p - special) < P_SWITCH else p
 
 
 def tweedie_canonical_domain(p: float) -> RealInterval:
     """Canonical domain of the generator: where [(1-p) theta]^((p-2)/(p-1)) lives."""
     p = _validate_p(p)
-    if _near(p, 1.0) or p == 0.0:
+    if p in (0.0, 1.0):
         return REALS
     if p < 0.0:
         return POSITIVE_REALS
@@ -95,9 +94,9 @@ def tweedie_support(p: float) -> RealInterval:
     p = _validate_p(p)
     if p <= 0.0:
         return REALS
-    if _near(p, 1.0):
+    if p == 1.0:
         return RealInterval(0.0, math.inf, closed_lower=True, lattice=True)
-    if p < 2.0 and not _near(p, 2.0):  # the p = 2 window is the gamma, without a zero atom
+    if p < 2.0:
         return RealInterval(0.0, math.inf, closed_lower=True)
     return POSITIVE_REALS
 
@@ -119,9 +118,9 @@ def tweedie_cumulant_generator(p: float, theta: float) -> float:
 
 
 def _generator(p: float, theta):
-    if _near(p, 1.0):
+    if p == 1.0:
         return el.exp(theta)
-    if _near(p, 2.0):
+    if p == 2.0:
         return -el.log(-theta)
     if p == 0.0:
         return 0.5 * theta * theta
@@ -132,15 +131,7 @@ def tweedie_mean(p: float, theta: float) -> float:
     """Mean value mapping ``b_p'(theta) = [(1-p) theta]^(1/(1-p))``."""
     p = _validate_p(p)
     tweedie_canonical_domain(p).interior().require(theta, "theta")
-    return _mean(p, theta)
-
-
-def _mean(p: float, theta):
-    if _near(p, 1.0):
-        return el.exp(theta)
-    if p == 0.0:
-        return theta
-    return ((1.0 - p) * theta) ** (1.0 / (1.0 - p))
+    return _b_nth(p, 1, theta)
 
 
 def tweedie_inverse_mean(p: float, mu: float) -> float:
@@ -151,34 +142,29 @@ def tweedie_inverse_mean(p: float, mu: float) -> float:
 
 
 def _inverse_mean(p: float, mu):
-    if _near(p, 1.0):
+    if p == 1.0:
         return el.log(mu)
-    if p == 0.0:
-        return mu
-    return mu ** (1.0 - p) / (1.0 - p)
+    return mu ** (1.0 - p) / (1.0 - p)  # mu itself at p = 0
 
 
 def _b_nth(p: float, r: int, theta):
     # b^(r) = A^(c-(r-1)) * prod_{i=1}^{r-2} (1 - i (1 - p)),  A = (1-p) theta, c = 1/(1-p)
-    if _near(p, 1.0):
+    if p == 1.0:
         return el.exp(theta)
-    if p == 0.0:
-        return 0.0 if r >= 3 else (theta if r == 1 else 1.0)
     a = (1.0 - p) * theta
     c = 1.0 / (1.0 - p)
     coeff = 1.0
     for i in range(1, r - 1):
         coeff *= 1.0 - i * (1.0 - p)
-    return coeff * a ** (c - (r - 1.0))
+    return coeff * a ** (c - (r - 1.0)) if coeff else 0.0  # the product vanishes at p = 0, r >= 3
 
 
 def tweedie_deviance(p: float, y: float, mu: float) -> float:
     """Unit deviance ``d_p(y; mu) = 2 integral_mu^y (y - t) t^(-p) dt``.
 
-    Evaluated by ``_elementary.power_deviance`` in units of mu, with the
-    Poisson and gamma deviances taking over inside the switch window around
-    p = 1 and p = 2.  The term ``max(y, 0)^(2-p)`` of the antiderivative is
-    the saturated (Legendre) part, which vanishes for y <= 0 when the
+    Evaluated by ``_elementary.power_deviance`` in units of mu for every p but the normal
+    (p = 0) and inverse Gaussian (p = 3) closed forms.  The term ``max(y, 0)^(2-p)`` of the
+    antiderivative is the saturated (Legendre) part, which vanishes for y <= 0 when the
     canonical domain is one-sided.
     """
     p = _validate_p(p)
@@ -189,23 +175,13 @@ def tweedie_deviance(p: float, y: float, mu: float) -> float:
     return _deviance(p, y, mu)
 
 
-def _classic_family(p: float) -> Optional[EdmFamily]:
-    """The EDM a special power is: normal, Poisson, gamma or inverse Gaussian."""
-    if p == 0.0:
-        return FAMILIES["normal"]
-    if _near(p, 1.0):
-        return FAMILIES["poisson"]
-    if _near(p, 2.0):
-        return FAMILIES["gamma"]
-    if p == 3.0:
-        return FAMILIES["inverse_gaussian"]
-    return None
+_CLASSIC_FAMILIES = {0.0: FAMILIES["normal"], 1.0: FAMILIES["poisson"], 2.0: FAMILIES["gamma"],
+                     3.0: FAMILIES["inverse_gaussian"]}
 
 
 def _deviance(p: float, y, mu):
-    classic = _classic_family(p)
-    if classic is not None:
-        return classic.deviance_closed_form(y, mu)
+    if p in (0.0, 3.0):
+        return _CLASSIC_FAMILIES[p].deviance_closed_form(y, mu)
     return el.power_deviance(p, y, mu)
 
 
@@ -347,9 +323,8 @@ def _log_normalizer(p: float, y: float, tau: float) -> float:
     mean y at y (the Poisson-gamma sum for p < 2, the Fourier inversion for p > 2), whose value is
     O(1/sqrt(tau V(y))) so nothing cancels, minus its theta-part.
     """
-    classic = _classic_family(p)
-    if classic is not None:
-        return classic.exact_normalizer(y, tau)
+    if p in _CLASSIC_FAMILIES:
+        return _CLASSIC_FAMILIES[p].exact_normalizer(y, tau)
     if p < 2.0:
         if y == 0.0:
             return 0.0  # the atom exp(-lambda) is exp(-b(theta)/tau)
@@ -381,11 +356,10 @@ def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
     POSITIVE_REALS.require(tau, "tau")
     tweedie_mean_domain(p).require(mu, "mu")
     tweedie_support(p).require(y, "y")
-    if _near(p, 1.0):
+    if p == 1.0:
         counts = y / tau
         if abs(counts - round(counts)) > 1e-9:
             raise DomainError(f"p=1 support is the lattice tau*N0; y={y} is off-lattice for tau={tau}")
-    p = 2.0 if _near(p, 2.0) else p  # the switch window is the gamma family itself, of mean mu
     theta = _inverse_mean(p, mu)
     return math.exp(_log_normalizer(p, y, tau) + (y * theta - _generator(p, theta)) / tau)
 
@@ -393,10 +367,10 @@ def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
 def _closed_form_cdf(p: float, ys: np.ndarray, mu: float, tau: float) -> np.ndarray:
     if p == 0.0:
         return ndtr((ys - mu) / math.sqrt(tau))
-    if _near(p, 1.0):
+    if p == 1.0:
         tweedie_support(p).require_all(ys, "y")
         return pdtr(np.floor((ys + 1e-12) / tau), mu / tau)
-    if _near(p, 2.0):
+    if p == 2.0:
         return gammainc(1.0 / tau, np.maximum(ys, 0.0) / tau / mu)
     n, log_w, shape, scale = _poisson_gamma_terms(p, mu, tau)
     values = np.where(ys < 0.0, 0.0, tweedie_zero_mass(p, mu, tau))
@@ -410,10 +384,9 @@ def _closed_form_cdf(p: float, ys: np.ndarray, mu: float, tau: float) -> np.ndar
 def tweedie_cdf(p: float, y, mu: float, tau: float):
     """Distribution function: closed forms for 0 <= p <= 2, Gil-Pelaez inversion for p > 2.
 
-    ``ndtr`` at p = 0, ``pdtr(floor(y/tau), mu/tau)`` in the p = 1 window, ``gammainc(1/tau,
-    y/(tau mu))`` in the p = 2 window, and for 1 < p < 2 the zero atom plus ``sum_n w_n
-    gammainc(n shape, y/scale)`` over the jump counts (Poisson weights w_n, jumps gamma(shape,
-    scale)).  For p > 2 (p = 3 included) each point is one inversion ``F(y) = 1/2 - (1/pi)
+    ``ndtr`` at p = 0, ``pdtr(floor(y/tau), mu/tau)`` at p = 1, ``gammainc(1/tau, y/(tau mu))``
+    at p = 2, and for 1 < p < 2 the zero atom plus ``sum_n w_n gammainc(n shape, y/scale)``
+    over the jump counts (Poisson weights w_n, jumps gamma(shape, scale)).  For p > 2 (p = 3 included) each point is one inversion ``F(y) = 1/2 - (1/pi)
     integral_0^inf Im[e^(-ity) phi(t)]/t dt`` of the cf.  ``y`` may be an ascending ndarray, such
     as the rows of a table; an ndarray is then returned.
     """
@@ -425,7 +398,7 @@ def tweedie_cdf(p: float, y, mu: float, tau: float):
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     if np.isnan(ys).any() or np.any(np.diff(ys) < 0.0):
         raise DomainError("tweedie_cdf needs y in ascending order")
-    if p <= 2.0 or _near(p, 2.0):
+    if p <= 2.0:
         with np.errstate(over="ignore"):  # an argument overflowing to +-inf gives the limit 0 or 1
             values = _closed_form_cdf(p, ys, mu, tau)
     else:  # dt/t = ds/s; Re[(i/s) z] = -Im z/s
@@ -459,13 +432,13 @@ class TweedieFamily:
         return tweedie_canonical_domain(self.p)
 
     def to_edm(self) -> EdmFamily:
-        p = 2.0 if _near(self.p, 2.0) else self.p  # the window is the gamma, as in tweedie_density
-        classic = _classic_family(p)
+        p = _validate_p(self.p)
+        classic = _CLASSIC_FAMILIES.get(p)
         return EdmFamily(
             name=f"tweedie(p={self.p:g})",
             theta_domain=self.theta_domain,
             b=lambda th: _generator(p, th),
-            b_prime=lambda th: _mean(p, th),
+            b_prime=lambda th: _b_nth(p, 1, th),
             b_double_prime=lambda th: _b_nth(p, 2, th),
             b_nth=lambda r, th: _b_nth(p, r, th),
             mean_domain=self.mean_domain,
@@ -478,4 +451,4 @@ class TweedieFamily:
 
 
 def tweedie_family(p: float) -> TweedieFamily:
-    return TweedieFamily(_validate_p(p))
+    return TweedieFamily(float(p))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -157,6 +158,43 @@ def _json_out(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 0 and err == "", err
     return json.loads(out)
+
+
+RENORM_POISSON = ["approx", "--family", "poisson", "--method", "renorm", "--y", "3", "--theta", "0", "--tau"]
+
+
+def test_renormalized_lattice_sum_at_large_dispersion(capsys):
+    assert _json_out(capsys, [*RENORM_POISSON, "1e5"])["value"] == 0.0029992574786784705
+
+
+def test_lattice_sum_that_cannot_converge_is_refused_before_summing(capsys):
+    # at tau = 1e100 the term 10^7 points above the centre is 3e-4 of the centre's
+    start = time.perf_counter()
+    code, out, err = _run(capsys, [*RENORM_POISSON, "1e100"])
+    assert code == 2 and out == "" and err.startswith("ERROR:numerical:lattice sum from 1")
+    assert time.perf_counter() - start < 5.0
+
+
+def test_lattice_sum_that_converges_late_is_started(capsys, monkeypatch):
+    # at tau = 1e6 the sum stops after millions of terms (about 10 s, printing 0.0010554954929742138):
+    # the check before summing must let it start, which a sentinel at the 100th term shows
+    class Summing(Exception):
+        pass
+
+    def first_terms(fn, support, center=None):
+        calls = iter(range(100))
+
+        def capped(k):
+            if next(calls, None) is None:
+                raise Summing
+            return fn(k)
+
+        return integral(capped, support, center)
+
+    integral = pdm._support_integral
+    monkeypatch.setattr(pdm, "_support_integral", first_terms)
+    with pytest.raises(Summing):
+        cli.run([*RENORM_POISSON, "1e6"])
 
 
 def test_deviance_prints_the_library_value(capsys):

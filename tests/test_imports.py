@@ -94,3 +94,36 @@ _MODULES = sorted(
 @pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.stem)
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _unread_private_names(sources: list[str]) -> list[str]:
+    """Module-level ``_name`` functions, classes and assignments that no source reads."""
+    trees = [ast.parse(source) for source in sources]
+    defined = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update((name, node.lineno) for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+    read = {node.id for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [f"{name} (line {line})" for name, line in defined.items() if name not in read]
+
+
+def test_unread_private_name_detector():
+    sources = ["_A = 1\n_B, _C = 2, 3\n__all__ = []\ndef _f():\n    return _A\nclass _K:\n    pass\n",
+               "from m import _f\n_f()\nm._C\n"]
+    assert _unread_private_names(sources) == ["_B (line 2)", "_K (line 6)"]
+
+
+def test_package_has_no_unread_private_names():
+    # a private helper that nothing reads any more is deleted with its last caller
+    sources = [path.read_text(encoding="utf-8") for path in pathlib.Path(dispmodels.__file__).parent.glob("*.py")]
+    assert _unread_private_names(sources) == []

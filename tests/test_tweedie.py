@@ -8,10 +8,12 @@ import sys
 import time
 from contextlib import contextmanager
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dispmodels import _elementary as el
 from dispmodels import edm
 from dispmodels.errors import DomainError, NumericalError
 from dispmodels.tweedie import (
@@ -131,6 +133,60 @@ class TestDeviance:
         assert tweedie_deviance(p, y, mu) == pytest.approx(exact, rel=1e-12)
         values = edm.edm_deviance(tweedie_family(p).to_edm(), np.array([y, 2.0]), np.array([mu, 1.0]))
         assert values[0] == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("p,y,mu", [(1.2, 1e300, 1e-105), (2.5, 1e300, 1e-300)])
+    def test_infinite_where_the_deviance_overflows(self, p, y, mu):
+        # 2 y mu^(1-p)/(p - 1) alone exceeds the largest float
+        assert tweedie_deviance(p, y, mu) == math.inf
+        values = edm.edm_deviance(tweedie_family(p).to_edm(), np.array([y, 2.0]), np.array([mu, 1.0]))
+        assert values[0] == math.inf
+
+    def test_accurate_where_the_scale_underflows(self):
+        # mu^(2-p) = 1e-330 is 0 in floats; d = y^3/3 - y mu^2 + 2 mu^3/3 is not
+        exact = 3.33333333333333333333333e-151
+        assert tweedie_deviance(-1.0, 1e-50, 1e-110) == pytest.approx(exact, rel=1e-14, abs=0.0)
+        values = edm.edm_deviance(tweedie_family(-1.0).to_edm(), np.array([1e-50, 2.0]), np.array([1e-110, 1.0]))
+        assert values[0] == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @staticmethod
+    def _assert_accurate(p, points):
+        # against 2{y^(2-p)/((1-p)(2-p)) - y mu^(1-p)/(1-p) + mu^(2-p)/(2-p)} at 50 digits, float and array path
+        fam = tweedie_family(p).to_edm()
+        with mpmath.workdps(50):
+            for y, mu in points:
+                P, Y, M = mpmath.mpf(p), mpmath.mpf(y), mpmath.mpf(mu)
+                exact = 2 * (Y ** (2 - P) / ((1 - P) * (2 - P)) - Y * M ** (1 - P) / (1 - P)
+                             + M ** (2 - P) / (2 - P))
+                for value in (tweedie_deviance(p, y, mu),
+                              edm.edm_deviance(fam, np.array([y, 1.0]), np.array([mu, 2.0]))[0]):
+                    assert abs(value - exact) <= 1e-13 * exact, (y, mu)
+
+    @pytest.mark.parametrize("p", [1.0 + 1.01e-6, 1.0 + 2e-6, 1.0 + 1e-5, 1.0 + 1e-4, 1.01])
+    def test_accurate_next_to_the_poisson_window(self, p):
+        # the (1-p)(2-p) form used to cancel as 1/(p - 1) here: 9.6e-10 relative off at p = 1 + 2e-6
+        self._assert_accurate(p, [(1.06, 1.0), (0.3, 2.0), (5.0, 0.7), (0.0, 1.5), (40.0, 3.0)])
+
+    @pytest.mark.parametrize("p", [1.2, 1.49])
+    def test_accurate_far_below_the_mean(self, p):
+        # where 1 + x has lost its digits: (1 + x) E_{1-p} would be 1.3e-10 off at p = 1.49, y/mu = 1e-20
+        self._assert_accurate(p, [(1e-20, 1.0), (3e-12, 0.7), (1e-300, 2.0)])
+
+    @pytest.mark.parametrize("p,y", [(1.2, 0.0), (1.5, 0.0), (-1.0, -2.5)])
+    def test_array_path_keeps_zero_and_negative_observations(self, p, y, monkeypatch):
+        # (1 + x)^(2-p) is 0 for y <= 0: no entry may fall back to the float kernel one by one
+        calls = []
+        kernel = el.power_deviance
+
+        def counted(*args):
+            calls.append(type(args[1]))
+            return kernel(*args)
+
+        monkeypatch.setattr(el, "power_deviance", counted)
+        ys, mus = np.array([y, 0.4, y, 3.0, y]), np.array([1.0, 1.0, 0.3, 2.0, 7.0])
+        values = edm.edm_deviance(tweedie_family(p).to_edm(), ys, mus)
+        assert calls == [np.ndarray]
+        assert values.tolist() == pytest.approx([tweedie_deviance(p, a, b) for a, b in zip(ys, mus)],
+                                                rel=1e-14)
 
     @pytest.mark.parametrize("p", [0.0, 1.5, 2.0, 3.0])
     def test_matches_quadrature_of_power_variance(self, p):
@@ -445,6 +501,18 @@ class TestCompoundRepresentation:
         rate, shape, scale = compound_poisson_gamma_params(p, mu, tau)
         assert rate * shape * scale == pytest.approx(mu, rel=1e-12)
         assert rate * shape * (shape + 1) * scale**2 == pytest.approx(tau * mu**p, rel=1e-12)
+
+
+@pytest.mark.parametrize("p,special", [(1.0 + 5e-7, 1.0), (2.0 - 5e-7, 2.0), (2.0 + 5e-7, 2.0)])
+def test_switch_window_is_the_special_power(p, special):
+    # inside P_SWITCH every public function is the Poisson's or the gamma's, to the bit; the family
+    # keeps the power it was given
+    assert tweedie_family(p).p == p
+    theta, mu, y, tau = -0.7, 1.3, 2.0, 0.5
+    for fn, args in ((tweedie_cumulant_generator, (theta,)), (tweedie_mean, (theta,)),
+                     (tweedie_inverse_mean, (mu,)), (tweedie_deviance, (y, mu)),
+                     (tweedie_density, (y, mu, tau)), (tweedie_cdf, (y, mu, tau))):
+        assert fn(p, *args) == fn(special, *args), fn.__name__
 
 
 class TestFamilyView:
