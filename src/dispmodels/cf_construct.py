@@ -7,9 +7,9 @@ requirement turns into a convolution equation
 ``K_tau(t) = exp(-(1 - phi(t)) / (2 tau))`` — itself a characteristic
 function.  The formal weak solution (a Fourier quotient against a delta)
 is not computable, so the equation is discretized on a truncated grid and
-solved as a Tikhonov-regularized nonnegative least-squares problem by an
-active-set preconditioned conjugate-gradient method, with continuation in
-the regularization weight, reporting the interior residual honestly.
+solved as a Tikhonov-regularized nonnegative least-squares problem by a
+primal-dual active-set conjugate-gradient method, warm-started along a
+ladder of regularization weights, reporting the interior residual honestly.
 The models built this way are neither proper nor exponential dispersion
 models: the fitted ``a(y; tau)`` does not factorize across tau.
 """
@@ -210,13 +210,13 @@ def _lambda_ladder(target: float, start: float, floor: float) -> list:
 
 
 def _active_set_pcg(hessian_apply, precond, atb, a, free, kkt_tol, budget):
-    """Active-set loop at one lambda, warm-started from ``a`` and ``free``.
+    """Primal-dual active-set loop at one lambda, warm-started from ``a`` and ``free``.
 
-    Each pass runs preconditioned CG on the free coordinates (the others
-    held at zero) until the free-set residual is within ``kkt_tol``, then
-    moves every negative free coordinate to the bound, or, when there is
-    none, frees every bound coordinate whose gradient is below
-    ``-kkt_tol``.  Returns ``(a, free, CG iterations used, converged)``.
+    Each pass runs preconditioned CG on the free set (the rest held at
+    zero) to a residual within ``kkt_tol``, then frees exactly the
+    nonnegative free and the bound coordinates whose gradient is below
+    ``-kkt_tol`` (Hintermüller, Ito & Kunisch 2002); a pass that keeps the
+    set has converged.  Returns ``(a, free, CG iterations used, converged)``.
     """
     used = 0
     for _ in range(100):
@@ -248,15 +248,10 @@ def _active_set_pcg(hessian_apply, precond, atb, a, free, kkt_tol, budget):
             rz = rz_new
         if used >= budget:
             break
-        negative = free & (a < 0.0)
-        if negative.any():
-            free &= ~negative
-            continue
-        release = (~free) & (hessian_apply(a) - atb < -kkt_tol)
-        if release.any():
-            free |= release
-            continue
-        return a, free, used, True
+        new_free = np.where(free, a >= 0.0, hessian_apply(a) - atb < -kkt_tol)
+        if np.array_equal(new_free, free):
+            return a, free, used, True
+        free = new_free
     return a, free, used, False
 
 
@@ -273,20 +268,20 @@ def solve_convolution_grid(
     A is the Toeplitz kernel matrix ``A_ij = h K((i-j) h)``, applied by FFT
     on its circulant embedding of size 2N, with the kernel spectrum computed
     once per solve.  ``lambda_reg`` defaults to ``1e-8 ||A||^2`` (``||A||``
-    by power iteration).  The solver is an active-set method: on a fixed
-    free set, conjugate gradients preconditioned by the Strang circulant
-    approximation of ``A^2 + lambda I`` solve the normal equations with the
-    bound coordinates held at zero; then every negative free coordinate is
-    moved to the bound, or, when none is negative, every bound coordinate
-    whose gradient points into the feasible set is freed, and CG runs again.
+    by power iteration).  The solver is a primal-dual active-set method: on
+    a fixed free set, conjugate gradients preconditioned by the Strang
+    circulant approximation of ``A^2 + lambda I`` solve the normal equations
+    with the bound coordinates held at zero; then the nonnegative free and
+    the bound coordinates whose gradient points into the feasible set form
+    the next free set, and CG runs again until the set stays the same.
 
-    The smaller lambda, the worse ``A^2 + lambda I`` is conditioned, and a
-    cold start below the default lambda leaves the active set thrashing.
-    A ``lambda_reg`` below the default is therefore reached by continuation:
-    a geometric ladder of rungs at most a decade apart, from the default
-    down to exactly ``lambda_reg``, each rung warm-started from the previous
-    rung's solution and free set.  The ladder descends no further than the
-    larger of ``eps ||A||^2`` and the smallest eigenvalue of ``C^2`` (C the
+    The smaller lambda, the worse ``A^2 + lambda I`` is conditioned, and the
+    more CG iterations a cold start costs.  A ``lambda_reg`` below the
+    default is therefore reached by continuation: a geometric ladder of
+    rungs at most a decade apart, from the default down to exactly
+    ``lambda_reg``, each rung warm-started from the previous rung's
+    solution and free set.  The ladder descends no further than the larger
+    of ``eps ||A||^2`` and the smallest eigenvalue of ``C^2`` (C the
     circulant preconditioner): below that, lambda no longer sets the
     conditioning, and a zero target still ends the ladder.  At or above the
     default, or when ``C^2`` is bounded away from zero above it, the ladder
@@ -368,7 +363,7 @@ def solve_convolution_grid(
 
     conv = apply_a(a)
     interior = slice(band, N - band)
-    residual = float(np.max(np.abs(conv[interior] - 1.0))) if band < N // 2 else math.inf
+    residual = float(np.max(np.abs(conv[interior] - 1.0)))
     return GridSolution(
         grid=grid,
         a_values=a,
@@ -407,10 +402,8 @@ def convolution_residual(sol: GridSolution, cf) -> float:
         kernel_fn = lambda t: kernel(cf, sol.tau, t)
     else:
         kernel_fn = cf
-    grid = sol.grid
     h = sol.spacing
-    n = len(grid)
-    kern = np.array([kernel_fn(float(k * h)) for k in range(-(n - 1), n)])
+    kern = _kernel_samples(kernel_fn, len(sol.grid), h)
     conv = h * np.convolve(sol.a_values, kern, mode="valid")
     interior = sol.interior
     return float(np.max(np.abs(conv[interior] - 1.0)))

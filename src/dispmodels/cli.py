@@ -54,8 +54,10 @@ def _json(obj) -> str:
     return _fmt(obj)
 
 
-# rows of a ``tweedie`` table; a longer table is refused before any row is computed
+# ``tweedie`` table rows, cf grid points, Monte Carlo draws: more is refused before any is made
 _MAX_TABLE_ROWS = 10**6
+_MAX_CF_GRID = 2**20
+_MAX_PIVOTAL_DRAWS = 10**7
 
 
 def _finite_float(text: str, what: str = "the value", error=argparse.ArgumentTypeError) -> float:
@@ -237,6 +239,8 @@ def _cmd_pdm(args) -> int:
         print(_json({"model": args.model, "tau": args.tau, "a0": a0}))
         return 0
     if args.pivotal_check:
+        if args.m > _MAX_PIVOTAL_DRAWS:
+            raise DomainError(f"--m {args.m} is more than {_MAX_PIVOTAL_DRAWS} draws")
         if args.mu_list:
             mus = _floats(args.mu_list, "each --mu-list entry")
         else:
@@ -261,6 +265,8 @@ def _cmd_pdm(args) -> int:
 
 
 def _cmd_cf_construct(args) -> int:
+    if args.N > _MAX_CF_GRID:
+        raise DomainError(f"--N {args.N} is more than {_MAX_CF_GRID} grid points")
     cf = cf_construct.get_cf(args.cf)
     sol = cf_construct.solve_normalizer(
         cf, args.tau, args.L, args.N, lambda_reg=args.lambda_reg

@@ -351,13 +351,13 @@ def estimate_tau_mle(model: RegressionModel, fit_result: FitResult, y: np.ndarra
         raise DomainError(
             f"family {fam.name} has no exact normalizer derivative; use the moment estimator"
         )
-    saturated = math.fsum(edm.saturated_loglik_kernel(fam, y).tolist())
+    saturated = float(np.sum(edm.saturated_loglik_kernel(fam, y)))
     target = saturated - deviance / 2.0
     tol = 1e-12 * (1.0 + abs(target))
 
     def objective(log_tau: float) -> float:
         tau = math.exp(log_tau)
-        return tau**2 * math.fsum(fam.dc_dtau(y, tau).tolist()) - target
+        return tau**2 * float(np.sum(fam.dc_dtau(y, tau))) - target
 
     lo, hi = math.log(1e-10), math.log(1e10)
     f_lo, f_hi = objective(lo), objective(hi)

@@ -27,6 +27,12 @@ from dispmodels._numdiff import derivative
 GAUSS = CHARACTERISTIC_FUNCTIONS["gauss"]
 
 
+def _dense(kern, h):
+    """The Toeplitz matrix ``A_ij = h kern[i - j + N - 1]``, formed entry by entry."""
+    i = np.arange((len(kern) + 1) // 2)
+    return h * kern[i[:, None] - i[None, :] + len(i) - 1]
+
+
 class TestCfValidation:
     @pytest.mark.parametrize("name", sorted(CHARACTERISTIC_FUNCTIONS))
     def test_builtins_pass_probes(self, name):
@@ -110,16 +116,12 @@ class TestToeplitzOperator:
     N = 2**10
     H = 40.0 / (N - 1)
 
-    def _dense(self, kern):
-        i = np.arange(self.N)
-        return self.H * kern[i[:, None] - i[None, :] + self.N - 1]
-
     def test_matches_dense_matmul(self):
         # a random, non-symmetric kernel exercises every lag of both signs
         rng = np.random.default_rng(7)
         kern = rng.standard_normal(2 * self.N - 1)
         v = rng.standard_normal(self.N)
-        expected = self._dense(kern) @ v
+        expected = _dense(kern, self.H) @ v
         got = _toeplitz_operator(kern, self.H)(v)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -128,7 +130,7 @@ class TestToeplitzOperator:
         lags = self.H * np.arange(-(self.N - 1), self.N)
         kern = np.array([kernel(GAUSS, 0.25, float(t)) for t in lags])
         apply_a = _toeplitz_operator(kern, self.H)
-        expected = np.linalg.norm(self._dense(kern), 2)
+        expected = np.linalg.norm(_dense(kern, self.H), 2)
         assert _power_iteration_norm(apply_a, self.N) == pytest.approx(expected, rel=1e-6)
 
 
@@ -156,6 +158,21 @@ class TestSolver:
         assert not sol.ill_posed
         assert np.all(sol.a_values >= 0.0)
         assert abs(convolution_residual(sol, GAUSS) - sol.residual) < 1e-10
+
+    @pytest.mark.parametrize("tau", [0.22, 0.245, 0.25])
+    def test_default_lambda_solution_is_a_kkt_point(self, tau):
+        # 0.22 and 0.245 once ran out of active-set passes; the oracle is the
+        # dense matrix of the same kernel samples, with no FFT
+        sol = solve_normalizer(GAUSS, tau, 20.0, 2**10)
+        n, h = len(sol.grid), sol.spacing
+        lags = h * np.arange(-(n - 1), n)
+        dense = _dense(np.array([kernel(GAUSS, tau, float(t)) for t in lags]), h)
+        a = sol.a_values
+        a1 = dense @ np.ones(n)
+        grad = dense @ (dense @ a) + sol.lambda_reg * a - a1
+        projected = np.where(a > 0.0, grad, np.minimum(grad, 0.0))
+        assert np.all(a >= 0.0)
+        assert np.max(np.abs(projected)) <= 1e-10 * max(1.0, float(np.max(a1)))
 
     def test_exhausted_budget_raises(self):
         # an unconverged solve must raise, never return a loose solution

@@ -308,6 +308,11 @@ def test_pdm_density_and_normalizer(capsys):
     (["cf-construct", "--cf", "gauss", "--tau", "0.5", "--lambda-reg", "nan"], 1, "ERROR:usage:"),
     # the normal deviance (y - mu)^2 overflows a float
     (["deviance", "--family", "normal", "--y", "8e246", "--mu=-1.35e253"], 2, "ERROR:numerical:"),
+    # 2^30 grid points and 10^7 + 1 draws would fill memory; both are refused before
+    # the grid or the sample is allocated
+    (["cf-construct", "--cf", "gauss", "--tau", "0.5", "--N", "1073741824"], 1, "ERROR:domain:"),
+    (["pdm", "--model", "vonmises", "--mu", "1", "--tau", "1", "--pivotal-check",
+      "--m", "10000001"], 1, "ERROR:domain:"),
 ])
 def test_exit_codes_and_error_prefixes(capsys, argv, code, prefix):
     got, out, err = _run(capsys, argv)
