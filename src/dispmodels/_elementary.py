@@ -80,6 +80,8 @@ def power_deviance(p: float, y, mu, delta=None):
         except OverflowError:  # of a power of 1 + x in expm1
             pass
         # there, or where scale underflowed, p is 0.48 or more from 1 and 2: the (1-p)(2-p) form holds
+        if scale == 0.0:  # scale * x is 0 as well, which would drop the y-linear term
+            scale_x = 2.0 * mu ** (1.0 - p) * delta
         power = 2.0 * max(y, 0.0) ** (2.0 - p) - scale
         return (power - (2.0 - p) * scale_x) / ((1.0 - p) * (2.0 - p))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -3,7 +3,8 @@
 A family is determined by a strictly convex generator ``b`` on an open
 canonical domain: the cgf of a member is ``K(t) = [b(theta + tau t) -
 b(theta)] / tau``, the mean is ``b'(theta)``, the variance function is
-``b''`` composed with the inverse mean mapping, and the unit deviance is
+``b''`` composed with the inverse mean mapping, the r-th cumulant is
+``tau^(r-1) b^(r)(theta)``, and the unit deviance is
 ``2 * integral_mu^y (y - t) / V(t) dt``.  Densities use the exact additive
 normalizer ``c(y; tau)`` where one is known; otherwise the renormalized
 saddlepoint approximation stands in (and the caller can see that through
@@ -28,7 +29,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-from scipy.special import factorial2, gammaln, loggamma, polygamma
+from scipy.special import gammaln, loggamma, polygamma
 
 from . import _elementary as el
 from ._numdiff import _bracketed_newton, _quad, derivative
@@ -69,22 +70,24 @@ _UNIT_TAU = RealInterval(1.0, 1.0, closed_lower=True, closed_upper=True)
 class EdmFamily:
     """An EDM specified by its cumulant generator and domain metadata.
 
-    ``b_nth(order, theta)`` may return ``None`` for orders it does not
-    know.  Every derivative of ``b`` that is not registered comes from
-    ``_numdiff.derivative`` on ``theta_domain``: ``b'`` and ``b''`` from
-    ``b``, the cumulants of order 3 to 6 from ``b''`` (or ``b``); a
-    JSON-config family registers ``b`` alone.  ``exact_normalizer`` is
-    the additive term ``c(y; tau)`` of the log density, on the log scale.
+    ``b_nth(r, theta)`` is the one table of the derivatives ``b^(r)``: it
+    knows orders 1 and 2 and may return ``None`` for a higher order.
+    ``_b_derivative`` is the one rule that reads it: the registered value
+    where there is one, else ``_numdiff.derivative`` on ``theta_domain`` of
+    order r - 2 of ``b_nth(2, .)``, or of order r of ``b`` where ``b_nth``
+    is ``None`` (a JSON-config family registers ``b`` alone); orders above
+    6 are refused.  ``exact_normalizer`` is the additive term ``c(y; tau)``
+    of the log density, on the log scale.
 
-    ``b``, ``b_double_prime``, ``mean_inverse``, ``deviance_closed_form``
-    and ``dc_dtau`` (in its ``y`` argument) must accept an ndarray as well
-    as a float; the built-in families write each formula once with
-    ``_elementary``, which keeps floats on ``math``.  Where
-    ``mean_inverse`` or ``b_double_prime`` is ``None`` the mean inverse or
-    the variance function of an array is computed element by element (a
-    Newton solve, finite differences); where ``deviance_closed_form`` is
-    ``None`` the deviance comes from ``b`` and the inverse mean, element by
-    element.
+    ``b``, ``b_nth`` (at every order it knows), ``mean_inverse``,
+    ``deviance_closed_form`` and ``dc_dtau`` (in its ``y`` argument) must
+    accept an ndarray as well as a float; the built-in families write each
+    formula once with ``_elementary``, which keeps floats on ``math``.
+    Where ``mean_inverse`` is ``None`` or a derivative is not registered,
+    the mean inverse or the derivative of an array is computed element by
+    element (a Newton solve, finite differences); where
+    ``deviance_closed_form`` is ``None`` the deviance comes from ``b`` and
+    the inverse mean, element by element.
     """
 
     name: str
@@ -93,8 +96,6 @@ class EdmFamily:
     mean_domain: RealInterval
     support: RealInterval
     dispersion_domain: RealInterval
-    b_prime: Optional[Callable[[float], float]] = None
-    b_double_prime: Optional[Callable[[float], float]] = None
     b_nth: Optional[Callable[[int, float], Optional[float]]] = None
     exact_normalizer: Optional[Callable[[float, float], float]] = None
     dc_dtau: Optional[Callable[[float, float], float]] = None
@@ -106,15 +107,22 @@ class EdmFamily:
     def has_exact_density(self) -> bool:
         return self.exact_normalizer is not None
 
-    def _b_prime(self, theta: float) -> float:
-        if self.b_prime is not None:
-            return float(self.b_prime(theta))
-        return derivative(self.b, theta, 1, self.theta_domain)
-
-    def _b_double_prime(self, theta: float) -> float:
-        if self.b_double_prime is not None:
-            return float(self.b_double_prime(theta))
-        return derivative(self.b, theta, 2, self.theta_domain)
+    def _b_derivative(self, r: int, theta):
+        """``b^(r)(theta)``, ``theta`` a float or an ndarray, by the rule of the class docstring."""
+        value = None if self.b_nth is None else self.b_nth(r, theta)
+        if value is not None:
+            if type(theta) is not float and isinstance(theta, np.ndarray):
+                return _float_array(value, theta)
+            return float(value)
+        if r > 6:
+            raise NumericalError(
+                f"cumulant order {r} requires an analytic derivative of b for {self.name}"
+            )
+        if type(theta) is not float and isinstance(theta, np.ndarray):
+            return el.vectorize(partial(self._b_derivative, r))(theta)
+        if self.b_nth is not None:
+            return derivative(partial(self.b_nth, 2), theta, r - 2, self.theta_domain)
+        return derivative(self.b, theta, r, self.theta_domain)
 
 
 # Each public function that takes an ndarray branches once, on entry, into
@@ -145,7 +153,7 @@ def cgf(fam: EdmFamily, t: float, theta: float, tau: float) -> float:
 def mean_value(fam: EdmFamily, theta: float) -> float:
     """Mean value mapping ``mu = b'(theta)``."""
     fam.theta_domain.interior().require(theta, "theta")
-    return fam._b_prime(theta)
+    return fam._b_derivative(1, theta)
 
 
 def inverse_mean(fam: EdmFamily, mu):
@@ -165,11 +173,11 @@ def inverse_mean(fam: EdmFamily, mu):
     if fam.mean_inverse is not None:
         return float(fam.mean_inverse(mu))
     return _solve_increasing(
-        fam._b_prime,
+        partial(fam._b_derivative, 1),
         mu,
         fam.theta_domain,
         tol=1e-10 * max(1.0, abs(mu)),
-        g_prime=fam._b_double_prime,
+        g_prime=partial(fam._b_derivative, 2),
     )
 
 
@@ -229,18 +237,14 @@ def _solve_increasing(g, target: float, domain: RealInterval, tol: float, g_prim
 def variance_function(fam: EdmFamily, mu):
     """Unit variance function ``V(mu) = b''(q(mu))``; ``mu`` may be an ndarray."""
     theta = inverse_mean(fam, mu)
-    if type(theta) is not float and isinstance(theta, np.ndarray):
-        if fam.b_double_prime is None:
-            v = el.vectorize(fam._b_double_prime)(theta)
-        else:
-            v = _float_array(fam.b_double_prime(theta), theta)
-        bad = ~(v > 0.0)
-        if bad.any():
-            raise NumericalError(f"b'' not positive at theta={theta[bad][0]} for {fam.name}")
+    v = fam._b_derivative(2, theta)
+    if type(v) is float:
+        if not v > 0.0:
+            raise NumericalError(f"b'' not positive at theta={theta} for {fam.name}")
         return v
-    v = fam._b_double_prime(theta)
-    if not v > 0.0:
-        raise NumericalError(f"b'' not positive at theta={theta} for {fam.name}")
+    bad = ~(v > 0.0)
+    if bad.any():
+        raise NumericalError(f"b'' not positive at theta={theta[bad][0]} for {fam.name}")
     return v
 
 
@@ -256,31 +260,16 @@ def variance_prime(fam: EdmFamily, mu: float) -> float:
 def cumulant(fam: EdmFamily, r: int, theta: float, tau: float) -> float:
     """r-th cumulant ``tau^(r-1) b^(r)(theta)``.
 
-    Orders above 2 use the registered ``b_nth`` when it knows the order.
-    Otherwise ``b^(r)`` is ``derivative`` of order r - 2 of a registered
-    ``b''``, or of order r of ``b``; orders above 6 without an analytic
-    form are refused as numerically unstable.
+    ``b^(r)`` is the family's ``b_nth`` where it knows the order, else a
+    finite difference of order r - 2 of ``b''`` (of order r of ``b`` where
+    no ``b_nth`` is registered); orders above 6 without an analytic form
+    are refused as numerically unstable.
     """
     if r < 1:
         raise DomainError("cumulant order must be >= 1")
     fam.theta_domain.interior().require(theta, "theta")
     fam.dispersion_domain.require(tau, "tau")
-    if r == 1:
-        deriv = fam._b_prime(theta)
-    elif r == 2:
-        deriv = fam._b_double_prime(theta)
-    else:
-        deriv = fam.b_nth(r, theta) if fam.b_nth is not None else None
-        if deriv is None:
-            if r > 6:
-                raise NumericalError(
-                    f"cumulant order {r} requires an analytic derivative of b for {fam.name}"
-                )
-            if fam.b_double_prime is not None:
-                deriv = derivative(fam.b_double_prime, theta, r - 2, fam.theta_domain)
-            else:
-                deriv = derivative(fam.b, theta, r, fam.theta_domain)
-    return tau ** (r - 1) * float(deriv)
+    return tau ** (r - 1) * fam._b_derivative(r, theta)
 
 
 def edm_deviance(fam: EdmFamily, y, mu):
@@ -307,7 +296,12 @@ def edm_deviance(fam: EdmFamily, y, mu):
     if y == mu:
         return 0.0
     if fam.deviance_closed_form is not None:
-        return float(fam.deviance_closed_form(y, mu))
+        try:
+            return float(fam.deviance_closed_form(y, mu))
+        except OverflowError:  # of a term such as (y - mu)^2, where d itself may be finite
+            raise NumericalError(
+                f"closed-form deviance of {fam.name} overflows at (y={y}, mu={mu})"
+            ) from None
     return _generator_deviance(fam, y, mu)
 
 
@@ -349,7 +343,10 @@ def log_density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
     fam.dispersion_domain.require(tau, "tau")
     if fam.exact_normalizer is None:
         raise DomainError(f"family {fam.name} has no exact normalizer")
-    return (y * theta - fam.b(theta)) / tau + fam.exact_normalizer(y, tau)
+    value = (y * theta - fam.b(theta)) / tau + fam.exact_normalizer(y, tau)
+    if math.isnan(value):  # such as inf - inf where 1/tau overflows
+        raise NumericalError(f"log density of {fam.name} is nan at (y={y}, theta={theta}, tau={tau})")
+    return value
 
 
 def density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
@@ -439,9 +436,7 @@ def _normal_family() -> EdmFamily:
         name="normal",
         theta_domain=REALS,
         b=lambda th: 0.5 * th * th,
-        b_prime=lambda th: th,
-        b_double_prime=lambda th: 1.0,
-        b_nth=lambda r, th: 0.0,
+        b_nth=lambda r, th: th if r == 1 else 1.0 if r == 2 else 0.0,
         mean_domain=REALS,
         support=REALS,
         dispersion_domain=POSITIVE_REALS,
@@ -458,9 +453,9 @@ def _gamma_family() -> EdmFamily:
         name="gamma",
         theta_domain=RealInterval(-math.inf, 0.0),
         b=lambda th: -el.log(-th),
-        b_prime=lambda th: -1.0 / th,
-        b_double_prime=lambda th: 1.0 / th**2,
-        b_nth=lambda r, th: math.gamma(r) * (-th) ** (-r),
+        # b' and b'' apart from Gamma(r) (-theta)^(-r), whose pow would move their last bits
+        b_nth=lambda r, th: -1.0 / th if r == 1 else 1.0 / th**2 if r == 2
+        else math.gamma(r) * (-th) ** (-r),
         mean_domain=POSITIVE_REALS,
         support=POSITIVE_REALS,
         dispersion_domain=POSITIVE_REALS,
@@ -479,9 +474,7 @@ def _poisson_family() -> EdmFamily:
         name="poisson",
         theta_domain=REALS,
         b=el.exp,
-        b_prime=el.exp,
-        b_double_prime=el.exp,
-        b_nth=lambda r, th: math.exp(th),
+        b_nth=lambda r, th: el.exp(th),
         mean_domain=POSITIVE_REALS,
         support=RealInterval(0.0, math.inf, closed_lower=True, lattice=True),
         dispersion_domain=_UNIT_TAU,
@@ -496,11 +489,8 @@ def _inverse_gaussian_family() -> EdmFamily:
         name="inverse_gaussian",
         theta_domain=RealInterval(-math.inf, 0.0),
         b=lambda th: -el.sqrt(-2.0 * th),
-        b_prime=lambda th: (-2.0 * th) ** -0.5,
-        b_double_prime=lambda th: (-2.0 * th) ** -1.5,
-        b_nth=lambda r, th: float(factorial2(2 * r - 3)) * (-2.0 * th) ** (-(2 * r - 1) / 2.0)
-        if r >= 2
-        else (-2.0 * th) ** -0.5,
+        # (2r - 3)!! (-2 theta)^(1/2 - r); the product is exact in floats up to r = 16
+        b_nth=lambda r, th: math.prod(range(2 * r - 3, 0, -2), start=1.0) * (-2.0 * th) ** (0.5 - r),
         mean_domain=POSITIVE_REALS,
         support=POSITIVE_REALS,
         dispersion_domain=POSITIVE_REALS,
@@ -520,6 +510,10 @@ def _binomial_family() -> EdmFamily:
 
     def b_nth(r, th):
         s = sigma(th)
+        if r == 1:
+            return s
+        if r == 2:
+            return s * (1.0 - s)
         if r == 3:
             return s * (1.0 - s) * (1.0 - 2.0 * s)
         if r == 4:
@@ -530,8 +524,6 @@ def _binomial_family() -> EdmFamily:
         name="binomial",
         theta_domain=REALS,
         b=lambda th: el.positive_part(th) + el.log1p(el.exp(-abs(th))),
-        b_prime=sigma,
-        b_double_prime=lambda th: sigma(th) * (1.0 - sigma(th)),
         b_nth=b_nth,
         mean_domain=RealInterval(0.0, 1.0),
         support=RealInterval(0.0, 1.0, closed_lower=True, closed_upper=True, lattice=True),
@@ -546,7 +538,11 @@ def _binomial_family() -> EdmFamily:
 
 def _negative_binomial_family() -> EdmFamily:
     def b_nth(r, th):
-        q = math.exp(th)
+        q = el.exp(th)
+        if r == 1:
+            return q / (1.0 - q)
+        if r == 2:
+            return q / (1.0 - q) ** 2
         if r == 3:
             return q * (1.0 + q) / (1.0 - q) ** 3
         if r == 4:
@@ -557,8 +553,6 @@ def _negative_binomial_family() -> EdmFamily:
         name="negative_binomial",
         theta_domain=RealInterval(-math.inf, 0.0),
         b=lambda th: -el.log1p(-el.exp(th)),
-        b_prime=lambda th: el.exp(th) / (1.0 - el.exp(th)),
-        b_double_prime=lambda th: el.exp(th) / (1.0 - el.exp(th)) ** 2,
         b_nth=b_nth,
         mean_domain=POSITIVE_REALS,
         support=RealInterval(0.0, math.inf, closed_lower=True, lattice=True),
@@ -593,8 +587,12 @@ def gsh_log_normalizer(y: float, tau: float) -> float:
 
 def _gsh_family() -> EdmFamily:
     def b_nth(r, th):
-        sec2 = 1.0 / math.cos(th) ** 2
-        tan = math.tan(th)
+        if r == 1:
+            return el.tan(th)
+        sec2 = 1.0 / el.cos(th) ** 2
+        if r == 2:
+            return sec2
+        tan = el.tan(th)
         if r == 3:
             return 2.0 * sec2 * tan
         if r == 4:
@@ -605,8 +603,6 @@ def _gsh_family() -> EdmFamily:
         name="gsh",
         theta_domain=RealInterval(-0.5 * math.pi, 0.5 * math.pi),
         b=lambda th: -el.log(el.cos(th)),
-        b_prime=el.tan,
-        b_double_prime=lambda th: 1.0 / el.cos(th) ** 2,
         b_nth=b_nth,
         mean_domain=REALS,
         support=REALS,

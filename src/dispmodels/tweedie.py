@@ -361,7 +361,10 @@ def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
         if abs(counts - round(counts)) > 1e-9:
             raise DomainError(f"p=1 support is the lattice tau*N0; y={y} is off-lattice for tau={tau}")
     theta = _inverse_mean(p, mu)
-    return math.exp(_log_normalizer(p, y, tau) + (y * theta - _generator(p, theta)) / tau)
+    log_density = _log_normalizer(p, y, tau) + (y * theta - _generator(p, theta)) / tau
+    if math.isnan(log_density):  # such as inf - inf where 1/tau overflows
+        raise NumericalError(f"Tweedie log density is nan at (p={p}, y={y}, mu={mu}, tau={tau})")
+    return math.exp(log_density)
 
 
 def _closed_form_cdf(p: float, ys: np.ndarray, mu: float, tau: float) -> np.ndarray:
@@ -438,8 +441,6 @@ class TweedieFamily:
             name=f"tweedie(p={self.p:g})",
             theta_domain=self.theta_domain,
             b=lambda th: _generator(p, th),
-            b_prime=lambda th: _b_nth(p, 1, th),
-            b_double_prime=lambda th: _b_nth(p, 2, th),
             b_nth=lambda r, th: _b_nth(p, r, th),
             mean_domain=self.mean_domain,
             support=self.support,

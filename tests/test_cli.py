@@ -313,6 +313,8 @@ def test_pdm_density_and_normalizer(capsys):
     (["cf-construct", "--cf", "gauss", "--tau", "0.5", "--N", "1073741824"], 1, "ERROR:domain:"),
     (["pdm", "--model", "vonmises", "--mu", "1", "--tau", "1", "--pivotal-check",
       "--m", "10000001"], 1, "ERROR:domain:"),
+    # 1/tau overflows, and the log density is inf - inf
+    (["density", "--family", "gamma", "--y", "1", "--mu", "1", "--tau", "5e-324"], 2, "ERROR:numerical:"),
 ])
 def test_exit_codes_and_error_prefixes(capsys, argv, code, prefix):
     got, out, err = _run(capsys, argv)

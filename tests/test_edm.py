@@ -27,6 +27,7 @@ from dispmodels.edm import (
     variance_function,
 )
 from dispmodels.errors import DomainError, NumericalError
+from dispmodels.tweedie import tweedie_family
 
 CLOSED_FORM_FAMILIES = ["normal", "gamma", "poisson", "inverse_gaussian", "binomial", "negative_binomial"]
 # families whose exact normalizer is integral-validated (all of them)
@@ -149,6 +150,35 @@ class TestCumulant:
         with pytest.raises(NumericalError):
             cumulant(numeric, 7, -1.0, 1.0)
 
+    def test_order_seven_refused_through_b_double_prime_too(self):
+        # the binomial knows b'' but not b^(7): a fifth difference of b'' is refused as well
+        with pytest.raises(NumericalError):
+            cumulant(get_family("binomial"), 7, 0.3, 1.0)
+
+    @pytest.mark.parametrize("r, double_factorial", [(3, 3.0), (4, 15.0), (5, 105.0)])
+    def test_inverse_gaussian_cumulants_exact(self, r, double_factorial):
+        # b^(r)(theta) = (2r - 3)!! (-2 theta)^(1/2 - r), the double factorial an exact integer
+        fam = get_family("inverse_gaussian")
+        for theta in (-0.05, -0.5, -1.0, -3.7, -20.0):
+            assert cumulant(fam, r, theta, 1.0) == double_factorial * (-2.0 * theta) ** (0.5 - r)
+
+    @pytest.mark.parametrize(
+        "fam",
+        [get_family(name) for name in NORMALIZED]
+        + [tweedie_family(p).to_edm() for p in (0.0, 1.0, 1.5, 2.0, 2.5, 3.0)],
+        ids=lambda fam: fam.name,
+    )
+    def test_float_and_array_paths_agree(self, fam):
+        # one derivative table serves mean_value, cumulant and the variance function of an array
+        rng = np.random.default_rng(37)
+        thetas = [random_theta(fam, rng) for _ in range(200)]
+        mus = [mean_value(fam, theta) for theta in thetas]
+        assert mus == [cumulant(fam, 1, theta, 1.0) for theta in thetas]
+        # numpy's vector math and math differ by a few ulp, so the array path is not bitwise
+        assert variance_function(fam, np.array(mus)).tolist() == pytest.approx(
+            [variance_function(fam, mu) for mu in mus], rel=1e-14, abs=0.0
+        )
+
 
 class TestDeviance:
     def test_examples(self):
@@ -159,6 +189,15 @@ class TestDeviance:
         assert edm_deviance(get_family("poisson"), 2.0, 1.0) == pytest.approx(
             0.7725887222397811, rel=1e-12
         )
+
+    @pytest.mark.parametrize("name, y, mu", [
+        ("normal", 8.1e246, -1.35e253),
+        # (y - mu)^2 overflows though d = 2.5e-201 is finite, so inf would be wrong too
+        ("inverse_gaussian", 1e200, 2e200),
+    ])
+    def test_overflowing_closed_form_raises(self, name, y, mu):
+        with pytest.raises(NumericalError):
+            edm_deviance(get_family(name), y, mu)
 
     @pytest.mark.parametrize("name", ["normal", "gamma", "poisson", "inverse_gaussian"])
     def test_quadrature_matches_closed_form(self, name):
@@ -185,6 +224,12 @@ class TestDensity:
         assert density(get_family("gamma"), 1.0, -1.0, 1.0) == pytest.approx(
             0.36787944117144233, rel=1e-12
         )
+
+    @pytest.mark.parametrize("name, theta", [("gamma", -1.0), ("inverse_gaussian", -0.5)])
+    def test_nan_log_density_raises(self, name, theta):
+        # 1/tau overflows at tau = 5e-324, and c + (y theta - b)/tau is inf - inf
+        with pytest.raises(NumericalError):
+            density(get_family(name), 1.0, theta, 5e-324)
 
     def test_lattice_rejects_non_integer(self):
         with pytest.raises(DomainError):

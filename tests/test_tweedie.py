@@ -148,6 +148,18 @@ class TestDeviance:
         values = edm.edm_deviance(tweedie_family(-1.0).to_edm(), np.array([1e-50, 2.0]), np.array([1e-110, 1.0]))
         assert values[0] == pytest.approx(exact, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("mu", [1e-150, 1e-120])
+    def test_y_linear_term_kept_where_the_scale_underflows(self, mu):
+        # 2 mu^3 is 0 in floats at p = -1, and with it went d = 2 mu^3/3 - y mu^2 for y < 0
+        p, y = -1.0, -1e100
+        with mpmath.workdps(50):
+            P, Y, M = mpmath.mpf(p), mpmath.mpf(y), mpmath.mpf(mu)
+            exact = 2 * (max(Y, 0) ** (2 - P) / ((1 - P) * (2 - P)) - Y * M ** (1 - P) / (1 - P)
+                         + M ** (2 - P) / (2 - P))
+        values = edm.edm_deviance(tweedie_family(p).to_edm(), np.array([y, 1.0]), np.array([mu, 2.0]))
+        for value in (tweedie_deviance(p, y, mu), values[0]):
+            assert abs(value - exact) <= 1e-13 * exact
+
     @staticmethod
     def _assert_accurate(p, points):
         # against 2{y^(2-p)/((1-p)(2-p)) - y mu^(1-p)/(1-p) + mu^(2-p)/(2-p)} at 50 digits, float and array path
@@ -254,6 +266,11 @@ class TestDensity:
         se = math.sqrt(float(np.mean(inside)) * (1 - float(np.mean(inside))) / 10**6) / width
         value = tweedie_density(1.5, 0.5, 1.0, 1.0)
         assert abs(estimate - value) < 3 * se + 1e-3  # histogram bias allowance
+
+    def test_nan_log_density_raises(self):
+        # 1/tau overflows at tau = 5e-324, and c + (y theta - b)/tau is inf - inf
+        with pytest.raises(NumericalError):
+            tweedie_density(2.0, 1.0, 1.0, 5e-324)
 
     def test_atom_at_zero(self):
         assert tweedie_density(1.5, 0.0, 1.0, 1.0) == tweedie_zero_mass(1.5, 1.0, 1.0)
