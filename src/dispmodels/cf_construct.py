@@ -12,6 +12,11 @@ primal-dual active-set conjugate-gradient method, warm-started along a
 ladder of regularization weights, reporting the interior residual honestly.
 The models built this way are neither proper nor exponential dispersion
 models: the fitted ``a(y; tau)`` does not factorize across tau.
+
+Every cf ``phi`` and every kernel callable takes a float or an ndarray, like
+every family callable: floats in give floats out, and on an ndarray it
+returns values that broadcast to its shape (so ``lambda t: 1.0`` is one).
+A solve samples its kernel in one call on the whole lag vector.
 """
 
 from __future__ import annotations
@@ -50,40 +55,83 @@ class CfSpec:
     ``m2`` is the second moment of the underlying probability measure when
     finite; it decides whether the induced deviance is regular.  The
     declared symmetry/non-lattice properties are verified on probe grids
-    by :func:`validate_cf`.
+    by :func:`validate_cf`.  ``phi`` and the spec take a float or an ndarray
+    ``t``; the spec returns a float or an ndarray of the shape of ``t``.
     """
 
-    phi: Callable[[float], float]
+    phi: Callable
     name: str = "cf"
     m2: Optional[float] = None
 
-    def __call__(self, t: float) -> float:
-        return float(self.phi(t))
+    def __call__(self, t):
+        return _sample(self.phi, t) if isinstance(t, np.ndarray) else float(self.phi(t))
 
 
-def _probe_grid(n: int = 32) -> np.ndarray:
-    pts = np.geomspace(1e-2, 1e2, n)
-    return np.concatenate([-pts[::-1], pts])
+def _sample(fn, t: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape)
+
+
+_SYMMETRY_PROBES = np.geomspace(1e-2, 1e2, 32)
+# |phi| scanned on (0, 100] for interior maxima, where a lattice cf reaches 1 again
+_LATTICE_SCAN = 1e-2 * np.arange(1, 10_001)
+_PROBES = np.concatenate([[0.0], -_SYMMETRY_PROBES, _SYMMETRY_PROBES, _LATTICE_SCAN])
 
 
 def validate_cf(cf: CfSpec) -> None:
     """Probe the characteristic-function invariants; raise DomainError on failure.
 
-    phi(0) = 1 exactly, |phi| <= 1, phi(t) = phi(-t) within 1e-12, and the
-    non-lattice requirement |phi(t)| < 1 for probed t != 0.
+    ``phi`` is called once, on one probe array; a callable that raises
+    TypeError or ValueError there, or returns values that do not broadcast
+    to the probes, breaks the array contract of :class:`CfSpec`.  Then
+    phi(0) = 1 exactly, |phi| <= 1 at every probe, phi(t) = phi(-t) within
+    1e-12 on a geometric grid of t in [1e-2, 1e2], and phi is not lattice:
+    at the interior local maxima of |phi| on (0, 100] (see
+    :func:`_highest_interior_peak`), 1 - |phi| >= 1e-9.
     """
-    if cf(0.0) != 1.0:
-        raise DomainError(f"{cf.name}: phi(0) = {cf(0.0)!r}, must be exactly 1")
-    for t in _probe_grid():
-        v = cf(float(t))
-        if not math.isfinite(v) or abs(v) > 1.0 + 1e-12:
-            raise DomainError(f"{cf.name}: |phi({t})| = {abs(v)} exceeds 1")
-        if abs(v - cf(float(-t))) > 1e-12:
-            raise DomainError(f"{cf.name}: phi not symmetric at t={t}")
-        if abs(v) >= 1.0:
-            raise DomainError(
-                f"{cf.name}: |phi({t})| = 1 off the origin; lattice cfs do not yield unit deviances"
-            )
+    try:
+        values = cf(_PROBES)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(
+            f"{cf.name}: phi must take a float or an ndarray and return values that "
+            f"broadcast to its shape ({exc})"
+        ) from exc
+    if values[0] != 1.0:
+        raise DomainError(f"{cf.name}: phi(0) = {values[0]!r}, must be exactly 1")
+    magnitude = np.abs(values)
+    bad = np.nonzero(~(magnitude <= 1.0 + 1e-12))[0]
+    if bad.size:
+        raise DomainError(f"{cf.name}: |phi({_PROBES[bad[0]]})| = {magnitude[bad[0]]} exceeds 1")
+    n = len(_SYMMETRY_PROBES)
+    negative, positive = values[1 : n + 1], values[n + 1 : 2 * n + 1]
+    bad = np.nonzero(np.abs(positive - negative) > 1e-12)[0]
+    if bad.size:
+        raise DomainError(f"{cf.name}: phi not symmetric at t={_SYMMETRY_PROBES[bad[0]]}")
+    top, t = _highest_interior_peak(magnitude[2 * n + 1 :])
+    if 1.0 - top < 1e-9:
+        raise DomainError(
+            f"{cf.name}: |phi| = {top!r} at its local maximum near t={t:.4g}; "
+            "lattice cfs do not yield unit deviances"
+        )
+
+
+def _highest_interior_peak(scan: np.ndarray) -> tuple[float, float]:
+    """The highest interior local maximum of ``scan = |phi(_LATTICE_SCAN)|``, with its t.
+
+    Each maximum is refined by the parabola through it and its two
+    neighbours, so a lattice cf, where |phi| returns to 1 between the scan
+    points, comes within about 1e-11 of 1; a flat stretch counts as a
+    maximum.  ``(0.0, nan)`` when there is none.
+    """
+    left, mid, right = scan[:-2], scan[1:-1], scan[2:]
+    peak = np.nonzero((mid >= left) & (mid >= right))[0]
+    if peak.size == 0:
+        return 0.0, math.nan
+    left, mid, right = left[peak], mid[peak], right[peak]
+    curvature = 2.0 * mid - left - right
+    rise = np.divide((right - left) ** 2, 8.0 * curvature, out=np.zeros(peak.size), where=curvature > 0.0)
+    top = mid + rise
+    k = int(np.argmax(top))
+    return float(top[k]), float(_LATTICE_SCAN[peak[k] + 1])
 
 
 def cf_deviance(cf: CfSpec, y: float, mu: float) -> float:
@@ -96,24 +144,23 @@ def cf_unit_deviance(cf: CfSpec) -> UnitDeviance:
 
     Regular exactly when the cf has a finite second moment (the diagonal
     curvature is then positive); the Cauchy-type cf ``exp(-|t|)`` is the
-    classic non-regular example.  The deviance takes arrays: ``phi`` is
-    vectorised once, here.
+    classic non-regular example.  The deviance takes floats and ndarrays,
+    as ``phi`` does.
     """
     validate_cf(cf)
-    phi = el.vectorize(cf)
     return UnitDeviance(
         name=f"cf[{cf.name}]",
         support=REALS,
-        fn=lambda y, mu: 1.0 - phi(y - mu),
+        fn=lambda y, mu: 1.0 - cf(y - mu),
         regular=cf.m2 is not None,
     )
 
 
-def kernel(cf: CfSpec, tau: float, t: float) -> float:
-    """Convolution kernel ``K_tau(t) = exp(-(1 - phi(t)) / (2 tau))`` in (0, 1]."""
+def kernel(cf: CfSpec, tau: float, t):
+    """Convolution kernel ``K_tau(t) = exp(-(1 - phi(t)) / (2 tau))`` in (0, 1], at a float or ndarray t."""
     if not tau > 0.0:
         raise DomainError("tau must be positive")
-    return math.exp(-(1.0 - cf(t)) / (2.0 * tau))
+    return el.exp(-(1.0 - cf(t)) / (2.0 * tau))
 
 
 @dataclass(frozen=True)
@@ -148,11 +195,6 @@ class GridSolution:
         return slice(self.edge_band, len(self.grid) - self.edge_band)
 
 
-def _kernel_samples(kernel_fn, N: int, h: float) -> np.ndarray:
-    lags = h * np.arange(-(N - 1), N)
-    return np.array([kernel_fn(float(t)) for t in lags])
-
-
 def _toeplitz_operator(kern: np.ndarray, h: float) -> Callable[[np.ndarray], np.ndarray]:
     """The product ``v -> A v`` with ``A_ij = h kern[i - j + N - 1]``.
 
@@ -183,14 +225,12 @@ def _power_iteration_norm(apply_a, n: int) -> float:
     return math.sqrt(norm)
 
 
-def _effective_support_band(kern: np.ndarray, N: int, plateau: float, tol: float = 1e-3) -> int:
-    # kern is sampled at lags -(N-1)..(N-1); find the largest |lag| above plateau + tol
-    above = np.nonzero(kern > plateau + tol)[0]
+def _effective_support_band(kern: np.ndarray, lags: np.ndarray, plateau: float, tol: float = 1e-3) -> int:
+    # the largest |lag| whose sample is above plateau + tol, at most N/2 - 1 (N = lags[-1] + 1)
+    above = lags[kern > plateau + tol]
     if len(above) == 0:
         return 1
-    lags = np.arange(-(N - 1), N)
-    band = int(np.max(np.abs(lags[above])))
-    return max(1, min(band, N // 2 - 1))
+    return max(1, min(int(np.max(np.abs(above))), (lags[-1] + 1) // 2 - 1))
 
 
 def _lambda_ladder(target: float, start: float, floor: float) -> list:
@@ -256,7 +296,7 @@ def _active_set_pcg(hessian_apply, precond, atb, a, free, kkt_tol, budget):
 
 
 def solve_convolution_grid(
-    kernel_fn: Callable[[float], float],
+    kernel_fn: Callable,
     tau: float,
     L: float,
     N: int,
@@ -274,6 +314,8 @@ def solve_convolution_grid(
     with the bound coordinates held at zero; then the nonnegative free and
     the bound coordinates whose gradient points into the feasible set form
     the next free set, and CG runs again until the set stays the same.
+    ``kernel_fn`` takes a float or an ndarray, as a cf does: a solve calls
+    it on all the lags ``-(N-1)h .. (N-1)h`` at once, and at L (the plateau).
 
     The smaller lambda, the worse ``A^2 + lambda I`` is conditioned, and the
     more CG iterations a cold start costs.  A ``lambda_reg`` below the
@@ -304,7 +346,8 @@ def solve_convolution_grid(
         raise DomainError(f"lambda_reg must be nonnegative and finite, got {lambda_reg}")
     grid = np.linspace(-L, L, N)
     h = float(grid[1] - grid[0])
-    kern = _kernel_samples(kernel_fn, N, h)
+    lags = np.arange(-(N - 1), N)
+    kern = _sample(kernel_fn, h * lags)
     # the normal equations below use A^T = A, i.e. K(-t) = K(t)
     if np.max(np.abs(kern - kern[::-1])) > 1e-12 * np.max(np.abs(kern)):
         raise DomainError("the kernel is not symmetric: K(-t) != K(t) on the grid")
@@ -313,7 +356,7 @@ def solve_convolution_grid(
         raise DomainError(
             "L is too small: the kernel has not reached its tail plateau at lag L"
         )
-    band = _effective_support_band(kern, N, plateau)
+    band = _effective_support_band(kern, lags, plateau)
 
     apply_a = _toeplitz_operator(kern, h)
     a_norm = _power_iteration_norm(apply_a, N)
@@ -326,10 +369,9 @@ def solve_convolution_grid(
     # Strang circulant preconditioner for the Toeplitz normal equations:
     # the Hessian A^2 + lambda I is approximated by C^2 + lambda I, which
     # FFT diagonalizes, collapsing the CG iteration count; |fft(circ)|^2 is
-    # real and symmetric, so its first N/2 + 1 entries are all of it
-    lags = np.arange(N)
-    lags[lags > N // 2] -= N
-    circ = h * kern[N - 1 + lags]
+    # real and symmetric, so its first N/2 + 1 entries are all of it; the
+    # circulant's first column holds the lags 0..N/2, then -(N/2 - 1)..-1
+    circ = h * np.roll(kern[N // 2 : 3 * N // 2], 1 - N // 2)
     circ_eigs = np.abs(np.fft.rfft(circ)) ** 2
 
     a = np.zeros(N)
@@ -398,24 +440,21 @@ def convolution_residual(sol: GridSolution, cf) -> float:
     solution's tau) or a bare kernel callable.  The direct summation path
     is independent of the solver's FFT matrix.
     """
-    if isinstance(cf, CfSpec):
-        kernel_fn = lambda t: kernel(cf, sol.tau, t)
-    else:
-        kernel_fn = cf
-    h = sol.spacing
-    kern = _kernel_samples(kernel_fn, len(sol.grid), h)
+    kernel_fn = (lambda t: kernel(cf, sol.tau, t)) if isinstance(cf, CfSpec) else cf
+    n, h = len(sol.grid), sol.spacing
+    kern = _sample(kernel_fn, h * np.arange(-(n - 1), n))
     conv = h * np.convolve(sol.a_values, kern, mode="valid")
     interior = sol.interior
     return float(np.max(np.abs(conv[interior] - 1.0)))
 
 
 CHARACTERISTIC_FUNCTIONS: dict[str, CfSpec] = {
-    "gauss": CfSpec(phi=lambda t: math.exp(-0.5 * t * t), name="gauss", m2=1.0),
+    "gauss": CfSpec(phi=lambda t: el.exp(-0.5 * t * t), name="gauss", m2=1.0),
     # Laplace-shaped cf (the characteristic function of the Cauchy law):
     # no second moment, so the induced deviance is not regular
-    "laplace-cf": CfSpec(phi=lambda t: math.exp(-abs(t)), name="laplace-cf", m2=None),
+    "laplace-cf": CfSpec(phi=lambda t: el.exp(-abs(t)), name="laplace-cf", m2=None),
     # triangular-shaped cf (Polya): valid, compactly supported, heavy-tailed law
-    "triangular-cf": CfSpec(phi=lambda t: max(0.0, 1.0 - abs(t)), name="triangular-cf", m2=None),
+    "triangular-cf": CfSpec(phi=lambda t: el.positive_part(1.0 - abs(t)), name="triangular-cf", m2=None),
 }
 
 

@@ -499,7 +499,8 @@ def _inverse_gaussian_family() -> EdmFamily:
         - 1.5 * math.log(y),
         dc_dtau=lambda y, tau: 0.5 / (tau**2 * y) - 0.5 / tau,
         mean_inverse=lambda mu: -0.5 / mu**2,
-        deviance_closed_form=lambda y, mu: (y - mu) ** 2 / (mu**2 * y),
+        # in units of mu, so that (y - mu)^2 cannot overflow where d is finite
+        deviance_closed_form=lambda y, mu: ((y - mu) / mu) ** 2 / y,
         tau_mle_closed_form=lambda y, deviance, n: deviance / n,
     )
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from dispmodels.cf_construct import (
+    _LATTICE_SCAN,
     CHARACTERISTIC_FUNCTIONS,
+    _highest_interior_peak,
     _power_iteration_norm,
     _toeplitz_operator,
     CfSpec,
@@ -39,8 +41,8 @@ class TestCfValidation:
         validate_cf(CHARACTERISTIC_FUNCTIONS[name])
 
     def test_wrong_origin_rejected(self):
-        with pytest.raises(DomainError):
-            validate_cf(CfSpec(phi=lambda t: 0.999 if t == 0 else 0.0, name="broken"))
+        with pytest.raises(DomainError, match=r"phi\(0\)"):
+            validate_cf(CfSpec(phi=lambda t: 0.999 * (t == 0.0), name="broken"))
 
     def test_lattice_like_rejected(self):
         # |phi| = 1 off the origin marks a lattice distribution
@@ -48,12 +50,47 @@ class TestCfValidation:
             validate_cf(CfSpec(phi=lambda t: 1.0, name="degenerate"))
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(DomainError):
-            validate_cf(CfSpec(phi=lambda t: math.exp(-t * t / 2 + 0.001 * t), name="skew"))
+        with pytest.raises(DomainError, match="not symmetric"):
+            validate_cf(CfSpec(phi=lambda t: np.exp(-t * t / 2 + 0.001 * t), name="skew"))
 
     def test_magnitude_above_one_rejected(self):
         with pytest.raises(DomainError):
             validate_cf(CfSpec(phi=lambda t: 1.0 + t * t, name="blowup"))
+
+    @pytest.mark.parametrize("phi", [lambda t: math.exp(-0.5 * t * t), lambda t: np.ones(3)],
+                             ids=["math.exp only", "wrong shape"])
+    def test_callable_breaking_the_array_contract_rejected(self, phi):
+        with pytest.raises(DomainError, match="float or an ndarray"):
+            validate_cf(CfSpec(phi=phi, name="scalar"))
+
+    @pytest.mark.parametrize("phi", [
+        np.cos,
+        lambda t: np.cos(np.pi * t),
+        lambda t: np.cos(3.0 * t),
+        lambda t: np.cos(t / 7.0),
+        lambda t: np.abs(1.0 + np.exp(1j * t)) / 2.0,
+    ], ids=["cos t", "cos pi t", "cos 3t", "cos t/7", "|(1 + e^it)/2|"])
+    def test_lattice_off_the_probe_grid_rejected(self, phi):
+        # |phi| returns to 1 at multiples of 2 pi / span, which the geometric probes miss
+        top, _ = _highest_interior_peak(np.abs(phi(_LATTICE_SCAN)))
+        assert 1.0 - top <= 1e-11
+        with pytest.raises(DomainError, match="lattice"):
+            validate_cf(CfSpec(phi=phi, name="lattice"))
+
+    @pytest.mark.parametrize("phi, margin", [
+        (CHARACTERISTIC_FUNCTIONS["gauss"].phi, 1.0),
+        (CHARACTERISTIC_FUNCTIONS["laplace-cf"].phi, 1.0),
+        (CHARACTERISTIC_FUNCTIONS["triangular-cf"].phi, 1.0),
+        # the uniform law on [-1, 1], whose side lobes reach 0.22
+        (lambda t: np.sinc(t / np.pi), 0.78),
+        # two coins with incommensurate spans: near 1 at t = 91.09, yet not lattice
+        (lambda t: np.cos(math.sqrt(2.0) * t) * np.cos(t), 2.4e-4),
+    ], ids=["gauss", "laplace-cf", "triangular-cf", "sinc", "cos(sqrt2 t) cos t"])
+    def test_non_lattice_margin_below_one(self, phi, margin):
+        # 1 - |phi| at the highest interior maximum on (0, 100]; 1 where there is none
+        top, _ = _highest_interior_peak(np.abs(phi(_LATTICE_SCAN)))
+        assert 1.0 - top == pytest.approx(margin, rel=0.05)
+        validate_cf(CfSpec(phi=phi, name="non-lattice"))
 
 
 class TestCfDeviance:
@@ -138,7 +175,7 @@ class TestSolver:
     def test_delta_kernel_identity(self):
         n = 2**10
         h = 40.0 / (n - 1)
-        delta = lambda t: (1.0 / h if t == 0.0 else 0.0)
+        delta = lambda t: (t == 0.0) / h
         sol = solve_convolution_grid(delta, 0.25, 20.0, n, lambda_reg=0.0)
         np.testing.assert_allclose(sol.a_values, 1.0, atol=1e-10)
         assert convolution_residual(sol, delta) < 1e-12
@@ -220,9 +257,24 @@ class TestSolver:
     def test_non_symmetric_kernel_rejected_before_solving(self):
         # the normal equations assume A^T = A; a shifted kernel used to run
         # CG through its whole budget before raising ConvergenceError
-        shifted = lambda t: math.exp(-((t - 1.0) ** 2) / 2.0) + 0.3
+        shifted = lambda t: np.exp(-((t - 1.0) ** 2) / 2.0) + 0.3
         with pytest.raises(DomainError, match="not symmetric"):
             solve_convolution_grid(shifted, 0.25, 20.0, 2**10)
+
+    def test_kernel_sampled_in_one_call(self):
+        # a solve calls the kernel on all 2N - 1 lags at once, then at L for the plateau;
+        # a fresh residual calls it once
+        n = 2**12
+        shapes = []
+
+        def counted(t):
+            shapes.append(np.shape(t))
+            return kernel(GAUSS, 0.5, t)
+
+        sol = solve_convolution_grid(counted, 0.5, 20.0, n)
+        assert shapes == [(2 * n - 1,), ()]
+        assert convolution_residual(sol, counted) == convolution_residual(sol, GAUSS)
+        assert shapes == [(2 * n - 1,), (), (2 * n - 1,)]
 
     def test_triangular_cf_compact_kernel(self):
         sol = solve_normalizer(get_cf("triangular-cf"), 0.25, 20.0, 2**10)

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -27,7 +28,7 @@ from dispmodels.edm import (
     variance_function,
 )
 from dispmodels.errors import DomainError, NumericalError
-from dispmodels.tweedie import tweedie_family
+from dispmodels.tweedie import tweedie_deviance, tweedie_family
 
 CLOSED_FORM_FAMILIES = ["normal", "gamma", "poisson", "inverse_gaussian", "binomial", "negative_binomial"]
 # families whose exact normalizer is integral-validated (all of them)
@@ -192,12 +193,18 @@ class TestDeviance:
 
     @pytest.mark.parametrize("name, y, mu", [
         ("normal", 8.1e246, -1.35e253),
-        # (y - mu)^2 overflows though d = 2.5e-201 is finite, so inf would be wrong too
-        ("inverse_gaussian", 1e200, 2e200),
     ])
     def test_overflowing_closed_form_raises(self, name, y, mu):
         with pytest.raises(NumericalError):
             edm_deviance(get_family(name), y, mu)
+
+    @pytest.mark.parametrize("y, mu", [(1e200, 2e200), (2e200, 1e200), (1e-200, 3e-200), (0.3, 1.7)])
+    def test_inverse_gaussian_deviance_in_units_of_mu(self, y, mu):
+        # (y - mu)^2 / (mu^2 y) overflowed at (1e200, 2e200), where d = 2.5e-201 is finite
+        with mpmath.workdps(50):
+            exact = float((mpmath.mpf(y) - mu) ** 2 / (mpmath.mpf(mu) ** 2 * y))
+        assert edm_deviance(get_family("inverse_gaussian"), y, mu) == pytest.approx(exact, rel=1e-15)
+        assert tweedie_deviance(3.0, y, mu) == pytest.approx(exact, rel=1e-15)
 
     @pytest.mark.parametrize("name", ["normal", "gamma", "poisson", "inverse_gaussian"])
     def test_quadrature_matches_closed_form(self, name):

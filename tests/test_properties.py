@@ -1,6 +1,6 @@
 """Property tests: deviance axioms and accuracy next to the diagonal, the mean-value round trip,
-Lugannani-Rice across its switch, Tweedie continuity at p = 2 and p = 1, and CLI exit codes for
-any float input.
+Lugannani-Rice across its switch, Tweedie continuity at p = 2 and p = 1, the array and float calls
+of the characteristic functions, and CLI exit codes for any float input.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dispmodels import cli
+from dispmodels.cf_construct import CHARACTERISTIC_FUNCTIONS, cf_unit_deviance, kernel
 from dispmodels.deviance import DEVIANCES
 from dispmodels.edm import FAMILIES, edm_deviance, inverse_mean, mean_value
 from dispmodels.pdm import PDMS
@@ -198,6 +200,31 @@ def test_tweedie_cdf_continuous_across_gamma_window(delta, y, mu, tau):
 def test_tweedie_cdf_continuous_across_poisson_window(delta, k, mu, tau):
     y = (k + 0.5) * tau
     assert abs(tweedie_cdf(1.0 + delta, y, mu, tau) - tweedie_cdf(1.0, y, mu, tau)) <= delta
+
+
+@pytest.mark.parametrize("name", sorted(CHARACTERISTIC_FUNCTIONS))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(t=arrays(np.float64, st.integers(1, 40), elements=st.floats(-1e3, 1e3)),
+       mu=st.floats(-10.0, 10.0), tau=st.floats(0.01, 10.0))
+def test_cf_array_calls_match_float_calls(name, t, mu, tau):
+    # numpy's exp may differ from math.exp by up to 2 ulp.  The kernel carries phi's difference
+    # through exp's argument, scaled by 1/(2 tau) and rounded once more; the deviance carries it
+    # through 1 - phi, rounded once
+    cf = CHARACTERISTIC_FUNCTIONS[name]
+    phi = np.array([cf.phi(float(x)) for x in t])
+    assert type(cf.phi(float(t[0]))) is float
+    np.testing.assert_array_max_ulp(cf.phi(t), phi, maxulp=2)
+    phi_err = 2.0 * np.spacing(phi)
+
+    k = np.array([kernel(cf, tau, float(x)) for x in t])
+    arg = (1.0 - phi) / (2.0 * tau)
+    k_err = 2.0 * np.spacing(k) + k * (phi_err / (2.0 * tau) + np.spacing(arg))
+    assert np.all(np.abs(kernel(cf, tau, t) - k) <= k_err)
+
+    dev = cf_unit_deviance(cf)
+    d = np.array([dev.fn(float(x), mu) for x in t])
+    phi_y = np.array([cf.phi(float(x) - mu) for x in t])
+    assert np.all(np.abs(dev.fn(t, mu) - d) <= 2.0 * np.spacing(phi_y) + np.spacing(d))
 
 
 # Any float, nan and the infinities included, given to a cheap subcommand ends
