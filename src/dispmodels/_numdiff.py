@@ -20,11 +20,12 @@ interval whose ends lie on one side of 0 and more than two decades apart
 gets a breakpoint per decade, so adaptive bisection cannot miss mass that
 sits near its small end.
 
-Two private solvers are written here once: ``_bracketed_newton`` (the
-inverse mean mapping, the dispersion MLE) and ``_support_integral`` (the
+Three private solvers are written here once: ``_bracketed_newton`` (the
+inverse mean mapping, the dispersion MLE), ``_support_integral`` (the
 normalizing integrals and sums of the PDM layer, which the renormalized
-saddlepoint shares, and of the self-checks).  Each caller keeps its own error
-gate.
+saddlepoint shares, and of the self-checks) and ``_refined_maxima`` (the
+maximizer of yokes and the lattice scan of characteristic functions).  Each
+caller keeps its own error gate.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .support import REALS, RealInterval
 
 EPS = float(np.finfo(float).eps)
 _QUAD_LIMIT = 400
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 __all__ = ["EPS", "derivative"]
 
@@ -115,6 +117,40 @@ def _bracketed_newton(fn, slope, lo: float, hi: float, tol: float, increasing: b
         f"{what} did not converge in {max_iter} iterations: residual {abs(val):.3g} "
         f"at x = {last:.6g} against the tolerance {tol:.3g}"
     )
+
+
+def _refined_maxima(fn, xs: np.ndarray, vals: np.ndarray, tol: float, floor: float = -math.inf,
+                    ends: bool = False) -> list[tuple[float, float]]:
+    """``(x, fn(x))`` at the local maxima of the scan ``vals = fn(xs)``, refined, highest first.
+
+    A maximum is a scan point at least as high as its neighbours; the first
+    and last points count only when ``ends`` is set.  The five highest
+    whose scan value is at least ``floor`` are refined by golden section
+    between their neighbours until the bracket [a, b] is below
+    ``tol (1 + |a| + |b|)``.  Golden section needs no smoothness, so a cusped
+    peak is found as closely as a smooth one.
+    """
+    edge = -math.inf if ends else math.inf
+    padded = np.concatenate(([edge], vals, [edge]))
+    peaks = np.nonzero((vals >= padded[:-2]) & (vals >= padded[2:]) & (vals >= floor))[0]
+    peaks = peaks[np.argsort(-vals[peaks], kind="stable")][:5]
+    found = []
+    for i in peaks.tolist():
+        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        fc, fd = fn(c), fn(d)
+        while b - a > tol * (1.0 + abs(a) + abs(b)):
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                fc = fn(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                fd = fn(d)
+        x = 0.5 * (a + b)
+        found.append((x, fn(x)))
+    return sorted(found, key=lambda peak: -peak[1])
 
 
 def _quad(fn, lower: float, upper: float) -> tuple[float, float]:

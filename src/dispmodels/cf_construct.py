@@ -5,13 +5,17 @@ unit deviance ``d(y; mu) = 1 - phi(y - mu)``, and the normalization
 requirement turns into a convolution equation
 ``[a_tau * K_tau](mu) = 1`` with kernel
 ``K_tau(t) = exp(-(1 - phi(t)) / (2 tau))`` — itself a characteristic
-function.  The formal weak solution (a Fourier quotient against a delta)
-is not computable, so the equation is discretized on a truncated grid and
-solved as a Tikhonov-regularized nonnegative least-squares problem by a
-primal-dual active-set conjugate-gradient method, warm-started along a
-ladder of regularization weights, reporting the interior residual honestly.
-The models built this way are neither proper nor exponential dispersion
-models: the fitted ``a(y; tau)`` does not factorize across tau.
+function.  For a cf with phi >= 0 and phi -> 0 (all three built-ins) the
+equation has no nonnegative solution on the real line: K_tau >= K_tau(inf) > 0
+forces a finite mass m on a, and then ``a * (K_tau - K_tau(inf))``, which
+tends to 0, would equal the constant 1 - m K_tau(inf), so a = 0.  The
+equation is therefore solved on the grid [-L, L], as a Tikhonov-regularized
+nonnegative least-squares problem by a primal-dual active-set
+conjugate-gradient method, warm-started along a ladder of regularization
+weights, reporting the interior residual honestly.  The model built this
+way is a dispersion model on [-L, L], and its ``a`` depends on L.  It is
+neither a proper nor an exponential dispersion model: the fitted
+``a(y; tau)`` does not factorize across tau.
 
 Every cf ``phi`` and every kernel callable takes a float or an ndarray, like
 every family callable: floats in give floats out, and on an ndarray it
@@ -28,6 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _elementary as el
+from ._numdiff import _refined_maxima
 from .deviance import UnitDeviance
 from .errors import ConvergenceError, DomainError
 from .expressions import compile_expression
@@ -68,7 +73,14 @@ class CfSpec:
 
 
 def _sample(fn, t: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape)
+    """``fn(t)`` broadcast to the shape of ``t``; DomainError when ``fn`` breaks the array contract."""
+    try:
+        return np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(
+            "a cf or kernel must take a float or an ndarray and return values that "
+            f"broadcast to its shape ({exc})"
+        ) from exc
 
 
 _SYMMETRY_PROBES = np.geomspace(1e-2, 1e2, 32)
@@ -80,21 +92,14 @@ _PROBES = np.concatenate([[0.0], -_SYMMETRY_PROBES, _SYMMETRY_PROBES, _LATTICE_S
 def validate_cf(cf: CfSpec) -> None:
     """Probe the characteristic-function invariants; raise DomainError on failure.
 
-    ``phi`` is called once, on one probe array; a callable that raises
-    TypeError or ValueError there, or returns values that do not broadcast
-    to the probes, breaks the array contract of :class:`CfSpec`.  Then
-    phi(0) = 1 exactly, |phi| <= 1 at every probe, phi(t) = phi(-t) within
-    1e-12 on a geometric grid of t in [1e-2, 1e2], and phi is not lattice:
-    at the interior local maxima of |phi| on (0, 100] (see
-    :func:`_highest_interior_peak`), 1 - |phi| >= 1e-9.
+    ``phi`` is called once, on one probe array, under the array contract of
+    :class:`CfSpec`.  Then phi(0) = 1 exactly, |phi| <= 1 at every probe,
+    phi(t) = phi(-t) within 1e-12 on a geometric grid of t in [1e-2, 1e2],
+    and phi is not lattice: the five highest interior local maxima of |phi|
+    on the scan of (0, 100] that are above 0.99 are refined by golden
+    section to 1e-12, and there 1 - |phi| >= 1e-9.
     """
-    try:
-        values = cf(_PROBES)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(
-            f"{cf.name}: phi must take a float or an ndarray and return values that "
-            f"broadcast to its shape ({exc})"
-        ) from exc
+    values = cf(_PROBES)
     if values[0] != 1.0:
         raise DomainError(f"{cf.name}: phi(0) = {values[0]!r}, must be exactly 1")
     magnitude = np.abs(values)
@@ -106,32 +111,13 @@ def validate_cf(cf: CfSpec) -> None:
     bad = np.nonzero(np.abs(positive - negative) > 1e-12)[0]
     if bad.size:
         raise DomainError(f"{cf.name}: phi not symmetric at t={_SYMMETRY_PROBES[bad[0]]}")
-    top, t = _highest_interior_peak(magnitude[2 * n + 1 :])
-    if 1.0 - top < 1e-9:
+    peaks = _refined_maxima(lambda t: abs(cf(t)), _LATTICE_SCAN, magnitude[2 * n + 1 :], 1e-12, floor=0.99)
+    if peaks and 1.0 - peaks[0][1] < 1e-9:
+        t, top = peaks[0]
         raise DomainError(
             f"{cf.name}: |phi| = {top!r} at its local maximum near t={t:.4g}; "
             "lattice cfs do not yield unit deviances"
         )
-
-
-def _highest_interior_peak(scan: np.ndarray) -> tuple[float, float]:
-    """The highest interior local maximum of ``scan = |phi(_LATTICE_SCAN)|``, with its t.
-
-    Each maximum is refined by the parabola through it and its two
-    neighbours, so a lattice cf, where |phi| returns to 1 between the scan
-    points, comes within about 1e-11 of 1; a flat stretch counts as a
-    maximum.  ``(0.0, nan)`` when there is none.
-    """
-    left, mid, right = scan[:-2], scan[1:-1], scan[2:]
-    peak = np.nonzero((mid >= left) & (mid >= right))[0]
-    if peak.size == 0:
-        return 0.0, math.nan
-    left, mid, right = left[peak], mid[peak], right[peak]
-    curvature = 2.0 * mid - left - right
-    rise = np.divide((right - left) ** 2, 8.0 * curvature, out=np.zeros(peak.size), where=curvature > 0.0)
-    top = mid + rise
-    k = int(np.argmax(top))
-    return float(top[k]), float(_LATTICE_SCAN[peak[k] + 1])
 
 
 def cf_deviance(cf: CfSpec, y: float, mu: float) -> float:
@@ -171,10 +157,11 @@ class GridSolution:
     nonnegative factor; ``residual`` the max deviation of the discrete
     convolution from 1 over the interior (the edge band of one kernel
     effective-support width is excluded — truncating the infinite-domain
-    convolution contaminates it).  ``ill_posed`` flags residuals above
-    0.1; the solution is still returned, never clamped.  ``iterations``
-    counts the CG iterations summed over every rung of the lambda ladder
-    (see :func:`solve_convolution_grid`).
+    convolution contaminates it).  ``ill_posed`` flags a residual above
+    0.1, which no built-in cf reaches (each stays below 1e-3 at L = 20,
+    N = 2^12, tau from 0.05 to 5); the solution is still returned, never
+    clamped.  ``iterations`` counts the CG iterations summed over every rung
+    of the lambda ladder (see :func:`solve_convolution_grid`).
     """
 
     grid: np.ndarray
@@ -316,6 +303,9 @@ def solve_convolution_grid(
     the next free set, and CG runs again until the set stays the same.
     ``kernel_fn`` takes a float or an ndarray, as a cf does: a solve calls
     it on all the lags ``-(N-1)h .. (N-1)h`` at once, and at L (the plateau).
+    For a cf with phi >= 0 and phi -> 0 the equation has no solution on the
+    real line (see the module docstring): the result is a dispersion model
+    on [-L, L], and ``a`` depends on L.
 
     The smaller lambda, the worse ``A^2 + lambda I`` is conditioned, and the
     more CG iterations a cold start costs.  A ``lambda_reg`` below the

@@ -28,7 +28,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import PchipInterpolator
 
 from . import _elementary as el
-from ._numdiff import _support_integral
+from ._numdiff import _refined_maxima, _support_integral
 from .deviance import UnitDeviance, check_unit_deviance, eval_deviance, unit_variance
 from .deviance import DEVIANCES
 from .errors import DomainError, NumericalError
@@ -154,28 +154,6 @@ class YokabilityReport:
         return self.finite_supremum and self.unique_maximizer and self.monotone_bijection
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Maximize unimodal fn on [lo, hi] by golden-section search."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol * (1.0 + abs(a) + abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
 def _scan_window(domain: RealInterval, center: float, halfwidth: float = 8.0) -> tuple[float, float]:
     lo = domain.lower if math.isfinite(domain.lower) else center - halfwidth
     hi = domain.upper if math.isfinite(domain.upper) else center + halfwidth
@@ -186,17 +164,10 @@ def _scan_window(domain: RealInterval, center: float, halfwidth: float = 8.0) ->
     return lo, hi
 
 
-def _local_maxima(vals: np.ndarray) -> list[int]:
-    """Indices of the scan's local maxima (ends count), highest first."""
-    padded = np.concatenate(([-math.inf], vals, [-math.inf]))
-    peaks = np.nonzero((vals >= padded[:-2]) & (vals >= padded[2:]))[0]
-    return sorted(peaks.tolist(), key=lambda i: -vals[i])
-
-
 def _maximize_yoke(
     fn, domain: RealInterval, center: float, n_scan: int = 64
 ) -> tuple[float, float, list[tuple[float, float]]]:
-    """(argmax, max, refined local maxima) by coarse scan + golden section.
+    """(argmax, max, the five highest refined local maxima, ends counted) of a scan of fn.
 
     The scan window expands while the incumbent sits on an open edge.
     """
@@ -212,16 +183,7 @@ def _maximize_yoke(
         if not on_edge:
             break
         halfwidth *= 2.0
-    candidates = []
-    for i in _local_maxima(vals)[:5]:
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, n_scan - 1)]
-        if a == b:
-            candidates.append((float(xs[i]), float(vals[i])))
-            continue
-        x, v = _golden_section(fn, float(a), float(b))
-        candidates.append((x, v))
-    candidates.sort(key=lambda c: -c[1])
+    candidates = _refined_maxima(fn, xs, vals, 1e-10, ends=True)
     return candidates[0][0], candidates[0][1], candidates
 
 

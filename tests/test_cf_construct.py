@@ -9,7 +9,6 @@ import pytest
 from dispmodels.cf_construct import (
     _LATTICE_SCAN,
     CHARACTERISTIC_FUNCTIONS,
-    _highest_interior_peak,
     _power_iteration_norm,
     _toeplitz_operator,
     CfSpec,
@@ -24,9 +23,16 @@ from dispmodels.cf_construct import (
 )
 from dispmodels.deviance import check_unit_deviance
 from dispmodels.errors import ConvergenceError, DomainError
-from dispmodels._numdiff import derivative
+from dispmodels._numdiff import _refined_maxima, derivative
 
 GAUSS = CHARACTERISTIC_FUNCTIONS["gauss"]
+
+
+def _highest_interior_peak(phi):
+    """|phi| at the highest of its five highest interior maxima on the lattice scan, refined as
+    ``validate_cf`` refines those above 0.99; 0 where there is none."""
+    peaks = _refined_maxima(lambda t: abs(phi(t)), _LATTICE_SCAN, np.abs(phi(_LATTICE_SCAN)), 1e-12)
+    return peaks[0][1] if peaks else 0.0
 
 
 def _dense(kern, h):
@@ -69,10 +75,12 @@ class TestCfValidation:
         lambda t: np.cos(3.0 * t),
         lambda t: np.cos(t / 7.0),
         lambda t: np.abs(1.0 + np.exp(1j * t)) / 2.0,
-    ], ids=["cos t", "cos pi t", "cos 3t", "cos t/7", "|(1 + e^it)/2|"])
+        # 2 pi-periodic with a cusp at its peaks, where a parabola through the scan misses 1
+        lambda t: np.exp(-np.abs(np.sin(t / 2))),
+    ], ids=["cos t", "cos pi t", "cos 3t", "cos t/7", "|(1 + e^it)/2|", "exp(-|sin t/2|)"])
     def test_lattice_off_the_probe_grid_rejected(self, phi):
         # |phi| returns to 1 at multiples of 2 pi / span, which the geometric probes miss
-        top, _ = _highest_interior_peak(np.abs(phi(_LATTICE_SCAN)))
+        top = _highest_interior_peak(phi)
         assert 1.0 - top <= 1e-11
         with pytest.raises(DomainError, match="lattice"):
             validate_cf(CfSpec(phi=phi, name="lattice"))
@@ -88,7 +96,7 @@ class TestCfValidation:
     ], ids=["gauss", "laplace-cf", "triangular-cf", "sinc", "cos(sqrt2 t) cos t"])
     def test_non_lattice_margin_below_one(self, phi, margin):
         # 1 - |phi| at the highest interior maximum on (0, 100]; 1 where there is none
-        top, _ = _highest_interior_peak(np.abs(phi(_LATTICE_SCAN)))
+        top = _highest_interior_peak(phi)
         assert 1.0 - top == pytest.approx(margin, rel=0.05)
         validate_cf(CfSpec(phi=phi, name="non-lattice"))
 
@@ -275,6 +283,16 @@ class TestSolver:
         assert shapes == [(2 * n - 1,), ()]
         assert convolution_residual(sol, counted) == convolution_residual(sol, GAUSS)
         assert shapes == [(2 * n - 1,), (), (2 * n - 1,)]
+
+    def test_kernel_breaking_the_array_contract_rejected(self):
+        # a float-only delta kernel: on the lag array its test t == 0.0 is ambiguous
+        h = 40.0 / (2**10 - 1)
+        delta = lambda t: 1.0 / h if t == 0.0 else 0.0
+        with pytest.raises(DomainError, match="float or an ndarray"):
+            solve_convolution_grid(delta, 0.5, 20.0, 2**10)
+        sol = solve_normalizer(GAUSS, 0.5, 20.0, 2**10)
+        with pytest.raises(DomainError, match="float or an ndarray"):
+            convolution_residual(sol, delta)
 
     def test_triangular_cf_compact_kernel(self):
         sol = solve_normalizer(get_cf("triangular-cf"), 0.25, 20.0, 2**10)

@@ -14,6 +14,7 @@ from scipy import special
 
 from dispmodels import cf_construct, cli, edm, pdm, regression, saddlepoint, tweedie
 from dispmodels.deviance import DEVIANCES, eval_deviance
+from dispmodels.errors import DomainError
 
 
 def _write_csv(path, columns):
@@ -144,6 +145,16 @@ def test_cf_construct_grid_size_not_a_power_of_two_is_a_domain_error(capsys):
     code, out, err = _run(capsys, ["cf-construct", "--cf", "gauss", "--tau", "0.5", "--N", "1000"])
     assert code == 1 and out == ""
     assert err.startswith("ERROR:domain:")
+
+
+def test_cf_construct_refuses_a_cusped_lattice_cf(capsys):
+    # exp(-|sin(t/2)|) written without abs: 2 pi-periodic, with a cusp where |phi| = 1
+    expr = "exp(-sqrt((1-cos(t))/2))"
+    with pytest.raises(DomainError, match="lattice"):
+        cf_construct.get_cf(expr)
+    code, out, err = _run(capsys, ["cf-construct", "--cf", expr, "--tau", "0.5"])
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR:domain:") and "lattice" in err
 
 
 def test_check_scope_passes_every_check(capsys):

@@ -457,6 +457,29 @@ class TestSharedSolvers:
         assert value == pytest.approx(1.0, rel=1e-12) and err < 1e-8
 
 
+    def test_maximizer_finds_a_cusp_off_the_scan(self):
+        # golden section needs no smoothness: -|x - a| peaks at a, between two scan points
+        from dispmodels._numdiff import _refined_maxima
+
+        a = 1.0 / 3.0 + 1e-3
+        xs = np.linspace(-1.0, 1.0, 64)
+        fn = lambda x: -abs(x - a)
+        peaks = _refined_maxima(fn, xs, np.array([fn(x) for x in xs]), 1e-12)
+        assert len(peaks) == 1
+        assert peaks[0][0] == pytest.approx(a, abs=1e-9)
+
+    def test_maximizer_counts_the_ends_only_when_asked(self):
+        # |phi| of the gauss cf falls across the scan: its only maximum is the first point
+        from dispmodels._numdiff import _refined_maxima
+
+        xs = np.linspace(0.01, 10.0, 1000)
+        fn = lambda t: math.exp(-0.5 * t * t)
+        vals = np.exp(-0.5 * xs**2)
+        assert _refined_maxima(fn, xs, vals, 1e-12) == []
+        (x, value), = _refined_maxima(fn, xs, vals, 1e-12, ends=True)
+        assert x == pytest.approx(0.01, abs=1e-10) and value == pytest.approx(fn(0.01), abs=1e-12)
+
+
 class TestConfigGeneratorDeviance:
     """JSON-config families have no closed form: generator form inside, quadrature on the boundary."""
 

@@ -188,6 +188,12 @@ class TestYokes:
         assert report.yokable
         np.testing.assert_allclose(report.theta_hat, np.linspace(0.5, 5.5, 6), atol=1e-6)
 
+    def test_cusped_yoke_peaks_on_the_diagonal(self):
+        grid = np.linspace(-2, 2, 7)
+        report = check_yokable(YokeSpec(fn=lambda y, th: -abs(y - th), domain=RealInterval(), name="cusp"), grid)
+        assert report.yokable
+        np.testing.assert_allclose(report.theta_hat, grid, atol=1e-8)
+
     def test_double_maximizer_fails_uniqueness(self):
         yoke = YokeSpec(
             fn=lambda y, th: -min(abs(y - th), abs(y - th - 1.0)),
