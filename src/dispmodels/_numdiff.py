@@ -18,7 +18,9 @@ pass the domain, never a step.
 ``_quad`` is the one call of ``quad`` outside the Tweedie Fourier inversion: an
 interval whose ends lie on one side of 0 and more than two decades apart
 gets a breakpoint per decade, so adaptive bisection cannot miss mass that
-sits near its small end.
+sits near its small end.  Both import ``scipy.integrate`` (which loads
+``scipy.optimize``) on their first call, so fits, deviances and the closed-form
+densities never load it.
 
 Three private solvers are written here once: ``_bracketed_newton`` (the
 inverse mean mapping, the dispersion MLE), ``_support_integral`` (the
@@ -35,7 +37,6 @@ import warnings
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import ConvergenceError, DomainError, NumericalError
 from .support import REALS, RealInterval
@@ -160,7 +161,10 @@ def _quad(fn, lower: float, upper: float) -> tuple[float, float]:
     caller gates the returned error.  When both ends are finite, nonzero,
     on one side of 0 and more than two decades apart, one geometric
     breakpoint per decade (at most ``limit/2``) is passed as ``points``.
+    ``scipy.integrate`` is imported on the first call, not with the package.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     points = None
     if math.isfinite(lower) and math.isfinite(upper) and lower * upper > 0.0:
         decades = abs(math.log10(upper / lower))

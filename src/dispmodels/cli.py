@@ -23,6 +23,7 @@ import numpy as np
 from . import cf_construct, checks, edm, pdm, regression, saddlepoint, tweedie
 from .deviance import DEVIANCES, get_deviance, eval_deviance
 from .errors import DomainError, NumericalError
+from .expressions import compile_expression
 
 __all__ = ["main", "run"]
 
@@ -339,8 +340,6 @@ def _cmd_fit(args) -> int:
         if args.n_params is None:
             raise DomainError("--predictor-expr requires --n-params")
         n_params = args.n_params
-        from .expressions import compile_expression
-
         param_names = [f"b{j + 1}" for j in range(n_params)]
         expr_fn = compile_expression(args.predictor_expr, covariates + param_names)
         X = np.column_stack([columns[name] for name in covariates])

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import PchipInterpolator
 
 from . import _elementary as el
 from ._numdiff import _refined_maxima, _support_integral
@@ -268,7 +266,13 @@ def yoke_to_deviance(t: YokeSpec) -> UnitDeviance:
 
 
 def sample_pdm(p: PdmSpec, mu: float, tau: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF sampling on a grid of 2^14 points with monotone cubic interpolation."""
+    """Inverse-CDF sampling on a grid of 2^14 points with monotone cubic interpolation.
+
+    The cdf on the grid is the cumulative trapezoid rule; ``scipy.interpolate`` is imported on
+    the first call, not with the package.
+    """
+    from scipy.interpolate import PchipInterpolator
+
     support = p.support
     if support.lattice:
         raise NumericalError("grid sampler only covers continuous PDMs")
@@ -283,7 +287,7 @@ def sample_pdm(p: PdmSpec, mu: float, tau: float, size: int, rng: np.random.Gene
         hi = min(hi, support.upper - 1e-12) if math.isfinite(support.upper) else hi
     xs = np.linspace(lo, hi, 2**14)
     dens = pdm_density(p, xs, mu, tau)
-    cdf = cumulative_trapezoid(dens, xs, initial=0.0)
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(xs) * (dens[1:] + dens[:-1]) / 2.0)))
     total = cdf[-1]
     if not total > 0:
         raise NumericalError("sampler grid has no mass; resolution failure")

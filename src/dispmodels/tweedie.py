@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammainc, gammaln, ndtr, pdtr, sici
 
 from . import _elementary as el
@@ -286,6 +285,8 @@ def _fourier_inversion(p: float, y: float, mu: float, tau: float, cdf: bool, tol
     decayed and ``e^(-isy/sigma)`` is the QAWF weight.  Raises ``NumericalError`` when the
     summed error estimate exceeds ``tol`` (relative for the density, absolute for the cdf).
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     theta, alpha, sigma = _inverse_mean(p, mu), (p - 2.0) / (p - 1.0), math.sqrt(tau * mu**p)
     if not y / sigma > _W_MIN:
         raise NumericalError(f"Tweedie inversion at (p={p}, y={y}, mu={mu}, tau={tau}) needs a "

@@ -11,20 +11,87 @@ import pytest
 import dispmodels
 
 
+def _fresh(*args: str) -> str:
+    """Stdout of a fresh interpreter run with ``args``, the package on its path."""
+    src = os.path.dirname(os.path.dirname(dispmodels.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=True, env=env
+    ).stdout
+
+
+# scipy.integrate (which loads scipy.optimize) and scipy.interpolate are imported
+# by the first quadrature or sampler call, not with the package
+_QUADRATURE_MODULES = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+
+# runs the CLI on its arguments, if any, then prints which of the given modules are loaded
+_PROBE = (
+    "import sys, dispmodels\n"
+    "modules, argv = sys.argv[1].split(','), sys.argv[2:]\n"
+    "if argv:\n"
+    "    from dispmodels.cli import run\n"
+    "    assert run(argv) == 0\n"
+    "print(sorted({'.'.join(m.split('.')[:2]) for m in sys.modules} & set(modules)))"
+)
+
+
+def _loaded(modules, *argv: str) -> str:
+    return _fresh("-c", _PROBE, ",".join(modules), *argv).splitlines()[-1]
+
+
 def test_import_leaves_slow_scipy_modules_unloaded():
     # scipy.stats and scipy.signal are slow to import and needed by no
     # import-time code: pdm loads scipy.stats only inside its pivotal check
-    code = (
-        "import sys, dispmodels; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'stats'], ['scipy', 'signal'])))"
-    )
-    src = os.path.dirname(os.path.dirname(dispmodels.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    ).stdout
-    assert out.strip() == "[]"
+    assert _loaded(("scipy.stats", "scipy.signal", *_QUADRATURE_MODULES)) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["deviance", "--family", "gamma", "--y", "2", "--mu", "1"],
+    ["density", "--family", "gamma", "--y", "1.3", "--mu", "2", "--tau", "0.4"],
+    ["approx", "--family", "gamma", "--mu", "2", "--tau", "0.5", "--y", "3", "--method", "lr"],
+    ["tweedie", "--p", "1.5", "--mu", "1", "--tau", "1", "--y-min", "0", "--y-max", "3", "--y-step", "0.5"],
+    ["cf-construct", "--cf", "gauss", "--tau", "0.5", "--N", "1024"],
+], ids=lambda argv: argv[0])
+def test_cli_without_quadrature_leaves_quadrature_modules_unloaded(argv):
+    assert _loaded(_QUADRATURE_MODULES, *argv) == "[]"
+
+
+def test_cli_fit_leaves_quadrature_modules_unloaded(tmp_path):
+    path = tmp_path / "poisson.csv"
+    path.write_text("y,x\n1,0\n2,1\n4,2\n3,1\n7,3\n0,0\n", encoding="utf-8")
+    argv = ["fit", "--data", str(path), "--response", "y", "--family", "poisson", "--link", "log",
+            "--formula", "1+x"]
+    assert _loaded(_QUADRATURE_MODULES, *argv) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["tweedie", "--p", "3", "--mu", "1", "--tau", "1", "--y-min", "0.5", "--y-max", "3", "--y-step", "0.5"],
+    ["pdm", "--model", "simplex", "--mu", "0.3", "--tau", "0.5", "--y", "0.4"],
+], ids=lambda argv: argv[0])
+def test_cli_with_quadrature_loads_scipy_integrate(argv):
+    # the probe sees a deferred import once a quadrature runs
+    assert _loaded(("scipy.integrate",), *argv) == "['scipy.integrate']"
+
+
+# each is the first quadrature or sampler call of its interpreter
+_FIRST_CALLS = (
+    "pdm_density(get_pdm('vonmises'), 0.3, 1.0, 0.7)",
+    "tweedie_density(2.5, 0.12, 1.0, 0.25)",  # the series cancels: the Fourier inversion
+    "tweedie_cdf(3.5, 1.0, 0.7, 0.25)",
+    "sample_pdm(get_pdm('simplex'), 0.3, 0.5, 5, np.random.default_rng(11)).tolist()",
+)
+
+
+@pytest.mark.parametrize("call", _FIRST_CALLS)
+def test_first_call_imports_its_scipy_module(call):
+    # pytest has loaded scipy.integrate already, so only a fresh interpreter meets the import
+    # inside the call; -W error turns any warning that import raises into a failure
+    setup = ("import numpy as np; from dispmodels.pdm import get_pdm, pdm_density, sample_pdm; "
+             "from dispmodels.tweedie import tweedie_cdf, tweedie_density")
+    namespace = {}
+    exec(setup, namespace)
+    out = _fresh("-W", "error", "-c", f"{setup}; print(repr({call}))")
+    assert out.strip() == repr(eval(call, namespace))
 
 
 def test_p_above_two_evaluation_leaves_mpmath_unloaded():
@@ -35,12 +102,7 @@ def test_p_above_two_evaluation_leaves_mpmath_unloaded():
         "tweedie_density(2.5, 0.12, 1.0, 0.25); tweedie_cdf(3.5, 1.0, 0.7, 0.25); "
         "print('mpmath' in sys.modules)"
     )
-    src = os.path.dirname(os.path.dirname(dispmodels.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    ).stdout
-    assert out.strip() == "False"
+    assert _fresh("-c", code).strip() == "False"
 
 
 def test_lugannani_rice_leaves_mpmath_unloaded():
@@ -53,12 +115,7 @@ def test_lugannani_rice_leaves_mpmath_unloaded():
         "[lugannani_rice(f, y, edm.inverse_mean(f, 1.0), 0.2, 5) for f in fams for y in (1.0 + 1e-9, 1.5)]; "
         "print('mpmath' in sys.modules)"
     )
-    src = os.path.dirname(os.path.dirname(dispmodels.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    ).stdout
-    assert out.strip() == "False"
+    assert _fresh("-c", code).strip() == "False"
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
+from scipy.interpolate import PchipInterpolator
 from scipy.special import gamma as gamma_fn
 from scipy.special import i0
 
@@ -269,6 +270,18 @@ class TestPivotal:
         draws = sample_pdm(spec, 0.5, 0.5, 20000, rng)
         mean_q, _ = quad(lambda y: y * pdm_density(spec, y, 0.5, 0.5), 1e-9, 1 - 1e-9)
         assert float(np.mean(draws)) == pytest.approx(mean_q, abs=4 * float(np.std(draws)) / math.sqrt(20000))
+
+    def test_sampler_cdf_is_scipys_cumulative_trapezoid(self):
+        # the inverse-CDF route rebuilt on scipy's cumulative_trapezoid gives the same draws, bit for bit
+        spec, mu, tau = get_pdm("simplex"), 0.3, 0.5
+        support = spec.support
+        xs = np.linspace(support.clip_inward(support.lower, 1e-9), support.clip_inward(support.upper, 1e-9), 2**14)
+        cdf = cumulative_trapezoid(pdm_density(spec, xs, mu, tau), xs, initial=0.0)
+        cdf /= cdf[-1]
+        keep = np.concatenate(([True], np.diff(cdf) > 1e-15))
+        u = np.random.default_rng(7).uniform(cdf[keep][0], cdf[keep][-1], size=2000)
+        expected = PchipInterpolator(cdf[keep], xs[keep], extrapolate=False)(u)
+        assert np.array_equal(sample_pdm(spec, mu, tau, 2000, np.random.default_rng(7)), expected)
 
 
 class TestTransformationModels:
