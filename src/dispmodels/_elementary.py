@@ -156,7 +156,12 @@ def positive_part(x):
 
 
 def vectorize(fn):
-    """A float-only ``fn`` that also maps ndarray arguments, entry by entry."""
+    """A float-only ``fn`` that also maps ndarray arguments, entry by entry.
+
+    Its three callers wrap what a library user supplies, which may take floats
+    only: the yoke deviance and the carrier in ``pdm`` (``yoke_to_deviance``,
+    ``transformation_pdm``) and ``deviance.transform_deviance`` (its inverse map).
+    """
     each = np.vectorize(fn, otypes=[float])
 
     def either(*args):

@@ -13,7 +13,9 @@ The second factor is the length on which f varies: |x| away from the
 origin, and the distance to a finite boundary, where generators and
 deviances are singular.  The first factor is below 0.1 for every order and
 the widest stencil reaches 3h, so no probe leaves the domain.  Callers
-pass the domain, never a step.
+pass the domain, never a step.  ``derivative`` and ``_bracketed_newton`` take
+a float (on Python floats) or an ndarray (one call of ``f`` per derivative or
+Newton iteration, each entry taking the steps of its float call).
 
 ``_quad`` is the one call of ``quad`` outside the Tweedie Fourier inversion: an
 interval whose ends lie on one side of 0 and more than two decades apart
@@ -56,41 +58,75 @@ _STENCILS = {
     5: {-3: -0.5, -2: 2.0, -1: -2.5, 1: 2.5, 2: -2.0, 3: 0.5},
     6: {-3: 1.0, -2: -6.0, -1: 15.0, 0: -20.0, 1: 15.0, 2: -6.0, 3: 1.0},
 }
+# order -> the offsets of the stencils at h, h/2 and h/4 in units of h, a row each, and their
+# weights times 2^(i order), as the stencil at h/2^i divides by (h/2^i)^order = h^order / 2^(i order)
+_GRIDS = {order: (np.outer([1.0, 0.5, 0.25], list(stencil)),
+                  np.outer([1.0, 2.0**order, 4.0**order], list(stencil.values())))
+          for order, stencil in _STENCILS.items()}
 
 
-def _stencil(f, x: float, h: float, order: int) -> float:
-    return sum(w * f(x + offset * h) for offset, w in _STENCILS[order].items()) / h**order
+def _length_scale(x, domain: RealInterval):
+    """``min(max(1, |x|), distance from x to the nearest finite end of domain)``, entry by entry."""
+    larger, smaller = (np.maximum, np.minimum) if isinstance(x, np.ndarray) else (max, min)
+    scale = larger(1.0, abs(x))
+    for end in (domain.lower, domain.upper):
+        if math.isfinite(end):
+            scale = smaller(scale, abs(x - end))
+    return scale
 
 
-def derivative(f, x: float, order: int, domain: RealInterval = REALS) -> float:
+def derivative(f, x, order: int, domain: RealInterval = REALS):
     """The ``order``-th derivative of ``f`` at ``x`` inside the open ``domain``.
 
     Stencils at h, h/2 and h/4 with two Richardson levels and the step of
-    the module docstring.  Orders above 6 are refused: rounding noise at
-    the required steps dominates the estimate.
+    the module docstring; orders above 6 are refused (rounding noise at the
+    required steps dominates).  On an ndarray each entry gets its own step,
+    ``f`` is called once on every stencil point, and an entry equals its
+    float call where ``f`` computes alike on floats and arrays.  An entry
+    outside the domain raises ``DomainError`` naming it.  A value that is
+    not finite raises ``NumericalError`` for a float or a 0-d array (which
+    returns a float); an ndarray returns it for the caller to gate.
     """
     if order not in _STENCILS:
         raise NumericalError(f"no finite difference of order {order}; register an analytic form")
-    if not domain.lower < x < domain.upper:
-        raise DomainError(f"finite difference at {x} outside the interior of {domain}")
-    scale = max(1.0, abs(x))
-    for end in (domain.lower, domain.upper):
-        if math.isfinite(end):
-            scale = min(scale, abs(x - end))
-    h = (EPS * 4.0**order) ** (1.0 / (order + 6)) * scale
-    table = [_stencil(f, x, h / 2**i, order) for i in range(3)]
-    # Richardson: the error is C h^2 + O(h^4); halving h divides C h^2 by 4
-    for factor in (4.0, 16.0):
-        table = [(factor * fine - coarse) / (factor - 1.0)
-                 for coarse, fine in zip(table, table[1:])]
-    value = float(table[0])
+    stencil = _STENCILS[order]
+    h = (EPS * 4.0**order) ** (1.0 / (order + 6)) * _length_scale(x, domain)
+    if not isinstance(x, np.ndarray):
+        if not domain.lower < x < domain.upper:
+            raise DomainError(f"finite difference at {x} outside the interior of {domain}")
+        sums = [2.0 ** (i * order) * sum(w * f(x + offset / 2**i * h) for offset, w in stencil.items())
+                for i in range(3)]
+        value = _richardson(sums, h, order)
+    else:
+        if x.size and not domain.lower < x.min() <= x.max() < domain.upper:
+            i = int(np.argmax(~((domain.lower < x) & (x < domain.upper))))
+            raise DomainError(f"finite difference at entry {i}, {x.flat[i]}, outside the interior "
+                              f"of {domain}")
+        offsets, weights = (a.reshape(a.shape + (1,) * x.ndim) for a in _GRIDS[order])
+        with np.errstate(invalid="ignore", over="ignore"):
+            # a running sum (cumsum adds in order) rounds each entry as its float call
+            value = _richardson((weights * f(x + offsets * h)).cumsum(axis=1)[:, -1], h, order)
+        if x.ndim:
+            return value
     if not math.isfinite(value):
         raise NumericalError(f"finite-difference derivative of order {order} at {x} is not finite")
-    return value
+    return float(value)
 
 
-def _bracketed_newton(fn, slope, lo: float, hi: float, tol: float, increasing: bool = True,
-                      max_iter: int = 200, what: str = "root") -> float:
+def _richardson(sums, h, order: int):
+    """The derivative from the stencil sums at h, h/2 and h/4, each times 2^(i order).
+
+    Over h^order they estimate it with errors C h^2 / 4^i + O(h^4), so two
+    Richardson levels remove C h^2.  ``sums`` is three floats or an ndarray
+    with a row each; h^order is a product, so that both round it alike.
+    """
+    s0, s1, s2 = sums
+    coarse, fine = (4.0 * s1 - s0) / 3.0, (4.0 * s2 - s1) / 3.0
+    return (16.0 * fine - coarse) / 15.0 / math.prod([h] * order)
+
+
+def _bracketed_newton(fn, slope, lo, hi, tol, increasing: bool = True, max_iter: int = 200,
+                      what: str = "root"):
     """Root of the monotone ``fn`` inside the bracket ``(lo, hi)``.
 
     Safeguarded Newton from the midpoint: each iterate shrinks the bracket
@@ -98,22 +134,43 @@ def _bracketed_newton(fn, slope, lo: float, hi: float, tol: float, increasing: b
     non-finite ``slope``) is replaced by bisection, so the iteration cannot
     diverge.  Returns the first iterate with ``|fn| <= tol``; raises
     ``ConvergenceError``, naming the residual and the last iterate, after
-    ``max_iter`` evaluations.
+    ``max_iter`` evaluations.  With ndarrays ``lo`` and ``hi`` each entry
+    takes these steps in its own bracket and stops at its own iterate (then
+    stays put), ``fn`` and ``slope`` see all iterates in one call per
+    iteration, and the error names the first entry that did not stop.
     """
     x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        val = fn(x)
-        if abs(val) <= tol:
-            return x
-        if (val < 0.0) == increasing:
-            lo = x
-        else:
-            hi = x
-        s = slope(x)
-        candidate = x - val / s if s else math.nan
-        if not (math.isfinite(candidate) and lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)
-        x, last = candidate, x
+    if isinstance(x, np.ndarray):
+        tol = np.broadcast_to(tol, x.shape)
+        running = np.ones(x.shape, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(max_iter):
+                val = fn(x)
+                running &= ~(np.abs(val) <= tol)
+                if not running.any():
+                    return x
+                up = (val < 0.0) == increasing
+                lo, hi = np.where(up, x, lo), np.where(up, hi, x)  # a stopped entry's bracket is not read
+                candidate = x - val / slope(x)  # a zero slope gives a non-finite candidate
+                inside = (lo < candidate) & (candidate < hi)  # false where it is nan or infinite
+                x, last = np.where(running, np.where(inside, candidate, 0.5 * (lo + hi)), x), x
+        i = int(np.argmax(running))
+        val, last, tol = val.flat[i], last.flat[i], tol.flat[i]
+        what = f"{what} at entry {i}"
+    else:
+        for _ in range(max_iter):
+            val = fn(x)
+            if abs(val) <= tol:
+                return x
+            if (val < 0.0) == increasing:
+                lo = x
+            else:
+                hi = x
+            s = slope(x)
+            candidate = x - val / s if s else math.nan
+            if not (math.isfinite(candidate) and lo < candidate < hi):
+                candidate = 0.5 * (lo + hi)
+            x, last = candidate, x
     raise ConvergenceError(
         f"{what} did not converge in {max_iter} iterations: residual {abs(val):.3g} "
         f"at x = {last:.6g} against the tolerance {tol:.3g}"

@@ -14,10 +14,9 @@ the Tweedie families reuse them at p = 0, 1, 2 and 3.
 
 ``inverse_mean``, ``variance_function``, ``edm_deviance`` and
 ``saturated_loglik_kernel`` take a float or an ndarray.  An array is
-domain-checked once and mapped by the family's own callables in one call,
-which is what lets IRLS make O(1) library calls per iteration; families
-without an analytic mean inverse or closed-form deviance (JSON-config
-families, quadrature deviances) are evaluated element by element.
+domain-checked once and mapped by the family's own callables, or by array
+code on ``b`` alone (JSON-config families), in O(1) calls, which is what
+lets IRLS make O(1) library calls per iteration.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 from scipy.special import gammaln, loggamma, polygamma
 
 from . import _elementary as el
-from ._numdiff import _bracketed_newton, _quad, derivative
+from ._numdiff import _bracketed_newton, _length_scale, _quad, derivative
 from .errors import ConvergenceError, DomainError, NumericalError
 from .expressions import compile_expression
 from .support import POSITIVE_REALS, REALS, RealInterval
@@ -83,11 +82,11 @@ class EdmFamily:
     ``deviance_closed_form`` and ``dc_dtau`` (in its ``y`` argument) must
     accept an ndarray as well as a float; the built-in families write each
     formula once with ``_elementary``, which keeps floats on ``math``.
-    Where ``mean_inverse`` is ``None`` or a derivative is not registered,
-    the mean inverse or the derivative of an array is computed element by
-    element (a Newton solve, finite differences); where
-    ``deviance_closed_form`` is ``None`` the deviance comes from ``b`` and
-    the inverse mean, element by element.
+    Without ``mean_inverse`` or ``deviance_closed_form``, the mean inverse
+    (``_solve_increasing``) and the deviance (``_generator_deviance``) come
+    from ``b``.  These and the finite differences run on whole arrays, and
+    on a float as a 0-d or one-entry array: ``math`` and numpy differ in the
+    last bit of some values, and a finite difference amplifies that.
     """
 
     name: str
@@ -110,19 +109,17 @@ class EdmFamily:
     def _b_derivative(self, r: int, theta):
         """``b^(r)(theta)``, ``theta`` a float or an ndarray, by the rule of the class docstring."""
         value = None if self.b_nth is None else self.b_nth(r, theta)
-        if value is not None:
-            if type(theta) is not float and isinstance(theta, np.ndarray):
-                return _float_array(value, theta)
-            return float(value)
-        if r > 6:
-            raise NumericalError(
-                f"cumulant order {r} requires an analytic derivative of b for {self.name}"
-            )
+        if value is None:
+            if r > 6:
+                raise NumericalError(
+                    f"cumulant order {r} requires an analytic derivative of b for {self.name}"
+                )
+            f, order = (self.b, r) if self.b_nth is None else (partial(self.b_nth, 2), r - 2)
+            # a float differentiates as a 0-d array: one arithmetic for floats and arrays
+            return derivative(f, np.asarray(theta, dtype=float), order, self.theta_domain)
         if type(theta) is not float and isinstance(theta, np.ndarray):
-            return el.vectorize(partial(self._b_derivative, r))(theta)
-        if self.b_nth is not None:
-            return derivative(partial(self.b_nth, 2), theta, r - 2, self.theta_domain)
-        return derivative(self.b, theta, r, self.theta_domain)
+            return _float_array(value, theta)
+        return float(value)
 
 
 # Each public function that takes an ndarray branches once, on entry, into
@@ -157,31 +154,26 @@ def mean_value(fam: EdmFamily, theta: float) -> float:
 
 
 def inverse_mean(fam: EdmFamily, mu):
-    """Solve ``b'(theta) = mu`` for theta (the mapping q).
+    """Solve ``b'(theta) = mu`` for theta (the mapping q); ``mu`` may be an ndarray.
 
-    Uses the registered analytic inverse when present, else safeguarded
-    Newton with a bisection fallback, to ``|b'(theta) - mu| <= 1e-10 *
-    max(1, |mu|)``.  ``mu`` may be an ndarray; the Newton fallback then
-    runs once per entry.
+    Uses the registered analytic inverse when present, else the safeguarded
+    Newton of ``_solve_increasing`` to ``|b'(theta) - mu| <= 1e-10 s``, with
+    ``s`` the step rule's ``min(max(1, |mu|), distance from mu to the nearest
+    finite end of the mean domain)``.
     """
-    if type(mu) is not float and isinstance(mu, np.ndarray):
+    array = type(mu) is not float and isinstance(mu, np.ndarray)
+    if array:
         fam.mean_domain.require_all(mu, "mu")
-        if fam.mean_inverse is None:
-            return el.vectorize(partial(inverse_mean, fam))(mu)
-        return _float_array(fam.mean_inverse(mu), mu)
-    fam.mean_domain.require(mu, "mu")
+    else:
+        fam.mean_domain.require(mu, "mu")
     if fam.mean_inverse is not None:
-        return float(fam.mean_inverse(mu))
-    return _solve_increasing(
-        partial(fam._b_derivative, 1),
-        mu,
-        fam.theta_domain,
-        tol=1e-10 * max(1.0, abs(mu)),
-        g_prime=partial(fam._b_derivative, 2),
-    )
+        return _float_array(fam.mean_inverse(mu), mu) if array else float(fam.mean_inverse(mu))
+    flat = np.asarray(mu, dtype=float).reshape(-1)
+    theta = _solve_increasing(fam, flat, 1e-10 * _length_scale(flat, fam.mean_domain))
+    return theta.reshape(mu.shape) if array else float(theta[0])
 
 
-def _domain_probe(domain: RealInterval, toward_upper: bool, k: int) -> float:
+def _domain_probe(domain: RealInterval, toward_upper: bool, k: np.ndarray) -> np.ndarray:
     """Points marching geometrically toward one end of an open interval."""
     lo, hi = domain.lower, domain.upper
     if toward_upper:
@@ -195,43 +187,35 @@ def _domain_probe(domain: RealInterval, toward_upper: bool, k: int) -> float:
     return hi - 2.0**k if math.isfinite(hi) else 2.0 - 2.0**k
 
 
-def _solve_increasing(g, target: float, domain: RealInterval, tol: float, g_prime) -> float:
-    """Root of increasing ``g(x) = target`` on an open interval.
+def _mean_scan(fam: EdmFamily) -> tuple[np.ndarray, np.ndarray]:
+    """60 probes marching toward each end of ``theta_domain`` and ``b'`` there (nan outside the
+    domain's interior or where it is not finite), from one call of ``b'``.  Made on the first
+    inverse-mean solve of a family and kept on it, as ``RealInterval.interior`` is."""
+    scan = fam.__dict__.get("_mean_scan")
+    if scan is None:
+        steps = np.arange(60.0)
+        probes = np.concatenate([_domain_probe(fam.theta_domain, up, steps) for up in (False, True)])
+        inside = fam.theta_domain.interior().contains(probes)
+        values = np.full(probes.shape, np.nan)
+        values[inside] = fam._b_derivative(1, probes[inside])
+        values[~np.isfinite(values)] = np.nan  # passes no target
+        scan = (probes, values)
+        object.__setattr__(fam, "_mean_scan", scan)
+    return scan
 
-    Brackets the root by probing geometrically toward each end of the
-    domain, then runs the shared safeguarded Newton, which falls back to
-    bisection whenever a step leaves the bracket.
-    """
-    lo = hi = None
-    for toward_upper in (False, True):
-        for k in range(60):
-            x = _domain_probe(domain, toward_upper, k)
-            if not domain.contains(x):
-                continue
-            try:
-                val = g(x)
-            except (DomainError, ValueError, OverflowError, ZeroDivisionError):
-                continue
-            if not math.isfinite(val):
-                continue
-            if toward_upper and val >= target:
-                hi = x
-                break
-            if not toward_upper and val <= target:
-                lo = x
-                break
-    if lo is None or hi is None:
-        raise ConvergenceError(f"cannot bracket the target {target} inside {domain}")
 
-    def slope(x: float) -> float:
-        # a failed or non-positive derivative makes the step a bisection
-        try:
-            s = g_prime(x)
-        except (DomainError, ValueError, OverflowError, ZeroDivisionError):
-            return 0.0
-        return s if s > 0 else 0.0
-
-    return _bracketed_newton(lambda x: g(x) - target, slope, lo, hi, tol, what="inverse mean solve")
+def _solve_increasing(fam: EdmFamily, target: np.ndarray, tol) -> np.ndarray:
+    """Roots of ``b'(theta) = target`` for a 1-d ``target``: each between the first probe of
+    ``_mean_scan`` on each side where ``b'`` passes it, then the shared safeguarded Newton."""
+    probes, values = _mean_scan(fam)
+    below, above = values[:60, None] <= target, values[60:, None] >= target
+    missing = ~(below.any(axis=0) & above.any(axis=0))
+    if missing.any():
+        bad = target[np.argmax(missing)]
+        raise ConvergenceError(f"cannot bracket the target {bad} inside {fam.theta_domain}")
+    lo, hi = probes[:60][below.argmax(axis=0)], probes[60:][above.argmax(axis=0)]
+    return _bracketed_newton(lambda x: fam._b_derivative(1, x) - target, partial(fam._b_derivative, 2),
+                             lo, hi, tol, what="inverse mean solve")
 
 
 def variance_function(fam: EdmFamily, mu):
@@ -275,12 +259,9 @@ def cumulant(fam: EdmFamily, r: int, theta: float, tau: float) -> float:
 def edm_deviance(fam: EdmFamily, y, mu):
     """Unit deviance ``2 integral_mu^y (y - t)/V(t) dt``.
 
-    Closed forms are used where the family registers one.  Otherwise the
-    generator form ``2 [y (q(y) - q(mu)) - b(q(y)) + b(q(mu))]`` serves ``y``
-    inside the mean domain, and quadrature of the integrand serves ``y`` on
-    its boundary (a count of 0) or next to ``mu``; an ndarray is then
-    evaluated one entry at a time.  The result is nonnegative and vanishes
-    exactly at ``y == mu``.
+    Closed forms are used where the family registers one, else
+    :func:`_generator_deviance`, a float as a one-entry array.  The result
+    is nonnegative and vanishes exactly at ``y == mu``.
     """
     if not (type(y) is float and type(mu) is float) and (
         isinstance(y, np.ndarray) or isinstance(mu, np.ndarray)
@@ -289,7 +270,7 @@ def edm_deviance(fam: EdmFamily, y, mu):
         fam.support.require_all(y, "y")
         fam.mean_domain.require_all(mu, "mu")
         if fam.deviance_closed_form is None:
-            return el.vectorize(partial(_generator_deviance, fam))(y, mu)
+            return _generator_deviance(fam, y, mu)
         return np.where(y == mu, 0.0, fam.deviance_closed_form(y, mu))
     fam.support.require(y, "y")
     fam.mean_domain.require(mu, "mu")
@@ -302,22 +283,25 @@ def edm_deviance(fam: EdmFamily, y, mu):
             raise NumericalError(
                 f"closed-form deviance of {fam.name} overflows at (y={y}, mu={mu})"
             ) from None
-    return _generator_deviance(fam, y, mu)
+    return float(_generator_deviance(fam, np.array([y], dtype=float), np.array([mu], dtype=float))[0])
 
 
-def _generator_deviance(fam: EdmFamily, y: float, mu: float) -> float:
-    """The deviance from ``b`` and the inverse mean; quadrature outside int(M) or next to mu."""
-    if y == mu:
-        return 0.0
-    if not fam.mean_domain.contains(y):
-        return deviance_by_quadrature(fam, y, mu)
-    theta_y, theta_mu = inverse_mean(fam, y), inverse_mean(fam, mu)
-    terms = (y * theta_y, -y * theta_mu, -fam.b(theta_y), fam.b(theta_mu))
-    value = 2.0 * math.fsum(terms)
-    # next to the diagonal the terms cancel; quadrature keeps the sign there
-    if value <= 1e-8 * sum(map(abs, terms)):
-        return deviance_by_quadrature(fam, y, mu)
-    return value
+def _generator_deviance(fam: EdmFamily, y: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``2 [y (q(y) - q(mu)) - b(q(y)) + b(q(mu))]`` on ndarrays (not 0-d), from one inverse-mean
+    solve and one call of ``b``; quadrature for ``y`` outside int(M) (a count of 0) or where the
+    terms cancel to 1e-8 of their size next to the diagonal: it keeps the sign there."""
+    y, mu = np.broadcast_arrays(y, mu)
+    generator = fam.mean_domain.contains(y) & (y != mu)
+    y_in, n = y[generator], np.count_nonzero(generator)
+    theta = inverse_mean(fam, np.concatenate((y_in, mu[generator])))
+    b = fam.b(theta)
+    terms = (y_in * theta[:n], -y_in * theta[n:], -b[:n], b[n:])
+    d = np.zeros(y.shape)
+    d[generator] = value = 2.0 * sum(terms)
+    generator[generator] = value > 1e-8 * sum(map(abs, terms))
+    for i in np.flatnonzero(~generator & (y != mu)):
+        d.flat[i] = deviance_by_quadrature(fam, float(y.flat[i]), float(mu.flat[i]))
+    return d
 
 
 def deviance_by_quadrature(fam: EdmFamily, y: float, mu: float) -> float:

@@ -16,10 +16,10 @@ being (the orthogonality of beta and tau at the algorithmic level).
 Every per-observation quantity (the response check, variance function,
 deviance, Pearson and profile sums) is one array call into ``edm`` per
 iteration, so an iteration makes O(1) library calls whatever n is.  The
-family's callables see whole arrays; families without an analytic mean
-inverse or closed-form deviance (``EdmFamily.mean_inverse`` or
-``deviance_closed_form`` is ``None``, as for JSON-config families) are
-evaluated element by element inside ``edm``.  A predictor that gives a
+family's callables see whole arrays, and a family given by ``b`` alone (a
+JSON config) is evaluated by array code in ``edm``; only its deviance
+entries on the mean domain's boundary or next to the diagonal go to
+quadrature one at a time.  A predictor that gives a
 non-finite mean (a nonlinear expression evaluated outside its domain
 yields ``nan``) is handled like a mean outside the mean domain: the step
 is halved, or ``DomainError`` is raised at the starting coefficients.

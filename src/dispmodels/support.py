@@ -5,9 +5,10 @@ flag marking integer-lattice supports (counting measure).  The convex
 support of a lattice set is still the interval itself; the flag only
 matters for density evaluation and normalization sums.
 
+``contains`` and ``clip_inward`` take a float or an ndarray, and
 ``contains_all`` and ``require_all`` check a whole ndarray in one
 vectorized pass, so a domain check costs O(1) Python calls however many
-observations it covers; ``clip_inward`` takes a float or an ndarray.
+observations it covers.
 """
 
 from __future__ import annotations
@@ -38,20 +39,17 @@ class RealInterval:
         if math.isinf(self.upper) and self.closed_upper:
             object.__setattr__(self, "closed_upper", False)
 
-    def contains(self, x: float) -> bool:
-        if math.isnan(x):
-            return False
+    def contains(self, x):
+        """Whether ``x`` lies in the interval (nan never does); on an ndarray, entry by entry."""
         lo_ok = x >= self.lower if self.closed_lower else x > self.lower
         hi_ok = x <= self.upper if self.closed_upper else x < self.upper
-        return lo_ok and hi_ok
+        return lo_ok & hi_ok
 
     __contains__ = contains
 
     def contains_all(self, x: np.ndarray) -> bool:
-        """Whether every entry of the array ``x`` lies in the interval (nan never does)."""
-        lo_ok = x >= self.lower if self.closed_lower else x > self.lower
-        hi_ok = x <= self.upper if self.closed_upper else x < self.upper
-        return bool(np.all(lo_ok & hi_ok))
+        """Whether every entry of the array ``x`` lies in the interval."""
+        return bool(np.all(self.contains(x)))
 
     def interior(self) -> "RealInterval":
         # built once per interval: dataclasses.replace costs microseconds,
@@ -91,9 +89,9 @@ class RealInterval:
 
     def require_all(self, x: np.ndarray, what: str = "value") -> np.ndarray:
         """``require`` for an array: one vectorized check, naming the first offender."""
-        if not self.contains_all(x):
-            bad = next(v for v in x.flat if not self.contains(float(v)))
-            raise DomainError(f"{what} {float(bad)!r} outside {self}")
+        inside = self.contains(x)
+        if not np.all(inside):
+            raise DomainError(f"{what} {float(x[~inside].flat[0])!r} outside {self}")
         return x
 
     def grid(self, n: int, frac: float = 1e-6, span: float = 10.0) -> np.ndarray:

@@ -422,19 +422,48 @@ def test_registry():
 class TestSharedSolvers:
     """The bracketed Newton and the support integral that several layers share."""
 
-    def test_newton_bisects_when_the_slope_is_useless(self):
+    @pytest.mark.parametrize("array", [False, True], ids=["float", "ndarray"])
+    def test_newton_bisects_when_the_slope_is_useless(self, array):
         from dispmodels._numdiff import _bracketed_newton
 
-        root = _bracketed_newton(lambda x: x**3 - 2.0, lambda x: 0.0, 0.0, 4.0, 1e-12)
-        assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-11)
+        if not array:
+            root = _bracketed_newton(lambda x: x**3 - 2.0, lambda x: 0.0, 0.0, 4.0, 1e-12)
+            assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-11)
+            return
+        # each entry bisects its own bracket and stops where its float call stops (x * x * x
+        # rounds alike on floats and arrays, where ** need not)
+        cube = lambda x: x * x * x - 2.0
+        lo, hi = np.array([0.0, 1.0, -3.0]), np.array([4.0, 2.0, 1.5])
+        roots = _bracketed_newton(cube, lambda x: 0.0, lo, hi, 1e-12)
+        expected = [_bracketed_newton(cube, lambda x: 0.0, a, b, 1e-12) for a, b in zip(lo, hi)]
+        np.testing.assert_array_equal(roots, expected)
 
-    def test_newton_raises_naming_the_residual(self):
+    def test_newton_array_takes_the_float_steps(self):
+        # Newton steps on a monotone fn, with a bracket and a tolerance per entry
+        from dispmodels._numdiff import _bracketed_newton
+
+        fn, slope = lambda x: x * x * x + x - 3.0, lambda x: 3.0 * x * x + 1.0
+        lo, hi, tol = np.array([0.0, -5.0, 1.0]), np.array([2.0, 40.0, 1.5]), np.array([1e-3, 1e-12, 1e-14])
+        roots = _bracketed_newton(fn, slope, lo, hi, tol)
+        expected = [_bracketed_newton(fn, slope, *args) for args in zip(lo, hi, tol)]
+        np.testing.assert_array_equal(roots, expected)
+
+    @pytest.mark.parametrize("array", [False, True], ids=["float", "ndarray"])
+    def test_newton_raises_naming_the_residual(self, array):
         from dispmodels._numdiff import _bracketed_newton
         from dispmodels.errors import ConvergenceError
 
-        step = lambda x: 1.0 if x >= 1.0 else -1.0
-        with pytest.raises(ConvergenceError, match=r"step did not converge in 200 iterations: residual 1"):
-            _bracketed_newton(step, lambda x: 0.0, 0.0, 3.0, 1e-12, what="step")
+        if not array:
+            step = lambda x: 1.0 if x >= 1.0 else -1.0
+            with pytest.raises(ConvergenceError, match=r"step did not converge in 200 iterations: residual 1"):
+                _bracketed_newton(step, lambda x: 0.0, 0.0, 3.0, 1e-12, what="step")
+            return
+        # entry 0 has a root at 1.5; the step of entry 1 has none
+        step = lambda x: np.where(x >= 1.0, 1.0, -1.0) * np.array([0.0, 1.0]) + np.array([x[0] - 1.5, 0.0])
+        with pytest.raises(ConvergenceError, match=r"step at entry 1 did not converge in 200 iterations: "
+                                                   r"residual 1 at x = 1 "):
+            _bracketed_newton(step, lambda x: 1.0, np.array([0.0, 0.0]), np.array([3.0, 3.0]), 1e-12,
+                              what="step")
 
     def test_lattice_sum_from_a_far_mode(self):
         # the terms below the mode of Poisson(800) underflow to zero: the
@@ -510,11 +539,43 @@ class TestConfigGeneratorDeviance:
         assert edm_deviance(fam, 0.0, 0.5) == pytest.approx(1.0, rel=1e-6)
         assert edm_deviance(fam, 0.0, 0.5) == deviance_by_quadrature(fam, 0.0, 0.5)
 
+    def test_calls_of_b_do_not_grow_with_n(self):
+        # each finite difference, each Newton iteration and the generator deviance call b once on
+        # a whole array, however many entries it has, and the bracket scan once per family; the
+        # Newton runs until its slowest entry stops, so both sizes repeat the same ten means
+        fam = family_from_config(self.POISSON)
+        calls = []
+        counted = replace(fam, b=lambda theta: calls.append(np.shape(theta)) or fam.b(theta))
+        inverse_mean(counted, 1.0)
+        assert calls, "the first solve scans the brackets"
+        counts = {}
+        for n in (10, 1000):
+            mu = np.tile(np.linspace(0.5, 20.0, 10), n // 10)
+            for name, call in (("inverse_mean", lambda: inverse_mean(counted, mu)),
+                               ("variance_function", lambda: variance_function(counted, mu)),
+                               ("edm_deviance", lambda: edm_deviance(counted, 1.7 * mu, mu))):
+                calls.clear()
+                call()
+                counts[name, n] = len(calls)
+        for name in ("inverse_mean", "variance_function", "edm_deviance"):
+            assert counts[name, 10] == counts[name, 1000], counts
+
+    @pytest.mark.parametrize("config,theta,variance",
+                             [(POISSON, math.log(1e-12), 1e-12), (GAMMA, -1e12, 1e-24)])
+    def test_small_mean_solved_to_relative_accuracy(self, config, theta, variance):
+        # below |mu| = 1 the tolerance on b'(theta) - mu is relative to the distance from mu to 0
+        fam = family_from_config(config)
+        assert inverse_mean(fam, 1e-12) == pytest.approx(theta, rel=1e-9)
+        assert variance_function(fam, 1e-12) == pytest.approx(variance, rel=1e-7)
+        mus = np.array([1e-12, 1e-6, 0.5])
+        np.testing.assert_allclose(inverse_mean(fam, mus)[0], theta, rtol=1e-9)
+        np.testing.assert_allclose(mean_value(fam, float(inverse_mean(fam, mus)[1])), 1e-6, rtol=1e-9)
+
 
 class TestFiniteDifferenceDerivatives:
     """Derivatives of b that no family registers come from ``_numdiff.derivative``."""
 
-    @pytest.mark.parametrize("x", [1e-8, 0.3, 50.0])
+    @pytest.mark.parametrize("x", [1e-8, 0.3, 50.0, np.array([1e-8, 0.3, 50.0]), np.array([[2.0, 1e-3]])])
     def test_log_derivatives_next_to_the_boundary(self, x):
         # d^r log x / dx^r = (-1)^(r-1) (r-1)! / x^r; the stencil stays in (0, inf)
         from dispmodels._numdiff import derivative
@@ -522,7 +583,24 @@ class TestFiniteDifferenceDerivatives:
 
         for r, tol in zip(range(1, 7), (1e-12, 1e-9, 1e-8, 1e-6, 1e-5, 1e-4)):
             exact = (-1) ** (r - 1) * math.factorial(r - 1) / x**r
-            assert derivative(math.log, x, r, POSITIVE_REALS) == pytest.approx(exact, rel=tol)
+            if isinstance(x, float):
+                assert derivative(math.log, x, r, POSITIVE_REALS) == pytest.approx(exact, rel=tol)
+                continue
+            # one call of np.log on every stencil point; each entry is its float call
+            values = derivative(np.log, x, r, POSITIVE_REALS)
+            assert values.shape == x.shape
+            np.testing.assert_allclose(values, exact, rtol=tol)
+            expected = [derivative(np.log, float(v), r, POSITIVE_REALS) for v in x.flat]
+            np.testing.assert_array_equal(values.ravel(), expected)
+
+    @pytest.mark.parametrize("x", [-1.0, np.array([0.5, 2.0, -1.0, 0.0])])
+    def test_outside_the_domain_names_the_entry(self, x):
+        from dispmodels._numdiff import derivative
+        from dispmodels.support import POSITIVE_REALS
+
+        match = "at -1.0 outside" if isinstance(x, float) else r"at entry 2, -1.0, outside"
+        with pytest.raises(DomainError, match=match):
+            derivative(np.log, x, 2, POSITIVE_REALS)
 
     @pytest.mark.parametrize("name,theta", [("binomial", 0.3), ("negative_binomial", -0.7), ("gsh", 0.3)])
     def test_cumulants_of_order_five_and_six(self, name, theta):
@@ -551,6 +629,12 @@ class TestFiniteDifferenceDerivatives:
             assert cumulant(fam, r, -1.5, 1.0) == pytest.approx(cumulant(ref, r, -1.5, 1.0), rel=tol)
         assert edm.variance_prime(fam, 2.0) == pytest.approx(edm.variance_prime(ref, 2.0), rel=1e-8)
         assert variance_function(fam, 3.0) == pytest.approx(9.0, rel=1e-9)
+        mus = np.array([3.0, 0.2, 40.0])
+        np.testing.assert_array_equal(variance_function(fam, mus), [variance_function(fam, m) for m in mus])
+        thetas = np.array([[-1.5, -0.1], [-7.0, -30.0]])
+        for r in range(1, 7):
+            values = fam._b_derivative(r, thetas)
+            np.testing.assert_array_equal(values.ravel(), [cumulant(fam, r, t, 1.0) for t in thetas.flat])
 
     def test_config_poisson_boundary_deviance(self):
         # d(0; mu) = 2 mu, by quadrature over numerical V

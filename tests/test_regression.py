@@ -49,7 +49,7 @@ PARITY_CASES = {
     "gsh": (get_family("gsh"), [-2.0, -0.4, 0.6, 3.0], ([-1.0, -0.4, 2.0, 3.0], [0.5, -0.4, -1.0, 3.0])),
     "tweedie(1.5)": (tweedie_family(1.5).to_edm(), POSITIVE_MU, (COUNT_Y, COUNT_MU)),
     "tweedie(3)": (tweedie_family(3.0).to_edm(), POSITIVE_MU, (POSITIVE_Y, POSITIVE_MU)),
-    # no analytic inverse, b'' or deviance: the element-wise fallback
+    # no analytic inverse, b'' or deviance: the generator-only path
     "config": (
         family_from_config(
             {
@@ -62,6 +62,16 @@ PARITY_CASES = {
         ),
         [0.5, 1.0, 2.2],
         ([2.0, 1.0, 0.7], [1.0, 1.0, 2.2]),
+    ),
+    # b = exp alone: numpy's exp and math.exp differ in the last bit of some values, which the
+    # finite differences would amplify if a float call did not take the array path; y = 0 and
+    # |y/mu - 1| = 5e-9 go to quadrature
+    "poisson config": (
+        family_from_config(
+            {"name": "user_poisson", "b": "exp(theta)", "mean_domain": [0, None], "support": [0, None, "["]}
+        ),
+        COUNT_MU,
+        (COUNT_Y + [2.2 * (1.0 + 5e-9)], COUNT_MU + [2.2]),
     ),
 }
 
