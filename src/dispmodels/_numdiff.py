@@ -13,9 +13,10 @@ The second factor is the length on which f varies: |x| away from the
 origin, and the distance to a finite boundary, where generators and
 deviances are singular.  The first factor is below 0.1 for every order and
 the widest stencil reaches 3h, so no probe leaves the domain.  Callers
-pass the domain, never a step.  ``derivative`` and ``_bracketed_newton`` take
-a float (on Python floats) or an ndarray (one call of ``f`` per derivative or
-Newton iteration, each entry taking the steps of its float call).
+pass the domain, never a step.  ``derivative`` takes a float (on Python
+floats) or an ndarray (one call of ``f`` on all stencil points, each entry
+taking the steps of its float call); ``_bracketed_newton`` runs floats and
+ndarrays alike, one call of ``fn`` per iteration.
 
 ``_quad`` is the one call of ``quad`` outside the Tweedie Fourier inversion: an
 interval whose ends lie on one side of 0 and more than two decades apart
@@ -127,52 +128,37 @@ def _richardson(sums, h, order: int):
 
 def _bracketed_newton(fn, slope, lo, hi, tol, increasing: bool = True, max_iter: int = 200,
                       what: str = "root"):
-    """Root of the monotone ``fn`` inside the bracket ``(lo, hi)``.
+    """Roots of the monotone ``fn`` inside the brackets ``(lo, hi)``, floats or ndarrays.
 
     Safeguarded Newton from the midpoint: each iterate shrinks the bracket
     by the sign of ``fn``, and a step that leaves the bracket (or a zero or
     non-finite ``slope``) is replaced by bisection, so the iteration cannot
-    diverge.  Returns the first iterate with ``|fn| <= tol``; raises
-    ``ConvergenceError``, naming the residual and the last iterate, after
-    ``max_iter`` evaluations.  With ndarrays ``lo`` and ``hi`` each entry
-    takes these steps in its own bracket and stops at its own iterate (then
-    stays put), ``fn`` and ``slope`` see all iterates in one call per
-    iteration, and the error names the first entry that did not stop.
+    diverge.  Each entry takes these steps in its own bracket and stops at
+    its first iterate with ``|fn| <= tol`` (then stays put); ``fn`` and
+    ``slope`` see all iterates in one call per iteration.  Floats run as 0-d
+    arrays and return a float.  After ``max_iter`` evaluations raises
+    ``ConvergenceError`` naming the residual, the last iterate and, for an
+    ndarray, the first entry that did not stop.
     """
-    x = 0.5 * (lo + hi)
-    if isinstance(x, np.ndarray):
-        tol = np.broadcast_to(tol, x.shape)
-        running = np.ones(x.shape, dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for _ in range(max_iter):
-                val = fn(x)
-                running &= ~(np.abs(val) <= tol)
-                if not running.any():
-                    return x
-                up = (val < 0.0) == increasing
-                lo, hi = np.where(up, x, lo), np.where(up, hi, x)  # a stopped entry's bracket is not read
-                candidate = x - val / slope(x)  # a zero slope gives a non-finite candidate
-                inside = (lo < candidate) & (candidate < hi)  # false where it is nan or infinite
-                x, last = np.where(running, np.where(inside, candidate, 0.5 * (lo + hi)), x), x
-        i = int(np.argmax(running))
-        val, last, tol = val.flat[i], last.flat[i], tol.flat[i]
-        what = f"{what} at entry {i}"
-    else:
+    x = 0.5 * (np.asarray(lo, dtype=float) + np.asarray(hi, dtype=float))
+    tol = np.broadcast_to(tol, np.shape(x))
+    running = np.ones(np.shape(x), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_iter):
-            val = fn(x)
-            if abs(val) <= tol:
-                return x
-            if (val < 0.0) == increasing:
-                lo = x
-            else:
-                hi = x
-            s = slope(x)
-            candidate = x - val / s if s else math.nan
-            if not (math.isfinite(candidate) and lo < candidate < hi):
-                candidate = 0.5 * (lo + hi)
-            x, last = candidate, x
+            val = np.asarray(fn(x), dtype=float)
+            running &= ~(np.abs(val) <= tol)
+            if not running.any():
+                return x if np.ndim(x) else float(x)
+            up = (val < 0.0) == increasing
+            lo, hi = np.where(up, x, lo), np.where(up, hi, x)  # a stopped entry's bracket is not read
+            candidate = x - val / slope(x)  # a zero slope gives a non-finite candidate
+            inside = (lo < candidate) & (candidate < hi)  # false where it is nan or infinite
+            x, last = np.where(running, np.where(inside, candidate, 0.5 * (lo + hi)), x), x
+    i = int(np.argmax(running))
+    val, last, tol = (np.ravel(a)[i] for a in (val, last, tol))
+    where = f" at entry {i}" if np.ndim(x) else ""
     raise ConvergenceError(
-        f"{what} did not converge in {max_iter} iterations: residual {abs(val):.3g} "
+        f"{what}{where} did not converge in {max_iter} iterations: residual {abs(val):.3g} "
         f"at x = {last:.6g} against the tolerance {tol:.3g}"
     )
 

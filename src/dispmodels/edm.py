@@ -159,13 +159,15 @@ def inverse_mean(fam: EdmFamily, mu):
     Uses the registered analytic inverse when present, else the safeguarded
     Newton of ``_solve_increasing`` to ``|b'(theta) - mu| <= 1e-10 s``, with
     ``s`` the step rule's ``min(max(1, |mu|), distance from mu to the nearest
-    finite end of the mean domain)``.
+    finite end of the mean domain)``; ``b'`` takes no value on a closed end
+    (a count of 0), so there it raises ``DomainError``.
     """
     array = type(mu) is not float and isinstance(mu, np.ndarray)
+    domain = fam.mean_domain if fam.mean_inverse is not None else fam.mean_domain.interior()
     if array:
-        fam.mean_domain.require_all(mu, "mu")
+        domain.require_all(mu, "mu")
     else:
-        fam.mean_domain.require(mu, "mu")
+        domain.require(mu, "mu")
     if fam.mean_inverse is not None:
         return _float_array(fam.mean_inverse(mu), mu) if array else float(fam.mean_inverse(mu))
     flat = np.asarray(mu, dtype=float).reshape(-1)
@@ -187,27 +189,15 @@ def _domain_probe(domain: RealInterval, toward_upper: bool, k: np.ndarray) -> np
     return hi - 2.0**k if math.isfinite(hi) else 2.0 - 2.0**k
 
 
-def _mean_scan(fam: EdmFamily) -> tuple[np.ndarray, np.ndarray]:
-    """60 probes marching toward each end of ``theta_domain`` and ``b'`` there (nan outside the
-    domain's interior or where it is not finite), from one call of ``b'``.  Made on the first
-    inverse-mean solve of a family and kept on it, as ``RealInterval.interior`` is."""
-    scan = fam.__dict__.get("_mean_scan")
-    if scan is None:
-        steps = np.arange(60.0)
-        probes = np.concatenate([_domain_probe(fam.theta_domain, up, steps) for up in (False, True)])
-        inside = fam.theta_domain.interior().contains(probes)
-        values = np.full(probes.shape, np.nan)
-        values[inside] = fam._b_derivative(1, probes[inside])
-        values[~np.isfinite(values)] = np.nan  # passes no target
-        scan = (probes, values)
-        object.__setattr__(fam, "_mean_scan", scan)
-    return scan
-
-
 def _solve_increasing(fam: EdmFamily, target: np.ndarray, tol) -> np.ndarray:
-    """Roots of ``b'(theta) = target`` for a 1-d ``target``: each between the first probe of
-    ``_mean_scan`` on each side where ``b'`` passes it, then the shared safeguarded Newton."""
-    probes, values = _mean_scan(fam)
+    """Roots of ``b'(theta) = target`` for a 1-d ``target``: each between the first of 60 probes
+    marching toward each end of ``theta_domain`` where ``b'`` passes it (``b'`` at all 120 from
+    one call), then the shared safeguarded Newton."""
+    probes = np.concatenate([_domain_probe(fam.theta_domain, up, np.arange(60.0)) for up in (False, True)])
+    inside = fam.theta_domain.interior().contains(probes)
+    values = np.full(probes.shape, np.nan)
+    values[inside] = fam._b_derivative(1, probes[inside])
+    values[~np.isfinite(values)] = np.nan  # passes no target
     below, above = values[:60, None] <= target, values[60:, None] >= target
     missing = ~(below.any(axis=0) & above.any(axis=0))
     if missing.any():
@@ -291,7 +281,7 @@ def _generator_deviance(fam: EdmFamily, y: np.ndarray, mu: np.ndarray) -> np.nda
     solve and one call of ``b``; quadrature for ``y`` outside int(M) (a count of 0) or where the
     terms cancel to 1e-8 of their size next to the diagonal: it keeps the sign there."""
     y, mu = np.broadcast_arrays(y, mu)
-    generator = fam.mean_domain.contains(y) & (y != mu)
+    generator = fam.mean_domain.interior().contains(y) & (y != mu)
     y_in, n = y[generator], np.count_nonzero(generator)
     theta = inverse_mean(fam, np.concatenate((y_in, mu[generator])))
     b = fam.b(theta)

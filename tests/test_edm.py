@@ -539,15 +539,25 @@ class TestConfigGeneratorDeviance:
         assert edm_deviance(fam, 0.0, 0.5) == pytest.approx(1.0, rel=1e-6)
         assert edm_deviance(fam, 0.0, 0.5) == deviance_by_quadrature(fam, 0.0, 0.5)
 
+    def test_closed_mean_domain_end(self):
+        # a count of 0 on a closed end of the mean domain goes to quadrature, d(0; mu) = 2 mu,
+        # and b' takes no value there, so the inverse mean refuses it
+        fam = family_from_config(dict(self.POISSON, mean_domain=[0, None, "["]))
+        y, mu = np.array([0.0, 2.0, 0.0]), np.array([1.5, 1.5, 3.0])
+        np.testing.assert_allclose(edm_deviance(fam, y, mu), edm_deviance(FAMILIES["poisson"], y, mu),
+                                   rtol=1e-9)
+        assert edm_deviance(fam, 0.0, 1.5) == pytest.approx(3.0, rel=1e-9)
+        for mu in (0.0, np.array([1.0, 0.0])):
+            with pytest.raises(DomainError, match=r"mu 0.0 outside \(0.0, inf\)"):
+                inverse_mean(fam, mu)
+
     def test_calls_of_b_do_not_grow_with_n(self):
-        # each finite difference, each Newton iteration and the generator deviance call b once on
-        # a whole array, however many entries it has, and the bracket scan once per family; the
+        # each finite difference (the bracket scan's among them), each Newton iteration and the
+        # generator deviance call b once on a whole array, however many entries it has; the
         # Newton runs until its slowest entry stops, so both sizes repeat the same ten means
         fam = family_from_config(self.POISSON)
         calls = []
         counted = replace(fam, b=lambda theta: calls.append(np.shape(theta)) or fam.b(theta))
-        inverse_mean(counted, 1.0)
-        assert calls, "the first solve scans the brackets"
         counts = {}
         for n in (10, 1000):
             mu = np.tile(np.linspace(0.5, 20.0, 10), n // 10)
