@@ -8,6 +8,12 @@ and returns a numpy scalar that slows the arithmetic after it, and the
 pointwise API must not pay for the array path.  :func:`power_deviance` is
 the one kernel of the gamma, Poisson, binomial, negative binomial and
 Tweedie deviances.
+
+``special`` is ``scipy.special``, imported on its first attribute lookup:
+``import dispmodels`` loads no scipy module, and deviances, IRLS fits
+without the dispersion MLE and the cf construction never load it.
+``scipy.integrate`` and ``scipy.interpolate`` load with the first
+quadrature or sample (see ``_numdiff``).
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from itertools import accumulate
 
 import numpy as np
 
-__all__ = ["log", "log1p", "exp", "sqrt", "cos", "tan", "atan", "positive_part", "power_deviance", "vectorize"]
+__all__ = ["log", "log1p", "exp", "sqrt", "cos", "tan", "atan", "positive_part", "power_deviance", "vectorize",
+           "special"]
 
 # |x| = |y - mu|/mu below which J_p is its series: the closed forms lose eps/|x|, 5e-15 at the edge
 _SERIES_BAND = 0.05
@@ -47,6 +54,17 @@ cos = _dispatch(math.cos, np.cos)
 tan = _dispatch(math.tan, np.tan)
 atan = _dispatch(math.atan, np.arctan)
 _expm1 = _dispatch(math.expm1, np.expm1)
+
+
+class _LazySpecial:
+    def __getattr__(self, name):  # only on a miss: later lookups find the stored ufunc
+        import scipy.special
+
+        setattr(self, name, getattr(scipy.special, name))
+        return self.__dict__[name]
+
+
+special = _LazySpecial()
 
 
 def power_deviance(p: float, y, mu, delta=None):

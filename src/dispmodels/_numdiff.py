@@ -22,8 +22,10 @@ ndarrays alike, one call of ``fn`` per iteration.
 interval whose ends lie on one side of 0 and more than two decades apart
 gets a breakpoint per decade, so adaptive bisection cannot miss mass that
 sits near its small end.  Both import ``scipy.integrate`` (which loads
-``scipy.optimize``) on their first call, so fits, deviances and the closed-form
-densities never load it.
+``scipy.optimize`` and ``scipy.special``) on their first call, so fits,
+deviances and the closed-form densities never load it.  No module of the
+package imports scipy when it loads: ``scipy.special`` comes with the first
+special-function call, through ``_elementary.special``.
 
 Three private solvers are written here once: ``_bracketed_newton`` (the
 inverse mean mapping, the dispersion MLE), ``_support_integral`` (the

@@ -162,6 +162,14 @@ class GridSolution:
     N = 2^12, tau from 0.05 to 5); the solution is still returned, never
     clamped.  ``iterations`` counts the CG iterations summed over every rung
     of the lambda ladder (see :func:`solve_convolution_grid`).
+
+    ``plateau`` is the kernel's tail level c = K_tau(L) (nan where the
+    solution was built without it).  Away from the window's ends a spreads
+    its mass evenly, so c * integral a ~ 1 puts its level near 1/(2 L c):
+    ``interior_level``, the mean of the middle quarter of ``a_values`` times
+    2 L c, tends to 1 as L grows at a fixed spacing while a itself falls
+    like 1/L, as a solution on [-L, L] of an equation with none on the
+    real line does.
     """
 
     grid: np.ndarray
@@ -172,6 +180,7 @@ class GridSolution:
     edge_band: int
     iterations: int
     ill_posed: bool
+    plateau: float = math.nan
 
     @property
     def spacing(self) -> float:
@@ -180,6 +189,12 @@ class GridSolution:
     @property
     def interior(self) -> slice:
         return slice(self.edge_band, len(self.grid) - self.edge_band)
+
+    @property
+    def interior_level(self) -> float:
+        n = len(self.grid)
+        middle = float(np.mean(self.a_values[3 * n // 8 : 5 * n // 8]))
+        return middle * float(self.grid[-1] - self.grid[0]) * self.plateau
 
 
 def _toeplitz_operator(kern: np.ndarray, h: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -342,7 +357,8 @@ def solve_convolution_grid(
     if np.max(np.abs(kern - kern[::-1])) > 1e-12 * np.max(np.abs(kern)):
         raise DomainError("the kernel is not symmetric: K(-t) != K(t) on the grid")
     plateau = float(kern[0])  # largest sampled lag ~ tail level
-    if abs(float(kernel_fn(float(L))) - plateau) > 1e-3:
+    kernel_at_l = float(kernel_fn(float(L)))
+    if abs(kernel_at_l - plateau) > 1e-3:
         raise DomainError(
             "L is too small: the kernel has not reached its tail plateau at lag L"
         )
@@ -405,6 +421,7 @@ def solve_convolution_grid(
         edge_band=band,
         iterations=iterations,
         ill_posed=residual > 0.1,
+        plateau=kernel_at_l,
     )
 
 

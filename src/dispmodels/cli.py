@@ -288,6 +288,8 @@ def _cmd_cf_construct(args) -> int:
         "edge_band": sol.edge_band,
         "iterations": sol.iterations,
         "ill_posed": sol.ill_posed,
+        "plateau": sol.plateau,
+        "interior_level": sol.interior_level,
     }
     print(_json(report), file=sys.stderr)
     return 0

@@ -28,7 +28,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln, loggamma, polygamma
 
 from . import _elementary as el
 from ._numdiff import _bracketed_newton, _length_scale, _quad, derivative
@@ -435,8 +434,8 @@ def _gamma_family() -> EdmFamily:
         dispersion_domain=POSITIVE_REALS,
         exact_normalizer=lambda y, tau: (1.0 / tau - 1.0) * math.log(y)
         - math.log(tau) / tau
-        - gammaln(1.0 / tau),
-        dc_dtau=lambda y, tau: (-el.log(y) + math.log(tau) - 1.0 + polygamma(0, 1.0 / tau))
+        - el.special.gammaln(1.0 / tau),
+        dc_dtau=lambda y, tau: (-el.log(y) + math.log(tau) - 1.0 + el.special.polygamma(0, 1.0 / tau))
         / tau**2,
         mean_inverse=lambda mu: -1.0 / mu,
         deviance_closed_form=partial(el.power_deviance, 2.0),
@@ -452,7 +451,7 @@ def _poisson_family() -> EdmFamily:
         mean_domain=POSITIVE_REALS,
         support=RealInterval(0.0, math.inf, closed_lower=True, lattice=True),
         dispersion_domain=_UNIT_TAU,
-        exact_normalizer=lambda y, tau: -(y / tau) * math.log(tau) - float(gammaln(y / tau + 1.0)),
+        exact_normalizer=lambda y, tau: -(y / tau) * math.log(tau) - float(el.special.gammaln(y / tau + 1.0)),
         mean_inverse=el.log,
         deviance_closed_form=partial(el.power_deviance, 1.0),
     )
@@ -554,8 +553,8 @@ def gsh_log_normalizer(y: float, tau: float) -> float:
     return (
         (lam - 2.0) * math.log(2.0)
         - math.log(math.pi)
-        - float(gammaln(lam))
-        + 2.0 * float(loggamma(complex(0.5 * lam, 0.5 * y / tau)).real)
+        - float(el.special.gammaln(lam))
+        + 2.0 * float(el.special.loggamma(complex(0.5 * lam, 0.5 * y / tau)).real)
         - math.log(tau)
     )
 

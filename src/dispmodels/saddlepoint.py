@@ -20,9 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.special import ndtr
-
-from . import edm
+from . import _elementary as el, edm
 from .deviance import UnitDeviance, VarianceFunction, eval_deviance
 from .edm import EdmFamily
 from .errors import DomainError, NumericalError
@@ -131,7 +129,9 @@ def lugannani_rice(fam: EdmFamily, y: float, theta: float, tau: float, n: int = 
     else:
         v_mu = edm.cumulant(fam, 2, theta, 1.0)
         correction = edm.cumulant(fam, 3, theta, 1.0) / (6.0 * v_mu * math.sqrt(v_mu) * scale)
-    value = float(ndtr(r)) + math.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi) * correction
+    value = float(el.special.ndtr(r)) + math.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi) * correction
+    if math.isnan(value):  # such as r = inf * 0 where sqrt(n/tau) overflows at y = mu
+        raise NumericalError(f"Lugannani-Rice tail is nan at (y={y}, theta={theta}, tau={tau}, n={n})")
     return SaddlepointResult(value=min(max(value, 0.0), 1.0), saddle=q_gap / tau, r=r, u=u)
 
 

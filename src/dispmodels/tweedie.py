@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammainc, gammaln, ndtr, pdtr, sici
 
 from . import _elementary as el
 from .edm import FAMILIES, EdmFamily
@@ -65,7 +64,7 @@ _SERIES_MAX_TERMS = 10**5
 _CDF_BLOCK = 2**20  # 1 < p < 2 cdf: entries of one rows-by-jump-counts block of gammainc
 # p > 2 inversion: QAWF from t = 8/sigma (a Gaussian cf is below e^-32 there); QUADPACK tolerance
 _S_SPLIT, _QUAD_EPS = 8.0, 1e-12
-_W_MIN = 1e-50  # lowest QAWF frequency y/sigma tried: QUADPACK crashes from about 1e-126 down
+_W_MIN = 1e-50  # lowest QAWF frequency y/sigma tried: QUADPACK crashes from about 1e-126 down, and at inf
 
 
 def _validate_p(p: float) -> float:
@@ -196,6 +195,9 @@ def compound_poisson_gamma_params(p: float, mu: float, tau: float) -> tuple[floa
     """(Poisson rate, gamma shape, gamma scale) of the 1 < p < 2 representation."""
     if not 1.0 < p < 2.0:
         raise DomainError(f"compound Poisson-gamma representation needs 1 < p < 2, got p={p}")
+    if tau * (2.0 - p) == 0.0:
+        raise NumericalError(f"compound Poisson rate at (p={p}, mu={mu}, tau={tau}) divides by "
+                             "tau (2 - p), which underflows to 0")
     rate = mu ** (2.0 - p) / (tau * (2.0 - p))
     shape = (2.0 - p) / (p - 1.0)
     scale = tau * (p - 1.0) * mu ** (p - 1.0)
@@ -229,8 +231,10 @@ def _poisson_gamma_terms(p: float, mu: float, tau: float):
     if not (rate > 0.0 and 2.0 * reach < _SERIES_MAX_TERMS):
         raise NumericalError(f"compound Poisson rate {rate:.3g} at (p={p}, mu={mu}, tau={tau}) "
                              f"needs more than {_SERIES_MAX_TERMS} jump counts, or none")
+    if not 0.0 < scale < math.inf:
+        raise NumericalError(f"gamma jump scale of the member (p={p}, mu={mu}, tau={tau}) is {scale:g}")
     n = np.arange(max(1.0, math.floor(rate - reach)), math.ceil(rate + reach) + 1.0)
-    return n, n * math.log(rate) - rate - gammaln(n + 1.0), shape, scale
+    return n, n * math.log(rate) - rate - el.special.gammaln(n + 1.0), shape, scale
 
 
 def _log_v_series(p: float, y: float, tau: float) -> Optional[float]:
@@ -245,7 +249,7 @@ def _log_v_series(p: float, y: float, tau: float) -> Optional[float]:
                - math.log(p - 2.0))
 
     def log_envelope(k: float) -> float:
-        return gammaln(1.0 + alpha * k) - gammaln(1.0 + k) + k * log_rho
+        return el.special.gammaln(1.0 + alpha * k) - el.special.gammaln(1.0 + k) + k * log_rho
 
     # the envelope peaks where its Stirling slope alpha log(alpha k) - log k + log rho is 0
     log_peak = (alpha * math.log(alpha) + log_rho) / (1.0 - alpha)
@@ -288,9 +292,10 @@ def _fourier_inversion(p: float, y: float, mu: float, tau: float, cdf: bool, tol
     from scipy.integrate import IntegrationWarning, quad
 
     theta, alpha, sigma = _inverse_mean(p, mu), (p - 2.0) / (p - 1.0), math.sqrt(tau * mu**p)
-    if not y / sigma > _W_MIN:
-        raise NumericalError(f"Tweedie inversion at (p={p}, y={y}, mu={mu}, tau={tau}) needs a "
-                             f"QAWF weight of frequency y/sd = {y / sigma:.3g}, below {_W_MIN:g}")
+    frequency = y / sigma if sigma else math.inf  # of the QAWF weight
+    if not _W_MIN < frequency < math.inf:
+        raise NumericalError(f"Tweedie inversion at (p={p}, y={y}, mu={mu}, tau={tau}) needs a QAWF "
+                             f"weight of frequency y/sd = {frequency:.3g}, outside [{_W_MIN:g}, inf)")
     scale = _generator(p, theta) / tau
 
     def phi(s, shift):  # exp(K(is/sigma) - i shift s)
@@ -301,11 +306,11 @@ def _fourier_inversion(p: float, y: float, mu: float, tau: float, cdf: bool, tol
 
     h = (lambda s: 1j / s) if cdf else (lambda s: 1.0)
     head = (lambda s: h(s) * (phi(s, mu / sigma) - cdf) if s or not cdf else 0j)
-    total, error = (sici((y - mu) / sigma * _S_SPLIT)[0] if cdf else 0.0), 0.0
+    total, error = (el.special.sici((y - mu) / sigma * _S_SPLIT)[0] if cdf else 0.0), 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         for fn, lower, upper, w in ((head, 0.0, _S_SPLIT, (y - mu) / sigma),
-                                    (lambda s: h(s) * phi(s, 0.0), _S_SPLIT, np.inf, y / sigma)):
+                                    (lambda s: h(s) * phi(s, 0.0), _S_SPLIT, np.inf, frequency)):
             for part, kind in (("real", "cos"), ("imag", "sin")):
                 value, err = quad(lambda s: getattr(fn(s), part), lower, upper, weight=kind, wvar=w,
                                   epsabs=_QUAD_EPS, epsrel=_QUAD_EPS, limit=200, limlst=100)
@@ -330,7 +335,7 @@ def _log_normalizer(p: float, y: float, tau: float) -> float:
         if y == 0.0:
             return 0.0  # the atom exp(-lambda) is exp(-b(theta)/tau)
         n, log_w, shape, scale = _poisson_gamma_terms(p, y, tau)
-        log_terms = log_w + n * (shape * math.log(y / scale)) - gammaln(n * shape)
+        log_terms = log_w + n * (shape * math.log(y / scale)) - el.special.gammaln(n * shape)
         peak = log_terms.max()
         log_density = peak + math.log(np.exp(log_terms - peak).sum()) - y / scale - math.log(y)
     else:
@@ -370,18 +375,18 @@ def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
 
 def _closed_form_cdf(p: float, ys: np.ndarray, mu: float, tau: float) -> np.ndarray:
     if p == 0.0:
-        return ndtr((ys - mu) / math.sqrt(tau))
+        return el.special.ndtr((ys - mu) / math.sqrt(tau))
     if p == 1.0:
         tweedie_support(p).require_all(ys, "y")
-        return pdtr(np.floor((ys + 1e-12) / tau), mu / tau)
+        return el.special.pdtr(np.floor((ys + 1e-12) / tau), mu / tau)
     if p == 2.0:
-        return gammainc(1.0 / tau, np.maximum(ys, 0.0) / tau / mu)
+        return el.special.gammainc(1.0 / tau, np.maximum(ys, 0.0) / tau / mu)
     n, log_w, shape, scale = _poisson_gamma_terms(p, mu, tau)
     values = np.where(ys < 0.0, 0.0, tweedie_zero_mass(p, mu, tau))
     block = max(1, _CDF_BLOCK // len(n))
     for start in range(0, len(ys), block):
         x = np.maximum(ys[start:start + block, None], 0.0) / scale
-        values[start:start + block] += gammainc(n * shape, x) @ np.exp(log_w)
+        values[start:start + block] += el.special.gammainc(n * shape, x) @ np.exp(log_w)
     return np.minimum(values, 1.0)
 
 
@@ -411,6 +416,9 @@ def tweedie_cdf(p: float, y, mu: float, tau: float):
                            else min(max(0.5 + _fourier_inversion(
                                p, yi, mu, tau, True, 1e-9 * math.pi) / math.pi, 0.0), 1.0)
                            for yi in ys.tolist()])
+    nan_ys = ys[np.isnan(values)]
+    if nan_ys.size:  # such as gammainc(inf, x) where 1/tau overflows
+        raise NumericalError(f"Tweedie cdf is nan at (p={p}, y={nan_ys[0]}, mu={mu}, tau={tau})")
     return float(values[0]) if np.ndim(y) == 0 else values
 
 

@@ -294,6 +294,25 @@ class TestSolver:
         with pytest.raises(DomainError, match="float or an ndarray"):
             convolution_residual(sol, delta)
 
+    def test_level_refines_with_the_window(self):
+        # doubling L at a fixed spacing h = 0.0195: the equation has no solution on the real line,
+        # so a's middle level roughly halves, approaching 1/(2 L c), and h sum(a) grows toward 1/c
+        narrow = solve_normalizer(GAUSS, 0.5, 10.0, 2**10)
+        wide = solve_normalizer(GAUSS, 0.5, 20.0, 2**11)
+        assert narrow.spacing == pytest.approx(wide.spacing, rel=1e-3)
+        c = math.exp(-1.0)  # K(inf) = e^(-1/(2 tau))
+        assert narrow.plateau == wide.plateau == pytest.approx(c, rel=1e-15)
+
+        def middle(sol):
+            n = len(sol.grid)
+            return float(np.mean(sol.a_values[3 * n // 8 : 5 * n // 8]))
+
+        assert 0.5 < middle(wide) / middle(narrow) < 0.6
+        assert narrow.interior_level == pytest.approx(2.0 * 10.0 * c * middle(narrow), rel=1e-12)
+        assert 0.7 < narrow.interior_level < wide.interior_level < 1.0
+        masses = [sol.spacing * float(np.sum(sol.a_values)) for sol in (narrow, wide)]
+        assert 2.0 < masses[0] < masses[1] < 1.0 / c
+
     def test_triangular_cf_compact_kernel(self):
         sol = solve_normalizer(get_cf("triangular-cf"), 0.25, 20.0, 2**10)
         assert sol.residual < 1e-2

@@ -139,6 +139,10 @@ def test_cf_construct_prints_the_solution_and_its_residual(capsys):
     )
     fresh = cf_construct.convolution_residual(sol, cf_construct.get_cf("gauss"))
     assert fresh == pytest.approx(report["residual"], abs=1e-6)
+    # the kernel's plateau e^(-1/(2 tau)) and a's middle level in units of 1/(2 L c)
+    assert report["plateau"] == pytest.approx(math.exp(-1.0), rel=1e-15)
+    middle = float(np.mean(table[3 * n // 8 : 5 * n // 8, 1]))
+    assert report["interior_level"] == pytest.approx(middle * 40.0 * report["plateau"], rel=1e-12)
 
 
 def test_cf_construct_grid_size_not_a_power_of_two_is_a_domain_error(capsys):

@@ -40,9 +40,9 @@ def _loaded(modules, *argv: str) -> str:
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():
-    # scipy.stats and scipy.signal are slow to import and needed by no
-    # import-time code: pdm loads scipy.stats only inside its pivotal check
-    assert _loaded(("scipy.stats", "scipy.signal", *_QUADRATURE_MODULES)) == "[]"
+    # no import-time code needs scipy: scipy.special loads on the first special-function
+    # call, and pdm loads scipy.stats only inside its pivotal check
+    assert _loaded(("scipy",)) == "[]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -57,11 +57,45 @@ def test_cli_without_quadrature_leaves_quadrature_modules_unloaded(argv):
 
 
 def test_cli_fit_leaves_quadrature_modules_unloaded(tmp_path):
+    # a Poisson fit calls no special function either, so no scipy module loads at all
     path = tmp_path / "poisson.csv"
     path.write_text("y,x\n1,0\n2,1\n4,2\n3,1\n7,3\n0,0\n", encoding="utf-8")
     argv = ["fit", "--data", str(path), "--response", "y", "--family", "poisson", "--link", "log",
             "--formula", "1+x"]
-    assert _loaded(_QUADRATURE_MODULES, *argv) == "[]"
+    assert _loaded(("scipy", *_QUADRATURE_MODULES), *argv) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["deviance", "--family", "gamma", "--y", "2", "--mu", "1"],
+    ["cf-construct", "--cf", "gauss", "--tau", "0.5", "--N", "1024"],
+], ids=lambda argv: argv[0])
+def test_cli_without_special_functions_leaves_scipy_unloaded(argv):
+    assert _loaded(("scipy",), *argv) == "[]"
+
+
+# runs the CLI on its arguments, after importing scipy.special first if asked, then prints
+# whether scipy.special is loaded
+_SPECIAL_PROBE = (
+    "import sys\n"
+    "if sys.argv[1] == 'eager':\n"
+    "    import scipy.special\n"
+    "from dispmodels.cli import run\n"
+    "assert run(sys.argv[2:]) == 0\n"
+    "print('scipy.special' in sys.modules)"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--family", "gamma", "--y", "1.3", "--mu", "2", "--tau", "0.4"],
+    ["tweedie", "--p", "1.5", "--mu", "1", "--tau", "1", "--y-min", "0", "--y-max", "3", "--y-step", "0.5"],
+    ["approx", "--family", "gamma", "--mu", "2", "--tau", "0.5", "--y", "3", "--method", "lr"],
+], ids=lambda argv: argv[0])
+def test_cli_special_function_loads_scipy_special_on_first_call(argv):
+    # the lazily imported module gives the same output, byte for byte, as one imported up front
+    lazy = _fresh("-W", "error", "-c", _SPECIAL_PROBE, "lazy", *argv)
+    eager = _fresh("-W", "error", "-c", _SPECIAL_PROBE, "eager", *argv)
+    assert lazy.endswith("\nTrue\n")
+    assert lazy == eager
 
 
 @pytest.mark.parametrize("argv", [
@@ -73,9 +107,12 @@ def test_cli_with_quadrature_loads_scipy_integrate(argv):
     assert _loaded(("scipy.integrate",), *argv) == "['scipy.integrate']"
 
 
-# each is the first quadrature or sampler call of its interpreter
+# each is the first quadrature, sampler or special-function call of its interpreter
 _FIRST_CALLS = (
     "pdm_density(get_pdm('vonmises'), 0.3, 1.0, 0.7)",
+    "tweedie_cdf(1.5, 1.0, 1.0, 0.5)",  # gammaln, then gammainc
+    "lugannani_rice_cdf(get_family('gamma'), 1.5, -1.0, 0.2)",  # ndtr
+    "density(get_family('poisson'), 3.0, 0.5, 1.0)",  # gammaln
     "tweedie_density(2.5, 0.12, 1.0, 0.25)",  # the series cancels: the Fourier inversion
     "tweedie_cdf(3.5, 1.0, 0.7, 0.25)",
     "sample_pdm(get_pdm('simplex'), 0.3, 0.5, 5, np.random.default_rng(11)).tolist()",
@@ -84,10 +121,12 @@ _FIRST_CALLS = (
 
 @pytest.mark.parametrize("call", _FIRST_CALLS)
 def test_first_call_imports_its_scipy_module(call):
-    # pytest has loaded scipy.integrate already, so only a fresh interpreter meets the import
-    # inside the call; -W error turns any warning that import raises into a failure
+    # pytest has loaded scipy.integrate and scipy.special already, so only a fresh interpreter meets
+    # the import inside the call; -W error turns any warning that import raises into a failure
     setup = ("import numpy as np; from dispmodels.pdm import get_pdm, pdm_density, sample_pdm; "
-             "from dispmodels.tweedie import tweedie_cdf, tweedie_density")
+             "from dispmodels.tweedie import tweedie_cdf, tweedie_density; "
+             "from dispmodels.edm import density, get_family; "
+             "from dispmodels.saddlepoint import lugannani_rice_cdf")
     namespace = {}
     exec(setup, namespace)
     out = _fresh("-W", "error", "-c", f"{setup}; print(repr({call}))")

@@ -10,7 +10,7 @@ from scipy.stats import norm, poisson
 
 from dispmodels import edm
 from dispmodels.deviance import DEVIANCES, VARIANCE_FUNCTIONS
-from dispmodels.errors import DomainError
+from dispmodels.errors import DomainError, NumericalError
 from dispmodels.saddlepoint import (
     lugannani_rice,
     lugannani_rice_cdf,
@@ -204,6 +204,12 @@ class TestLugannaniRice:
         diffs = np.diff(values)
         assert np.all(diffs >= -1e-12)
         assert all(0.0 <= v <= 1.0 for v in values)
+
+    @pytest.mark.parametrize("name,y,theta", [("normal", -1e8, -1e8), ("gamma", 1e-8, -1e8)])
+    def test_nan_tail_raises(self, name, y, theta):
+        # sqrt(1/tau) overflows at tau = 5e-324: r = inf * 0 at the mean, or inf - inf after it
+        with pytest.raises(NumericalError, match=r"y=.*theta=.*tau=5e-324"):
+            lugannani_rice_cdf(edm.get_family(name), y, theta, 5e-324)
 
 
 class TestSampleMeanCdf:

@@ -272,6 +272,16 @@ class TestDensity:
         with pytest.raises(NumericalError):
             tweedie_density(2.0, 1.0, 1.0, 5e-324)
 
+    def test_overflowing_jump_scale_raises(self):
+        # tau (p - 1) y^(p - 1) overflows, and log(y/scale) was a bare math domain error
+        with pytest.raises(NumericalError, match="jump scale"):
+            tweedie_density(1.5, 1e20, 1e-20, 1e300)
+
+    def test_vanishing_sd_raises(self):
+        # tau y^p underflows to 0, and y/sd was a bare ZeroDivisionError
+        with pytest.raises(NumericalError, match="y/sd = inf"):
+            tweedie_density(3.5, 1e-8, 1e8, 5e-324)
+
     def test_atom_at_zero(self):
         assert tweedie_density(1.5, 0.0, 1.0, 1.0) == tweedie_zero_mass(1.5, 1.0, 1.0)
 
@@ -485,16 +495,37 @@ class TestCdf:
         # F(y) <= exp(-d(y; mu)/(2 tau)) < e^-600 here; the inversion read 0.0108
         assert tweedie_cdf(2.5, y, 1.0, 1.0) == 0.0
 
-    def test_inversion_at_a_vanishing_frequency_is_refused(self):
-        # QUADPACK's QAWF crashes the interpreter at y/sd = 1e-150, so run it in a child process
+    @staticmethod
+    def _refused_in_child(call: str) -> bool:
+        # QUADPACK's QAWF crashes the interpreter at some frequencies, so run the call in a child process
         src = os.path.dirname(os.path.dirname(edm.__file__))
         code = ("from dispmodels.errors import NumericalError\n"
                 "from dispmodels.tweedie import tweedie_cdf\n"
-                "try:\n    tweedie_cdf(2.5, 1.0, 1.0, 1e300)\n"
+                f"try:\n    {call}\n"
                 "except NumericalError:\n    print('refused')\n")
         child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                env={**os.environ, "PYTHONPATH": src}, timeout=60)
-        assert child.returncode == 0 and child.stdout == "refused\n"
+        return child.returncode == 0 and child.stdout == "refused\n"
+
+    def test_inversion_at_a_vanishing_frequency_is_refused(self):
+        # y/sd = 1e-150
+        assert self._refused_in_child("tweedie_cdf(2.5, 1.0, 1.0, 1e300)")
+
+    def test_inversion_at_an_infinite_frequency_is_refused(self):
+        # y/sd = 1e300/1e-160 overflows to inf
+        assert self._refused_in_child("tweedie_cdf(2.5, 1e300, 1e-8, 1e-300)")
+
+    def test_nan_cdf_raises(self):
+        # 1/tau overflows, and gammainc(inf, inf) is nan
+        with pytest.raises(NumericalError, match=r"y=1e-08, mu=1e\+20, tau=5e-324"):
+            tweedie_cdf(2.0, 1e-8, 1e20, 5e-324)
+
+    def test_vanishing_rate_denominator_raises(self):
+        # tau (2 - p) underflows to 0, and the Poisson rate was a bare ZeroDivisionError
+        with pytest.raises(NumericalError, match="compound Poisson rate"):
+            tweedie_cdf(1.5, 1e-300, 0.3, 5e-324)
+        with pytest.raises(NumericalError, match="compound Poisson rate"):
+            tweedie_zero_mass(1.5, 0.3, 5e-324)
 
     def test_nan_power_refused(self):
         with pytest.raises(DomainError):
