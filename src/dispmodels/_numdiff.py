@@ -13,9 +13,9 @@ The second factor is the length on which f varies: |x| away from the
 origin, and the distance to a finite boundary, where generators and
 deviances are singular.  The first factor is below 0.1 for every order and
 the widest stencil reaches 3h, so no probe leaves the domain.  Callers
-pass the domain, never a step.  ``derivative`` takes a float (on Python
-floats) or an ndarray (one call of ``f`` on all stencil points, each entry
-taking the steps of its float call); ``_bracketed_newton`` runs floats and
+pass the domain, never a step.  ``derivative`` has one array path: ``f``
+is called once on all stencil points of every entry, and a float runs as a
+0-d array and returns a float.  ``_bracketed_newton`` runs floats and
 ndarrays alike, one call of ``fn`` per iteration.
 
 ``_quad`` is the one call of ``quad`` outside the Tweedie Fourier inversion: an
@@ -70,11 +70,10 @@ _GRIDS = {order: (np.outer([1.0, 0.5, 0.25], list(stencil)),
 
 def _length_scale(x, domain: RealInterval):
     """``min(max(1, |x|), distance from x to the nearest finite end of domain)``, entry by entry."""
-    larger, smaller = (np.maximum, np.minimum) if isinstance(x, np.ndarray) else (max, min)
-    scale = larger(1.0, abs(x))
+    scale = np.maximum(1.0, abs(x))
     for end in (domain.lower, domain.upper):
         if math.isfinite(end):
-            scale = smaller(scale, abs(x - end))
+            scale = np.minimum(scale, abs(x - end))
     return scale
 
 
@@ -83,36 +82,32 @@ def derivative(f, x, order: int, domain: RealInterval = REALS):
 
     Stencils at h, h/2 and h/4 with two Richardson levels and the step of
     the module docstring; orders above 6 are refused (rounding noise at the
-    required steps dominates).  On an ndarray each entry gets its own step,
-    ``f`` is called once on every stencil point, and an entry equals its
-    float call where ``f`` computes alike on floats and arrays.  An entry
-    outside the domain raises ``DomainError`` naming it.  A value that is
-    not finite raises ``NumericalError`` for a float or a 0-d array (which
-    returns a float); an ndarray returns it for the caller to gate.
+    required steps dominates).  ``f`` must take ndarrays: it is called once
+    on every stencil point, each entry with its own step, so an entry of an
+    ndarray equals its call on that entry alone.  A float runs as a 0-d
+    array and returns a float.  A point outside the domain raises
+    ``DomainError`` (naming the entry of an n-d ``x``).  A value that is not
+    finite raises ``NumericalError`` for a float or a 0-d array; an n-d
+    array returns it for the caller to gate.
     """
     if order not in _STENCILS:
         raise NumericalError(f"no finite difference of order {order}; register an analytic form")
-    stencil = _STENCILS[order]
+    x = np.asarray(x, dtype=float)
     h = (EPS * 4.0**order) ** (1.0 / (order + 6)) * _length_scale(x, domain)
-    if not isinstance(x, np.ndarray):
-        if not domain.lower < x < domain.upper:
-            raise DomainError(f"finite difference at {x} outside the interior of {domain}")
-        sums = [2.0 ** (i * order) * sum(w * f(x + offset / 2**i * h) for offset, w in stencil.items())
-                for i in range(3)]
-        value = _richardson(sums, h, order)
-    else:
-        if x.size and not domain.lower < x.min() <= x.max() < domain.upper:
-            i = int(np.argmax(~((domain.lower < x) & (x < domain.upper))))
-            raise DomainError(f"finite difference at entry {i}, {x.flat[i]}, outside the interior "
-                              f"of {domain}")
-        offsets, weights = (a.reshape(a.shape + (1,) * x.ndim) for a in _GRIDS[order])
-        with np.errstate(invalid="ignore", over="ignore"):
-            # a running sum (cumsum adds in order) rounds each entry as its float call
-            value = _richardson((weights * f(x + offsets * h)).cumsum(axis=1)[:, -1], h, order)
-        if x.ndim:
-            return value
+    if x.size and not domain.lower < x.min() <= x.max() < domain.upper:
+        if not x.ndim:
+            raise DomainError(f"finite difference at {float(x)} outside the interior of {domain}")
+        i = int(np.argmax(~((domain.lower < x) & (x < domain.upper))))
+        raise DomainError(f"finite difference at entry {i}, {x.flat[i]}, outside the interior "
+                          f"of {domain}")
+    offsets, weights = (a.reshape(a.shape + (1,) * x.ndim) for a in _GRIDS[order])
+    with np.errstate(invalid="ignore", over="ignore"):
+        # a running sum (cumsum adds in order) rounds each entry as a sum over its own stencil
+        value = _richardson((weights * f(x + offsets * h)).cumsum(axis=1)[:, -1], h, order)
+    if x.ndim:
+        return value
     if not math.isfinite(value):
-        raise NumericalError(f"finite-difference derivative of order {order} at {x} is not finite")
+        raise NumericalError(f"finite-difference derivative of order {order} at {float(x)} is not finite")
     return float(value)
 
 
@@ -120,8 +115,8 @@ def _richardson(sums, h, order: int):
     """The derivative from the stencil sums at h, h/2 and h/4, each times 2^(i order).
 
     Over h^order they estimate it with errors C h^2 / 4^i + O(h^4), so two
-    Richardson levels remove C h^2.  ``sums`` is three floats or an ndarray
-    with a row each; h^order is a product, so that both round it alike.
+    Richardson levels remove C h^2.  ``sums`` has a row per step, each of
+    ``h``'s shape (0-d for a float).
     """
     s0, s1, s2 = sums
     coarse, fine = (4.0 * s1 - s0) / 3.0, (4.0 * s2 - s1) / 3.0

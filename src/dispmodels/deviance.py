@@ -65,8 +65,8 @@ class UnitDeviance:
     on a circle.  ``fn`` takes a float or an ndarray in each argument.
     ``regular`` is a declared flag; :func:`check_unit_deviance` verifies it
     lazily.  ``variance`` is the unit variance ``V(mu)`` when it is known
-    in closed form; when absent, ``_numdiff.derivative`` measures the
-    diagonal curvature instead.
+    in closed form (a float or an ndarray in, as for ``fn``); when absent,
+    ``_numdiff.derivative`` measures the diagonal curvature instead.
     """
 
     name: str
@@ -130,47 +130,54 @@ def eval_deviance(d: UnitDeviance, y, mu):
     return value
 
 
-def unit_variance(d: UnitDeviance, mu: float) -> float:
-    """Unit variance function ``V(mu) = 2 / d_mumu(mu; mu)``.
+def unit_variance(d: UnitDeviance, mu):
+    """Unit variance function ``V(mu) = 2 / d_mumu(mu; mu)``; ``mu`` may be an ndarray.
 
-    Uses the registered ``d.variance`` when present, otherwise
-    ``_numdiff.derivative`` of ``d(mu; .)`` on Omega, at ``mu`` clipped
-    inward off the ends of Omega.
+    Uses the registered ``d.variance`` when present (a constant broadcasts
+    to ``mu``'s shape), otherwise ``_numdiff.derivative`` of ``d(mu; .)`` on
+    Omega, at ``mu`` clipped inward off the ends of Omega: one call for a
+    whole array, each entry equal to its float call.
     """
     if not d.regular:
         raise DomainError(f"deviance {d.name} is not regular; no unit variance")
-    d.omega.require(mu, "mu")
+    d.omega.require_all(np.asarray(mu, dtype=float), "mu")
     if d.variance is not None:
-        return float(d.variance(mu))
+        v = d.variance(mu)
+        return np.full(mu.shape, v, dtype=float) if isinstance(mu, np.ndarray) else float(v)
     mu_c = d.omega.clip_inward(mu, _BOUNDARY_CLIP)
     curving = derivative(lambda m: d.fn(mu_c, m), mu_c, 2, d.omega)
-    if not curving > 0.0:
-        raise NumericalError(
-            f"second derivative of {d.name} at mu={mu} is {curving}; deviance not regular there"
-        )
+    bad = ~np.greater(curving, 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(f"second derivative of {d.name} at mu={np.ravel(mu)[i]} is "
+                             f"{np.ravel(curving)[i]}; deviance not regular there")
     return 2.0 / curving
 
 
-def second_derivative_identity(d: UnitDeviance, mu: float) -> tuple[float, float, float]:
+def second_derivative_identity(d: UnitDeviance, mu):
     """The three diagonal second derivatives ``(d_yy, d_mumu, d_ymu)`` at ``(mu, mu)``.
 
     For any regular unit deviance these satisfy
     ``d_yy = d_mumu = -d_ymu = 2/V(mu)``; with a registered ``V`` that is
     the value returned.  Otherwise each is a ``_numdiff.derivative`` at
-    ``mu`` clipped inward (the mixed one as two nested first derivatives),
-    and callers assert the identity at their own tolerance.
+    ``mu`` clipped inward, and callers assert the identity at their own
+    tolerance.  The mixed one is two nested first derivatives, the inner one
+    at ``mu`` broadcast to the outer stencil's shape, so that each stencil
+    point in y takes its own stencil in mu.  ``mu`` may be an ndarray: three
+    calls of ``d.fn`` serve all its entries, each equal to its float call.
     """
     if not d.regular:
         raise DomainError(f"deviance {d.name} is not regular")
-    d.omega.require(mu, "mu")
     if d.variance is not None:
-        curving = 2.0 / float(d.variance(mu))
+        curving = 2.0 / unit_variance(d, mu)
         return (curving, curving, -curving)
+    d.omega.require_all(np.asarray(mu, dtype=float), "mu")
     mu_c = d.omega.clip_inward(mu, _BOUNDARY_CLIP)
     return (
         derivative(lambda y: d.fn(y, mu_c), mu_c, 2, d.omega),
         derivative(lambda m: d.fn(mu_c, m), mu_c, 2, d.omega),
-        derivative(lambda y: derivative(lambda m: d.fn(y, m), mu_c, 1, d.omega), mu_c, 1, d.omega),
+        derivative(lambda y: derivative(lambda m: d.fn(y, m), np.broadcast_to(mu_c, y.shape), 1, d.omega),
+                   mu_c, 1, d.omega),
     )
 
 
@@ -292,12 +299,10 @@ def check_unit_deviance(d: UnitDeviance, rng: np.random.Generator | None = None,
         i = not_positive[0]
         failures.append(f"d(y; mu) <= 0 at (y={ys[i]}, mu={mus[i]})")
     if d.regular:
-        for mu in mus[: min(8, n)]:
-            try:
-                unit_variance(d, float(mu))
-            except (DomainError, NumericalError) as exc:
-                failures.append(f"curvature check failed at mu={mu}: {exc}")
-                break
+        try:
+            unit_variance(d, mus[: min(8, n)])
+        except (DomainError, NumericalError) as exc:
+            failures.append(f"curvature check failed: {exc}")
     return failures
 
 

@@ -114,8 +114,7 @@ class EdmFamily:
                     f"cumulant order {r} requires an analytic derivative of b for {self.name}"
                 )
             f, order = (self.b, r) if self.b_nth is None else (partial(self.b_nth, 2), r - 2)
-            # a float differentiates as a 0-d array: one arithmetic for floats and arrays
-            return derivative(f, np.asarray(theta, dtype=float), order, self.theta_domain)
+            return derivative(f, theta, order, self.theta_domain)
         if type(theta) is not float and isinstance(theta, np.ndarray):
             return _float_array(value, theta)
         return float(value)

@@ -36,6 +36,19 @@ def test_curvature_rows_measure_the_deviance_itself():
             assert passed and 0.0 < worst <= 1e-9, (name, detail)
 
 
+def test_curvature_rows_take_one_derivative_per_grid(monkeypatch):
+    # the curvature rows difference whole grids, not one point at a time (1148 calls that way)
+    import dispmodels.deviance as deviance
+    import dispmodels.edm as edm
+
+    calls = []
+    for module in (deviance, edm):
+        real = module.derivative
+        monkeypatch.setattr(module, "derivative", lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    run_checks("all")
+    assert 0 < len(calls) <= 40
+
+
 def test_cf_row_passes_on_gauss():
     name, passed, detail = _check_cf("gauss", DEFAULT_SEED)
     assert name == "cf gauss: characteristic-function probes"

@@ -154,6 +154,37 @@ class TestSecondDerivativeIdentity:
                 assert value == pytest.approx(curving, rel=1e-9)
 
 
+class TestArrayMu:
+    """``unit_variance`` and ``second_derivative_identity`` on an ndarray of mu."""
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_array_equals_float_calls(self, name):
+        dev = strip_analytic(DEVIANCES[name])
+        grid = dev.omega.grid(20, 1e-3, span=5.0)
+        np.testing.assert_array_equal(unit_variance(dev, grid), [unit_variance(dev, float(m)) for m in grid])
+        expected = np.array([second_derivative_identity(dev, float(m)) for m in grid]).T
+        np.testing.assert_array_equal(np.array(second_derivative_identity(dev, grid)), expected)
+
+    @pytest.mark.parametrize("n", [5, 50])
+    def test_three_deviance_calls_for_any_grid(self, n):
+        calls = []
+        simplex = DEVIANCES["simplex"]
+        dev = replace(simplex, fn=lambda y, mu: calls.append(1) or simplex.fn(y, mu))
+        second_derivative_identity(dev, dev.omega.grid(n, 1e-3))
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("name", [n for n in ALL_NAMES if DEVIANCES[n].variance is not None])
+    def test_registered_variance_takes_the_shape_of_mu(self, name):
+        dev = DEVIANCES[name]
+        mus = dev.omega.grid(6, 1e-3, span=4.0).reshape(2, 3)
+        v = unit_variance(dev, mus)
+        assert v.shape == (2, 3)
+        np.testing.assert_array_equal(v, [[dev.variance(float(m)) for m in row] for row in mus])
+        dyy, dmm, dym = second_derivative_identity(dev, mus)
+        np.testing.assert_array_equal(dyy, 2.0 / v)
+        assert dmm.shape == dym.shape == (2, 3)
+
+
 class TestTransformDeviance:
     def test_identity_map_is_noop(self):
         dev = DEVIANCES["normal"]

@@ -594,7 +594,7 @@ class TestFiniteDifferenceDerivatives:
         for r, tol in zip(range(1, 7), (1e-12, 1e-9, 1e-8, 1e-6, 1e-5, 1e-4)):
             exact = (-1) ** (r - 1) * math.factorial(r - 1) / x**r
             if isinstance(x, float):
-                assert derivative(math.log, x, r, POSITIVE_REALS) == pytest.approx(exact, rel=tol)
+                assert derivative(np.log, x, r, POSITIVE_REALS) == pytest.approx(exact, rel=tol)
                 continue
             # one call of np.log on every stencil point; each entry is its float call
             values = derivative(np.log, x, r, POSITIVE_REALS)
