@@ -96,7 +96,7 @@ def _check_pdm_mu_independence(model_name: str, seed: int) -> CheckResult:
     probes = spec.deviance.omega.grid(5, 1e-2, span=3.0)
     for tau in (0.1, 1.0):
         values = [
-            pdm.pdm_normalizer(spec.deviance, spec.carrier, tau, spec.support, float(mu))
+            pdm.pdm_normalizer(spec.deviance, spec.carrier, tau, float(mu))
             for mu in probes
         ]
         spread = (max(values) - min(values)) / max(abs(min(values)), 1e-300)

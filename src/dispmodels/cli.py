@@ -236,7 +236,7 @@ def _write_text(path, text: str) -> None:
 def _cmd_pdm(args) -> int:
     spec = pdm.get_pdm(args.model)
     if args.integrate:
-        a0 = pdm.pdm_normalizer(spec.deviance, spec.carrier, args.tau, spec.support, args.mu)
+        a0 = pdm.pdm_normalizer(spec.deviance, spec.carrier, args.tau, args.mu)
         print(_json({"model": args.model, "tau": args.tau, "a0": a0}))
         return 0
     if args.pivotal_check:

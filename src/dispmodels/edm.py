@@ -277,11 +277,16 @@ def edm_deviance(fam: EdmFamily, y, mu):
 def _generator_deviance(fam: EdmFamily, y: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """``2 [y (q(y) - q(mu)) - b(q(y)) + b(q(mu))]`` on ndarrays (not 0-d), from one inverse-mean
     solve and one call of ``b``; quadrature for ``y`` outside int(M) (a count of 0) or where the
-    terms cancel to 1e-8 of their size next to the diagonal: it keeps the sign there."""
+    terms cancel to 1e-8 of their size next to the diagonal: it keeps the sign there.  A solved
+    (not registered) q takes one more Newton step: the solve stops at ``|b' - mu| <= 1e-10 s``,
+    and d carries that residual times ``y - mu``."""
     y, mu = np.broadcast_arrays(y, mu)
     generator = fam.mean_domain.interior().contains(y) & (y != mu)
     y_in, n = y[generator], np.count_nonzero(generator)
-    theta = inverse_mean(fam, np.concatenate((y_in, mu[generator])))
+    targets = np.concatenate((y_in, mu[generator]))
+    theta = inverse_mean(fam, targets)
+    if fam.mean_inverse is None:
+        theta = theta - (fam._b_derivative(1, theta) - targets) / fam._b_derivative(2, theta)
     b = fam.b(theta)
     terms = (y_in * theta[:n], -y_in * theta[n:], -b[:n], b[n:])
     d = np.zeros(y.shape)
@@ -315,7 +320,10 @@ def log_density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
     fam.dispersion_domain.require(tau, "tau")
     if fam.exact_normalizer is None:
         raise DomainError(f"family {fam.name} has no exact normalizer")
-    value = (y * theta - fam.b(theta)) / tau + fam.exact_normalizer(y, tau)
+    try:
+        value = (y * theta - fam.b(theta)) / tau + fam.exact_normalizer(y, tau)
+    except ArithmeticError:  # such as 1/(tau y) where tau y underflows to 0: no float value
+        value = math.nan
     if math.isnan(value):  # such as inf - inf where 1/tau overflows
         raise NumericalError(f"log density of {fam.name} is nan at (y={y}, theta={theta}, tau={tau})")
     return value
@@ -329,7 +337,12 @@ def density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
     cases apart.
     """
     if fam.exact_normalizer is not None:
-        return math.exp(log_density(fam, y, theta, tau))
+        log_value = log_density(fam, y, theta, tau)
+        try:
+            return math.exp(log_value)
+        except OverflowError:
+            raise NumericalError(f"density of {fam.name} overflows at (y={y}, theta={theta}, tau={tau}): "
+                                 f"log density {log_value:.6g}") from None
     _require_observation(fam, y)
     fam.theta_domain.require(theta, "theta")
     fam.dispersion_domain.require(tau, "tau")

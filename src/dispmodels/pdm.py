@@ -77,7 +77,7 @@ class PdmSpec:
         probe_mu = self.deviance.omega.clip_inward(
             0.5 * (max(self.support.lower, -1.0) + min(self.support.upper, 1.0)), 1e-3
         )
-        a0 = pdm_normalizer(self.deviance, self.carrier, tau, self.support, probe_mu)
+        a0 = pdm_normalizer(self.deviance, self.carrier, tau, probe_mu)
         with self._lock:
             return self._cache.setdefault(tau, a0)
 
@@ -86,10 +86,9 @@ def pdm_normalizer(
     d: UnitDeviance,
     b: Callable[[float], float],
     tau: float,
-    C: RealInterval,
     probe_mu: float,
 ) -> float:
-    """``a0(tau) = 1 / integral_C b(y) exp(-d(y; mu)/(2 tau)) nu(dy)``.
+    """``a0(tau) = 1 / integral_C b(y) exp(-d(y; mu)/(2 tau)) nu(dy)``, C the support of ``d``.
 
     For a proper dispersion model the integral does not depend on the
     probe mu; re-evaluating at a different probe must agree within 1e-6
@@ -107,7 +106,7 @@ def pdm_normalizer(
             return 0.0
         return weight * math.exp(-dev / (2.0 * tau))
 
-    value, err = _support_integral(integrand, C, probe_mu)
+    value, err = _support_integral(integrand, d.support, probe_mu)
     if not math.isfinite(value) or value <= 0.0 or err > 1e-6 * max(value, 1e-300):
         raise NumericalError(
             f"normalizer integral for {d.name} diverged or failed (value={value}, err={err})"

@@ -72,7 +72,11 @@ def saddlepoint_density(fam: EdmFamily, y: float, theta: float, tau: float) -> S
     fam.theta_domain.require(theta, "theta")
     fam.dispersion_domain.require(tau, "tau")
     mu = edm.mean_value(fam, theta)
-    value = _saddlepoint_value(edm.edm_deviance(fam, y, mu), edm.variance_function(fam, y), tau)
+    try:
+        value = _saddlepoint_value(edm.edm_deviance(fam, y, mu), edm.variance_function(fam, y), tau)
+    except ArithmeticError:  # such as b''(q(y)) overflowing, or 2 pi tau V(y) underflowing to 0
+        raise NumericalError(f"saddlepoint density of {fam.name} overflows or divides by 0 at "
+                             f"(y={y}, theta={theta}, tau={tau})") from None
     saddle = (edm.inverse_mean(fam, y) - theta) / tau
     return SaddlepointResult(value=value, saddle=saddle)
 
@@ -93,7 +97,7 @@ def renormalized_saddlepoint(
     """
     if not d.regular:
         raise DomainError(f"deviance {d.name} is not regular; saddlepoint undefined")
-    a0 = pdm_normalizer(d, lambda x: _saddlepoint_value(0.0, V(x), tau), tau, d.support, mu)
+    a0 = pdm_normalizer(d, lambda x: _saddlepoint_value(0.0, V(x), tau), tau, mu)
     try:
         value = a0 * _saddlepoint_value(eval_deviance(d, y, mu), V(y), tau)
     except (DomainError, NumericalError):

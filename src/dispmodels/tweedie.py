@@ -291,7 +291,11 @@ def _fourier_inversion(p: float, y: float, mu: float, tau: float, cdf: bool, tol
     """
     from scipy.integrate import IntegrationWarning, quad
 
-    theta, alpha, sigma = _inverse_mean(p, mu), (p - 2.0) / (p - 1.0), math.sqrt(tau * mu**p)
+    try:
+        theta, alpha, sigma = _inverse_mean(p, mu), (p - 2.0) / (p - 1.0), math.sqrt(tau * mu**p)
+    except OverflowError:  # of mu^(1 - p) or mu^p
+        raise NumericalError(f"Tweedie inversion at (p={p}, y={y}, mu={mu}, tau={tau}) overflows in "
+                             "q(mu) or its sd") from None
     frequency = y / sigma if sigma else math.inf  # of the QAWF weight
     if not _W_MIN < frequency < math.inf:
         raise NumericalError(f"Tweedie inversion at (p={p}, y={y}, mu={mu}, tau={tau}) needs a QAWF "
@@ -366,8 +370,11 @@ def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
         counts = y / tau
         if abs(counts - round(counts)) > 1e-9:
             raise DomainError(f"p=1 support is the lattice tau*N0; y={y} is off-lattice for tau={tau}")
-    theta = _inverse_mean(p, mu)
-    log_density = _log_normalizer(p, y, tau) + (y * theta - _generator(p, theta)) / tau
+    try:
+        theta = _inverse_mean(p, mu)
+        log_density = _log_normalizer(p, y, tau) + (y * theta - _generator(p, theta)) / tau
+    except OverflowError:  # of a float power, such as mu^(1 - p) or y^p
+        raise NumericalError(f"Tweedie log density overflows at (p={p}, y={y}, mu={mu}, tau={tau})") from None
     if math.isnan(log_density):  # such as inf - inf where 1/tau overflows
         raise NumericalError(f"Tweedie log density is nan at (p={p}, y={y}, mu={mu}, tau={tau})")
     return math.exp(log_density)

@@ -288,7 +288,7 @@ def test_pdm_density_and_normalizer(capsys):
                    "density": pdm.pdm_density(spec, 0.4, 0.3, 0.5)}
     res = _json_out(capsys, ["pdm", "--model", "vonmises", "--mu", "0.3", "--tau", "0.5", "--integrate"])
     spec = pdm.get_pdm("vonmises")
-    assert res["a0"] == pdm.pdm_normalizer(spec.deviance, spec.carrier, 0.5, spec.support, 0.3)
+    assert res["a0"] == pdm.pdm_normalizer(spec.deviance, spec.carrier, 0.5, 0.3)
     # von Mises: a0 = 1 / (2 pi e^(-1/tau) I0(1/tau))
     assert res["a0"] == pytest.approx(1.0 / (2 * math.pi * math.exp(-2.0) * special.i0(2.0)), rel=1e-8)
 

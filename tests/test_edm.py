@@ -238,6 +238,13 @@ class TestDensity:
         with pytest.raises(NumericalError):
             density(get_family(name), 1.0, theta, 5e-324)
 
+    @pytest.mark.parametrize("name,y,theta,tau", [("inverse_gaussian", 5e-324, -1e8, 5e-324),
+                                                  ("gamma", 5e-324, -1e8, 1e8)])
+    def test_extreme_inputs_raise_a_numerical_error(self, name, y, theta, tau):
+        # tau y underflows to 0 in the inverse Gaussian c(y; tau); the gamma log density exceeds 709
+        with pytest.raises(NumericalError, match=r"y=5e-324, theta=-100000000.0, tau="):
+            density(get_family(name), y, theta, tau)
+
     def test_lattice_rejects_non_integer(self):
         with pytest.raises(DomainError):
             density(get_family("poisson"), 2.5, 0.0, 1.0)
@@ -532,6 +539,19 @@ class TestConfigGeneratorDeviance:
             for rel in (1e-7, -1e-7, 1e-5, -1e-5):
                 y = mu * (1.0 + rel)
                 assert edm_deviance(fam, y, mu) == pytest.approx((y - mu) ** 2 / variance(mu), rel=1e-4)
+
+    def test_accurate_next_to_the_diagonal(self, monkeypatch):
+        # |y/mu - 1| <= 0.01: the inverse mean's residual would enter d through y - mu (3.1e-7 off)
+        fam, ref = family_from_config(self.POISSON), FAMILIES["poisson"]
+        rng = np.random.default_rng(0)
+        mu = rng.uniform(0.5, 20.0, 1000)
+        y = mu * (1.0 + rng.uniform(-0.01, 0.01, 1000))
+        quadratures = []
+        real = edm.deviance_by_quadrature
+        monkeypatch.setattr(edm, "deviance_by_quadrature", lambda *a: quadratures.append(a) or real(*a))
+        d, exact = edm_deviance(fam, y, mu), edm_deviance(ref, y, mu)
+        assert np.max(np.abs(d - exact) / exact) <= 2e-8
+        assert len(quadratures) <= 22  # the entries at the cancellation gate
 
     def test_boundary_count_uses_quadrature(self):
         fam = family_from_config(self.POISSON)

@@ -34,14 +34,14 @@ class TestNormalizer:
     def test_von_mises_quadrature_and_bessel(self):
         spec = get_pdm("vonmises")
         tau = 0.5
-        a0 = pdm_normalizer(spec.deviance, spec.carrier, tau, spec.support, 1.0)
+        a0 = pdm_normalizer(spec.deviance, spec.carrier, tau, 1.0)
         oracle, _ = quad(lambda y: math.exp(-(1 - math.cos(y)) / tau), 0, 2 * math.pi)
         assert a0 == pytest.approx(1.0 / oracle, rel=1e-10)
         assert a0 == pytest.approx(math.exp(2.0) / (2 * math.pi * i0(2.0)), rel=1e-10)
 
     def test_normal_gaussian_integral(self):
         spec = get_pdm("normal")
-        a0 = pdm_normalizer(spec.deviance, spec.carrier, 1.0, spec.support, 0.0)
+        a0 = pdm_normalizer(spec.deviance, spec.carrier, 1.0, 0.0)
         assert a0 == pytest.approx((2 * math.pi) ** -0.5, rel=1e-10)
 
     def test_gamma_pdm_view(self):
@@ -49,7 +49,7 @@ class TestNormalizer:
         spec = get_pdm("gamma")
         for tau in (1.0, 0.5):
             k = 1.0 / tau
-            a0 = pdm_normalizer(spec.deviance, spec.carrier, tau, spec.support, 2.0)
+            a0 = pdm_normalizer(spec.deviance, spec.carrier, tau, 2.0)
             assert a0 == pytest.approx(k**k * math.exp(-k) / gamma_fn(k), rel=1e-6)
 
     @pytest.mark.parametrize("name", ["vonmises", "simplex"])
@@ -58,7 +58,7 @@ class TestNormalizer:
         probes = spec.deviance.omega.grid(5, 1e-2, span=3.0)
         for tau in (0.1, 1.0):
             values = [
-                pdm_normalizer(spec.deviance, spec.carrier, tau, spec.support, float(m))
+                pdm_normalizer(spec.deviance, spec.carrier, tau, float(m))
                 for m in probes
             ]
             spread = (max(values) - min(values)) / min(values)
@@ -68,7 +68,7 @@ class TestNormalizer:
     def test_nonpositive_or_nan_tau_rejected(self, tau):
         spec = get_pdm("vonmises")
         with pytest.raises(DomainError):
-            pdm_normalizer(spec.deviance, spec.carrier, tau, spec.support, 1.0)
+            pdm_normalizer(spec.deviance, spec.carrier, tau, 1.0)
 
     def test_divergent_integral_reported(self):
         from dispmodels.errors import NumericalError
@@ -76,13 +76,13 @@ class TestNormalizer:
         dev = DEVIANCES["normal"]
         with pytest.raises(NumericalError):
             # carrier e^{y^2} outgrows the deviance factor
-            pdm_normalizer(dev, lambda y: math.exp(y * y), 1.0, dev.support, 0.0)
+            pdm_normalizer(dev, lambda y: math.exp(y * y), 1.0, 0.0)
 
 
 class TestDensity:
     def test_mode_value_equals_normalizer_times_carrier(self):
         spec = get_pdm("vonmises")
-        a0 = pdm_normalizer(spec.deviance, spec.carrier, 1.0, spec.support, 1.0)
+        a0 = pdm_normalizer(spec.deviance, spec.carrier, 1.0, 1.0)
         assert pdm_density(spec, 0.0, 0.0, 1.0) == pytest.approx(a0, rel=1e-10)
 
     def test_simplex_integrates_to_one(self):

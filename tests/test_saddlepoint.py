@@ -108,6 +108,13 @@ class TestSaddlepointDensity:
         assert gaps[2] < 1e-3
 
 
+    @pytest.mark.parametrize("y,theta,tau", [(1e-300, -1.0, 1.0), (1e-8, -1e8, 5e-324)])
+    def test_extreme_inputs_raise_a_numerical_error(self, y, theta, tau):
+        # b''(q(y)) = y^2 overflows as 1/theta^2 at q(y) = -1e300; 2 pi tau V(y) underflows to 0
+        with pytest.raises(NumericalError, match=rf"y={y}, theta={theta}, tau={tau}"):
+            saddlepoint_density(edm.get_family("gamma"), y, theta, tau)
+
+
 class TestRenormalizedSaddlepoint:
     def test_normal_already_normalized(self):
         dev, V = DEVIANCES["normal"], VARIANCE_FUNCTIONS["normal"]

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -282,6 +283,12 @@ class TestDensity:
         with pytest.raises(NumericalError, match="y/sd = inf"):
             tweedie_density(3.5, 1e-8, 1e8, 5e-324)
 
+    @pytest.mark.parametrize("p,y,mu,tau", [(2.5, 5e-324, 5e-324, 5e-324), (2.5, 1e300, 1e-8, 1e-300)])
+    def test_overflowing_power_raises(self, p, y, mu, tau):
+        # mu^(1 - p) overflows in q(mu); y^p overflows in the sd of the member of mean y
+        with pytest.raises(NumericalError, match=re.escape(f"p={p}, y={y}, mu={mu}, tau={tau}")):
+            tweedie_density(p, y, mu, tau)
+
     def test_atom_at_zero(self):
         assert tweedie_density(1.5, 0.0, 1.0, 1.0) == tweedie_zero_mass(1.5, 1.0, 1.0)
 
@@ -519,6 +526,11 @@ class TestCdf:
         # 1/tau overflows, and gammainc(inf, inf) is nan
         with pytest.raises(NumericalError, match=r"y=1e-08, mu=1e\+20, tau=5e-324"):
             tweedie_cdf(2.0, 1e-8, 1e20, 5e-324)
+
+    def test_overflowing_canonical_parameter_raises(self):
+        # mu^(1 - p) overflows in q(mu) before the inversion
+        with pytest.raises(NumericalError, match=r"p=3.5, y=5e-324, mu=5e-324, tau=5e-324"):
+            tweedie_cdf(3.5, 5e-324, 5e-324, 5e-324)
 
     def test_vanishing_rate_denominator_raises(self):
         # tau (2 - p) underflows to 0, and the Poisson rate was a bare ZeroDivisionError
