@@ -71,13 +71,13 @@ def saddlepoint_density(fam: EdmFamily, y: float, theta: float, tau: float) -> S
     fam.support.interior().require(y, "y")
     fam.theta_domain.require(theta, "theta")
     fam.dispersion_domain.require(tau, "tau")
-    mu = edm.mean_value(fam, theta)
     try:
+        mu = edm.mean_value(fam, theta)
         value = _saddlepoint_value(edm.edm_deviance(fam, y, mu), edm.variance_function(fam, y), tau)
+        saddle = (edm.inverse_mean(fam, y) - theta) / tau
     except ArithmeticError:  # such as b''(q(y)) overflowing, or 2 pi tau V(y) underflowing to 0
         raise NumericalError(f"saddlepoint density of {fam.name} overflows or divides by 0 at "
                              f"(y={y}, theta={theta}, tau={tau})") from None
-    saddle = (edm.inverse_mean(fam, y) - theta) / tau
     return SaddlepointResult(value=value, saddle=saddle)
 
 
@@ -122,18 +122,22 @@ def lugannani_rice(fam: EdmFamily, y: float, theta: float, tau: float, n: int = 
     fam.support.interior().require(y, "y")
     fam.theta_domain.require(theta, "theta")
     fam.dispersion_domain.require(tau, "tau")
-    mu = edm.mean_value(fam, theta)
-    scale = math.sqrt(n / tau)
-    r_dev = math.copysign(math.sqrt(edm.edm_deviance(fam, y, mu)), y - mu)
-    q_gap = edm.inverse_mean(fam, y) - theta
-    r = scale * r_dev
-    u = scale * math.sqrt(edm.variance_function(fam, y)) * q_gap
-    if abs(r_dev) >= _R_LIMIT:
-        correction = 1.0 / r - 1.0 / u
-    else:
-        v_mu = edm.cumulant(fam, 2, theta, 1.0)
-        correction = edm.cumulant(fam, 3, theta, 1.0) / (6.0 * v_mu * math.sqrt(v_mu) * scale)
-    value = float(el.special.ndtr(r)) + math.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi) * correction
+    try:
+        mu = edm.mean_value(fam, theta)
+        scale = math.sqrt(n / tau)
+        r_dev = math.copysign(math.sqrt(edm.edm_deviance(fam, y, mu)), y - mu)
+        q_gap = edm.inverse_mean(fam, y) - theta
+        r = scale * r_dev
+        u = scale * math.sqrt(edm.variance_function(fam, y)) * q_gap
+        if abs(r_dev) >= _R_LIMIT:
+            correction = 1.0 / r - 1.0 / u
+        else:
+            v_mu = edm.cumulant(fam, 2, theta, 1.0)
+            correction = edm.cumulant(fam, 3, theta, 1.0) / (6.0 * v_mu * math.sqrt(v_mu) * scale)
+        value = float(el.special.ndtr(r)) + math.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi) * correction
+    except ArithmeticError:  # such as b''(q(y)) overflowing, or V(y) underflowing to 0 in 1/u
+        raise NumericalError(f"Lugannani-Rice tail overflows or divides by 0 at "
+                             f"(y={y}, theta={theta}, tau={tau}, n={n})") from None
     if math.isnan(value):  # such as r = inf * 0 where sqrt(n/tau) overflows at y = mu
         raise NumericalError(f"Lugannani-Rice tail is nan at (y={y}, theta={theta}, tau={tau}, n={n})")
     return SaddlepointResult(value=min(max(value, 0.0), 1.0), saddle=q_gap / tau, r=r, u=u)

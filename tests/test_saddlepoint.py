@@ -1,6 +1,7 @@
 """Saddlepoint densities, renormalization, Lugannani-Rice tail areas."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,11 +109,13 @@ class TestSaddlepointDensity:
         assert gaps[2] < 1e-3
 
 
-    @pytest.mark.parametrize("y,theta,tau", [(1e-300, -1.0, 1.0), (1e-8, -1e8, 5e-324)])
-    def test_extreme_inputs_raise_a_numerical_error(self, y, theta, tau):
-        # b''(q(y)) = y^2 overflows as 1/theta^2 at q(y) = -1e300; 2 pi tau V(y) underflows to 0
-        with pytest.raises(NumericalError, match=rf"y={y}, theta={theta}, tau={tau}"):
-            saddlepoint_density(edm.get_family("gamma"), y, theta, tau)
+    @pytest.mark.parametrize("name,y,theta,tau", [("gamma", 1e-300, -1.0, 1.0), ("gamma", 1e-8, -1e8, 5e-324),
+                                                  ("binomial", 5e-324, -1e8, 1.0)])
+    def test_extreme_inputs_raise_a_numerical_error(self, name, y, theta, tau):
+        # b''(q(y)) = y^2 overflows as 1/theta^2 at q(y) = -1e300; 2 pi tau V(y) underflows to 0;
+        # exp(-theta) overflows in the binomial mean
+        with pytest.raises(NumericalError, match=re.escape(f"y={y}, theta={theta}, tau={tau}")):
+            saddlepoint_density(edm.get_family(name), y, theta, tau)
 
 
 class TestRenormalizedSaddlepoint:
@@ -217,6 +220,15 @@ class TestLugannaniRice:
         # sqrt(1/tau) overflows at tau = 5e-324: r = inf * 0 at the mean, or inf - inf after it
         with pytest.raises(NumericalError, match=r"y=.*theta=.*tau=5e-324"):
             lugannani_rice_cdf(edm.get_family(name), y, theta, 5e-324)
+
+    @pytest.mark.parametrize("name,y,theta,tau", [
+        ("gamma", 1e-300, -1e-8, 5e-324), ("gamma", 1e300, -1e-8, 5e-324),
+        ("inverse_gaussian", 5e-324, -1e-8, 5e-324), ("binomial", 5e-324, 1e-8, 1.0),
+        ("negative_binomial", 1e300, -1e-8, 1.0)])
+    def test_overflow_or_division_by_zero_raises(self, name, y, theta, tau):
+        # in b''(q(y)), q(y) or the binomial mean, as a bare OverflowError or ZeroDivisionError before
+        with pytest.raises(NumericalError, match=re.escape(f"y={y}, theta={theta}, tau={tau}, n=1")):
+            lugannani_rice_cdf(edm.get_family(name), y, theta, tau)
 
 
 class TestSampleMeanCdf:
