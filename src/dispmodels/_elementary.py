@@ -32,6 +32,7 @@ __all__ = ["log", "log1p", "exp", "sqrt", "cos", "tan", "atan", "positive_part",
 _SERIES_BAND = 0.05
 # log 0 as the most negative float, so that 0 log 0 = 0 and expm1(a log 0) = -1 for a > 0
 _LOG_ZERO = -sys.float_info.max
+_LOG_MAX = math.log(sys.float_info.max)
 # x below which 1 + x, about eps mu/(2 y) off, keeps fewer digits than log y - log mu
 _FAR_BELOW = -0.9375
 
@@ -80,8 +81,12 @@ def power_deviance(p: float, y, mu, delta=None):
     """
     if delta is None:
         delta = y - mu
-    scale = 2.0 if p == 2.0 else 2.0 * mu ** (2.0 - p)
     if type(y) is float and type(mu) is float or not (isinstance(y, np.ndarray) or isinstance(mu, np.ndarray)):
+        try:
+            scale = 2.0 if p == 2.0 else 2.0 * mu ** (2.0 - p)
+        except OverflowError:  # p > 2 at a tiny mu, or p < 0 at a huge one: d = mu^(2-p) d_p(y/mu; 1)
+            log_d = math.log(power_deviance(p, y / mu, 1.0, delta / mu)) + (2.0 - p) * math.log(mu)
+            return math.exp(log_d) if log_d < _LOG_MAX else math.inf
         x = delta / mu
         if abs(x) < _SERIES_BAND:
             return scale * _series(p, x)
@@ -100,9 +105,13 @@ def power_deviance(p: float, y, mu, delta=None):
         # there, or where scale underflowed, p is 0.48 or more from 1 and 2: the (1-p)(2-p) form holds
         if scale == 0.0:  # scale * x is 0 as well, which would drop the y-linear term
             scale_x = 2.0 * mu ** (1.0 - p) * delta
-        power = 2.0 * max(y, 0.0) ** (2.0 - p) - scale
+        try:
+            power = 2.0 * max(y, 0.0) ** (2.0 - p) - scale
+        except OverflowError:  # of the y^(2-p) > 0 of d, p outside [1, 2]
+            return math.inf
         return (power - (2.0 - p) * scale_x) / ((1.0 - p) * (2.0 - p))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = 2.0 if p == 2.0 else 2.0 * np.power(mu, 2.0 - p)
         x = delta / mu
         if np.ndim(x) == 0:  # 0-d arrays: numpy ufuncs return scalars for them
             return power_deviance(p, float(y), float(mu), float(delta))
@@ -117,12 +126,9 @@ def power_deviance(p: float, y, mu, delta=None):
         near = np.nonzero(np.abs(x) < _SERIES_BAND)
         if near[0].size:
             d[near] = np.broadcast_to(scale, x.shape)[near] * _series(p, x[near])
-        # where x or a power of 1 + x overflowed, or scale underflowed, the float path works from logs
+        # where x, scale or a power of 1 + x overflowed, or scale underflowed, the float path works from logs
         for i in zip(*np.nonzero(~np.isfinite(d) | (scale == 0.0))):
-            try:
-                d[i] = power_deviance(p, *(float(np.broadcast_to(a, x.shape)[i]) for a in (y, mu, delta)))
-            except OverflowError:
-                d[i] = math.inf
+            d[i] = power_deviance(p, *(float(np.broadcast_to(a, x.shape)[i]) for a in (y, mu, delta)))
         return d
 
 

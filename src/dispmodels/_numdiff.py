@@ -210,7 +210,8 @@ def _quad(fn, lower: float, upper: float) -> tuple[float, float]:
         decades = abs(math.log10(upper / lower))
         if decades > 2.0:
             count = min(math.ceil(decades) - 1, _QUAD_LIMIT // 2)
-            points = np.geomspace(lower, upper, count + 2)[1:-1]
+            with np.errstate(over="ignore"):  # of an end within rounding of the largest float
+                points = np.geomspace(lower, upper, count + 2)[1:-1]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         value, err = quad(fn, lower, upper, limit=_QUAD_LIMIT, points=points)

@@ -427,8 +427,8 @@ def run(argv=None) -> int:
         print(f"ERROR:domain:{exc}", file=sys.stderr)
         return 1
     except (ArithmeticError, ValueError) as exc:
-        # float overflow, division by an underflowed zero, or a math-module domain
-        # error on such a value: finite inputs whose evaluation could not be completed
+        # the refusal rule of ``errors``, for the CLI's own arithmetic and the library code that
+        # is not a decorated evaluation function (fits, cf solves, checks)
         print(f"ERROR:numerical:{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

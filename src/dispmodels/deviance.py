@@ -34,7 +34,7 @@ import numpy as np
 from . import _elementary as el
 from ._numdiff import _quad, derivative
 from .edm import FAMILIES, unit_deviance_of, variance_function_of
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, refuses_numerical_failure
 from .support import UNIT_INTERVAL, RealInterval
 
 __all__ = [
@@ -93,6 +93,7 @@ class VarianceFunction:
     domain: RealInterval
     fn: Callable[[float], float]
 
+    @refuses_numerical_failure
     def __call__(self, mu: float) -> float:
         self.domain.require(mu, "mu")
         v = float(self.fn(mu))
@@ -101,6 +102,7 @@ class VarianceFunction:
         return v
 
 
+@refuses_numerical_failure
 def eval_deviance(d: UnitDeviance, y, mu):
     """Evaluate ``d(y; mu)``; exactly zero where ``y == mu``.
 
@@ -130,6 +132,7 @@ def eval_deviance(d: UnitDeviance, y, mu):
     return value
 
 
+@refuses_numerical_failure
 def unit_variance(d: UnitDeviance, mu):
     """Unit variance function ``V(mu) = 2 / d_mumu(mu; mu)``; ``mu`` may be an ndarray.
 
@@ -154,6 +157,7 @@ def unit_variance(d: UnitDeviance, mu):
     return 2.0 / curving
 
 
+@refuses_numerical_failure
 def second_derivative_identity(d: UnitDeviance, mu):
     """The three diagonal second derivatives ``(d_yy, d_mumu, d_ymu)`` at ``(mu, mu)``.
 
@@ -169,7 +173,7 @@ def second_derivative_identity(d: UnitDeviance, mu):
     if not d.regular:
         raise DomainError(f"deviance {d.name} is not regular")
     if d.variance is not None:
-        curving = 2.0 / unit_variance(d, mu)
+        curving = 2.0 / unit_variance.__wrapped__(d, mu)
         return (curving, curving, -curving)
     d.omega.require_all(np.asarray(mu, dtype=float), "mu")
     mu_c = d.omega.clip_inward(mu, _BOUNDARY_CLIP)

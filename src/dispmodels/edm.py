@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _elementary as el
 from ._numdiff import _bracketed_newton, _length_scale, _quad, derivative
-from .errors import ConvergenceError, DomainError, NumericalError
+from .errors import ConvergenceError, DomainError, NumericalError, refuses_numerical_failure
 from .expressions import compile_expression
 from .support import POSITIVE_REALS, REALS, RealInterval
 
@@ -132,6 +132,7 @@ def _float_array(value, like: np.ndarray) -> np.ndarray:
     return np.full(like.shape, value, dtype=float)
 
 
+@refuses_numerical_failure
 def cgf(fam: EdmFamily, t: float, theta: float, tau: float) -> float:
     """Cumulant generating function ``K(t; theta, tau) = [b(theta + tau t) - b(theta)] / tau``."""
     fam.theta_domain.require(theta, "theta")
@@ -145,12 +146,14 @@ def cgf(fam: EdmFamily, t: float, theta: float, tau: float) -> float:
     return (fam.b(shifted) - fam.b(theta)) / tau
 
 
+@refuses_numerical_failure
 def mean_value(fam: EdmFamily, theta: float) -> float:
     """Mean value mapping ``mu = b'(theta)``."""
     fam.theta_domain.interior().require(theta, "theta")
     return fam._b_derivative(1, theta)
 
 
+@refuses_numerical_failure
 def inverse_mean(fam: EdmFamily, mu):
     """Solve ``b'(theta) = mu`` for theta (the mapping q); ``mu`` may be an ndarray.
 
@@ -206,9 +209,10 @@ def _solve_increasing(fam: EdmFamily, target: np.ndarray, tol) -> np.ndarray:
                              lo, hi, tol, what="inverse mean solve")
 
 
+@refuses_numerical_failure
 def variance_function(fam: EdmFamily, mu):
     """Unit variance function ``V(mu) = b''(q(mu))``; ``mu`` may be an ndarray."""
-    theta = inverse_mean(fam, mu)
+    theta = inverse_mean.__wrapped__(fam, mu)
     v = fam._b_derivative(2, theta)
     if type(v) is float:
         if not v > 0.0:
@@ -229,6 +233,7 @@ def variance_prime(fam: EdmFamily, mu: float) -> float:
     return cumulant(fam, 3, inverse_mean(fam, mu), 1.0) / variance_function(fam, mu)
 
 
+@refuses_numerical_failure
 def cumulant(fam: EdmFamily, r: int, theta: float, tau: float) -> float:
     """r-th cumulant ``tau^(r-1) b^(r)(theta)``.
 
@@ -244,6 +249,7 @@ def cumulant(fam: EdmFamily, r: int, theta: float, tau: float) -> float:
     return tau ** (r - 1) * fam._b_derivative(r, theta)
 
 
+@refuses_numerical_failure
 def edm_deviance(fam: EdmFamily, y, mu):
     """Unit deviance ``2 integral_mu^y (y - t)/V(t) dt``.
 
@@ -265,12 +271,7 @@ def edm_deviance(fam: EdmFamily, y, mu):
     if y == mu:
         return 0.0
     if fam.deviance_closed_form is not None:
-        try:
-            return float(fam.deviance_closed_form(y, mu))
-        except OverflowError:  # of a term such as (y - mu)^2, where d itself may be finite
-            raise NumericalError(
-                f"closed-form deviance of {fam.name} overflows at (y={y}, mu={mu})"
-            ) from None
+        return float(fam.deviance_closed_form(y, mu))
     return float(_generator_deviance(fam, np.array([y], dtype=float), np.array([mu], dtype=float))[0])
 
 
@@ -288,15 +289,17 @@ def _generator_deviance(fam: EdmFamily, y: np.ndarray, mu: np.ndarray) -> np.nda
     if fam.mean_inverse is None:
         theta = theta - (fam._b_derivative(1, theta) - targets) / fam._b_derivative(2, theta)
     b = fam.b(theta)
-    terms = (y_in * theta[:n], -y_in * theta[n:], -b[:n], b[n:])
     d = np.zeros(y.shape)
-    d[generator] = value = 2.0 * sum(terms)
-    generator[generator] = value > 1e-8 * sum(map(abs, terms))
+    with np.errstate(over="ignore", invalid="ignore"):  # a term past the largest float: quadrature
+        terms = (y_in * theta[:n], -y_in * theta[n:], -b[:n], b[n:])
+        d[generator] = value = 2.0 * sum(terms)
+        generator[generator] = value > 1e-8 * sum(map(abs, terms))
     for i in np.flatnonzero(~generator & (y != mu)):
         d.flat[i] = deviance_by_quadrature(fam, float(y.flat[i]), float(mu.flat[i]))
     return d
 
 
+@refuses_numerical_failure
 def deviance_by_quadrature(fam: EdmFamily, y: float, mu: float) -> float:
     """Unit deviance by adaptive quadrature of ``2 (y - t)/V(t)``, ignoring closed forms."""
     fam.support.require(y, "y")
@@ -309,6 +312,7 @@ def deviance_by_quadrature(fam: EdmFamily, y: float, mu: float) -> float:
     return float(value)
 
 
+@refuses_numerical_failure
 def log_density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
     """Exact log density ``[y theta - b(theta)]/tau + c(y; tau)``.
 
@@ -320,15 +324,10 @@ def log_density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
     fam.dispersion_domain.require(tau, "tau")
     if fam.exact_normalizer is None:
         raise DomainError(f"family {fam.name} has no exact normalizer")
-    try:
-        value = (y * theta - fam.b(theta)) / tau + fam.exact_normalizer(y, tau)
-    except ArithmeticError:  # such as 1/(tau y) where tau y underflows to 0: no float value
-        value = math.nan
-    if math.isnan(value):  # such as inf - inf where 1/tau overflows
-        raise NumericalError(f"log density of {fam.name} is nan at (y={y}, theta={theta}, tau={tau})")
-    return value
+    return (y * theta - fam.b(theta)) / tau + fam.exact_normalizer(y, tau)
 
 
+@refuses_numerical_failure
 def density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
     """Density (or probability mass) at ``y``.
 
@@ -337,18 +336,13 @@ def density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
     cases apart.
     """
     if fam.exact_normalizer is not None:
-        log_value = log_density(fam, y, theta, tau)
-        try:
-            return math.exp(log_value)
-        except OverflowError:
-            raise NumericalError(f"density of {fam.name} overflows at (y={y}, theta={theta}, tau={tau}): "
-                                 f"log density {log_value:.6g}") from None
+        return math.exp(log_density.__wrapped__(fam, y, theta, tau))
     _require_observation(fam, y)
     fam.theta_domain.require(theta, "theta")
     fam.dispersion_domain.require(tau, "tau")
     from .saddlepoint import renormalized_saddlepoint
 
-    mu = mean_value(fam, theta)
+    mu = mean_value.__wrapped__(fam, theta)
     result = renormalized_saddlepoint(unit_deviance_of(fam), variance_function_of(fam), y, mu, tau)
     return result.value
 
@@ -392,12 +386,11 @@ def unit_deviance_of(fam: EdmFamily) -> UnitDeviance:
     # imported here: ``deviance`` builds its EDM entries from this module
     from .deviance import UnitDeviance
 
-    # lambdas, not ``partial``: calls go through the module globals at call time
     return UnitDeviance(
         name=fam.name,
         support=fam.support,
-        fn=lambda y, mu: edm_deviance(fam, y, mu),
-        variance=lambda mu: variance_function(fam, mu),
+        fn=partial(edm_deviance.__wrapped__, fam),
+        variance=partial(variance_function.__wrapped__, fam),
     )
 
 
@@ -407,7 +400,7 @@ def variance_function_of(fam: EdmFamily) -> VarianceFunction:
     return VarianceFunction(
         name=f"V[{fam.name}]",
         domain=fam.mean_domain,
-        fn=lambda mu: variance_function(fam, mu),
+        fn=partial(variance_function.__wrapped__, fam),
     )
 
 
@@ -446,7 +439,7 @@ def _gamma_family() -> EdmFamily:
         dispersion_domain=POSITIVE_REALS,
         exact_normalizer=lambda y, tau: (1.0 / tau - 1.0) * math.log(y)
         - math.log(tau) / tau
-        - el.special.gammaln(1.0 / tau),
+        - float(el.special.gammaln(1.0 / tau)),
         dc_dtau=lambda y, tau: (-el.log(y) + math.log(tau) - 1.0 + el.special.polygamma(0, 1.0 / tau))
         / tau**2,
         mean_inverse=lambda mu: -1.0 / mu,

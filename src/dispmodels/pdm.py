@@ -29,7 +29,7 @@ from . import _elementary as el
 from ._numdiff import _refined_maxima, _support_integral
 from .deviance import UnitDeviance, check_unit_deviance, eval_deviance, unit_variance
 from .deviance import DEVIANCES
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, refuses_numerical_failure
 from .support import RealInterval
 
 __all__ = [
@@ -82,6 +82,7 @@ class PdmSpec:
             return self._cache.setdefault(tau, a0)
 
 
+@refuses_numerical_failure
 def pdm_normalizer(
     d: UnitDeviance,
     b: Callable[[float], float],
@@ -100,7 +101,7 @@ def pdm_normalizer(
 
     def integrand(y: float) -> float:
         try:
-            dev = eval_deviance(d, y, probe_mu)
+            dev = eval_deviance.__wrapped__(d, y, probe_mu)
             weight = float(b(y))
         except (DomainError, NumericalError, ValueError, OverflowError, ZeroDivisionError):
             return 0.0
@@ -114,6 +115,7 @@ def pdm_normalizer(
     return 1.0 / value
 
 
+@refuses_numerical_failure
 def pdm_density(p: PdmSpec, y, mu, tau: float):
     """Density ``a0(tau) b(y) exp(-d(y; mu)/(2 tau))`` with cached a0.
 

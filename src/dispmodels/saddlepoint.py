@@ -23,7 +23,7 @@ from typing import Optional
 from . import _elementary as el, edm
 from .deviance import UnitDeviance, VarianceFunction, eval_deviance
 from .edm import EdmFamily
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, refuses_numerical_failure
 from .pdm import pdm_normalizer
 
 __all__ = [
@@ -34,6 +34,11 @@ __all__ = [
     "lugannani_rice_cdf",
     "sample_mean_cdf",
 ]
+
+# the edm layer and V undecorated: the refusal rule is paid once, and names the saddlepoint call
+_mean_value, _edm_deviance, _inverse_mean, _variance_function, _cumulant, _variance_at = (
+    f.__wrapped__ for f in (edm.mean_value, edm.edm_deviance, edm.inverse_mean, edm.variance_function, edm.cumulant,
+                            VarianceFunction.__call__))
 
 # sqrt(d) below which the Lugannani-Rice correction is its limit at y = mu:
 # there 1/r - 1/u loses digits to cancellation and the limit is off by O(r)
@@ -62,6 +67,7 @@ def _saddlepoint_value(dev: float, v: float, tau: float) -> float:
     return math.exp(-dev / (2.0 * tau)) / math.sqrt(2.0 * math.pi * tau * v)
 
 
+@refuses_numerical_failure
 def saddlepoint_density(fam: EdmFamily, y: float, theta: float, tau: float) -> SaddlepointResult:
     """Saddlepoint density ``[2 pi tau V(y)]^(-1/2) exp(-d(y; mu)/(2 tau))``.
 
@@ -71,16 +77,12 @@ def saddlepoint_density(fam: EdmFamily, y: float, theta: float, tau: float) -> S
     fam.support.interior().require(y, "y")
     fam.theta_domain.require(theta, "theta")
     fam.dispersion_domain.require(tau, "tau")
-    try:
-        mu = edm.mean_value(fam, theta)
-        value = _saddlepoint_value(edm.edm_deviance(fam, y, mu), edm.variance_function(fam, y), tau)
-        saddle = (edm.inverse_mean(fam, y) - theta) / tau
-    except ArithmeticError:  # such as b''(q(y)) overflowing, or 2 pi tau V(y) underflowing to 0
-        raise NumericalError(f"saddlepoint density of {fam.name} overflows or divides by 0 at "
-                             f"(y={y}, theta={theta}, tau={tau})") from None
-    return SaddlepointResult(value=value, saddle=saddle)
+    mu = _mean_value(fam, theta)
+    value = _saddlepoint_value(_edm_deviance(fam, y, mu), _variance_function(fam, y), tau)
+    return SaddlepointResult(value=value, saddle=(_inverse_mean(fam, y) - theta) / tau)
 
 
+@refuses_numerical_failure
 def renormalized_saddlepoint(
     d: UnitDeviance,
     V: VarianceFunction,
@@ -97,7 +99,7 @@ def renormalized_saddlepoint(
     """
     if not d.regular:
         raise DomainError(f"deviance {d.name} is not regular; saddlepoint undefined")
-    a0 = pdm_normalizer(d, lambda x: _saddlepoint_value(0.0, V(x), tau), tau, mu)
+    a0 = pdm_normalizer(d, lambda x: _saddlepoint_value(0.0, _variance_at(V, x), tau), tau, mu)
     try:
         value = a0 * _saddlepoint_value(eval_deviance(d, y, mu), V(y), tau)
     except (DomainError, NumericalError):
@@ -105,6 +107,7 @@ def renormalized_saddlepoint(
     return SaddlepointResult(value=value, saddle=None, renormalized=True)
 
 
+@refuses_numerical_failure
 def lugannani_rice(fam: EdmFamily, y: float, theta: float, tau: float, n: int = 1) -> SaddlepointResult:
     """Lugannani-Rice tail probability ``Phi(r) + phi(r) (1/r - 1/u)`` of the mean of n draws.
 
@@ -122,24 +125,19 @@ def lugannani_rice(fam: EdmFamily, y: float, theta: float, tau: float, n: int = 
     fam.support.interior().require(y, "y")
     fam.theta_domain.require(theta, "theta")
     fam.dispersion_domain.require(tau, "tau")
-    try:
-        mu = edm.mean_value(fam, theta)
-        scale = math.sqrt(n / tau)
-        r_dev = math.copysign(math.sqrt(edm.edm_deviance(fam, y, mu)), y - mu)
-        q_gap = edm.inverse_mean(fam, y) - theta
-        r = scale * r_dev
-        u = scale * math.sqrt(edm.variance_function(fam, y)) * q_gap
-        if abs(r_dev) >= _R_LIMIT:
-            correction = 1.0 / r - 1.0 / u
-        else:
-            v_mu = edm.cumulant(fam, 2, theta, 1.0)
-            correction = edm.cumulant(fam, 3, theta, 1.0) / (6.0 * v_mu * math.sqrt(v_mu) * scale)
-        value = float(el.special.ndtr(r)) + math.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi) * correction
-    except ArithmeticError:  # such as b''(q(y)) overflowing, or V(y) underflowing to 0 in 1/u
-        raise NumericalError(f"Lugannani-Rice tail overflows or divides by 0 at "
-                             f"(y={y}, theta={theta}, tau={tau}, n={n})") from None
-    if math.isnan(value):  # such as r = inf * 0 where sqrt(n/tau) overflows at y = mu
-        raise NumericalError(f"Lugannani-Rice tail is nan at (y={y}, theta={theta}, tau={tau}, n={n})")
+    mu = _mean_value(fam, theta)
+    scale = math.sqrt(n / tau)
+    r_dev = math.copysign(math.sqrt(_edm_deviance(fam, y, mu)), y - mu)
+    q_gap = _inverse_mean(fam, y) - theta
+    r = scale * r_dev
+    u = scale * math.sqrt(_variance_function(fam, y)) * q_gap
+    if abs(r_dev) >= _R_LIMIT:
+        correction = 1.0 / r - 1.0 / u
+    else:
+        v_mu = _cumulant(fam, 2, theta, 1.0)
+        correction = _cumulant(fam, 3, theta, 1.0) / (6.0 * v_mu * math.sqrt(v_mu) * scale)
+    value = float(el.special.ndtr(r)) + math.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi) * correction
+    # a nan value (r = inf * 0 where sqrt(n/tau) overflows at y = mu) passes the clamp and is refused
     return SaddlepointResult(value=min(max(value, 0.0), 1.0), saddle=q_gap / tau, r=r, u=u)
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _elementary as el
 from .edm import FAMILIES, EdmFamily
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, refuses_numerical_failure
 from .support import POSITIVE_REALS, REALS, RealInterval
 
 __all__ = [
@@ -64,7 +64,9 @@ _SERIES_MAX_TERMS = 10**5
 _CDF_BLOCK = 2**20  # 1 < p < 2 cdf: entries of one rows-by-jump-counts block of gammainc
 # p > 2 inversion: QAWF from t = 8/sigma (a Gaussian cf is below e^-32 there); QUADPACK tolerance
 _S_SPLIT, _QUAD_EPS = 8.0, 1e-12
-_W_MIN = 1e-50  # lowest QAWF frequency y/sigma tried: QUADPACK crashes from about 1e-126 down, and at inf
+# QAWF frequencies y/sigma tried: QUADPACK crashes from about 1e-126 down, and from the 2.2e307 where
+# frequency * _S_SPLIT overflows
+_W_MIN, _W_MAX = 1e-50, 1e300
 
 
 def _validate_p(p: float) -> float:
@@ -157,6 +159,7 @@ def _b_nth(p: float, r: int, theta):
     return coeff * a ** (c - (r - 1.0)) if coeff else 0.0  # the product vanishes at p = 0, r >= 3
 
 
+@refuses_numerical_failure
 def tweedie_deviance(p: float, y: float, mu: float) -> float:
     """Unit deviance ``d_p(y; mu) = 2 integral_mu^y (y - t) t^(-p) dt``.
 
@@ -183,6 +186,7 @@ def _deviance(p: float, y, mu):
     return el.power_deviance(p, y, mu)
 
 
+@refuses_numerical_failure
 def tweedie_zero_mass(p: float, mu: float, tau: float) -> float:
     """Probability mass at zero for 1 < p < 2: ``exp(-mu^(2-p) / (tau (2-p)))``, the Poisson
     probability of no jump in the compound Poisson-gamma representation."""
@@ -291,22 +295,22 @@ def _fourier_inversion(p: float, y: float, mu: float, tau: float, cdf: bool, tol
     """
     from scipy.integrate import IntegrationWarning, quad
 
-    try:
-        theta, alpha, sigma = _inverse_mean(p, mu), (p - 2.0) / (p - 1.0), math.sqrt(tau * mu**p)
-    except OverflowError:  # of mu^(1 - p) or mu^p
-        raise NumericalError(f"Tweedie inversion at (p={p}, y={y}, mu={mu}, tau={tau}) overflows in "
-                             "q(mu) or its sd") from None
+    theta, alpha, sigma = _inverse_mean(p, mu), (p - 2.0) / (p - 1.0), math.sqrt(tau * mu**p)
     frequency = y / sigma if sigma else math.inf  # of the QAWF weight
-    if not _W_MIN < frequency < math.inf:
+    if not _W_MIN < frequency < _W_MAX:
         raise NumericalError(f"Tweedie inversion at (p={p}, y={y}, mu={mu}, tau={tau}) needs a QAWF "
-                             f"weight of frequency y/sd = {frequency:.3g}, outside [{_W_MIN:g}, inf)")
+                             f"weight of frequency y/sd = {frequency:.3g}, outside ({_W_MIN:g}, {_W_MAX:g})")
     scale = _generator(p, theta) / tau
 
     def phi(s, shift):  # exp(K(is/sigma) - i shift s)
         v = tau * s / (sigma * theta)
         a, c = 0.5 * alpha * math.log1p(v * v), alpha * math.atan(v)
-        return cmath.exp(scale * complex(math.expm1(a) * math.cos(c) - 2.0 * math.sin(0.5 * c) ** 2,
-                                         math.exp(a) * math.sin(c)) - 1j * shift * s)
+        z = cmath.exp(scale * complex(math.expm1(a) * math.cos(c) - 2.0 * math.sin(0.5 * c) ** 2,
+                                      math.exp(a) * math.sin(c)) - 1j * shift * s)
+        if z - z == 0.0:  # QAWF crashes the interpreter on an integrand value that is nan or inf
+            return z
+        raise NumericalError(f"Tweedie inversion at (p={p}, y={y}, mu={mu}, tau={tau}) meets the cf "
+                             f"value {z} at s={s}")
 
     h = (lambda s: 1j / s) if cdf else (lambda s: 1.0)
     head = (lambda s: h(s) * (phi(s, mu / sigma) - cdf) if s or not cdf else 0j)
@@ -352,6 +356,7 @@ def _log_normalizer(p: float, y: float, tau: float) -> float:
     return log_density - (y * q - _generator(p, q)) / tau
 
 
+@refuses_numerical_failure
 def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
     """Density (or lattice mass, or the zero atom) of a Tweedie distribution.
 
@@ -370,14 +375,8 @@ def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
         counts = y / tau
         if abs(counts - round(counts)) > 1e-9:
             raise DomainError(f"p=1 support is the lattice tau*N0; y={y} is off-lattice for tau={tau}")
-    try:
-        theta = _inverse_mean(p, mu)
-        log_density = _log_normalizer(p, y, tau) + (y * theta - _generator(p, theta)) / tau
-    except OverflowError:  # of a float power, such as mu^(1 - p) or y^p
-        raise NumericalError(f"Tweedie log density overflows at (p={p}, y={y}, mu={mu}, tau={tau})") from None
-    if math.isnan(log_density):  # such as inf - inf where 1/tau overflows
-        raise NumericalError(f"Tweedie log density is nan at (p={p}, y={y}, mu={mu}, tau={tau})")
-    return math.exp(log_density)
+    theta = _inverse_mean(p, mu)
+    return math.exp(_log_normalizer(p, y, tau) + (y * theta - _generator(p, theta)) / tau)
 
 
 def _closed_form_cdf(p: float, ys: np.ndarray, mu: float, tau: float) -> np.ndarray:
@@ -397,6 +396,7 @@ def _closed_form_cdf(p: float, ys: np.ndarray, mu: float, tau: float) -> np.ndar
     return np.minimum(values, 1.0)
 
 
+@refuses_numerical_failure
 def tweedie_cdf(p: float, y, mu: float, tau: float):
     """Distribution function: closed forms for 0 <= p <= 2, Gil-Pelaez inversion for p > 2.
 
@@ -423,9 +423,6 @@ def tweedie_cdf(p: float, y, mu: float, tau: float):
                            else min(max(0.5 + _fourier_inversion(
                                p, yi, mu, tau, True, 1e-9 * math.pi) / math.pi, 0.0), 1.0)
                            for yi in ys.tolist()])
-    nan_ys = ys[np.isnan(values)]
-    if nan_ys.size:  # such as gammainc(inf, x) where 1/tau overflows
-        raise NumericalError(f"Tweedie cdf is nan at (p={p}, y={nan_ys[0]}, mu={mu}, tau={tau})")
     return float(values[0]) if np.ndim(y) == 0 else values
 
 

@@ -522,6 +522,14 @@ class TestCdf:
         # y/sd = 1e300/1e-160 overflows to inf
         assert self._refused_in_child("tweedie_cdf(2.5, 1e300, 1e-8, 1e-300)")
 
+    def test_inversion_at_a_frequency_past_its_window_is_refused(self):
+        # y/sd = 1e308: QAWF's frequency times its lower limit overflows
+        assert self._refused_in_child("tweedie_cdf(3.0, 1e300, 1e-8, 1e8)")
+
+    def test_inversion_meeting_a_non_finite_cf_value_is_refused(self):
+        # tau s overflows in the cf, and QAWF crashed on the nan or inf integrand value
+        assert self._refused_in_child("tweedie_cdf(3.0, 3.1766208830039273e+95, 0.5, 2.3832323996681687e+283)")
+
     def test_nan_cdf_raises(self):
         # 1/tau overflows, and gammainc(inf, inf) is nan
         with pytest.raises(NumericalError, match=r"y=1e-08, mu=1e\+20, tau=5e-324"):
