@@ -9,6 +9,10 @@ pointwise API must not pay for the array path.  :func:`power_deviance` is
 the one kernel of the gamma, Poisson, binomial, negative binomial and
 Tweedie deviances.
 
+:func:`call` holds the array contract of every callable a library user
+passes in: it takes a float or an ndarray in each argument, like the family
+callables.  A float-only callable, such as ``math.cos``, is refused.
+
 ``special`` is ``scipy.special``, imported on its first attribute lookup:
 ``import dispmodels`` loads no scipy module, and deviances, IRLS fits
 without the dispersion MLE and the cf construction never load it.
@@ -25,8 +29,9 @@ from itertools import accumulate
 
 import numpy as np
 
-__all__ = ["log", "log1p", "exp", "sqrt", "cos", "tan", "atan", "positive_part", "power_deviance", "vectorize",
-           "special"]
+from .errors import DispersionModelError, DomainError
+
+__all__ = ["log", "log1p", "exp", "sqrt", "cos", "tan", "atan", "positive_part", "power_deviance", "call", "special"]
 
 # |x| = |y - mu|/mu below which J_p is its series: the closed forms lose eps/|x|, 5e-15 at the edge
 _SERIES_BAND = 0.05
@@ -179,18 +184,24 @@ def positive_part(x):
     return np.maximum(x, 0.0) if isinstance(x, np.ndarray) else max(x, 0.0)
 
 
-def vectorize(fn):
-    """A float-only ``fn`` that also maps ndarray arguments, entry by entry.
-
-    Its three callers wrap what a library user supplies, which may take floats
-    only: the yoke deviance and the carrier in ``pdm`` (``yoke_to_deviance``,
-    ``transformation_pdm``) and ``deviance.transform_deviance`` (its inverse map).
-    """
-    each = np.vectorize(fn, otypes=[float])
-
-    def either(*args):
-        if any(isinstance(a, np.ndarray) for a in args):
-            return each(*args)
-        return fn(*args)
-
-    return either
+def call(fn, *args):
+    """``fn(*args)`` under the array contract: float arguments give a float; when any argument is
+    an ndarray, ``fn`` returns values that broadcast to the arguments' broadcast shape (so ``lambda
+    t: 1.0`` keeps it), and the value is a fresh float ndarray of that shape.  A ``fn`` that raises
+    ``TypeError`` or ``ValueError`` on an ndarray, or returns values that do not broadcast, is
+    refused with ``DomainError``: it is never looped over entry by entry."""
+    for a in args:  # a loop: a generator in ``any`` would triple the cost of the float path
+        if isinstance(a, np.ndarray):
+            break
+    else:
+        return float(fn(*args))
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    try:
+        return np.full(shape, fn(*args), dtype=float)
+    except DispersionModelError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DomainError(
+            f"{getattr(fn, '__name__', fn)} breaks the array contract: it must take a float or an ndarray "
+            f"in each argument and return values that broadcast to their shape {shape} ({exc})"
+        ) from exc

@@ -17,10 +17,9 @@ way is a dispersion model on [-L, L], and its ``a`` depends on L.  It is
 neither a proper nor an exponential dispersion model: the fitted
 ``a(y; tau)`` does not factorize across tau.
 
-Every cf ``phi`` and every kernel callable takes a float or an ndarray, like
-every family callable: floats in give floats out, and on an ndarray it
-returns values that broadcast to its shape (so ``lambda t: 1.0`` is one).
-A solve samples its kernel in one call on the whole lag vector.
+Every cf ``phi`` and every kernel callable keeps the array contract of
+``_elementary.call``; a solve samples its kernel in one call on the whole
+lag vector.
 """
 
 from __future__ import annotations
@@ -60,8 +59,7 @@ class CfSpec:
     ``m2`` is the second moment of the underlying probability measure when
     finite; it decides whether the induced deviance is regular.  The
     declared symmetry/non-lattice properties are verified on probe grids
-    by :func:`validate_cf`.  ``phi`` and the spec take a float or an ndarray
-    ``t``; the spec returns a float or an ndarray of the shape of ``t``.
+    by :func:`validate_cf`.  The spec calls ``phi`` by ``_elementary.call``.
     """
 
     phi: Callable
@@ -69,18 +67,7 @@ class CfSpec:
     m2: Optional[float] = None
 
     def __call__(self, t):
-        return _sample(self.phi, t) if isinstance(t, np.ndarray) else float(self.phi(t))
-
-
-def _sample(fn, t: np.ndarray) -> np.ndarray:
-    """``fn(t)`` broadcast to the shape of ``t``; DomainError when ``fn`` breaks the array contract."""
-    try:
-        return np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(
-            "a cf or kernel must take a float or an ndarray and return values that "
-            f"broadcast to its shape ({exc})"
-        ) from exc
+        return el.call(self.phi, t)
 
 
 _SYMMETRY_PROBES = np.geomspace(1e-2, 1e2, 32)
@@ -143,7 +130,7 @@ def cf_unit_deviance(cf: CfSpec) -> UnitDeviance:
 
 
 def kernel(cf: CfSpec, tau: float, t):
-    """Convolution kernel ``K_tau(t) = exp(-(1 - phi(t)) / (2 tau))`` in (0, 1], at a float or ndarray t."""
+    """Convolution kernel ``K_tau(t) = exp(-(1 - phi(t)) / (2 tau))`` in (0, 1], under the array contract."""
     if not tau > 0.0:
         raise DomainError("tau must be positive")
     return el.exp(-(1.0 - cf(t)) / (2.0 * tau))
@@ -316,8 +303,8 @@ def solve_convolution_grid(
     with the bound coordinates held at zero; then the nonnegative free and
     the bound coordinates whose gradient points into the feasible set form
     the next free set, and CG runs again until the set stays the same.
-    ``kernel_fn`` takes a float or an ndarray, as a cf does: a solve calls
-    it on all the lags ``-(N-1)h .. (N-1)h`` at once, and at L (the plateau).
+    ``kernel_fn`` keeps the array contract of ``_elementary.call``: a solve
+    calls it on all the lags ``-(N-1)h .. (N-1)h`` at once, and at L (the plateau).
     For a cf with phi >= 0 and phi -> 0 the equation has no solution on the
     real line (see the module docstring): the result is a dispersion model
     on [-L, L], and ``a`` depends on L.
@@ -352,7 +339,7 @@ def solve_convolution_grid(
     grid = np.linspace(-L, L, N)
     h = float(grid[1] - grid[0])
     lags = np.arange(-(N - 1), N)
-    kern = _sample(kernel_fn, h * lags)
+    kern = el.call(kernel_fn, h * lags)
     # the normal equations below use A^T = A, i.e. K(-t) = K(t)
     if np.max(np.abs(kern - kern[::-1])) > 1e-12 * np.max(np.abs(kern)):
         raise DomainError("the kernel is not symmetric: K(-t) != K(t) on the grid")
@@ -449,7 +436,7 @@ def convolution_residual(sol: GridSolution, cf) -> float:
     """
     kernel_fn = (lambda t: kernel(cf, sol.tau, t)) if isinstance(cf, CfSpec) else cf
     n, h = len(sol.grid), sol.spacing
-    kern = _sample(kernel_fn, h * np.arange(-(n - 1), n))
+    kern = el.call(kernel_fn, h * np.arange(-(n - 1), n))
     conv = h * np.convolve(sol.a_values, kern, mode="valid")
     interior = sol.interior
     return float(np.max(np.abs(conv[interior] - 1.0)))

@@ -48,7 +48,7 @@ def _check_triple_identity(name: str, seed: int) -> CheckResult:
 def _check_variance_consistency(name: str, seed: int) -> CheckResult:
     dev, V = replace(DEVIANCES[name], variance=None), VARIANCE_FUNCTIONS[name]
     grid = dev.omega.grid(10, 1e-3, span=5.0)
-    v = np.array([V(float(mu)) for mu in grid])
+    v = V(grid)
     worst = float(np.max(abs(unit_variance(dev, grid) - v) / np.maximum(v, 1e-12)))
     ok = worst < 1e-5
     return (f"{name}: 2/d_mumu vs variance function", ok, f"max relative gap {worst:.2e}")

@@ -16,10 +16,10 @@ functions are not written here: they are derived from the cumulant
 generators of ``edm.FAMILIES`` (``d = 2 integral_mu^y (y - t)/V(t) dt`` in
 closed form, ``V = b'' o q``), so each formula has one home.
 
-``UnitDeviance.fn`` and :func:`eval_deviance` take a float or an ndarray
-in each argument; built-in formulas use ``_elementary``, and a caller's
-float-only callable is vectorised once, when its deviance is built.  A
-deviance that registers ``V`` has diagonal curvature ``2/V`` without
+``UnitDeviance.fn``, :func:`eval_deviance` and ``VarianceFunction`` take a
+float or an ndarray in each argument; built-in formulas use ``_elementary``,
+and a caller's callables keep the array contract of ``_elementary.call``.
+A deviance that registers ``V`` has diagonal curvature ``2/V`` without
 finite differences.
 """
 
@@ -87,18 +87,25 @@ class UnitDeviance:
 
 @dataclass(frozen=True)
 class VarianceFunction:
-    """A positive function on an open interval: the unit variance V(mu)."""
+    """A positive function on an open interval: the unit variance V(mu), at a float or an ndarray mu."""
 
     name: str
     domain: RealInterval
     fn: Callable[[float], float]
 
     @refuses_numerical_failure
-    def __call__(self, mu: float) -> float:
-        self.domain.require(mu, "mu")
-        v = float(self.fn(mu))
-        if not v > 0.0:
-            raise NumericalError(f"variance function {self.name} not positive at mu={mu}: {v}")
+    def __call__(self, mu):
+        if type(mu) is float or not isinstance(mu, np.ndarray):
+            self.domain.require(mu, "mu")
+            v = float(self.fn(mu))
+            if not v > 0.0:
+                raise NumericalError(f"variance function {self.name} not positive at mu={mu}: {v}")
+            return v
+        self.domain.require_all(mu, "mu")
+        v = el.call(self.fn, mu)
+        bad = ~(v > 0.0)
+        if bad.any():
+            raise NumericalError(f"variance function {self.name} not positive at mu={mu[bad][0]}: {v[bad][0]}")
         return v
 
 
@@ -145,8 +152,7 @@ def unit_variance(d: UnitDeviance, mu):
         raise DomainError(f"deviance {d.name} is not regular; no unit variance")
     d.omega.require_all(np.asarray(mu, dtype=float), "mu")
     if d.variance is not None:
-        v = d.variance(mu)
-        return np.full(mu.shape, v, dtype=float) if isinstance(mu, np.ndarray) else float(v)
+        return el.call(d.variance, mu)
     mu_c = d.omega.clip_inward(mu, _BOUNDARY_CLIP)
     curving = derivative(lambda m: d.fn(mu_c, m), mu_c, 2, d.omega)
     bad = ~np.greater(curving, 0.0)
@@ -235,10 +241,10 @@ def transform_deviance(
     screened by the sign of ``f_prime`` on a probe grid; a sign change or a
     zero rejects the map.  If ``d`` is regular and ``f`` twice continuously
     differentiable the result is flagged regular, with unit variance
-    ``V_f(xi) = V(f^{-1}(xi)) * f'(f^{-1}(xi))^2``.
+    ``V_f(xi) = V(f^{-1}(xi)) * f'(f^{-1}(xi))^2``.  ``f`` is called on floats
+    only; ``f_inverse`` and ``f_prime`` keep the array contract of ``_elementary.call``.
     """
-    probes = d.omega.grid(33, _BOUNDARY_CLIP)
-    signs = np.sign([f_prime(p) for p in probes])
+    signs = np.sign(el.call(f_prime, d.omega.grid(33, _BOUNDARY_CLIP)))
     if np.any(signs == 0) or len(set(signs.tolist())) != 1:
         raise DomainError("transformation is not monotone on the deviance domain")
     s = d.support
@@ -251,7 +257,7 @@ def transform_deviance(
     return UnitDeviance(
         name=name or f"{d.name}_transformed",
         support=new_support,
-        fn=el.vectorize(lambda z, xi: d.fn(f_inverse(z), f_inverse(xi))),
+        fn=lambda z, xi: d.fn(el.call(f_inverse, z), el.call(f_inverse, xi)),
         regular=d.regular and twice_differentiable,
     )
 
@@ -266,11 +272,10 @@ def variance_stabilizing_transform(V: VarianceFunction, y_star: float, y: float)
     V.domain.require(y, "y")
     if y == y_star:
         return 0.0
-    lo, hi = min(y_star, y), max(y_star, y)
-    for v in np.linspace(lo, hi, 17):
-        value = V.fn(float(v))
-        if not value > 0.0:
-            raise NumericalError(f"variance function vanishes on the path at {v}")
+    path = np.linspace(min(y_star, y), max(y_star, y), 17)
+    bad = ~(el.call(V.fn, path) > 0.0)
+    if bad.any():
+        raise NumericalError(f"variance function vanishes on the path at {path[np.argmax(bad)]}")
     integral, err = _quad(lambda v: V.fn(v) ** -0.5, y_star, y)
     if not math.isfinite(integral) or err > 1e-6 * max(1.0, abs(integral)):
         raise NumericalError("quadrature failure in variance stabilizing transform")

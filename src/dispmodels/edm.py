@@ -116,7 +116,7 @@ class EdmFamily:
             f, order = (self.b, r) if self.b_nth is None else (partial(self.b_nth, 2), r - 2)
             return derivative(f, theta, order, self.theta_domain)
         if type(theta) is not float and isinstance(theta, np.ndarray):
-            return _float_array(value, theta)
+            return np.full(theta.shape, value, dtype=float)  # a constant such as the normal b'' broadcasts
         return float(value)
 
 
@@ -124,12 +124,6 @@ class EdmFamily:
 # its array form; the float path below the branch is the pointwise API.  The
 # branch tests ``type(x) is not float`` first: it costs a fifth of the
 # ``isinstance`` call that floats would otherwise pay for on every call.
-
-
-def _float_array(value, like: np.ndarray) -> np.ndarray:
-    """A callable's value on an array, as a fresh float array of ``like``'s shape
-    (a constant such as the normal ``b''`` broadcasts)."""
-    return np.full(like.shape, value, dtype=float)
 
 
 @refuses_numerical_failure
@@ -170,7 +164,7 @@ def inverse_mean(fam: EdmFamily, mu):
     else:
         domain.require(mu, "mu")
     if fam.mean_inverse is not None:
-        return _float_array(fam.mean_inverse(mu), mu) if array else float(fam.mean_inverse(mu))
+        return el.call(fam.mean_inverse, mu) if array else float(fam.mean_inverse(mu))
     flat = np.asarray(mu, dtype=float).reshape(-1)
     theta = _solve_increasing(fam, flat, 1e-10 * _length_scale(flat, fam.mean_domain))
     return theta.reshape(mu.shape) if array else float(theta[0])
@@ -265,7 +259,8 @@ def edm_deviance(fam: EdmFamily, y, mu):
         fam.mean_domain.require_all(mu, "mu")
         if fam.deviance_closed_form is None:
             return _generator_deviance(fam, y, mu)
-        return np.where(y == mu, 0.0, fam.deviance_closed_form(y, mu))
+        with np.errstate(over="ignore"):  # a deviance past the largest float is +inf
+            return np.where(y == mu, 0.0, fam.deviance_closed_form(y, mu))
     fam.support.require(y, "y")
     fam.mean_domain.require(mu, "mu")
     if y == mu:
@@ -421,7 +416,8 @@ def _normal_family() -> EdmFamily:
         exact_normalizer=lambda y, tau: -0.5 * y * y / tau - 0.5 * math.log(2.0 * math.pi * tau),
         dc_dtau=lambda y, tau: 0.5 * y * y / tau**2 - 0.5 / tau,
         mean_inverse=lambda mu: mu,
-        deviance_closed_form=lambda y, mu: (y - mu) ** 2,
+        # a product, not ** 2: a float product overflows to +inf where the power raises
+        deviance_closed_form=lambda y, mu: (y - mu) * (y - mu),
         tau_mle_closed_form=lambda y, deviance, n: deviance / n,
     )
 

@@ -8,7 +8,8 @@ compiled, so arbitrary Python never executes.
 A compiled expression evaluates floats with ``math`` and returns a float;
 when any argument is an ndarray it evaluates once with numpy over the
 whole array, and a value outside a function's domain becomes ``nan``
-instead of raising.
+instead of raising.  The functions are ``_elementary``'s, which make that
+choice by their argument.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _elementary as el
 from .errors import DomainError
 
 __all__ = ["compile_expression"]
 
-_FUNCTIONS = {"log": math.log, "exp": math.exp, "sqrt": math.sqrt, "cos": math.cos}
-_ARRAY_FUNCTIONS = {"log": np.log, "exp": np.exp, "sqrt": np.sqrt, "cos": np.cos}
+_FUNCTIONS = {"log": el.log, "exp": el.exp, "sqrt": el.sqrt, "cos": el.cos}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -69,19 +70,19 @@ def compile_expression(expr: str, variables: Sequence[str]) -> Callable:
         raise DomainError(f"cannot parse expression {expr!r}: {exc}") from exc
     _validate(tree, variables)
     code = compile(tree, "<expression>", "eval")
-    scalar_globals = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS}
-    array_globals = {"__builtins__": {}, **_ARRAY_FUNCTIONS, **_CONSTANTS}
+    namespace = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS}
 
     def fn(*args):
         if len(args) != len(variables):
             raise TypeError(f"expected {len(variables)} arguments, got {len(args)}")
         if any(isinstance(a, np.ndarray) for a in args):
-            local = {name: np.asarray(a, dtype=float) for name, a in zip(variables, args)}
+            # each variable at the full shape, so that every function of one gets an ndarray
+            arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
             with np.errstate(all="ignore"):
-                value = eval(code, array_globals, local)
+                value = eval(code, namespace, dict(zip(variables, arrays)))
             return np.asarray(value, dtype=float)
         local = dict(zip(variables, (float(a) for a in args)))
-        return float(eval(code, scalar_globals, local))
+        return float(eval(code, namespace, local))
 
     fn.__name__ = f"expr_{'_'.join(variables) or 'const'}"
     fn.expression = expr

@@ -4,23 +4,22 @@ The defining property is that the normalizer factorizes into a
 tau-part and an observation-part; equivalently the integral
 ``integral_C b(y) exp(-d(y; mu)/(2 tau)) nu(dy)`` does not depend on mu,
 which also makes ``d(Y, mu)`` a pivotal statistic.  The module provides
-the quadrature-backed normalizer, density evaluation with a thread-safe
-per-tau cache, yoke machinery for building unit deviances from functions
+the quadrature-backed normalizer, density evaluation with a bounded
+per-tau memo, yoke machinery for building unit deviances from functions
 maximized on the diagonal, a Monte Carlo pivotality diagnostic, and the
 transformation-group construction (location models on the line, rotation
 models on the circle).
 
-``PdmSpec.carrier`` and the deviance's ``fn`` take a float or an ndarray,
-so :func:`pdm_density` takes a whole grid of y in one call; the float-only
-callables of yokes and user carriers are vectorised once, when the model
-is built.
+``PdmSpec.carrier``, the deviance's ``fn``, yokes, group actions and
+invariant carriers keep the array contract of ``_elementary.call``, so
+:func:`pdm_density` takes a whole grid of y in one call.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -49,37 +48,37 @@ __all__ = [
 ]
 
 
+# a0 per spec: room for a sweep of 128 tau (the evaluate benchmark repeats 30 per model each pass)
+_NORMALIZERS = 128
+# yoke maxima: a sample_pdm grid (2^14) and a pivotal-check mu's 10^4 draws, so the next mu reuses the grid
+_YOKE_MAXIMA = 2**15
+
+
 @dataclass
 class PdmSpec:
-    """A proper dispersion model: deviance, carrier and normalizer cache.
+    """A proper dispersion model: deviance, carrier and normalizer memo.
 
     The support is the deviance's.  ``carrier`` takes a float or an
-    ndarray.  The cache maps tau to a0(tau); it is the only mutable state
-    and is guarded by a lock (concurrent duplicate computation is
-    tolerated, the first insert wins).
+    ndarray.  ``normalizer(tau)`` is a0(tau), memoized per spec for the
+    last ``_NORMALIZERS`` distinct tau: the memo is the only mutable state.
     """
 
     name: str
     deviance: UnitDeviance
     carrier: Callable[[float], float]
-    _cache: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def __post_init__(self):
+        self.normalizer = lru_cache(maxsize=_NORMALIZERS)(self._normalizer)
 
     @property
     def support(self) -> RealInterval:
         return self.deviance.support
 
-    def normalizer(self, tau: float) -> float:
-        with self._lock:
-            cached = self._cache.get(tau)
-        if cached is not None:
-            return cached
+    def _normalizer(self, tau: float) -> float:
         probe_mu = self.deviance.omega.clip_inward(
             0.5 * (max(self.support.lower, -1.0) + min(self.support.upper, 1.0)), 1e-3
         )
-        a0 = pdm_normalizer(self.deviance, self.carrier, tau, probe_mu)
-        with self._lock:
-            return self._cache.setdefault(tau, a0)
+        return pdm_normalizer(self.deviance, self.carrier, tau, probe_mu)
 
 
 @refuses_numerical_failure
@@ -123,7 +122,7 @@ def pdm_density(p: PdmSpec, y, mu, tau: float):
     domains before the carrier sees ``y``.
     """
     dev = eval_deviance(p.deviance, y, mu)
-    return p.normalizer(tau) * p.carrier(y) * el.exp(-dev / (2.0 * tau))
+    return p.normalizer(tau) * el.call(p.carrier, y) * el.exp(-dev / (2.0 * tau))
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +132,7 @@ def pdm_density(p: PdmSpec, y, mu, tau: float):
 
 @dataclass(frozen=True)
 class YokeSpec:
-    """A bivariate function t(y; theta) expected to peak exactly at theta = y."""
+    """A bivariate function t(y; theta), under the array contract, expected to peak exactly at theta = y."""
 
     fn: Callable[[float, float], float]
     domain: RealInterval
@@ -164,25 +163,25 @@ def _scan_window(domain: RealInterval, center: float, halfwidth: float = 8.0) ->
 
 
 def _maximize_yoke(
-    fn, domain: RealInterval, center: float, n_scan: int = 64
+    t: YokeSpec, y: float, n_scan: int = 64
 ) -> tuple[float, float, list[tuple[float, float]]]:
-    """(argmax, max, the five highest refined local maxima, ends counted) of a scan of fn.
+    """(argmax, max, the five highest refined local maxima, ends counted) of a scan of t(y; .).
 
-    The scan window expands while the incumbent sits on an open edge.
+    Each scan is one call of ``t.fn``; the window expands while the incumbent sits on an open edge.
     """
     halfwidth = 8.0
     for _ in range(30):
-        lo, hi = _scan_window(domain, center, halfwidth)
+        lo, hi = _scan_window(t.domain, y, halfwidth)
         xs = np.linspace(lo, hi, n_scan)
-        vals = np.array([fn(float(x)) for x in xs])
+        vals = el.call(t.fn, y, xs)
         best = int(np.argmax(vals))
-        on_edge = (best == 0 and not math.isfinite(domain.lower)) or (
-            best == n_scan - 1 and not math.isfinite(domain.upper)
+        on_edge = (best == 0 and not math.isfinite(t.domain.lower)) or (
+            best == n_scan - 1 and not math.isfinite(t.domain.upper)
         )
         if not on_edge:
             break
         halfwidth *= 2.0
-    candidates = _refined_maxima(fn, xs, vals, 1e-10, ends=True)
+    candidates = _refined_maxima(lambda th: t.fn(y, th), xs, vals, 1e-10, ends=True)
     return candidates[0][0], candidates[0][1], candidates
 
 
@@ -200,7 +199,7 @@ def check_yokable(t: YokeSpec, grid) -> YokabilityReport:
     theta_hats: list[float] = []
     for y in grid:
         t.domain.require(y, "grid point")
-        arg, peak, candidates = _maximize_yoke(lambda th: t.fn(y, th), t.domain, y)
+        arg, peak, candidates = _maximize_yoke(t, y)
         if not math.isfinite(peak):
             finite_sup = False
             witnesses.append(f"sup over theta not finite at y={y}")
@@ -229,32 +228,28 @@ def yoke_to_deviance(t: YokeSpec) -> UnitDeviance:
     """Unit deviance ``d(y; mu) = 2 [t_hat(y) - t(y; theta_hat(mu))]``.
 
     ``theta_hat(mu)`` is the maximizer of ``t(mu; .)`` and ``t_hat(y)``
-    the maximum of ``t(y; .)``, both numeric and cached.  The result is
-    validated against the unit-deviance axioms on a probe grid before
-    being returned.
+    the maximum of ``t(y; .)``, both numeric, one maximization per
+    distinct entry, memoized; ``t`` itself is called once per deviance
+    call.  The result is validated against the unit-deviance axioms on a
+    probe grid before being returned.
     """
     report = check_yokable(t, t.domain.grid(9, 1e-3, span=4.0))
     if not report.yokable:
         raise DomainError(f"function is not yokable: {'; '.join(report.witnesses)}")
 
-    cache: dict[float, tuple[float, float]] = {}
-    lock = threading.Lock()
-
+    @lru_cache(maxsize=_YOKE_MAXIMA)
     def argmax_and_max(x: float) -> tuple[float, float]:
-        with lock:
-            hit = cache.get(x)
-        if hit is not None:
-            return hit
-        arg, peak, _ = _maximize_yoke(lambda th: t.fn(x, th), t.domain, x)
-        with lock:
-            return cache.setdefault(x, (arg, peak))
+        return _maximize_yoke(t, x)[:2]
 
-    def fn(y: float, mu: float) -> float:
-        t_hat_y = argmax_and_max(y)[1]
-        theta_hat_mu = argmax_and_max(mu)[0]
-        return 2.0 * (t_hat_y - t.fn(y, theta_hat_mu))
+    def peak(x, which: int):
+        if isinstance(x, np.ndarray):
+            return np.array([argmax_and_max(v)[which] for v in x.ravel().tolist()]).reshape(x.shape)
+        return argmax_and_max(float(x))[which]
 
-    result = UnitDeviance(name=f"yoke[{t.name}]", support=t.domain, fn=el.vectorize(fn))
+    def fn(y, mu):
+        return 2.0 * (peak(y, 1) - el.call(t.fn, y, peak(mu, 0)))
+
+    result = UnitDeviance(name=f"yoke[{t.name}]", support=t.domain, fn=fn)
     failures = check_unit_deviance(result, np.random.default_rng(0), n=32)
     if failures:
         raise NumericalError(f"yoke produced an invalid unit deviance: {failures[0]}")
@@ -361,26 +356,21 @@ def transformation_pdm(
     rotations ``(g + y) mod 2 pi`` on the circle; the inverse of g is -g
     in this additive parametrization).  ``b_invariant`` must satisfy
     ``b(g y) = b(y)``; ``t`` composed with the inverse action provides the
-    yoke whose deviance is ``2 [t_hat - t(g_hat(mu)^-1 y)]``.  The float-only
-    ``b_invariant`` is vectorised once to serve as the carrier.
+    yoke whose deviance is ``2 [t_hat - t(g_hat(mu)^-1 y)]``.  The three
+    callables keep the array contract of ``_elementary.call``; ``b_invariant``
+    is the carrier.
     """
-    probes_y = domain.grid(9, 1e-3, span=4.0)
-    probes_g = domain.grid(7, 1e-3, span=3.0)
-    for g in probes_g:
-        for y in probes_y:
-            moved = group_action(float(g), float(y))
-            if abs(float(b_invariant(moved)) - float(b_invariant(float(y)))) > 1e-10:
-                raise DomainError(
-                    f"carrier is not invariant under the group action at (g={g}, y={y})"
-                )
+    g = domain.grid(7, 1e-3, span=3.0)[:, None]
+    y = domain.grid(9, 1e-3, span=4.0)[None, :]
+    b = el.call(b_invariant, np.vstack([y, el.call(group_action, g, y)]))  # at y, then at each g y
+    bad = np.argwhere(np.abs(b[1:] - b[0]) > 1e-10)
+    if bad.size:
+        i, j = bad[0]
+        raise DomainError(f"carrier is not invariant under the group action at (g={g[i, 0]}, y={y[0, j]})")
 
-    yoke = YokeSpec(
-        fn=lambda y, g: float(t(group_action(-g, y))),
-        domain=domain,
-        name=f"{name}-orbit",
-    )
+    yoke = YokeSpec(fn=lambda y, g: t(group_action(-g, y)), domain=domain, name=f"{name}-orbit")
     deviance = replace(yoke_to_deviance(yoke), name=name, circular=circular)
-    spec = PdmSpec(name=name, deviance=deviance, carrier=el.vectorize(b_invariant))
+    spec = PdmSpec(name=name, deviance=deviance, carrier=b_invariant)
     # existence probe: the normalizer must be finite at tau = 1
     spec.normalizer(1.0)
     return spec

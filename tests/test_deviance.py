@@ -195,7 +195,7 @@ class TestTransformDeviance:
     def test_gamma_log_transform_closed_form(self):
         # d_f(z; xi) = 2{e^(z-xi) - (z-xi) - 1}, checked pointwise
         dev = transform_deviance(
-            DEVIANCES["gamma"], math.log, math.exp, lambda y: 1.0 / y, name="gamma-log"
+            DEVIANCES["gamma"], math.log, np.exp, lambda y: 1.0 / y, name="gamma-log"
         )
         for z, xi in [(1.0, 0.0), (0.2, -0.7), (-1.0, 0.5)]:
             expected = 2.0 * (math.exp(z - xi) - (z - xi) - 1.0)
@@ -204,23 +204,23 @@ class TestTransformDeviance:
 
     def test_variance_transforms_to_one(self):
         # V(mu) = mu^2 with f = log gives V_f(xi) = 1
-        dev = transform_deviance(DEVIANCES["gamma"], math.log, math.exp, lambda y: 1.0 / y)
+        dev = transform_deviance(DEVIANCES["gamma"], math.log, np.exp, lambda y: 1.0 / y)
         for xi in (-1.0, 0.0, 0.7):
             assert unit_variance(dev, xi) == pytest.approx(1.0, rel=1e-5)
 
     def test_rejects_non_monotone(self):
         with pytest.raises(DomainError):
-            transform_deviance(DEVIANCES["normal"], math.sin, math.asin, math.cos)
+            transform_deviance(DEVIANCES["normal"], math.sin, np.arcsin, np.cos)
 
     def test_square_root_of_gamma_maps_onto_the_half_line(self):
         # probes of sqrt toward 0 shrink by 10^(-1/2) a decade: a finite end, extrapolated
-        dev = transform_deviance(DEVIANCES["gamma"], math.sqrt, lambda z: z * z, lambda y: 0.5 / math.sqrt(y))
+        dev = transform_deviance(DEVIANCES["gamma"], math.sqrt, lambda z: z * z, lambda y: 0.5 / np.sqrt(y))
         assert dev.support.lower == pytest.approx(0.0, abs=1e-12)
         assert dev.support.upper == math.inf
 
     def test_log_of_gamma_maps_onto_the_line(self):
         # log grows by the same step every decade both ways: a ratio of 1 diverges
-        dev = transform_deviance(DEVIANCES["gamma"], math.log, math.exp, lambda y: 1.0 / y)
+        dev = transform_deviance(DEVIANCES["gamma"], math.log, np.exp, lambda y: 1.0 / y)
         assert (dev.support.lower, dev.support.upper) == (-math.inf, math.inf)
 
     def test_variance_stabilized_inverse_gaussian_ends_at_two(self):
@@ -236,8 +236,8 @@ class TestTransformDeviance:
 
     def test_round_trip(self):
         dev = DEVIANCES["gamma"]
-        forward = transform_deviance(dev, math.log, math.exp, lambda y: 1.0 / y)
-        back = transform_deviance(forward, math.exp, math.log, math.exp)
+        forward = transform_deviance(dev, math.log, np.exp, lambda y: 1.0 / y)
+        back = transform_deviance(forward, math.exp, np.log, np.exp)
         for y, mu in [(0.5, 1.5), (2.0, 0.7), (3.0, 3.0)]:
             assert abs(back.fn(y, mu) - dev.fn(y, mu)) < 1e-12
 
@@ -383,14 +383,38 @@ class TestArrayDeviance:
         from dispmodels.pdm import YokeSpec, yoke_to_deviance
         from dispmodels.support import RealInterval
 
-        dev = yoke_to_deviance(
-            YokeSpec(fn=lambda y, th: -((y - th) ** 2) / 2.0, domain=RealInterval(), name="halfquad")
-        )
-        _array_scalar_parity(dev, np.array([-1.5, 0.0, 0.4, 2.0]), np.array([-1.0, 0.4, 1.3]))
+        calls = []
+        dev = yoke_to_deviance(YokeSpec(fn=lambda y, th: calls.append(y) or -((y - th) ** 2) / 2.0,
+                                        domain=RealInterval(), name="halfquad"))
+        ys, mus = np.array([-1.5, 0.0, 0.4, 2.0]), np.array([-1.0, 0.4, 1.3])
+        _array_scalar_parity(dev, ys, mus)
+        assert unit_variance(dev, mus).tolist() == [unit_variance(dev, mu) for mu in mus.tolist()]
+        calls.clear()  # every entry is maximized by now: the deviance calls t once
+        eval_deviance(dev, *np.meshgrid(ys, mus))
+        assert len(calls) == 1
 
     def test_transformed_parity(self):
-        dev = transform_deviance(DEVIANCES["gamma"], math.log, math.exp, lambda y: 1.0 / y)
-        _array_scalar_parity(dev, np.linspace(-2.0, 2.0, 9), np.array([-1.0, 0.0, 0.7]))
+        dev = transform_deviance(DEVIANCES["gamma"], math.log, np.exp, lambda y: 1.0 / y)
+        mus = np.array([-1.0, 0.0, 0.7])
+        _array_scalar_parity(dev, np.linspace(-2.0, 2.0, 9), mus)
+        assert unit_variance(dev, mus).tolist() == [unit_variance(dev, mu) for mu in mus.tolist()]
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_variance_function_parity(self, name):
+        V, grid = VARIANCE_FUNCTIONS[name], DEVIANCES[name].omega.grid(10, 1e-3, span=5.0)
+        values = V(grid.reshape(2, 5))
+        assert isinstance(values, np.ndarray) and values.shape == (2, 5)
+        assert values.ravel().tolist() == [V(mu) for mu in grid.tolist()]
+
+    def test_variance_function_names_the_first_bad_entry(self):
+        from dispmodels.deviance import VarianceFunction
+        from dispmodels.support import RealInterval
+
+        V = VarianceFunction("dips-below-zero", RealInterval(-2.0, 2.0), lambda mu: mu**2 - 0.25)
+        with pytest.raises(NumericalError, match=r"at mu=0\.1: "):
+            V(np.array([1.0, 0.1, 0.5, -0.3]))
+        with pytest.raises(DomainError):
+            V(np.array([1.0, 3.0]))
 
     def test_cf_parity(self):
         from dispmodels.cf_construct import cf_unit_deviance, get_cf

@@ -194,9 +194,13 @@ class TestDeviance:
     @pytest.mark.parametrize("name, y, mu", [
         ("normal", 8.1e246, -1.35e253),
     ])
-    def test_overflowing_closed_form_raises(self, name, y, mu):
-        with pytest.raises(NumericalError):
-            edm_deviance(get_family(name), y, mu)
+    def test_overflowing_closed_form_is_inf(self, name, y, mu):
+        # a deviance past the largest float is +inf, as a float and in an array, with no warning
+        fam = get_family(name)
+        assert edm_deviance(fam, y, mu) == math.inf
+        values = edm_deviance(fam, np.array([y, 1.0]), np.array([mu, 2.0]))
+        assert values.tolist() == [math.inf, edm_deviance(fam, 1.0, 2.0)]
+        assert tweedie_deviance(0.0, 5e-324, 1e300) == math.inf  # the normal closed form at p = 0
 
     @pytest.mark.parametrize("y, mu", [(1e200, 2e200), (2e200, 1e200), (1e-200, 3e-200), (0.3, 1.7)])
     def test_inverse_gaussian_deviance_in_units_of_mu(self, y, mu):

@@ -151,7 +151,7 @@ LEAKS = [
     (unit_variance, (DEVIANCES["gamma"], 1e-300)),
     (second_derivative_identity, (DEVIANCES["gamma"], 1e300)),
     (VarianceFunction.__call__, (VARIANCE_FUNCTIONS["gamma"], 1e-300)),
-    (tweedie.tweedie_deviance, (0.0, 5e-324, 1e300)),
+    (tweedie.tweedie_deviance, (3.0, 1e150, 1e-10)),
     (tweedie.tweedie_density, (1.0, 1e-8, 5e-324, 5e-324)),
     (tweedie.tweedie_density, (2.0, 1e8, 1e-300, 5e-324)),
     (tweedie.tweedie_density, (3.0, 5e-324, 1e-8, 5e-324)),

@@ -97,11 +97,29 @@ class TestDensity:
         values = [pdm_density(spec, float(y), mu, 0.7) for y in grid]
         assert abs(grid[int(np.argmax(values))] - mu) < (grid[1] - grid[0]) * 1.5
 
-    def test_normalizer_cache_reuse(self):
-        spec = get_pdm("vonmises")
+    def test_normalizer_cache_reuse(self, monkeypatch):
+        from dispmodels import pdm
+
+        calls = []
+        real = pdm.pdm_normalizer
+        monkeypatch.setattr(pdm, "pdm_normalizer", lambda *args: calls.append(args[2]) or real(*args))
+        spec = replace(get_pdm("vonmises"))  # a fresh memo
         first = spec.normalizer(0.7)
         assert spec.normalizer(0.7) == first
-        assert 0.7 in spec._cache
+        assert calls == [0.7]
+
+    def test_normalizer_memo_is_bounded(self, monkeypatch):
+        from dispmodels import pdm
+
+        calls = []
+        monkeypatch.setattr(pdm, "pdm_normalizer", lambda d, b, tau, mu: calls.append(tau) or tau)
+        spec = replace(get_pdm("simplex"))
+        taus = [0.1 * k for k in range(1, 31)]
+        assert [spec.normalizer(tau) for tau in taus * 2] == taus * 2
+        assert calls == taus  # 30 tau are held at once
+        for k in range(1000):
+            spec.normalizer(1.0 + k)
+        assert spec.normalizer.cache_info().currsize < 1000
 
     @pytest.mark.parametrize("name", ["vonmises", "simplex", "normal", "gamma"])
     def test_one_spec_per_name(self, name):
@@ -183,7 +201,7 @@ class TestYokes:
 
     def test_cosine_yoke_passes(self):
         yoke = YokeSpec(
-            fn=lambda y, th: math.cos(y - th), domain=RealInterval(0, 2 * math.pi), name="cos"
+            fn=lambda y, th: np.cos(y - th), domain=RealInterval(0, 2 * math.pi), name="cos"
         )
         report = check_yokable(yoke, np.linspace(0.5, 5.5, 6))
         assert report.yokable
@@ -197,7 +215,7 @@ class TestYokes:
 
     def test_double_maximizer_fails_uniqueness(self):
         yoke = YokeSpec(
-            fn=lambda y, th: -min(abs(y - th), abs(y - th - 1.0)),
+            fn=lambda y, th: -np.minimum(abs(y - th), abs(y - th - 1.0)),
             domain=RealInterval(),
             name="double",
         )
@@ -215,7 +233,7 @@ class TestYokes:
 
     def test_yoke_to_deviance_cosine_recovers_von_mises(self):
         dev = yoke_to_deviance(
-            YokeSpec(fn=lambda y, th: math.cos(y - th), domain=RealInterval(0, 2 * math.pi), name="cos")
+            YokeSpec(fn=lambda y, th: np.cos(y - th), domain=RealInterval(0, 2 * math.pi), name="cos")
         )
         for y, mu in [(2.0, 1.0), (4.0, 2.5)]:
             assert dev(y, mu) == pytest.approx(2.0 * (1.0 - math.cos(y - mu)), abs=1e-6)
@@ -237,7 +255,7 @@ class TestYokes:
         with pytest.raises(DomainError):
             yoke_to_deviance(
                 YokeSpec(
-                    fn=lambda y, th: -min(abs(y - th), abs(y - th - 1.0)),
+                    fn=lambda y, th: -np.minimum(abs(y - th), abs(y - th - 1.0)),
                     domain=RealInterval(),
                     name="double",
                 )
@@ -299,7 +317,7 @@ class TestTransformationModels:
     def test_rotation_group_von_mises(self):
         spec = transformation_pdm(
             lambda g, y: (g + y) % (2 * math.pi),
-            math.cos,
+            np.cos,
             lambda y: 1.0,
             RealInterval(0, 2 * math.pi),
             name="vm-rotation",
