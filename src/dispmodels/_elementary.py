@@ -156,6 +156,9 @@ def _closed_form(p: float, scale, scale_x, log_ratio):
     elif type(log_ratio) is float:
         product = scale * math.exp((2.0 - p) * log_ratio) * (math.expm1((p - 1.0) * log_ratio) / (p - 1.0))
     else:  # an ndarray, each entry in the product for its side of the mean
+        # at y = 0 the product is (scale + scale_x) expm1(0) = 0 from L = 0, not from exp of (2 - p) log 0,
+        # which takes a slow path
+        log_ratio = np.where(log_ratio > _LOG_ZERO, log_ratio, 0.0)
         below = log_ratio < 0.0
         a = np.where(below, p - 1.0, 1.0 - p)
         factor = np.where(below, scale * np.exp((2.0 - p) * log_ratio), scale + scale_x)

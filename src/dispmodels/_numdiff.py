@@ -18,10 +18,9 @@ is called once on all stencil points of every entry, and a float runs as a
 0-d array and returns a float.  ``_bracketed_newton`` runs floats and
 ndarrays alike, one call of ``fn`` per iteration.
 
-``_quad`` is the one call of ``quad`` outside the Tweedie Fourier inversion: an
-interval whose ends lie on one side of 0 and more than two decades apart
-gets a breakpoint per decade, so adaptive bisection cannot miss mass that
-sits near its small end.  Both import ``scipy.integrate`` (which loads
+``_quad`` is the one call of ``quad``: an interval whose ends lie on one
+side of 0 and more than two decades apart gets a breakpoint per decade, so
+adaptive bisection cannot miss mass that sits near its small end.  Both import ``scipy.integrate`` (which loads
 ``scipy.optimize`` and ``scipy.special``) on their first call, so fits,
 deviances and the closed-form densities never load it.  No module of the
 package imports scipy when it loads: ``scipy.special`` comes with the first

@@ -473,8 +473,9 @@ def _inverse_gaussian_family() -> EdmFamily:
         - 1.5 * math.log(y),
         dc_dtau=lambda y, tau: 0.5 / (tau**2 * y) - 0.5 / tau,
         mean_inverse=lambda mu: -0.5 / mu**2,
-        # in units of mu, so that (y - mu)^2 cannot overflow where d is finite
-        deviance_closed_form=lambda y, mu: ((y - mu) / mu) ** 2 / y,
+        # x (x/y) with x = y/mu - 1 in units of mu, so that neither (y - mu)^2 nor x^2 overflows
+        # where d is finite
+        deviance_closed_form=lambda y, mu: (x := (y - mu) / mu) * (x / y),
         tau_mle_closed_form=lambda y, deviance, n: deviance / n,
     )
 

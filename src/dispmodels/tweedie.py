@@ -15,9 +15,17 @@ p > 2.  Otherwise c is the log density at y of the member with mean y, minus
 its theta-part: a Poisson mixture of gamma densities over the jump counts
 within 10 sqrt(lambda) + 10 of the rate lambda for 1 < p < 2 (Dunn & Smyth
 2005), and the inversion of the cf exp K(it) for p > 2 (Dunn & Smyth 2008).
-The cdf is the normal, Poisson and gamma cdf at p = 0, 1 and 2, the same
-Poisson-gamma sum over incomplete gammas for 1 < p < 2, and Gil-Pelaez
-inversion of the cf for p > 2.
+The cdf is the normal, Poisson, gamma and inverse Gaussian cdf at p = 0, 1, 2
+and 3, the same Poisson-gamma sum over incomplete gammas for 1 < p < 2, and
+Gil-Pelaez inversion of the cf for the other p > 2.
+
+Both inversions are one fixed-node rule that calls the cf on arrays, all the
+rows of a cdf together (``_fourier_inversion``): Gauss-Legendre panels on the
+centred cf up to ``_S_SPLIT`` sd^-1, then panels between the zeros of the
+oscillating factor e^(-isy/sd), whose partial sums Sidi's mW transformation
+extrapolates (Sidi 1988, Math. Comp. 51:249; the W-algorithm in closed form,
+as the zeros are equally spaced), in the manner of Dunn & Smyth (2008, Stat.
+Comput. 18:73).
 
 ``_validate_p`` decides the switch windows, once: within ``P_SWITCH`` of 1 or 2
 it returns 1.0 or 2.0, and every formula branches on ``p == 1.0`` or ``p == 2.0``.
@@ -29,9 +37,8 @@ float or an ndarray, so Tweedie families run on the array path of IRLS.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,11 +69,12 @@ P_SWITCH = 1e-6
 
 _SERIES_MAX_TERMS = 10**5
 _CDF_BLOCK = 2**20  # 1 < p < 2 cdf: entries of one rows-by-jump-counts block of gammainc
-# p > 2 inversion: QAWF from t = 8/sigma (a Gaussian cf is below e^-32 there); QUADPACK tolerance
-_S_SPLIT, _QUAD_EPS = 8.0, 1e-12
-# QAWF frequencies y/sigma tried: QUADPACK crashes from about 1e-126 down, and from the 2.2e307 where
-# frequency * _S_SPLIT overflows
-_W_MIN, _W_MAX = 1e-50, 1e300
+# p > 2 inversion: Gauss-Legendre panels of _GL_NODES nodes, _HEAD_PANELS of them or more on [0, _S_SPLIT]
+# (a Gaussian cf is below e^-32 past it), then _BATCH >= _WINDOW + 3 half-periods a cf call, extrapolated over
+# _WINDOW partial sums until four extrapolants agree to _AGREE of the gate; _MAX_PANELS panels a row at most
+_S_SPLIT, _GL_NODES, _HEAD_PANELS, _BATCH, _WINDOW, _AGREE, _MAX_PANELS = 8.0, 16, 8, 32, 12, 1e-3, 1024
+_INVERSION_ROWS = 64  # p > 2 cdf: rows inverted together
+_MW_SIGNS = np.array([(-1.0) ** k * math.comb(_WINDOW - 1, k) for k in range(_WINDOW)])  # (-1)^l C(11, l)
 
 
 def _validate_p(p: float) -> float:
@@ -281,52 +289,183 @@ def _log_v_series(p: float, y: float, tau: float) -> Optional[float]:
     return log_max + math.log(total) if total > 1e-8 * gross else None
 
 
-def _fourier_inversion(p: float, y: float, mu: float, tau: float, cdf: bool, tol: float) -> float:
-    """``integral_0^inf Re[h(s) phi(s) e^(-isy/sigma)] ds``, h = 1 (density) or i/s (cdf).
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``_GL_NODES``-point Gauss-Legendre rule on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    nodes.flags.writeable = weights.flags.writeable = False  # every caller gets these arrays
+    return nodes, weights
 
-    ``phi(s) = exp K(is/sigma)`` is the cf of the p > 2 Tweedie of mean mu in units of its
-    sd sigma; ``K(s) = [b_p(theta + tau s) - b_p(theta)]/tau`` is ``b_p(theta)/tau`` times
-    expm1(alpha log(1 + iv)), v = tau t/theta, alpha = (p-2)/(p-1), so nothing cancels at small t or
-    p ~ 2.  Below ``_S_SPLIT`` the cf centred at mu, phi_c, varies on the scale of 1 and
-    ``e^(-is(y-mu)/sigma)`` is the QAWO weight (the cdf's i phi_c/s is i(phi_c - 1)/s, 0 at s = 0,
-    plus i/s, which integrates to the sine integral Si); above it ``h phi`` varies slowly or has
-    decayed and ``e^(-isy/sigma)`` is the QAWF weight.  Raises ``NumericalError`` when the
-    summed error estimate exceeds ``tol`` (relative for the density, absolute for the cdf).
+
+def _gauss_legendre_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, shape ``(..., k, _GL_NODES)``, on the k panels between the last axis of ``edges``."""
+    nodes, weights = _gauss_legendre()
+    width = np.diff(edges)[..., None]
+    return edges[..., :-1, None] + width * nodes, width * weights
+
+
+def _log_cf(s: np.ndarray, alpha: float, scale: float, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of ``K(is/sigma) = [b_p(theta + i tau s/sigma) - b_p(theta)]/tau =
+    scale [(1 + iv)^alpha - 1]`` for an ndarray of s: scale = b_p(theta)/tau, alpha = (p-2)/(p-1) and
+    ``v = c s``, c = tau/(sigma theta), so that tau s cannot overflow where v is finite.  With
+    e = expm1(alpha log|1 + iv|) and the angle t = alpha atan v, the real part is ``scale [e - 2
+    sin^2(t/2) (1 + e)]``, so that nothing cancels at small v or p ~ 2."""
+    v = s * c
+    e = np.expm1((0.5 * alpha) * np.log1p(v * v))
+    half_angle = (0.5 * alpha) * np.arctan(v)
+    sine = np.sin(half_angle)
+    q = (2.0 * scale) * sine * (1.0 + e)
+    return scale * e - sine * q, np.cos(half_angle) * q
+
+
+@functools.lru_cache(maxsize=128)
+def _head_rule(end: float, graded: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [0, end] and two rows of weights: Gauss-Legendre on ``_HEAD_PANELS`` equal panels,
+    the first halved ``graded`` times towards 0, and the same with every panel halved."""
+    width = end / _HEAD_PANELS
+    edges = np.concatenate([[0.0], width * 0.5 ** np.arange(graded, 0, -1),
+                            width * np.arange(1, _HEAD_PANELS + 1)])
+    (s, w), (s_fine, w_fine) = (_gauss_legendre_panels(e) for e in (
+        edges, np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))))
+    rules = np.zeros((2, s.size + s_fine.size))
+    rules[0, :s.size], rules[1, s.size:] = w.ravel(), w_fine.ravel()
+    s = np.concatenate([s.ravel(), s_fine.ravel()])
+    s.flags.writeable = rules.flags.writeable = False  # every caller gets these arrays
+    return s, rules
+
+
+def _mw_extrapolants(F: np.ndarray, psi: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Sidi's mW transformation of the partial sums ``F`` at the zeros ``k h``, k = n, n + 1, ..., given
+    the panel integrals ``psi`` that follow them, from each window of ``_WINDOW`` along the last axis.
+    With equally spaced zeros the W-algorithm's divided differences in 1/x have the closed form
+    ``W = sum_l w_l F_l/psi_l / sum_l w_l/psi_l``, ``w_l = (-1)^l C(_WINDOW - 1, l) (1 + l/k)^(_WINDOW
+    - 2)`` for the window from zero k."""
+    starts, offsets = np.arange(F.shape[-1] - _WINDOW + 1)[:, None], np.arange(_WINDOW)
+    w = _MW_SIGNS * (1.0 + offsets / (n[:, None, None] + starts)) ** (_WINDOW - 2)
+    return (w * (F / psi)[:, starts + offsets]).sum(axis=-1) / (w / psi[:, starts + offsets]).sum(axis=-1)
+
+
+def _fourier_inversion(p: float, y, mu: float, tau: float, cdf: bool, tol: float):
+    """``integral_0^inf Re[h(s) phi(s) e^(-isy/sigma)] ds``, h = 1 (density) or i/s (cdf), at each y.
+
+    ``phi(s) = exp K(is/sigma)`` is the cf of the p > 2 Tweedie of mean mu in units of its sd sigma
+    (:func:`_log_cf`); ``y`` is a float or an ndarray of rows, and so is the result.  The rule
+    (Dunn & Smyth 2008) has fixed Gauss-Legendre nodes and calls the cf on arrays:
+
+    - the head, from 0 to ``_S_SPLIT`` (or to ``_HEAD_PANELS`` half-periods of the fastest row,
+      if sooner), integrates the cf centred at mu, phi_c, times ``e^(-is(y-mu)/sigma)`` (the cdf's
+      i phi_c/s as i(phi_c - 1)/s, 0 at s = 0, plus i/s, which integrates to the sine integral
+      Si) by :func:`_head_rule`, graded down to the branch point of the cf at s = i/|v/s|; the
+      change from its coarse to its fine rule is its error estimate;
+    - the tail runs from there to the first zero ``k pi/omega`` of ``e^(-i omega s)``, omega =
+      y/sigma, on panels that at most double in width, then between the zeros, ``_BATCH`` of them
+      for every row in one cf call.  Sidi's mW extrapolates the partial sums at the zeros
+      (:func:`_mw_extrapolants`); the spread of its last four extrapolants is the error estimate,
+      or the last two panels where they are smaller (the cf has decayed).
+
+    A row stops once its estimate is below ``_AGREE`` times its gate, ``tol`` relative for the
+    density and absolute for the cdf.  Raises ``NumericalError`` on a non-finite cf value, past
+    ``_MAX_PANELS`` panels a row, or where the summed estimates exceed the gate.
     """
-    from scipy.integrate import IntegrationWarning, quad
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
 
-    theta, alpha, sigma = _inverse_mean(p, mu), (p - 2.0) / (p - 1.0), math.sqrt(tau * mu**p)
-    frequency = y / sigma if sigma else math.inf  # of the QAWF weight
-    if not _W_MIN < frequency < _W_MAX:
-        raise NumericalError(f"Tweedie inversion at (p={p}, y={y}, mu={mu}, tau={tau}) needs a QAWF "
-                             f"weight of frequency y/sd = {frequency:.3g}, outside ({_W_MIN:g}, {_W_MAX:g})")
-    scale = _generator(p, theta) / tau
+    def refusal(reason):  # names the point; built only to refuse
+        rows = f"{ys[0].item()!r}" + ("" if ys.size == 1 else f" to {ys[-1].item()!r} ({ys.size} rows)")
+        return NumericalError(f"Tweedie inversion at (p={p}, y={rows}, mu={mu}, tau={tau}) {reason}")
 
-    def phi(s, shift):  # exp(K(is/sigma) - i shift s)
-        v = tau * s / (sigma * theta)
-        a, c = 0.5 * alpha * math.log1p(v * v), alpha * math.atan(v)
-        z = cmath.exp(scale * complex(math.expm1(a) * math.cos(c) - 2.0 * math.sin(0.5 * c) ** 2,
-                                      math.exp(a) * math.sin(c)) - 1j * shift * s)
-        if z - z == 0.0:  # QAWF crashes the interpreter on an integrand value that is nan or inf
-            return z
-        raise NumericalError(f"Tweedie inversion at (p={p}, y={y}, mu={mu}, tau={tau}) meets the cf "
-                             f"value {z} at s={s}")
+    theta, alpha = _inverse_mean(p, mu), (p - 2.0) / (p - 1.0)
+    nodes, weights = _gauss_legendre()
+    sigma = math.sqrt(tau * mu**p)
+    with np.errstate(all="ignore"):
+        omega, omega_c = ys / sigma, (ys - mu) / sigma
+        half = np.pi / omega  # of e^(-i omega s)
+        bad = ~np.isfinite(half + omega_c)
+        if bad.any():
+            raise refusal(f"needs the half-period pi/(y/sd) at y/sd = {omega[bad][0]:.3g}")
+        scale, c, shift = _generator(p, theta) / tau, tau / (sigma * theta), mu / sigma
+        if not (math.isfinite(scale) and math.isfinite(c) and c and math.isfinite(shift)):
+            raise refusal(f"has a cf scale {scale:.3g}, v/s = {c:.3g} or mu/sd = {shift:.3g} that is not finite "
+                          "and nonzero")
+        fastest = float(np.abs(omega_c).max())
+        end = _S_SPLIT if fastest * _S_SPLIT <= _HEAD_PANELS * math.pi else _HEAD_PANELS * math.pi / fastest
+        graded = math.ceil(math.log2(max(end / _HEAD_PANELS * abs(c), 1.0)))
+        first = np.floor(end / half) + 1.0  # the first zero past the head is first * half
+        ratio = first * half / end
+        lead = max(1, math.ceil(math.log2(float(ratio.max()))))  # panels at most doubling
+        budget = _MAX_PANELS - 3 * (graded + _HEAD_PANELS) - lead
+        if budget < _BATCH:
+            raise refusal(f"needs more than {_MAX_PANELS} Gauss-Legendre panels a row")
 
-    h = (lambda s: 1j / s) if cdf else (lambda s: 1.0)
-    head = (lambda s: h(s) * (phi(s, mu / sigma) - cdf) if s or not cdf else 0j)
-    total, error = (el.special.sici((y - mu) / sigma * _S_SPLIT)[0] if cdf else 0.0), 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for fn, lower, upper, w in ((head, 0.0, _S_SPLIT, (y - mu) / sigma),
-                                    (lambda s: h(s) * phi(s, 0.0), _S_SPLIT, np.inf, frequency)):
-            for part, kind in (("real", "cos"), ("imag", "sin")):
-                value, err = quad(lambda s: getattr(fn(s), part), lower, upper, weight=kind, wvar=w,
-                                  epsabs=_QUAD_EPS, epsrel=_QUAD_EPS, limit=200, limlst=100)
-                total, error = total + value, error + err
-    if not error <= tol * (1.0 if cdf else abs(total)):  # also catches a nan estimate
-        raise NumericalError(f"Tweedie inversion at (p={p}, y={y}, mu={mu}, tau={tau}) gives "
-                             f"{total:.6g}, error estimate {error:.3g}, beyond its gate {tol:.3g}")
-    return total
+        def log_cf(s):  # exp Re K and Im K at is/sigma, checked
+            re, im = _log_cf(s, alpha, scale, c)
+            if not np.isfinite(re + im).all():
+                raise refusal("meets a non-finite cf value")
+            return np.exp(re), im
+
+        def integrand(s, amplitude, im, frequency):  # Re[h(s) phi(s) e^(-i frequency s)]
+            angle = im - frequency * s
+            return -amplitude * np.sin(angle) / s if cdf else amplitude * np.cos(angle)
+
+        def panel_nodes(batch, rows):  # on the batch's panels between zeros
+            zeros = (first[rows, None] + np.arange(batch * _BATCH, (batch + 1) * _BATCH)) * half[rows, None]
+            return zeros[..., None] + half[rows, None, None] * nodes
+
+        # one cf call for the head, the lead to the first zero and the first batch of panels
+        head_s, rules = _head_rule(end, graded)
+        lead_s, lead_w = _gauss_legendre_panels(
+            end * ratio[:, None] ** (np.arange(lead + 1) / lead))
+        rows = np.arange(ys.size)
+        s = panel_nodes(0, rows)
+        amplitude, im = log_cf(np.concatenate([head_s, lead_s.ravel(), s.ravel()]))
+        head, lead_end = slice(head_s.size), head_s.size + lead_s.size
+        angle = im[head] - shift * head_s
+        g = amplitude[head] * np.cos(angle) - cdf, amplitude[head] * np.sin(angle)
+        if cdf:  # times i/s
+            g = -g[1] / head_s, g[0] / head_s
+        if fastest:  # each row's e^(-i omega_c s), outside the cf
+            angle = np.outer(omega_c, head_s)
+            coarse, fine = (np.cos(angle) @ (rules * g[0]).T + np.sin(angle) @ (rules * g[1]).T).T
+        else:  # every row at the mean, as for a density
+            coarse, fine = np.repeat(rules @ g[0], ys.size).reshape(2, -1)
+        head_error = np.abs(fine - coarse)
+        total = fine + (integrand(lead_s, amplitude[head_s.size:lead_end].reshape(lead_s.shape),
+                                  im[head_s.size:lead_end].reshape(lead_s.shape), omega[:, None, None])
+                        * lead_w).sum(axis=(1, 2))
+        if cdf:
+            total += el.special.sici(omega_c * end)[0]
+        values = integrand(s, amplitude[lead_end:].reshape(s.shape), im[lead_end:].reshape(s.shape),
+                           omega[:, None, None])
+
+        # the panels between the zeros, a batch at a time for the rows not done; each batch holds the
+        # _WINDOW + 3 partial sums of the last four extrapolants
+        result, error = np.empty_like(ys), np.empty_like(ys)
+        for batch in range(budget // _BATCH):
+            if batch:
+                s = panel_nodes(batch, rows)
+                values = integrand(s, *log_cf(s), omega[rows, None, None])
+            panels = values @ weights * half[rows, None]
+            partial = total[rows, None] + np.cumsum(panels, axis=1) - panels  # at each zero
+            total[rows] = partial[:, -1] + panels[:, -1]
+            extrapolants = _mw_extrapolants(partial[:, -_WINDOW - 3:], panels[:, -_WINDOW - 3:],
+                                            first[rows] + (batch + 1) * _BATCH - _WINDOW - 3)
+            spread = extrapolants.max(axis=1) - extrapolants.min(axis=1)
+            plain = np.abs(panels[:, -2:]).sum(axis=1)
+            extrapolated = spread < plain  # else the cf has decayed, and the sum itself is best
+            estimate = np.where(extrapolated, extrapolants[:, -1], total[rows])
+            spread = np.where(extrapolated, spread, plain)
+            done = spread <= _AGREE * (tol if cdf else tol * np.abs(estimate))
+            result[rows[done]], error[rows[done]] = estimate[done], spread[done] + head_error[rows[done]]
+            rows = rows[~done]
+            if not rows.size:
+                break
+        else:
+            raise refusal(f"spends its {_MAX_PANELS} panels a row before the W-algorithm settles")
+    if not (error <= tol * (1.0 if cdf else np.abs(result))).all():  # also catches a nan estimate
+        worst = int(np.argmax(error))
+        raise refusal(f"gives {result[worst]:.6g} at y={ys[worst]:g}, error estimate {error[worst]:.3g}, "
+                      f"beyond its gate {tol:.3g}")
+    return result if np.ndim(y) else float(result[0])
 
 
 def _log_normalizer(p: float, y: float, tau: float) -> float:
@@ -387,6 +526,13 @@ def _closed_form_cdf(p: float, ys: np.ndarray, mu: float, tau: float) -> np.ndar
         return el.special.pdtr(np.floor((ys + 1e-12) / tau), mu / tau)
     if p == 2.0:
         return el.special.gammainc(1.0 / tau, np.maximum(ys, 0.0) / tau / mu)
+    if p == 3.0:  # the second term from logs, where e^(2/(tau mu)) alone would overflow
+        ys = np.maximum(ys, 0.0)
+        root = math.sqrt(tau) * np.sqrt(ys)
+        # y = 0 divides by a root of 0 (the limit 0); inf - inf where 2/(tau mu) overflows is nan, refused
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.minimum(el.special.ndtr((ys / mu - 1.0) / root) + np.exp(
+                2.0 / (tau * mu) + el.special.log_ndtr(-(ys / mu + 1.0) / root)), 1.0)
     n, log_w, shape, scale = _poisson_gamma_terms(p, mu, tau)
     values = np.where(ys < 0.0, 0.0, tweedie_zero_mass(p, mu, tau))
     block = max(1, _CDF_BLOCK // len(n))
@@ -398,13 +544,15 @@ def _closed_form_cdf(p: float, ys: np.ndarray, mu: float, tau: float) -> np.ndar
 
 @refuses_numerical_failure
 def tweedie_cdf(p: float, y, mu: float, tau: float):
-    """Distribution function: closed forms for 0 <= p <= 2, Gil-Pelaez inversion for p > 2.
+    """Distribution function: closed forms for 0 <= p <= 2 and p = 3, Gil-Pelaez inversion otherwise.
 
     ``ndtr`` at p = 0, ``pdtr(floor(y/tau), mu/tau)`` at p = 1, ``gammainc(1/tau, y/(tau mu))``
     at p = 2, and for 1 < p < 2 the zero atom plus ``sum_n w_n gammainc(n shape, y/scale)``
-    over the jump counts (Poisson weights w_n, jumps gamma(shape, scale)).  For p > 2 (p = 3 included) each point is one inversion ``F(y) = 1/2 - (1/pi)
-    integral_0^inf Im[e^(-ity) phi(t)]/t dt`` of the cf.  ``y`` may be an ascending ndarray, such
-    as the rows of a table; an ndarray is then returned.
+    over the jump counts (Poisson weights w_n, jumps gamma(shape, scale)).  At p = 3 it is the
+    inverse Gaussian ``Phi((y/mu - 1)/sqrt(tau y)) + e^(2/(tau mu)) Phi(-(y/mu + 1)/sqrt(tau y))``.
+    For the other p > 2 the rows within the Chernoff bounds are inverted together, ``F(y) = 1/2 -
+    (1/pi) integral_0^inf Im[e^(-ity) phi(t)]/t dt`` (:func:`_fourier_inversion`).  ``y`` may be an
+    ascending ndarray, such as the rows of a table; an ndarray is then returned.
     """
     p = _validate_p(p)
     if p < 0.0:
@@ -414,15 +562,22 @@ def tweedie_cdf(p: float, y, mu: float, tau: float):
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     if np.isnan(ys).any() or np.any(np.diff(ys) < 0.0):
         raise DomainError("tweedie_cdf needs y in ascending order")
-    if p <= 2.0:
+    if p <= 2.0 or p == 3.0:
         with np.errstate(over="ignore"):  # an argument overflowing to +-inf gives the limit 0 or 1
             values = _closed_form_cdf(p, ys, mu, tau)
     else:  # dt/t = ds/s; Re[(i/s) z] = -Im z/s
-        # below the mean the Chernoff bound F(y) <= exp(-d(y; mu)/(2 tau)) puts F under e^-40
-        values = np.array([0.0 if yi <= 0.0 or (yi < mu and _deviance(p, yi, mu) > 80.0 * tau)
-                           else min(max(0.5 + _fourier_inversion(
-                               p, yi, mu, tau, True, 1e-9 * math.pi) / math.pi, 0.0), 1.0)
-                           for yi in ys.tolist()])
+        # the Chernoff bounds F(y) <= exp(-d(y; mu)/(2 tau)) below the mean and 1 - F(y) <= the same
+        # above it put F within e^-40 of 0 or 1 where d > 80 tau; above the mean only at a finite y/sd,
+        # else the inversion refuses the row, as it refuses such a density
+        values, positive, cut = (ys > mu).astype(float), ys > 0.0, ys <= 0.0
+        with np.errstate(all="ignore"):
+            finite = (ys < mu) | (ys / math.sqrt(tau * mu**p) < math.inf)
+        cut[positive] = (_deviance(p, ys[positive], mu) > 80.0 * tau) & finite[positive]
+        inside = np.flatnonzero(~cut)
+        for start in range(0, inside.size, _INVERSION_ROWS):
+            rows = inside[start:start + _INVERSION_ROWS]
+            integral = _fourier_inversion(p, ys[rows], mu, tau, True, 1e-9 * math.pi)
+            values[rows] = np.clip(0.5 + integral / math.pi, 0.0, 1.0)
     return float(values[0]) if np.ndim(y) == 0 else values
 
 

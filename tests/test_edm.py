@@ -202,12 +202,16 @@ class TestDeviance:
         assert values.tolist() == [math.inf, edm_deviance(fam, 1.0, 2.0)]
         assert tweedie_deviance(0.0, 5e-324, 1e300) == math.inf  # the normal closed form at p = 0
 
-    @pytest.mark.parametrize("y, mu", [(1e200, 2e200), (2e200, 1e200), (1e-200, 3e-200), (0.3, 1.7)])
+    @pytest.mark.parametrize("y, mu", [(1e200, 2e200), (2e200, 1e200), (1e-200, 3e-200), (0.3, 1.7),
+                                       (1e150, 1e-10)])
     def test_inverse_gaussian_deviance_in_units_of_mu(self, y, mu):
-        # (y - mu)^2 / (mu^2 y) overflowed at (1e200, 2e200), where d = 2.5e-201 is finite
+        # (y - mu)^2 / (mu^2 y) overflowed at (1e200, 2e200), where d = 2.5e-201 is finite, and
+        # ((y - mu)/mu)^2 at (1e150, 1e-10), where d = 1e170
         with mpmath.workdps(50):
             exact = float((mpmath.mpf(y) - mu) ** 2 / (mpmath.mpf(mu) ** 2 * y))
-        assert edm_deviance(get_family("inverse_gaussian"), y, mu) == pytest.approx(exact, rel=1e-15)
+        fam = get_family("inverse_gaussian")
+        assert edm_deviance(fam, y, mu) == pytest.approx(exact, rel=1e-15)
+        assert edm_deviance(fam, np.array([y]), np.array([mu]))[0] == pytest.approx(exact, rel=1e-15)
         assert tweedie_deviance(3.0, y, mu) == pytest.approx(exact, rel=1e-15)
 
     @pytest.mark.parametrize("name", ["normal", "gamma", "poisson", "inverse_gaussian"])

@@ -99,12 +99,28 @@ def test_cli_special_function_loads_scipy_special_on_first_call(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["tweedie", "--p", "3", "--mu", "1", "--tau", "1", "--y-min", "0.5", "--y-max", "3", "--y-step", "0.5"],
     ["pdm", "--model", "simplex", "--mu", "0.3", "--tau", "0.5", "--y", "0.4"],
 ], ids=lambda argv: argv[0])
 def test_cli_with_quadrature_loads_scipy_integrate(argv):
     # the probe sees a deferred import once a quadrature runs
     assert _loaded(("scipy.integrate",), *argv) == "['scipy.integrate']"
+
+
+@pytest.mark.parametrize("p", ["2.5", "3"])
+def test_cli_tweedie_above_two_leaves_scipy_integrate_unloaded(p):
+    # the p > 2 table: series and inverted densities, an inverted or (p = 3) closed-form cdf
+    argv = ["tweedie", "--p", p, "--mu", "1", "--tau", "1", "--y-min", "0.5", "--y-max", "3", "--y-step", "0.5"]
+    assert _loaded(("scipy.integrate",), *argv) == "[]"
+
+
+def test_p_above_two_inversion_leaves_scipy_integrate_unloaded():
+    # (2.5, 0.12, 1, 0.25) is a point where the series cancels, so the density is inverted
+    code = (
+        "import sys; from dispmodels.tweedie import tweedie_cdf, tweedie_density; "
+        "tweedie_density(2.5, 0.12, 1.0, 0.25); tweedie_cdf(3.5, 1.0, 0.7, 0.25); "
+        "print('scipy.integrate' in sys.modules)"
+    )
+    assert _fresh("-c", code).strip() == "False"
 
 
 # each is the first quadrature, sampler or special-function call of its interpreter

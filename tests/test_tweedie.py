@@ -1,12 +1,14 @@
 """Tweedie power-variance families: generator, deviance, series and cf-inversion densities, cdfs."""
 
 import math
+import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import mpmath
@@ -15,7 +17,7 @@ import pytest
 from scipy.integrate import quad
 
 from dispmodels import _elementary as el
-from dispmodels import edm
+from dispmodels import edm, tweedie
 from dispmodels.errors import DomainError, NumericalError
 from dispmodels.tweedie import (
     _fourier_inversion,
@@ -34,6 +36,7 @@ from dispmodels.tweedie import (
     tweedie_mean,
     tweedie_zero_mass,
 )
+from quadosc_oracle import quadosc_inversion
 
 
 @contextmanager
@@ -359,7 +362,7 @@ class TestDensity:
 
     def test_unresolved_inversion_raises(self):
         # coefficient of variation 100 next to p = 2: the cf decays like
-        # t^(-1/tau), and QUADPACK's estimate cannot meet the gate
+        # t^(-1/tau), and the extrapolants do not settle within the panel budget
         with pytest.raises(NumericalError):
             _density_by_inversion(2.0001, 1.0, 1.0, 1e4)
 
@@ -435,6 +438,9 @@ class TestCdf:
             tau = float(np.exp(rng.uniform(np.log(0.02), np.log(3.0))))
             assert tweedie_cdf(3.0, y, mu, tau) == pytest.approx(
                 invgauss.cdf(y, mu * tau, scale=1.0 / tau), abs=1e-9)
+        for y, mu, tau in [(1e-6, 1.0, 1e8), (1e-8, 1.0, 1e9)]:  # y/sd 1e-10 and 3e-13
+            assert tweedie_cdf(3.0, y, mu, tau) == pytest.approx(
+                invgauss.cdf(y, mu * tau, scale=1.0 / tau), abs=1e-9)
 
     @pytest.mark.parametrize("p, y, mu, tau", [
         (2.5, 1.0, 1.2, 1.0), (3.5, 0.5, 0.7, 0.25), (4.5, 2.0, 1.5, 0.5), (2.2, 0.3, 0.4, 1.5),
@@ -504,7 +510,8 @@ class TestCdf:
 
     @staticmethod
     def _refused_in_child(call: str) -> bool:
-        # QUADPACK's QAWF crashes the interpreter at some frequencies, so run the call in a child process
+        # a crash in native code on these extreme inputs would end the whole session, so run the call in a
+        # child process
         src = os.path.dirname(os.path.dirname(edm.__file__))
         code = ("from dispmodels.errors import NumericalError\n"
                 "from dispmodels.tweedie import tweedie_cdf\n"
@@ -522,13 +529,19 @@ class TestCdf:
         # y/sd = 1e300/1e-160 overflows to inf
         assert self._refused_in_child("tweedie_cdf(2.5, 1e300, 1e-8, 1e-300)")
 
-    def test_inversion_at_a_frequency_past_its_window_is_refused(self):
-        # y/sd = 1e308: QAWF's frequency times its lower limit overflows
-        assert self._refused_in_child("tweedie_cdf(3.0, 1e300, 1e-8, 1e8)")
-
-    def test_inversion_meeting_a_non_finite_cf_value_is_refused(self):
-        # tau s overflows in the cf, and QAWF crashed on the nan or inf integrand value
-        assert self._refused_in_child("tweedie_cdf(3.0, 3.1766208830039273e+95, 0.5, 2.3832323996681687e+283)")
+    @pytest.mark.parametrize("y, mu, tau", [
+        (1e300, 1e-8, 1e8),  # y/sd = 1e308
+        (3.1766208830039273e+95, 0.5, 2.3832323996681687e+283),  # tau y overflows
+        (1e-6, 1.0, 1e8), (1.7e308, 1e150, 10.0),
+    ])
+    def test_inverse_gaussian_cdf_at_extreme_points_matches_mpmath(self, y, mu, tau):
+        # the closed form Phi(a) + e^(2/(tau mu)) Phi(b), a, b = (+-y/mu - 1)/sqrt(tau y), at 50 digits
+        with mpmath.workdps(50):
+            y_, mu_, tau_ = map(mpmath.mpf, (y, mu, tau))
+            root = mpmath.sqrt(tau_ * y_)
+            exact = mpmath.ncdf((y_ / mu_ - 1) / root) + mpmath.exp(2 / (tau_ * mu_)) * mpmath.ncdf(
+                -(y_ / mu_ + 1) / root)
+        assert tweedie_cdf(3.0, y, mu, tau) == pytest.approx(float(exact), rel=1e-13, abs=1e-300)
 
     def test_nan_cdf_raises(self):
         # 1/tau overflows, and gammainc(inf, inf) is nan
@@ -554,6 +567,61 @@ class TestCdf:
             tweedie_cdf(math.nan, 1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             tweedie_family(math.nan)
+
+
+# the densities one benchmark pass inverts, two that take the most tail panels, and the cdf table rows
+_ORACLE_DENSITIES = [(2.5, 0.12, 0.12, 0.25), (2.5, 0.25, 0.25, 0.25), (3.5, 0.12, 0.12, 0.25),
+                     (3.5, 4.0, 4.0, 2.0), (3.5, 2.0, 2.0, 1.0)]
+_ORACLE_CDF_ROWS = np.arange(0.5, 3.25, 0.5)  # p = 2.5, mu = tau = 1
+
+
+@pytest.fixture(scope="module")
+def quadosc_values():
+    # about 2 s a point, so the points share two worker processes, which import only the oracle's module
+    points = [(*point, False) for point in _ORACLE_DENSITIES]
+    points += [(2.5, y, 1.0, 1.0, True) for y in _ORACLE_CDF_ROWS]
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return dict(zip(points, pool.map(quadosc_inversion, *zip(*points))))
+
+
+class TestInversionRule:
+    @pytest.mark.parametrize("p, y, mu, tau", _ORACLE_DENSITIES)
+    def test_density_integral_matches_quadosc(self, quadosc_values, p, y, mu, tau):
+        assert _fourier_inversion(p, y, mu, tau, False, 1e-8) == pytest.approx(
+            quadosc_values[p, y, mu, tau, False], rel=1e-10)
+
+    def test_cdf_rows_match_quadosc(self, quadosc_values):
+        expected = [0.5 + quadosc_values[2.5, y, 1.0, 1.0, True] / math.pi for y in _ORACLE_CDF_ROWS]
+        assert tweedie_cdf(2.5, _ORACLE_CDF_ROWS, 1.0, 1.0) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [6, 60])
+    def test_rows_share_their_cf_calls(self, monkeypatch, n):
+        # a table of n rows calls the cf no more often than its slowest row alone
+        calls = []
+        log_cf = tweedie._log_cf
+        monkeypatch.setattr(tweedie, "_log_cf", lambda *args: calls.append(1) or log_cf(*args))
+        ys = np.linspace(0.5, 3.0, n)
+        singles = []
+        for y in ys:
+            calls.clear()
+            tweedie_cdf(2.5, y, 1.0, 1.0)
+            singles.append(len(calls))
+        calls.clear()
+        tweedie_cdf(2.5, ys, 1.0, 1.0)
+        assert 0 < len(calls) <= max(singles)
+
+    def test_cdf_at_a_huge_dispersion(self):
+        # tau mu^(p - 2) = 3.2e11: the cf's branch point sits at s ~ 4e-7 and the half-period is 5.5e8.  The value
+        # is mpmath's at 30 and at 40 digits: quad on breakpoints 2^k/|v/s| up to the first zero, then quadosc
+        # (quadosc alone from 0 misses it by 6e-6)
+        assert tweedie_cdf(5.0, 2.4652994513118336, 759.6494828030459, 732.0693140434751) == pytest.approx(
+            0.97335985671755037681, abs=1e-10)
+
+    def test_spent_panel_budget_raises(self, monkeypatch):
+        # (3.5, 4, 4, 2) extrapolates over several batches of panels; with room for one it is refused
+        monkeypatch.setattr(tweedie, "_MAX_PANELS", 80)
+        with pytest.raises(NumericalError, match="spends its 80 panels"):
+            _fourier_inversion(3.5, 4.0, 4.0, 2.0, False, 1e-8)
 
 
 class TestCompoundRepresentation:
