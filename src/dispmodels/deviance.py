@@ -34,7 +34,7 @@ import numpy as np
 from . import _elementary as el
 from ._numdiff import _quad, derivative
 from .edm import FAMILIES, unit_deviance_of, variance_function_of
-from .errors import DomainError, NumericalError, refuses_numerical_failure
+from .errors import DomainError, NumericalError, lookup, refuses_numerical_failure, require_positive
 from .support import UNIT_INTERVAL, RealInterval
 
 __all__ = [
@@ -95,18 +95,9 @@ class VarianceFunction:
 
     @refuses_numerical_failure
     def __call__(self, mu):
-        if type(mu) is float or not isinstance(mu, np.ndarray):
-            self.domain.require(mu, "mu")
-            v = float(self.fn(mu))
-            if not v > 0.0:
-                raise NumericalError(f"variance function {self.name} not positive at mu={mu}: {v}")
-            return v
-        self.domain.require_all(mu, "mu")
-        v = el.call(self.fn, mu)
-        bad = ~(v > 0.0)
-        if bad.any():
-            raise NumericalError(f"variance function {self.name} not positive at mu={mu[bad][0]}: {v[bad][0]}")
-        return v
+        self.domain.require(mu, "mu")
+        v = float(self.fn(mu)) if type(mu) is float or not isinstance(mu, np.ndarray) else el.call(self.fn, mu)
+        return require_positive(v, "variance function", self, "mu", mu)
 
 
 @refuses_numerical_failure
@@ -114,23 +105,22 @@ def eval_deviance(d: UnitDeviance, y, mu):
     """Evaluate ``d(y; mu)``; exactly zero where ``y == mu``.
 
     ``y`` and ``mu`` may be ndarrays (or one of them); an array is
-    domain-checked once and the deviance is one call of ``d.fn``.
+    domain-checked once and the deviance is one call of ``d.fn`` under the
+    array contract of ``_elementary.call``.
     """
-    if not (type(y) is float and type(mu) is float) and (
+    array = not (type(y) is float and type(mu) is float) and (
         isinstance(y, np.ndarray) or isinstance(mu, np.ndarray)
-    ):
-        y, mu = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(mu, dtype=float))
-        d.support.require_all(y, "y")
-        d.omega.require_all(mu, "mu")
-        value = np.where(y == mu, 0.0, d.fn(y, mu))
+    )
+    y, mu = (np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(mu, dtype=float)) if array
+             else (float(y), float(mu)))
+    d.support.require(y, "y")
+    d.omega.require(mu, "mu")
+    if array:
+        value = np.where(y == mu, 0.0, el.call(d.fn, y, mu))
         bad = ~np.isfinite(value)
         if bad.any():
             raise NumericalError(f"deviance {d.name} not finite at (y={y[bad][0]}, mu={mu[bad][0]})")
         return value
-    y = float(y)
-    mu = float(mu)
-    d.support.require(y, "y")
-    d.omega.require(mu, "mu")
     if y == mu:
         return 0.0
     value = float(d.fn(y, mu))
@@ -150,17 +140,12 @@ def unit_variance(d: UnitDeviance, mu):
     """
     if not d.regular:
         raise DomainError(f"deviance {d.name} is not regular; no unit variance")
-    d.omega.require_all(np.asarray(mu, dtype=float), "mu")
+    d.omega.require(np.asarray(mu, dtype=float), "mu")
     if d.variance is not None:
         return el.call(d.variance, mu)
     mu_c = d.omega.clip_inward(mu, _BOUNDARY_CLIP)
-    curving = derivative(lambda m: d.fn(mu_c, m), mu_c, 2, d.omega)
-    bad = ~np.greater(curving, 0.0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NumericalError(f"second derivative of {d.name} at mu={np.ravel(mu)[i]} is "
-                             f"{np.ravel(curving)[i]}; deviance not regular there")
-    return 2.0 / curving
+    curving = derivative(lambda m: el.call(d.fn, mu_c, m), mu_c, 2, d.omega)
+    return 2.0 / require_positive(curving, "second derivative of", d, "mu", mu)
 
 
 @refuses_numerical_failure
@@ -181,13 +166,13 @@ def second_derivative_identity(d: UnitDeviance, mu):
     if d.variance is not None:
         curving = 2.0 / unit_variance.__wrapped__(d, mu)
         return (curving, curving, -curving)
-    d.omega.require_all(np.asarray(mu, dtype=float), "mu")
+    d.omega.require(np.asarray(mu, dtype=float), "mu")
     mu_c = d.omega.clip_inward(mu, _BOUNDARY_CLIP)
     return (
-        derivative(lambda y: d.fn(y, mu_c), mu_c, 2, d.omega),
-        derivative(lambda m: d.fn(mu_c, m), mu_c, 2, d.omega),
-        derivative(lambda y: derivative(lambda m: d.fn(y, m), np.broadcast_to(mu_c, y.shape), 1, d.omega),
-                   mu_c, 1, d.omega),
+        derivative(lambda y: el.call(d.fn, y, mu_c), mu_c, 2, d.omega),
+        derivative(lambda m: el.call(d.fn, mu_c, m), mu_c, 2, d.omega),
+        derivative(lambda y: derivative(lambda m: el.call(d.fn, y, m), np.broadcast_to(mu_c, y.shape), 1,
+                                        d.omega), mu_c, 1, d.omega),
     )
 
 
@@ -273,9 +258,7 @@ def variance_stabilizing_transform(V: VarianceFunction, y_star: float, y: float)
     if y == y_star:
         return 0.0
     path = np.linspace(min(y_star, y), max(y_star, y), 17)
-    bad = ~(el.call(V.fn, path) > 0.0)
-    if bad.any():
-        raise NumericalError(f"variance function vanishes on the path at {path[np.argmax(bad)]}")
+    require_positive(el.call(V.fn, path), "variance function", V, "v", path)
     integral, err = _quad(lambda v: V.fn(v) ** -0.5, y_star, y)
     if not math.isfinite(integral) or err > 1e-6 * max(1.0, abs(integral)):
         raise NumericalError("quadrature failure in variance stabilizing transform")
@@ -355,9 +338,4 @@ VARIANCE_FUNCTIONS: dict[str, VarianceFunction] = {
 
 
 def get_deviance(name: str) -> UnitDeviance:
-    try:
-        return DEVIANCES[name]
-    except KeyError:
-        raise DomainError(
-            f"unknown deviance {name!r}; available: {', '.join(sorted(DEVIANCES))}"
-        ) from None
+    return lookup(DEVIANCES, name, "deviance")

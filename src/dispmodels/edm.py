@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _elementary as el
 from ._numdiff import _bracketed_newton, _length_scale, _quad, derivative
-from .errors import ConvergenceError, DomainError, NumericalError, refuses_numerical_failure
+from .errors import ConvergenceError, DomainError, NumericalError, lookup, refuses_numerical_failure, require_positive
 from .expressions import compile_expression
 from .support import POSITIVE_REALS, REALS, RealInterval
 
@@ -158,11 +158,7 @@ def inverse_mean(fam: EdmFamily, mu):
     (a count of 0), so there it raises ``DomainError``.
     """
     array = type(mu) is not float and isinstance(mu, np.ndarray)
-    domain = fam.mean_domain if fam.mean_inverse is not None else fam.mean_domain.interior()
-    if array:
-        domain.require_all(mu, "mu")
-    else:
-        domain.require(mu, "mu")
+    (fam.mean_domain if fam.mean_inverse is not None else fam.mean_domain.interior()).require(mu, "mu")
     if fam.mean_inverse is not None:
         return el.call(fam.mean_inverse, mu) if array else float(fam.mean_inverse(mu))
     flat = np.asarray(mu, dtype=float).reshape(-1)
@@ -207,15 +203,7 @@ def _solve_increasing(fam: EdmFamily, target: np.ndarray, tol) -> np.ndarray:
 def variance_function(fam: EdmFamily, mu):
     """Unit variance function ``V(mu) = b''(q(mu))``; ``mu`` may be an ndarray."""
     theta = inverse_mean.__wrapped__(fam, mu)
-    v = fam._b_derivative(2, theta)
-    if type(v) is float:
-        if not v > 0.0:
-            raise NumericalError(f"b'' not positive at theta={theta} for {fam.name}")
-        return v
-    bad = ~(v > 0.0)
-    if bad.any():
-        raise NumericalError(f"b'' not positive at theta={theta[bad][0]} for {fam.name}")
-    return v
+    return require_positive(fam._b_derivative(2, theta), "b'' of", fam, "theta", theta)
 
 
 def variance_prime(fam: EdmFamily, mu: float) -> float:
@@ -251,18 +239,18 @@ def edm_deviance(fam: EdmFamily, y, mu):
     :func:`_generator_deviance`, a float as a one-entry array.  The result
     is nonnegative and vanishes exactly at ``y == mu``.
     """
-    if not (type(y) is float and type(mu) is float) and (
+    array = not (type(y) is float and type(mu) is float) and (
         isinstance(y, np.ndarray) or isinstance(mu, np.ndarray)
-    ):
+    )
+    if array:
         y, mu = np.asarray(y, dtype=float), np.asarray(mu, dtype=float)
-        fam.support.require_all(y, "y")
-        fam.mean_domain.require_all(mu, "mu")
+    fam.support.require(y, "y")
+    fam.mean_domain.require(mu, "mu")
+    if array:
         if fam.deviance_closed_form is None:
             return _generator_deviance(fam, y, mu)
         with np.errstate(over="ignore"):  # a deviance past the largest float is +inf
             return np.where(y == mu, 0.0, fam.deviance_closed_form(y, mu))
-    fam.support.require(y, "y")
-    fam.mean_domain.require(mu, "mu")
     if y == mu:
         return 0.0
     if fam.deviance_closed_form is not None:
@@ -603,12 +591,7 @@ FAMILIES: dict[str, EdmFamily] = {
 
 
 def get_family(name: str) -> EdmFamily:
-    try:
-        return FAMILIES[name]
-    except KeyError:
-        raise DomainError(
-            f"unknown family {name!r}; available: {', '.join(sorted(FAMILIES))}"
-        ) from None
+    return lookup(FAMILIES, name, "family")
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all dispmodels modules, and the one refusal rule.
+"""Exception hierarchy shared by all dispmodels modules, and the refusals written once.
 
 Two failure classes matter to callers: a *domain* problem (the inputs are outside the contract)
 and a *numerical* problem (the inputs were fine but the computation could not be completed
@@ -11,6 +11,11 @@ passes: a deviance is +inf where it overflows.  So a call on finite inputs retur
 raises one of the two classes, and the CLI's exit codes 1 and 2 follow from them.  On their hot
 paths the decorated functions call each other undecorated (``__wrapped__``), so that the rule is
 paid once per call and a refusal names the call that was made.
+
+Next to the rule sit the refusals of bad inputs that are not domain membership (that is
+``RealInterval.require``): :func:`require_positive` refuses a variance, or a curvature, that is
+not positive, naming the first bad point, and :func:`lookup` refuses a name missing from a table
+of families, deviances, PDMs or links, naming the names it holds.
 """
 
 import functools
@@ -66,3 +71,27 @@ def refuses_numerical_failure(fn):
         raise _refusal(fn, args, kwargs, "is nan")
 
     return refusing
+
+
+def require_positive(value, what: str, model, at: str, point):
+    """``value`` if it is positive (every entry of an ndarray), else ``NumericalError`` naming ``what`` of
+    ``model`` (by its ``.name``) and the first ``at=point`` where it is not; ``point`` is a float or an
+    ndarray of ``value``'s shape.  The message is built only to refuse."""
+    if type(value) is float:
+        if value > 0.0:
+            return value
+    else:
+        bad = ~(value > 0.0)
+        if not bad.any():
+            return value
+        i = int(np.argmax(bad))
+        point, value = np.ravel(point)[i], np.ravel(value)[i]
+    raise NumericalError(f"{what} {model.name} not positive at {at}={point}: {value}")
+
+
+def lookup(table: dict, name: str, what: str):
+    """``table[name]``, else ``DomainError`` naming ``name`` and the names ``table`` holds."""
+    try:
+        return table[name]
+    except KeyError:
+        raise DomainError(f"unknown {what} {name!r}; available: {', '.join(sorted(table))}") from None

@@ -28,7 +28,7 @@ from . import _elementary as el
 from ._numdiff import _refined_maxima, _support_integral
 from .deviance import UnitDeviance, check_unit_deviance, eval_deviance, unit_variance
 from .deviance import DEVIANCES
-from .errors import DomainError, NumericalError, refuses_numerical_failure
+from .errors import DomainError, NumericalError, lookup, refuses_numerical_failure
 from .support import RealInterval
 
 __all__ = [
@@ -394,9 +394,4 @@ PDMS: dict[str, PdmSpec] = {
 
 
 def get_pdm(name: str) -> PdmSpec:
-    try:
-        return PDMS[name]
-    except KeyError:
-        raise DomainError(
-            f"unknown proper dispersion model {name!r}; available: {', '.join(sorted(PDMS))}"
-        ) from None
+    return lookup(PDMS, name, "proper dispersion model")

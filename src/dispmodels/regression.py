@@ -36,7 +36,7 @@ import numpy as np
 from . import edm
 from ._numdiff import _bracketed_newton
 from .edm import EdmFamily
-from .errors import ConvergenceError, DomainError, NumericalError
+from .errors import ConvergenceError, DomainError, NumericalError, lookup
 
 __all__ = [
     "Link",
@@ -87,10 +87,7 @@ LINKS: dict[str, Link] = {
 
 
 def get_link(name: str) -> Link:
-    try:
-        return LINKS[name]
-    except KeyError:
-        raise DomainError(f"unknown link {name!r}; available: {', '.join(sorted(LINKS))}") from None
+    return lookup(LINKS, name, "link")
 
 
 @dataclass(frozen=True)
@@ -191,7 +188,7 @@ def _initial_mu(model: RegressionModel, y: np.ndarray) -> np.ndarray:
 
 def _mu_valid(model: RegressionModel, mu: np.ndarray) -> bool:
     # nan and infinite means fall outside every interval (infinite ends are open)
-    return model.family.mean_domain.contains_all(mu)
+    return bool(model.family.mean_domain.contains(mu).all())
 
 
 def _weighted_solve(local: np.ndarray, w: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -239,7 +236,7 @@ def fit(
         raise DomainError(f"X has {X.shape[0]} rows but y has {n} entries")
     if n <= p:
         raise DomainError(f"need more observations than parameters (n={n}, p={p})")
-    model.family.support.require_all(y, "response")
+    model.family.support.require(y, "response")
 
     if beta0 is None:
         if not model.predictor.linear:

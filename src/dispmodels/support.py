@@ -5,9 +5,10 @@ flag marking integer-lattice supports (counting measure).  The convex
 support of a lattice set is still the interval itself; the flag only
 matters for density evaluation and normalization sums.
 
-``contains`` and ``clip_inward`` take a float or an ndarray, and
-``contains_all`` and ``require_all`` check a whole ndarray in one
-vectorized pass, so a domain check costs O(1) Python calls however many
+``contains``, ``require`` and ``clip_inward`` take a float or an ndarray.
+``require`` is the one membership refusal: a float costs one ``contains``
+call and a truth test, and an ndarray one vectorized pass that names its
+first offender, so a domain check costs O(1) Python calls however many
 observations it covers.
 """
 
@@ -47,10 +48,6 @@ class RealInterval:
 
     __contains__ = contains
 
-    def contains_all(self, x: np.ndarray) -> bool:
-        """Whether every entry of the array ``x`` lies in the interval."""
-        return bool(np.all(self.contains(x)))
-
     def interior(self) -> "RealInterval":
         # built once per interval: dataclasses.replace costs microseconds,
         # and pointwise evaluations ask for the interior on every call
@@ -82,17 +79,19 @@ class RealInterval:
             return np.clip(x, lo, hi)
         return min(max(x, lo), hi)
 
-    def require(self, x: float, what: str = "value") -> float:
-        if not self.contains(x):
-            raise DomainError(f"{what} {x!r} outside {self}")
-        return x
-
-    def require_all(self, x: np.ndarray, what: str = "value") -> np.ndarray:
-        """``require`` for an array: one vectorized check, naming the first offender."""
+    def require(self, x, what: str = "value"):
+        """``x`` if it lies in the interval (every entry of an ndarray), else ``DomainError`` naming
+        ``x`` or the first entry outside it."""
         inside = self.contains(x)
-        if not np.all(inside):
-            raise DomainError(f"{what} {float(x[~inside].flat[0])!r} outside {self}")
-        return x
+        if inside is True:  # a float or an int inside
+            return x
+        if isinstance(x, np.ndarray):
+            if inside.all():
+                return x
+            x = float(x[~inside].flat[0])
+        elif inside:  # a numpy scalar inside
+            return x
+        raise DomainError(f"{what} {x!r} outside {self}")
 
     def grid(self, n: int, frac: float = 1e-6, span: float = 10.0) -> np.ndarray:
         """n interior probe points, clipped inward; unbounded sides use ``span``."""

@@ -69,10 +69,21 @@ P_SWITCH = 1e-6
 
 _SERIES_MAX_TERMS = 10**5
 _CDF_BLOCK = 2**20  # 1 < p < 2 cdf: entries of one rows-by-jump-counts block of gammainc
-# p > 2 inversion: Gauss-Legendre panels of _GL_NODES nodes, _HEAD_PANELS of them or more on [0, _S_SPLIT]
+# p > 2 inversion: 16-point Gauss-Legendre panels, _HEAD_PANELS of them or more on [0, _S_SPLIT]
 # (a Gaussian cf is below e^-32 past it), then _BATCH >= _WINDOW + 3 half-periods a cf call, extrapolated over
 # _WINDOW partial sums until four extrapolants agree to _AGREE of the gate; _MAX_PANELS panels a row at most
-_S_SPLIT, _GL_NODES, _HEAD_PANELS, _BATCH, _WINDOW, _AGREE, _MAX_PANELS = 8.0, 16, 8, 32, 12, 1e-3, 1024
+_S_SPLIT, _HEAD_PANELS, _BATCH, _WINDOW, _AGREE, _MAX_PANELS = 8.0, 8, 32, 12, 1e-3, 1024
+# (node, weight) of the nonnegative half of the symmetric 16-point Gauss-Legendre rule on [-1, 1], as
+# numpy.polynomial.legendre.leggauss(16) gives them; _GL_NODES and _GL_WEIGHTS are the rule on [0, 1]
+_LEGENDRE_16 = np.array([
+    (0.09501250983763744, 0.18945061045506864), (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265), (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407), (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456), (0.9894009349916499, 0.027152459411754176),
+])
+_GL_NODES = 0.5 * (np.concatenate((-_LEGENDRE_16[::-1, 0], _LEGENDRE_16[:, 0])) + 1.0)
+_GL_WEIGHTS = 0.5 * np.concatenate((_LEGENDRE_16[::-1, 1], _LEGENDRE_16[:, 1]))
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False  # every caller gets these arrays
 _INVERSION_ROWS = 64  # p > 2 cdf: rows inverted together
 _MW_SIGNS = np.array([(-1.0) ** k * math.comb(_WINDOW - 1, k) for k in range(_WINDOW)])  # (-1)^l C(11, l)
 
@@ -289,20 +300,10 @@ def _log_v_series(p: float, y: float, tau: float) -> Optional[float]:
     return log_max + math.log(total) if total > 1e-8 * gross else None
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``_GL_NODES``-point Gauss-Legendre rule on [0, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
-    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
-    nodes.flags.writeable = weights.flags.writeable = False  # every caller gets these arrays
-    return nodes, weights
-
-
 def _gauss_legendre_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights, shape ``(..., k, _GL_NODES)``, on the k panels between the last axis of ``edges``."""
-    nodes, weights = _gauss_legendre()
+    """Nodes and weights, shape ``(..., k, 16)``, on the k panels between the last axis of ``edges``."""
     width = np.diff(edges)[..., None]
-    return edges[..., :-1, None] + width * nodes, width * weights
+    return edges[..., :-1, None] + width * _GL_NODES, width * _GL_WEIGHTS
 
 
 def _log_cf(s: np.ndarray, alpha: float, scale: float, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -375,7 +376,6 @@ def _fourier_inversion(p: float, y, mu: float, tau: float, cdf: bool, tol: float
         return NumericalError(f"Tweedie inversion at (p={p}, y={rows}, mu={mu}, tau={tau}) {reason}")
 
     theta, alpha = _inverse_mean(p, mu), (p - 2.0) / (p - 1.0)
-    nodes, weights = _gauss_legendre()
     sigma = math.sqrt(tau * mu**p)
     with np.errstate(all="ignore"):
         omega, omega_c = ys / sigma, (ys - mu) / sigma
@@ -409,7 +409,7 @@ def _fourier_inversion(p: float, y, mu: float, tau: float, cdf: bool, tol: float
 
         def panel_nodes(batch, rows):  # on the batch's panels between zeros
             zeros = (first[rows, None] + np.arange(batch * _BATCH, (batch + 1) * _BATCH)) * half[rows, None]
-            return zeros[..., None] + half[rows, None, None] * nodes
+            return zeros[..., None] + half[rows, None, None] * _GL_NODES
 
         # one cf call for the head, the lead to the first zero and the first batch of panels
         head_s, rules = _head_rule(end, graded)
@@ -444,7 +444,7 @@ def _fourier_inversion(p: float, y, mu: float, tau: float, cdf: bool, tol: float
             if batch:
                 s = panel_nodes(batch, rows)
                 values = integrand(s, *log_cf(s), omega[rows, None, None])
-            panels = values @ weights * half[rows, None]
+            panels = values @ _GL_WEIGHTS * half[rows, None]
             partial = total[rows, None] + np.cumsum(panels, axis=1) - panels  # at each zero
             total[rows] = partial[:, -1] + panels[:, -1]
             extrapolants = _mw_extrapolants(partial[:, -_WINDOW - 3:], panels[:, -_WINDOW - 3:],
@@ -522,7 +522,7 @@ def _closed_form_cdf(p: float, ys: np.ndarray, mu: float, tau: float) -> np.ndar
     if p == 0.0:
         return el.special.ndtr((ys - mu) / math.sqrt(tau))
     if p == 1.0:
-        tweedie_support(p).require_all(ys, "y")
+        tweedie_support(p).require(ys, "y")
         return el.special.pdtr(np.floor((ys + 1e-12) / tau), mu / tau)
     if p == 2.0:
         return el.special.gammainc(1.0 / tau, np.maximum(ys, 0.0) / tau / mu)
@@ -567,12 +567,9 @@ def tweedie_cdf(p: float, y, mu: float, tau: float):
             values = _closed_form_cdf(p, ys, mu, tau)
     else:  # dt/t = ds/s; Re[(i/s) z] = -Im z/s
         # the Chernoff bounds F(y) <= exp(-d(y; mu)/(2 tau)) below the mean and 1 - F(y) <= the same
-        # above it put F within e^-40 of 0 or 1 where d > 80 tau; above the mean only at a finite y/sd,
-        # else the inversion refuses the row, as it refuses such a density
+        # above it put F within e^-40 of 0 or 1 where d > 80 tau, at y/sd = inf too (d is inf at y = inf)
         values, positive, cut = (ys > mu).astype(float), ys > 0.0, ys <= 0.0
-        with np.errstate(all="ignore"):
-            finite = (ys < mu) | (ys / math.sqrt(tau * mu**p) < math.inf)
-        cut[positive] = (_deviance(p, ys[positive], mu) > 80.0 * tau) & finite[positive]
+        cut[positive] = _deviance(p, ys[positive], mu) > 80.0 * tau
         inside = np.flatnonzero(~cut)
         for start in range(0, inside.size, _INVERSION_ROWS):
             rows = inside[start:start + _INVERSION_ROWS]

@@ -9,12 +9,14 @@ import pytest
 
 from dispmodels import _elementary as el
 from dispmodels.cf_construct import CfSpec, solve_convolution_grid, validate_cf
-from dispmodels.deviance import DEVIANCES, VarianceFunction, eval_deviance, transform_deviance
+from dispmodels.deviance import (DEVIANCES, UnitDeviance, VarianceFunction, eval_deviance, second_derivative_identity,
+                                 transform_deviance, unit_variance)
 from dispmodels.errors import DomainError
 from dispmodels.pdm import YokeSpec, transformation_pdm, yoke_to_deviance
-from dispmodels.support import POSITIVE_REALS, RealInterval
+from dispmodels.support import POSITIVE_REALS, REALS, RealInterval
 
 _CIRCLE = RealInterval(0.0, 2.0 * math.pi)
+_MATH_DEVIANCE = UnitDeviance("u", REALS, lambda y, mu: 2 * (1 - math.cos(y - mu)))
 
 
 def test_floats_give_a_float_and_arrays_the_broadcast_shape():
@@ -49,6 +51,9 @@ FLOAT_ONLY = {
         lambda g, y: (g + y) % (2.0 * math.pi), math.cos, lambda y: 1.0, _CIRCLE, circular=True),
     "transformation_pdm b_invariant": lambda: transformation_pdm(
         lambda g, y: (g + y) % (2.0 * math.pi), np.cos, lambda y: math.exp(0.0 * y), _CIRCLE, circular=True),
+    "UnitDeviance.fn eval_deviance": lambda: eval_deviance(_MATH_DEVIANCE, np.array([1.0, 2.0]), 0.0),
+    "UnitDeviance.fn unit_variance": lambda: unit_variance(_MATH_DEVIANCE, np.array([0.5, 1.0])),
+    "UnitDeviance.fn second_derivative_identity": lambda: second_derivative_identity(_MATH_DEVIANCE, 0.5),
     "VarianceFunction.fn": lambda: VarianceFunction("exp", POSITIVE_REALS, math.exp)(np.array([1.0, 2.0])),
     "CfSpec.phi": lambda: validate_cf(CfSpec(phi=lambda t: math.exp(-t * t))),
     "kernel": lambda: solve_convolution_grid(lambda t: math.exp(-t * t), 1.0, 20.0, 2**10),

@@ -123,6 +123,19 @@ def test_p_above_two_inversion_leaves_scipy_integrate_unloaded():
     assert _fresh("-c", code).strip() == "False"
 
 
+def test_p_above_two_inversion_leaves_numpy_polynomial_unloaded():
+    # the inversion's Gauss-Legendre rule is written out, not taken from numpy.polynomial.  A density
+    # integral calls no special function (the public density and cdf do, and scipy.special itself
+    # imports numpy.polynomial)
+    code = (
+        "import sys; from dispmodels.tweedie import _fourier_inversion; "
+        "_fourier_inversion(2.5, 0.12, 1.0, 0.25, False, 1e-8); "
+        "_fourier_inversion(3.5, [0.5, 1.0], 0.7, 0.25, False, 1e-8); "
+        "print(sorted({'numpy.polynomial', 'scipy.special'} & set(sys.modules)))"
+    )
+    assert _fresh("-c", code).strip() == "[]"
+
+
 # each is the first quadrature, sampler or special-function call of its interpreter
 _FIRST_CALLS = (
     "pdm_density(get_pdm('vonmises'), 0.3, 1.0, 0.7)",

@@ -525,9 +525,11 @@ class TestCdf:
         # y/sd = 1e-150
         assert self._refused_in_child("tweedie_cdf(2.5, 1.0, 1.0, 1e300)")
 
-    def test_inversion_at_an_infinite_frequency_is_refused(self):
-        # y/sd = 1e300/1e-160 overflows to inf
-        assert self._refused_in_child("tweedie_cdf(2.5, 1e300, 1e-8, 1e-300)")
+    def test_cdf_at_an_infinite_frequency_is_one(self):
+        # y/sd = 1e300/1e-160 overflows to inf, where d(y; mu) > 80 tau puts F within e^-40 of 1; a row at
+        # y = inf leaves the inverted rows beside it as they are
+        assert tweedie_cdf(2.5, 1e300, 1e-8, 1e-300) == 1.0
+        assert tweedie_cdf(2.5, np.array([1.0, np.inf]), 1.0, 1.0).tolist() == [tweedie_cdf(2.5, 1.0, 1.0, 1.0), 1.0]
 
     @pytest.mark.parametrize("y, mu, tau", [
         (1e300, 1e-8, 1e8),  # y/sd = 1e308
@@ -585,6 +587,14 @@ def quadosc_values():
 
 
 class TestInversionRule:
+    def test_gauss_legendre_literals_are_numpys_rule(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        half = tweedie._LEGENDRE_16
+        assert np.concatenate((-half[::-1, 0], half[:, 0])).tolist() == nodes.tolist()
+        assert np.concatenate((half[::-1, 1], half[:, 1])).tolist() == weights.tolist()
+        assert tweedie._GL_NODES.tolist() == (0.5 * (nodes + 1.0)).tolist()
+        assert tweedie._GL_WEIGHTS.tolist() == (0.5 * weights).tolist()
+
     @pytest.mark.parametrize("p, y, mu, tau", _ORACLE_DENSITIES)
     def test_density_integral_matches_quadosc(self, quadosc_values, p, y, mu, tau):
         assert _fourier_inversion(p, y, mu, tau, False, 1e-8) == pytest.approx(
