@@ -6,7 +6,6 @@ import re
 import numpy as np
 import pytest
 
-from dispmodels.cf_construct import get_cf
 from dispmodels.deviance import VarianceFunction, get_deviance
 from dispmodels.edm import get_family
 from dispmodels.errors import DomainError, NumericalError
@@ -105,7 +104,3 @@ def test_an_unknown_name_is_refused_naming_it_and_the_table(lookup, what, table_
     assert lookup(table_entry) is lookup(table_entry)
     with pytest.raises(DomainError, match=rf"^unknown {what} 'nope'; available: .*\b{table_entry}\b"):
         lookup("nope")
-
-
-def test_an_unknown_cf_name_is_compiled_as_an_expression():
-    assert get_cf("exp(-t*t/2)").name == "user[exp(-t*t/2)]"
