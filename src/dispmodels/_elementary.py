@@ -16,8 +16,8 @@ callables.  A float-only callable, such as ``math.cos``, is refused.
 ``special`` is ``scipy.special``, imported on its first attribute lookup:
 ``import dispmodels`` loads no scipy module, and deviances, IRLS fits
 without the dispersion MLE and the cf construction never load it.
-``scipy.integrate`` and ``scipy.interpolate`` load with the first
-quadrature or sample (see ``_numdiff``).
+``scipy.interpolate`` loads with the first sample; quadrature is
+``_numdiff``'s own and loads no scipy module.
 """
 
 from __future__ import annotations

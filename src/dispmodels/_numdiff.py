@@ -18,16 +18,30 @@ is called once on all stencil points of every entry, and a float runs as a
 0-d array and returns a float.  ``_bracketed_newton`` runs floats and
 ndarrays alike, one call of ``fn`` per iteration.
 
-``_quad`` is the one call of ``quad``: an interval whose ends lie on one
-side of 0 and more than two decades apart gets a breakpoint per decade, so
-adaptive bisection cannot miss mass that sits near its small end.  Both import ``scipy.integrate`` (which loads
-``scipy.optimize`` and ``scipy.special``) on their first call, so fits,
-deviances and the closed-form densities never load it.  No module of the
-package imports scipy when it loads: ``scipy.special`` comes with the first
+``_quadrature`` is the one integration rule: the 16-point Gauss-Legendre rule
+(shared with the p > 2 Tweedie inversion) on adaptive panels (Piessens et al.
+1983, *QUADPACK*; Gander & Gautschi 2000, *BIT* 40:84).  An interval is cut
+at a centre c into two pieces, each on t in [0, 1] from its end (t = 0) to c:
+x = end + (c - end) t from a finite end, x = c -+ L (1 - t)/t from -+inf, L
+the distance from c to the other end (or 1), so a node is as accurate as its
+distance to its end.  A panel's estimate is the rule on its halves, its error
+the gap to the rule on the whole.  Each round splits every panel with an
+error at least 1/8 of its integral's largest, a panel at t = 0 at a quarter,
+so panels grade geometrically into a singular end; where the rings there
+decay by a ratio r < 1 (a power law), the innermost panel may take the tail
+r/(1 - r) of the last ring, its error the change between tails.  An integral
+is done within ``_QUAD_TOL`` (relative), or within ``_QUAD_NOISE`` once its
+error has not halved in four rounds (the integrand's rounding); after
+``_QUAD_ROUNDS`` rounds or ``_QUAD_PANELS`` panels it is refused.  The
+integrand takes arrays only: one call per round on the nodes of all panels
+split in it, of every integral of a batch.  A lattice support is summed in
+blocks of terms, one call per block.  No module imports scipy when it loads,
+nor SciPy's integrators or optimizers: ``scipy.special`` comes with the first
 special-function call, through ``_elementary.special``.
 
-Three private solvers are written here once: ``_bracketed_newton`` (the
-inverse mean mapping, the dispersion MLE), ``_support_integral`` (the
+Four private solvers are written here once: ``_bracketed_newton`` (the
+inverse mean mapping, the dispersion MLE), ``_quadrature`` (the deviance by
+quadrature, the variance-stabilizing transform), ``_support_integral`` (the
 normalizing integrals and sums of the PDM layer, which the renormalized
 saddlepoint shares, and of the self-checks) and ``_refined_maxima`` (the
 maximizer of yokes and the lattice scan of characteristic functions).  Each
@@ -37,7 +51,6 @@ caller keeps its own error gate.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -46,10 +59,27 @@ from .errors import ConvergenceError, DomainError, NumericalError
 from .support import REALS, RealInterval
 
 EPS = float(np.finfo(float).eps)
-_QUAD_LIMIT = 400
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 __all__ = ["EPS", "derivative"]
+
+# the quadrature: the parent panels [a, s, b] it starts each piece with, the relative error asked of an
+# integral (of one whose error stalls), and the refinement it may spend
+_FIRST_PARENTS = np.array([[0.0, 0.125, 0.5], [0.5, 0.75, 1.0]])
+_QUAD_TOL, _QUAD_NOISE, _QUAD_ROUNDS, _QUAD_PANELS = 1e-10, 1e-6, 60, 2048
+# lattice sums: terms in a run's first call of the summand, doubling each call up to the last
+_LATTICE_BLOCK, _LATTICE_BLOCK_MAX = 64, 2**16
+# (node, weight) of the nonnegative half of the symmetric 16-point Gauss-Legendre rule on [-1, 1], as
+# numpy.polynomial.legendre.leggauss(16) gives them; _GL_NODES and _GL_WEIGHTS are the rule on [0, 1]
+_LEGENDRE_16 = np.array([
+    (0.09501250983763744, 0.18945061045506864), (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265), (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407), (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456), (0.9894009349916499, 0.027152459411754176),
+])
+_GL_NODES = 0.5 * (np.concatenate((-_LEGENDRE_16[::-1, 0], _LEGENDRE_16[:, 0])) + 1.0)
+_GL_WEIGHTS = 0.5 * np.concatenate((_LEGENDRE_16[::-1, 1], _LEGENDRE_16[:, 1]))
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False  # every caller gets these arrays
 
 # Central stencil coefficients (offset -> weight, divided by h^order), O(h^2).
 _STENCILS = {
@@ -193,60 +223,146 @@ def _refined_maxima(fn, xs: np.ndarray, vals: np.ndarray, tol: float, floor: flo
     return sorted(found, key=lambda peak: -peak[1])
 
 
-def _quad(fn, lower: float, upper: float) -> tuple[float, float]:
-    """``(integral, error estimate)`` of ``fn`` from ``lower`` to ``upper``.
+def _finite(values, x: np.ndarray) -> np.ndarray:
+    """``values`` of an integrand at the nodes ``x``, refused with ``NumericalError`` where not finite."""
+    values = np.broadcast_to(np.asarray(values, dtype=float), x.shape)
+    if not np.isfinite(values).all():
+        i = int(np.argmax(~np.isfinite(values)))
+        raise NumericalError(f"integrand not finite at {x.flat[i]}: {values.flat[i]}")
+    return values
 
-    ``quad`` with ``limit=400`` and its integration warnings silenced: the
-    caller gates the returned error.  When both ends are finite, nonzero,
-    on one side of 0 and more than two decades apart, one geometric
-    breakpoint per decade (at most ``limit/2``) is passed as ``points``.
-    ``scipy.integrate`` is imported on the first call, not with the package.
+
+def _gauss_legendre_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, shape ``(..., k, 16)``, on the k panels between the last axis of ``edges``."""
+    width = np.diff(edges)[..., None]
+    return edges[..., :-1, None] + width * _GL_NODES, width * _GL_WEIGHTS
+
+
+def _quadrature(fn, lower, upper, center=None):
+    """``(integral, error estimate)`` of ``fn`` from ``lower`` to ``upper`` by the rule of the module docstring.
+
+    The ends and ``center`` (by default the midpoint, a unit inside a finite end, or 0) are floats,
+    or 1-d arrays of as many integrals, each refined on its own, so that an entry equals its float
+    call; an infinite end is ``lower = -inf`` or ``upper = inf``.  ``fn(x, rows)`` gets the nodes
+    ``x``, shape ``(k, 16)``, and the integral of each row of them.  Floats in give floats out.
     """
-    from scipy.integrate import IntegrationWarning, quad
+    lower, upper = np.broadcast_arrays(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
+    shape, ends = lower.shape, np.stack([lower.ravel(), upper.ravel()], axis=1)
+    m, infinite = len(ends), ~np.isfinite(ends)
+    with np.errstate(invalid="ignore", over="ignore"):  # an overflow gives nodes that are refused
+        if center is None:
+            lo, hi = ends.T
+            center = np.where(infinite[:, 0], np.where(infinite[:, 1], 0.0, hi - 1.0),
+                              np.where(infinite[:, 1], lo + 1.0, 0.5 * lo + 0.5 * hi))
+        c = np.broadcast_to(np.asarray(center, dtype=float).ravel(), (m,))[:, None]
+        # piece 2i runs from the lower end of integral i to c, piece 2i + 1 from its upper end
+        length = np.where(np.isfinite(ends[:, ::-1]), np.abs(c - ends[:, ::-1]), 1.0)
+        base = np.where(infinite, c, ends).ravel()
+        scale = np.where(infinite, np.sign(ends) * length, c - ends).ravel()
+        jacobian = np.where(infinite, length, (c - ends) * [1.0, -1.0]).ravel()
+    mapped = infinite.ravel() if infinite.any() else None
 
-    points = None
-    if math.isfinite(lower) and math.isfinite(upper) and lower * upper > 0.0:
-        decades = abs(math.log10(upper / lower))
-        if decades > 2.0:
-            count = min(math.ceil(decades) - 1, _QUAD_LIMIT // 2)
-            with np.errstate(over="ignore"):  # of an end within rounding of the largest float
-                points = np.geomspace(lower, upper, count + 2)[1:-1]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = quad(fn, lower, upper, limit=_QUAD_LIMIT, points=points)
-    return float(value), float(err)
+    def panel_sums(left, right, pieces):  # the rule on the panels [left, right] of the pieces
+        width = (right - left)[:, None]
+        t, w = left[:, None] + width * _GL_NODES, width * _GL_WEIGHTS
+        if mapped is not None:
+            outward = mapped[pieces, None]
+            t, w = np.where(outward, (1.0 - t) / t, t), np.where(outward, w / (t * t), w)
+        x = base[pieces, None] + scale[pieces, None] * t
+        return (_finite(fn(x, pieces // 2), x) * (jacobian[pieces, None] * w)).sum(axis=1)
+
+    # a row of ``panel`` is a parent [a, s, b] on the t-axis of a piece, then its children [a, s] and
+    # [s, b] by the rule and their gap to the parent; ``plain`` and ``tail`` hold each piece's outermost
+    # child by the rule and as a geometric tail
+    pieces = np.repeat(np.arange(2 * m), len(_FIRST_PARENTS))
+    panel = np.tile(_FIRST_PARENTS, (2 * m, 1))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused as not finite
+        a, s, b = panel.T
+        whole, left, right = panel_sums(np.concatenate([a, a, s]), np.concatenate([b, s, b]),
+                                        np.tile(pieces, 3)).reshape(3, -1)
+        panel = np.column_stack([panel, left, right, np.abs(whole - left - right)])
+        plain, tail, gaps = left[::len(_FIRST_PARENTS)], np.full(2 * m, np.nan), []
+        for _ in range(_QUAD_ROUNDS):
+            rows = pieces // 2
+            total, gap = np.bincount(rows, panel[:, 3] + panel[:, 4], m), np.bincount(rows, panel[:, 5], m)
+            if not np.isfinite(total + gap).all():
+                raise NumericalError(f"integral {total[np.argmax(~np.isfinite(total + gap))]} overflows")
+            gaps.append(gap)
+            short = gap > _QUAD_TOL * np.abs(total)
+            if len(gaps) > 4:  # an error that did not halve in four rounds is the integrand's noise
+                short &= (gap < 0.5 * gaps[-5]) | (gap > _QUAD_NOISE * np.abs(total))
+            if not short.any():
+                return (total.reshape(shape), gap.reshape(shape)) if shape else (float(total[0]), float(gap[0]))
+            if len(pieces) > _QUAD_PANELS and np.bincount(rows).max() > _QUAD_PANELS:
+                break
+            # a short integral splits every panel whose error is an eighth of its largest or more: a
+            # parent at t = 0 leaves children split at a quarter, any other at half
+            score = panel[:, 5] / np.where(short, np.maximum(np.abs(total), 1e-300), np.inf)[rows]
+            largest = np.zeros(m)
+            np.maximum.at(largest, rows, score)
+            split = (score >= largest[rows] / 8.0) & (score > 0.0)
+            old, at = panel[split], np.tile(pieces[split], 2)
+            a, b = np.concatenate([old[:, 0], old[:, 1]]), np.concatenate([old[:, 1], old[:, 2]])
+            s = np.where(a == 0.0, 0.25 * b, 0.5 * (a + b))
+            left, right = panel_sums(np.concatenate([a, s]), np.concatenate([s, b]), np.tile(at, 2)).reshape(2, -1)
+            error = np.abs(np.concatenate([old[:, 3], old[:, 4]]) - left - right)
+            outer = np.flatnonzero(old[:, 0] == 0.0)
+            if outer.size:  # rings [s/4, s] and [s, 4s] of a power law x^a decay by r = 4^-(a+1)
+                ring, piece = right[outer], at[outer]
+                r = ring / old[outer, 4]
+                estimate = np.where((0.0 < r) & (r < 1.0), ring * r / (1.0 - r), np.nan)
+                tail_gap = np.abs(tail[piece] - estimate - ring)  # nan without a tail the split before
+                plain_gap = np.abs(plain[piece] - left[outer] - ring)
+                plain[piece], tail[piece] = left[outer], estimate
+                left[outer] = np.where(tail_gap < plain_gap, estimate, left[outer])
+                error[outer] = np.fmin(tail_gap, plain_gap)
+            panel = np.concatenate([panel[~split], np.column_stack([a, s, b, left, right, error])])
+            pieces = np.concatenate([pieces[~split], at])
+    i = int(np.argmax(short))
+    raise NumericalError(f"quadrature did not reach the relative error {_QUAD_TOL:g} in {len(gaps)} rounds "
+                         f"of at most {_QUAD_PANELS} panels: {total[i]:.6g} with error {gap[i]:.3g}")
 
 
 def _support_integral(fn, support, center: Optional[float] = None) -> tuple[float, float]:
-    """``(integral, error estimate)`` of ``fn`` over a ``RealInterval``.
+    """``(integral, error estimate)`` of ``fn`` over a ``RealInterval``, ``fn`` called on ndarrays only.
 
-    A lattice support is summed over its integer points from ``max(lower, 0)`` upward, a run
-    stopping after three consecutive terms below 1e-14 of the running total (the error estimate
-    then gains the last term) or at an end of the support.  Given the ``center`` where ``fn``
-    peaks, the sum runs up from the lattice point nearest it and then down from there, and a zero
-    term counts as negligible too, so a sum whose every term underflows stops at once.  More than
-    10^7 terms, a start beyond 2^53, or a term 10^7 points above the centre not below 1e-14 of the
-    centre's (told before summing), raise ``NumericalError``.  Any other support goes to ``_quad``.
+    A lattice support is summed over its integer points from ``max(lower, 0)`` upward, a block of
+    terms a call; a run stops after three consecutive terms below 1e-14 of the running total (the
+    error estimate then gains the last term) or at an end of the support.  Given the ``center``
+    where ``fn`` peaks, the sum runs up from the lattice point nearest it and then down from there,
+    and a zero term counts as negligible too, so a sum whose every term underflows stops at once.
+    More than 10^7 terms, a start beyond 2^53, or a term 10^7 points above the centre not below
+    1e-14 of the centre's (told before summing), raise ``NumericalError``.  Any other support goes
+    to :func:`_quadrature`.
     """
     if not support.lattice:
-        return _quad(fn, support.lower, support.upper)
+        return _quadrature(lambda x, _: fn(x), support.lower, support.upper, center)
     lower = math.ceil(max(support.lower, 0.0) if math.isfinite(support.lower) else 0.0)
     start = lower if center is None else max(lower, min(round(center), support.upper))
     if not start < 2**53:
         raise NumericalError(f"lattice sum from {start:.3g}, beyond the integers a float holds")
-    if center is not None and start + 10**7 <= support.upper and fn(start + 1e7) > 1e-14 * fn(float(start)):
-        raise NumericalError(f"lattice sum from {start} cannot converge within 10^7 terms: the term "
-                             "10^7 points above it is not below 1e-14 of its own")
-    total, error, terms = 0.0, 0.0, 0
-    for k, step in ((start, 1), (start - 1, -1)):
-        quiet = 0
-        while lower <= k <= support.upper and quiet < 3:
-            term = fn(float(k))
-            total += term
-            negligible = term < 1e-14 * total or (center is not None and term == 0.0)
-            quiet = quiet + 1 if negligible else 0
-            k, terms = k + step, terms + 1
-            if terms > 10**7:
-                raise NumericalError("lattice sum did not converge within 10^7 terms")
-        error += term if quiet >= 3 else 0.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused as not finite
+        if center is not None and start + 10**7 <= support.upper:
+            near, far = fn(np.array([start, start + 1e7]))
+            if far > 1e-14 * near:
+                raise NumericalError(f"lattice sum from {start} cannot converge within 10^7 terms: the term "
+                                     "10^7 points above it is not below 1e-14 of its own")
+        total, error, terms = 0.0, 0.0, 0
+        for k, step in ((start, 1), (start - 1, -1)):
+            quiet, block = 0, _LATTICE_BLOCK
+            while lower <= k <= support.upper and quiet < 3:
+                end = min(k + block, support.upper + 1) if step > 0 else max(k - block, lower - 1)
+                ks = np.arange(k, end, step, dtype=float)
+                values = _finite(fn(ks), ks)
+                running = np.cumsum(np.concatenate(([total], values)))[1:]  # added in order, as one by one
+                negligible = (values < 1e-14 * running) | ((values == 0.0) & (center is not None))
+                run = np.concatenate([np.ones(quiet, dtype=bool), negligible])  # with the run carried in
+                stops = np.flatnonzero(run[2:] & run[1:-1] & run[:-2])
+                n = stops[0] + 3 - quiet if stops.size else ks.size
+                total, terms, k = float(running[n - 1]), terms + n, k + step * n
+                block = min(2 * block, _LATTICE_BLOCK_MAX)
+                if terms > 10**7:
+                    raise NumericalError("lattice sum did not converge within 10^7 terms")
+                quiet = 3 if stops.size else 2 if run[-2:].all() else int(run[-1])
+            error += float(values[n - 1]) if quiet == 3 else 0.0
     return total, error

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _elementary as el
-from ._numdiff import _quad, derivative
+from ._numdiff import _quadrature, derivative
 from .edm import FAMILIES, unit_deviance_of, variance_function_of
 from .errors import DomainError, NumericalError, lookup, refuses_numerical_failure, require_positive
 from .support import UNIT_INTERVAL, RealInterval
@@ -248,7 +248,7 @@ def transform_deviance(
 
 
 def variance_stabilizing_transform(V: VarianceFunction, y_star: float, y: float) -> float:
-    """``f(y) = integral_{y_star}^{y} V(v)^{-1/2} dv`` by adaptive quadrature.
+    """``f(y) = integral_{y_star}^{y} V(v)^{-1/2} dv`` by ``_numdiff._quadrature``.
 
     The transformed deviance has constant unit variance 1.  Fails if V
     vanishes (or is invalid) anywhere on the integration path.
@@ -259,8 +259,8 @@ def variance_stabilizing_transform(V: VarianceFunction, y_star: float, y: float)
         return 0.0
     path = np.linspace(min(y_star, y), max(y_star, y), 17)
     require_positive(el.call(V.fn, path), "variance function", V, "v", path)
-    integral, err = _quad(lambda v: V.fn(v) ** -0.5, y_star, y)
-    if not math.isfinite(integral) or err > 1e-6 * max(1.0, abs(integral)):
+    integral, err = _quadrature(lambda v, _: el.call(V.fn, v) ** -0.5, y_star, y)  # V <= 0 at a node is refused
+    if err > 1e-6 * max(1.0, abs(integral)):
         raise NumericalError("quadrature failure in variance stabilizing transform")
     return float(integral)
 

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from . import _elementary as el
-from ._numdiff import _bracketed_newton, _length_scale, _quad, derivative
+from ._numdiff import _bracketed_newton, _length_scale, _quadrature, derivative
 from .errors import ConvergenceError, DomainError, NumericalError, lookup, refuses_numerical_failure, require_positive
 from .expressions import compile_expression
 from .support import POSITIVE_REALS, REALS, RealInterval
@@ -78,8 +78,8 @@ class EdmFamily:
     of the log density, on the log scale.
 
     ``b``, ``b_nth`` (at every order it knows), ``mean_inverse``,
-    ``deviance_closed_form`` and ``dc_dtau`` (in its ``y`` argument) must
-    accept an ndarray as well as a float; the built-in families write each
+    ``deviance_closed_form``, and ``exact_normalizer`` and ``dc_dtau`` (in
+    their ``y`` argument) must accept an ndarray as well as a float; the built-in families write each
     formula once with ``_elementary``, which keeps floats on ``math``.
     Without ``mean_inverse`` or ``deviance_closed_form``, the mean inverse
     (``_solve_increasing``) and the deviance (``_generator_deviance``) come
@@ -260,10 +260,10 @@ def edm_deviance(fam: EdmFamily, y, mu):
 
 def _generator_deviance(fam: EdmFamily, y: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """``2 [y (q(y) - q(mu)) - b(q(y)) + b(q(mu))]`` on ndarrays (not 0-d), from one inverse-mean
-    solve and one call of ``b``; quadrature for ``y`` outside int(M) (a count of 0) or where the
-    terms cancel to 1e-8 of their size next to the diagonal: it keeps the sign there.  A solved
-    (not registered) q takes one more Newton step: the solve stops at ``|b' - mu| <= 1e-10 s``,
-    and d carries that residual times ``y - mu``."""
+    solve and one call of ``b``; one quadrature for the entries with ``y`` outside int(M) (a count of
+    0) or where the terms cancel to 1e-8 of their size next to the diagonal: it keeps the sign there.
+    A solved (not registered) q takes one more Newton step: the solve stops at ``|b' - mu| <= 1e-10
+    s``, and d carries that residual times ``y - mu``."""
     y, mu = np.broadcast_arrays(y, mu)
     generator = fam.mean_domain.interior().contains(y) & (y != mu)
     y_in, n = y[generator], np.count_nonzero(generator)
@@ -277,27 +277,32 @@ def _generator_deviance(fam: EdmFamily, y: np.ndarray, mu: np.ndarray) -> np.nda
         terms = (y_in * theta[:n], -y_in * theta[n:], -b[:n], b[n:])
         d[generator] = value = 2.0 * sum(terms)
         generator[generator] = value > 1e-8 * sum(map(abs, terms))
-    for i in np.flatnonzero(~generator & (y != mu)):
-        d.flat[i] = deviance_by_quadrature(fam, float(y.flat[i]), float(mu.flat[i]))
+    quadrature = ~generator & (y != mu)
+    if quadrature.any():
+        d[quadrature] = deviance_by_quadrature(fam, y[quadrature], mu[quadrature])
     return d
 
 
 @refuses_numerical_failure
-def deviance_by_quadrature(fam: EdmFamily, y: float, mu: float) -> float:
-    """Unit deviance by adaptive quadrature of ``2 (y - t)/V(t)``, ignoring closed forms."""
+def deviance_by_quadrature(fam: EdmFamily, y, mu):
+    """Unit deviance ``2 integral_mu^y (y - t)/V(t) dt`` by ``_numdiff._quadrature``, ignoring closed
+    forms.  ``y`` and ``mu`` may be ndarrays, each entry an integral of one quadrature; the empty
+    integral at ``y == mu`` is exactly 0."""
+    y, mu = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(mu, dtype=float))
     fam.support.require(y, "y")
     fam.mean_domain.require(mu, "mu")
-    if y == mu:
-        return 0.0
-    value, err = _quad(lambda t: 2.0 * (y - t) / variance_function(fam, t), mu, y)
-    if not math.isfinite(value) or err > 1e-6 * max(1.0, abs(value)):
-        raise NumericalError(f"deviance quadrature failed for {fam.name} at (y={y}, mu={mu})")
-    return float(value)
+    ys = y.ravel()
+    value, err = _quadrature(lambda t, i: 2.0 * (ys[i, None] - t) / variance_function.__wrapped__(fam, t), mu, y)
+    bad = np.ravel(~(err <= 1e-6 * np.maximum(1.0, np.abs(value))))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(f"deviance quadrature failed for {fam.name} at (y={ys[i]}, mu={mu.flat[i]})")
+    return value
 
 
 @refuses_numerical_failure
 def log_density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
-    """Exact log density ``[y theta - b(theta)]/tau + c(y; tau)``.
+    """Exact log density ``[y theta - b(theta)]/tau + c(y; tau)``; ``y`` may be an ndarray.
 
     Requires an exact normalizer; :func:`density` provides the
     saddlepoint-backed fallback for families without one.
@@ -332,8 +337,10 @@ def density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
 
 def _require_observation(fam: EdmFamily, y: float) -> None:
     fam.support.require(y, "y")
-    if fam.support.lattice and abs(y - round(y)) > 1e-9:
-        raise DomainError(f"{fam.name} has lattice support; y={y} is not a lattice point")
+    off = fam.support.lattice and abs(y % 1.0 - 0.5) < 0.5 - 1e-9  # more than 1e-9 from an integer
+    if off is True or isinstance(off, np.ndarray) and off.any():
+        raise DomainError(f"{fam.name} has lattice support; y={y if off is True else y[off].flat[0]} is not a "
+                          "lattice point")
 
 
 def saturated_loglik_kernel(fam: EdmFamily, y):
@@ -421,7 +428,7 @@ def _gamma_family() -> EdmFamily:
         mean_domain=POSITIVE_REALS,
         support=POSITIVE_REALS,
         dispersion_domain=POSITIVE_REALS,
-        exact_normalizer=lambda y, tau: (1.0 / tau - 1.0) * math.log(y)
+        exact_normalizer=lambda y, tau: (1.0 / tau - 1.0) * el.log(y)
         - math.log(tau) / tau
         - float(el.special.gammaln(1.0 / tau)),
         dc_dtau=lambda y, tau: (-el.log(y) + math.log(tau) - 1.0 + el.special.polygamma(0, 1.0 / tau))
@@ -440,7 +447,7 @@ def _poisson_family() -> EdmFamily:
         mean_domain=POSITIVE_REALS,
         support=RealInterval(0.0, math.inf, closed_lower=True, lattice=True),
         dispersion_domain=_UNIT_TAU,
-        exact_normalizer=lambda y, tau: -(y / tau) * math.log(tau) - float(el.special.gammaln(y / tau + 1.0)),
+        exact_normalizer=lambda y, tau: -(y / tau) * math.log(tau) - el.special.gammaln(y / tau + 1.0),
         mean_inverse=el.log,
         deviance_closed_form=partial(el.power_deviance, 1.0),
     )
@@ -458,7 +465,7 @@ def _inverse_gaussian_family() -> EdmFamily:
         dispersion_domain=POSITIVE_REALS,
         exact_normalizer=lambda y, tau: -0.5 / (tau * y)
         - 0.5 * math.log(2.0 * math.pi * tau)
-        - 1.5 * math.log(y),
+        - 1.5 * el.log(y),
         dc_dtau=lambda y, tau: 0.5 / (tau**2 * y) - 0.5 / tau,
         mean_inverse=lambda mu: -0.5 / mu**2,
         # x (x/y) with x = y/mu - 1 in units of mu, so that neither (y - mu)^2 nor x^2 overflows
@@ -529,8 +536,8 @@ def _negative_binomial_family() -> EdmFamily:
     )
 
 
-def gsh_log_normalizer(y: float, tau: float) -> float:
-    """Normalizer ``c(y; tau)`` of the generalized secant hyperbolic family.
+def gsh_log_normalizer(y, tau: float):
+    """Normalizer ``c(y; tau)`` of the generalized secant hyperbolic family, at a float or an ndarray y.
 
     With ``lambda = 1/tau``, ``Y = tau X`` where X has the NEF-GHS base
     density ``2^(lambda-2) |Gamma(lambda/2 + i x/2)|^2 / (pi Gamma(lambda))``
@@ -540,11 +547,12 @@ def gsh_log_normalizer(y: float, tau: float) -> float:
     if not tau > 0.0:
         raise DomainError("tau must be positive")
     lam = 1.0 / tau
+    part = el.special.loggamma(0.5 * lam + 0.5j * y / tau).real
     return (
         (lam - 2.0) * math.log(2.0)
         - math.log(math.pi)
         - float(el.special.gammaln(lam))
-        + 2.0 * float(el.special.loggamma(complex(0.5 * lam, 0.5 * y / tau)).real)
+        + 2.0 * (part if part.ndim else float(part))
         - math.log(tau)
     )
 

@@ -12,7 +12,8 @@ models on the circle).
 
 ``PdmSpec.carrier``, the deviance's ``fn``, yokes, group actions and
 invariant carriers keep the array contract of ``_elementary.call``, so
-:func:`pdm_density` takes a whole grid of y in one call.
+:func:`pdm_density` takes a whole grid of y in one call, and the normalizer
+integral calls them once per round of refinement or block of lattice terms.
 """
 
 from __future__ import annotations
@@ -92,22 +93,22 @@ def pdm_normalizer(
 
     For a proper dispersion model the integral does not depend on the
     probe mu; re-evaluating at a different probe must agree within 1e-6
-    relative, which is the pivotality diagnostic callers assert.
+    relative, which is the pivotality diagnostic callers assert.  A node of
+    ``_numdiff._support_integral`` where the exponential underflows adds 0
+    unseen by ``b``; a value not finite elsewhere raises ``NumericalError``.
     """
     if not tau > 0.0:
         raise DomainError(f"tau must be positive, got {tau}")
     d.omega.require(probe_mu, "probe_mu")
 
-    def integrand(y: float) -> float:
-        try:
-            dev = eval_deviance.__wrapped__(d, y, probe_mu)
-            weight = float(b(y))
-        except (DomainError, NumericalError, ValueError, OverflowError, ZeroDivisionError):
-            return 0.0
-        return weight * math.exp(-dev / (2.0 * tau))
+    def integrand(y: np.ndarray) -> np.ndarray:
+        value = np.exp(el.call(d.fn, y, probe_mu) / (-2.0 * tau))
+        live = value > 0.0
+        value[live] *= el.call(b, y[live])
+        return value
 
     value, err = _support_integral(integrand, d.support, probe_mu)
-    if not math.isfinite(value) or value <= 0.0 or err > 1e-6 * max(value, 1e-300):
+    if not 0.0 < value < math.inf or err > 1e-6 * value:
         raise NumericalError(
             f"normalizer integral for {d.name} diverged or failed (value={value}, err={err})"
         )

@@ -17,9 +17,9 @@ Every per-observation quantity (the response check, variance function,
 deviance, Pearson and profile sums) is one array call into ``edm`` per
 iteration, so an iteration makes O(1) library calls whatever n is.  The
 family's callables see whole arrays, and a family given by ``b`` alone (a
-JSON config) is evaluated by array code in ``edm``; only its deviance
-entries on the mean domain's boundary or next to the diagonal go to
-quadrature one at a time.  A predictor that gives a
+JSON config) is evaluated by array code in ``edm``; its deviance entries
+on the mean domain's boundary or next to the diagonal go to one batched
+quadrature.  A predictor that gives a
 non-finite mean (a nonlinear expression evaluated outside its domain
 yields ``nan``) is handled like a mean outside the mean domain: the step
 is halved, or ``DomainError`` is raised at the starting coefficients.

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import _elementary as el, edm
 from .deviance import UnitDeviance, VarianceFunction, eval_deviance
 from .edm import EdmFamily
@@ -35,10 +37,9 @@ __all__ = [
     "sample_mean_cdf",
 ]
 
-# the edm layer and V undecorated: the refusal rule is paid once, and names the saddlepoint call
-_mean_value, _edm_deviance, _inverse_mean, _variance_function, _cumulant, _variance_at = (
-    f.__wrapped__ for f in (edm.mean_value, edm.edm_deviance, edm.inverse_mean, edm.variance_function, edm.cumulant,
-                            VarianceFunction.__call__))
+# the edm layer undecorated: the refusal rule is paid once, and names the saddlepoint call
+_mean_value, _edm_deviance, _inverse_mean, _variance_function, _cumulant = (
+    f.__wrapped__ for f in (edm.mean_value, edm.edm_deviance, edm.inverse_mean, edm.variance_function, edm.cumulant))
 
 # sqrt(d) below which the Lugannani-Rice correction is its limit at y = mu:
 # there 1/r - 1/u loses digits to cancellation and the limit is off by O(r)
@@ -94,12 +95,19 @@ def renormalized_saddlepoint(
 
     ``a0(mu, tau) = 1 / integral_C q(x; mu, tau) nu(dx)`` is the normalizer of the proper
     dispersion model with carrier ``[2 pi tau V(x)]^(-1/2)``, from :func:`pdm.pdm_normalizer`
-    (adaptive quadrature, or lattice summation for discrete supports).  Boundary observations,
-    where V degenerates, carry no mass.
+    (adaptive quadrature, or lattice summation for discrete supports), which calls the carrier on
+    arrays of nodes.  Boundary observations, where V degenerates, carry no mass.
     """
     if not d.regular:
         raise DomainError(f"deviance {d.name} is not regular; saddlepoint undefined")
-    a0 = pdm_normalizer(d, lambda x: _saddlepoint_value(0.0, _variance_at(V, x), tau), tau, mu)
+
+    def carrier(x: np.ndarray) -> np.ndarray:
+        inside = V.domain.contains(x)  # a boundary node: 0
+        value = np.zeros(x.shape)
+        value[inside] = (2.0 * math.pi * tau * el.call(V.fn, x[inside])) ** -0.5
+        return value
+
+    a0 = pdm_normalizer(d, carrier, tau, mu)
     try:
         value = a0 * _saddlepoint_value(eval_deviance(d, y, mu), V(y), tau)
     except (DomainError, NumericalError):

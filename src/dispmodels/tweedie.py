@@ -45,6 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import _elementary as el
+from ._numdiff import _GL_NODES, _GL_WEIGHTS, _gauss_legendre_panels
 from .edm import FAMILIES, EdmFamily
 from .errors import DomainError, NumericalError, refuses_numerical_failure
 from .support import POSITIVE_REALS, REALS, RealInterval
@@ -73,17 +74,6 @@ _CDF_BLOCK = 2**20  # 1 < p < 2 cdf: entries of one rows-by-jump-counts block of
 # (a Gaussian cf is below e^-32 past it), then _BATCH >= _WINDOW + 3 half-periods a cf call, extrapolated over
 # _WINDOW partial sums until four extrapolants agree to _AGREE of the gate; _MAX_PANELS panels a row at most
 _S_SPLIT, _HEAD_PANELS, _BATCH, _WINDOW, _AGREE, _MAX_PANELS = 8.0, 8, 32, 12, 1e-3, 1024
-# (node, weight) of the nonnegative half of the symmetric 16-point Gauss-Legendre rule on [-1, 1], as
-# numpy.polynomial.legendre.leggauss(16) gives them; _GL_NODES and _GL_WEIGHTS are the rule on [0, 1]
-_LEGENDRE_16 = np.array([
-    (0.09501250983763744, 0.18945061045506864), (0.2816035507792589, 0.18260341504492364),
-    (0.45801677765722737, 0.16915651939500265), (0.6178762444026438, 0.1495959888165767),
-    (0.755404408355003, 0.12462897125553407), (0.8656312023878318, 0.0951585116824926),
-    (0.9445750230732326, 0.062253523938647456), (0.9894009349916499, 0.027152459411754176),
-])
-_GL_NODES = 0.5 * (np.concatenate((-_LEGENDRE_16[::-1, 0], _LEGENDRE_16[:, 0])) + 1.0)
-_GL_WEIGHTS = 0.5 * np.concatenate((_LEGENDRE_16[::-1, 1], _LEGENDRE_16[:, 1]))
-_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False  # every caller gets these arrays
 _INVERSION_ROWS = 64  # p > 2 cdf: rows inverted together
 _MW_SIGNS = np.array([(-1.0) ** k * math.comb(_WINDOW - 1, k) for k in range(_WINDOW)])  # (-1)^l C(11, l)
 
@@ -298,12 +288,6 @@ def _log_v_series(p: float, y: float, tau: float) -> Optional[float]:
     total = math.fsum(sign * math.exp(log_abs - log_max) for _, log_abs, sign in entries)
     gross = math.fsum(math.exp(log_abs - log_max) for _, log_abs, _ in entries)
     return log_max + math.log(total) if total > 1e-8 * gross else None
-
-
-def _gauss_legendre_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights, shape ``(..., k, 16)``, on the k panels between the last axis of ``edges``."""
-    width = np.diff(edges)[..., None]
-    return edges[..., :-1, None] + width * _GL_NODES, width * _GL_WEIGHTS
 
 
 def _log_cf(s: np.ndarray, alpha: float, scale: float, c: float) -> tuple[np.ndarray, np.ndarray]:

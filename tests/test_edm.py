@@ -1,6 +1,7 @@
 """EDM families: cgf, moments, deviances, densities, closure, Morris class."""
 
 import math
+import time
 from dataclasses import replace
 
 import mpmath
@@ -487,7 +488,7 @@ class TestSharedSolvers:
         from scipy.stats import poisson
 
         support = edm.get_family("poisson").support
-        total, err = _support_integral(lambda k: float(poisson.pmf(k, 800.0)), support)
+        total, err = _support_integral(lambda k: poisson.pmf(k, 800.0), support)
         assert total == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < err < 1e-14 * total
 
@@ -497,8 +498,36 @@ class TestSharedSolvers:
 
         dice = RealInterval(1.0, 6.0, closed_lower=True, closed_upper=True, lattice=True)
         assert _support_integral(lambda k: k, dice) == (21.0, 0.0)
-        value, err = _support_integral(lambda x: math.exp(-x), RealInterval(0.0, math.inf))
+        value, err = _support_integral(lambda x: np.exp(-x), RealInterval(0.0, math.inf))
         assert value == pytest.approx(1.0, rel=1e-12) and err < 1e-8
+
+    def test_integrable_singularity_at_a_finite_end(self):
+        # y^-0.8 e^-y: the panels at 0 decay as a power law, whose tail the rule extrapolates
+        from dispmodels._numdiff import _support_integral
+        from dispmodels.support import RealInterval
+
+        value, err = _support_integral(lambda y: y**-0.8 * np.exp(-y), RealInterval(0.0, math.inf))
+        assert value == pytest.approx(math.gamma(0.2), rel=1e-10) and err < 1e-9 * value
+
+    def test_divergent_integral_uses_up_its_rounds(self):
+        # the integral of 1/x from 0 grows by log 4 each time the panel at 0 splits
+        from dispmodels._numdiff import _quadrature
+
+        with pytest.raises(NumericalError, match="did not reach the relative error"):
+            _quadrature(lambda x, rows: 1.0 / x, 0.0, 1.0)
+
+    def test_batched_quadrature_equals_each_entry_alone(self):
+        # each integral refines its own panels, so a batch gives each entry its float value
+        from dispmodels._numdiff import _quadrature
+
+        lower, upper = np.array([0.0, 1e-7, 2.0]), np.array([1.0, 1.0, -3.0])
+        power = np.array([0.5, -2.0, 2.0])
+        # |x|^p as exp(p log|x|): numpy's power of an array by the float 2.0 is a product
+        values, errors = _quadrature(lambda x, rows: np.exp(power[rows, None] * np.log(np.abs(x))), lower, upper)
+        for i in range(3):
+            alone = _quadrature(lambda x, rows: np.exp(power[i] * np.log(np.abs(x))), lower[i], upper[i])
+            assert (values[i], errors[i]) == alone
+        assert values == pytest.approx([2.0 / 3.0, 1e7 - 1.0, -(8.0 + 27.0) / 3.0], rel=1e-12)
 
 
     def test_maximizer_finds_a_cusp_off_the_scan(self):
@@ -556,10 +585,23 @@ class TestConfigGeneratorDeviance:
         y = mu * (1.0 + rng.uniform(-0.01, 0.01, 1000))
         quadratures = []
         real = edm.deviance_by_quadrature
-        monkeypatch.setattr(edm, "deviance_by_quadrature", lambda *a: quadratures.append(a) or real(*a))
+        monkeypatch.setattr(edm, "deviance_by_quadrature", lambda *a: quadratures.extend(a[1]) or real(*a))
         d, exact = edm_deviance(fam, y, mu), edm_deviance(ref, y, mu)
         assert np.max(np.abs(d - exact) / exact) <= 2e-8
         assert len(quadratures) <= 22  # the entries at the cancellation gate
+
+    def test_zero_counts_share_one_quadrature(self):
+        # 500 zero counts in n = 10^3: one quadrature of 2 t / V(t) over [0, mu] for all of them
+        fam, ref = family_from_config(self.POISSON), FAMILIES["poisson"]
+        rng = np.random.default_rng(3)
+        mu = rng.uniform(0.5, 20.0, 1000)
+        y = np.where(np.arange(1000) % 2 == 0, 0.0, rng.poisson(mu) + 1.0)
+        start = time.perf_counter()
+        d = edm_deviance(fam, y, mu)
+        assert time.perf_counter() - start < 5.0
+        exact = edm_deviance(ref, y, mu)
+        assert np.count_nonzero(y == 0.0) == 500
+        np.testing.assert_allclose(d, exact, rtol=1e-9, atol=0.0)
 
     def test_boundary_count_uses_quadrature(self):
         fam = family_from_config(self.POISSON)

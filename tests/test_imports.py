@@ -20,8 +20,8 @@ def _fresh(*args: str) -> str:
     ).stdout
 
 
-# scipy.integrate (which loads scipy.optimize) and scipy.interpolate are imported
-# by the first quadrature or sampler call, not with the package
+# the package integrates with its own rule, so no call imports scipy.integrate or scipy.optimize;
+# scipy.interpolate is imported by the first sampler call, not with the package
 _QUADRATURE_MODULES = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
 
 # runs the CLI on its arguments, if any, then prints which of the given modules are loaded
@@ -101,9 +101,9 @@ def test_cli_special_function_loads_scipy_special_on_first_call(argv):
 @pytest.mark.parametrize("argv", [
     ["pdm", "--model", "simplex", "--mu", "0.3", "--tau", "0.5", "--y", "0.4"],
 ], ids=lambda argv: argv[0])
-def test_cli_with_quadrature_loads_scipy_integrate(argv):
-    # the probe sees a deferred import once a quadrature runs
-    assert _loaded(("scipy.integrate",), *argv) == "['scipy.integrate']"
+def test_cli_with_quadrature_leaves_scipy_integrate_and_optimize_unloaded(argv):
+    # the normalizer integral runs on the package's own Gauss-Legendre rule
+    assert _loaded(("scipy.integrate", "scipy.optimize"), *argv) == "[]"
 
 
 @pytest.mark.parametrize("p", ["2.5", "3"])
@@ -219,6 +219,32 @@ _MODULES = sorted(
 @pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.stem)
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _scipy_solver_imports(source: str) -> list[str]:
+    """Imports of ``scipy.integrate`` or ``scipy.optimize`` (or names from them) in ``source``."""
+    banned = ("scipy.integrate", "scipy.optimize")
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name.startswith(banned)]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{a.name}" for a in node.names] if node.module == "scipy" else [node.module]
+            found += [f"{name} (line {node.lineno})" for name in names if name.startswith(banned)]
+    return found
+
+
+def test_scipy_solver_import_detector():
+    source = ("import scipy.integrate\nfrom scipy.optimize import brentq\nfrom scipy import integrate, special\n"
+              "from scipy.special import gammaln\nimport scipy.interpolate\n")
+    assert _scipy_solver_imports(source) == ["scipy.integrate (line 1)", "scipy.optimize (line 2)",
+                                             "scipy.integrate (line 3)"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.stem)
+def test_module_imports_neither_scipy_integrate_nor_optimize(path):
+    # quadrature, root finding and maximization are the package's own routines
+    assert _scipy_solver_imports(path.read_text(encoding="utf-8")) == []
 
 
 def _unread_private_names(sources: list[str]) -> list[str]:

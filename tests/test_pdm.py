@@ -3,12 +3,12 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.interpolate import PchipInterpolator
-from scipy.special import gamma as gamma_fn
-from scipy.special import i0
+from scipy.special import i0e
 
 from dispmodels.deviance import DEVIANCES, check_unit_deviance, unit_variance
 from dispmodels.errors import DomainError
@@ -31,26 +31,40 @@ from dispmodels.deviance import VARIANCE_FUNCTIONS
 
 
 class TestNormalizer:
-    def test_von_mises_quadrature_and_bessel(self):
+    @pytest.mark.parametrize("tau", [0.5, 0.02, 0.1, 1.0, 5.0])
+    def test_von_mises_quadrature_and_bessel(self, tau):
         spec = get_pdm("vonmises")
-        tau = 0.5
         a0 = pdm_normalizer(spec.deviance, spec.carrier, tau, 1.0)
         oracle, _ = quad(lambda y: math.exp(-(1 - math.cos(y)) / tau), 0, 2 * math.pi)
         assert a0 == pytest.approx(1.0 / oracle, rel=1e-10)
-        assert a0 == pytest.approx(math.exp(2.0) / (2 * math.pi * i0(2.0)), rel=1e-10)
+        # e^(1/tau) / (2 pi I0(1/tau)), with I0 scaled by e^(-1/tau) so that it does not overflow
+        assert a0 == pytest.approx(1.0 / (2 * math.pi * i0e(1.0 / tau)), rel=1e-13)
 
     def test_normal_gaussian_integral(self):
         spec = get_pdm("normal")
         a0 = pdm_normalizer(spec.deviance, spec.carrier, 1.0, 0.0)
         assert a0 == pytest.approx((2 * math.pi) ** -0.5, rel=1e-10)
 
-    def test_gamma_pdm_view(self):
-        # carrier 1/y: a0(tau) = k^k e^(-k) / Gamma(k) with k = 1/tau
+    @pytest.mark.parametrize("tau", [1.0, 0.5, 0.02, 0.05, 0.1, 0.3, 0.7, 2.0, 5.0])
+    def test_gamma_pdm_view(self, tau):
+        # carrier 1/y: a0(tau) = k^k e^(-k) / Gamma(k) with k = 1/tau, any probe mu; above tau = 1
+        # the integrand is singular at 0 as y^(1/tau - 1)
         spec = get_pdm("gamma")
-        for tau in (1.0, 0.5):
-            k = 1.0 / tau
-            a0 = pdm_normalizer(spec.deviance, spec.carrier, tau, 2.0)
-            assert a0 == pytest.approx(k**k * math.exp(-k) / gamma_fn(k), rel=1e-6)
+        k = 1.0 / tau
+        exact = math.exp(k * math.log(k) - k - math.lgamma(k))
+        for mu in (2.0, 0.3, 1.0, 3.0):
+            assert pdm_normalizer(spec.deviance, spec.carrier, tau, mu) == pytest.approx(exact, rel=3e-10)
+
+    @pytest.mark.parametrize("tau,mu", [(0.1, 0.3), (1.0, 0.5), (3.0, 0.7)])
+    def test_simplex_normalizer_against_mpmath(self, tau, mu):
+        spec = get_pdm("simplex")
+        with mpmath.workdps(30):
+            def integrand(y):
+                d = (y - mu) ** 2 / (y * (1 - y) * mpmath.mpf(mu) ** 2 * (1 - mpmath.mpf(mu)) ** 2)
+                return (y * (1 - y)) ** mpmath.mpf(-1.5) * mpmath.exp(-d / (2 * tau))
+
+            exact = float(1 / mpmath.quad(integrand, [0, mu, 1]))
+        assert pdm_normalizer(spec.deviance, spec.carrier, tau, mu) == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["vonmises", "simplex"])
     def test_mu_independence(self, name):
@@ -76,7 +90,7 @@ class TestNormalizer:
         dev = DEVIANCES["normal"]
         with pytest.raises(NumericalError):
             # carrier e^{y^2} outgrows the deviance factor
-            pdm_normalizer(dev, lambda y: math.exp(y * y), 1.0, 0.0)
+            pdm_normalizer(dev, lambda y: np.exp(y * y), 1.0, 0.0)
 
 
 class TestDensity:

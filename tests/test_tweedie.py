@@ -17,7 +17,7 @@ import pytest
 from scipy.integrate import quad
 
 from dispmodels import _elementary as el
-from dispmodels import edm, tweedie
+from dispmodels import _numdiff, edm, tweedie
 from dispmodels.errors import DomainError, NumericalError
 from dispmodels.tweedie import (
     _fourier_inversion,
@@ -589,11 +589,11 @@ def quadosc_values():
 class TestInversionRule:
     def test_gauss_legendre_literals_are_numpys_rule(self):
         nodes, weights = np.polynomial.legendre.leggauss(16)
-        half = tweedie._LEGENDRE_16
+        half = _numdiff._LEGENDRE_16
         assert np.concatenate((-half[::-1, 0], half[:, 0])).tolist() == nodes.tolist()
         assert np.concatenate((half[::-1, 1], half[:, 1])).tolist() == weights.tolist()
-        assert tweedie._GL_NODES.tolist() == (0.5 * (nodes + 1.0)).tolist()
-        assert tweedie._GL_WEIGHTS.tolist() == (0.5 * weights).tolist()
+        assert _numdiff._GL_NODES.tolist() == (0.5 * (nodes + 1.0)).tolist()
+        assert _numdiff._GL_WEIGHTS.tolist() == (0.5 * weights).tolist()
 
     @pytest.mark.parametrize("p, y, mu, tau", _ORACLE_DENSITIES)
     def test_density_integral_matches_quadosc(self, quadosc_values, p, y, mu, tau):
