@@ -31,7 +31,7 @@ so panels grade geometrically into a singular end; where the rings there
 decay by a ratio r < 1 (a power law), the innermost panel may take the tail
 r/(1 - r) of the last ring, its error the change between tails.  An integral
 is done within ``_QUAD_TOL`` (relative), or within ``_QUAD_NOISE`` once its
-error has not halved in four rounds (the integrand's rounding); after
+error has not halved in eight rounds (the integrand's rounding); after
 ``_QUAD_ROUNDS`` rounds or ``_QUAD_PANELS`` panels it is refused.  The
 integrand takes arrays only: one call per round on the nodes of all panels
 split in it, of every integral of a batch.  A lattice support is summed in
@@ -289,8 +289,8 @@ def _quadrature(fn, lower, upper, center=None):
                 raise NumericalError(f"integral {total[np.argmax(~np.isfinite(total + gap))]} overflows")
             gaps.append(gap)
             short = gap > _QUAD_TOL * np.abs(total)
-            if len(gaps) > 4:  # an error that did not halve in four rounds is the integrand's noise
-                short &= (gap < 0.5 * gaps[-5]) | (gap > _QUAD_NOISE * np.abs(total))
+            if len(gaps) > 8:  # an error that did not halve in eight rounds is the integrand's noise
+                short &= (gap < 0.5 * gaps[-9]) | (gap > _QUAD_NOISE * np.abs(total))
             if not short.any():
                 return (total.reshape(shape), gap.reshape(shape)) if shape else (float(total[0]), float(gap[0]))
             if len(pieces) > _QUAD_PANELS and np.bincount(rows).max() > _QUAD_PANELS:
