@@ -22,21 +22,22 @@ ndarrays alike, one call of ``fn`` per iteration.
 (shared with the p > 2 Tweedie inversion) on adaptive panels (Piessens et al.
 1983, *QUADPACK*; Gander & Gautschi 2000, *BIT* 40:84).  An interval is cut
 at a centre c into two pieces, each on t in [0, 1] from its end (t = 0) to c:
-x = end + (c - end) t from a finite end, x = c -+ L (1 - t)/t from -+inf, L
-the distance from c to the other end (or 1), so a node is as accurate as its
-distance to its end.  A panel's estimate is the rule on its halves, its error
-the gap to the rule on the whole.  Each round splits every panel with an
-error at least 1/8 of its integral's largest, a panel at t = 0 at a quarter,
-so panels grade geometrically into a singular end; where the rings there
-decay by a ratio r < 1 (a power law), the innermost panel may take the tail
-r/(1 - r) of the last ring, its error the change between tails.  An integral
-is done within ``_QUAD_TOL`` (relative), or within ``_QUAD_NOISE`` once its
-error has not halved in eight rounds (the integrand's rounding); after
-``_QUAD_ROUNDS`` rounds or ``_QUAD_PANELS`` panels it is refused.  The
-integrand takes arrays only: one call per round on the nodes of all panels
-split in it, of every integral of a batch.  A lattice support is summed in
-blocks of terms, one call per block.  No module imports scipy when it loads,
-nor SciPy's integrators or optimizers: ``scipy.special`` comes with the first
+x = end + (c - end) t^3 from a finite end, which turns a singularity x^a there
+into t^(3a + 2), and x = c -+ L (1 - t)/t from -+inf, L the distance from c
+to the other end (or 1); a node is as accurate as its distance to its end.
+A panel's estimate is the rule on its halves, its error the gap to the rule
+on the whole.  Each round splits every panel with an error at least 1/8 of
+its integral's largest, a panel at t = 0 at a quarter, so panels grade
+geometrically into the end; where the rings there decay by a ratio r < 1 (a
+power law), the innermost panel takes the tail r/(1 - r) of the last ring
+when that changes less between rounds than the rule.  An integral is done
+within ``_QUAD_TOL`` (relative), or within ``_QUAD_NOISE`` once its error has
+not halved in eight rounds (the integrand's rounding); after ``_QUAD_ROUNDS``
+rounds or ``_QUAD_PANELS`` panels it is refused.  The integrand takes arrays
+only: one call per round on the nodes of the panels split in it, of up to
+``_QUAD_BATCH`` integrals.  A lattice support is summed in blocks of terms,
+one call per block.  No module imports scipy when it loads, nor SciPy's
+integrators or optimizers: ``scipy.special`` comes with the first
 special-function call, through ``_elementary.special``.
 
 Four private solvers are written here once: ``_bracketed_newton`` (the
@@ -64,9 +65,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 __all__ = ["EPS", "derivative"]
 
 # the quadrature: the parent panels [a, s, b] it starts each piece with, the relative error asked of an
-# integral (of one whose error stalls), and the refinement it may spend
+# integral (of one whose error stalls), the refinement it may spend, and the integrals refined together
 _FIRST_PARENTS = np.array([[0.0, 0.125, 0.5], [0.5, 0.75, 1.0]])
-_QUAD_TOL, _QUAD_NOISE, _QUAD_ROUNDS, _QUAD_PANELS = 1e-10, 1e-6, 60, 2048
+_QUAD_TOL, _QUAD_NOISE, _QUAD_ROUNDS, _QUAD_PANELS, _QUAD_BATCH = 1e-10, 1e-6, 60, 2048, 64
 # lattice sums: terms in a run's first call of the summand, doubling each call up to the last
 _LATTICE_BLOCK, _LATTICE_BLOCK_MAX = 64, 2**16
 # (node, weight) of the nonnegative half of the symmetric 16-point Gauss-Legendre rule on [-1, 1], as
@@ -255,19 +256,21 @@ def _quadrature(fn, lower, upper, center=None):
             center = np.where(infinite[:, 0], np.where(infinite[:, 1], 0.0, hi - 1.0),
                               np.where(infinite[:, 1], lo + 1.0, 0.5 * lo + 0.5 * hi))
         c = np.broadcast_to(np.asarray(center, dtype=float).ravel(), (m,))[:, None]
+        if m > _QUAD_BATCH:  # a batch at a time, so that the nodes of a round stay bounded
+            parts = [_quadrature(lambda x, rows, i=i: fn(x, rows + i), *ends[i:i + _QUAD_BATCH].T,
+                                 c[i:i + _QUAD_BATCH, 0]) for i in range(0, m, _QUAD_BATCH)]
+            return tuple(np.concatenate(part).reshape(shape) for part in zip(*parts))
         # piece 2i runs from the lower end of integral i to c, piece 2i + 1 from its upper end
         length = np.where(np.isfinite(ends[:, ::-1]), np.abs(c - ends[:, ::-1]), 1.0)
         base = np.where(infinite, c, ends).ravel()
         scale = np.where(infinite, np.sign(ends) * length, c - ends).ravel()
         jacobian = np.where(infinite, length, (c - ends) * [1.0, -1.0]).ravel()
-    mapped = infinite.ravel() if infinite.any() else None
+    outward = infinite.ravel()
 
     def panel_sums(left, right, pieces):  # the rule on the panels [left, right] of the pieces
-        width = (right - left)[:, None]
-        t, w = left[:, None] + width * _GL_NODES, width * _GL_WEIGHTS
-        if mapped is not None:
-            outward = mapped[pieces, None]
-            t, w = np.where(outward, (1.0 - t) / t, t), np.where(outward, w / (t * t), w)
+        t, w = (a[:, 0] for a in _gauss_legendre_panels(np.stack([left, right], axis=-1)))
+        out = outward[pieces, None]
+        t, w = np.where(out, (1.0 - t) / t, t**3), np.where(out, w / (t * t), 3.0 * t * t * w)
         x = base[pieces, None] + scale[pieces, None] * t
         return (_finite(fn(x, pieces // 2), x) * (jacobian[pieces, None] * w)).sum(axis=1)
 
@@ -307,7 +310,7 @@ def _quadrature(fn, lower, upper, center=None):
             left, right = panel_sums(np.concatenate([a, s]), np.concatenate([s, b]), np.tile(at, 2)).reshape(2, -1)
             error = np.abs(np.concatenate([old[:, 3], old[:, 4]]) - left - right)
             outer = np.flatnonzero(old[:, 0] == 0.0)
-            if outer.size:  # rings [s/4, s] and [s, 4s] of a power law x^a decay by r = 4^-(a+1)
+            if outer.size:  # rings [s/4, s] and [s, 4s] of a power law t^b decay by r = 4^-(b+1)
                 ring, piece = right[outer], at[outer]
                 r = ring / old[outer, 4]
                 estimate = np.where((0.0 < r) & (r < 1.0), ring * r / (1.0 - r), np.nan)

@@ -338,9 +338,8 @@ def density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
 def _require_observation(fam: EdmFamily, y: float) -> None:
     fam.support.require(y, "y")
     off = fam.support.lattice and abs(y % 1.0 - 0.5) < 0.5 - 1e-9  # more than 1e-9 from an integer
-    if off is True or isinstance(off, np.ndarray) and off.any():
-        raise DomainError(f"{fam.name} has lattice support; y={y if off is True else y[off].flat[0]} is not a "
-                          "lattice point")
+    if off is not False and np.any(off):  # a bool, a numpy bool or an array of them
+        raise DomainError(f"{fam.name} has lattice support; y={np.asarray(y)[off].flat[0]} is not a lattice point")
 
 
 def saturated_loglik_kernel(fam: EdmFamily, y):

@@ -254,9 +254,13 @@ class TestDensity:
         with pytest.raises(NumericalError, match=r"y=5e-324, theta=-100000000.0, tau="):
             density(get_family(name), y, theta, tau)
 
-    def test_lattice_rejects_non_integer(self):
-        with pytest.raises(DomainError):
-            density(get_family("poisson"), 2.5, 0.0, 1.0)
+    @pytest.mark.parametrize("y", [2.5, np.float64(2.5), np.array(2.5), np.array([2.0, 2.5])],
+                             ids=["float", "numpy_scalar", "0d", "1d"])
+    def test_lattice_rejects_non_integer(self, y):
+        # a float, a numpy scalar (an entry of an array of observations), a 0-d and a 1-d array
+        for f in (density, edm.log_density):
+            with pytest.raises(DomainError, match="y=2.5 is not a lattice point"):
+                f(get_family("poisson"), y, 0.0, 1.0)
 
     @pytest.mark.parametrize("name", NORMALIZED)
     def test_mass_is_one(self, name):
@@ -602,6 +606,20 @@ class TestConfigGeneratorDeviance:
         exact = edm_deviance(ref, y, mu)
         assert np.count_nonzero(y == 0.0) == 500
         np.testing.assert_allclose(d, exact, rtol=1e-9, atol=0.0)
+
+    def test_zero_count_nodes_per_call_are_bounded(self, monkeypatch):
+        # 300 zero counts go to quadrature in batches of _QUAD_BATCH integrals, so a call of the
+        # integrand sees at most the first round's 2 pieces x 2 panels x 3 rules x 16 nodes of each
+        from dispmodels import _numdiff
+
+        fam = family_from_config(self.POISSON)
+        mu = np.random.default_rng(4).uniform(0.5, 20.0, 300)
+        sizes, real = [], edm._quadrature
+        monkeypatch.setattr(edm, "_quadrature",
+                            lambda fn, *a: real(lambda x, rows: sizes.append(x.size) or fn(x, rows), *a))
+        np.testing.assert_allclose(edm_deviance(fam, np.zeros(300), mu), 2.0 * mu, rtol=1e-9)
+        assert _numdiff._QUAD_BATCH < 300 and len(sizes) >= 300 / _numdiff._QUAD_BATCH
+        assert max(sizes) <= _numdiff._QUAD_BATCH * 2 * 2 * 3 * 16
 
     def test_boundary_count_uses_quadrature(self):
         fam = family_from_config(self.POISSON)
