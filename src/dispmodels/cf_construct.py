@@ -9,13 +9,16 @@ function.  For a cf with phi >= 0 and phi -> 0 (all three built-ins) the
 equation has no nonnegative solution on the real line: K_tau >= K_tau(inf) > 0
 forces a finite mass m on a, and then ``a * (K_tau - K_tau(inf))``, which
 tends to 0, would equal the constant 1 - m K_tau(inf), so a = 0.  The
-equation is therefore solved on the grid [-L, L], as a Tikhonov-regularized
-nonnegative least-squares problem by a primal-dual active-set
-conjugate-gradient method, warm-started along a ladder of regularization
-weights, reporting the interior residual honestly.  The model built this
-way is a dispersion model on [-L, L], and its ``a`` depends on L.  It is
-neither a proper nor an exponential dispersion model: the fitted
-``a(y; tau)`` does not factorize across tau.
+equation is therefore solved on the grid [-L, L].  There the kernel matrix
+A is positive semidefinite, because K_tau is a characteristic function, so
+the nonnegative solutions of ``A a = 1`` are those of the linear
+complementarity problem ``min 1/2 a^T (A + sqrt(lambda) I) a - 1^T a,
+a >= 0`` at lambda = 0.  A positive lambda regularizes it; a primal-dual
+active-set conjugate-gradient method solves it, warm-started along a ladder
+of regularization weights, and reports the interior residual honestly.
+The model built this way is a dispersion model on [-L, L], and its ``a``
+depends on L.  It is neither a proper nor an exponential dispersion model:
+the fitted ``a(y; tau)`` does not factorize across tau.
 
 Every cf ``phi`` and every kernel callable keeps the array contract of
 ``_elementary.call``; a solve samples its kernel in one call on the whole
@@ -144,11 +147,17 @@ class GridSolution:
     nonnegative factor; ``residual`` the max deviation of the discrete
     convolution from 1 over the interior (the edge band of one kernel
     effective-support width is excluded — truncating the infinite-domain
-    convolution contaminates it).  ``ill_posed`` flags a residual above
-    0.1, which no built-in cf reaches (each stays below 1e-3 at L = 20,
-    N = 2^12, tau from 0.05 to 5); the solution is still returned, never
-    clamped.  ``iterations`` counts the CG iterations summed over every rung
-    of the lambda ladder (see :func:`solve_convolution_grid`).
+    convolution contaminates it).  Where a > 0 the convolution is
+    ``1 - sqrt(lambda) a``, so the residual is about ``sqrt(lambda) / ||A||``:
+    about 1e-5 at the default lambda.  ``ill_posed`` flags a residual above
+    0.1, which no built-in cf reaches (each stays below 5e-5 at the default
+    lambda, L = 20, N = 2^12, tau from 0.05 to 5); the solution is still
+    returned, never clamped.  ``overshoot`` is the largest
+    ``(A + sqrt(lambda) I) a - 1``, that is ``A a - 1``, where a = 0: how far
+    the convolution exceeds 1 where the bound a >= 0 holds it (0 where no
+    coordinate is bound, nan where the solution was built without it).
+    ``iterations`` counts the CG iterations summed over every rung of the
+    lambda ladder (see :func:`solve_convolution_grid`).
 
     ``plateau`` is the kernel's tail level c = K_tau(L) (nan where the
     solution was built without it).  Away from the window's ends a spreads
@@ -168,6 +177,7 @@ class GridSolution:
     iterations: int
     ill_posed: bool
     plateau: float = math.nan
+    overshoot: float = math.nan
 
     @property
     def spacing(self) -> float:
@@ -201,19 +211,6 @@ def _toeplitz_operator(kern: np.ndarray, h: float) -> Callable[[np.ndarray], np.
     return apply
 
 
-def _power_iteration_norm(apply_a, n: int) -> float:
-    """``||A||`` for a symmetric A, by 30 power iterations on ``A^T A = A^2``."""
-    v = np.ones(n) / math.sqrt(n)
-    norm = 1.0
-    for _ in range(30):
-        w = apply_a(apply_a(v))
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 1.0
-        v = w / norm
-    return math.sqrt(norm)
-
-
 def _effective_support_band(kern: np.ndarray, lags: np.ndarray, plateau: float, tol: float = 1e-3) -> int:
     # the largest |lag| whose sample is above plateau + tol, at most N/2 - 1 (N = lags[-1] + 1)
     above = lags[kern > plateau + tol]
@@ -223,13 +220,12 @@ def _effective_support_band(kern: np.ndarray, lags: np.ndarray, plateau: float, 
 
 
 def _lambda_ladder(target: float, start: float, floor: float) -> list:
-    """Regularization weights from ``start`` down to ``target``, at most a decade apart.
+    """Shifts sqrt(lambda) from ``start`` down to ``target``, at most a decade apart.
 
-    The rungs are geometric from ``start`` towards ``max(target, floor)``
-    and the last rung is exactly ``target``; a ``target`` at or above
-    ``start``, or a ``floor`` at or above ``start``, leaves the single rung
-    ``target``.  A positive ``floor`` keeps the ladder finite for a zero
-    target.
+    The rungs are geometric from ``start`` towards ``max(target, floor)``,
+    the last is exactly ``target``; a ``target`` or ``floor`` at or above
+    ``start`` leaves the single rung ``target``.  A positive ``floor`` keeps
+    the ladder finite for a zero target.
     """
     stop = max(target, floor)
     if stop >= start:
@@ -238,11 +234,12 @@ def _lambda_ladder(target: float, start: float, floor: float) -> list:
     return [start * (stop / start) ** (k / steps) for k in range(steps)] + [target]
 
 
-def _active_set_pcg(hessian_apply, precond, atb, a, free, kkt_tol, budget):
+def _active_set_pcg(hessian_apply, precond, rhs, a, free, kkt_tol, budget):
     """Primal-dual active-set loop at one lambda, warm-started from ``a`` and ``free``.
 
-    Each pass runs preconditioned CG on the free set (the rest held at
-    zero) to a residual within ``kkt_tol``, then frees exactly the
+    The problem is ``min 1/2 a^T H a - rhs^T a, a >= 0``, H applied by
+    ``hessian_apply``.  Each pass runs preconditioned CG on the free set (the
+    rest held at zero) to a residual within ``kkt_tol``, then frees exactly the
     nonnegative free and the bound coordinates whose gradient is below
     ``-kkt_tol`` (Hintermüller, Ito & Kunisch 2002); a pass that keeps the
     set has converged.  Returns ``(a, free, CG iterations used, converged)``.
@@ -250,7 +247,7 @@ def _active_set_pcg(hessian_apply, precond, atb, a, free, kkt_tol, budget):
     used = 0
     for _ in range(100):
         a[~free] = 0.0
-        r = atb - hessian_apply(a)
+        r = rhs - hessian_apply(a)
         r[~free] = 0.0
         z = precond(r)
         z[~free] = 0.0
@@ -277,7 +274,7 @@ def _active_set_pcg(hessian_apply, precond, atb, a, free, kkt_tol, budget):
             rz = rz_new
         if used >= budget:
             break
-        new_free = np.where(free, a >= 0.0, hessian_apply(a) - atb < -kkt_tol)
+        new_free = np.where(free, a >= 0.0, hessian_apply(a) - rhs < -kkt_tol)
         if np.array_equal(new_free, free):
             return a, free, used, True
         free = new_free
@@ -292,43 +289,47 @@ def solve_convolution_grid(
     lambda_reg: Optional[float] = None,
     max_iter: int = 10**4,
 ) -> GridSolution:
-    """Solve ``min ||A a - 1||^2 + lambda ||a||^2 s.t. a >= 0`` on the grid.
+    """Solve ``min 1/2 a^T (A + sqrt(lambda) I) a - 1^T a s.t. a >= 0`` on the grid.
 
     A is the Toeplitz kernel matrix ``A_ij = h K((i-j) h)``, applied by FFT
-    on its circulant embedding of size 2N, with the kernel spectrum computed
-    once per solve.  ``lambda_reg`` defaults to ``1e-8 ||A||^2`` (``||A||``
-    by power iteration).  The solver is a primal-dual active-set method: on
-    a fixed free set, conjugate gradients preconditioned by the Strang
-    circulant approximation of ``A^2 + lambda I`` solve the normal equations
-    with the bound coordinates held at zero; then the nonnegative free and
-    the bound coordinates whose gradient points into the feasible set form
-    the next free set, and CG runs again until the set stays the same.
-    ``kernel_fn`` keeps the array contract of ``_elementary.call``: a solve
-    calls it on all the lags ``-(N-1)h .. (N-1)h`` at once, and at L (the plateau).
-    For a cf with phi >= 0 and phi -> 0 the equation has no solution on the
-    real line (see the module docstring): the result is a dispersion model
-    on [-L, L], and ``a`` depends on L.
+    on its circulant embedding of size 2N, its spectrum computed once per
+    solve.  At the minimizer the convolution ``A a`` is ``1 - sqrt(lambda) a``
+    where a > 0 and at least 1 where a = 0.  ``lambda_reg`` is the Tikhonov
+    weight in units of A^2: sqrt(lambda) is the spectral cutoff where the
+    least-squares filter ``s^2 / (s^2 + lambda)`` and this problem's
+    ``s / (s + sqrt(lambda))`` both equal 1/2.  It defaults to
+    ``1e-10 ||A||^2``, ``||A||`` the largest row sum of |A| (within 1 % above
+    the spectral norm on the built-in cfs).  The solver is a primal-dual
+    active-set method: on a fixed free set, conjugate gradients
+    preconditioned by ``max(C, 0) + sqrt(lambda) I``, C the Strang circulant
+    of A, solve ``(A + sqrt(lambda) I) a = 1`` with the bound coordinates at
+    zero, one Toeplitz product per iteration; the nonnegative free and the
+    bound coordinates whose gradient points into the feasible set form the
+    next free set, until the set stays the same.  ``kernel_fn`` keeps the
+    array contract of ``_elementary.call``: a solve calls it on all the lags
+    ``-(N-1)h .. (N-1)h`` at once, and at L (the plateau).  For a cf with
+    phi >= 0 and phi -> 0 the equation has no solution on the real line (see
+    the module docstring): the result is a dispersion model on [-L, L], and
+    ``a`` depends on L.
 
-    The smaller lambda, the worse ``A^2 + lambda I`` is conditioned, and the
-    more CG iterations a cold start costs.  A ``lambda_reg`` below the
-    default is therefore reached by continuation: a geometric ladder of
-    rungs at most a decade apart, from the default down to exactly
-    ``lambda_reg``, each rung warm-started from the previous rung's
-    solution and free set.  The ladder descends no further than the larger
-    of ``eps ||A||^2`` and the smallest eigenvalue of ``C^2`` (C the
-    circulant preconditioner): below that, lambda no longer sets the
-    conditioning, and a zero target still ends the ladder.  At or above the
-    default, or when ``C^2`` is bounded away from zero above it, the ladder
-    is the single rung ``lambda_reg``.
+    A ``lambda_reg`` below the default, which conditions the matrix worse,
+    is reached by continuation: rungs geometric in sqrt(lambda), at most a
+    decade apart, from the default down to exactly ``lambda_reg``, each
+    warm-started from the previous one's solution and free set; the ladder
+    descends no further than the larger of ``eps ||A||`` and the smallest
+    clipped eigenvalue of C.  Where sqrt(lambda) plus that eigenvalue is
+    below ``eps ||A||`` (lambda = 0 on every built-in cf), the matrix is
+    numerically singular and the solve is refused with DomainError naming
+    that floor, before any CG iteration.
 
     Every rung stops when the free-set residual and every negative bound
-    gradient are within ``1e-10 * max(1, max A 1)``.  ``max_iter`` bounds
-    the CG iterations summed over all rungs, which ``iterations`` reports.
-    A kernel whose samples are not symmetric (within 1e-12 of their
-    maximum) is rejected with DomainError before any product is formed.
-    Raises ConvergenceError, naming the iterations used and the KKT norm
-    (max projected gradient) reached, when a rung does not converge within
-    that budget or within 100 active-set passes.
+    gradient are within 1e-10.  ``max_iter`` bounds the CG iterations summed
+    over all rungs, which ``iterations`` reports.  A kernel whose samples are
+    not symmetric (within 1e-12 of their maximum) is rejected with
+    DomainError before any product is formed.  Raises ConvergenceError,
+    naming the iterations used and the KKT norm (max projected gradient)
+    reached, when a rung does not converge within that budget or within 100
+    active-set passes.
     """
     if N < 2**10 or (N & (N - 1)) != 0:
         raise DomainError(f"grid size N={N} must be a power of two >= 1024")
@@ -340,7 +341,7 @@ def solve_convolution_grid(
     h = float(grid[1] - grid[0])
     lags = np.arange(-(N - 1), N)
     kern = el.call(kernel_fn, h * lags)
-    # the normal equations below use A^T = A, i.e. K(-t) = K(t)
+    # the quadratic form below needs A^T = A, i.e. K(-t) = K(t)
     if np.max(np.abs(kern - kern[::-1])) > 1e-12 * np.max(np.abs(kern)):
         raise DomainError("the kernel is not symmetric: K(-t) != K(t) on the grid")
     plateau = float(kern[0])  # largest sampled lag ~ tail level
@@ -352,53 +353,50 @@ def solve_convolution_grid(
     band = _effective_support_band(kern, lags, plateau)
 
     apply_a = _toeplitz_operator(kern, h)
-    a_norm = _power_iteration_norm(apply_a, N)
-    default_lambda = 1e-8 * a_norm**2
-    if lambda_reg is None:
-        lambda_reg = default_lambda
-    ones = np.ones(N)
-    atb = apply_a(ones)  # A^T 1 = A 1 (symmetric)
+    # ||A||_inf, the largest row sum of |A|: row i sums the N samples from index i on
+    sums = np.concatenate([[0.0], np.cumsum(np.abs(kern))])
+    a_norm = h * float(np.max(sums[N:] - sums[:N]))
+    lambda_reg = 1e-10 * a_norm**2 if lambda_reg is None else lambda_reg
+    shift = math.sqrt(lambda_reg)
 
-    # Strang circulant preconditioner for the Toeplitz normal equations:
-    # the Hessian A^2 + lambda I is approximated by C^2 + lambda I, which
-    # FFT diagonalizes, collapsing the CG iteration count; |fft(circ)|^2 is
-    # real and symmetric, so its first N/2 + 1 entries are all of it; the
+    # Strang circulant preconditioner max(C, 0) + sqrt(lambda) I, which FFT diagonalizes: C is
+    # symmetric, so its spectrum is real and its first N/2 + 1 entries are all of it; the
     # circulant's first column holds the lags 0..N/2, then -(N/2 - 1)..-1
     circ = h * np.roll(kern[N // 2 : 3 * N // 2], 1 - N // 2)
-    circ_eigs = np.abs(np.fft.rfft(circ)) ** 2
+    circ_eigs = np.maximum(np.fft.rfft(circ).real, 0.0)
+    smallest, singular = float(np.min(circ_eigs)), np.finfo(float).eps * a_norm
+    if shift + smallest < singular:
+        raise DomainError(
+            f"lambda_reg={lambda_reg:.3g} is below the floor: sqrt(lambda) plus the smallest clipped "
+            f"circulant eigenvalue {smallest:.3g} is below eps ||A|| = {singular:.3g}, so A + sqrt(lambda) I "
+            "is numerically singular")
 
     a = np.zeros(N)
-    kkt_tol = 1e-10 * max(1.0, float(np.max(np.abs(atb))))
     free = np.ones(N, dtype=bool)
     iterations = 0
-    floor = max(np.finfo(float).eps * a_norm**2, float(np.min(circ_eigs)))
-    for lam in _lambda_ladder(lambda_reg, default_lambda, floor):
-        precond_eigs = np.maximum(circ_eigs + lam, 1e-300)
-
+    for rung in _lambda_ladder(shift, 1e-5 * a_norm, max(singular, smallest)):
         def hessian_apply(v: np.ndarray) -> np.ndarray:
-            return apply_a(apply_a(v)) + lam * v
+            return apply_a(v) + rung * v
 
         def precond(v: np.ndarray) -> np.ndarray:
-            return np.fft.irfft(np.fft.rfft(v) / precond_eigs, N)
+            return np.fft.irfft(np.fft.rfft(v) / (circ_eigs + rung), N)
 
         a, free, used, converged = _active_set_pcg(
-            hessian_apply, precond, atb, a, free, kkt_tol, max_iter - iterations
+            hessian_apply, precond, 1.0, a, free, 1e-10, max_iter - iterations
         )
         iterations += used
         if not converged:
             a = np.maximum(a, 0.0)
-            grad = hessian_apply(a) - atb
+            grad = hessian_apply(a) - 1.0
             # max projected gradient of the bound-constrained problem
             kkt = float(np.max(np.abs(np.where(a > 0.0, grad, np.minimum(grad, 0.0)))))
             raise ConvergenceError(
-                f"active-set CG did not reach the KKT tolerance {kkt_tol:.3g} at "
-                f"lambda={lam:.3g}: KKT norm {kkt:.3g} after {iterations} CG iterations "
-                f"(max_iter={max_iter})"
-            )
+                f"active-set CG did not reach the KKT tolerance 1e-10 at lambda={rung**2:.3g}: KKT norm "
+                f"{kkt:.3g} after {iterations} CG iterations (max_iter={max_iter})")
 
     conv = apply_a(a)
-    interior = slice(band, N - band)
-    residual = float(np.max(np.abs(conv[interior] - 1.0)))
+    residual = float(np.max(np.abs(conv[band : N - band] - 1.0)))
+    overshoot = float(np.max(conv - 1.0, where=a == 0.0, initial=0.0))
     return GridSolution(
         grid=grid,
         a_values=a,
@@ -409,6 +407,7 @@ def solve_convolution_grid(
         iterations=iterations,
         ill_posed=residual > 0.1,
         plateau=kernel_at_l,
+        overshoot=overshoot,
     )
 
 

@@ -136,7 +136,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--tau", type=_finite_float, required=True)
     p.add_argument("--L", type=_finite_float, default=20.0)
     p.add_argument("--N", type=int, default=2**12)
-    p.add_argument("--lambda-reg", type=_finite_float, default=None)
+    p.add_argument("--lambda-reg", type=_finite_float, default=None,
+                   help="Tikhonov weight lambda in units of A^2, A the kernel matrix; sqrt(lambda) shifts A "
+                        "(default 1e-10 ||A||^2, ||A|| the largest row sum of A)")
     p.add_argument("--output", default=None, help="CSV path (default stdout); JSON report goes to stderr")
 
     p = sub.add_parser("fit", help="fit an exponential-family (non)linear regression")
@@ -288,6 +290,7 @@ def _cmd_cf_construct(args) -> int:
         "edge_band": sol.edge_band,
         "iterations": sol.iterations,
         "ill_posed": sol.ill_posed,
+        "overshoot": sol.overshoot,
         "plateau": sol.plateau,
         "interior_level": sol.interior_level,
     }

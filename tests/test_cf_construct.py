@@ -5,11 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import linalg, optimize
 
 from dispmodels.cf_construct import (
     _LATTICE_SCAN,
     CHARACTERISTIC_FUNCTIONS,
-    _power_iteration_norm,
     _toeplitz_operator,
     CfSpec,
     cf_deviance,
@@ -39,6 +39,14 @@ def _dense(kern, h):
     """The Toeplitz matrix ``A_ij = h kern[i - j + N - 1]``, formed entry by entry."""
     i = np.arange((len(kern) + 1) // 2)
     return h * kern[i[:, None] - i[None, :] + len(i) - 1]
+
+
+def _dense_hessian(sol):
+    """``A + sqrt(lambda) I`` of a gauss solution, A from fresh scalar kernel samples, with no FFT."""
+    n, h = len(sol.grid), sol.spacing
+    lags = h * np.arange(-(n - 1), n)
+    dense = _dense(np.array([kernel(GAUSS, sol.tau, float(t)) for t in lags]), h)
+    return dense + math.sqrt(sol.lambda_reg) * np.eye(n)
 
 
 class TestCfValidation:
@@ -170,13 +178,17 @@ class TestToeplitzOperator:
         got = _toeplitz_operator(kern, self.H)(v)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    def test_power_iteration_norm_matches_spectral_norm(self):
-        # the power iteration runs on A^2, so A is the solver's symmetric kernel matrix
+    @pytest.mark.parametrize("name", sorted(CHARACTERISTIC_FUNCTIONS))
+    def test_default_lambda_scales_with_the_row_sum_norm(self, name):
+        # lambda_reg defaults to 1e-10 ||A||_inf^2; ||A||_inf bounds the spectral norm of the
+        # symmetric A from above, and on the built-ins lies within 1 % of it
+        sol = solve_normalizer(get_cf(name), 0.5, 20.0, self.N)
         lags = self.H * np.arange(-(self.N - 1), self.N)
-        kern = np.array([kernel(GAUSS, 0.25, float(t)) for t in lags])
-        apply_a = _toeplitz_operator(kern, self.H)
-        expected = np.linalg.norm(_dense(kern, self.H), 2)
-        assert _power_iteration_norm(apply_a, self.N) == pytest.approx(expected, rel=1e-6)
+        dense = _dense(np.array([kernel(get_cf(name), 0.5, float(t)) for t in lags]), self.H)
+        row_sum_norm = math.sqrt(sol.lambda_reg) / 1e-5
+        assert row_sum_norm == pytest.approx(np.max(np.sum(np.abs(dense), axis=1)), rel=1e-12)
+        spectral = float(np.max(np.abs(np.linalg.eigvalsh(dense))))
+        assert spectral <= row_sum_norm <= 1.01 * spectral
 
 
 class TestSolver:
@@ -209,20 +221,86 @@ class TestSolver:
         # 0.22 and 0.245 once ran out of active-set passes; the oracle is the
         # dense matrix of the same kernel samples, with no FFT
         sol = solve_normalizer(GAUSS, tau, 20.0, 2**10)
-        n, h = len(sol.grid), sol.spacing
-        lags = h * np.arange(-(n - 1), n)
-        dense = _dense(np.array([kernel(GAUSS, tau, float(t)) for t in lags]), h)
+        hessian = _dense_hessian(sol)
         a = sol.a_values
-        a1 = dense @ np.ones(n)
-        grad = dense @ (dense @ a) + sol.lambda_reg * a - a1
-        projected = np.where(a > 0.0, grad, np.minimum(grad, 0.0))
+        grad = hessian @ a - 1.0
         assert np.all(a >= 0.0)
-        assert np.max(np.abs(projected)) <= 1e-10 * max(1.0, float(np.max(a1)))
+        assert np.max(np.abs(grad[a > 0.0])) <= 1e-10
+        assert np.min(grad[a == 0.0]) >= -1e-10
+
+    @pytest.mark.parametrize("tau, lambda_reg", [(0.22, None), (0.245, None), (0.25, None), (0.3, 1e-8)])
+    def test_matches_dense_nonnegative_least_squares(self, tau, lambda_reg):
+        # with A + sqrt(lambda) I = R^T R, the problem is min ||R a - R^-T 1||^2 over a >= 0,
+        # which scipy's active-set nnls solves on the dense factor
+        sol = solve_normalizer(GAUSS, tau, 20.0, 2**10, lambda_reg=lambda_reg)
+        hessian = _dense_hessian(sol)
+        factor = linalg.cholesky(hessian)
+        expected, _ = optimize.nnls(factor, linalg.solve_triangular(factor, np.ones(len(hessian)), trans="T"))
+        a = sol.a_values
+        np.testing.assert_array_equal(a == 0.0, expected == 0.0)
+        assert np.max(np.abs(a - expected)) <= 1e-8 * np.max(a)
+        objective = lambda v: 0.5 * v @ hessian @ v - np.sum(v)
+        assert objective(a) == pytest.approx(objective(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.05, 0.075])
+    def test_default_lambda_converges_at_small_tau(self, tau):
+        # both spent the whole 10^4 budget under the least-squares solver
+        sol = solve_normalizer(GAUSS, tau, 20.0, 2**10)
+        assert sol.iterations < 1000
+        assert sol.residual <= 2e-5
+
+    @pytest.mark.parametrize("lambda_reg", [1e-8, 1e-9, 1e-10, 0.0])
+    def test_lambda_sweep_converges_or_refuses_below_the_floor(self, lambda_reg):
+        # gauss tau = 0.20, 0.225, ..., 0.50; at lambda = 1e-8 tau = 0.3 once took 7789 CG
+        # iterations, and lambda = 1e-9, 1e-10 and 0 raised ConvergenceError on 3, 8 and 6 of the 13
+        for tau in 0.2 + 0.025 * np.arange(13):
+            if lambda_reg == 0.0:
+                # A + 0 I is numerically singular: refused before any CG iteration
+                with pytest.raises(DomainError, match="below the floor"):
+                    solve_normalizer(GAUSS, tau, 20.0, 2**10, lambda_reg=0.0, max_iter=0)
+                continue
+            sol = solve_normalizer(GAUSS, tau, 20.0, 2**10, lambda_reg=lambda_reg)
+            assert sol.iterations < 1000, tau
+            assert np.all(sol.a_values >= 0.0) and not sol.ill_posed
+
+    @pytest.mark.parametrize("name, tau, n, lambda_reg, ceiling", [
+        ("gauss", 0.25, 2**10, None, 400), ("gauss", 0.25, 2**12, None, 400),
+        ("laplace-cf", 0.5, 2**12, None, 10), ("triangular-cf", 0.5, 2**12, None, 20),
+        ("gauss", 0.25, 2**12, 1e-8, 340),
+    ])
+    def test_benchmark_solves_stay_within_cg_ceilings(self, name, tau, n, lambda_reg, ceiling):
+        # the construct workload's solves take 201, 200, 4, 10 and 169 CG iterations;
+        # the counts, unlike timings, are deterministic
+        sol = solve_normalizer(get_cf(name), tau, 20.0, n, lambda_reg=lambda_reg)
+        assert sol.iterations <= ceiling
+
+    @pytest.mark.parametrize("name, tau, n, bound", [
+        *[("gauss", tau, n, 2e-5) for tau in (0.05, 0.1, 0.25, 0.5, 1.0, 5.0) for n in (2**10, 2**12)],
+        ("laplace-cf", 0.5, 2**12, 2e-5),
+        # a has a spike of 0.24, against 0.064 in the middle, right inside the edge band, where
+        # the convolution is 1 - sqrt(lambda) a: the residual is 3.7e-5
+        ("triangular-cf", 0.5, 2**12, 5e-5),
+    ])
+    def test_default_lambda_interior_residual(self, name, tau, n, bound):
+        # where a > 0 the convolution is 1 - sqrt(lambda) a, so the residual is about sqrt(lambda) / ||A||
+        sol = solve_normalizer(get_cf(name), tau, 20.0, n)
+        assert sol.residual <= bound
+        shifted = math.sqrt(sol.lambda_reg) * np.max(sol.a_values[sol.interior])
+        assert sol.residual == pytest.approx(shifted, abs=1e-9)
+
+    def test_overshoot_is_the_largest_excess_where_a_is_zero(self):
+        sol = solve_normalizer(GAUSS, 0.25, 20.0, 2**10)
+        conv = _dense_hessian(sol) @ sol.a_values - 1.0
+        bound = sol.a_values == 0.0
+        assert bound.any()
+        assert sol.overshoot == pytest.approx(np.max(conv[bound]), rel=1e-9)
+        assert 1e-3 < sol.overshoot < 0.1
+        assert solve_normalizer(get_cf("laplace-cf"), 0.5, 20.0, 2**12).overshoot == 0.0
 
     def test_exhausted_budget_raises(self):
         # an unconverged solve must raise, never return a loose solution
-        with pytest.raises(ConvergenceError, match="300 CG iterations"):
-            solve_normalizer(GAUSS, 0.25, 20.0, 2**10, lambda_reg=1e-8, max_iter=300)
+        with pytest.raises(ConvergenceError, match="30 CG iterations"):
+            solve_normalizer(GAUSS, 0.25, 20.0, 2**10, lambda_reg=1e-8, max_iter=30)
 
     def test_residual_consistency_when_grid_refines(self):
         coarse = solve_normalizer(GAUSS, 0.25, 20.0, 2**10)

@@ -132,6 +132,7 @@ def test_cf_construct_prints_the_solution_and_its_residual(capsys):
     assert table.shape == (n, 2)
     report = json.loads(err)
     assert report["ill_posed"] is False
+    assert 0.0 < report["overshoot"] < 0.1  # the convolution's excess where a = 0
     sol = cf_construct.GridSolution(
         grid=table[:, 0], a_values=table[:, 1], tau=report["tau"], residual=report["residual"],
         lambda_reg=report["lambda_reg"], edge_band=report["edge_band"],
