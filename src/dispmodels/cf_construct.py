@@ -234,10 +234,10 @@ def _lambda_ladder(target: float, start: float, floor: float) -> list:
     return [start * (stop / start) ** (k / steps) for k in range(steps)] + [target]
 
 
-def _active_set_pcg(hessian_apply, precond, rhs, a, free, kkt_tol, budget):
+def _active_set_pcg(hessian_apply, precond, a, free, kkt_tol, budget):
     """Primal-dual active-set loop at one lambda, warm-started from ``a`` and ``free``.
 
-    The problem is ``min 1/2 a^T H a - rhs^T a, a >= 0``, H applied by
+    The problem is ``min 1/2 a^T H a - 1^T a, a >= 0``, H applied by
     ``hessian_apply``.  Each pass runs preconditioned CG on the free set (the
     rest held at zero) to a residual within ``kkt_tol``, then frees exactly the
     nonnegative free and the bound coordinates whose gradient is below
@@ -247,7 +247,7 @@ def _active_set_pcg(hessian_apply, precond, rhs, a, free, kkt_tol, budget):
     used = 0
     for _ in range(100):
         a[~free] = 0.0
-        r = rhs - hessian_apply(a)
+        r = 1.0 - hessian_apply(a)
         r[~free] = 0.0
         z = precond(r)
         z[~free] = 0.0
@@ -274,7 +274,7 @@ def _active_set_pcg(hessian_apply, precond, rhs, a, free, kkt_tol, budget):
             rz = rz_new
         if used >= budget:
             break
-        new_free = np.where(free, a >= 0.0, hessian_apply(a) - rhs < -kkt_tol)
+        new_free = np.where(free, a >= 0.0, hessian_apply(a) - 1.0 < -kkt_tol)
         if np.array_equal(new_free, free):
             return a, free, used, True
         free = new_free
@@ -382,7 +382,7 @@ def solve_convolution_grid(
             return np.fft.irfft(np.fft.rfft(v) / (circ_eigs + rung), N)
 
         a, free, used, converged = _active_set_pcg(
-            hessian_apply, precond, 1.0, a, free, 1e-10, max_iter - iterations
+            hessian_apply, precond, a, free, 1e-10, max_iter - iterations
         )
         iterations += used
         if not converged:
