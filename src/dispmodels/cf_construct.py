@@ -194,19 +194,42 @@ class GridSolution:
         return middle * float(self.grid[-1] - self.grid[0]) * self.plateau
 
 
+def _fast_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c at or above ``n``: a length whose FFT has only small factors."""
+    best, five = 1 << (n - 1).bit_length(), 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best = min(best, odd << ((n - 1) // odd).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
 def _toeplitz_operator(kern: np.ndarray, h: float) -> Callable[[np.ndarray], np.ndarray]:
     """The product ``v -> A v`` with ``A_ij = h kern[i - j + N - 1]``.
 
-    ``kern`` holds the 2N - 1 samples at lags -(N-1)..(N-1).  A is embedded
-    in a circulant of size 2N whose spectrum is computed here, once; each
-    product is then one real FFT pair of length 2N, and the slice
-    ``N-1 : 2N-1`` of the circular convolution, which never wraps, is A v.
+    ``kern`` holds the 2N - 1 samples at lags -(N-1)..(N-1).  A is split into
+    the rank-one plateau ``h c 1 1^T``, c = ``kern[0]``, and the Toeplitz band
+    of ``kern - c``, which is zero past the largest |lag| w whose sample
+    differs from c (compared exactly, so the split is an identity).  The band
+    is embedded in a circulant of the shortest 2^a 3^b 5^c length at or above
+    N + w, whose spectrum is computed here, once; each product is then one
+    real FFT pair of that length, whose slice ``w : w + N``, which never
+    wraps, plus ``h c sum(v)`` is A v.  A kernel that never repeats its
+    end sample has w = N - 1 and the full embedding, of length 2N on the
+    solver's grids.
     """
     n = (len(kern) + 1) // 2
-    spectrum = h * np.fft.rfft(kern, 2 * n)
+    plateau = kern[0]
+    lags = np.flatnonzero(kern != plateau) - (n - 1)
+    w = int(np.max(np.abs(lags), initial=0))
+    size = _fast_length(n + w)
+    spectrum = h * np.fft.rfft(kern[n - 1 - w : n + w] - plateau, size)
+    level = h * plateau
 
     def apply(v: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(np.fft.rfft(v, 2 * n) * spectrum, 2 * n)[n - 1 : 2 * n - 1]
+        return np.fft.irfft(np.fft.rfft(v, size) * spectrum, size)[w : w + n] + level * np.sum(v)
 
     return apply
 
@@ -242,35 +265,37 @@ def _active_set_pcg(hessian_apply, precond, a, free, kkt_tol, budget):
     rest held at zero) to a residual within ``kkt_tol``, then frees exactly the
     nonnegative free and the bound coordinates whose gradient is below
     ``-kkt_tol`` (Hintermüller, Ito & Kunisch 2002); a pass that keeps the
-    set has converged.  Returns ``(a, free, CG iterations used, converged)``.
+    set has converged.  ``a`` is updated in place.  Returns ``(a, free, CG
+    iterations used, converged)``.
     """
     used = 0
     for _ in range(100):
-        a[~free] = 0.0
+        bound = ~free
+        a[bound] = 0.0
         r = 1.0 - hessian_apply(a)
-        r[~free] = 0.0
-        z = precond(r)
-        z[~free] = 0.0
-        p = z.copy()
-        rz = float(r @ z)
+        r[bound] = 0.0
+        p = precond(r)
+        p[bound] = 0.0
+        rz = float(r @ p)
         while used < budget:
             if float(np.max(np.abs(r))) <= kkt_tol or rz <= 0.0:
                 break
             hp = hessian_apply(p)
-            hp[~free] = 0.0
+            hp[bound] = 0.0
             denom = float(p @ hp)
             if denom <= 0.0:
                 break
             alpha = rz / denom
-            a = a + alpha * p
-            r = r - alpha * hp
+            a += alpha * p
+            r -= alpha * hp
             used += 1
             z = precond(r)
-            z[~free] = 0.0
+            z[bound] = 0.0
             rz_new = float(r @ z)
             if rz_new <= 0.0:
                 break
-            p = z + (rz_new / rz) * p
+            p *= rz_new / rz
+            p += z
             rz = rz_new
         if used >= budget:
             break
@@ -291,21 +316,24 @@ def solve_convolution_grid(
 ) -> GridSolution:
     """Solve ``min 1/2 a^T (A + sqrt(lambda) I) a - 1^T a s.t. a >= 0`` on the grid.
 
-    A is the Toeplitz kernel matrix ``A_ij = h K((i-j) h)``, applied by FFT
-    on its circulant embedding of size 2N, its spectrum computed once per
-    solve.  At the minimizer the convolution ``A a`` is ``1 - sqrt(lambda) a``
-    where a > 0 and at least 1 where a = 0.  ``lambda_reg`` is the Tikhonov
-    weight in units of A^2: sqrt(lambda) is the spectral cutoff where the
-    least-squares filter ``s^2 / (s^2 + lambda)`` and this problem's
-    ``s / (s + sqrt(lambda))`` both equal 1/2.  It defaults to
-    ``1e-10 ||A||^2``, ``||A||`` the largest row sum of |A| (within 1 % above
-    the spectral norm on the built-in cfs).  The solver is a primal-dual
-    active-set method: on a fixed free set, conjugate gradients
-    preconditioned by ``max(C, 0) + sqrt(lambda) I``, C the Strang circulant
-    of A, solve ``(A + sqrt(lambda) I) a = 1`` with the bound coordinates at
-    zero, one Toeplitz product per iteration; the nonnegative free and the
-    bound coordinates whose gradient points into the feasible set form the
-    next free set, until the set stays the same.  ``kernel_fn`` keeps the
+    A is the Toeplitz kernel matrix ``A_ij = h K((i-j) h)``: its plateau
+    ``h c 1 1^T``, c = K(-L), is applied as a rank-one term, and the band of
+    lags where K differs from c by FFT on a circulant embedding of length
+    about N plus the band's width, its spectrum computed once per solve (see
+    ``_toeplitz_operator``).  At the minimizer the convolution ``A a`` is
+    ``1 - sqrt(lambda) a`` where a > 0 and at least 1 where a = 0.
+    ``lambda_reg`` is the Tikhonov weight in units of A^2: sqrt(lambda) is
+    the spectral cutoff where the least-squares filter ``s^2 / (s^2 +
+    lambda)`` and this problem's ``s / (s + sqrt(lambda))`` both equal 1/2.
+    It defaults to ``1e-10 ||A||^2``, ``||A||`` the largest row sum of |A|
+    (within 1 % above the spectral norm on the built-in cfs): sqrt(lambda)
+    is exactly ``1e-5 ||A||``.  The solver is a primal-dual active-set
+    method: on a fixed free set, conjugate gradients preconditioned by
+    ``max(C, 0) + sqrt(lambda) I``, C the Strang circulant of A, solve
+    ``(A + sqrt(lambda) I) a = 1`` with the bound coordinates at zero, one
+    Toeplitz product per iteration; the nonnegative free and the bound
+    coordinates whose gradient points into the feasible set form the next
+    free set, until the set stays the same.  ``kernel_fn`` keeps the
     array contract of ``_elementary.call``: a solve calls it on all the lags
     ``-(N-1)h .. (N-1)h`` at once, and at L (the plateau).  For a cf with
     phi >= 0 and phi -> 0 the equation has no solution on the real line (see
@@ -356,8 +384,12 @@ def solve_convolution_grid(
     # ||A||_inf, the largest row sum of |A|: row i sums the N samples from index i on
     sums = np.concatenate([[0.0], np.cumsum(np.abs(kern))])
     a_norm = h * float(np.max(sums[N:] - sums[:N]))
-    lambda_reg = 1e-10 * a_norm**2 if lambda_reg is None else lambda_reg
-    shift = math.sqrt(lambda_reg)
+    if lambda_reg is None:
+        # sqrt(lambda) is exactly the ladder's start, so the default solve is one rung
+        shift = 1e-5 * a_norm
+        lambda_reg = shift**2
+    else:
+        shift = math.sqrt(lambda_reg)
 
     # Strang circulant preconditioner max(C, 0) + sqrt(lambda) I, which FFT diagonalizes: C is
     # symmetric, so its spectrum is real and its first N/2 + 1 entries are all of it; the
@@ -375,11 +407,13 @@ def solve_convolution_grid(
     free = np.ones(N, dtype=bool)
     iterations = 0
     for rung in _lambda_ladder(shift, 1e-5 * a_norm, max(singular, smallest)):
+        inverse = 1.0 / (circ_eigs + rung)
+
         def hessian_apply(v: np.ndarray) -> np.ndarray:
             return apply_a(v) + rung * v
 
         def precond(v: np.ndarray) -> np.ndarray:
-            return np.fft.irfft(np.fft.rfft(v) / (circ_eigs + rung), N)
+            return np.fft.irfft(np.fft.rfft(v) * inverse, N)
 
         a, free, used, converged = _active_set_pcg(
             hessian_apply, precond, a, free, 1e-10, max_iter - iterations

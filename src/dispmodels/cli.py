@@ -274,12 +274,9 @@ def _cmd_cf_construct(args) -> int:
     sol = cf_construct.solve_normalizer(
         cf, args.tau, args.L, args.N, lambda_reg=args.lambda_reg
     )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["y", "a"])
-    for y, a in zip(sol.grid, sol.a_values):
-        writer.writerow([_fmt(y), _fmt(a)])
-    _write_text(args.output, buffer.getvalue())
+    # the grid and a returned solution are finite, so one format gives _fmt's text for every value
+    rows = map("{:.17g},{:.17g}\n".format, sol.grid.tolist(), sol.a_values.tolist())
+    _write_text(args.output, "y,a\n" + "".join(rows))
     report = {
         "cf": cf.name,
         "tau": sol.tau,

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from scipy import linalg, optimize
 
+from dispmodels import cf_construct
 from dispmodels.cf_construct import (
     _LATTICE_SCAN,
     CHARACTERISTIC_FUNCTIONS,
+    _fast_length,
     _toeplitz_operator,
     CfSpec,
     cf_deviance,
@@ -178,6 +180,43 @@ class TestToeplitzOperator:
         got = _toeplitz_operator(kern, self.H)(v)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("name", [*sorted(CHARACTERISTIC_FUNCTIONS), "delta"])
+    def test_banded_kernel_matches_dense_matmul(self, name):
+        # the kernel equals its plateau past a band (|t| > 8.64 for gauss, > 1 for triangular-cf):
+        # the band goes through the FFT, the plateau is the rank-one term.  The delta kernel of
+        # test_delta_kernel_identity is a band of one lag on a plateau of 0
+        lags = self.H * np.arange(-(self.N - 1), self.N)
+        kern = (lags == 0.0) / self.H if name == "delta" else kernel(get_cf(name), 0.5, lags)
+        v = np.random.default_rng(11).standard_normal(self.N)
+        expected = _dense(kern, self.H) @ v
+        got = _toeplitz_operator(kern, self.H)(v)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("name, tau, n, length", [
+        ("gauss", 0.25, 2**10, 1250), ("gauss", 0.25, 2**12, 5000), ("triangular-cf", 0.5, 2**12, 4320),
+        ("laplace-cf", 0.5, 2**12, 8000), (None, None, 2**10, 2**11),
+    ])
+    def test_embedding_covers_only_the_band(self, name, tau, n, length, monkeypatch):
+        # the shortest 2^a 3^b 5^c length at or above N + w; the random kernel (name None) never
+        # repeats its end sample, so w = N - 1 and the length is 2N
+        h = 40.0 / (n - 1)
+        lags = h * np.arange(-(n - 1), n)
+        kern = np.random.default_rng(7).standard_normal(2 * n - 1) if name is None else kernel(get_cf(name), tau, lags)
+        rfft, lengths = np.fft.rfft, []
+        monkeypatch.setattr(np.fft, "rfft", lambda x, m=None: lengths.append(m) or rfft(x, m))
+        _toeplitz_operator(kern, h)
+        assert lengths == [length]
+
+    def test_fast_length_is_the_smallest_five_smooth_length(self):
+        def smooth(m):
+            for f in (2, 3, 5):
+                while m % f == 0:
+                    m //= f
+            return m == 1
+
+        expected = [min(m for m in range(n, 2 * n + 1) if smooth(m)) for n in range(1, 3000)]
+        assert [_fast_length(n) for n in range(1, 3000)] == expected
+
     @pytest.mark.parametrize("name", sorted(CHARACTERISTIC_FUNCTIONS))
     def test_default_lambda_scales_with_the_row_sum_norm(self, name):
         # lambda_reg defaults to 1e-10 ||A||_inf^2; ||A||_inf bounds the spectral norm of the
@@ -263,13 +302,24 @@ class TestSolver:
             assert sol.iterations < 1000, tau
             assert np.all(sol.a_values >= 0.0) and not sol.ill_posed
 
+    @pytest.mark.parametrize("name", sorted(CHARACTERISTIC_FUNCTIONS))
+    @pytest.mark.parametrize("n", [2**10, 2**12])
+    def test_default_lambda_is_one_rung(self, name, n, monkeypatch):
+        # sqrt(lambda) is the ladder's start itself, not the square root of its square, which could
+        # round one ulp below it and add a rung (gauss at tau = 0.25, N = 2^12 once took two)
+        passes = []
+        real = cf_construct._active_set_pcg
+        monkeypatch.setattr(cf_construct, "_active_set_pcg", lambda *args: passes.append(1) or real(*args))
+        solve_normalizer(get_cf(name), 0.25, 20.0, n)
+        assert len(passes) == 1
+
     @pytest.mark.parametrize("name, tau, n, lambda_reg, ceiling", [
         ("gauss", 0.25, 2**10, None, 400), ("gauss", 0.25, 2**12, None, 400),
         ("laplace-cf", 0.5, 2**12, None, 10), ("triangular-cf", 0.5, 2**12, None, 20),
         ("gauss", 0.25, 2**12, 1e-8, 340),
     ])
     def test_benchmark_solves_stay_within_cg_ceilings(self, name, tau, n, lambda_reg, ceiling):
-        # the construct workload's solves take 201, 200, 4, 10 and 169 CG iterations;
+        # the construct workload's solves take 203, 203, 4, 10 and 171 CG iterations;
         # the counts, unlike timings, are deterministic
         sol = solve_normalizer(get_cf(name), tau, 20.0, n, lambda_reg=lambda_reg)
         assert sol.iterations <= ceiling

@@ -1,5 +1,6 @@
 """CLI through ``cli.run``: CSV input, predictors, exit codes and error prefixes."""
 
+import csv
 import io
 import json
 import math
@@ -144,6 +145,20 @@ def test_cf_construct_prints_the_solution_and_its_residual(capsys):
     assert report["plateau"] == pytest.approx(math.exp(-1.0), rel=1e-15)
     middle = float(np.mean(table[3 * n // 8 : 5 * n // 8, 1]))
     assert report["interior_level"] == pytest.approx(middle * 40.0 * report["plateau"], rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(cf_construct.CHARACTERISTIC_FUNCTIONS))
+def test_cf_construct_table_matches_the_csv_writer(capsys, name):
+    # the table is written in one formatting pass; it is the csv.writer text of _fmt, byte for byte
+    code, out, err = _run(capsys, ["cf-construct", "--cf", name, "--tau", "0.5", "--N", "1024"])
+    assert code == 0
+    sol = cf_construct.solve_normalizer(cf_construct.get_cf(name), 0.5, 20.0, 2**10)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["y", "a"])
+    for y, a in zip(sol.grid, sol.a_values):
+        writer.writerow([cli._fmt(y), cli._fmt(a)])
+    assert out == buffer.getvalue()
 
 
 def test_cf_construct_grid_size_not_a_power_of_two_is_a_domain_error(capsys):

@@ -41,7 +41,7 @@ def _loaded(modules, *argv: str) -> str:
 
 def test_import_leaves_slow_scipy_modules_unloaded():
     # no import-time code needs scipy: scipy.special loads on the first special-function
-    # call, and pdm loads scipy.stats only inside its pivotal check
+    # call, and scipy.interpolate on the first sample
     assert _loaded(("scipy",)) == "[]"
 
 
@@ -104,6 +104,15 @@ def test_cli_special_function_loads_scipy_special_on_first_call(argv):
 def test_cli_with_quadrature_leaves_scipy_integrate_and_optimize_unloaded(argv):
     # the normalizer integral runs on the package's own Gauss-Legendre rule
     assert _loaded(("scipy.integrate", "scipy.optimize"), *argv) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pdm", "--model", "simplex", "--mu", "0.5", "--tau", "1", "--pivotal-check", "--m", "2000"],
+    ["check", "--scope", "all"],
+], ids=lambda argv: argv[0])
+def test_pivotal_check_leaves_scipy_stats_unloaded(argv):
+    # the Kolmogorov-Smirnov p-value is the package's closed form for equal sample sizes
+    assert _loaded(("scipy.stats",), *argv) == "[]"
 
 
 @pytest.mark.parametrize("p", ["2.5", "3"])

@@ -9,11 +9,13 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.interpolate import PchipInterpolator
 from scipy.special import i0e
+from scipy.stats import ks_2samp
 
 from dispmodels.deviance import DEVIANCES, check_unit_deviance, unit_variance
 from dispmodels.errors import DomainError
 from dispmodels.pdm import (
     PDMS,
+    _ks_two_sample,
     PdmSpec,
     YokeSpec,
     check_yokable,
@@ -294,6 +296,29 @@ class TestPivotal:
         report = pivotal_check(get_pdm("vonmises"), (1.0,), 0.5, m=100, seed=1)
         assert report.p_values == ()
         assert report.passed()
+
+    @pytest.mark.parametrize("n", [1, 7, 100, 1000, 2000, 10**4])
+    def test_kolmogorov_smirnov_matches_scipy(self, n):
+        # scipy's exact p-value for equal sizes, n <= 10^4; rounded draws give ties
+        rng = np.random.default_rng(n)
+        for shift, decimals in [(0.0, None), (0.05, None), (0.3, None), (0.0, 1), (0.1, 2)]:
+            x, y = rng.standard_normal(n), rng.standard_normal(n) + shift
+            if decimals is not None:
+                x, y = np.round(x, decimals), np.round(y, decimals)
+            statistic, pvalue = _ks_two_sample(x, y)
+            expected = ks_2samp(x, y)
+            assert statistic == expected.statistic
+            assert pvalue == pytest.approx(expected.pvalue, rel=0.0, abs=1e-12)
+
+    def test_kolmogorov_smirnov_stays_exact_above_ten_thousand_draws(self):
+        # ks_2samp switches to the asymptotic p-value there unless asked for the exact one
+        rng = np.random.default_rng(20)
+        for shift in (0.0, 0.02, 0.05):
+            x, y = rng.standard_normal(2 * 10**4), rng.standard_normal(2 * 10**4) + shift
+            statistic, pvalue = _ks_two_sample(x, y)
+            expected = ks_2samp(x, y, method="exact")
+            assert statistic == expected.statistic
+            assert pvalue == pytest.approx(expected.pvalue, rel=1e-12, abs=1e-300)
 
     def test_sampler_matches_density(self):
         # inverse-CDF sampler moments against quadrature moments

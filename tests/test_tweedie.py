@@ -39,6 +39,38 @@ from dispmodels.tweedie import (
 from quadosc_oracle import quadosc_inversion
 
 
+def _summed_log_v_series(p, y, tau):
+    """The p > 2 series as it was before its sum was estimated: every term summed, then the gate."""
+    alpha = (2.0 - p) / (1.0 - p)
+    log_rho = ((alpha - 1.0) * math.log(tau) + alpha * math.log(p - 1.0) - alpha * math.log(y)
+               - math.log(p - 2.0))
+
+    def log_envelope(k):
+        return el.special.gammaln(1.0 + alpha * k) - el.special.gammaln(1.0 + k) + k * log_rho
+
+    log_peak = (alpha * math.log(alpha) + log_rho) / (1.0 - alpha)
+    if log_peak > math.log(10**5) or log_envelope(10**5) > log_envelope(
+            max(1.0, round(math.exp(log_peak)))) - 40.0:
+        return None
+    entries = []
+    log_max = prev_env = -math.inf
+    for k in range(1, 10**5 + 1):
+        log_env = log_envelope(k)
+        s = math.sin(-k * math.pi * alpha) * (-1.0) ** k
+        if s != 0.0:
+            log_abs = log_env + math.log(abs(s))
+            entries.append((k, log_abs, math.copysign(1.0, s)))
+            log_max = max(log_max, log_abs)
+        if log_env < log_max - 40.0 and log_env < prev_env and len(entries) > 4:
+            break
+        prev_env = log_env
+    else:
+        return None
+    total = math.fsum(sign * math.exp(log_abs - log_max) for _, log_abs, sign in entries)
+    gross = math.fsum(math.exp(log_abs - log_max) for _, log_abs, _ in entries)
+    return log_max + math.log(total) if total > 1e-8 * gross else None
+
+
 @contextmanager
 def _time_limit(seconds):
     """Fail with TimeoutError if the block runs longer than ``seconds``."""
@@ -379,6 +411,26 @@ class TestDensity:
         value = tweedie_density(2.0 + delta, 0.5, 1.0, 1.0)
         assert delta > 1e-5 or time.perf_counter() - start < 0.1
         assert value == pytest.approx(tweedie_density(2.0, 0.5, 1.0, 1.0), rel=delta)
+
+    @pytest.mark.parametrize("p, y, tau", [
+        (2.0001, 0.7, 0.25), (2.00003, 0.5, 1.0), (2.0001, 0.5, 1.0), (2.5, 0.12, 0.25), (3.5, 0.12, 0.25),
+    ])
+    def test_cancelling_series_is_refused_before_summing(self, p, y, tau, monkeypatch):
+        # the summed series sends each to the inversion after 10^2-10^4 terms of two gammaln calls
+        # each; the estimate of the sum refuses it from the budget check and the five terms next to
+        # the peak: 14 calls
+        assert _summed_log_v_series(p, y, tau) is None
+        gammaln, calls = el.special.gammaln, []
+        monkeypatch.setattr(el.special, "gammaln", lambda x: calls.append(x) or gammaln(x))
+        assert _log_v_series(p, y, tau) is None
+        assert len(calls) == 14
+
+    @pytest.mark.parametrize("p", [2.001, 2.1, 2.5, 3.5, 5.0, 12.0])
+    def test_series_routes_match_the_summed_series(self, p):
+        # every point takes the route, and gives the value, of the series summed before its gate
+        for y in np.geomspace(1e-3, 1e3, 13).tolist():
+            for tau in (0.05, 1.0, 5.0, 100.0):
+                assert _log_v_series(p, y, tau) == _summed_log_v_series(p, y, tau), (y, tau)
 
     def test_negative_p_refused(self):
         with pytest.raises(DomainError):
