@@ -84,7 +84,10 @@ def power_deviance(p: float, y, mu, delta=None):
     E_{2-p})/(p - 1)`` otherwise, ``E_a = expm1(a L)/a``, ``E_0 = L`` (:func:`_closed_form`), off
     by about eps/|x|.  L = log(1 + x) is ``log y - log mu`` where 1 + x loses digits (y < mu/16)
     or overflows, and ``(1 + x)^(2 - p)`` is 0 for y <= 0 (the Tweedie ``max(y, 0)`` convention,
-    p < 2).  Floats and ndarrays both.
+    p < 2).  Floats and ndarrays both.  An ndarray takes the closed form, whose cost is numpy's fixed
+    cost per call at up to 10^4 entries, on every entry, and the series and the log fix only on the
+    entries that select them, which none may; an entry that overflows is redone by the float path.
+    The float path and numpy's log1p, expm1 and power differ in the last bit of some arguments.
     """
     if delta is None:
         delta = y - mu
@@ -118,25 +121,34 @@ def power_deviance(p: float, y, mu, delta=None):
             return math.inf
         return (power - (2.0 - p) * scale_x) / ((1.0 - p) * (2.0 - p))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scale = 2.0 if p == 2.0 else 2.0 * np.power(mu, 2.0 - p)
         x = delta / mu
-        if np.ndim(x) == 0:  # 0-d arrays: numpy ufuncs return scalars for them
+        if x.ndim == 0:  # 0-d arrays: numpy ufuncs return scalars for them
             return power_deviance(p, float(y), float(mu), float(delta))
+        scale = 2.0 if p == 2.0 else 2.0 * np.power(mu, 2.0 - p)
         # below _FAR_BELOW: log 0, then log y - log mu where y > 0 (log1p itself is slow at y = 0)
+        log_ratio = np.log1p(np.maximum(x, _FAR_BELOW))
         below = x <= _FAR_BELOW
-        log_ratio = np.where(below, _LOG_ZERO, np.log1p(np.maximum(x, _FAR_BELOW)))
-        far = np.nonzero(below & (y > 0.0))
-        if far[0].size:
-            y_far, mu_far = (np.broadcast_to(a, x.shape)[far] for a in (y, mu))
-            log_ratio[far] = np.log(y_far) - np.log(mu_far)
+        if np.count_nonzero(below):
+            log_ratio[below] = _LOG_ZERO
+            logs = below & (y > 0.0)
+            if np.count_nonzero(logs):
+                log_ratio[logs] = np.log(_at(y, logs)) - np.log(_at(mu, logs))
         d = _closed_form(p, scale, scale * x, log_ratio)
-        near = np.nonzero(np.abs(x) < _SERIES_BAND)
-        if near[0].size:
-            d[near] = np.broadcast_to(scale, x.shape)[near] * _series(p, x[near])
+        near = np.abs(x) < _SERIES_BAND
+        if np.count_nonzero(near):
+            d[near] = _at(scale, near) * _series(p, x[near])
         # where x, scale or a power of 1 + x overflowed, or scale underflowed, the float path works from logs
-        for i in zip(*np.nonzero(~np.isfinite(d) | (scale == 0.0))):
+        redo = ~np.isfinite(d) if p == 2.0 else ~np.isfinite(d) | (scale == 0.0)
+        for i in zip(*np.nonzero(redo)):
             d[i] = power_deviance(p, *(float(np.broadcast_to(a, x.shape)[i]) for a in (y, mu, delta)))
         return d
+
+
+def _at(a, mask):
+    """The entries at ``mask`` of ``a``, which broadcasts to ``mask``'s shape; a 0-d ``a`` is every entry."""
+    if np.ndim(a) == 0:
+        return a
+    return (a if a.shape == mask.shape else np.broadcast_to(a, mask.shape))[mask]
 
 
 def _closed_form(p: float, scale, scale_x, log_ratio):
@@ -192,17 +204,22 @@ def positive_part(x):
 def call(fn, *args):
     """``fn(*args)`` under the array contract: float arguments give a float; when any argument is
     an ndarray, ``fn`` returns values that broadcast to the arguments' broadcast shape (so ``lambda
-    t: 1.0`` keeps it), and the value is a fresh float ndarray of that shape.  A ``fn`` that raises
+    t: 1.0`` keeps it), and the value is a fresh float ndarray of that shape: ``fn``'s own value
+    where that is one (it owns its memory and is none of the arguments), else a copy.  A ``fn`` that raises
     ``TypeError`` or ``ValueError`` on an ndarray, or returns values that do not broadcast, is
     refused with ``DomainError``: it is never looped over entry by entry."""
+    shape = None
     for a in args:  # a loop: a generator in ``any`` would triple the cost of the float path
         if isinstance(a, np.ndarray):
-            break
-    else:
+            shape = a.shape if shape is None or shape == a.shape else np.broadcast_shapes(shape, a.shape)
+    if shape is None:
         return float(fn(*args))
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     try:
-        return np.full(shape, fn(*args), dtype=float)
+        value = fn(*args)
+        fresh = type(value) is np.ndarray and value.base is None and all(value is not a for a in args)
+        if fresh and value.shape == shape and value.dtype == float:
+            return value
+        return np.full(shape, value, dtype=float)
     except DispersionModelError:
         raise
     except (TypeError, ValueError) as exc:

@@ -35,7 +35,11 @@ within ``_QUAD_TOL`` (relative), or within ``_QUAD_NOISE`` once its error has
 not halved in eight rounds (the integrand's rounding); after ``_QUAD_ROUNDS``
 rounds or ``_QUAD_PANELS`` panels it is refused.  The integrand takes arrays
 only: one call per round on the nodes of the panels split in it, of up to
-``_QUAD_BATCH`` integrals.  A lattice support is summed in blocks of terms,
+``_QUAD_BATCH`` integrals.  The first round splits the same parents on every
+piece, so its nodes and weights under both end maps are computed once, at
+import (``_FIRST_ROUND``), and an integral's first call is these scaled to its
+pieces: at 16-1024 nodes numpy's fixed cost per call, not the arithmetic, sets
+the time.  A lattice support is summed in blocks of terms,
 one call per block.  No module imports scipy when it loads, nor SciPy's
 integrators or optimizers: ``scipy.special`` comes with the first
 special-function call, through ``_elementary.special``.
@@ -81,6 +85,8 @@ _LEGENDRE_16 = np.array([
 _GL_NODES = 0.5 * (np.concatenate((-_LEGENDRE_16[::-1, 0], _LEGENDRE_16[:, 0])) + 1.0)
 _GL_WEIGHTS = 0.5 * np.concatenate((_LEGENDRE_16[::-1, 1], _LEGENDRE_16[:, 1]))
 _GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False  # every caller gets these arrays
+# the sign of the t-axis of a piece from the lower end of its integral, and from its upper end
+_SIDES = np.array([1.0, -1.0])
 
 # Central stencil coefficients (offset -> weight, divided by h^order), O(h^2).
 _STENCILS = {
@@ -226,17 +232,40 @@ def _refined_maxima(fn, xs: np.ndarray, vals: np.ndarray, tol: float, floor: flo
 
 def _finite(values, x: np.ndarray) -> np.ndarray:
     """``values`` of an integrand at the nodes ``x``, refused with ``NumericalError`` where not finite."""
-    values = np.broadcast_to(np.asarray(values, dtype=float), x.shape)
-    if not np.isfinite(values).all():
-        i = int(np.argmax(~np.isfinite(values)))
+    values = np.asarray(values, dtype=float)
+    if values.shape != x.shape:
+        values = np.broadcast_to(values, x.shape)
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < finite.size:
+        i = int(np.argmax(~finite))
         raise NumericalError(f"integrand not finite at {x.flat[i]}: {values.flat[i]}")
     return values
 
 
 def _gauss_legendre_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights, shape ``(..., k, 16)``, on the k panels between the last axis of ``edges``."""
-    width = np.diff(edges)[..., None]
+    width = (edges[..., 1:] - edges[..., :-1])[..., None]
     return edges[..., :-1, None] + width * _GL_NODES, width * _GL_WEIGHTS
+
+
+def _end_maps(t: np.ndarray, w: np.ndarray):
+    """``(nodes, weights)`` of the nodes ``t`` and weights ``w`` on the t-axis of a piece under the map
+    from a finite end (t^3), then under the map from an infinite one ((1 - t)/t)."""
+    return (t**3, 3.0 * t * t * w), ((1.0 - t) / t, w / (t * t))
+
+
+def _first_round() -> np.ndarray:
+    """Nodes and weights of the first round on a piece, shape (2, 2, 3, 2, 16): under the map from a
+    finite end or from an infinite one; nodes or weights; on the parents of ``_FIRST_PARENTS``, their
+    left children or their right ones; on the first parent or the second; the 16 nodes."""
+    a, s, b = _FIRST_PARENTS.T
+    edges = np.stack([np.concatenate([a, a, s]), np.concatenate([b, s, b])], axis=-1)[:, None]
+    return np.array(_end_maps(*(v.reshape(3, 2, 16) for v in _gauss_legendre_panels(edges))))
+
+
+_FIRST_ROUND = _first_round()
+# the piece of each row of the first round's nodes: 3 kinds of panel on 2 parents a piece
+_FIRST_PIECES = np.arange(12 * _QUAD_BATCH) // 6
 
 
 def _quadrature(fn, lower, upper, center=None):
@@ -247,54 +276,65 @@ def _quadrature(fn, lower, upper, center=None):
     call; an infinite end is ``lower = -inf`` or ``upper = inf``.  ``fn(x, rows)`` gets the nodes
     ``x``, shape ``(k, 16)``, and the integral of each row of them.  Floats in give floats out.
     """
-    lower, upper = np.broadcast_arrays(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
-    shape, ends = lower.shape, np.stack([lower.ravel(), upper.ravel()], axis=1)
-    m, infinite = len(ends), ~np.isfinite(ends)
-    with np.errstate(invalid="ignore", over="ignore"):  # an overflow gives nodes that are refused
+    try:
+        ends = np.array([lower, upper], dtype=float)
+    except ValueError:  # ends of two shapes
+        ends = np.array(np.broadcast_arrays(lower, upper), dtype=float)
+    shape, ends = ends.shape[1:], ends.reshape(2, -1).T
+    m, finite = len(ends), np.isfinite(ends)
+    infinite = ~finite
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused as not finite
         if center is None:
             lo, hi = ends.T
             center = np.where(infinite[:, 0], np.where(infinite[:, 1], 0.0, hi - 1.0),
                               np.where(infinite[:, 1], lo + 1.0, 0.5 * lo + 0.5 * hi))
-        c = np.broadcast_to(np.asarray(center, dtype=float).ravel(), (m,))[:, None]
+        c = np.asarray(center, dtype=float).reshape(-1, 1)
         if m > _QUAD_BATCH:  # a batch at a time, so that the nodes of a round stay bounded
+            c = np.broadcast_to(c, (m, 1))
             parts = [_quadrature(lambda x, rows, i=i: fn(x, rows + i), *ends[i:i + _QUAD_BATCH].T,
                                  c[i:i + _QUAD_BATCH, 0]) for i in range(0, m, _QUAD_BATCH)]
             return tuple(np.concatenate(part).reshape(shape) for part in zip(*parts))
         # piece 2i runs from the lower end of integral i to c, piece 2i + 1 from its upper end
-        length = np.where(np.isfinite(ends[:, ::-1]), np.abs(c - ends[:, ::-1]), 1.0)
+        span = c - ends
+        length = np.where(finite[:, ::-1], np.abs(span[:, ::-1]), 1.0)
         base = np.where(infinite, c, ends).ravel()
-        scale = np.where(infinite, np.sign(ends) * length, c - ends).ravel()
-        jacobian = np.where(infinite, length, (c - ends) * [1.0, -1.0]).ravel()
-    outward = infinite.ravel()
+        scale = np.where(infinite, np.sign(ends) * length, span).ravel()
+        jacobian = np.where(infinite, length, span * _SIDES).ravel()
+        outward = infinite.ravel()
 
-    def panel_sums(left, right, pieces):  # the rule on the panels [left, right] of the pieces
-        t, w = (a[:, 0] for a in _gauss_legendre_panels(np.stack([left, right], axis=-1)))
-        out = outward[pieces, None]
-        t, w = np.where(out, (1.0 - t) / t, t**3), np.where(out, w / (t * t), 3.0 * t * t * w)
-        x = base[pieces, None] + scale[pieces, None] * t
-        return (_finite(fn(x, pieces // 2), x) * (jacobian[pieces, None] * w)).sum(axis=1)
+        def rule(x, w, pieces):  # the 16-point rule on the panels of the pieces, nodes x and weights w
+            return (_finite(fn(x, pieces // 2), x) * (jacobian[pieces, None] * w)).sum(axis=1)
 
-    # a row of ``panel`` is a parent [a, s, b] on the t-axis of a piece, then its children [a, s] and
-    # [s, b] by the rule and their gap to the parent; ``plain`` and ``tail`` hold each piece's outermost
-    # child by the rule and as a geometric tail
-    pieces = np.repeat(np.arange(2 * m), len(_FIRST_PARENTS))
-    panel = np.tile(_FIRST_PARENTS, (2 * m, 1))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused as not finite
-        a, s, b = panel.T
-        whole, left, right = panel_sums(np.concatenate([a, a, s]), np.concatenate([b, s, b]),
-                                        np.tile(pieces, 3)).reshape(3, -1)
-        panel = np.column_stack([panel, left, right, np.abs(whole - left - right)])
-        plain, tail, gaps = left[::len(_FIRST_PARENTS)], np.full(2 * m, np.nan), []
+        def panel_sums(left, right, pieces):  # the rule on the panels [left, right] of the pieces
+            panels = _gauss_legendre_panels(np.stack([left, right], axis=-1))
+            (t, w), (t_out, w_out) = _end_maps(*(a[:, 0] for a in panels))
+            out = outward[pieces, None]
+            x = base[pieces, None] + scale[pieces, None] * np.where(out, t_out, t)
+            return rule(x, np.where(out, w_out, w), pieces)
+
+        # a row of ``panel`` is a parent [a, s, b] on the t-axis of a piece, then its children [a, s] and
+        # [s, b] by the rule and their gap to the parent; ``plain`` and ``tail`` hold each piece's
+        # outermost child by the rule and as a geometric tail.  The first round splits _FIRST_PARENTS
+        # on every piece, at the nodes of the piece's map.
+        nodes = _FIRST_ROUND[outward.view(np.int8)]
+        sums = rule((base[:, None, None, None] + scale[:, None, None, None] * nodes[:, 0]).reshape(-1, 16),
+                    nodes[:, 1].reshape(-1, 16), _FIRST_PIECES[:12 * m])
+        whole, left, right = sums.reshape(-1, 3, 2).transpose(1, 0, 2)
+        panel = np.empty((2 * m, 2, 6))
+        panel[..., :3] = _FIRST_PARENTS
+        panel[..., 3], panel[..., 4], panel[..., 5] = left, right, np.abs(whole - left - right)
+        panel, pieces = panel.reshape(-1, 6), _FIRST_PIECES[:12 * m:3]  # every third row: two parents a piece
+        plain, tail, gaps = left[:, 0], np.full(2 * m, np.nan), []
         for _ in range(_QUAD_ROUNDS):
             rows = pieces // 2
             total, gap = np.bincount(rows, panel[:, 3] + panel[:, 4], m), np.bincount(rows, panel[:, 5], m)
-            if not np.isfinite(total + gap).all():
+            if np.count_nonzero(np.isfinite(total + gap)) < m:
                 raise NumericalError(f"integral {total[np.argmax(~np.isfinite(total + gap))]} overflows")
             gaps.append(gap)
             short = gap > _QUAD_TOL * np.abs(total)
             if len(gaps) > 8:  # an error that did not halve in eight rounds is the integrand's noise
                 short &= (gap < 0.5 * gaps[-9]) | (gap > _QUAD_NOISE * np.abs(total))
-            if not short.any():
+            if not np.count_nonzero(short):
                 return (total.reshape(shape), gap.reshape(shape)) if shape else (float(total[0]), float(gap[0]))
             if len(pieces) > _QUAD_PANELS and np.bincount(rows).max() > _QUAD_PANELS:
                 break
@@ -304,10 +344,12 @@ def _quadrature(fn, lower, upper, center=None):
             largest = np.zeros(m)
             np.maximum.at(largest, rows, score)
             split = (score >= largest[rows] / 8.0) & (score > 0.0)
-            old, at = panel[split], np.tile(pieces[split], 2)
+            old, at = panel[split], pieces[split]
+            at = np.concatenate([at, at])
             a, b = np.concatenate([old[:, 0], old[:, 1]]), np.concatenate([old[:, 1], old[:, 2]])
             s = np.where(a == 0.0, 0.25 * b, 0.5 * (a + b))
-            left, right = panel_sums(np.concatenate([a, s]), np.concatenate([s, b]), np.tile(at, 2)).reshape(2, -1)
+            left, right = panel_sums(np.concatenate([a, s]), np.concatenate([s, b]),
+                                     np.concatenate([at, at])).reshape(2, -1)
             error = np.abs(np.concatenate([old[:, 3], old[:, 4]]) - left - right)
             outer = np.flatnonzero(old[:, 0] == 0.0)
             if outer.size:  # rings [s/4, s] and [s, 4s] of a power law t^b decay by r = 4^-(b+1)
@@ -319,7 +361,7 @@ def _quadrature(fn, lower, upper, center=None):
                 plain[piece], tail[piece] = left[outer], estimate
                 left[outer] = np.where(tail_gap < plain_gap, estimate, left[outer])
                 error[outer] = np.fmin(tail_gap, plain_gap)
-            panel = np.concatenate([panel[~split], np.column_stack([a, s, b, left, right, error])])
+            panel = np.concatenate([panel[~split], np.array([a, s, b, left, right, error]).T])
             pieces = np.concatenate([pieces[~split], at])
     i = int(np.argmax(short))
     raise NumericalError(f"quadrature did not reach the relative error {_QUAD_TOL:g} in {len(gaps)} rounds "

@@ -242,8 +242,8 @@ def edm_deviance(fam: EdmFamily, y, mu):
     array = not (type(y) is float and type(mu) is float) and (
         isinstance(y, np.ndarray) or isinstance(mu, np.ndarray)
     )
-    if array:
-        y, mu = np.asarray(y, dtype=float), np.asarray(mu, dtype=float)
+    if array:  # a float stays a float, for the float test of its domain
+        y, mu = (a if type(a) is float else np.asarray(a, dtype=float) for a in (y, mu))
     fam.support.require(y, "y")
     fam.mean_domain.require(mu, "mu")
     if array:
@@ -312,7 +312,9 @@ def log_density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
     fam.dispersion_domain.require(tau, "tau")
     if fam.exact_normalizer is None:
         raise DomainError(f"family {fam.name} has no exact normalizer")
-    return (y * theta - fam.b(theta)) / tau + fam.exact_normalizer(y, tau)
+    # an ndarray y under the array contract, so that a float-only normalizer is refused as such
+    c = el.call(fam.exact_normalizer, y, tau) if isinstance(y, np.ndarray) else fam.exact_normalizer(y, tau)
+    return (y * theta - fam.b(theta)) / tau + c
 
 
 @refuses_numerical_failure
@@ -324,7 +326,7 @@ def density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
     cases apart.
     """
     if fam.exact_normalizer is not None:
-        return math.exp(log_density.__wrapped__(fam, y, theta, tau))
+        return el.exp(log_density.__wrapped__(fam, y, theta, tau))
     _require_observation(fam, y)
     fam.theta_domain.require(theta, "theta")
     fam.dispersion_domain.require(tau, "tau")

@@ -81,10 +81,10 @@ def require_positive(value, what: str, model, at: str, point):
         if value > 0.0:
             return value
     else:
-        bad = ~(value > 0.0)
-        if not bad.any():
+        positive = value > 0.0
+        if np.count_nonzero(positive) == positive.size:
             return value
-        i = int(np.argmax(bad))
+        i = int(np.argmax(~positive))
         point, value = np.ravel(point)[i], np.ravel(value)[i]
     raise NumericalError(f"{what} {model.name} not positive at {at}={point}: {value}")
 

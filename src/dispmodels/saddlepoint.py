@@ -63,9 +63,9 @@ class SaddlepointResult:
     renormalized: bool = False
 
 
-def _saddlepoint_value(dev: float, v: float, tau: float) -> float:
-    """``[2 pi tau V]^(-1/2) exp(-d/(2 tau))`` from the deviance d and the variance V at y."""
-    return math.exp(-dev / (2.0 * tau)) / math.sqrt(2.0 * math.pi * tau * v)
+def _saddlepoint_value(dev, v, tau: float):
+    """``[2 pi tau V]^(-1/2) exp(-d/(2 tau))`` from the deviance d and the variance V at y (floats or ndarrays)."""
+    return el.exp(-dev / (2.0 * tau)) / el.sqrt(2.0 * math.pi * tau * v)
 
 
 @refuses_numerical_failure
@@ -96,7 +96,8 @@ def renormalized_saddlepoint(
     ``a0(mu, tau) = 1 / integral_C q(x; mu, tau) nu(dx)`` is the normalizer of the proper
     dispersion model with carrier ``[2 pi tau V(x)]^(-1/2)``, from :func:`pdm.pdm_normalizer`
     (adaptive quadrature, or lattice summation for discrete supports), which calls the carrier on
-    arrays of nodes.  Boundary observations, where V degenerates, carry no mass.
+    arrays of nodes.  Boundary observations, where V degenerates, carry no mass.  ``y`` may be an
+    ndarray, each entry as its float call, except that a boundary entry is refused (``DomainError``).
     """
     if not d.regular:
         raise DomainError(f"deviance {d.name} is not regular; saddlepoint undefined")
@@ -111,6 +112,8 @@ def renormalized_saddlepoint(
     try:
         value = a0 * _saddlepoint_value(eval_deviance(d, y, mu), V(y), tau)
     except (DomainError, NumericalError):
+        if isinstance(y, np.ndarray):
+            raise
         value = 0.0
     return SaddlepointResult(value=value, saddle=None, renormalized=True)
 

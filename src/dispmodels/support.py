@@ -86,7 +86,7 @@ class RealInterval:
         if inside is True:  # a float or an int inside
             return x
         if isinstance(x, np.ndarray):
-            if inside.all():
+            if np.count_nonzero(inside) == inside.size:
                 return x
             x = float(x[~inside].flat[0])
         elif inside:  # a numpy scalar inside

@@ -748,3 +748,29 @@ class TestQuadratureOverDecades:
     def test_matches_closed_form(self, name, y, mu):
         fam = get_family(name)
         assert deviance_by_quadrature(fam, y, mu) == pytest.approx(edm_deviance(fam, y, mu), rel=1e-10)
+
+
+@pytest.mark.parametrize("name, theta, tau, y", [
+    ("normal", 0.3, 0.5, [-1.0, 0.5, 2.0]),
+    ("gamma", -1.2, 0.5, [0.1, 1.0, 3.0]),
+    ("poisson", 0.2, 1.0, [0.0, 1.0, 7.0]),
+    ("inverse_gaussian", -0.4, 0.5, [0.2, 1.0, 4.0]),
+])
+def test_density_of_an_array_is_its_float_calls(name, theta, tau, y):
+    fam = edm.get_family(name)
+    values = edm.density(fam, np.array(y), theta, tau)
+    assert values.tolist() == [edm.density(fam, v, theta, tau) for v in y]
+
+
+def test_renormalized_density_of_an_array_matches_or_refuses():
+    # a config family has no exact normalizer: density is the renormalized saddlepoint, whose
+    # array entries are the float calls but for the last bits of numpy's logs and powers
+    fam = edm.family_from_config({"name": "gamma_b", "b": "-log(-theta)", "theta_domain": [None, 0],
+                                  "mean_domain": [0, None], "support": [0, None]})
+    y = np.array([0.5, 1.5, 2.0])
+    assert edm.density(fam, y, -1.0, 0.3) == pytest.approx([edm.density(fam, v, -1.0, 0.3) for v in y], rel=1e-13)
+    poisson = edm.family_from_config({"name": "poisson_b", "b": "exp(theta)", "mean_domain": [0, None],
+                                      "support": [0, None, "["], "lattice": True})
+    assert edm.density(poisson, 0.0, 0.1, 1.0) == 0.0  # a boundary observation carries no mass
+    with pytest.raises(DomainError):
+        edm.density(poisson, np.array([0.0, 2.0]), 0.1, 1.0)

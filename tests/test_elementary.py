@@ -74,3 +74,45 @@ def test_no_entry_by_entry_wrapper_in_the_library():
             if name in ("vectorize", "frompyfunc"):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"callables keep the array contract of _elementary.call; found {offenders}"
+
+
+def _deviance_grid(p, n, rng):
+    """n (y, mu) pairs, and where the array and float paths run the same operations: inside and at the
+    edge of the series band (the same at p = 1 and 2, where the scale is exact), y = 0 (p < 2),
+    y < mu/16, far entries, and pairs whose ratio or scale overflows into the float path (the same)."""
+    band = el._SERIES_BAND
+    x = np.concatenate([
+        rng.uniform(-band, band, n), [band, -band, np.nextafter(band, 0.0), np.nextafter(-band, 0.0)],
+        rng.uniform(-1.0, el._FAR_BELOW, n), rng.uniform(el._FAR_BELOW, 4.0, n), [-1.0] if p < 2.0 else [],
+    ])
+    mu = rng.uniform(0.2, 5.0, x.size)
+    y = np.where(x == -1.0, 0.0, mu * (1.0 + x))
+    same = (np.abs(x) < band) & (p in (1.0, 2.0))
+    if p != 2.0:
+        y, mu = np.concatenate([y, [1e300, 1e-300, 5.0]]), np.concatenate([mu, [1e-300, 1e300, 1e-200]])
+        same = np.concatenate([same, [True, True, True]])
+    pick = rng.permutation(y.size)[:n] if n < y.size else rng.integers(0, y.size, n)
+    return y[pick], mu[pick], same[pick]
+
+
+@pytest.mark.parametrize("p", [-0.5, 1.0, 1.25, 1.5, 2.0, 2.5, 3.5])
+@pytest.mark.parametrize("n", [1, 16, 1024])
+def test_power_deviance_arrays_agree_with_their_float_calls(p, n):
+    # numpy's log1p, expm1 and power differ from libm's in the last bit of some arguments, which the
+    # closed forms amplify by up to 1/|x| = 20 next to the band: each entry is its one-entry array call
+    # bit for bit, its float call within 64 eps, and exactly that where both run the same operations
+    y, mu, same = _deviance_grid(p, n, np.random.default_rng(n))
+    values = el.power_deviance(p, y, mu)
+    alone = np.array([el.power_deviance(p, y[i:i + 1], mu[i:i + 1])[0] for i in range(n)])
+    floats = np.array([el.power_deviance(p, a, b) for a, b in zip(y.tolist(), mu.tolist())])
+    assert values.tolist() == alone.tolist()
+    assert values == pytest.approx(floats, rel=64 * np.finfo(float).eps, abs=0.0)
+    assert values[same].tolist() == floats[same].tolist()
+
+
+def test_power_deviance_broadcasts_its_arguments():
+    y, mu = np.array([[0.0], [1.02], [3.0]]), np.array([0.5, 1.0, 2.0, 1e300])
+    values = el.power_deviance(1.5, y, mu)
+    assert values.shape == (3, 4)
+    assert values.tolist() == [[el.power_deviance(1.5, y[i:i + 1, 0], mu[j:j + 1])[0] for j in range(4)]
+                               for i in range(3)]

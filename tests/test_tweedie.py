@@ -746,3 +746,14 @@ class TestFamilyView:
     def test_edm_view_variance(self):
         fam = tweedie_family(3.0).to_edm()
         assert edm.variance_function(fam, 2.0) == pytest.approx(8.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.5])
+def test_edm_view_refuses_an_array_by_the_array_contract(p):
+    # the view's normalizer takes floats only: an ndarray is refused by the one array-contract
+    # refusal, and the float calls keep their values
+    fam = tweedie_family(p).to_edm()
+    for call in (edm.log_density, edm.density):
+        with pytest.raises(DomainError, match="array contract"):
+            call(fam, np.array([0.5, 1.0, 2.0]), -0.5, 0.5)
+    assert math.isfinite(edm.log_density(fam, 1.0, -0.5, 0.5))
