@@ -195,9 +195,8 @@ def _cmd_approx(args) -> int:
         out.update(value=res.value, saddle=res.saddle)
     elif args.method == "renorm":
         mu = edm.mean_value(fam, theta)
-        res = saddlepoint.renormalized_saddlepoint(
-            edm.unit_deviance_of(fam), edm.variance_function_of(fam), args.y, mu, args.tau
-        )
+        res = saddlepoint.renormalized_saddlepoint(edm.unit_deviance_of(fam), edm.variance_function_of(fam),
+                                                   args.y, mu, args.tau)
         out.update(value=res.value, saddle=res.saddle)
     else:  # lr, mean-lr: the same formula, at tau/n for the mean of n
         n = args.n if args.method == "mean-lr" else 1
@@ -249,18 +248,8 @@ def _cmd_pdm(args) -> int:
         else:
             mus = [float(m) for m in spec.deviance.omega.grid(3, 1e-2, span=3.0)]
         report = pdm.pivotal_check(spec, mus, args.tau, m=args.m, seed=args.seed)
-        print(
-            _json(
-                {
-                    "model": args.model,
-                    "tau": args.tau,
-                    "mu_list": report.mu_list,
-                    "p_values": report.p_values,
-                    "min_p_value": report.min_p_value,
-                    "passed": report.passed(0.001),
-                }
-            )
-        )
+        print(_json({"model": args.model, "tau": args.tau, "mu_list": report.mu_list, "p_values": report.p_values,
+                     "min_p_value": report.min_p_value, "passed": report.passed(0.001)}))
         return 0
     value = pdm.pdm_density(spec, args.y, args.mu, args.tau)
     print(_json({"model": args.model, "y": args.y, "mu": args.mu, "tau": args.tau, "density": value}))
@@ -271,26 +260,12 @@ def _cmd_cf_construct(args) -> int:
     if args.N > _MAX_CF_GRID:
         raise DomainError(f"--N {args.N} is more than {_MAX_CF_GRID} grid points")
     cf = cf_construct.get_cf(args.cf)
-    sol = cf_construct.solve_normalizer(
-        cf, args.tau, args.L, args.N, lambda_reg=args.lambda_reg
-    )
+    sol = cf_construct.solve_normalizer(cf, args.tau, args.L, args.N, lambda_reg=args.lambda_reg)
     # the grid and a returned solution are finite, so one format gives _fmt's text for every value
     rows = map("{:.17g},{:.17g}\n".format, sol.grid.tolist(), sol.a_values.tolist())
     _write_text(args.output, "y,a\n" + "".join(rows))
-    report = {
-        "cf": cf.name,
-        "tau": sol.tau,
-        "N": len(sol.grid),
-        "L": args.L,
-        "lambda_reg": sol.lambda_reg,
-        "residual": sol.residual,
-        "edge_band": sol.edge_band,
-        "iterations": sol.iterations,
-        "ill_posed": sol.ill_posed,
-        "overshoot": sol.overshoot,
-        "plateau": sol.plateau,
-        "interior_level": sol.interior_level,
-    }
+    report = {"cf": cf.name, "tau": sol.tau, "N": len(sol.grid), "L": args.L, **{name: getattr(sol, name) for name in (
+        "lambda_reg", "residual", "edge_band", "iterations", "ill_posed", "overshoot", "plateau", "interior_level")}}
     print(_json(report), file=sys.stderr)
     return 0
 
@@ -305,9 +280,7 @@ def _read_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
             with warnings.catch_warnings():
                 # a header without data rows is read as zero observations
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(
-                    fh, delimiter=",", quotechar='"', ndmin=2, usecols=range(len(header))
-                )
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2, usecols=range(len(header)))
         except ValueError as exc:
             raise DomainError(f"{path}: data rows are not fully numeric: {exc}") from None
     return header, {name: data[:, j] for j, name in enumerate(header)}
@@ -357,24 +330,12 @@ def _cmd_fit(args) -> int:
 
     model = regression.RegressionModel(fam, link, predictor)
     result = regression.fit(model, X, y, beta0=beta0, tau_method=args.tau_method)
-    out = {
-        "beta": list(result.beta),
-        "se": list(result.standard_errors),
-        "tau": result.tau,
-        "tau_method": result.tau_method,
-        "deviance": result.deviance,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "score_norm": result.score_norm,
-        "terms": names,
-    }
-    print(_json(out))
+    print(_json({"beta": list(result.beta), "se": list(result.standard_errors), "tau": result.tau,
+                 "tau_method": result.tau_method, "deviance": result.deviance, "iterations": result.iterations,
+                 "converged": result.converged, "score_norm": result.score_norm, "terms": names}))
     if not result.converged:
-        print(
-            f"ERROR:numerical:IRLS did not converge in {result.iterations} iterations "
-            f"(score norm {result.score_norm:.3g})",
-            file=sys.stderr,
-        )
+        print(f"ERROR:numerical:IRLS did not converge in {result.iterations} iterations "
+              f"(score norm {result.score_norm:.3g})", file=sys.stderr)
         return 2
     return 0
 
@@ -383,11 +344,8 @@ def _cmd_check(args) -> int:
     try:
         results = checks.run_checks(args.scope, seed=args.seed)
     except KeyError:
-        print(
-            f"ERROR:usage:unknown check scope {args.scope!r}; available: "
-            + ", ".join(checks.available_scopes()),
-            file=sys.stderr,
-        )
+        print(f"ERROR:usage:unknown check scope {args.scope!r}; available: " + ", ".join(checks.available_scopes()),
+              file=sys.stderr)
         return 1
     failed = 0
     for name, ok, detail in results:
@@ -417,15 +375,12 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except DomainError as exc:
+    except (DomainError, FileNotFoundError) as exc:
         print(f"ERROR:domain:{exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"ERROR:numerical:{exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"ERROR:domain:{exc}", file=sys.stderr)
-        return 1
     except (ArithmeticError, ValueError) as exc:
         # the refusal rule of ``errors``, for the CLI's own arithmetic and the library code that
         # is not a decorated evaluation function (fits, cf solves, checks)

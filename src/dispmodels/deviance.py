@@ -163,10 +163,10 @@ def second_derivative_identity(d: UnitDeviance, mu):
     """
     if not d.regular:
         raise DomainError(f"deviance {d.name} is not regular")
-    if d.variance is not None:
-        curving = 2.0 / unit_variance.__wrapped__(d, mu)
-        return (curving, curving, -curving)
     d.omega.require(np.asarray(mu, dtype=float), "mu")
+    if d.variance is not None:
+        curving = 2.0 / el.call(d.variance, mu)
+        return (curving, curving, -curving)
     mu_c = d.omega.clip_inward(mu, _BOUNDARY_CLIP)
     return (
         derivative(lambda y: el.call(d.fn, y, mu_c), mu_c, 2, d.omega),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -105,14 +105,19 @@ class EdmFamily:
     def has_exact_density(self) -> bool:
         return self.exact_normalizer is not None
 
+    @cached_property
+    def steep(self) -> bool:
+        """Whether the mean domain holds the interior of the support, as for every built-in family (not
+        for Tweedie p < 0).  Then a y inside the support, and every point between a y in the support and
+        a mean, is a mean."""
+        return self.mean_domain.lower <= self.support.lower and self.support.upper <= self.mean_domain.upper
+
     def _b_derivative(self, r: int, theta):
         """``b^(r)(theta)``, ``theta`` a float or an ndarray, by the rule of the class docstring."""
         value = None if self.b_nth is None else self.b_nth(r, theta)
         if value is None:
             if r > 6:
-                raise NumericalError(
-                    f"cumulant order {r} requires an analytic derivative of b for {self.name}"
-                )
+                raise NumericalError(f"cumulant order {r} requires an analytic derivative of b for {self.name}")
             f, order = (self.b, r) if self.b_nth is None else (partial(self.b_nth, 2), r - 2)
             return derivative(f, theta, order, self.theta_domain)
         if type(theta) is not float and isinstance(theta, np.ndarray):
@@ -120,9 +125,16 @@ class EdmFamily:
         return float(value)
 
 
-# Each public function that takes an ndarray branches once, on entry, into
-# its array form; the float path below the branch is the pointwise API.  The
-# branch tests ``type(x) is not float`` first: it costs a fifth of the
+# A public function checks each argument once, on entry, and evaluates
+# private formulas that take checked arguments: ``fam._b_derivative(1, .)``
+# for b', ``_inverse_mean`` for q, ``_variance`` and ``_variance_at`` for
+# V = b'' o q, ``_deviance`` and ``_deviance_by_quadrature`` for d, and
+# ``_log_density``.  The library's own callers call the formulas after checks
+# of their own, which must imply the formula's domain: a y inside the support
+# is a mean of a steep family (``EdmFamily.steep``), every built-in one.  A
+# function that takes an ndarray branches once, on entry, into its array
+# form; the float path below the branch is the pointwise API.  The branch
+# tests ``type(x) is not float`` first: it costs a fifth of the
 # ``isinstance`` call that floats would otherwise pay for on every call.
 
 
@@ -133,10 +145,8 @@ def cgf(fam: EdmFamily, t: float, theta: float, tau: float) -> float:
     fam.dispersion_domain.require(tau, "tau")
     shifted = theta + tau * t
     if not fam.theta_domain.contains(shifted):
-        raise DomainError(
-            f"cgf of {fam.name} does not exist at t={t}: theta + tau*t = {shifted} "
-            f"outside {fam.theta_domain}"
-        )
+        raise DomainError(f"cgf of {fam.name} does not exist at t={t}: theta + tau*t = {shifted} "
+                          f"outside {fam.theta_domain}")
     return (fam.b(shifted) - fam.b(theta)) / tau
 
 
@@ -157,11 +167,17 @@ def inverse_mean(fam: EdmFamily, mu):
     finite end of the mean domain)``; ``b'`` takes no value on a closed end
     (a count of 0), so there it raises ``DomainError``.
     """
+    return _inverse_mean(fam, fam.mean_domain.require(mu, "mu"))
+
+
+def _inverse_mean(fam: EdmFamily, mu):
+    """q(mu) at a float or an ndarray mu in the mean domain."""
     array = type(mu) is not float and isinstance(mu, np.ndarray)
-    (fam.mean_domain if fam.mean_inverse is not None else fam.mean_domain.interior()).require(mu, "mu")
     if fam.mean_inverse is not None:
         return el.call(fam.mean_inverse, mu) if array else float(fam.mean_inverse(mu))
     flat = np.asarray(mu, dtype=float).reshape(-1)
+    if fam.mean_domain.closed_lower or fam.mean_domain.closed_upper:  # b' takes no value on a closed end
+        fam.mean_domain.interior().require(flat, "mu")
     theta = _solve_increasing(fam, flat, 1e-10 * _length_scale(flat, fam.mean_domain))
     return theta.reshape(mu.shape) if array else float(theta[0])
 
@@ -202,7 +218,16 @@ def _solve_increasing(fam: EdmFamily, target: np.ndarray, tol) -> np.ndarray:
 @refuses_numerical_failure
 def variance_function(fam: EdmFamily, mu):
     """Unit variance function ``V(mu) = b''(q(mu))``; ``mu`` may be an ndarray."""
-    theta = inverse_mean.__wrapped__(fam, mu)
+    return _variance(fam, fam.mean_domain.require(mu, "mu"))
+
+
+def _variance(fam: EdmFamily, mu):
+    """V(mu) at a float or an ndarray mu in the mean domain."""
+    return _variance_at(fam, _inverse_mean(fam, mu))
+
+
+def _variance_at(fam: EdmFamily, theta):
+    """V at the mean b'(theta), that is b''(theta), refused where it is not positive."""
     return require_positive(fam._b_derivative(2, theta), "b'' of", fam, "theta", theta)
 
 
@@ -239,23 +264,25 @@ def edm_deviance(fam: EdmFamily, y, mu):
     :func:`_generator_deviance`, a float as a one-entry array.  The result
     is nonnegative and vanishes exactly at ``y == mu``.
     """
-    array = not (type(y) is float and type(mu) is float) and (
-        isinstance(y, np.ndarray) or isinstance(mu, np.ndarray)
-    )
-    if array:  # a float stays a float, for the float test of its domain
-        y, mu = (a if type(a) is float else np.asarray(a, dtype=float) for a in (y, mu))
+    if not (type(y) is float and type(mu) is float) and (isinstance(y, np.ndarray) or isinstance(mu, np.ndarray)):
+        y, mu = (a if type(a) is float else np.asarray(a, dtype=float) for a in (y, mu))  # a float stays a float
     fam.support.require(y, "y")
     fam.mean_domain.require(mu, "mu")
-    if array:
-        if fam.deviance_closed_form is None:
-            return _generator_deviance(fam, y, mu)
-        with np.errstate(over="ignore"):  # a deviance past the largest float is +inf
-            return np.where(y == mu, 0.0, fam.deviance_closed_form(y, mu))
-    if y == mu:
-        return 0.0
-    if fam.deviance_closed_form is not None:
-        return float(fam.deviance_closed_form(y, mu))
-    return float(_generator_deviance(fam, np.array([y], dtype=float), np.array([mu], dtype=float))[0])
+    return _deviance(fam, y, mu)
+
+
+def _deviance(fam: EdmFamily, y, mu):
+    """d(y; mu) at y in the support and mu in the mean domain: floats, or float ndarrays (or one of them)."""
+    if (type(y) is float and type(mu) is float) or not (isinstance(y, np.ndarray) or isinstance(mu, np.ndarray)):
+        if y == mu:
+            return 0.0
+        if fam.deviance_closed_form is not None:
+            return float(fam.deviance_closed_form(y, mu))
+        return float(_generator_deviance(fam, np.array([y], dtype=float), np.array([mu], dtype=float))[0])
+    if fam.deviance_closed_form is None:
+        return _generator_deviance(fam, y, mu)
+    with np.errstate(over="ignore"):  # a deviance past the largest float is +inf
+        return np.where(y == mu, 0.0, fam.deviance_closed_form(y, mu))
 
 
 def _generator_deviance(fam: EdmFamily, y: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -268,7 +295,7 @@ def _generator_deviance(fam: EdmFamily, y: np.ndarray, mu: np.ndarray) -> np.nda
     generator = fam.mean_domain.interior().contains(y) & (y != mu)
     y_in, n = y[generator], np.count_nonzero(generator)
     targets = np.concatenate((y_in, mu[generator]))
-    theta = inverse_mean(fam, targets)
+    theta = _inverse_mean(fam, targets)
     if fam.mean_inverse is None:
         theta = theta - (fam._b_derivative(1, theta) - targets) / fam._b_derivative(2, theta)
     b = fam.b(theta)
@@ -279,7 +306,7 @@ def _generator_deviance(fam: EdmFamily, y: np.ndarray, mu: np.ndarray) -> np.nda
         generator[generator] = value > 1e-8 * sum(map(abs, terms))
     quadrature = ~generator & (y != mu)
     if quadrature.any():
-        d[quadrature] = deviance_by_quadrature(fam, y[quadrature], mu[quadrature])
+        d[quadrature] = _deviance_by_quadrature(fam, y[quadrature], mu[quadrature])
     return d
 
 
@@ -291,13 +318,32 @@ def deviance_by_quadrature(fam: EdmFamily, y, mu):
     y, mu = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(mu, dtype=float))
     fam.support.require(y, "y")
     fam.mean_domain.require(mu, "mu")
-    ys = y.ravel()
-    value, err = _quadrature(lambda t, i: 2.0 * (ys[i, None] - t) / variance_function.__wrapped__(fam, t), mu, y)
-    bad = np.ravel(~(err <= 1e-6 * np.maximum(1.0, np.abs(value))))
+    return _deviance_by_quadrature(fam, y, mu)
+
+
+def _deviance_by_quadrature(fam: EdmFamily, y: np.ndarray, mu: np.ndarray):
+    """The defining integral of d at y in the support and mu in the mean domain (ndarrays of one shape),
+    in the fraction s = v/(1 + v) of the way from mu to y, v in [0, inf): ``2 (y - mu) integral_0^inf (y -
+    mu) (1 - s)^3 / V(t) dv``.  t is mu + (y - mu) s below s = 1/2 and y - (y - mu)(1 - s) above, with
+    1 - s = 1/(1 + v), so that a node next to either end is as accurate as its distance to it, and y - t =
+    (y - mu)(1 - s) does not cancel next to the diagonal: an integral of 1e-27 there keeps its relative
+    error.  The points t of a family that is not steep are checked as means."""
+    ys, mus = y.ravel(), mu.ravel()
+    variance = partial(_variance if fam.steep else variance_function, fam)
+
+    def integrand(v, i):
+        gap, rest = ys[i, None] - mus[i, None], 1.0 / (1.0 + v)  # rest = 1 - s
+        t = np.where(v < 1.0, mus[i, None] + gap * (v * rest), ys[i, None] - gap * rest)
+        return gap * rest**3 / variance(t)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # a gap or a value that is not finite is refused
+        integral, err = _quadrature(integrand, np.zeros(y.shape), np.full(y.shape, np.inf))
+        value, err = 2.0 * (y - mu) * integral, 2.0 * np.abs(y - mu) * err
+    bad = np.ravel(~(err <= 1e-6 * np.maximum(1.0, np.abs(value))) | ~np.isfinite(value))
     if bad.any():
         i = int(np.argmax(bad))
-        raise NumericalError(f"deviance quadrature failed for {fam.name} at (y={ys[i]}, mu={mu.flat[i]})")
-    return value
+        raise NumericalError(f"deviance quadrature failed for {fam.name} at (y={ys[i]}, mu={mus[i]})")
+    return value if y.ndim else float(value)
 
 
 @refuses_numerical_failure
@@ -312,6 +358,11 @@ def log_density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
     fam.dispersion_domain.require(tau, "tau")
     if fam.exact_normalizer is None:
         raise DomainError(f"family {fam.name} has no exact normalizer")
+    return _log_density(fam, y, theta, tau)
+
+
+def _log_density(fam: EdmFamily, y, theta: float, tau: float):
+    """The exact log density at checked arguments, of a family with an exact normalizer."""
     # an ndarray y under the array contract, so that a float-only normalizer is refused as such
     c = el.call(fam.exact_normalizer, y, tau) if isinstance(y, np.ndarray) else fam.exact_normalizer(y, tau)
     return (y * theta - fam.b(theta)) / tau + c
@@ -322,19 +373,19 @@ def density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
     """Density (or probability mass) at ``y``.
 
     When no exact normalizer is registered, the value is the renormalized
-    saddlepoint approximation; ``fam.has_exact_density`` tells the two
-    cases apart.
+    saddlepoint approximation at the mean b'(theta), theta inside its domain;
+    ``fam.has_exact_density`` tells the two cases apart.
     """
-    if fam.exact_normalizer is not None:
-        return el.exp(log_density.__wrapped__(fam, y, theta, tau))
+    exact = fam.exact_normalizer is not None
     _require_observation(fam, y)
-    fam.theta_domain.require(theta, "theta")
+    (fam.theta_domain if exact else fam.theta_domain.interior()).require(theta, "theta")
     fam.dispersion_domain.require(tau, "tau")
+    if exact:
+        return el.exp(_log_density(fam, y, theta, tau))
     from .saddlepoint import renormalized_saddlepoint
 
-    mu = mean_value.__wrapped__(fam, theta)
-    result = renormalized_saddlepoint(unit_deviance_of(fam), variance_function_of(fam), y, mu, tau)
-    return result.value
+    mu = fam._b_derivative(1, theta)
+    return renormalized_saddlepoint(unit_deviance_of(fam), variance_function_of(fam), y, mu, tau).value
 
 
 def _require_observation(fam: EdmFamily, y: float) -> None:
@@ -366,9 +417,7 @@ def sample_mean_family(fam: EdmFamily, theta: float, tau: float, n: int) -> tupl
     fam.dispersion_domain.require(tau, "tau")
     new_tau = tau / n
     if not fam.dispersion_domain.contains(new_tau):
-        raise DomainError(
-            f"tau/n = {new_tau} outside the dispersion domain {fam.dispersion_domain} of {fam.name}"
-        )
+        raise DomainError(f"tau/n = {new_tau} outside the dispersion domain {fam.dispersion_domain} of {fam.name}")
     return theta, new_tau
 
 
@@ -377,22 +426,21 @@ def unit_deviance_of(fam: EdmFamily) -> UnitDeviance:
     # imported here: ``deviance`` builds its EDM entries from this module
     from .deviance import UnitDeviance
 
+    # eval_deviance and unit_variance check y in the support and mu inside it, a mean of a steep family
+    steep = fam.steep
     return UnitDeviance(
         name=fam.name,
         support=fam.support,
-        fn=partial(edm_deviance.__wrapped__, fam),
-        variance=partial(variance_function.__wrapped__, fam),
+        fn=partial(_deviance if steep else edm_deviance, fam),
+        variance=partial(_variance if steep else variance_function, fam),
     )
 
 
 def variance_function_of(fam: EdmFamily) -> VarianceFunction:
     from .deviance import VarianceFunction
 
-    return VarianceFunction(
-        name=f"V[{fam.name}]",
-        domain=fam.mean_domain,
-        fn=partial(variance_function.__wrapped__, fam),
-    )
+    # VarianceFunction checks mu in the mean domain
+    return VarianceFunction(name=f"V[{fam.name}]", domain=fam.mean_domain, fn=partial(_variance, fam))
 
 
 # ----------------------------------------------------------------------
@@ -636,9 +684,7 @@ def morris_family(spec: MorrisSpec) -> EdmFamily:
     key = (float(spec.a), float(spec.b), float(spec.c))
     name = _MORRIS_PATTERNS.get(key)
     if name is None:
-        raise DomainError(
-            f"(a, b, c) = {key} is not one of the six admissible quadratic variance patterns"
-        )
+        raise DomainError(f"(a, b, c) = {key} is not one of the six admissible quadratic variance patterns")
     return FAMILIES[name]
 
 

@@ -8,9 +8,10 @@ underflowed zero), any other ``ValueError`` (a ``math`` domain error) and a nan 
 an ndarray or a tuple holding one, or the ``value`` of a ``SaddlepointResult``) become
 ``NumericalError``, whose message names the call and its bound arguments.  An infinite result
 passes: a deviance is +inf where it overflows.  So a call on finite inputs returns a number or
-raises one of the two classes, and the CLI's exit codes 1 and 2 follow from them.  On their hot
-paths the decorated functions call each other undecorated (``__wrapped__``), so that the rule is
-paid once per call and a refusal names the call that was made.
+raises one of the two classes, and the CLI's exit codes 1 and 2 follow from them.  A public
+function checks its arguments once and evaluates private formulas, which check nothing and carry
+no decorator; the library's own callers call the formulas too, so that the rule and each domain
+check are paid once per call and a refusal names the call that was made.
 
 Next to the rule sit the refusals of bad inputs that are not domain membership (that is
 ``RealInterval.require``): :func:`require_positive` refuses a variance, or a curvature, that is
@@ -55,8 +56,9 @@ def _has_nan(value) -> bool:
 
 
 def refuses_numerical_failure(fn):
-    """``fn`` under the rule of the module docstring; the arguments are bound only to refuse a call,
-    so a call that returns costs one frame and a nan test of its result."""
+    """``fn``, a public function that checks its arguments once and evaluates private formulas, under
+    the rule of the module docstring; the arguments are bound only to refuse a call, so a call that
+    returns costs one frame and a nan test of its result."""
 
     @functools.wraps(fn)
     def refusing(*args, **kwargs):

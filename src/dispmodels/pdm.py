@@ -83,12 +83,7 @@ class PdmSpec:
 
 
 @refuses_numerical_failure
-def pdm_normalizer(
-    d: UnitDeviance,
-    b: Callable[[float], float],
-    tau: float,
-    probe_mu: float,
-) -> float:
+def pdm_normalizer(d: UnitDeviance, b: Callable[[float], float], tau: float, probe_mu: float) -> float:
     """``a0(tau) = 1 / integral_C b(y) exp(-d(y; mu)/(2 tau)) nu(dy)``, C the support of ``d``.
 
     For a proper dispersion model the integral does not depend on the
@@ -109,9 +104,7 @@ def pdm_normalizer(
 
     value, err = _support_integral(integrand, d.support, probe_mu)
     if not 0.0 < value < math.inf or err > 1e-6 * value:
-        raise NumericalError(
-            f"normalizer integral for {d.name} diverged or failed (value={value}, err={err})"
-        )
+        raise NumericalError(f"normalizer integral for {d.name} diverged or failed (value={value}, err={err})")
     return 1.0 / value
 
 
@@ -163,9 +156,7 @@ def _scan_window(domain: RealInterval, center: float, halfwidth: float = 8.0) ->
     return lo, hi
 
 
-def _maximize_yoke(
-    t: YokeSpec, y: float, n_scan: int = 64
-) -> tuple[float, float, list[tuple[float, float]]]:
+def _maximize_yoke(t: YokeSpec, y: float, n_scan: int = 64) -> tuple[float, float, list[tuple[float, float]]]:
     """(argmax, max, the five highest refined local maxima, ends counted) of a scan of t(y; .).
 
     Each scan is one call of ``t.fn``; the window expands while the incumbent sits on an open edge.
@@ -208,21 +199,14 @@ def check_yokable(t: YokeSpec, grid) -> YokabilityReport:
         spread = max(abs(c[0] - arg) for c in rivals) if rivals else 0.0
         if spread > 1e-6:
             unique = False
-            witnesses.append(
-                f"two maximizers at y={y}: theta={arg:.6g} and theta={arg + spread:.6g}"
-            )
+            witnesses.append(f"two maximizers at y={y}: theta={arg:.6g} and theta={arg + spread:.6g}")
         theta_hats.append(arg)
     diffs = np.diff(theta_hats)
     monotone = bool(np.all(diffs > 0) or np.all(diffs < 0)) if len(theta_hats) > 1 else True
     if not monotone:
         witnesses.append("theta_hat not strictly monotone on the grid")
-    return YokabilityReport(
-        finite_supremum=finite_sup,
-        unique_maximizer=unique,
-        monotone_bijection=monotone,
-        theta_hat=tuple(theta_hats),
-        witnesses=tuple(witnesses),
-    )
+    return YokabilityReport(finite_supremum=finite_sup, unique_maximizer=unique, monotone_bijection=monotone,
+                            theta_hat=tuple(theta_hats), witnesses=tuple(witnesses))
 
 
 def yoke_to_deviance(t: YokeSpec) -> UnitDeviance:
@@ -332,9 +316,7 @@ def _ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return h / n, min(1.0, 2.0 * float(terms[0::2].sum() - terms[1::2].sum()))
 
 
-def pivotal_check(
-    p: PdmSpec, mu_list, tau: float, m: int = 10**4, seed: int = 0x5EED
-) -> PivotalReport:
+def pivotal_check(p: PdmSpec, mu_list, tau: float, m: int = 10**4, seed: int = 0x5EED) -> PivotalReport:
     """Monte Carlo check that d(Y, mu) has a mu-free distribution.
 
     Draws m samples per mu, computes the deviance statistics, and runs
@@ -363,14 +345,9 @@ def pivotal_check(
 # ----------------------------------------------------------------------
 
 
-def transformation_pdm(
-    group_action: Callable[[float, float], float],
-    t: Callable[[float], float],
-    b_invariant: Callable[[float], float],
-    domain: RealInterval,
-    name: str = "transformation",
-    circular: bool = False,
-) -> PdmSpec:
+def transformation_pdm(group_action: Callable[[float, float], float], t: Callable[[float], float],
+                       b_invariant: Callable[[float], float], domain: RealInterval, name: str = "transformation",
+                       circular: bool = False) -> PdmSpec:
     """Build a PDM from a group acting freely and transitively on the domain.
 
     ``group_action(g, y)`` is the action (translations on the line,

@@ -16,6 +16,8 @@ being (the orthogonality of beta and tau at the algorithmic level).
 Every per-observation quantity (the response check, variance function,
 deviance, Pearson and profile sums) is one array call into ``edm`` per
 iteration, so an iteration makes O(1) library calls whatever n is.  The
+response is checked once, on entry, and each mean once, by the step
+control; the IRLS loop then evaluates the formulas of ``edm``.  The
 family's callables see whole arrays, and a family given by ``b`` alone (a
 JSON config) is evaluated by array code in ``edm``; its deviance entries
 on the mean domain's boundary or next to the diagonal go to one batched
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import edm
 from ._numdiff import _bracketed_newton
-from .edm import EdmFamily
+from .edm import EdmFamily, _deviance, _variance
 from .errors import ConvergenceError, DomainError, NumericalError, lookup
 
 __all__ = [
@@ -205,9 +207,7 @@ def _weighted_solve(local: np.ndarray, w: np.ndarray, target: np.ndarray) -> np.
         raise DomainError("local model matrix is not finite at the current coefficients")
     solution, _, _, singular = np.linalg.lstsq(A, rhs, rcond=None)
     if singular[0] == 0.0 or singular[-1] < 1e-10 * singular[0]:
-        raise DomainError(
-            "local model matrix is rank deficient at the current coefficients"
-        )
+        raise DomainError("local model matrix is rank deficient at the current coefficients")
     return solution
 
 
@@ -257,13 +257,13 @@ def fit(
     def weights(b, mu):
         """d eta / d mu, the IRLS weights 1/(V g'^2) and the local model matrix at (b, mu)."""
         g_prime = np.asarray(model.link.derivative(mu), dtype=float)
-        w = 1.0 / (edm.variance_function(model.family, mu) * g_prime**2)
+        w = 1.0 / (_variance(model.family, mu) * g_prime**2)
         return g_prime, w, model.predictor.local_matrix(X, b)
 
     eta, mu = state(beta)
     if not _mu_valid(model, mu):
         raise DomainError("initial coefficients give means outside the mean domain")
-    deviance = total_deviance(model, y, mu)
+    deviance = float(np.sum(_deviance(model.family, y, mu)))  # total_deviance at checked y and mu
 
     converged = False
     iteration = 0
@@ -278,14 +278,12 @@ def fit(
             candidate = beta + scale * step
             eta_new, mu_new = state(candidate)
             if _mu_valid(model, mu_new):
-                deviance_new = total_deviance(model, y, mu_new)
+                deviance_new = float(np.sum(_deviance(model.family, y, mu_new)))
                 if deviance_new <= deviance + 1e-12 * (1.0 + abs(deviance)):
                     break
             scale *= 0.5
         else:
-            raise ConvergenceError(
-                "IRLS diverged: step halving exhausted without a deviance decrease"
-            )
+            raise ConvergenceError("IRLS diverged: step halving exhausted without a deviance decrease")
 
         delta = float(np.max(np.abs(candidate - beta)))
         beta, eta, mu, deviance = candidate, eta_new, mu_new, deviance_new
@@ -345,9 +343,7 @@ def estimate_tau_mle(model: RegressionModel, fit_result: FitResult, y: np.ndarra
     if fam.tau_mle_closed_form is not None:
         return float(fam.tau_mle_closed_form(y, deviance, n))
     if fam.exact_normalizer is None or fam.dc_dtau is None:
-        raise DomainError(
-            f"family {fam.name} has no exact normalizer derivative; use the moment estimator"
-        )
+        raise DomainError(f"family {fam.name} has no exact normalizer derivative; use the moment estimator")
     saturated = float(np.sum(edm.saturated_loglik_kernel(fam, y)))
     target = saturated - deviance / 2.0
     tol = 1e-12 * (1.0 + abs(target))

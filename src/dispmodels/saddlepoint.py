@@ -11,7 +11,9 @@ y = mu, is its limit from the third cumulant within ``sqrt(d) < _R_LIMIT``
 of the mean; the deviance is accurate there, so no blend is needed.  The
 mean of n observations lies in the same family at dispersion tau/n (the
 reproductive property), so its tail area is the same formula at tau/n:
-:func:`lugannani_rice` holds it once.
+:func:`lugannani_rice` holds it once.  As everywhere, a public function
+checks its arguments once, here and in :func:`_checked_mean`, and evaluates
+the private formulas of ``edm`` (d, q and V = b'' o q) on them.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import _elementary as el, edm
+from . import _elementary as el
 from .deviance import UnitDeviance, VarianceFunction, eval_deviance
-from .edm import EdmFamily
+from .edm import EdmFamily, _deviance, _inverse_mean, _variance_at
 from .errors import DomainError, NumericalError, refuses_numerical_failure
 from .pdm import pdm_normalizer
 
@@ -37,16 +39,12 @@ __all__ = [
     "sample_mean_cdf",
 ]
 
-# the edm layer undecorated: the refusal rule is paid once, and names the saddlepoint call
-_mean_value, _edm_deviance, _inverse_mean, _variance_function, _cumulant = (
-    f.__wrapped__ for f in (edm.mean_value, edm.edm_deviance, edm.inverse_mean, edm.variance_function, edm.cumulant))
-
 # sqrt(d) below which the Lugannani-Rice correction is its limit at y = mu:
 # there 1/r - 1/u loses digits to cancellation and the limit is off by O(r)
 _R_LIMIT = 1e-5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SaddlepointResult:
     """Value of a saddlepoint-type approximation plus its diagnostics.
 
@@ -54,6 +52,8 @@ class SaddlepointResult:
     ``r``/``u`` the standardized residual pair of a tail area (see
     :func:`lugannani_rice`);
     ``renormalized`` marks densities divided by their own integral.
+    ``__init__`` fills the fields in one update of the instance dict, not in
+    one ``object.__setattr__`` each: that halves the cost of a result.
     """
 
     value: float
@@ -62,10 +62,26 @@ class SaddlepointResult:
     u: Optional[float] = None
     renormalized: bool = False
 
+    def __init__(self, value: float, saddle: Optional[float] = None, r: Optional[float] = None,
+                 u: Optional[float] = None, renormalized: bool = False):
+        self.__dict__.update(value=value, saddle=saddle, r=r, u=u, renormalized=renormalized)
+
 
 def _saddlepoint_value(dev, v, tau: float):
     """``[2 pi tau V]^(-1/2) exp(-d/(2 tau))`` from the deviance d and the variance V at y (floats or ndarrays)."""
     return el.exp(-dev / (2.0 * tau)) / el.sqrt(2.0 * math.pi * tau * v)
+
+
+def _checked_mean(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
+    """The mean b'(theta) of a pointwise approximation, after one check of each argument and of the mean:
+    y inside the support (and in the mean domain, which a steep family implies), theta inside its domain,
+    tau in the dispersion domain, and b'(theta) in the mean domain (an overflow to inf is refused)."""
+    fam.support.interior().require(y, "y")
+    if not fam.steep:
+        fam.mean_domain.require(y, "y")
+    fam.theta_domain.interior().require(theta, "theta")
+    fam.dispersion_domain.require(tau, "tau")
+    return fam.mean_domain.require(fam._b_derivative(1, theta), "mu")
 
 
 @refuses_numerical_failure
@@ -75,22 +91,14 @@ def saddlepoint_density(fam: EdmFamily, y: float, theta: float, tau: float) -> S
     The saddle field is ``(q(y) - theta)/tau``.  Boundary observations
     (where V degenerates) are rejected.
     """
-    fam.support.interior().require(y, "y")
-    fam.theta_domain.require(theta, "theta")
-    fam.dispersion_domain.require(tau, "tau")
-    mu = _mean_value(fam, theta)
-    value = _saddlepoint_value(_edm_deviance(fam, y, mu), _variance_function(fam, y), tau)
-    return SaddlepointResult(value=value, saddle=(_inverse_mean(fam, y) - theta) / tau)
+    mu = _checked_mean(fam, y, theta, tau)
+    dev, q_y = _deviance(fam, y, mu), _inverse_mean(fam, y)
+    return SaddlepointResult(_saddlepoint_value(dev, _variance_at(fam, q_y), tau), (q_y - theta) / tau)
 
 
 @refuses_numerical_failure
-def renormalized_saddlepoint(
-    d: UnitDeviance,
-    V: VarianceFunction,
-    y: float,
-    mu: float,
-    tau: float,
-) -> SaddlepointResult:
+def renormalized_saddlepoint(d: UnitDeviance, V: VarianceFunction, y: float, mu: float,
+                             tau: float) -> SaddlepointResult:
     """Renormalized saddlepoint density ``q0 = q * a0(mu, tau)``.
 
     ``a0(mu, tau) = 1 / integral_C q(x; mu, tau) nu(dx)`` is the normalizer of the proper
@@ -129,27 +137,26 @@ def lugannani_rice(fam: EdmFamily, y: float, theta: float, tau: float, n: int = 
     the root of K'(t) = y for one observation.  The correction is
     ``1/r - 1/u`` where ``sqrt(d) >= 1e-5``.  Closer to the mean, where it
     is a 0/0, it is its limit ``sqrt(tau/n) kappa_3 / (6 V(mu)^(3/2))``,
-    with ``kappa_3 = b'''(theta)`` and ``V(mu) = b''(theta)``.
+    with ``kappa_3 = b'''(theta)`` and ``V(mu) = b''(theta)``.  The mean of n draws needs a
+    whole n >= 1.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    fam.support.interior().require(y, "y")
-    fam.theta_domain.require(theta, "theta")
-    fam.dispersion_domain.require(tau, "tau")
-    mu = _mean_value(fam, theta)
+    if not (n >= 1 and float(n).is_integer()):  # nan and inf too
+        raise DomainError(f"n must be a whole number >= 1, got {n}")
+    mu = _checked_mean(fam, y, theta, tau)
     scale = math.sqrt(n / tau)
-    r_dev = math.copysign(math.sqrt(_edm_deviance(fam, y, mu)), y - mu)
-    q_gap = _inverse_mean(fam, y) - theta
+    r_dev = math.copysign(math.sqrt(_deviance(fam, y, mu)), y - mu)
+    q_y = _inverse_mean(fam, y)
+    q_gap = q_y - theta
     r = scale * r_dev
-    u = scale * math.sqrt(_variance_function(fam, y)) * q_gap
+    u = scale * math.sqrt(_variance_at(fam, q_y)) * q_gap
     if abs(r_dev) >= _R_LIMIT:
         correction = 1.0 / r - 1.0 / u
     else:
-        v_mu = _cumulant(fam, 2, theta, 1.0)
-        correction = _cumulant(fam, 3, theta, 1.0) / (6.0 * v_mu * math.sqrt(v_mu) * scale)
+        v_mu = fam._b_derivative(2, theta)
+        correction = fam._b_derivative(3, theta) / (6.0 * v_mu * math.sqrt(v_mu) * scale)
     value = float(el.special.ndtr(r)) + math.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi) * correction
     # a nan value (r = inf * 0 where sqrt(n/tau) overflows at y = mu) passes the clamp and is refused
-    return SaddlepointResult(value=min(max(value, 0.0), 1.0), saddle=q_gap / tau, r=r, u=u)
+    return SaddlepointResult(min(max(value, 0.0), 1.0), q_gap / tau, r, u)
 
 
 def lugannani_rice_cdf(fam: EdmFamily, y: float, theta: float, tau: float) -> float:

@@ -93,7 +93,10 @@ def _validate_p(p: float) -> float:
 
 def tweedie_canonical_domain(p: float) -> RealInterval:
     """Canonical domain of the generator: where [(1-p) theta]^((p-2)/(p-1)) lives."""
-    p = _validate_p(p)
+    return _canonical_domain(_validate_p(p))
+
+
+def _canonical_domain(p: float) -> RealInterval:
     if p in (0.0, 1.0):
         return REALS
     if p < 0.0:
@@ -102,7 +105,10 @@ def tweedie_canonical_domain(p: float) -> RealInterval:
 
 
 def tweedie_support(p: float) -> RealInterval:
-    p = _validate_p(p)
+    return _support(_validate_p(p))
+
+
+def _support(p: float) -> RealInterval:
     if p <= 0.0:
         return REALS
     if p == 1.0:
@@ -124,7 +130,7 @@ def tweedie_cumulant_generator(p: float, theta: float) -> float:
     removable singularities of the general form).
     """
     p = _validate_p(p)
-    tweedie_canonical_domain(p).require(theta, "theta")
+    _canonical_domain(p).require(theta, "theta")
     return _generator(p, theta)
 
 
@@ -141,7 +147,7 @@ def _generator(p: float, theta):
 def tweedie_mean(p: float, theta: float) -> float:
     """Mean value mapping ``b_p'(theta) = [(1-p) theta]^(1/(1-p))``."""
     p = _validate_p(p)
-    tweedie_canonical_domain(p).interior().require(theta, "theta")
+    _canonical_domain(p).interior().require(theta, "theta")
     return _b_nth(p, 1, theta)
 
 
@@ -180,7 +186,7 @@ def tweedie_deviance(p: float, y: float, mu: float) -> float:
     canonical domain is one-sided.
     """
     p = _validate_p(p)
-    tweedie_support(p).require(y, "y")
+    _support(p).require(y, "y")
     tweedie_mean_domain(p).require(mu, "mu")
     if y == mu:
         return 0.0
@@ -516,7 +522,7 @@ def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
         raise DomainError("Tweedie densities for p < 0 are not evaluated (generator/deviance only)")
     POSITIVE_REALS.require(tau, "tau")
     tweedie_mean_domain(p).require(mu, "mu")
-    tweedie_support(p).require(y, "y")
+    _support(p).require(y, "y")
     if p == 1.0:
         counts = y / tau
         if abs(counts - round(counts)) > 1e-9:
@@ -529,7 +535,7 @@ def _closed_form_cdf(p: float, ys: np.ndarray, mu: float, tau: float) -> np.ndar
     if p == 0.0:
         return el.special.ndtr((ys - mu) / math.sqrt(tau))
     if p == 1.0:
-        tweedie_support(p).require(ys, "y")
+        _support(p).require(ys, "y")
         return el.special.pdtr(np.floor((ys + 1e-12) / tau), mu / tau)
     if p == 2.0:
         return el.special.gammainc(1.0 / tau, np.maximum(ys, 0.0) / tau / mu)
@@ -611,11 +617,11 @@ class TweedieFamily:
         classic = _CLASSIC_FAMILIES.get(p)
         return EdmFamily(
             name=f"tweedie(p={self.p:g})",
-            theta_domain=self.theta_domain,
+            theta_domain=_canonical_domain(p),
             b=lambda th: _generator(p, th),
             b_nth=lambda r, th: _b_nth(p, r, th),
-            mean_domain=self.mean_domain,
-            support=self.support,
+            mean_domain=tweedie_mean_domain(p),
+            support=_support(p),
             dispersion_domain=POSITIVE_REALS if classic is None else classic.dispersion_domain,
             exact_normalizer=None if p < 0.0 else lambda y, tau: _log_normalizer(p, y, tau),
             mean_inverse=lambda mu: _inverse_mean(p, mu),

@@ -425,6 +425,14 @@ class TestUserDefinedFamilies:
         with pytest.raises(DomainError):
             family_from_config({"name": "nope"})
 
+    def test_density_next_to_the_mean(self):
+        # b'(-1) = 1 - 3.3e-14 by finite differences: the deviance at y = 1 is an integral of about 1e-27
+        # by quadrature, once refused and turned into a silent zero density
+        fam, gamma = family_from_config(self.CONFIG), get_family("gamma")
+        value = edm.density(fam, 1.0, -1.0, 0.3)
+        assert value == pytest.approx(edm.density(gamma, 1.0, -1.0, 0.3), rel=1e-6)
+        assert edm.density(fam, 1.0 + 1e-9, -1.0, 0.3) < value < edm.density(fam, 1.0 - 1e-9, -1.0, 0.3)
+
 
 def test_saturated_loglik_kernel_values():
     # l(y; y) = y q(y) - b(q(y)): gamma gives -1 - log y
@@ -588,8 +596,8 @@ class TestConfigGeneratorDeviance:
         mu = rng.uniform(0.5, 20.0, 1000)
         y = mu * (1.0 + rng.uniform(-0.01, 0.01, 1000))
         quadratures = []
-        real = edm.deviance_by_quadrature
-        monkeypatch.setattr(edm, "deviance_by_quadrature", lambda *a: quadratures.extend(a[1]) or real(*a))
+        real = edm._deviance_by_quadrature
+        monkeypatch.setattr(edm, "_deviance_by_quadrature", lambda *a: quadratures.extend(a[1]) or real(*a))
         d, exact = edm_deviance(fam, y, mu), edm_deviance(ref, y, mu)
         assert np.max(np.abs(d - exact) / exact) <= 2e-8
         assert len(quadratures) <= 22  # the entries at the cancellation gate

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq, least_squares
 from scipy.special import digamma
 
-from dispmodels import edm
+from dispmodels import edm, regression
 from dispmodels.edm import (
     edm_deviance,
     family_from_config,
@@ -266,15 +266,17 @@ def test_non_finite_local_matrix_is_a_domain_error():
 
 
 def test_irls_makes_o1_edm_calls_per_iteration(monkeypatch):
+    # the IRLS loop calls the edm formulas it imports; the dispersion estimate, the public functions
     calls = []
-    for name in ("variance_function", "edm_deviance"):
-        original = getattr(edm, name)
+    for module, name in ((regression, "_variance"), (regression, "_deviance"), (edm, "variance_function"),
+                         (edm, "edm_deviance")):
+        original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name):
             calls.append(_name)
             return _original(*args)
 
-        monkeypatch.setattr(edm, name, counted)
+        monkeypatch.setattr(module, name, counted)
     rng = np.random.default_rng(7)
     X = _design(rng, 5000)
     y = rng.poisson(np.exp(X @ np.array([0.5, 0.8, -0.4]))).astype(float)

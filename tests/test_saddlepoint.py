@@ -305,3 +305,9 @@ class TestStandardizedResiduals:
     def test_sample_size_must_be_positive(self):
         with pytest.raises(DomainError):
             sample_mean_cdf(edm.get_family("gamma"), 1.0, -1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("n", [2.5, math.inf, math.nan])
+    def test_sample_size_must_be_whole(self, n):
+        # the mean of n draws: 2.5 and inf once gave a cdf (0.758 and 1.0), nan a NumericalError
+        with pytest.raises(DomainError, match="whole number"):
+            sample_mean_cdf(edm.get_family("gamma"), 1.3, -1.0 / 1.1, 0.2, n)
