@@ -138,8 +138,9 @@ def derivative(f, x, order: int, domain: RealInterval = REALS):
                           f"of {domain}")
     offsets, weights = (a.reshape(a.shape + (1,) * x.ndim) for a in _GRIDS[order])
     with np.errstate(invalid="ignore", over="ignore"):
-        # a running sum (cumsum adds in order) rounds each entry as a sum over its own stencil
-        value = _richardson((weights * f(x + offsets * h)).cumsum(axis=1)[:, -1], h, order)
+        # numpy sums fewer than 8 terms in order (pairwise summation starts at 8), so each entry of
+        # the at most 7 stencil points rounds as a sum over its own stencil, as a running sum would
+        value = _richardson((weights * f(x + offsets * h)).sum(axis=1), h, order)
     if x.ndim:
         return value
     if not math.isfinite(value):

@@ -15,7 +15,8 @@ the nonnegative solutions of ``A a = 1`` are those of the linear
 complementarity problem ``min 1/2 a^T (A + sqrt(lambda) I) a - 1^T a,
 a >= 0`` at lambda = 0.  A positive lambda regularizes it; a primal-dual
 active-set conjugate-gradient method solves it, warm-started along a ladder
-of regularization weights, and reports the interior residual honestly.
+of regularization weights, with loose CG on the passes of the cold first
+rung, and reports the interior residual honestly.
 The model built this way is a dispersion model on [-L, L], and its ``a``
 depends on L.  It is neither a proper nor an exponential dispersion model:
 the fitted ``a(y; tau)`` does not factorize across tau.
@@ -157,7 +158,10 @@ class GridSolution:
     the convolution exceeds 1 where the bound a >= 0 holds it (0 where no
     coordinate is bound, nan where the solution was built without it).
     ``iterations`` counts the CG iterations summed over every rung of the
-    lambda ladder (see :func:`solve_convolution_grid`).
+    lambda ladder (see :func:`solve_convolution_grid`); the count depends on
+    the start, since a cold rung's passes stop early and a warm rung's do
+    not.  ``passes`` counts the active-set passes summed over the rungs (0
+    where the solution was built without it).
 
     ``plateau`` is the kernel's tail level c = K_tau(L) (nan where the
     solution was built without it).  Away from the window's ends a spreads
@@ -178,6 +182,7 @@ class GridSolution:
     ill_posed: bool
     plateau: float = math.nan
     overshoot: float = math.nan
+    passes: int = 0
 
     @property
     def spacing(self) -> float:
@@ -257,53 +262,68 @@ def _lambda_ladder(target: float, start: float, floor: float) -> list:
     return [start * (stop / start) ** (k / steps) for k in range(steps)] + [target]
 
 
-def _active_set_pcg(hessian_apply, precond, a, free, kkt_tol, budget):
+# every rung's KKT tolerance, and the factor of its starting residual at which a cold pass first stops its CG
+_KKT_TOL = 1e-10
+_COLD_PASS_FACTOR = 1e-3
+
+
+def _active_set_pcg(hessian_apply, precond, a, free, budget):
     """Primal-dual active-set loop at one lambda, warm-started from ``a`` and ``free``.
 
     The problem is ``min 1/2 a^T H a - 1^T a, a >= 0``, H applied by
     ``hessian_apply``.  Each pass runs preconditioned CG on the free set (the
-    rest held at zero) to a residual within ``kkt_tol``, then frees exactly the
-    nonnegative free and the bound coordinates whose gradient is below
-    ``-kkt_tol`` (Hintermüller, Ito & Kunisch 2002); a pass that keeps the
-    set has converged.  ``a`` is updated in place.  Returns ``(a, free, CG
-    iterations used, converged)``.
+    rest held at zero) to a residual within ``_KKT_TOL`` = 1e-10, then frees
+    exactly the nonnegative free and the bound coordinates whose gradient is
+    below -1e-10 (Hintermüller, Ito & Kunisch 2002); a pass that keeps the
+    set has converged.  On a cold start (``a`` all zero) the passes are
+    inexact (Dembo, Eisenstat & Steihaug 1982): each first stops its CG at
+    ``max(1e-10, 1e-3 ||r0||_inf)``, r0 the pass's starting residual, and
+    only when the set check keeps the set does the same CG run on, without a
+    restart, to 1e-10 before the set is checked again.  A warm start runs
+    every pass to 1e-10.  ``a`` is updated in place.  Returns
+    ``(a, free, CG iterations used, passes, converged)``.
     """
+    cold = not a.any()
     used = 0
-    for _ in range(100):
+    for passes in range(1, 101):
         bound = ~free
         a[bound] = 0.0
         r = 1.0 - hessian_apply(a)
         r[bound] = 0.0
+        tol = max(_KKT_TOL, _COLD_PASS_FACTOR * float(np.max(np.abs(r)))) if cold else _KKT_TOL
         p = precond(r)
         p[bound] = 0.0
         rz = float(r @ p)
-        while used < budget:
-            if float(np.max(np.abs(r))) <= kkt_tol or rz <= 0.0:
+        while True:
+            while used < budget:
+                # a breakdown (rz or p^T H p not positive) recurs at once when the run is continued
+                if float(np.max(np.abs(r))) <= tol or rz <= 0.0:
+                    break
+                hp = hessian_apply(p)
+                hp[bound] = 0.0
+                denom = float(p @ hp)
+                if denom <= 0.0:
+                    break
+                alpha = rz / denom
+                a += alpha * p
+                r -= alpha * hp
+                used += 1
+                z = precond(r)
+                z[bound] = 0.0
+                rz_new = float(r @ z)
+                p *= rz_new / rz
+                p += z
+                rz = rz_new
+            if used >= budget:
+                return a, free, used, passes, False
+            new_free = np.where(free, a >= 0.0, hessian_apply(a) - 1.0 < -_KKT_TOL)
+            if not np.array_equal(new_free, free):
                 break
-            hp = hessian_apply(p)
-            hp[bound] = 0.0
-            denom = float(p @ hp)
-            if denom <= 0.0:
-                break
-            alpha = rz / denom
-            a += alpha * p
-            r -= alpha * hp
-            used += 1
-            z = precond(r)
-            z[bound] = 0.0
-            rz_new = float(r @ z)
-            if rz_new <= 0.0:
-                break
-            p *= rz_new / rz
-            p += z
-            rz = rz_new
-        if used >= budget:
-            break
-        new_free = np.where(free, a >= 0.0, hessian_apply(a) - 1.0 < -kkt_tol)
-        if np.array_equal(new_free, free):
-            return a, free, used, True
+            if tol == _KKT_TOL:
+                return a, free, used, passes, True
+            tol = _KKT_TOL
         free = new_free
-    return a, free, used, False
+    return a, free, used, passes, False
 
 
 def solve_convolution_grid(
@@ -333,7 +353,11 @@ def solve_convolution_grid(
     ``(A + sqrt(lambda) I) a = 1`` with the bound coordinates at zero, one
     Toeplitz product per iteration; the nonnegative free and the bound
     coordinates whose gradient points into the feasible set form the next
-    free set, until the set stays the same.  ``kernel_fn`` keeps the
+    free set, until the set stays the same.  The first rung starts cold, from
+    a = 0, and its passes are inexact: each stops its CG at 1e-3 times its
+    starting residual (never below 1e-10), and where that leaves the set as
+    it was, the same CG runs on to 1e-10 and the set is checked again (see
+    ``_active_set_pcg``).  ``kernel_fn`` keeps the
     array contract of ``_elementary.call``: a solve calls it on all the lags
     ``-(N-1)h .. (N-1)h`` at once, and at L (the plateau).  For a cf with
     phi >= 0 and phi -> 0 the equation has no solution on the real line (see
@@ -405,7 +429,7 @@ def solve_convolution_grid(
 
     a = np.zeros(N)
     free = np.ones(N, dtype=bool)
-    iterations = 0
+    iterations = passes = 0
     for rung in _lambda_ladder(shift, 1e-5 * a_norm, max(singular, smallest)):
         inverse = 1.0 / (circ_eigs + rung)
 
@@ -415,17 +439,18 @@ def solve_convolution_grid(
         def precond(v: np.ndarray) -> np.ndarray:
             return np.fft.irfft(np.fft.rfft(v) * inverse, N)
 
-        a, free, used, converged = _active_set_pcg(
-            hessian_apply, precond, a, free, 1e-10, max_iter - iterations
+        a, free, used, rung_passes, converged = _active_set_pcg(
+            hessian_apply, precond, a, free, max_iter - iterations
         )
         iterations += used
+        passes += rung_passes
         if not converged:
             a = np.maximum(a, 0.0)
             grad = hessian_apply(a) - 1.0
             # max projected gradient of the bound-constrained problem
             kkt = float(np.max(np.abs(np.where(a > 0.0, grad, np.minimum(grad, 0.0)))))
             raise ConvergenceError(
-                f"active-set CG did not reach the KKT tolerance 1e-10 at lambda={rung**2:.3g}: KKT norm "
+                f"active-set CG did not reach the KKT tolerance {_KKT_TOL:g} at lambda={rung**2:.3g}: KKT norm "
                 f"{kkt:.3g} after {iterations} CG iterations (max_iter={max_iter})")
 
     conv = apply_a(a)
@@ -439,6 +464,7 @@ def solve_convolution_grid(
         lambda_reg=float(lambda_reg),
         edge_band=band,
         iterations=iterations,
+        passes=passes,
         ill_posed=residual > 0.1,
         plateau=kernel_at_l,
         overshoot=overshoot,

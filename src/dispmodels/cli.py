@@ -265,7 +265,8 @@ def _cmd_cf_construct(args) -> int:
     rows = map("{:.17g},{:.17g}\n".format, sol.grid.tolist(), sol.a_values.tolist())
     _write_text(args.output, "y,a\n" + "".join(rows))
     report = {"cf": cf.name, "tau": sol.tau, "N": len(sol.grid), "L": args.L, **{name: getattr(sol, name) for name in (
-        "lambda_reg", "residual", "edge_band", "iterations", "ill_posed", "overshoot", "plateau", "interior_level")}}
+        "lambda_reg", "residual", "edge_band", "iterations", "passes", "ill_posed", "overshoot", "plateau",
+        "interior_level")}}
     print(_json(report), file=sys.stderr)
     return 0
 

@@ -339,7 +339,9 @@ def _deviance_by_quadrature(fam: EdmFamily, y: np.ndarray, mu: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):  # a gap or a value that is not finite is refused
         integral, err = _quadrature(integrand, np.zeros(y.shape), np.full(y.shape, np.inf))
         value, err = 2.0 * (y - mu) * integral, 2.0 * np.abs(y - mu) * err
-    bad = np.ravel(~(err <= 1e-6 * np.maximum(1.0, np.abs(value))) | ~np.isfinite(value))
+    # a 0 off the diagonal is an integrand that underflowed at every node, not a deviance
+    bad = np.ravel(~(err <= 1e-6 * np.maximum(1.0, np.abs(value))) | ~np.isfinite(value)
+                   | ((value == 0.0) & (y != mu)))
     if bad.any():
         i = int(np.argmax(bad))
         raise NumericalError(f"deviance quadrature failed for {fam.name} at (y={ys[i]}, mu={mus[i]})")

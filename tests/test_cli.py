@@ -139,8 +139,12 @@ def test_cf_construct_prints_the_solution_and_its_residual(capsys):
         lambda_reg=report["lambda_reg"], edge_band=report["edge_band"],
         iterations=report["iterations"], ill_posed=report["ill_posed"],
     )
+    assert sol.passes == 0  # built without it, as a reader of the report may build it
     fresh = cf_construct.convolution_residual(sol, cf_construct.get_cf("gauss"))
     assert fresh == pytest.approx(report["residual"], abs=1e-6)
+    direct = cf_construct.solve_normalizer(cf_construct.get_cf("gauss"), 0.5, 20.0, n)
+    assert (report["iterations"], report["passes"]) == (direct.iterations, direct.passes)
+    assert report["passes"] >= 2  # gauss binds part of the grid: the first pass's set does not hold
     # the kernel's plateau e^(-1/(2 tau)) and a's middle level in units of 1/(2 L c)
     assert report["plateau"] == pytest.approx(math.exp(-1.0), rel=1e-15)
     middle = float(np.mean(table[3 * n // 8 : 5 * n // 8, 1]))

@@ -757,6 +757,16 @@ class TestQuadratureOverDecades:
         fam = get_family(name)
         assert deviance_by_quadrature(fam, y, mu) == pytest.approx(edm_deviance(fam, y, mu), rel=1e-10)
 
+    def test_an_integrand_underflowing_at_every_node_is_refused(self):
+        # d(1e200; 1) = 2e200 for gamma, but its mass lies within 1e-200 of mu, where every node's
+        # value underflows: the integral is 0 with error 0, which is no deviance off the diagonal
+        fam = get_family("gamma")
+        with pytest.raises(NumericalError, match=r"y=1e\+200, mu=1.0"):
+            deviance_by_quadrature(fam, 1e200, 1.0)
+        with pytest.raises(NumericalError, match=r"y=1e\+200, mu=1.0"):
+            deviance_by_quadrature(fam, np.array([2.0, 1e200]), 1.0)
+        assert deviance_by_quadrature(fam, np.array([1.0, 1e20]), 1.0).tolist() == [0.0, pytest.approx(2e20)]
+
 
 @pytest.mark.parametrize("name, theta, tau, y", [
     ("normal", 0.3, 0.5, [-1.0, 0.5, 2.0]),

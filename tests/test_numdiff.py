@@ -1,11 +1,11 @@
-"""``_numdiff._quadrature`` against closed forms, and the shape of its first round."""
+"""``_numdiff._quadrature`` against closed forms, and the shape of its first round; the stencil sums."""
 
 import math
 
 import numpy as np
 import pytest
 
-from dispmodels._numdiff import _quadrature
+from dispmodels._numdiff import _STENCILS, _quadrature
 
 # (integrand, lower, upper, value, integrand calls): one round of a smooth integrand, a second round, an
 # infinite end on each side, and the power-law end x^-0.9, whose tail the rule extrapolates
@@ -56,3 +56,13 @@ def test_a_batch_beyond_64_integrals_equals_its_float_calls():
     for i in (0, 63, 64, 69):
         alone = _quadrature(lambda x, rows: np.exp(-(x - centers[i]) ** 2), 0.0, math.inf, centers[i])
         assert (values[i], errors[i]) == alone
+
+
+@pytest.mark.parametrize("points", sorted({len(stencil) for stencil in _STENCILS.values()}))
+@pytest.mark.parametrize("shape", [(), (1,), (5,), (500,), (3, 4)])
+def test_stencil_sums_add_in_order(points, shape):
+    # derivative sums each stencil with sum(axis=1): bit for bit the running sum over its points,
+    # so an entry of a batch is the sum over its own stencil alone
+    rng = np.random.default_rng(points)
+    terms = rng.standard_normal((3, points, *shape)) * 10.0 ** rng.uniform(-8, 8, (3, points, *shape))
+    np.testing.assert_array_equal(terms.sum(axis=1), terms.cumsum(axis=1)[:, -1])
