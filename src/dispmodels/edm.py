@@ -9,8 +9,10 @@ b(theta)] / tau``, the mean is ``b'(theta)``, the variance function is
 normalizer ``c(y; tau)`` where one is known; otherwise the renormalized
 saddlepoint approximation stands in (and the caller can see that through
 ``has_exact_density``).  Every built-in family has one, written once here
-in closed form (the gsh one is the NEF-GHS complex log-gamma form), and
-the Tweedie families reuse them at p = 0, 1, 2 and 3.
+in closed form (the gsh one is the NEF-GHS complex log-gamma form).  The
+normal, Poisson, gamma and inverse Gaussian families are the power-variance
+family of ``_power_family`` at p = 0, 1, 2 and 3, the one constructor that
+also builds every Tweedie family.
 
 ``inverse_mean``, ``variance_function``, ``edm_deviance`` and
 ``saturated_loglik_kernel`` take a float or an ndarray.  An array is
@@ -450,79 +452,54 @@ def variance_function_of(fam: EdmFamily) -> VarianceFunction:
 # ----------------------------------------------------------------------
 
 
-def _normal_family() -> EdmFamily:
+def _power_family(p: float, name: str, dispersion_domain: RealInterval = POSITIVE_REALS, **extras) -> EdmFamily:
+    """The power-variance family ``V(mu) = mu^p`` at a p outside (0, 1) (Jorgensen 1997, ch. 4).
+
+    ``b(theta) = [(1-p) theta]^((p-2)/(p-1)) / (2-p)``, ``q(mu) = mu^(1-p)/(1-p)``, ``b^(r)(theta) =
+    prod_{i=1}^{r-2} (1 - i (1-p)) [(1-p) theta]^(1/(1-p) - (r-1))`` and the deviance
+    ``_elementary.power_deviance``, each picked here once for the p: exp and log at p = 1 and
+    -log(-theta) at p = 2 are the limits of the removable singularities, and p = 0, 2 and 3 keep the
+    forms whose last bits a pow would move.  ``extras`` are the member's own fields: its normalizer,
+    ``dc_dtau`` and tau-MLE closed form; the Poisson passes its unit dispersion domain.
+    """
+    if p == 1.0:
+        b, b_nth, mean_inverse = el.exp, (lambda r, th: el.exp(th)), el.log
+    else:
+        alpha, c = (p - 2.0) / (p - 1.0), 1.0 / (1.0 - p)
+
+        def b(th):
+            return ((1.0 - p) * th) ** alpha / (2.0 - p)
+
+        def b_nth(r, th):
+            coeff = 1.0
+            for i in range(1, r - 1):
+                coeff *= 1.0 - i * (1.0 - p)
+            return coeff * ((1.0 - p) * th) ** (c - (r - 1.0)) if coeff else 0.0  # 0 at p = 0, r >= 3
+
+        def mean_inverse(mu):
+            return mu ** (1.0 - p) / (1.0 - p)
+
+    deviance = lambda y, mu: el.power_deviance(p, y, mu)
+    if p == 0.0:  # a product, not ** 2: a float product overflows to +inf where the power raises
+        b, deviance = (lambda th: 0.5 * th * th), (lambda y, mu: (y - mu) * (y - mu))
+    elif p == 2.0:  # b' and b'' apart from Gamma(r) (-theta)^(-r), whose pow would move their last bits
+        b, mean_inverse, b_pow = (lambda th: -el.log(-th)), (lambda mu: -1.0 / mu), b_nth
+        b_nth = lambda r, th: -1.0 / th if r == 1 else 1.0 / th**2 if r == 2 else b_pow(r, th)
+    elif p == 3.0:  # d = x (x/y), x = y/mu - 1: neither (y - mu)^2 nor x^2 overflows where d is finite
+        b, mean_inverse = (lambda th: -el.sqrt(-2.0 * th)), (lambda mu: -0.5 / mu**2)
+        deviance = lambda y, mu: (x := (y - mu) / mu) * (x / y)
     return EdmFamily(
-        name="normal",
-        theta_domain=REALS,
-        b=lambda th: 0.5 * th * th,
-        b_nth=lambda r, th: th if r == 1 else 1.0 if r == 2 else 0.0,
-        mean_domain=REALS,
-        support=REALS,
-        dispersion_domain=POSITIVE_REALS,
-        exact_normalizer=lambda y, tau: -0.5 * y * y / tau - 0.5 * math.log(2.0 * math.pi * tau),
-        dc_dtau=lambda y, tau: 0.5 * y * y / tau**2 - 0.5 / tau,
-        mean_inverse=lambda mu: mu,
-        # a product, not ** 2: a float product overflows to +inf where the power raises
-        deviance_closed_form=lambda y, mu: (y - mu) * (y - mu),
-        tau_mle_closed_form=lambda y, deviance, n: deviance / n,
-    )
-
-
-def _gamma_family() -> EdmFamily:
-    return EdmFamily(
-        name="gamma",
-        theta_domain=RealInterval(-math.inf, 0.0),
-        b=lambda th: -el.log(-th),
-        # b' and b'' apart from Gamma(r) (-theta)^(-r), whose pow would move their last bits
-        b_nth=lambda r, th: -1.0 / th if r == 1 else 1.0 / th**2 if r == 2
-        else math.gamma(r) * (-th) ** (-r),
-        mean_domain=POSITIVE_REALS,
-        support=POSITIVE_REALS,
-        dispersion_domain=POSITIVE_REALS,
-        exact_normalizer=lambda y, tau: (1.0 / tau - 1.0) * el.log(y)
-        - math.log(tau) / tau
-        - float(el.special.gammaln(1.0 / tau)),
-        dc_dtau=lambda y, tau: (-el.log(y) + math.log(tau) - 1.0 + el.special.polygamma(0, 1.0 / tau))
-        / tau**2,
-        mean_inverse=lambda mu: -1.0 / mu,
-        deviance_closed_form=partial(el.power_deviance, 2.0),
-    )
-
-
-def _poisson_family() -> EdmFamily:
-    return EdmFamily(
-        name="poisson",
-        theta_domain=REALS,
-        b=el.exp,
-        b_nth=lambda r, th: el.exp(th),
-        mean_domain=POSITIVE_REALS,
-        support=RealInterval(0.0, math.inf, closed_lower=True, lattice=True),
-        dispersion_domain=_UNIT_TAU,
-        exact_normalizer=lambda y, tau: -(y / tau) * math.log(tau) - el.special.gammaln(y / tau + 1.0),
-        mean_inverse=el.log,
-        deviance_closed_form=partial(el.power_deviance, 1.0),
-    )
-
-
-def _inverse_gaussian_family() -> EdmFamily:
-    return EdmFamily(
-        name="inverse_gaussian",
-        theta_domain=RealInterval(-math.inf, 0.0),
-        b=lambda th: -el.sqrt(-2.0 * th),
-        # (2r - 3)!! (-2 theta)^(1/2 - r); the product is exact in floats up to r = 16
-        b_nth=lambda r, th: math.prod(range(2 * r - 3, 0, -2), start=1.0) * (-2.0 * th) ** (0.5 - r),
-        mean_domain=POSITIVE_REALS,
-        support=POSITIVE_REALS,
-        dispersion_domain=POSITIVE_REALS,
-        exact_normalizer=lambda y, tau: -0.5 / (tau * y)
-        - 0.5 * math.log(2.0 * math.pi * tau)
-        - 1.5 * el.log(y),
-        dc_dtau=lambda y, tau: 0.5 / (tau**2 * y) - 0.5 / tau,
-        mean_inverse=lambda mu: -0.5 / mu**2,
-        # x (x/y) with x = y/mu - 1 in units of mu, so that neither (y - mu)^2 nor x^2 overflows
-        # where d is finite
-        deviance_closed_form=lambda y, mu: (x := (y - mu) / mu) * (x / y),
-        tau_mle_closed_form=lambda y, deviance, n: deviance / n,
+        name=name,
+        theta_domain=REALS if p in (0.0, 1.0) else POSITIVE_REALS if p < 0.0 else RealInterval(-math.inf, 0.0),
+        b=b,
+        b_nth=b_nth,
+        mean_domain=REALS if p == 0.0 else POSITIVE_REALS,
+        support=REALS if p <= 0.0 else POSITIVE_REALS if p >= 2.0
+        else RealInterval(0.0, math.inf, closed_lower=True, lattice=p == 1.0),
+        dispersion_domain=dispersion_domain,
+        mean_inverse=mean_inverse,
+        deviance_closed_form=deviance,
+        **extras,
     )
 
 
@@ -638,10 +615,33 @@ def _gsh_family() -> EdmFamily:
 FAMILIES: dict[str, EdmFamily] = {
     fam.name: fam
     for fam in (
-        _normal_family(),
-        _gamma_family(),
-        _poisson_family(),
-        _inverse_gaussian_family(),
+        _power_family(
+            0.0, "normal",
+            exact_normalizer=lambda y, tau: -0.5 * y * y / tau - 0.5 * math.log(2.0 * math.pi * tau),
+            dc_dtau=lambda y, tau: 0.5 * y * y / tau**2 - 0.5 / tau,
+            tau_mle_closed_form=lambda y, deviance, n: deviance / n,
+        ),
+        _power_family(
+            2.0, "gamma",
+            exact_normalizer=lambda y, tau: (1.0 / tau - 1.0) * el.log(y)
+            - math.log(tau) / tau
+            - float(el.special.gammaln(1.0 / tau)),
+            dc_dtau=lambda y, tau: (-el.log(y) + math.log(tau) - 1.0 + el.special.polygamma(0, 1.0 / tau))
+            / tau**2,
+        ),
+        _power_family(
+            1.0, "poisson",
+            dispersion_domain=_UNIT_TAU,
+            exact_normalizer=lambda y, tau: -(y / tau) * math.log(tau) - el.special.gammaln(y / tau + 1.0),
+        ),
+        _power_family(
+            3.0, "inverse_gaussian",
+            exact_normalizer=lambda y, tau: -0.5 / (tau * y)
+            - 0.5 * math.log(2.0 * math.pi * tau)
+            - 1.5 * el.log(y),
+            dc_dtau=lambda y, tau: 0.5 / (tau**2 * y) - 0.5 / tau,
+            tau_mle_closed_form=lambda y, deviance, n: deviance / n,
+        ),
         _binomial_family(),
         _negative_binomial_family(),
         _gsh_family(),

@@ -1,7 +1,8 @@
 """Tweedie power-variance families: V(mu) = mu^p.
 
-No family exists for p in (0, 1); p = 0, 1, 2, 3 are the normal, Poisson,
-gamma and inverse Gaussian families of ``edm.FAMILIES``; 1 < p < 2 gives
+No family exists for p in (0, 1).  Every other p is one member of the power
+family of ``edm._power_family``: p = 0, 1, 2, 3 are the normal, Poisson, gamma
+and inverse Gaussian families of ``edm.FAMILIES`` themselves; 1 < p < 2 gives
 compound Poisson-gamma distributions (continuous on y > 0 with an atom at
 zero); p > 2 gives continuous positive-stable generated distributions;
 p < 0 gives extreme-stable generated distributions whose densities have
@@ -28,27 +29,30 @@ as the zeros are equally spaced), in the manner of Dunn & Smyth (2008, Stat.
 Comput. 18:73).
 
 ``_validate_p`` decides the switch windows, once: within ``P_SWITCH`` of 1 or 2
-it returns 1.0 or 2.0, and every formula branches on ``p == 1.0`` or ``p == 2.0``.
-The public functions validate their arguments and evaluate private
-formulas; ``TweedieFamily.to_edm`` hands the formulas themselves to the
-EDM layer, which has already checked the domains.  The formulas take a
-float or an ndarray, so Tweedie families run on the array path of IRLS.
+it returns 1.0 or 2.0.  ``_view`` of the validated p, cached, is the EDM family
+that ``TweedieFamily.to_edm`` returns: the classic family renamed at p in
+{0, 1, 2, 3}, else ``edm._power_family`` with the normalizer c above.  The
+generator, mean, inverse mean, deviance and domain functions are ``edm`` calls
+on the view or reads of its fields, and the densities and cdfs read b and q
+from it.  Its formulas take a float or an ndarray, so Tweedie families run on
+the array path of IRLS.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import _elementary as el
 from ._numdiff import _GL_NODES, _GL_WEIGHTS, _gauss_legendre_panels
-from .edm import FAMILIES, EdmFamily
+from . import edm
+from .edm import EdmFamily
 from .errors import DomainError, NumericalError, refuses_numerical_failure
-from .support import POSITIVE_REALS, REALS, RealInterval
+from .support import POSITIVE_REALS, RealInterval
 
 __all__ = [
     "TweedieFamily",
@@ -91,37 +95,31 @@ def _validate_p(p: float) -> float:
     return special if special in (1.0, 2.0) and abs(p - special) < P_SWITCH else p
 
 
+@functools.lru_cache(maxsize=128)
+def _view(p: float) -> EdmFamily:
+    """The EDM family of a validated power p, built once: the classic family of ``edm.FAMILIES`` at
+    p in {0, 1, 2, 3}, else ``edm._power_family`` with the Tweedie normalizer (none for p < 0)."""
+    name = f"tweedie(p={p:g})"
+    if p in (0.0, 1.0, 2.0, 3.0):
+        return replace(edm.FAMILIES[("normal", "poisson", "gamma", "inverse_gaussian")[int(p)]], name=name)
+    normalizer = None if p < 0.0 else functools.partial(_log_normalizer, p)
+    return edm._power_family(p, name, exact_normalizer=normalizer)
+
+
 def tweedie_canonical_domain(p: float) -> RealInterval:
     """Canonical domain of the generator: where [(1-p) theta]^((p-2)/(p-1)) lives."""
-    return _canonical_domain(_validate_p(p))
-
-
-def _canonical_domain(p: float) -> RealInterval:
-    if p in (0.0, 1.0):
-        return REALS
-    if p < 0.0:
-        return POSITIVE_REALS
-    return RealInterval(-math.inf, 0.0)
+    return _view(_validate_p(p)).theta_domain
 
 
 def tweedie_support(p: float) -> RealInterval:
-    return _support(_validate_p(p))
-
-
-def _support(p: float) -> RealInterval:
-    if p <= 0.0:
-        return REALS
-    if p == 1.0:
-        return RealInterval(0.0, math.inf, closed_lower=True, lattice=True)
-    if p < 2.0:
-        return RealInterval(0.0, math.inf, closed_lower=True)
-    return POSITIVE_REALS
+    return _view(_validate_p(p)).support
 
 
 def tweedie_mean_domain(p: float) -> RealInterval:
-    return REALS if p == 0.0 else POSITIVE_REALS
+    return _view(_validate_p(p)).mean_domain
 
 
+@refuses_numerical_failure
 def tweedie_cumulant_generator(p: float, theta: float) -> float:
     """Cumulant generator ``b_p(theta)``.
 
@@ -129,78 +127,29 @@ def tweedie_cumulant_generator(p: float, theta: float) -> float:
     powers; ``exp(theta)`` at p = 1 and ``-log(-theta)`` at p = 2 (the
     removable singularities of the general form).
     """
-    p = _validate_p(p)
-    _canonical_domain(p).require(theta, "theta")
-    return _generator(p, theta)
-
-
-def _generator(p: float, theta):
-    if p == 1.0:
-        return el.exp(theta)
-    if p == 2.0:
-        return -el.log(-theta)
-    if p == 0.0:
-        return 0.5 * theta * theta
-    return ((1.0 - p) * theta) ** ((p - 2.0) / (p - 1.0)) / (2.0 - p)
+    fam = _view(_validate_p(p))
+    return fam.b(fam.theta_domain.require(theta, "theta"))
 
 
 def tweedie_mean(p: float, theta: float) -> float:
     """Mean value mapping ``b_p'(theta) = [(1-p) theta]^(1/(1-p))``."""
-    p = _validate_p(p)
-    _canonical_domain(p).interior().require(theta, "theta")
-    return _b_nth(p, 1, theta)
+    return edm.mean_value(_view(_validate_p(p)), theta)
 
 
 def tweedie_inverse_mean(p: float, mu: float) -> float:
     """Canonical parameter ``q(mu) = mu^(1-p)/(1-p)`` (log mu at p = 1)."""
-    p = _validate_p(p)
-    tweedie_mean_domain(p).require(mu, "mu")
-    return _inverse_mean(p, mu)
+    return edm.inverse_mean(_view(_validate_p(p)), mu)
 
 
-def _inverse_mean(p: float, mu):
-    if p == 1.0:
-        return el.log(mu)
-    return mu ** (1.0 - p) / (1.0 - p)  # mu itself at p = 0
+def tweedie_deviance(p: float, y, mu):
+    """Unit deviance ``d_p(y; mu) = 2 integral_mu^y (y - t) t^(-p) dt``; ``y`` and ``mu`` may be ndarrays.
 
-
-def _b_nth(p: float, r: int, theta):
-    # b^(r) = A^(c-(r-1)) * prod_{i=1}^{r-2} (1 - i (1 - p)),  A = (1-p) theta, c = 1/(1-p)
-    if p == 1.0:
-        return el.exp(theta)
-    a = (1.0 - p) * theta
-    c = 1.0 / (1.0 - p)
-    coeff = 1.0
-    for i in range(1, r - 1):
-        coeff *= 1.0 - i * (1.0 - p)
-    return coeff * a ** (c - (r - 1.0)) if coeff else 0.0  # the product vanishes at p = 0, r >= 3
-
-
-@refuses_numerical_failure
-def tweedie_deviance(p: float, y: float, mu: float) -> float:
-    """Unit deviance ``d_p(y; mu) = 2 integral_mu^y (y - t) t^(-p) dt``.
-
-    Evaluated by ``_elementary.power_deviance`` in units of mu for every p but the normal
-    (p = 0) and inverse Gaussian (p = 3) closed forms.  The term ``max(y, 0)^(2-p)`` of the
-    antiderivative is the saturated (Legendre) part, which vanishes for y <= 0 when the
-    canonical domain is one-sided.
+    ``edm.edm_deviance`` on the view: ``_elementary.power_deviance`` in units of mu for every p but
+    the normal (p = 0) and inverse Gaussian (p = 3) closed forms, exactly 0 at ``y == mu``.  The
+    term ``max(y, 0)^(2-p)`` of the antiderivative is the saturated (Legendre) part, which vanishes
+    for y <= 0 when the canonical domain is one-sided.
     """
-    p = _validate_p(p)
-    _support(p).require(y, "y")
-    tweedie_mean_domain(p).require(mu, "mu")
-    if y == mu:
-        return 0.0
-    return _deviance(p, y, mu)
-
-
-_CLASSIC_FAMILIES = {0.0: FAMILIES["normal"], 1.0: FAMILIES["poisson"], 2.0: FAMILIES["gamma"],
-                     3.0: FAMILIES["inverse_gaussian"]}
-
-
-def _deviance(p: float, y, mu):
-    if p in (0.0, 3.0):
-        return _CLASSIC_FAMILIES[p].deviance_closed_form(y, mu)
-    return el.power_deviance(p, y, mu)
+    return edm.edm_deviance(_view(_validate_p(p)), y, mu)
 
 
 @refuses_numerical_failure
@@ -388,7 +337,8 @@ def _fourier_inversion(p: float, y, mu: float, tau: float, cdf: bool, tol: float
         rows = f"{ys[0].item()!r}" + ("" if ys.size == 1 else f" to {ys[-1].item()!r} ({ys.size} rows)")
         return NumericalError(f"Tweedie inversion at (p={p}, y={rows}, mu={mu}, tau={tau}) {reason}")
 
-    theta, alpha = _inverse_mean(p, mu), (p - 2.0) / (p - 1.0)
+    fam = _view(p)
+    theta, alpha = fam.mean_inverse(mu), (p - 2.0) / (p - 1.0)
     sigma = math.sqrt(tau * mu**p)
     with np.errstate(all="ignore"):
         omega, omega_c = ys / sigma, (ys - mu) / sigma
@@ -396,7 +346,7 @@ def _fourier_inversion(p: float, y, mu: float, tau: float, cdf: bool, tol: float
         bad = ~np.isfinite(half + omega_c)
         if bad.any():
             raise refusal(f"needs the half-period pi/(y/sd) at y/sd = {omega[bad][0]:.3g}")
-        scale, c, shift = _generator(p, theta) / tau, tau / (sigma * theta), mu / sigma
+        scale, c, shift = fam.b(theta) / tau, tau / (sigma * theta), mu / sigma
         if not (math.isfinite(scale) and math.isfinite(c) and c and math.isfinite(shift)):
             raise refusal(f"has a cf scale {scale:.3g}, v/s = {c:.3g} or mu/sd = {shift:.3g} that is not finite "
                           "and nonzero")
@@ -482,15 +432,14 @@ def _fourier_inversion(p: float, y, mu: float, tau: float, cdf: bool, tol: float
 
 
 def _log_normalizer(p: float, y: float, tau: float) -> float:
-    """The additive term ``c(y; tau)`` of the log density, for p >= 0.
+    """The additive term ``c(y; tau)`` of the log density, for p > 1 but 2 and 3 (the classic families
+    hold their own).
 
-    The EDM normalizer at p in {0, 1, 2, 3}, 0 at the zero atom of 1 < p < 2 and the
-    max-term-anchored series for p > 2 where it holds; otherwise the log density of the member of
-    mean y at y (the Poisson-gamma sum for p < 2, the Fourier inversion for p > 2), whose value is
-    O(1/sqrt(tau V(y))) so nothing cancels, minus its theta-part.
+    0 at the zero atom of 1 < p < 2 and the max-term-anchored series for p > 2 where it holds;
+    otherwise the log density of the member of mean y at y (the Poisson-gamma sum for p < 2, the
+    Fourier inversion for p > 2), whose value is O(1/sqrt(tau V(y))) so nothing cancels, minus its
+    theta-part.
     """
-    if p in _CLASSIC_FAMILIES:
-        return _CLASSIC_FAMILIES[p].exact_normalizer(y, tau)
     if p < 2.0:
         if y == 0.0:
             return 0.0  # the atom exp(-lambda) is exp(-b(theta)/tau)
@@ -504,8 +453,9 @@ def _log_normalizer(p: float, y: float, tau: float) -> float:
             return log_v - math.log(math.pi * y)
         sd = math.sqrt(tau * y**p)
         log_density = math.log(_fourier_inversion(p, y, y, tau, False, 1e-8) / (math.pi * sd))
-    q = _inverse_mean(p, y)
-    return log_density - (y * q - _generator(p, q)) / tau
+    fam = _view(p)
+    q = fam.mean_inverse(y)
+    return log_density - (y * q - fam.b(q)) / tau
 
 
 @refuses_numerical_failure
@@ -513,29 +463,30 @@ def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
     """Density (or lattice mass, or the zero atom) of a Tweedie distribution.
 
     ``exp{c(y; tau) + [y theta - b_p(theta)]/tau}`` at ``theta = q(mu)``,
-    with c from :func:`_log_normalizer`.  At p = 1 the support is the
-    lattice ``tau N0``.  Densities for p < 0 have no computable route here
-    and are refused.
+    with the view's normalizer c (:func:`_log_normalizer` off the classic
+    powers).  At p = 1 the support is the lattice ``tau N0``.  Densities for
+    p < 0 have no computable route here and are refused.
     """
     p = _validate_p(p)
     if p < 0.0:
         raise DomainError("Tweedie densities for p < 0 are not evaluated (generator/deviance only)")
+    fam = _view(p)
     POSITIVE_REALS.require(tau, "tau")
-    tweedie_mean_domain(p).require(mu, "mu")
-    _support(p).require(y, "y")
+    fam.mean_domain.require(mu, "mu")
+    fam.support.require(y, "y")
     if p == 1.0:
         counts = y / tau
         if abs(counts - round(counts)) > 1e-9:
             raise DomainError(f"p=1 support is the lattice tau*N0; y={y} is off-lattice for tau={tau}")
-    theta = _inverse_mean(p, mu)
-    return math.exp(_log_normalizer(p, y, tau) + (y * theta - _generator(p, theta)) / tau)
+    theta = fam.mean_inverse(mu)
+    return math.exp(fam.exact_normalizer(y, tau) + (y * theta - fam.b(theta)) / tau)
 
 
 def _closed_form_cdf(p: float, ys: np.ndarray, mu: float, tau: float) -> np.ndarray:
     if p == 0.0:
         return el.special.ndtr((ys - mu) / math.sqrt(tau))
     if p == 1.0:
-        _support(p).require(ys, "y")
+        _view(p).support.require(ys, "y")
         return el.special.pdtr(np.floor((ys + 1e-12) / tau), mu / tau)
     if p == 2.0:
         return el.special.gammainc(1.0 / tau, np.maximum(ys, 0.0) / tau / mu)
@@ -570,7 +521,8 @@ def tweedie_cdf(p: float, y, mu: float, tau: float):
     p = _validate_p(p)
     if p < 0.0:
         raise DomainError("Tweedie cdfs for p < 0 are not evaluated")
-    tweedie_mean_domain(p).require(mu, "mu")
+    fam = _view(p)
+    fam.mean_domain.require(mu, "mu")
     POSITIVE_REALS.require(tau, "tau")
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     if np.isnan(ys).any() or np.any(np.diff(ys) < 0.0):
@@ -582,7 +534,7 @@ def tweedie_cdf(p: float, y, mu: float, tau: float):
         # the Chernoff bounds F(y) <= exp(-d(y; mu)/(2 tau)) below the mean and 1 - F(y) <= the same
         # above it put F within e^-40 of 0 or 1 where d > 80 tau, at y/sd = inf too (d is inf at y = inf)
         values, positive, cut = (ys > mu).astype(float), ys > 0.0, ys <= 0.0
-        cut[positive] = _deviance(p, ys[positive], mu) > 80.0 * tau
+        cut[positive] = fam.deviance_closed_form(ys[positive], mu) > 80.0 * tau
         inside = np.flatnonzero(~cut)
         for start in range(0, inside.size, _INVERSION_ROWS):
             rows = inside[start:start + _INVERSION_ROWS]
@@ -593,40 +545,16 @@ def tweedie_cdf(p: float, y, mu: float, tau: float):
 
 @dataclass(frozen=True)
 class TweedieFamily:
-    """A power-variance family indexed by p, with an EDM view."""
+    """The power-variance family of power p; ``to_edm`` returns its EDM, the cached view of the
+    validated p, whose fields are its domains and formulas."""
 
     p: float
 
     def __post_init__(self):
         _validate_p(self.p)
 
-    @property
-    def support(self) -> RealInterval:
-        return tweedie_support(self.p)
-
-    @property
-    def mean_domain(self) -> RealInterval:
-        return tweedie_mean_domain(self.p)
-
-    @property
-    def theta_domain(self) -> RealInterval:
-        return tweedie_canonical_domain(self.p)
-
     def to_edm(self) -> EdmFamily:
-        p = _validate_p(self.p)
-        classic = _CLASSIC_FAMILIES.get(p)
-        return EdmFamily(
-            name=f"tweedie(p={self.p:g})",
-            theta_domain=_canonical_domain(p),
-            b=lambda th: _generator(p, th),
-            b_nth=lambda r, th: _b_nth(p, r, th),
-            mean_domain=tweedie_mean_domain(p),
-            support=_support(p),
-            dispersion_domain=POSITIVE_REALS if classic is None else classic.dispersion_domain,
-            exact_normalizer=None if p < 0.0 else lambda y, tau: _log_normalizer(p, y, tau),
-            mean_inverse=lambda mu: _inverse_mean(p, mu),
-            deviance_closed_form=lambda y, mu: _deviance(p, y, mu),
-        )
+        return _view(_validate_p(self.p))
 
 
 def tweedie_family(p: float) -> TweedieFamily:

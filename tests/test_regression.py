@@ -194,6 +194,18 @@ def test_gamma_tau_mle_matches_digamma_root():
     assert res.tau == pytest.approx(1.0 / nu, rel=1e-9)
 
 
+def test_tweedie_two_tau_mle_is_the_gamma_mle():
+    # the Tweedie view at p = 2 is the gamma family renamed, dc/dtau included
+    rng = np.random.default_rng(6)
+    X = _design(rng, 400)
+    y = rng.gamma(2.5, np.exp(X @ np.array([0.2, 0.5, -0.3])) / 2.5)
+    taus = []
+    for family in (get_family("gamma"), tweedie_family(2.0).to_edm()):
+        model = RegressionModel(family, get_link("log"), linear_predictor(3))
+        taus.append(estimate_tau_mle(model, fit(model, X, y), y))
+    assert taus[0] == taus[1]
+
+
 def test_tau_mle_raises_when_budget_runs_out():
     # dc/dtau jumps in sign at tau = 1 and the jump straddles the target, so
     # the bracket closes on the jump and no iterate meets the tolerance

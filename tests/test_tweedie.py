@@ -21,8 +21,6 @@ from dispmodels import _numdiff, edm, tweedie
 from dispmodels.errors import DomainError, NumericalError
 from dispmodels.tweedie import (
     _fourier_inversion,
-    _generator,
-    _inverse_mean,
     _log_v_series,
     compound_poisson_gamma_params,
     sample_compound_poisson_gamma,
@@ -37,6 +35,14 @@ from dispmodels.tweedie import (
     tweedie_zero_mass,
 )
 from quadosc_oracle import quadosc_inversion
+
+
+def _generator(p, theta):
+    return tweedie._view(p).b(theta)
+
+
+def _inverse_mean(p, mu):
+    return tweedie._view(p).mean_inverse(mu)
 
 
 def _summed_log_v_series(p, y, tau):
@@ -113,6 +119,13 @@ class TestCumulantGenerator:
             tweedie_cumulant_generator(3.0, 0.5)
         with pytest.raises(DomainError):
             tweedie_cumulant_generator(-1.0, -0.5)
+
+    def test_overflow_is_a_numerical_error(self):
+        # b, b' and q past the largest float: refused as the library's error, not a bare OverflowError
+        for fn, args in ((tweedie_cumulant_generator, (1.0, 1000.0)), (tweedie_mean, (1.0, 1000.0)),
+                         (tweedie_inverse_mean, (3.7, 1e-300))):
+            with pytest.raises(NumericalError):
+                fn(*args)
 
     @pytest.mark.parametrize("p", [-1.0, 0.0, 1.0, 1.5, 2.0, 3.0, 3.7])
     def test_mean_matches_derivative(self, p):
@@ -252,6 +265,17 @@ class TestDeviance:
     def test_forbidden_band(self):
         with pytest.raises(DomainError):
             tweedie_deviance(0.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("p", [-1.0, 0.0, 1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_takes_arrays_entry_by_entry(self, p):
+        # an ndarray y, mu or both gives its float calls entry by entry, and exactly 0 where y == mu
+        mus = np.array([0.3, 1.0, 1.0, 2.5, 7.0])
+        ys = np.array([0.3, 0.0 if 1.0 < p < 2.0 else 0.5, 1.0, 4.0, 2.0])
+        for y, mu in ((ys, mus), (ys, 1.0), (1.0, mus)):
+            values = tweedie_deviance(p, y, mu)
+            expected = [tweedie_deviance(p, float(a), float(b)) for a, b in np.broadcast(y, mu)]
+            assert isinstance(values, np.ndarray) and values.tolist() == pytest.approx(expected, rel=1e-14)
+            assert (values[np.broadcast_to(np.equal(y, mu), values.shape)] == 0.0).all()
 
 
 class TestZeroMass:
@@ -715,11 +739,11 @@ def test_switch_window_is_the_special_power(p, special):
 
 class TestFamilyView:
     def test_support_by_power(self):
-        assert not tweedie_family(0.0).support.lattice
-        assert tweedie_family(1.0).support.lattice
-        assert tweedie_family(1.5).support.contains(0.0)
-        assert not tweedie_family(2.5).support.contains(0.0)
-        assert tweedie_family(-1.0).support.contains(-3.0)
+        assert not tweedie_family(0.0).to_edm().support.lattice
+        assert tweedie_family(1.0).to_edm().support.lattice
+        assert tweedie_family(1.5).to_edm().support.contains(0.0)
+        assert not tweedie_family(2.5).to_edm().support.contains(0.0)
+        assert tweedie_family(-1.0).to_edm().support.contains(-3.0)
 
     def test_edm_view_density_matches_direct(self):
         fam = tweedie_family(1.5).to_edm()
@@ -739,13 +763,56 @@ class TestFamilyView:
                     edm.density(gamma, y, edm.inverse_mean(gamma, mu), tau), rel=1e-12)
 
     def test_window_below_two_has_gamma_support(self):
-        assert not tweedie_family(2.0 - 5e-7).support.contains(0.0)
+        assert not tweedie_family(2.0 - 5e-7).to_edm().support.contains(0.0)
         with pytest.raises(DomainError):
             tweedie_density(2.0 - 5e-7, 0.0, 1.0, 1.0)
 
     def test_edm_view_variance(self):
         fam = tweedie_family(3.0).to_edm()
         assert edm.variance_function(fam, 2.0) == pytest.approx(8.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.999, math.nan, math.inf, -math.inf])
+def test_domain_functions_refuse_an_invalid_power(p):
+    for domain in (tweedie_canonical_domain, tweedie.tweedie_support, tweedie.tweedie_mean_domain):
+        with pytest.raises(DomainError):
+            domain(p)
+
+
+_GRID = np.geomspace(1e-3, 1e3, 61)
+# theta grids inside each canonical domain, and the literal b, b^(1..4), q and d of the four classic families
+_CLASSIC_FORMS = {
+    "normal": (np.concatenate([-_GRID, _GRID]), lambda th: 0.5 * th * th,
+               (lambda th: th, lambda th: 1.0, lambda th: 0.0, lambda th: 0.0),
+               lambda mu: mu, lambda y, mu: (y - mu) * (y - mu)),
+    "poisson": (np.linspace(-20.0, 20.0, 61), el.exp, (el.exp,) * 4, el.log,
+                lambda y, mu: el.power_deviance(1.0, y, mu)),
+    "gamma": (-_GRID, lambda th: -el.log(-th),
+              (lambda th: -1.0 / th, lambda th: 1.0 / th**2, lambda th: 2.0 * (-th) ** -3.0,
+               lambda th: 6.0 * (-th) ** -4.0),
+              lambda mu: -1.0 / mu, lambda y, mu: el.power_deviance(2.0, y, mu)),
+    "inverse_gaussian": (-_GRID, lambda th: -el.sqrt(-2.0 * th),
+                         (lambda th: (-2.0 * th) ** -0.5, lambda th: (-2.0 * th) ** -1.5,
+                          lambda th: 3.0 * (-2.0 * th) ** -2.5, lambda th: 15.0 * (-2.0 * th) ** -3.5),
+                         lambda mu: -0.5 / mu**2, lambda y, mu: (x := (y - mu) / mu) * (x / y)),
+}
+
+
+@pytest.mark.parametrize("p,name", [(0.0, "normal"), (1.0, "poisson"), (2.0, "gamma"), (3.0, "inverse_gaussian")])
+def test_classic_families_and_views_keep_the_literal_forms(p, name):
+    # b, b^(1..4), q and d of the classic family and of the Tweedie view at its power equal the literal
+    # forms to the bit, on floats and on ndarrays: the general pow form would move last bits
+    thetas, b, b_nth, q, d = _CLASSIC_FORMS[name]
+    ys, mus = (_GRID[::-1] - 1.0, _GRID) if p == 0.0 else (_GRID[::-1], _GRID)
+    for fam in (edm.FAMILIES[name], tweedie_family(p).to_edm()):
+        for args in ((thetas,), *((float(th),) for th in thetas)):
+            assert np.array_equal(fam.b(*args), b(*args))
+            for r, form in enumerate(b_nth, start=1):
+                assert np.all(fam.b_nth(r, *args) == form(*args))  # a constant broadcasts
+        for args in ((mus,), *((float(mu),) for mu in mus)):
+            assert np.array_equal(fam.mean_inverse(*args), q(*args))
+        for args in ((ys, mus), *((float(y), float(mu)) for y, mu in zip(ys, mus))):
+            assert np.array_equal(fam.deviance_closed_form(*args), d(*args))
 
 
 @pytest.mark.parametrize("p", [1.5, 2.5, 3.5])
