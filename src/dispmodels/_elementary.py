@@ -16,8 +16,8 @@ callables.  A float-only callable, such as ``math.cos``, is refused.
 ``special`` is ``scipy.special``, imported on its first attribute lookup:
 ``import dispmodels`` loads no scipy module, and deviances, IRLS fits
 without the dispersion MLE and the cf construction never load it.
-``scipy.interpolate`` loads with the first sample; quadrature is
-``_numdiff``'s own and loads no scipy module, and no module loads
+Quadrature is ``_numdiff``'s own and the sampler inverts its cdf with
+``np.interp``, so neither loads a scipy module, and no module loads
 ``scipy.stats``: the pivotal check's Kolmogorov-Smirnov p-value is
 ``pdm``'s own closed form.
 """

@@ -74,6 +74,7 @@ _FIRST_PARENTS = np.array([[0.0, 0.125, 0.5], [0.5, 0.75, 1.0]])
 _QUAD_TOL, _QUAD_NOISE, _QUAD_ROUNDS, _QUAD_PANELS, _QUAD_BATCH = 1e-10, 1e-6, 60, 2048, 64
 # lattice sums: terms in a run's first call of the summand, doubling each call up to the last
 _LATTICE_BLOCK, _LATTICE_BLOCK_MAX = 64, 2**16
+_NEWTON_ITERATIONS = 200  # evaluations of the safeguarded Newton before it gives up
 # (node, weight) of the nonnegative half of the symmetric 16-point Gauss-Legendre rule on [-1, 1], as
 # numpy.polynomial.legendre.leggauss(16) gives them; _GL_NODES and _GL_WEIGHTS are the rule on [0, 1]
 _LEGENDRE_16 = np.array([
@@ -160,8 +161,7 @@ def _richardson(sums, h, order: int):
     return (16.0 * fine - coarse) / 15.0 / math.prod([h] * order)
 
 
-def _bracketed_newton(fn, slope, lo, hi, tol, increasing: bool = True, max_iter: int = 200,
-                      what: str = "root"):
+def _bracketed_newton(fn, slope, lo, hi, tol, increasing: bool = True, what: str = "root"):
     """Roots of the monotone ``fn`` inside the brackets ``(lo, hi)``, floats or ndarrays.
 
     Safeguarded Newton from the midpoint: each iterate shrinks the bracket
@@ -170,7 +170,7 @@ def _bracketed_newton(fn, slope, lo, hi, tol, increasing: bool = True, max_iter:
     diverge.  Each entry takes these steps in its own bracket and stops at
     its first iterate with ``|fn| <= tol`` (then stays put); ``fn`` and
     ``slope`` see all iterates in one call per iteration.  Floats run as 0-d
-    arrays and return a float.  After ``max_iter`` evaluations raises
+    arrays and return a float.  After ``_NEWTON_ITERATIONS`` evaluations raises
     ``ConvergenceError`` naming the residual, the last iterate and, for an
     ndarray, the first entry that did not stop.
     """
@@ -178,7 +178,7 @@ def _bracketed_newton(fn, slope, lo, hi, tol, increasing: bool = True, max_iter:
     tol = np.broadcast_to(tol, np.shape(x))
     running = np.ones(np.shape(x), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_ITERATIONS):
             val = np.asarray(fn(x), dtype=float)
             running &= ~(np.abs(val) <= tol)
             if not running.any():
@@ -192,7 +192,7 @@ def _bracketed_newton(fn, slope, lo, hi, tol, increasing: bool = True, max_iter:
     val, last, tol = (np.ravel(a)[i] for a in (val, last, tol))
     where = f" at entry {i}" if np.ndim(x) else ""
     raise ConvergenceError(
-        f"{what}{where} did not converge in {max_iter} iterations: residual {abs(val):.3g} "
+        f"{what}{where} did not converge in {_NEWTON_ITERATIONS} iterations: residual {abs(val):.3g} "
         f"at x = {last:.6g} against the tolerance {tol:.3g}"
     )
 

@@ -239,9 +239,9 @@ def _toeplitz_operator(kern: np.ndarray, h: float) -> Callable[[np.ndarray], np.
     return apply
 
 
-def _effective_support_band(kern: np.ndarray, lags: np.ndarray, plateau: float, tol: float = 1e-3) -> int:
-    # the largest |lag| whose sample is above plateau + tol, at most N/2 - 1 (N = lags[-1] + 1)
-    above = lags[kern > plateau + tol]
+def _effective_support_band(kern: np.ndarray, lags: np.ndarray, plateau: float) -> int:
+    # the largest |lag| whose sample is above plateau + 1e-3, at most N/2 - 1 (N = lags[-1] + 1)
+    above = lags[kern > plateau + 1e-3]
     if len(above) == 0:
         return 1
     return max(1, min(int(np.max(np.abs(above))), (lags[-1] + 1) // 2 - 1))

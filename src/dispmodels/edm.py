@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 _UNIT_TAU = RealInterval(1.0, 1.0, closed_lower=True, closed_upper=True)
+_LATTICE_SLACK = 1e-9  # a lattice family's y is a point of tau N0 if y/tau lies this close to a whole count
 
 
 @dataclass(frozen=True)
@@ -354,12 +355,12 @@ def _deviance_by_quadrature(fam: EdmFamily, y: np.ndarray, mu: np.ndarray):
 def log_density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
     """Exact log density ``[y theta - b(theta)]/tau + c(y; tau)``; ``y`` may be an ndarray.
 
-    Requires an exact normalizer; :func:`density` provides the
-    saddlepoint-backed fallback for families without one.
+    A y of a lattice family lies on ``tau N0`` (tau is checked first).  Requires an exact normalizer;
+    :func:`density` provides the saddlepoint-backed fallback for families without one.
     """
-    _require_observation(fam, y)
-    fam.theta_domain.require(theta, "theta")
     fam.dispersion_domain.require(tau, "tau")
+    _require_observation(fam, y, tau)
+    fam.theta_domain.require(theta, "theta")
     if fam.exact_normalizer is None:
         raise DomainError(f"family {fam.name} has no exact normalizer")
     return _log_density(fam, y, theta, tau)
@@ -374,16 +375,16 @@ def _log_density(fam: EdmFamily, y, theta: float, tau: float):
 
 @refuses_numerical_failure
 def density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
-    """Density (or probability mass) at ``y``.
+    """Density (or probability mass) at ``y``, which lies on ``tau N0`` for a lattice family.
 
     When no exact normalizer is registered, the value is the renormalized
     saddlepoint approximation at the mean b'(theta), theta inside its domain;
     ``fam.has_exact_density`` tells the two cases apart.
     """
     exact = fam.exact_normalizer is not None
-    _require_observation(fam, y)
-    (fam.theta_domain if exact else fam.theta_domain.interior()).require(theta, "theta")
     fam.dispersion_domain.require(tau, "tau")
+    _require_observation(fam, y, tau)
+    (fam.theta_domain if exact else fam.theta_domain.interior()).require(theta, "theta")
     if exact:
         return el.exp(_log_density(fam, y, theta, tau))
     from .saddlepoint import renormalized_saddlepoint
@@ -392,11 +393,18 @@ def density(fam: EdmFamily, y: float, theta: float, tau: float) -> float:
     return renormalized_saddlepoint(unit_deviance_of(fam), variance_function_of(fam), y, mu, tau).value
 
 
-def _require_observation(fam: EdmFamily, y: float) -> None:
+def _require_observation(fam: EdmFamily, y, tau: float) -> None:
+    """Refuses y outside the support, or a lattice y whose y/tau is more than ``_LATTICE_SLACK`` from a count."""
     fam.support.require(y, "y")
-    off = fam.support.lattice and abs(y % 1.0 - 0.5) < 0.5 - 1e-9  # more than 1e-9 from an integer
-    if off is not False and np.any(off):  # a bool, a numpy bool or an array of them
-        raise DomainError(f"{fam.name} has lattice support; y={np.asarray(y)[off].flat[0]} is not a lattice point")
+    if fam.support.lattice:
+        if type(y) is float:  # no numpy call; round of an infinite count raises OverflowError
+            off = abs(y / tau - round(y / tau)) > _LATTICE_SLACK
+        else:
+            with np.errstate(over="ignore", invalid="raise"):  # inf - inf of an infinite count raises
+                counts = np.divide(y, tau)
+                off = np.abs(counts - np.rint(counts)) > _LATTICE_SLACK
+        if off is not False and np.any(off):  # a bool, a numpy bool or an array of them
+            raise DomainError(f"{fam.name}: y={np.asarray(y)[off].flat[0]} is not a lattice point at tau={tau}")
 
 
 def saturated_loglik_kernel(fam: EdmFamily, y):

@@ -156,19 +156,19 @@ def _scan_window(domain: RealInterval, center: float, halfwidth: float = 8.0) ->
     return lo, hi
 
 
-def _maximize_yoke(t: YokeSpec, y: float, n_scan: int = 64) -> tuple[float, float, list[tuple[float, float]]]:
+def _maximize_yoke(t: YokeSpec, y: float) -> tuple[float, float, list[tuple[float, float]]]:
     """(argmax, max, the five highest refined local maxima, ends counted) of a scan of t(y; .).
 
-    Each scan is one call of ``t.fn``; the window expands while the incumbent sits on an open edge.
+    Each scan is one call of ``t.fn`` at 64 points; the window widens while the best sits on an open edge.
     """
     halfwidth = 8.0
     for _ in range(30):
         lo, hi = _scan_window(t.domain, y, halfwidth)
-        xs = np.linspace(lo, hi, n_scan)
+        xs = np.linspace(lo, hi, 64)
         vals = el.call(t.fn, y, xs)
         best = int(np.argmax(vals))
         on_edge = (best == 0 and not math.isfinite(t.domain.lower)) or (
-            best == n_scan - 1 and not math.isfinite(t.domain.upper)
+            best == xs.size - 1 and not math.isfinite(t.domain.upper)
         )
         if not on_edge:
             break
@@ -247,13 +247,8 @@ def yoke_to_deviance(t: YokeSpec) -> UnitDeviance:
 
 
 def sample_pdm(p: PdmSpec, mu: float, tau: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF sampling on a grid of 2^14 points with monotone cubic interpolation.
-
-    The cdf on the grid is the cumulative trapezoid rule; ``scipy.interpolate`` is imported on
-    the first call, not with the package.
-    """
-    from scipy.interpolate import PchipInterpolator
-
+    """Inverse-CDF sampling on a grid of 2^14 points: the cumulative trapezoid rule of the density,
+    inverted by ``np.interp`` (monotone, piecewise linear) between its strictly increasing knots."""
     support = p.support
     if support.lattice:
         raise NumericalError("grid sampler only covers continuous PDMs")
@@ -277,9 +272,8 @@ def sample_pdm(p: PdmSpec, mu: float, tau: float, size: int, rng: np.random.Gene
     keep = np.concatenate(([True], np.diff(cdf) > 1e-15))
     if keep.sum() < 8:
         raise NumericalError("sampler grid resolution failure: too few increasing knots")
-    inverse = PchipInterpolator(cdf[keep], xs[keep], extrapolate=False)
     u = rng.uniform(cdf[keep][0], cdf[keep][-1], size=size)
-    return np.asarray(inverse(u))
+    return np.interp(u, cdf[keep], xs[keep])
 
 
 @dataclass(frozen=True)

@@ -8,17 +8,17 @@ zero); p > 2 gives continuous positive-stable generated distributions;
 p < 0 gives extreme-stable generated distributions whose densities have
 no workable evaluation route here (generator and deviance only).
 
-Every density is ``exp{c(y; tau) + [y theta - b_p(theta)]/tau}`` with one
-normalizer c: the EDM family's at p in {0, 1, 2, 3} (the Poisson one in
-dispersion form, so p = 1 covers the lattice ``tau N0``), 0 at the zero atom
-of 1 < p < 2, and the positive-stable series anchored at its largest term for
-p > 2.  Otherwise c is the log density at y of the member with mean y, minus
-its theta-part: a Poisson mixture of gamma densities over the jump counts
-within 10 sqrt(lambda) + 10 of the rate lambda for 1 < p < 2 (Dunn & Smyth
-2005), and the inversion of the cf exp K(it) for p > 2 (Dunn & Smyth 2008).
-The cdf is the normal, Poisson, gamma and inverse Gaussian cdf at p = 0, 1, 2
-and 3, the same Poisson-gamma sum over incomplete gammas for 1 < p < 2, and
-Gil-Pelaez inversion of the cf for the other p > 2.
+Every density is the EDM density ``exp{c(y; tau) + [y theta - b_p(theta)]/tau}``
+of the view below, with one normalizer c: the EDM family's at p in {0, 1, 2, 3}
+(the Poisson one in dispersion form: p = 1 is tau Poisson(mu/tau) on the lattice
+``tau N0``), 0 at the zero atom of 1 < p < 2, and the positive-stable series
+anchored at its largest term for p > 2.  Otherwise c is the log density at y of
+the member with mean y, minus its theta-part: a Poisson mixture of gamma
+densities over the jump counts within 10 sqrt(lambda) + 10 of the rate lambda
+for 1 < p < 2 (Dunn & Smyth 2005), and the inversion of the cf exp K(it) for
+p > 2 (Dunn & Smyth 2008).  The cdf is the normal, Poisson, gamma and inverse
+Gaussian cdf at p = 0, 1, 2 and 3, the same Poisson-gamma sum over incomplete
+gammas for 1 < p < 2, and Gil-Pelaez inversion of the cf for the other p > 2.
 
 Both inversions are one fixed-node rule that calls the cf on arrays, all the
 rows of a cdf together (``_fourier_inversion``): Gauss-Legendre panels on the
@@ -31,11 +31,11 @@ Comput. 18:73).
 ``_validate_p`` decides the switch windows, once: within ``P_SWITCH`` of 1 or 2
 it returns 1.0 or 2.0.  ``_view`` of the validated p, cached, is the EDM family
 that ``TweedieFamily.to_edm`` returns: the classic family renamed at p in
-{0, 1, 2, 3}, else ``edm._power_family`` with the normalizer c above.  The
-generator, mean, inverse mean, deviance and domain functions are ``edm`` calls
-on the view or reads of its fields, and the densities and cdfs read b and q
-from it.  Its formulas take a float or an ndarray, so Tweedie families run on
-the array path of IRLS.
+{0, 1, 2, 3} (every tau > 0 a dispersion), else ``edm._power_family`` with the
+normalizer c above.  The other functions are ``edm`` calls on the view or reads
+of its fields: the density checks y by ``edm``'s one lattice rule, by which the
+p = 1 cdf counts, and the cdfs read b and q.  Its formulas take a float or an
+ndarray, so Tweedie families run on the array path of IRLS.
 """
 
 from __future__ import annotations
@@ -100,8 +100,9 @@ def _view(p: float) -> EdmFamily:
     """The EDM family of a validated power p, built once: the classic family of ``edm.FAMILIES`` at
     p in {0, 1, 2, 3}, else ``edm._power_family`` with the Tweedie normalizer (none for p < 0)."""
     name = f"tweedie(p={p:g})"
-    if p in (0.0, 1.0, 2.0, 3.0):
-        return replace(edm.FAMILIES[("normal", "poisson", "gamma", "inverse_gaussian")[int(p)]], name=name)
+    if p in (0.0, 1.0, 2.0, 3.0):  # every tau > 0: the Poisson normalizer is in dispersion form too
+        fam = edm.FAMILIES[("normal", "poisson", "gamma", "inverse_gaussian")[int(p)]]
+        return replace(fam, name=name, dispersion_domain=POSITIVE_REALS)
     normalizer = None if p < 0.0 else functools.partial(_log_normalizer, p)
     return edm._power_family(p, name, exact_normalizer=normalizer)
 
@@ -460,34 +461,28 @@ def _log_normalizer(p: float, y: float, tau: float) -> float:
 
 @refuses_numerical_failure
 def tweedie_density(p: float, y: float, mu: float, tau: float) -> float:
-    """Density (or lattice mass, or the zero atom) of a Tweedie distribution.
+    """Density (or lattice mass, or the zero atom) of a Tweedie distribution: the EDM density of the view.
 
-    ``exp{c(y; tau) + [y theta - b_p(theta)]/tau}`` at ``theta = q(mu)``,
-    with the view's normalizer c (:func:`_log_normalizer` off the classic
-    powers).  At p = 1 the support is the lattice ``tau N0``.  Densities for
-    p < 0 have no computable route here and are refused.
+    ``exp{c(y; tau) + [y theta - b_p(theta)]/tau}`` at ``theta = q(mu)``, with the view's normalizer c
+    (:func:`_log_normalizer` off the classic powers); at p = 1 tau Poisson(mu/tau) on ``tau N0``.
+    Densities for p < 0 have no computable route here and are refused.
     """
     p = _validate_p(p)
     if p < 0.0:
         raise DomainError("Tweedie densities for p < 0 are not evaluated (generator/deviance only)")
     fam = _view(p)
-    POSITIVE_REALS.require(tau, "tau")
-    fam.mean_domain.require(mu, "mu")
-    fam.support.require(y, "y")
-    if p == 1.0:
-        counts = y / tau
-        if abs(counts - round(counts)) > 1e-9:
-            raise DomainError(f"p=1 support is the lattice tau*N0; y={y} is off-lattice for tau={tau}")
-    theta = fam.mean_inverse(mu)
-    return math.exp(fam.exact_normalizer(y, tau) + (y * theta - fam.b(theta)) / tau)
+    fam.dispersion_domain.require(tau, "tau")
+    theta = fam.mean_inverse(fam.mean_domain.require(mu, "mu"))
+    edm._require_observation(fam, y, tau)
+    return el.exp(edm._log_density(fam, y, theta, tau))
 
 
 def _closed_form_cdf(p: float, ys: np.ndarray, mu: float, tau: float) -> np.ndarray:
     if p == 0.0:
         return el.special.ndtr((ys - mu) / math.sqrt(tau))
-    if p == 1.0:
-        _view(p).support.require(ys, "y")
-        return el.special.pdtr(np.floor((ys + 1e-12) / tau), mu / tau)
+    if p == 1.0:  # the points of tau N0 at or below y, by the lattice rule of edm
+        counts = np.floor(ys / tau + edm._LATTICE_SLACK)
+        return np.where(counts < 0.0, 0.0, el.special.pdtr(np.maximum(counts, 0.0), mu / tau))
     if p == 2.0:
         return el.special.gammainc(1.0 / tau, np.maximum(ys, 0.0) / tau / mu)
     if p == 3.0:  # the second term from logs, where e^(2/(tau mu)) alone would overflow
@@ -510,13 +505,14 @@ def _closed_form_cdf(p: float, ys: np.ndarray, mu: float, tau: float) -> np.ndar
 def tweedie_cdf(p: float, y, mu: float, tau: float):
     """Distribution function: closed forms for 0 <= p <= 2 and p = 3, Gil-Pelaez inversion otherwise.
 
-    ``ndtr`` at p = 0, ``pdtr(floor(y/tau), mu/tau)`` at p = 1, ``gammainc(1/tau, y/(tau mu))``
-    at p = 2, and for 1 < p < 2 the zero atom plus ``sum_n w_n gammainc(n shape, y/scale)``
-    over the jump counts (Poisson weights w_n, jumps gamma(shape, scale)).  At p = 3 it is the
-    inverse Gaussian ``Phi((y/mu - 1)/sqrt(tau y)) + e^(2/(tau mu)) Phi(-(y/mu + 1)/sqrt(tau y))``.
-    For the other p > 2 the rows within the Chernoff bounds are inverted together, ``F(y) = 1/2 -
-    (1/pi) integral_0^inf Im[e^(-ity) phi(t)]/t dt`` (:func:`_fourier_inversion`).  ``y`` may be an
-    ascending ndarray, such as the rows of a table; an ndarray is then returned.
+    ``ndtr`` at p = 0, ``pdtr(n, mu/tau)`` at p = 1 for the n + 1 points of ``tau N0`` up to y (by
+    ``edm``'s lattice rule), ``gammainc(1/tau, y/(tau mu))`` at p = 2, and for 1 < p < 2 the zero atom
+    plus ``sum_n w_n gammainc(n shape, y/scale)`` over the jump counts (Poisson weights w_n, jumps
+    gamma(shape, scale)).  At p = 3 it is the inverse Gaussian ``Phi((y/mu - 1)/sqrt(tau y)) +
+    e^(2/(tau mu)) Phi(-(y/mu + 1)/sqrt(tau y))``.  For the other p > 2 the rows within the Chernoff
+    bounds are inverted together, ``F(y) = 1/2 - (1/pi) integral_0^inf Im[e^(-ity) phi(t)]/t dt``
+    (:func:`_fourier_inversion`).  ``y`` may be an ascending ndarray, such as the rows of a table; an
+    ndarray is then returned.
     """
     p = _validate_p(p)
     if p < 0.0:

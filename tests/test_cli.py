@@ -357,3 +357,42 @@ def test_each_module_imports_first(module):
     src = os.path.dirname(os.path.dirname(edm.__file__))
     code = f"import {module}, dispmodels.deviance as d; assert d.DEVIANCES['gamma'].name == 'gamma'"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("argv", [
+    ["tweedie", "--p", "1.5", "--mu", "1.1", "--tau", "0.8", "--y-min", "0", "--y-max", "3", "--y-step", "0.5"],
+    ["cf-construct", "--cf", "gauss", "--tau", "0.5", "--N", "1024"],
+], ids=lambda argv: argv[0])
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and out
+    path = tmp_path / "table.csv"
+    code, written, _ = _run(capsys, [*argv, "--output", str(path)])
+    assert code == 0 and written == ""
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+def test_unknown_check_scope_is_a_usage_error(capsys):
+    code, out, err = _run(capsys, ["check", "--scope", "nope"])
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR:usage:unknown check scope 'nope'")
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--response", "z", "--formula", "x1"], "response column 'z' not in CSV header"),
+    (["--response", "y", "--formula", "x1+x3"], "formula term 'x3' not in CSV header"),
+], ids=["response", "term"])
+def test_fit_with_a_missing_column_is_a_domain_error(capsys, poisson_csv, extra, message):
+    argv = ["fit", "--data", poisson_csv[0], "--family", "poisson", "--link", "log", *extra]
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR:domain:" + message)
+
+
+def test_density_of_the_tweedie_one_view_off_unit_dispersion(capsys):
+    # y = 1.5 is the count 3 of tau N0 at tau = 0.5: the Poisson(mu/tau = 4) mass at 3
+    code, out, err = _run(capsys, ["density", "--family", "tweedie:1", "--y", "1.5", "--mu", "2", "--tau", "0.5"])
+    assert code == 0 and err == ""
+    assert out == "0.19536681481316454\n"
+    code, out, err = _run(capsys, ["density", "--family", "tweedie:1", "--y", "1.2", "--mu", "2", "--tau", "0.5"])
+    assert code == 1 and err.startswith("ERROR:domain:") and "not a lattice point" in err

@@ -181,6 +181,20 @@ class TestCumulant:
             [variance_function(fam, mu) for mu in mus], rel=1e-14, abs=0.0
         )
 
+    @pytest.mark.parametrize("name, b, thetas", [
+        ("binomial", lambda t: mpmath.log1p(mpmath.exp(t)), (0.7, -2.0)),
+        ("negative_binomial", lambda t: -mpmath.log1p(-mpmath.exp(t)), (-0.3, -2.5)),
+        ("gsh", lambda t: -mpmath.log(mpmath.cos(t)), (0.4, -1.2)),
+    ], ids=["binomial", "negative_binomial", "gsh"])
+    def test_hand_written_derivatives_match_mpmath(self, name, b, thetas):
+        # b^(r), r = 1..4, against 40-digit numerical derivatives of the generator
+        fam = get_family(name)
+        with mpmath.workdps(40):
+            for theta in thetas:
+                for r in range(1, 5):
+                    exact = float(mpmath.diff(b, mpmath.mpf(theta), r))
+                    assert fam.b_nth(r, theta) == pytest.approx(exact, rel=4e-15), (theta, r)
+
 
 class TestDeviance:
     def test_examples(self):

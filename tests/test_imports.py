@@ -21,7 +21,7 @@ def _fresh(*args: str) -> str:
 
 
 # the package integrates with its own rule, so no call imports scipy.integrate or scipy.optimize;
-# scipy.interpolate is imported by the first sampler call, not with the package
+# the sampler inverts its cdf with np.interp, so no call imports scipy.interpolate either
 _QUADRATURE_MODULES = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
 
 # runs the CLI on its arguments, if any, then prints which of the given modules are loaded
@@ -40,8 +40,7 @@ def _loaded(modules, *argv: str) -> str:
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():
-    # no import-time code needs scipy: scipy.special loads on the first special-function
-    # call, and scipy.interpolate on the first sample
+    # no import-time code needs scipy: scipy.special loads on the first special-function call
     assert _loaded(("scipy",)) == "[]"
 
 
@@ -51,6 +50,7 @@ def test_import_leaves_slow_scipy_modules_unloaded():
     ["approx", "--family", "gamma", "--mu", "2", "--tau", "0.5", "--y", "3", "--method", "lr"],
     ["tweedie", "--p", "1.5", "--mu", "1", "--tau", "1", "--y-min", "0", "--y-max", "3", "--y-step", "0.5"],
     ["cf-construct", "--cf", "gauss", "--tau", "0.5", "--N", "1024"],
+    ["check", "--scope", "all"],  # its pivotal checks sample
 ], ids=lambda argv: argv[0])
 def test_cli_without_quadrature_leaves_quadrature_modules_unloaded(argv):
     assert _loaded(_QUADRATURE_MODULES, *argv) == "[]"

@@ -7,7 +7,6 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad
-from scipy.interpolate import PchipInterpolator
 from scipy.special import i0e
 from scipy.stats import ks_2samp
 
@@ -337,7 +336,7 @@ class TestPivotal:
         cdf /= cdf[-1]
         keep = np.concatenate(([True], np.diff(cdf) > 1e-15))
         u = np.random.default_rng(7).uniform(cdf[keep][0], cdf[keep][-1], size=2000)
-        expected = PchipInterpolator(cdf[keep], xs[keep], extrapolate=False)(u)
+        expected = np.interp(u, cdf[keep], xs[keep])
         assert np.array_equal(sample_pdm(spec, mu, tau, 2000, np.random.default_rng(7)), expected)
 
 

@@ -295,3 +295,77 @@ def test_irls_makes_o1_edm_calls_per_iteration(monkeypatch):
     res = fit(_glm("poisson", "log", 3), X, y)
     # one variance and one deviance call per iteration, plus a few per fit
     assert len(calls) <= 3 * res.iterations + 4
+
+
+# ----------------------------------------------------------------------
+# refusals, step halving, closed-form dispersion and the deviance sum
+# ----------------------------------------------------------------------
+
+
+def _decay_model():
+    return RegressionModel(get_family("normal"), get_link("identity"), _expression_predictor("b1*exp(-b2*x)", 2))
+
+
+@pytest.mark.parametrize("model, X, y, kwargs, message", [
+    (_glm("normal", "identity", 1), np.ones((4, 1)), np.arange(5.0), {}, "X has 4 rows but y has 5 entries"),
+    (_glm("normal", "identity", 3), np.ones((3, 3)), np.arange(3.0), {}, r"n=3, p=3"),
+    (_decay_model(), np.ones((5, 1)), np.arange(5.0), {}, "nonlinear predictors require an explicit beta0"),
+    (_glm("normal", "identity", 2), np.ones((5, 2)), np.arange(5.0), {"beta0": np.zeros(3)},
+     "beta0 must have length 2"),
+    (_glm("normal", "identity", 1), np.ones((5, 1)), np.arange(5.0), {"tau_method": "pearson"},
+     "unknown tau method 'pearson'"),
+    (_glm("normal", "identity", 2), np.ones((5, 2)), np.arange(5.0), {}, "rank deficient"),
+], ids=["rows", "n_le_p", "nonlinear_without_beta0", "beta0_length", "tau_method", "rank_deficient"])
+def test_fit_refuses_a_malformed_model_or_design(model, X, y, kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        fit(model, X, y, **kwargs)
+
+
+def test_step_halving_reaches_the_fit_of_a_near_start(monkeypatch):
+    # from b2 = 5 the first full Gauss-Newton steps raise the deviance and are halved; every tried
+    # step evaluates the deviance once, so the halvings are the calls beyond one a step and the start
+    calls = []
+    deviance = regression._deviance
+
+    def counted(*args):
+        calls.append(1)
+        return deviance(*args)
+
+    monkeypatch.setattr(regression, "_deviance", counted)
+    x = np.linspace(0.0, 3.0, 200)
+    y = 2.0 * np.exp(-0.7 * x)
+    far = fit(_decay_model(), x[:, None], y, beta0=np.array([1.0, 5.0]))
+    assert far.converged and len(calls) - 1 - far.iterations > 0
+    near = fit(_decay_model(), x[:, None], y, beta0=np.array([1.0, 0.5]))
+    np.testing.assert_allclose(far.beta, near.beta, rtol=1e-6)
+
+
+def test_step_halving_runs_out_on_a_wrong_sign_jacobian():
+    # every step of -J points uphill, so no halving lowers the deviance
+    wrong = regression.Predictor(fn=lambda X, beta: X @ beta, n_params=2,
+                                 jacobian=lambda X, beta: -np.asarray(X, dtype=float), linear=True)
+    X = np.column_stack([np.ones(50), np.linspace(0.0, 1.0, 50)])
+    model = RegressionModel(get_family("normal"), get_link("identity"), wrong)
+    with pytest.raises(ConvergenceError, match="step halving exhausted"):
+        fit(model, X, 1.0 + 2.0 * X[:, 1], beta0=np.zeros(2))
+
+
+@pytest.mark.parametrize("family", ["normal", "inverse_gaussian"])
+def test_closed_form_tau_mle_is_the_mean_deviance(family):
+    rng = np.random.default_rng(12)
+    X = _design(rng, 300)
+    mu = np.exp(X @ np.array([0.3, 0.4, -0.2]))
+    y = rng.normal(mu, 0.3) if family == "normal" else rng.wald(mu, 4.0)
+    res = fit(_glm(family, "log", 3), X, y, tau_method="mle")
+    assert res.tau == res.deviance / 300
+
+
+def test_total_deviance_is_the_exact_sum_of_the_unit_deviances():
+    rng = np.random.default_rng(13)
+    model = _glm("gamma", "log", 1)
+    mu = rng.uniform(0.5, 3.0, 10**4)
+    y = rng.gamma(2.0, mu / 2.0)
+    exact = math.fsum(edm_deviance(model.family, y, mu).tolist())
+    assert regression.total_deviance(model, y, mu) == pytest.approx(exact, rel=1e-15)
+    with pytest.raises(DomainError, match="same length"):
+        regression.total_deviance(model, y, mu[:-1])

@@ -386,14 +386,20 @@ class TestDensity:
             assert tweedie_density(3.0, y, mu, tau) == pytest.approx(
                 invgauss.pdf(y, mu * tau, scale=1.0 / tau), rel=1e-12)
 
-    def test_poisson_with_dispersion(self):
-        # p = 1 at tau != 1 is tau times a Poisson(mu/tau) count
+    @pytest.mark.parametrize("tau", [0.5, 2.0])
+    def test_poisson_with_dispersion(self, tau):
+        # p = 1 at tau != 1 is tau times a Poisson(mu/tau) count on tau N0, by tweedie_density and by edm.density
+        # of the view; a y off the lattice is refused by both
         from scipy.stats import poisson
 
-        tau, mu = 0.5, 1.7
+        view, mu = tweedie_family(1.0).to_edm(), 1.7
         for k in range(12):
-            assert tweedie_density(1.0, k * tau, mu, tau) == pytest.approx(
-                poisson.pmf(k, mu / tau), rel=1e-12)
+            expected = poisson.pmf(k, mu / tau)
+            assert edm.density(view, k * tau, math.log(mu), tau) == pytest.approx(expected, rel=1e-12)
+            assert tweedie_density(1.0, k * tau, mu, tau) == pytest.approx(expected, rel=1e-12)
+        for density in (lambda y: edm.density(view, y, math.log(mu), tau), lambda y: tweedie_density(1.0, y, mu, tau)):
+            with pytest.raises(DomainError, match="not a lattice point"):
+                density(1.5 * tau)
 
     def test_inverse_gaussian_underflow_is_zero(self):
         assert tweedie_density(3.0, 1e-300, 1.0, 1.0) == 0.0
@@ -545,6 +551,14 @@ class TestCdf:
             assert tweedie_cdf(1.0, float(k), 2.5, 1.0) == pytest.approx(
                 poisson.cdf(k, 2.5), rel=1e-12
             )
+
+    @pytest.mark.parametrize("y, mu, tau, expected", [
+        (0.9995e-9, 1e-9, 1e-9, math.exp(-1.0)), (0.0, 1e-12, 1e-13, math.exp(-10.0)), (-0.5, 1.0, 1.0, 0.0),
+    ])
+    def test_poisson_counts_the_lattice_points_at_or_below_y(self, y, mu, tau, expected):
+        # y/tau = 0.9995 lies below the point 1 of tau N0 and 0 is the point 0 at any tau (a nudge of y by
+        # 1e-12 counted one and ten points more); below the support F is 0
+        assert tweedie_cdf(1.0, y, mu, tau) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("p, y, mu, tau", [
         (1.5, 0.7, 1.0, 1.0), (1.2, 2.5, 0.7, 0.4), (1.8, 0.3, 2.0, 1.5), (1.05, 1.3, 1.1, 0.6),
@@ -751,6 +765,18 @@ class TestFamilyView:
         assert edm.density(fam, 0.5, theta, 1.0) == pytest.approx(
             tweedie_density(1.5, 0.5, 1.0, 1.0), rel=1e-12
         )
+
+    def test_poisson_view_checks_the_lattice_of_its_dispersion(self):
+        # an ndarray y is its float calls (but for numpy's last bits); a count y/tau that overflows is a
+        # numerical refusal on both paths
+        view, ys = tweedie_family(1.0).to_edm(), np.array([0.0, 0.25, 1.5])
+        assert edm.density(view, ys, 0.3, 0.25).tolist() == pytest.approx(
+            [edm.density(view, y, 0.3, 0.25) for y in ys.tolist()], rel=1e-14, abs=0.0)
+        with pytest.raises(DomainError, match="y=0.1 is not a lattice point at tau=0.25"):
+            edm.log_density(view, np.array([0.5, 0.1]), 0.3, 0.25)
+        for y in (1e-8, np.array([1e-8])):
+            with pytest.raises(NumericalError, match=r"^density\("):
+                edm.density(view, y, 0.3, 5e-324)
 
     def test_edm_view_inside_gamma_window_is_gamma(self):
         fam, gamma = tweedie_family(2.0 + 9e-7).to_edm(), tweedie_family(2.0).to_edm()
