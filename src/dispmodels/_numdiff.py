@@ -39,10 +39,11 @@ only: one call per round on the nodes of the panels split in it, of up to
 piece, so its nodes and weights under both end maps are computed once, at
 import (``_FIRST_ROUND``), and an integral's first call is these scaled to its
 pieces: at 16-1024 nodes numpy's fixed cost per call, not the arithmetic, sets
-the time.  A lattice support is summed in blocks of terms,
-one call per block.  No module imports scipy when it loads, nor SciPy's
-integrators or optimizers: ``scipy.special`` comes with the first
-special-function call, through ``_elementary.special``.
+the time.  A lattice support is summed from the point nearest the centre its
+caller gives, up and then down, in blocks of terms, one call per block.  No
+module imports scipy when it loads, nor SciPy's integrators or optimizers:
+``scipy.special`` comes with the first special-function call, through
+``_elementary.special``.
 
 Four private solvers are written here once: ``_bracketed_newton`` (the
 inverse mean mapping, the dispersion MLE), ``_quadrature`` (the deviance by
@@ -56,12 +57,11 @@ caller keeps its own error gate.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericalError
-from .support import REALS, RealInterval
+from .support import RealInterval
 
 EPS = float(np.finfo(float).eps)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -114,7 +114,7 @@ def _length_scale(x, domain: RealInterval):
     return scale
 
 
-def derivative(f, x, order: int, domain: RealInterval = REALS):
+def derivative(f, x, order: int, domain: RealInterval):
     """The ``order``-th derivative of ``f`` at ``x`` inside the open ``domain``.
 
     Stencils at h, h/2 and h/4 with two Richardson levels and the step of
@@ -369,26 +369,25 @@ def _quadrature(fn, lower, upper, center=None):
                          f"of at most {_QUAD_PANELS} panels: {total[i]:.6g} with error {gap[i]:.3g}")
 
 
-def _support_integral(fn, support, center: Optional[float] = None) -> tuple[float, float]:
-    """``(integral, error estimate)`` of ``fn`` over a ``RealInterval``, ``fn`` called on ndarrays only.
+def _support_integral(fn, support, center: float) -> tuple[float, float]:
+    """``(integral, error estimate)`` of ``fn``, called on ndarrays only, over a ``RealInterval``.
 
-    A lattice support is summed over its integer points from ``max(lower, 0)`` upward, a block of
-    terms a call; a run stops after three consecutive terms below 1e-14 of the running total (the
-    error estimate then gains the last term) or at an end of the support.  Given the ``center``
-    where ``fn`` peaks, the sum runs up from the lattice point nearest it and then down from there,
-    and a zero term counts as negligible too, so a sum whose every term underflows stops at once.
-    More than 10^7 terms, a start beyond 2^53, or a term 10^7 points above the centre not below
-    1e-14 of the centre's (told before summing), raise ``NumericalError``.  Any other support goes
-    to :func:`_quadrature`.
+    A lattice support is summed over its integer points from ``max(lower, 0)``, a block of terms a
+    call, up from the point nearest the ``center`` where ``fn`` peaks and then down from there; a run
+    stops after three consecutive terms below 1e-14 of the running total or zero (the error estimate
+    then gains the last term), or at an end of the support, so a sum whose every term underflows
+    stops at once.  More than 10^7 terms, a start beyond 2^53, or a term 10^7 points above the start
+    not below 1e-14 of the start's (told before summing), raise ``NumericalError``.  Any other
+    support goes to :func:`_quadrature`, cut at ``center``.
     """
     if not support.lattice:
         return _quadrature(lambda x, _: fn(x), support.lower, support.upper, center)
     lower = math.ceil(max(support.lower, 0.0) if math.isfinite(support.lower) else 0.0)
-    start = lower if center is None else max(lower, min(round(center), support.upper))
+    start = max(lower, min(round(center), support.upper))
     if not start < 2**53:
         raise NumericalError(f"lattice sum from {start:.3g}, beyond the integers a float holds")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused as not finite
-        if center is not None and start + 10**7 <= support.upper:
+        if start + 10**7 <= support.upper:
             near, far = fn(np.array([start, start + 1e7]))
             if far > 1e-14 * near:
                 raise NumericalError(f"lattice sum from {start} cannot converge within 10^7 terms: the term "
@@ -401,7 +400,7 @@ def _support_integral(fn, support, center: Optional[float] = None) -> tuple[floa
                 ks = np.arange(k, end, step, dtype=float)
                 values = _finite(fn(ks), ks)
                 running = np.cumsum(np.concatenate(([total], values)))[1:]  # added in order, as one by one
-                negligible = (values < 1e-14 * running) | ((values == 0.0) & (center is not None))
+                negligible = (values < 1e-14 * running) | (values == 0.0)
                 run = np.concatenate([np.ones(quiet, dtype=bool), negligible])  # with the run carried in
                 stops = np.flatnonzero(run[2:] & run[1:-1] & run[:-2])
                 n = stops[0] + 3 - quiet if stops.size else ks.size

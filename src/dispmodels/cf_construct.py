@@ -265,6 +265,8 @@ def _lambda_ladder(target: float, start: float, floor: float) -> list:
 # every rung's KKT tolerance, and the factor of its starting residual at which a cold pass first stops its CG
 _KKT_TOL = 1e-10
 _COLD_PASS_FACTOR = 1e-3
+# the CG iterations of one solve, summed over its rungs
+_CG_ITERATIONS = 10**4
 
 
 def _active_set_pcg(hessian_apply, precond, a, free, budget):
@@ -332,7 +334,6 @@ def solve_convolution_grid(
     L: float,
     N: int,
     lambda_reg: Optional[float] = None,
-    max_iter: int = 10**4,
 ) -> GridSolution:
     """Solve ``min 1/2 a^T (A + sqrt(lambda) I) a - 1^T a s.t. a >= 0`` on the grid.
 
@@ -375,13 +376,13 @@ def solve_convolution_grid(
     that floor, before any CG iteration.
 
     Every rung stops when the free-set residual and every negative bound
-    gradient are within 1e-10.  ``max_iter`` bounds the CG iterations summed
-    over all rungs, which ``iterations`` reports.  A kernel whose samples are
-    not symmetric (within 1e-12 of their maximum) is rejected with
-    DomainError before any product is formed.  Raises ConvergenceError,
-    naming the iterations used and the KKT norm (max projected gradient)
-    reached, when a rung does not converge within that budget or within 100
-    active-set passes.
+    gradient are within 1e-10.  ``_CG_ITERATIONS`` = 10^4 bounds the CG
+    iterations summed over all rungs, which ``iterations`` reports.  A
+    kernel whose samples are not symmetric (within 1e-12 of their maximum)
+    is rejected with DomainError before any product is formed.  Raises
+    ConvergenceError, naming the iterations used, the budget and the KKT
+    norm (max projected gradient) reached, when a rung does not converge
+    within that budget or within 100 active-set passes.
     """
     if N < 2**10 or (N & (N - 1)) != 0:
         raise DomainError(f"grid size N={N} must be a power of two >= 1024")
@@ -440,7 +441,7 @@ def solve_convolution_grid(
             return np.fft.irfft(np.fft.rfft(v) * inverse, N)
 
         a, free, used, rung_passes, converged = _active_set_pcg(
-            hessian_apply, precond, a, free, max_iter - iterations
+            hessian_apply, precond, a, free, _CG_ITERATIONS - iterations
         )
         iterations += used
         passes += rung_passes
@@ -451,7 +452,7 @@ def solve_convolution_grid(
             kkt = float(np.max(np.abs(np.where(a > 0.0, grad, np.minimum(grad, 0.0)))))
             raise ConvergenceError(
                 f"active-set CG did not reach the KKT tolerance {_KKT_TOL:g} at lambda={rung**2:.3g}: KKT norm "
-                f"{kkt:.3g} after {iterations} CG iterations (max_iter={max_iter})")
+                f"{kkt:.3g} after {iterations} CG iterations (budget {_CG_ITERATIONS})")
 
     conv = apply_a(a)
     residual = float(np.max(np.abs(conv[band : N - band] - 1.0)))
@@ -477,12 +478,11 @@ def solve_normalizer(
     L: float,
     N: int,
     lambda_reg: Optional[float] = None,
-    max_iter: int = 10**4,
 ) -> GridSolution:
     """Discretize and solve ``[a_tau * K_tau](mu) = 1`` for the given cf."""
     validate_cf(cf)
     return solve_convolution_grid(
-        lambda t: kernel(cf, tau, t), tau, L, N, lambda_reg=lambda_reg, max_iter=max_iter
+        lambda t: kernel(cf, tau, t), tau, L, N, lambda_reg=lambda_reg
     )
 
 

@@ -106,12 +106,12 @@ def _check_pdm_mu_independence(model_name: str, seed: int) -> CheckResult:
     )
 
 
-def _check_pivotal(model_name: str, mu_list, tau: float, seed: int, m: int = 10**4) -> CheckResult:
-    spec = pdm.get_pdm(model_name)
-    report = pdm.pivotal_check(spec, mu_list, tau, m=m, seed=seed)
+def _check_pivotal(model_name: str, mu_list, tau: float, seed: int) -> CheckResult:
+    m = pdm._PIVOTAL_DRAWS
+    report = pdm.pivotal_check(pdm.get_pdm(model_name), mu_list, tau, m=m, seed=seed)
     return (
         f"pdm {model_name}: pivotal KS (m={m})",
-        report.passed(0.001),
+        report.passed(),
         f"min pairwise p-value {report.min_p_value:.4f}",
     )
 

@@ -128,7 +128,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--integrate", action="store_true", help="report the normalizer a0(tau)")
     group.add_argument("--pivotal-check", action="store_true", help="Monte Carlo pivotality report")
     p.add_argument("--mu-list", default=None, help="comma-separated mu values for the pivotal check")
-    p.add_argument("--m", type=int, default=10**4, help="Monte Carlo sample count")
+    p.add_argument("--m", type=int, default=pdm._PIVOTAL_DRAWS, help="Monte Carlo sample count")
     p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
 
     p = sub.add_parser("cf-construct", help="solve the cf convolution normalization equation")
@@ -249,7 +249,7 @@ def _cmd_pdm(args) -> int:
             mus = [float(m) for m in spec.deviance.omega.grid(3, 1e-2, span=3.0)]
         report = pdm.pivotal_check(spec, mus, args.tau, m=args.m, seed=args.seed)
         print(_json({"model": args.model, "tau": args.tau, "mu_list": report.mu_list, "p_values": report.p_values,
-                     "min_p_value": report.min_p_value, "passed": report.passed(0.001)}))
+                     "min_p_value": report.min_p_value, "passed": report.passed()}))
         return 0
     value = pdm.pdm_density(spec, args.y, args.mu, args.tau)
     print(_json({"model": args.model, "y": args.y, "mu": args.mu, "tau": args.tau, "density": value}))

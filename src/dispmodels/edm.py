@@ -234,13 +234,15 @@ def _variance_at(fam: EdmFamily, theta):
     return require_positive(fam._b_derivative(2, theta), "b'' of", fam, "theta", theta)
 
 
+@refuses_numerical_failure
 def variance_prime(fam: EdmFamily, mu: float) -> float:
     """Derivative of the variance function, ``V'(mu) = b'''(q(mu)) / V(mu)``.
 
     ``b'''`` is the third cumulant at unit dispersion: analytic where the
     family registers it, a finite difference of ``b''`` or ``b`` otherwise.
     """
-    return cumulant(fam, 3, inverse_mean(fam, mu), 1.0) / variance_function(fam, mu)
+    theta = _inverse_mean(fam, fam.mean_domain.require(mu, "mu"))
+    return fam._b_derivative(3, theta) / _variance_at(fam, theta)
 
 
 @refuses_numerical_failure

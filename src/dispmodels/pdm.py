@@ -146,7 +146,7 @@ class YokabilityReport:
         return self.finite_supremum and self.unique_maximizer and self.monotone_bijection
 
 
-def _scan_window(domain: RealInterval, center: float, halfwidth: float = 8.0) -> tuple[float, float]:
+def _scan_window(domain: RealInterval, center: float, halfwidth: float) -> tuple[float, float]:
     lo = domain.lower if math.isfinite(domain.lower) else center - halfwidth
     hi = domain.upper if math.isfinite(domain.upper) else center + halfwidth
     if math.isfinite(domain.lower):
@@ -245,6 +245,8 @@ def yoke_to_deviance(t: YokeSpec) -> UnitDeviance:
 # Sampling and the pivotal diagnostic
 # ----------------------------------------------------------------------
 
+_PIVOTAL_LEVEL, _PIVOTAL_DRAWS = 0.001, 10**4
+
 
 def sample_pdm(p: PdmSpec, mu: float, tau: float, size: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF sampling on a grid of 2^14 points: the cumulative trapezoid rule of the density,
@@ -278,6 +280,8 @@ def sample_pdm(p: PdmSpec, mu: float, tau: float, size: int, rng: np.random.Gene
 
 @dataclass(frozen=True)
 class PivotalReport:
+    """The pairwise KS tests of :func:`pivotal_check`, passed when every p-value is above ``_PIVOTAL_LEVEL``."""
+
     mu_list: tuple[float, ...]
     ks_statistics: tuple[tuple[float, float, float], ...]  # (mu_i, mu_j, statistic)
     p_values: tuple[float, ...]
@@ -286,8 +290,8 @@ class PivotalReport:
     def min_p_value(self) -> float:
         return min(self.p_values) if self.p_values else 1.0
 
-    def passed(self, threshold: float = 0.001) -> bool:
-        return self.min_p_value > threshold
+    def passed(self) -> bool:
+        return self.min_p_value > _PIVOTAL_LEVEL
 
 
 def _ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -310,14 +314,14 @@ def _ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return h / n, min(1.0, 2.0 * float(terms[0::2].sum() - terms[1::2].sum()))
 
 
-def pivotal_check(p: PdmSpec, mu_list, tau: float, m: int = 10**4, seed: int = 0x5EED) -> PivotalReport:
+def pivotal_check(p: PdmSpec, mu_list, tau: float, m: int = _PIVOTAL_DRAWS, seed: int = 0x5EED) -> PivotalReport:
     """Monte Carlo check that d(Y, mu) has a mu-free distribution.
 
     Draws m samples per mu, computes the deviance statistics, and runs
-    pairwise two-sample Kolmogorov-Smirnov tests; all pairwise p-values
-    are expected above 0.001 at m = 10^4 when the model is a PDM.  The
-    p-values are exact for every m, from the closed form for equal sample
-    sizes, so the check does not import ``scipy.stats``.
+    pairwise two-sample Kolmogorov-Smirnov tests; for a PDM every p-value is
+    expected above ``_PIVOTAL_LEVEL`` at m = ``_PIVOTAL_DRAWS``.  The p-values
+    are exact for every m, from the closed form for equal sample sizes, so
+    the check does not import ``scipy.stats``.
     """
     if m < 1:
         raise DomainError(f"the pivotal check needs m >= 1 draws per mu, got {m}")

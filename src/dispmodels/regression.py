@@ -65,9 +65,6 @@ class Link:
     inverse: Callable[[float], float]
     derivative: Callable[[float], float]
 
-    def __call__(self, mu):
-        return self.fn(mu)
-
 
 def _expit(eta):
     with np.errstate(over="ignore"):
@@ -132,8 +129,8 @@ def linear_predictor(n_params: int) -> Predictor:
     )
 
 
-def predictor_from_function(fn, n_params: int, jacobian=None) -> Predictor:
-    return Predictor(fn=fn, n_params=n_params, jacobian=jacobian, linear=False)
+def predictor_from_function(fn, n_params: int) -> Predictor:
+    return Predictor(fn=fn, n_params=n_params)
 
 
 @dataclass(frozen=True)
@@ -211,21 +208,22 @@ def _weighted_solve(local: np.ndarray, w: np.ndarray, target: np.ndarray) -> np.
     return solution
 
 
+_IRLS_ITERATIONS, _IRLS_TOL, _IRLS_HALVINGS = 100, 1e-8, 20
+
+
 def fit(
     model: RegressionModel,
     X: np.ndarray,
     y: np.ndarray,
     beta0: Optional[np.ndarray] = None,
     tau_method: str = "moment",
-    max_iter: int = 100,
-    tol: float = 1e-8,
-    max_halvings: int = 20,
 ) -> FitResult:
     """Fit by iteratively re-weighted least squares.
 
-    Converges when ``max|beta_new - beta| < tol (1 + max|beta|)``.  Steps
-    that push any mean outside its domain or increase the deviance are
-    halved (up to ``max_halvings``); exhausted halvings raise.  The
+    Converges when ``max|beta_new - beta| < _IRLS_TOL (1 + max|beta|)``
+    within ``_IRLS_ITERATIONS`` iterations, else ``converged`` is False.
+    Steps that push any mean outside its domain or increase the deviance are
+    halved, up to ``_IRLS_HALVINGS`` times; exhausted halvings raise.  The
     coefficient iterates never involve tau.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -267,14 +265,14 @@ def fit(
 
     converged = False
     iteration = 0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _IRLS_ITERATIONS + 1):
         g_prime, w, local = weights(beta, mu)
         # z - eta = (y - mu) * d eta / d mu
         offset = (y - mu) * g_prime
         step = _weighted_solve(local, w, offset)
 
         scale = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(_IRLS_HALVINGS + 1):
             candidate = beta + scale * step
             eta_new, mu_new = state(candidate)
             if _mu_valid(model, mu_new):
@@ -287,7 +285,7 @@ def fit(
 
         delta = float(np.max(np.abs(candidate - beta)))
         beta, eta, mu, deviance = candidate, eta_new, mu_new, deviance_new
-        if delta < tol * (1.0 + float(np.max(np.abs(beta)))):
+        if delta < _IRLS_TOL * (1.0 + float(np.max(np.abs(beta)))):
             converged = True
             break
 

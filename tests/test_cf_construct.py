@@ -26,6 +26,7 @@ from dispmodels.cf_construct import (
 from dispmodels.deviance import check_unit_deviance
 from dispmodels.errors import ConvergenceError, DomainError
 from dispmodels._numdiff import _refined_maxima, derivative
+from dispmodels.support import REALS
 
 GAUSS = CHARACTERISTIC_FUNCTIONS["gauss"]
 
@@ -142,7 +143,7 @@ class TestCfDeviance:
     def test_finite_second_moment_gives_regular_deviance(self):
         dev = cf_unit_deviance(GAUSS)
         assert dev.regular
-        curvature = derivative(lambda m: dev.fn(0.0, m), 0.0, 2)
+        curvature = derivative(lambda m: dev.fn(0.0, m), 0.0, 2, REALS)
         assert curvature > 0.0
 
 
@@ -301,14 +302,15 @@ class TestSolver:
         assert sol.residual <= 2e-5
 
     @pytest.mark.parametrize("lambda_reg", [1e-8, 1e-9, 1e-10, 0.0])
-    def test_lambda_sweep_converges_or_refuses_below_the_floor(self, lambda_reg):
+    def test_lambda_sweep_converges_or_refuses_below_the_floor(self, lambda_reg, monkeypatch):
         # gauss tau = 0.20, 0.225, ..., 0.50; at lambda = 1e-8 tau = 0.3 once took 7789 CG
         # iterations, and lambda = 1e-9, 1e-10 and 0 raised ConvergenceError on 3, 8 and 6 of the 13
         for tau in 0.2 + 0.025 * np.arange(13):
             if lambda_reg == 0.0:
                 # A + 0 I is numerically singular: refused before any CG iteration
+                monkeypatch.setattr(cf_construct, "_CG_ITERATIONS", 0)
                 with pytest.raises(DomainError, match="below the floor"):
-                    solve_normalizer(GAUSS, tau, 20.0, 2**10, lambda_reg=0.0, max_iter=0)
+                    solve_normalizer(GAUSS, tau, 20.0, 2**10, lambda_reg=0.0)
                 continue
             sol = solve_normalizer(GAUSS, tau, 20.0, 2**10, lambda_reg=lambda_reg)
             assert sol.iterations < 1000, tau
@@ -363,10 +365,11 @@ class TestSolver:
         assert 1e-3 < sol.overshoot < 0.1
         assert solve_normalizer(get_cf("laplace-cf"), 0.5, 20.0, 2**12).overshoot == 0.0
 
-    def test_exhausted_budget_raises(self):
+    def test_exhausted_budget_raises(self, monkeypatch):
         # an unconverged solve must raise, never return a loose solution
-        with pytest.raises(ConvergenceError, match="30 CG iterations"):
-            solve_normalizer(GAUSS, 0.25, 20.0, 2**10, lambda_reg=1e-8, max_iter=30)
+        monkeypatch.setattr(cf_construct, "_CG_ITERATIONS", 30)
+        with pytest.raises(ConvergenceError, match=r"30 CG iterations \(budget 30\)"):
+            solve_normalizer(GAUSS, 0.25, 20.0, 2**10, lambda_reg=1e-8)
 
     def test_residual_consistency_when_grid_refines(self):
         coarse = solve_normalizer(GAUSS, 0.25, 20.0, 2**10)

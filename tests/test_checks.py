@@ -2,6 +2,7 @@
 
 import pytest
 
+from dispmodels import pdm
 from dispmodels.cf_construct import CHARACTERISTIC_FUNCTIONS, CfSpec, validate_cf
 from dispmodels.checks import DEFAULT_SEED, _check_cf, _check_pivotal, available_scopes, run_checks
 from dispmodels.deviance import DEVIANCES
@@ -65,8 +66,9 @@ def test_cf_row_fails_on_a_lattice_cf(monkeypatch):
     assert detail == str(raised.value) and "lattice" in detail
 
 
-def test_pivotal_row_passes_on_von_mises():
-    name, passed, detail = _check_pivotal("vonmises", (0.0, 1.0, 3.0), 0.5, DEFAULT_SEED, m=2000)
+def test_pivotal_row_passes_on_von_mises(monkeypatch):
+    monkeypatch.setattr(pdm, "_PIVOTAL_DRAWS", 2000)
+    name, passed, detail = _check_pivotal("vonmises", (0.0, 1.0, 3.0), 0.5, DEFAULT_SEED)
     assert name == "pdm vonmises: pivotal KS (m=2000)"
     assert passed, detail
     assert detail.startswith("min pairwise p-value ")

@@ -396,3 +396,32 @@ def test_density_of_the_tweedie_one_view_off_unit_dispersion(capsys):
     assert out == "0.19536681481316454\n"
     code, out, err = _run(capsys, ["density", "--family", "tweedie:1", "--y", "1.2", "--mu", "2", "--tau", "0.5"])
     assert code == 1 and err.startswith("ERROR:domain:") and "not a lattice point" in err
+
+
+def test_pivotal_check_on_the_default_grid_or_the_given_mu_list(capsys):
+    argv = ["pdm", "--model", "vonmises", "--mu", "1", "--tau", "0.5", "--pivotal-check", "--m", "2000"]
+    res = _json_out(capsys, argv)
+    assert res["mu_list"] == pdm.get_pdm("vonmises").deviance.omega.grid(3, 1e-2, span=3.0).tolist()
+    assert len(res["p_values"]) == 3 and res["min_p_value"] == min(res["p_values"])
+    assert res["passed"] is True
+    assert _json_out(capsys, [*argv, "--mu-list", "0,1,3"])["mu_list"] == [0.0, 1.0, 3.0]
+
+
+def test_dispersion_mle_without_a_normalizer_derivative_is_a_domain_error(capsys, poisson_csv):
+    code, out, err = _run(capsys, _fit_argv(poisson_csv[0], "--formula", "x1+x2", "--tau-method", "mle"))
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR:domain:") and "use the moment estimator" in err
+
+
+@pytest.mark.parametrize("text, extra, message", [
+    ("", ["--formula", "x"], "empty CSV; a header row is mandatory"),
+    ("x,y\n1,2\n2,3\n", ["--predictor-expr", "b1*x", "--beta0", "1"], "--predictor-expr requires --n-params"),
+    ("x,y\n1,2\n2,3\n", ["--predictor-expr", "b1*x", "--n-params", "1"], "--predictor-expr requires --beta0"),
+], ids=["empty_csv", "no_n_params", "no_beta0"])
+def test_fit_input_errors_are_domain_errors(capsys, tmp_path, text, extra, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    code, out, err = _run(capsys, ["fit", "--data", str(path), "--response", "y", "--family", "normal",
+                                   "--link", "identity", *extra])
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR:domain:") and message in err

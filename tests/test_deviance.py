@@ -234,6 +234,13 @@ class TestTransformDeviance:
         assert dev.support.lower == -math.inf
         assert dev.support.upper == pytest.approx(2.0, rel=1e-9)
 
+    def test_decreasing_map_swaps_the_ends_and_their_closed_flags(self):
+        poisson = DEVIANCES["poisson"]
+        dev = transform_deviance(poisson, lambda y: -y, lambda z: -z, lambda y: -1.0)
+        s = dev.support
+        assert (s.lower, s.upper, s.closed_lower, s.closed_upper, s.lattice) == (-math.inf, 0.0, False, True, True)
+        assert eval_deviance(dev, -2.0, -3.0) == eval_deviance(poisson, 2.0, 3.0) == 0.37813956756734246
+
     def test_round_trip(self):
         dev = DEVIANCES["gamma"]
         forward = transform_deviance(dev, math.log, np.exp, lambda y: 1.0 / y)

@@ -435,6 +435,14 @@ class TestUserDefinedFamilies:
         fam = family_from_config(json.dumps(self.CONFIG))
         assert fam.name == "user_gamma"
 
+    def test_json_file_path(self, tmp_path):
+        import json
+
+        path = tmp_path / "user_gamma.json"
+        path.write_text(json.dumps(self.CONFIG))
+        fam = family_from_config(str(path))
+        assert fam.name == "user_gamma" and mean_value(fam, -2.0) == pytest.approx(0.5, rel=1e-8)
+
     def test_missing_keys(self):
         with pytest.raises(DomainError):
             family_from_config({"name": "nope"})
@@ -508,13 +516,13 @@ class TestSharedSolvers:
                               what="step")
 
     def test_lattice_sum_from_a_far_mode(self):
-        # the terms below the mode of Poisson(800) underflow to zero: the
-        # stopping rule must not fire before the mass starts
+        # the terms far below the mode of Poisson(800) underflow to zero: the sum
+        # from the centre runs down to them and stops there
         from dispmodels._numdiff import _support_integral
         from scipy.stats import poisson
 
         support = edm.get_family("poisson").support
-        total, err = _support_integral(lambda k: poisson.pmf(k, 800.0), support)
+        total, err = _support_integral(lambda k: poisson.pmf(k, 800.0), support, 800.0)
         assert total == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < err < 1e-14 * total
 
@@ -523,8 +531,8 @@ class TestSharedSolvers:
         from dispmodels.support import RealInterval
 
         dice = RealInterval(1.0, 6.0, closed_lower=True, closed_upper=True, lattice=True)
-        assert _support_integral(lambda k: k, dice) == (21.0, 0.0)
-        value, err = _support_integral(lambda x: np.exp(-x), RealInterval(0.0, math.inf))
+        assert _support_integral(lambda k: k, dice, 3.5) == (21.0, 0.0)
+        value, err = _support_integral(lambda x: np.exp(-x), RealInterval(0.0, math.inf), 1.0)
         assert value == pytest.approx(1.0, rel=1e-12) and err < 1e-8
 
     def test_integrable_singularity_at_a_finite_end(self):
@@ -532,7 +540,7 @@ class TestSharedSolvers:
         from dispmodels._numdiff import _support_integral
         from dispmodels.support import RealInterval
 
-        value, err = _support_integral(lambda y: y**-0.8 * np.exp(-y), RealInterval(0.0, math.inf))
+        value, err = _support_integral(lambda y: y**-0.8 * np.exp(-y), RealInterval(0.0, math.inf), 1.0)
         assert value == pytest.approx(math.gamma(0.2), rel=1e-10) and err < 1e-9 * value
 
     def test_divergent_integral_uses_up_its_rounds(self):
@@ -806,3 +814,23 @@ def test_renormalized_density_of_an_array_matches_or_refuses():
     assert edm.density(poisson, 0.0, 0.1, 1.0) == 0.0  # a boundary observation carries no mass
     with pytest.raises(DomainError):
         edm.density(poisson, np.array([0.0, 2.0]), 0.1, 1.0)
+
+
+@pytest.mark.parametrize("name", ["gamma", "inverse_gaussian", "binomial", "config_gamma"])
+def test_variance_prime_is_the_third_cumulant_over_the_variance(name):
+    # bit for bit the composition of the public functions, which checked mu three times
+    fam = family_from_config(TestUserDefinedFamilies.CONFIG) if name == "config_gamma" else get_family(name)
+    for mu in (0.2, 0.5, 0.9):
+        expected = cumulant(fam, 3, inverse_mean(fam, mu), 1.0) / variance_function(fam, mu)
+        assert edm.variance_prime(fam, mu) == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cumulant(get_family("gamma"), 0, -1.0, 1.0), "cumulant order must be >= 1"),
+    (lambda: sample_mean_family(get_family("gamma"), -1.0, 1.0, 0), "sample size must be >= 1"),
+    (lambda: edm.log_density(family_from_config(TestUserDefinedFamilies.CONFIG), 1.0, -1.0, 1.0),
+     "family user_gamma has no exact normalizer"),
+], ids=["cumulant_order_zero", "empty_sample", "config_log_density"])
+def test_refusals(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -11,7 +11,7 @@ from scipy.special import i0e
 from scipy.stats import ks_2samp
 
 from dispmodels.deviance import DEVIANCES, check_unit_deviance, unit_variance
-from dispmodels.errors import DomainError
+from dispmodels.errors import DomainError, NumericalError
 from dispmodels.pdm import (
     PDMS,
     _ks_two_sample,
@@ -280,12 +280,12 @@ class TestYokes:
 class TestPivotal:
     def test_von_mises(self):
         report = pivotal_check(get_pdm("vonmises"), (0.0, 1.0, 3.0), 0.5, m=10**4, seed=0x5EED)
-        assert report.passed(0.001)
+        assert report.passed()
 
     def test_normal_chi_square_identity(self):
         # d(Y, mu) = (Y - mu)^2 ~ tau chi2_1 for every mu
         report = pivotal_check(get_pdm("normal"), (-2.0, 5.0), 1.0, m=10**4, seed=0x5EED)
-        assert report.passed(0.001)
+        assert report.passed()
 
     def test_no_draws_rejected(self):
         with pytest.raises(DomainError):
@@ -309,6 +309,10 @@ class TestPivotal:
             assert statistic == expected.statistic
             assert pvalue == pytest.approx(expected.pvalue, rel=0.0, abs=1e-12)
 
+    def test_kolmogorov_smirnov_of_a_sample_against_itself(self):
+        x = np.random.default_rng(4).standard_normal(50)
+        assert _ks_two_sample(x, x) == (0.0, 1.0)
+
     def test_kolmogorov_smirnov_stays_exact_above_ten_thousand_draws(self):
         # ks_2samp switches to the asymptotic p-value there unless asked for the exact one
         rng = np.random.default_rng(20)
@@ -318,6 +322,11 @@ class TestPivotal:
             expected = ks_2samp(x, y, method="exact")
             assert statistic == expected.statistic
             assert pvalue == pytest.approx(expected.pvalue, rel=1e-12, abs=1e-300)
+
+    def test_sampler_refuses_a_lattice_pdm(self):
+        spec = PdmSpec(name="poisson", deviance=DEVIANCES["poisson"], carrier=lambda y: 1.0)
+        with pytest.raises(NumericalError, match="only covers continuous PDMs"):
+            sample_pdm(spec, 2.0, 1.0, 10, np.random.default_rng(0))
 
     def test_sampler_matches_density(self):
         # inverse-CDF sampler moments against quadrature moments
@@ -416,7 +425,7 @@ class TestArrayPdm:
         report = pivotal_check(spec, mus, 1.0, m=1000, seed=3)
         # one density grid for the sampler and one deviance of the draws per mu
         assert len(calls) == 2 * len(mus)
-        assert report.passed(0.001)
+        assert report.passed()
 
     def test_support_is_the_deviance_support(self):
         for spec in PDMS.values():

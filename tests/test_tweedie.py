@@ -465,6 +465,8 @@ class TestDensity:
     def test_negative_p_refused(self):
         with pytest.raises(DomainError):
             tweedie_density(-1.0, 0.5, 1.0, 1.0)
+        with pytest.raises(DomainError, match="cdfs for p < 0 are not evaluated"):
+            tweedie_cdf(-1.0, 0.5, 1.0, 1.0)
 
     def test_forbidden_band_rejected(self):
         with pytest.raises(DomainError):
