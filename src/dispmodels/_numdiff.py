@@ -23,8 +23,15 @@ ndarrays alike, one call of ``fn`` per iteration.
 1983, *QUADPACK*; Gander & Gautschi 2000, *BIT* 40:84).  An interval is cut
 at a centre c into two pieces, each on t in [0, 1] from its end (t = 0) to c:
 x = end + (c - end) t^3 from a finite end, which turns a singularity x^a there
-into t^(3a + 2), and x = c -+ L (1 - t)/t from -+inf, L the distance from c
-to the other end (or 1); a node is as accurate as its distance to its end.
+into t^(3a + 2), and x = c -+ L (1 - t)/t from -+inf; a node is as accurate
+as its distance to its end.  L is ``_TAIL_SPREADS`` times the integrand's
+spread where the caller gives one (a PDM normalizer whose deviance carries
+its unit variance gives sqrt(tau V(mu))), else the distance from c to the
+other end (or 1), blind to the integrand's width.  t = 1/2 maps to c -+ L, so
+the first round's inner parent holds the integrand out to 4 spreads and the
+outer one its tail: on the renormalized gamma, inverse Gaussian and normal
+normalizers, multiples 3 to 8 take the fewest calls, 2 sends a tenth of the
+gamma ones to a second round and 16 takes a fifth more calls.
 A panel's estimate is the rule on its halves, its error the gap to the rule
 on the whole.  Each round splits every panel with an error at least 1/8 of
 its integral's largest, a panel at t = 0 at a quarter, so panels grade
@@ -40,10 +47,10 @@ piece, so its nodes and weights under both end maps are computed once, at
 import (``_FIRST_ROUND``), and an integral's first call is these scaled to its
 pieces: at 16-1024 nodes numpy's fixed cost per call, not the arithmetic, sets
 the time.  A lattice support is summed from the point nearest the centre its
-caller gives, up and then down, in blocks of terms, one call per block.  No
-module imports scipy when it loads, nor SciPy's integrators or optimizers:
-``scipy.special`` comes with the first special-function call, through
-``_elementary.special``.
+caller gives, up and then down, in blocks of terms: the first call holds the
+first block of both runs, and each later call one block.  No module imports
+scipy when it loads, nor SciPy's integrators or optimizers: ``scipy.special``
+comes with the first special-function call, through ``_elementary.special``.
 
 Four private solvers are written here once: ``_bracketed_newton`` (the
 inverse mean mapping, the dispersion MLE), ``_quadrature`` (the deviance by
@@ -72,7 +79,9 @@ __all__ = ["EPS", "derivative"]
 # integral (of one whose error stalls), the refinement it may spend, and the integrals refined together
 _FIRST_PARENTS = np.array([[0.0, 0.125, 0.5], [0.5, 0.75, 1.0]])
 _QUAD_TOL, _QUAD_NOISE, _QUAD_ROUNDS, _QUAD_PANELS, _QUAD_BATCH = 1e-10, 1e-6, 60, 2048, 64
-# lattice sums: terms in a run's first call of the summand, doubling each call up to the last
+# an infinite end's length L in spreads of the integrand, where its caller knows the spread
+_TAIL_SPREADS = 4.0
+# lattice sums: terms in a run's first block, doubling each call up to the last
 _LATTICE_BLOCK, _LATTICE_BLOCK_MAX = 64, 2**16
 _NEWTON_ITERATIONS = 200  # evaluations of the safeguarded Newton before it gives up
 # (node, weight) of the nonnegative half of the symmetric 16-point Gauss-Legendre rule on [-1, 1], as
@@ -161,7 +170,7 @@ def _richardson(sums, h, order: int):
     return (16.0 * fine - coarse) / 15.0 / math.prod([h] * order)
 
 
-def _bracketed_newton(fn, slope, lo, hi, tol, increasing: bool = True, what: str = "root"):
+def _bracketed_newton(fn, slope, lo, hi, tol, what: str, increasing: bool = True):
     """Roots of the monotone ``fn`` inside the brackets ``(lo, hi)``, floats or ndarrays.
 
     Safeguarded Newton from the midpoint: each iterate shrinks the bracket
@@ -171,8 +180,8 @@ def _bracketed_newton(fn, slope, lo, hi, tol, increasing: bool = True, what: str
     its first iterate with ``|fn| <= tol`` (then stays put); ``fn`` and
     ``slope`` see all iterates in one call per iteration.  Floats run as 0-d
     arrays and return a float.  After ``_NEWTON_ITERATIONS`` evaluations raises
-    ``ConvergenceError`` naming the residual, the last iterate and, for an
-    ndarray, the first entry that did not stop.
+    ``ConvergenceError`` naming the solve (``what``), the residual, the last
+    iterate and, for an ndarray, the first entry that did not stop.
     """
     x = 0.5 * (np.asarray(lo, dtype=float) + np.asarray(hi, dtype=float))
     tol = np.broadcast_to(tol, np.shape(x))
@@ -269,13 +278,15 @@ _FIRST_ROUND = _first_round()
 _FIRST_PIECES = np.arange(12 * _QUAD_BATCH) // 6
 
 
-def _quadrature(fn, lower, upper, center=None):
+def _quadrature(fn, lower, upper, center=None, spread=None):
     """``(integral, error estimate)`` of ``fn`` from ``lower`` to ``upper`` by the rule of the module docstring.
 
     The ends and ``center`` (by default the midpoint, a unit inside a finite end, or 0) are floats,
     or 1-d arrays of as many integrals, each refined on its own, so that an entry equals its float
-    call; an infinite end is ``lower = -inf`` or ``upper = inf``.  ``fn(x, rows)`` gets the nodes
-    ``x``, shape ``(k, 16)``, and the integral of each row of them.  Floats in give floats out.
+    call; an infinite end is ``lower = -inf`` or ``upper = inf``.  ``spread``, a positive float, is
+    the width of every integrand: an infinite end's length L is then ``_TAIL_SPREADS`` spreads.
+    ``fn(x, rows)`` gets the nodes ``x``, shape ``(k, 16)``, and the integral of each row of them.
+    Floats in give floats out.
     """
     try:
         ends = np.array([lower, upper], dtype=float)
@@ -293,11 +304,13 @@ def _quadrature(fn, lower, upper, center=None):
         if m > _QUAD_BATCH:  # a batch at a time, so that the nodes of a round stay bounded
             c = np.broadcast_to(c, (m, 1))
             parts = [_quadrature(lambda x, rows, i=i: fn(x, rows + i), *ends[i:i + _QUAD_BATCH].T,
-                                 c[i:i + _QUAD_BATCH, 0]) for i in range(0, m, _QUAD_BATCH)]
+                                 c[i:i + _QUAD_BATCH, 0], spread) for i in range(0, m, _QUAD_BATCH)]
             return tuple(np.concatenate(part).reshape(shape) for part in zip(*parts))
         # piece 2i runs from the lower end of integral i to c, piece 2i + 1 from its upper end
         span = c - ends
         length = np.where(finite[:, ::-1], np.abs(span[:, ::-1]), 1.0)
+        if spread is not None:  # read on infinite ends only
+            length = np.full((m, 2), _TAIL_SPREADS * spread)
         base = np.where(infinite, c, ends).ravel()
         scale = np.where(infinite, np.sign(ends) * length, span).ravel()
         jacobian = np.where(infinite, length, span * _SIDES).ravel()
@@ -369,36 +382,44 @@ def _quadrature(fn, lower, upper, center=None):
                          f"of at most {_QUAD_PANELS} panels: {total[i]:.6g} with error {gap[i]:.3g}")
 
 
-def _support_integral(fn, support, center: float) -> tuple[float, float]:
+def _support_integral(fn, support, center: float, spread=None) -> tuple[float, float]:
     """``(integral, error estimate)`` of ``fn``, called on ndarrays only, over a ``RealInterval``.
 
     A lattice support is summed over its integer points from ``max(lower, 0)``, a block of terms a
     call, up from the point nearest the ``center`` where ``fn`` peaks and then down from there; a run
     stops after three consecutive terms below 1e-14 of the running total or zero (the error estimate
     then gains the last term), or at an end of the support, so a sum whose every term underflows
-    stops at once.  More than 10^7 terms, a start beyond 2^53, or a term 10^7 points above the start
-    not below 1e-14 of the start's (told before summing), raise ``NumericalError``.  Any other
-    support goes to :func:`_quadrature`, cut at ``center``.
+    stops at once.  The first call of ``fn`` holds the first block of both runs and the term 10^7
+    points above the start.  More than 10^7 terms, a start beyond 2^53, or that far term not below
+    1e-14 of the start's (told before summing), raise ``NumericalError``.  Any other support goes to
+    :func:`_quadrature`, cut at ``center``; ``spread``, the integrand's width about ``center`` if
+    given, then sets the length L of an infinite end.
     """
     if not support.lattice:
-        return _quadrature(lambda x, _: fn(x), support.lower, support.upper, center)
+        return _quadrature(lambda x, _: fn(x), support.lower, support.upper, center, spread)
     lower = math.ceil(max(support.lower, 0.0) if math.isfinite(support.lower) else 0.0)
     start = max(lower, min(round(center), support.upper))
     if not start < 2**53:
         raise NumericalError(f"lattice sum from {start:.3g}, beyond the integers a float holds")
+
+    def terms_from(k, step, block):  # the next block of a run
+        end = min(k + block, support.upper + 1) if step > 0 else max(k - block, lower - 1)
+        return np.arange(k, end, step, dtype=float)
+
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused as not finite
-        if start + 10**7 <= support.upper:
-            near, far = fn(np.array([start, start + 1e7]))
-            if far > 1e-14 * near:
-                raise NumericalError(f"lattice sum from {start} cannot converge within 10^7 terms: the term "
-                                     "10^7 points above it is not below 1e-14 of its own")
+        up, down = terms_from(start, 1, _LATTICE_BLOCK), terms_from(start - 1, -1, _LATTICE_BLOCK)
+        probe = [start + 1e7] if start + 10**7 <= support.upper else []
+        ks = np.concatenate([up, down, probe])
+        head = fn(ks)
+        if probe and head[-1] > 1e-14 * head[0]:
+            raise NumericalError(f"lattice sum from {start} cannot converge within 10^7 terms: the term "
+                                 "10^7 points above it is not below 1e-14 of its own")
         total, error, terms = 0.0, 0.0, 0
-        for k, step in ((start, 1), (start - 1, -1)):
+        for k, step, ready in ((start, 1, head[:up.size]), (start - 1, -1, head[up.size:up.size + down.size])):
             quiet, block = 0, _LATTICE_BLOCK
             while lower <= k <= support.upper and quiet < 3:
-                end = min(k + block, support.upper + 1) if step > 0 else max(k - block, lower - 1)
-                ks = np.arange(k, end, step, dtype=float)
-                values = _finite(fn(ks), ks)
+                ks = terms_from(k, step, block)
+                values, ready = _finite(fn(ks) if ready is None else ready, ks), None
                 running = np.cumsum(np.concatenate(([total], values)))[1:]  # added in order, as one by one
                 negligible = (values < 1e-14 * running) | (values == 0.0)
                 run = np.concatenate([np.ones(quiet, dtype=bool), negligible])  # with the run carried in

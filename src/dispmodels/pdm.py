@@ -88,7 +88,10 @@ def pdm_normalizer(d: UnitDeviance, b: Callable[[float], float], tau: float, pro
 
     For a proper dispersion model the integral does not depend on the
     probe mu; re-evaluating at a different probe must agree within 1e-6
-    relative, which is the pivotality diagnostic callers assert.  A node of
+    relative, which is the pivotality diagnostic callers assert.  Where ``d``
+    carries its unit variance, ``sqrt(tau V(probe_mu))``, if positive and
+    finite, is the integrand's spread, which sizes an infinite end of the
+    quadrature (see ``_numdiff``).  A node of
     ``_numdiff._support_integral`` where the exponential underflows adds 0
     unseen by ``b``; a value not finite elsewhere raises ``NumericalError``.
     """
@@ -102,7 +105,8 @@ def pdm_normalizer(d: UnitDeviance, b: Callable[[float], float], tau: float, pro
         value[live] *= el.call(b, y[live])
         return value
 
-    value, err = _support_integral(integrand, d.support, probe_mu)
+    v = math.nan if d.variance is None else tau * el.call(d.variance, probe_mu)
+    value, err = _support_integral(integrand, d.support, probe_mu, math.sqrt(v) if 0.0 < v < math.inf else None)
     if not 0.0 < value < math.inf or err > 1e-6 * value:
         raise NumericalError(f"normalizer integral for {d.name} diverged or failed (value={value}, err={err})")
     return 1.0 / value

@@ -104,8 +104,10 @@ def renormalized_saddlepoint(d: UnitDeviance, V: VarianceFunction, y: float, mu:
     ``a0(mu, tau) = 1 / integral_C q(x; mu, tau) nu(dx)`` is the normalizer of the proper
     dispersion model with carrier ``[2 pi tau V(x)]^(-1/2)``, from :func:`pdm.pdm_normalizer`
     (adaptive quadrature, or lattice summation for discrete supports), which calls the carrier on
-    arrays of nodes.  Boundary observations, where V degenerates, carry no mass.  ``y`` may be an
-    ndarray, each entry as its float call, except that a boundary entry is refused (``DomainError``).
+    arrays of nodes.  An EDM's deviance carries its unit variance, so the integral is sized from
+    the spread ``sqrt(tau V(mu))`` (see ``_numdiff``).  Boundary observations, where V
+    degenerates, carry no mass.  ``y`` may be an ndarray, each entry as its float call, except
+    that a boundary entry is refused (``DomainError``).
     """
     if not d.regular:
         raise DomainError(f"deviance {d.name} is not regular; saddlepoint undefined")

@@ -477,15 +477,15 @@ class TestSharedSolvers:
         from dispmodels._numdiff import _bracketed_newton
 
         if not array:
-            root = _bracketed_newton(lambda x: x**3 - 2.0, lambda x: 0.0, 0.0, 4.0, 1e-12)
+            root = _bracketed_newton(lambda x: x**3 - 2.0, lambda x: 0.0, 0.0, 4.0, 1e-12, what="root")
             assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-11)
             return
         # each entry bisects its own bracket and stops where its float call stops (x * x * x
         # rounds alike on floats and arrays, where ** need not)
         cube = lambda x: x * x * x - 2.0
         lo, hi = np.array([0.0, 1.0, -3.0]), np.array([4.0, 2.0, 1.5])
-        roots = _bracketed_newton(cube, lambda x: 0.0, lo, hi, 1e-12)
-        expected = [_bracketed_newton(cube, lambda x: 0.0, a, b, 1e-12) for a, b in zip(lo, hi)]
+        roots = _bracketed_newton(cube, lambda x: 0.0, lo, hi, 1e-12, what="root")
+        expected = [_bracketed_newton(cube, lambda x: 0.0, a, b, 1e-12, what="root") for a, b in zip(lo, hi)]
         np.testing.assert_array_equal(roots, expected)
 
     def test_newton_array_takes_the_float_steps(self):
@@ -494,8 +494,8 @@ class TestSharedSolvers:
 
         fn, slope = lambda x: x * x * x + x - 3.0, lambda x: 3.0 * x * x + 1.0
         lo, hi, tol = np.array([0.0, -5.0, 1.0]), np.array([2.0, 40.0, 1.5]), np.array([1e-3, 1e-12, 1e-14])
-        roots = _bracketed_newton(fn, slope, lo, hi, tol)
-        expected = [_bracketed_newton(fn, slope, *args) for args in zip(lo, hi, tol)]
+        roots = _bracketed_newton(fn, slope, lo, hi, tol, what="root")
+        expected = [_bracketed_newton(fn, slope, *args, what="root") for args in zip(lo, hi, tol)]
         np.testing.assert_array_equal(roots, expected)
 
     @pytest.mark.parametrize("array", [False, True], ids=["float", "ndarray"])
@@ -525,6 +525,29 @@ class TestSharedSolvers:
         total, err = _support_integral(lambda k: poisson.pmf(k, 800.0), support, 800.0)
         assert total == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < err < 1e-14 * total
+
+    def test_lattice_sum_adds_its_terms_one_by_one(self):
+        # up from the start and then down, each term added to a running float sum: the blocks change
+        # nothing but the calls, the first of which holds both first blocks and the term 10^7 points up
+        from dispmodels._numdiff import _support_integral
+        from scipy.stats import poisson
+
+        def running_sum(term, start):
+            total = 0.0
+            for k, step in ((start, 1), (start - 1, -1)):
+                quiet = 0
+                while k >= 0 and quiet < 3:
+                    value = term(k)
+                    total += value
+                    quiet = quiet + 1 if value < 1e-14 * total or value == 0.0 else 0
+                    k += step
+            return total
+
+        support = edm.get_family("poisson").support
+        expected = running_sum(lambda k: float(poisson.pmf(k, 800.0)), 800)
+        calls = []
+        total, _ = _support_integral(lambda k: calls.append(k.size) or poisson.pmf(k, 800.0), support, 800.0)
+        assert total == expected and calls == [129, 128, 256, 128, 256]
 
     def test_finite_lattice_and_quadrature(self):
         from dispmodels._numdiff import _support_integral

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc, i0
 from scipy.stats import norm, poisson
 
-from dispmodels import edm
+from dispmodels import edm, pdm
 from dispmodels.deviance import DEVIANCES, VARIANCE_FUNCTIONS
 from dispmodels.errors import DomainError, NumericalError
 from dispmodels.saddlepoint import (
@@ -165,6 +166,61 @@ class TestRenormalizedSaddlepoint:
         dev, V = edm.unit_deviance_of(fam), edm.variance_function_of(fam)
         res = renormalized_saddlepoint(dev, V, 800.0, 800.0, 1.0)
         assert res.value == pytest.approx(poisson.pmf(800, 800.0), rel=2e-3)
+
+
+@pytest.fixture
+def integrand_calls(monkeypatch):
+    """The number of nodes of each integrand call of the normalizing integrals of ``pdm_normalizer``."""
+    calls, real = [], pdm._support_integral
+    monkeypatch.setattr(pdm, "_support_integral",
+                        lambda fn, *args: real(lambda x: calls.append(x.size) or fn(x), *args))
+    return calls
+
+
+class TestNormalizerSpread:
+    """``pdm_normalizer`` sizes an infinite end of its integral from the spread sqrt(tau V(mu))."""
+
+    def test_gamma_normalizers_take_one_integrand_call(self, integrand_calls):
+        # stratified draws on the ranges of the benchmark's renormalized ops
+        rng = np.random.default_rng(36)
+        y, mu, tau = ((lo + (hi - lo) * (np.arange(100) + rng.random(100)) / 100).tolist()
+                      for lo, hi in ((0.2, 4.0), (0.5, 2.0), (0.05, 0.5)))
+        dev, V = DEVIANCES["gamma"], VARIANCE_FUNCTIONS["gamma"]
+        for point in zip(rng.permutation(y), rng.permutation(mu), tau):
+            integrand_calls.clear()
+            renormalized_saddlepoint(dev, V, *point)
+            assert len(integrand_calls) == 1, point
+
+    def test_the_spread_saves_calls_and_keeps_the_value(self, integrand_calls):
+        # against the same deviance without a variance, whose integral takes L = mu (or 1 on the line)
+        calls = {True: 0, False: 0}
+        for name in ("gamma", "inverse_gaussian", "normal"):
+            dev, V = DEVIANCES[name], VARIANCE_FUNCTIONS[name]
+            for mu in (0.3, 1.0, 3.0):
+                for tau in (0.01, 0.05, 0.2, 0.5, 1.0, 2.0, 5.0):
+                    counts, values = {}, {}
+                    for spread, d in ((True, dev), (False, replace(dev, variance=None))):
+                        integrand_calls.clear()
+                        values[spread] = renormalized_saddlepoint(d, V, mu, mu, tau).value
+                        counts[spread] = len(integrand_calls)
+                        calls[spread] += counts[spread]
+                    assert values[True] == pytest.approx(values[False], rel=1e-12, abs=0.0), (name, mu, tau)
+                    assert counts[True] <= counts[False] + 1, (name, mu, tau)
+        assert calls[True] < 0.85 * calls[False]
+
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.inf, math.nan])
+    def test_a_variance_that_is_not_positive_and_finite_gives_no_spread(self, variance):
+        # the normalizer is then the one of the same deviance without a variance, bit for bit
+        dev = DEVIANCES["gamma"]
+        value = pdm.pdm_normalizer(replace(dev, variance=lambda mu: variance), np.ones_like, 0.3, 1.5)
+        assert value == pdm.pdm_normalizer(replace(dev, variance=None), np.ones_like, 0.3, 1.5)
+
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0])
+    def test_a_lattice_sum_takes_one_call(self, integrand_calls, tau):
+        # the term 10^7 points above the start, 64 terms up from 2 and the 2 down share one call
+        fam = edm.get_family("poisson")
+        renormalized_saddlepoint(edm.unit_deviance_of(fam), edm.variance_function_of(fam), 3.0, 2.0, tau)
+        assert integrand_calls == [64 + 2 + 1]
 
 
 class TestLugannaniRice:

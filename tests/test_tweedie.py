@@ -1,14 +1,12 @@
 """Tweedie power-variance families: generator, deviance, series and cf-inversion densities, cdfs."""
 
 import math
-import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import mpmath
@@ -34,7 +32,7 @@ from dispmodels.tweedie import (
     tweedie_mean,
     tweedie_zero_mass,
 )
-from quadosc_oracle import quadosc_inversion
+from quadosc_oracle import CDF_ROWS, DENSITY_POINTS, POINTS, quadosc_inversion, recorded_values
 
 
 def _generator(p, theta):
@@ -663,19 +661,12 @@ class TestCdf:
             tweedie_family(math.nan)
 
 
-# the densities one benchmark pass inverts, two that take the most tail panels, and the cdf table rows
-_ORACLE_DENSITIES = [(2.5, 0.12, 0.12, 0.25), (2.5, 0.25, 0.25, 0.25), (3.5, 0.12, 0.12, 0.25),
-                     (3.5, 4.0, 4.0, 2.0), (3.5, 2.0, 2.0, 1.0)]
-_ORACLE_CDF_ROWS = np.arange(0.5, 3.25, 0.5)  # p = 2.5, mu = tau = 1
-
-
 @pytest.fixture(scope="module")
 def quadosc_values():
-    # about 2 s a point, so the points share two worker processes, which import only the oracle's module
-    points = [(*point, False) for point in _ORACLE_DENSITIES]
-    points += [(2.5, y, 1.0, 1.0, True) for y in _ORACLE_CDF_ROWS]
-    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return dict(zip(points, pool.map(quadosc_inversion, *zip(*points))))
+    # 1-3 s a point by quadosc, so the values are recorded (tests/quadosc_oracle.py) and one is checked live
+    values = recorded_values()
+    assert sorted(values) == sorted(POINTS)
+    return values
 
 
 class TestInversionRule:
@@ -687,14 +678,18 @@ class TestInversionRule:
         assert _numdiff._GL_NODES.tolist() == (0.5 * (nodes + 1.0)).tolist()
         assert _numdiff._GL_WEIGHTS.tolist() == (0.5 * weights).tolist()
 
-    @pytest.mark.parametrize("p, y, mu, tau", _ORACLE_DENSITIES)
+    def test_a_recorded_value_is_quadosc_live(self, quadosc_values):
+        point = (3.5, 2.0, 2.0, 1.0, False)  # the quickest point, about 1 s
+        assert quadosc_inversion(*point) == pytest.approx(quadosc_values[point], rel=1e-14)
+
+    @pytest.mark.parametrize("p, y, mu, tau", DENSITY_POINTS)
     def test_density_integral_matches_quadosc(self, quadosc_values, p, y, mu, tau):
         assert _fourier_inversion(p, y, mu, tau, False, 1e-8) == pytest.approx(
             quadosc_values[p, y, mu, tau, False], rel=1e-10)
 
     def test_cdf_rows_match_quadosc(self, quadosc_values):
-        expected = [0.5 + quadosc_values[2.5, y, 1.0, 1.0, True] / math.pi for y in _ORACLE_CDF_ROWS]
-        assert tweedie_cdf(2.5, _ORACLE_CDF_ROWS, 1.0, 1.0) == pytest.approx(expected, abs=1e-10)
+        expected = [0.5 + quadosc_values[2.5, y, 1.0, 1.0, True] / math.pi for y in CDF_ROWS]
+        assert tweedie_cdf(2.5, np.array(CDF_ROWS), 1.0, 1.0) == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("n", [6, 60])
     def test_rows_share_their_cf_calls(self, monkeypatch, n):
